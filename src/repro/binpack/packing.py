@@ -101,7 +101,17 @@ def validate_packing_inputs(sizes: list[int] | tuple[int, ...], capacity: object
 
     Returns the sizes as a tuple of positive ints and the capacity as an int,
     and rejects items larger than the capacity (they can never be packed).
+    Sizes that are already plain ``int``s within ``1..capacity`` pass
+    without per-item coercion; anything else takes the per-item checks,
+    which also produce the error messages.
     """
+    if (
+        type(capacity) is int
+        and capacity > 0
+        and all(type(s) is int for s in sizes)
+        and (not sizes or 0 < min(sizes) <= max(sizes) <= capacity)
+    ):
+        return tuple(sizes), capacity
     validated = tuple(check_positive_int(s, f"sizes[{i}]") for i, s in enumerate(sizes))
     cap = check_positive_int(capacity, "capacity")
     for i, size in enumerate(validated):

@@ -8,7 +8,9 @@ at most ``t + (q - t) = q``.  With ``b_x`` and ``b_y`` bins the scheme uses
 ``b_x * b_y`` reducers; :func:`best_split_grid` searches the split ``t``
 that minimizes the product, which makes the scheme fully general (any
 feasible instance admits a split with ``t >= max(x)`` and
-``q - t >= max(y)``).
+``q - t >= max(y)``).  The search compares bin counts only, so probing a
+split costs two packings and builds no schema; one schema is built, for
+the winning split.
 """
 
 from __future__ import annotations
@@ -95,17 +97,24 @@ def best_split_grid(
 
     Probes up to *max_candidates* split values across the feasible range
     (always including the endpoints and the symmetric split) and keeps the
-    one whose ``b_x * b_y`` product is smallest.  Fully general: succeeds on
-    every feasible X2Y instance.
+    one whose ``b_x * b_y`` product is smallest, the first one on ties.  A
+    probe costs two packings and builds no schema: the grid of split ``t``
+    has exactly ``b_x * b_y`` reducers, so only the winner is built, with
+    :func:`grid_with_split`.  Fully general: succeeds on every feasible X2Y
+    instance.
     """
     instance.check_feasible()
-    best: X2YSchema | None = None
+    best_t: int | None = None
+    best_reducers = 0
     for t in _candidate_splits(instance, max_candidates):
-        schema = grid_with_split(instance, t, packer=packer)
-        if best is None or schema.num_reducers < best.num_reducers:
-            best = schema
-    if best is None:
+        reducers = (
+            packer(instance.x_sizes, t).num_bins
+            * packer(instance.y_sizes, instance.q - t).num_bins
+        )
+        if best_t is None or reducers < best_reducers:
+            best_t, best_reducers = t, reducers
+    if best_t is None:
         # check_feasible passed, so the feasible split range is non-empty;
         # this is unreachable but keeps the type checker honest.
         raise InvalidInstanceError("no feasible capacity split found")
-    return best
+    return grid_with_split(instance, best_t, packer=packer)

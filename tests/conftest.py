@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.core.instance import A2AInstance, X2YInstance
+
+# ``HYPOTHESIS_PROFILE=ci`` runs property tests that set no example count of
+# their own ten times longer (CI's tier-1 step does); the default profile
+# keeps local runs short.
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

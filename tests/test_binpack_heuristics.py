@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.binpack import (
@@ -45,12 +47,35 @@ class TestAllPackersShared:
         result.validate()
 
     def test_rejects_oversized_item(self, packer):
-        with pytest.raises(InvalidInstanceError, match="exceeds bin capacity"):
+        with pytest.raises(
+            InvalidInstanceError, match="^item 1 of size 11 exceeds bin capacity 10$"
+        ):
             packer([5, 11], 10)
 
     def test_rejects_zero_size(self, packer):
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(InvalidInstanceError, match=r"^sizes\[1\] must be positive, got 0$"):
             packer([5, 0], 10)
+
+    @pytest.mark.parametrize(
+        ("sizes", "capacity", "message"),
+        [
+            ([5, True], 10, "sizes[1] must be a positive integer, got bool True"),
+            ([5, 2.5], 10, "sizes[1] must be integral, got 2.5"),
+            ([5, -3], 10, "sizes[1] must be positive, got -3"),
+            ([5], False, "capacity must be a positive integer, got bool False"),
+            ([5], 0, "capacity must be positive, got 0"),
+            ([5], 10.5, "capacity must be integral, got 10.5"),
+        ],
+        ids=["bool", "fractional", "negative", "bool-capacity", "zero-capacity", "fractional-capacity"],
+    )
+    def test_rejects_invalid_input(self, packer, sizes, capacity, message):
+        with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+            packer(sizes, capacity)
+
+    def test_coerces_integral_floats(self, packer):
+        result = packer([5, 3.0], 10.0)
+        assert result.sizes == (5, 3) and result.capacity == 10
+        assert all(type(s) is int for s in result.sizes)
 
     def test_indices_refer_to_original_order(self, packer):
         sizes = [2, 9, 1]

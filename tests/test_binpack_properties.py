@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.binpack import (
     HEURISTICS,
+    Bin,
     best_lower_bound,
+    first_fit,
     first_fit_decreasing,
     next_fit,
     pack_exact,
@@ -18,6 +20,22 @@ sizes_and_capacity = st.integers(1, 30).flatmap(
         st.lists(st.integers(1, cap), min_size=1, max_size=40),
         st.just(cap),
     )
+)
+
+# Shapes that exercise the closed-prefix skip: few distinct sizes (duplicates),
+# all-ones sides, and a capacity equal to the largest item.
+first_fit_cases = st.one_of(
+    sizes_and_capacity,
+    st.integers(1, 8).flatmap(
+        lambda cap: st.tuples(
+            st.lists(st.sampled_from([1, cap, max(1, cap // 2)]), min_size=1, max_size=60),
+            st.just(cap),
+        )
+    ),
+    st.tuples(st.lists(st.just(1), min_size=1, max_size=80), st.integers(1, 12)),
+    st.lists(st.integers(1, 30), min_size=1, max_size=40).map(
+        lambda sizes: (sizes, max(sizes))
+    ),
 )
 
 small_sizes_and_capacity = st.integers(2, 15).flatmap(
@@ -75,3 +93,32 @@ def test_bin_loads_sum_to_total(case):
     sizes, cap = case
     result = first_fit_decreasing(sizes, cap)
     assert sum(result.bin_loads()) == sum(sizes)
+
+
+def bin_first_fit(sizes, capacity, order):
+    """Reference first-fit: one ``Bin`` per bin, every bin tried in turn."""
+    bins: list[Bin] = []
+    for index in order:
+        size = sizes[index]
+        for bin_ in bins:
+            if bin_.fits(size):
+                bin_.add(index, size)
+                break
+        else:
+            fresh = Bin(capacity=capacity)
+            fresh.add(index, size)
+            bins.append(fresh)
+    return tuple(tuple(b.items) for b in bins)
+
+
+@given(first_fit_cases)
+def test_first_fit_matches_bin_reference(case):
+    sizes, cap = case
+    assert first_fit(sizes, cap).bins == bin_first_fit(sizes, cap, range(len(sizes)))
+
+
+@given(first_fit_cases)
+def test_first_fit_decreasing_matches_bin_reference(case):
+    sizes, cap = case
+    order = sorted(range(len(sizes)), key=lambda i: sizes[i], reverse=True)
+    assert first_fit_decreasing(sizes, cap).bins == bin_first_fit(sizes, cap, order)

@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.binpack import best_fit_decreasing
+from repro.binpack import best_fit_decreasing, first_fit_decreasing, next_fit
 from repro.core.bounds import x2y_reducer_lower_bound
 from repro.core.instance import X2YInstance
 from repro.core.x2y.big import big_small_x2y, split_big_small_x2y
 from repro.core.x2y.equal import best_group_shape, equal_sized_grid
 from repro.core.x2y.greedy import greedy_cover_x2y
-from repro.core.x2y.grid import best_split_grid, grid_with_split, half_split_grid
+from repro.core.schema import X2YSchema
+from repro.core.x2y.grid import (
+    _candidate_splits,
+    best_split_grid,
+    grid_with_split,
+    half_split_grid,
+)
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 
 
@@ -75,6 +83,67 @@ class TestBestSplitGrid:
         schema = best_split_grid(instance)
         bound = x2y_reducer_lower_bound(instance)
         assert schema.num_reducers <= 6 * bound + 3
+
+
+def build_every_split(instance, packer, max_candidates=64):
+    """Reference split search: build the grid of every candidate split and
+    keep the first with strictly fewer reducers."""
+    instance.check_feasible()
+    best = None
+    for t in _candidate_splits(instance, max_candidates):
+        schema = grid_with_split(instance, t, packer=packer)
+        if best is None or schema.num_reducers < best.num_reducers:
+            best = schema
+    return best
+
+
+def _side(cap):
+    """One side's sizes: any sizes, duplicates of a few, all ones, or
+    sizes topped by one item of exactly *cap*."""
+    return st.one_of(
+        st.lists(st.integers(1, cap), min_size=1, max_size=30),
+        st.lists(st.sampled_from([1, cap, max(1, cap // 3)]), min_size=1, max_size=30),
+        st.lists(st.just(1), min_size=1, max_size=60),
+        st.lists(st.integers(1, cap), max_size=20).map(lambda sizes: sizes + [cap]),
+    )
+
+
+@st.composite
+def feasible_x2y(draw):
+    q = draw(st.integers(2, 40))
+    max_x = draw(st.integers(1, q - 1))
+    max_y = draw(st.integers(1, q - max_x))
+    return X2YInstance(draw(_side(max_x)), draw(_side(max_y)), q)
+
+
+@pytest.mark.parametrize(
+    "packer",
+    [first_fit_decreasing, best_fit_decreasing, next_fit],
+    ids=["ffd", "bfd", "next_fit"],
+)
+@given(instance=feasible_x2y(), max_candidates=st.sampled_from([3, 64]))
+def test_best_split_grid_matches_building_every_split(packer, instance, max_candidates):
+    got = best_split_grid(instance, packer, max_candidates=max_candidates)
+    want = build_every_split(instance, packer, max_candidates)
+    assert got.reducers == want.reducers
+    assert got.algorithm == want.algorithm
+
+
+def test_best_split_grid_builds_one_schema(monkeypatch):
+    # The shape of the skew-join benchmark's largest heavy key: 60 splits
+    # are probed, and only the winner may become a schema.
+    built = []
+    from_lists = X2YSchema.from_lists.__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(kwargs.get("algorithm"))
+        return from_lists(cls, *args, **kwargs)
+
+    monkeypatch.setattr(X2YSchema, "from_lists", classmethod(counting))
+    instance = X2YInstance([1] * 692, [1] * 645, 60)
+    schema = best_split_grid(instance)
+    assert built == [schema.algorithm]
+    assert schema.verify().valid
 
 
 class TestBestGroupShape:
