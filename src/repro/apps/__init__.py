@@ -4,7 +4,7 @@ Every application states its problem as a
 :class:`~repro.planner.spec.JobSpec` (exposed as a ``*_spec`` builder),
 lets :func:`repro.planner.plan` choose the mapping schema, and — when an
 engine backend is requested — executes through :func:`repro.planner.run`.
-The shared membership/meeting-table helpers live in
+The shared membership and reducer-bitmask helpers live in
 :mod:`repro.engine.routing`.
 """
 

@@ -22,7 +22,7 @@ from repro import planner
 from repro.core.schema import A2ASchema
 from repro.engine.config import ExecutionConfig, resolve_execution
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import a2a_meeting_table, a2a_memberships
+from repro.engine.routing import a2a_reducer_masks, build_schema_plan
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
@@ -74,20 +74,24 @@ def common_friends_spec(
 
 
 def _common_friends_reduce(
-    key,
+    key: int,
     values: list[tuple[int, User]],
     *,
-    owners: dict[tuple[int, int], int],
+    masks: tuple[int, ...],
 ) -> Iterator[tuple[int, int, frozenset[int]]]:
-    """Engine-path reducer: emit canonically-owned pairs' shared friends.
+    """Reducer: emit the shared friends of the pairs this reducer owns.
 
-    Values arrive as ``(input_index, user)``; module-level (data bound via
+    Values arrive as ``(input_index, user)``; reducer *key* owns a pair
+    when no earlier reducer holds both (the bitmask rule of
+    :func:`a2a_reducer_masks`).  Module-level (data bound via
     :func:`functools.partial`) so the ``processes`` backend can pickle it.
     """
+    low = (1 << key) - 1
     by_position = sorted(values, key=lambda item: item[0])
     for a_pos, (i, user_a) in enumerate(by_position):
+        earlier = masks[i] & low
         for j, user_b in by_position[a_pos + 1 :]:
-            if owners[(i, j)] != key:
+            if earlier & masks[j]:
                 continue
             yield (user_a.user_id, user_b.user_id, common_friends(user_a, user_b))
 
@@ -115,16 +119,17 @@ def run_common_friends(
     spec = common_friends_spec(users, q, method=method, objective=objective)
     planned = planner.plan(spec)
     schema = planned.schema()
-    owners = a2a_meeting_table(schema)
+    masks = a2a_reducer_masks(schema)
 
     execution = resolve_execution(config, backend, num_workers)
     if execution is None and method == "planned":
         execution = planned.execution
+    reduce_fn = partial(_common_friends_reduce, masks=masks)
     if execution is not None:
         result = planner.run(
             planned,
             users,
-            partial(_common_friends_reduce, owners=owners),
+            reduce_fn,
             config=execution,
         )
         return CommonFriendsRun(
@@ -135,30 +140,15 @@ def run_common_friends(
             plan=planned,
         )
 
-    memberships = a2a_memberships(schema)
-    position = {id(user): i for i, user in enumerate(users)}
-
-    def map_fn(user: User):
-        for r in memberships[position[id(user)]]:
-            yield r, user
-
-    def reduce_fn(key, members: list[User]):
-        ordered = sorted(members, key=lambda u: position[id(u)])
-        for a_pos, user_a in enumerate(ordered):
-            i = position[id(user_a)]
-            for user_b in ordered[a_pos + 1:]:
-                j = position[id(user_b)]
-                if owners[(i, j)] != key:
-                    continue
-                yield (user_a.user_id, user_b.user_id, common_friends(user_a, user_b))
-
+    map_fn, size_of, wrapped = build_schema_plan(schema, users)
     job = MapReduceJob(
         map_fn=map_fn,
         reduce_fn=reduce_fn,
+        size_of=size_of,
         reducer_capacity=q,
         strict_capacity=True,
     )
-    result = job.run(users)
+    result = job.run(wrapped)
     return CommonFriendsRun(
         pairs=tuple(result.outputs),
         schema=schema,

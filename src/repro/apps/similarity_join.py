@@ -28,13 +28,13 @@ from repro.core.schema import A2ASchema
 from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig, resolve_execution
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import a2a_meeting_table, a2a_memberships
+from repro.engine.routing import a2a_reducer_masks, build_schema_plan
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import Tracer
 from repro.planner import JobSpec, Plan
-from repro.workloads.documents import Document, jaccard
+from repro.workloads.documents import Document, set_jaccard
 
 
 @dataclass(frozen=True)
@@ -84,28 +84,33 @@ def similarity_spec(
 
 
 def _similarity_reduce(
-    key,
+    key: int,
     values: list[tuple[int, Document]],
     *,
-    owners: dict[tuple[int, int], int],
+    masks: tuple[int, ...],
     threshold: float,
 ) -> Iterator[tuple[int, int, float]]:
-    """Reducer for the engine path: compare canonically-owned pairs.
+    """Reducer: compare the pairs this reducer owns, in input order.
 
-    Values arrive as ``(input_index, document)``; *owners* is the schema's
-    precomputed meeting table (:func:`a2a_meeting_table`), so ownership is
-    one dict lookup per candidate pair.  Module-level (with data bound
-    through :func:`functools.partial`) so the ``processes`` backend can
-    pickle it.
+    Values arrive as ``(input_index, document)``; *masks* are the schema's
+    per-input reducer bitmasks (:func:`a2a_reducer_masks`), and reducer
+    *key* owns a pair when no earlier reducer holds both inputs.  Each
+    document's token set is built once per reducer, not once per compared
+    pair.  Module-level (with data bound through
+    :func:`functools.partial`) so the ``processes`` backend can pickle it.
     """
-    by_position = sorted(values, key=lambda item: item[0])
-    for a_idx, (i, doc_a) in enumerate(by_position):
-        for j, doc_b in by_position[a_idx + 1 :]:
-            if owners[(i, j)] != key:
+    low = (1 << key) - 1
+    held = [
+        (masks[i] & low, masks[i], doc.doc_id, frozenset(doc.tokens))
+        for i, doc in sorted(values, key=lambda item: item[0])
+    ]
+    for a_pos, (earlier, _, id_a, set_a) in enumerate(held):
+        for _, mask_b, id_b, set_b in held[a_pos + 1 :]:
+            if earlier & mask_b:
                 continue
-            similarity = jaccard(doc_a, doc_b)
+            similarity = set_jaccard(set_a, set_b)
             if similarity >= threshold:
-                yield (doc_a.doc_id, doc_b.doc_id, similarity)
+                yield (id_a, id_b, similarity)
 
 
 def run_similarity_join(
@@ -150,17 +155,13 @@ def run_similarity_join(
     spec = similarity_spec(documents, q, method=method, objective=objective)
     planned = planner.plan(spec, tracer=tracer)
     schema = planned.schema()
-    owners = a2a_meeting_table(schema)
+    masks = a2a_reducer_masks(schema)
 
     execution = resolve_execution(config, backend, num_workers)
     if execution is None and method == "planned":
         execution = planned.execution
+    reduce_fn = partial(_similarity_reduce, masks=masks, threshold=threshold)
     if execution is not None:
-        reduce_fn = partial(
-            _similarity_reduce,
-            owners=owners,
-            threshold=threshold,
-        )
         result = planner.run(
             planned,
             documents,
@@ -177,32 +178,15 @@ def run_similarity_join(
             plan=planned,
         )
 
-    memberships = a2a_memberships(schema)
-    position = {id(doc): i for i, doc in enumerate(documents)}
-
-    def map_fn(doc: Document):
-        for r in memberships[position[id(doc)]]:
-            yield r, doc
-
-    def reduce_fn(key, docs: list[Document]):
-        by_position = sorted(docs, key=lambda d: position[id(d)])
-        for a_idx, doc_a in enumerate(by_position):
-            i = position[id(doc_a)]
-            for doc_b in by_position[a_idx + 1:]:
-                j = position[id(doc_b)]
-                if owners[(i, j)] != key:
-                    continue
-                similarity = jaccard(doc_a, doc_b)
-                if similarity >= threshold:
-                    yield (doc_a.doc_id, doc_b.doc_id, similarity)
-
+    map_fn, size_of, wrapped = build_schema_plan(schema, documents)
     job = MapReduceJob(
         map_fn=map_fn,
         reduce_fn=reduce_fn,
+        size_of=size_of,
         reducer_capacity=q,
         strict_capacity=True,
     )
-    result = job.run(documents)
+    result = job.run(wrapped)
     return SimilarityJoinRun(
         pairs=tuple(result.outputs),
         schema=schema,
@@ -231,9 +215,10 @@ def run_broadcast_baseline(
         yield 0, doc
 
     def reduce_fn(key, docs: list[Document]):
-        for a_idx in range(len(docs)):
+        token_sets = [frozenset(doc.tokens) for doc in docs]
+        for a_idx, set_a in enumerate(token_sets):
             for b_idx in range(a_idx + 1, len(docs)):
-                similarity = jaccard(docs[a_idx], docs[b_idx])
+                similarity = set_jaccard(set_a, token_sets[b_idx])
                 if similarity >= threshold:
                     yield (docs[a_idx].doc_id, docs[b_idx].doc_id, similarity)
 

@@ -19,7 +19,7 @@ from repro.core.schema import X2YSchema
 from repro.engine.config import ExecutionConfig, resolve_execution
 from repro.engine.engine import ExecutionEngine
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import x2y_memberships, x2y_meeting_table
+from repro.engine.routing import x2y_memberships, x2y_reducer_masks
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
 from repro.obs.profiler import PhaseProfiler
@@ -103,13 +103,13 @@ def hash_join(x: Relation, y: Relation, q: int) -> SkewJoinRun:
 
 
 #: Per-heavy-key routing plan: the two per-side membership tables (used by
-#: the mapper to replicate tuples) plus the precomputed canonical-meeting
-#: table ``(x_pos, y_pos) -> reducer`` (used by the reducer to keep the
-#: output exactly-once with one dict lookup per candidate pair).
+#: the mapper to replicate tuples) plus the two per-side reducer bitmasks
+#: of :func:`x2y_reducer_masks` (used by the reducer to keep the output
+#: exactly-once: reducer ``r`` owns a pair no earlier reducer holds).
 SkewPlan = tuple[
     tuple[tuple[int, ...], ...],
     tuple[tuple[int, ...], ...],
-    dict[tuple[int, int], int],
+    tuple[tuple[int, ...], tuple[int, ...]],
 ]
 
 
@@ -143,8 +143,10 @@ def _skew_reduce(
     """Join the X and Y tuples that met at this reducer.
 
     Heavy-key reducers emit a pair only from its canonical meeting reducer,
-    keeping the distributed output exactly-once despite replication; the
-    meeting is a precomputed table lookup, not a per-pair set intersection.
+    keeping the distributed output exactly-once despite replication.  The
+    test is the bitmask rule: reducer ``r`` owns a pair when no earlier
+    reducer holds both tuples, and an X tuple that no earlier reducer
+    holds owns every pair at ``r`` without a per-pair check.
     """
     x_records = [v for v in values if v[0] == "x"]
     y_records = [v for v in values if v[0] == "y"]
@@ -154,11 +156,17 @@ def _skew_reduce(
                 yield (tx[3], tx[2], ty[3])
         return
     _, join_key, r = key
-    owners = members[join_key][2]
+    x_masks, y_masks = members[join_key][2]
+    low = (1 << r) - 1
     for tx in x_records:
-        x_pos, x_payload = tx[1], tx[3]
+        x_payload = tx[3]
+        earlier = x_masks[tx[1]] & low
+        if not earlier:
+            for ty in y_records:
+                yield (x_payload, join_key, ty[3])
+            continue
         for ty in y_records:
-            if owners[(x_pos, ty[1])] == r:
+            if not earlier & y_masks[ty[1]]:
                 yield (x_payload, join_key, ty[3])
 
 
@@ -257,7 +265,7 @@ def schema_skew_join(
         members[key] = (
             tuple(tuple(m) for m in x_members),
             tuple(tuple(m) for m in y_members),
-            x2y_meeting_table(schema),
+            x2y_reducer_masks(schema),
         )
 
     positions_x = {key: {id(t): i for i, t in enumerate(ts)} for key, ts in x_by_key.items()}

@@ -21,7 +21,7 @@ from repro import planner
 from repro.core.schema import X2YSchema
 from repro.engine.config import ExecutionConfig, resolve_execution
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import x2y_meeting_table, x2y_memberships
+from repro.engine.routing import build_schema_plan, x2y_reducer_masks
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
@@ -79,22 +79,27 @@ def outer_product_spec(
 
 
 def _outer_product_reduce(
-    key,
+    key: int,
     values: list[tuple[str, int, VectorBlock]],
     *,
-    owners: dict[tuple[int, int], int],
+    masks: tuple[tuple[int, ...], tuple[int, ...]],
 ) -> Iterator[tuple[int, int, float]]:
-    """Engine-path reducer: emit tiles of canonically-owned block pairs.
+    """Reducer: emit the tiles of the block pairs this reducer owns.
 
     Values arrive as ``(side, input_index, block)`` with side ``"x"`` for
-    u-blocks and ``"y"`` for v-blocks; module-level so the ``processes``
+    u-blocks and ``"y"`` for v-blocks.  Reducer *key* owns a pair when no
+    earlier reducer holds both (the bitmask rule of
+    :func:`x2y_reducer_masks`).  Module-level so the ``processes``
     backend can pickle it.
     """
-    u_blocks = [block for side, _, block in values if side == "x"]
-    v_blocks = [block for side, _, block in values if side == "y"]
-    for ub in u_blocks:
-        for vb in v_blocks:
-            if owners[(ub.block_id, vb.block_id)] != key:
+    x_masks, y_masks = masks
+    low = (1 << key) - 1
+    u_blocks = [(i, block) for side, i, block in values if side == "x"]
+    v_blocks = [(j, block) for side, j, block in values if side == "y"]
+    for i, ub in u_blocks:
+        earlier = x_masks[i] & low
+        for j, vb in v_blocks:
+            if earlier & y_masks[j]:
                 continue
             for a, u_val in enumerate(ub.values):
                 for b, v_val in enumerate(vb.values):
@@ -126,16 +131,17 @@ def distributed_outer_product(
     spec = outer_product_spec(u, v, q, method=method, objective=objective)
     planned = planner.plan(spec)
     schema = planned.schema()
-    owners = x2y_meeting_table(schema)
+    masks = x2y_reducer_masks(schema)
 
     execution = resolve_execution(config, backend, num_workers)
     if execution is None and method == "planned":
         execution = planned.execution
+    reduce_fn = partial(_outer_product_reduce, masks=masks)
     if execution is not None:
         result = planner.run(
             planned,
             (u.blocks, v.blocks),
-            partial(_outer_product_reduce, owners=owners),
+            reduce_fn,
             config=execution,
         )
         return OuterProductRun(
@@ -147,34 +153,15 @@ def distributed_outer_product(
             plan=planned,
         )
 
-    x_members, y_members = x2y_memberships(schema)
-
-    def map_fn(record: tuple[str, VectorBlock]):
-        side, block = record
-        members = x_members if side == "u" else y_members
-        for r in members[block.block_id]:
-            yield r, (side, block)
-
-    def reduce_fn(key, values):
-        u_blocks = [b for side, b in values if side == "u"]
-        v_blocks = [b for side, b in values if side == "v"]
-        for ub in u_blocks:
-            for vb in v_blocks:
-                if owners[(ub.block_id, vb.block_id)] != key:
-                    continue
-                for a, u_val in enumerate(ub.values):
-                    for b, v_val in enumerate(vb.values):
-                        yield (ub.offset + a, vb.offset + b, u_val * v_val)
-
+    map_fn, size_of, wrapped = build_schema_plan(schema, (u.blocks, v.blocks))
     job = MapReduceJob(
         map_fn=map_fn,
         reduce_fn=reduce_fn,
-        size_of=lambda value: value[1].size,
+        size_of=size_of,
         reducer_capacity=q,
         strict_capacity=True,
     )
-    records = [("u", b) for b in u.blocks] + [("v", b) for b in v.blocks]
-    result = job.run(records)
+    result = job.run(wrapped)
     return OuterProductRun(
         entries=tuple(result.outputs),
         schema=schema,

@@ -53,10 +53,10 @@ from repro.engine.engine import EngineResult, ExecutionEngine, execute_schema
 from repro.engine.metrics import EngineMetrics, PhaseTimings
 from repro.engine.routing import (
     a2a_memberships,
-    a2a_meeting_table,
+    a2a_reducer_masks,
     canonical_meeting,
     x2y_memberships,
-    x2y_meeting_table,
+    x2y_reducer_masks,
 )
 
 __all__ = [
@@ -82,8 +82,8 @@ __all__ = [
     "compare_results",
     "validate_against_simulator",
     "a2a_memberships",
-    "a2a_meeting_table",
+    "a2a_reducer_masks",
     "x2y_memberships",
-    "x2y_meeting_table",
+    "x2y_reducer_masks",
     "canonical_meeting",
 ]

@@ -9,10 +9,13 @@ backend (closures would not survive pickling).
 
 Records routed by these helpers are wrapped with their input index:
 ``(i, record)`` for A2A, ``(side, i, record)`` with ``side in {"x", "y"}``
-for X2Y.  Reduce functions receive those wrapped values and can recover
-exactly-once semantics through :func:`canonical_meeting`, or — cheaper when
-a meeting is tested per output pair — through a per-schema lookup table
-precomputed once by :func:`a2a_meeting_table` / :func:`x2y_meeting_table`.
+for X2Y.  A pair of inputs may meet at several reducers; reduce functions
+keep the output exactly-once by letting only the pair's smallest shared
+reducer emit it.  The hot loops test that with per-input reducer bitmasks
+from :func:`a2a_reducer_masks` / :func:`x2y_reducer_masks`: reducer *r*
+owns a pair it holds iff ``masks[a] & masks[b] & ((1 << r) - 1) == 0``,
+i.e. no earlier reducer holds both.  :func:`canonical_meeting` computes
+the same reducer from membership lists and is the independent reference.
 """
 
 from __future__ import annotations
@@ -59,9 +62,10 @@ def canonical_meeting(
     :func:`x2y_memberships` are sorted ascending, so the smallest common
     index is found by a linear two-pointer merge — no per-pair set
     construction.  Unsorted inputs still get the correct answer through a
-    set-intersection fallback.  Apps that test a meeting per *output* pair
-    should precompute :func:`a2a_meeting_table` / :func:`x2y_meeting_table`
-    once per schema instead of calling this in the hot loop.
+    set-intersection fallback.  Apps that test ownership per *output* pair
+    use the equivalent bitmask rule of :func:`a2a_reducer_masks` /
+    :func:`x2y_reducer_masks` instead; this function is the reference the
+    tests check that rule against.
     """
     seq_a = reducers_a if isinstance(reducers_a, (list, tuple)) else list(reducers_a)
     seq_b = reducers_b if isinstance(reducers_b, (list, tuple)) else list(reducers_b)
@@ -85,38 +89,40 @@ def canonical_meeting(
     return min(common)  # pragma: no cover - unsorted-input fallback
 
 
-def a2a_meeting_table(schema: A2ASchema) -> dict[tuple[int, int], int]:
-    """Canonical meeting reducer for every covered A2A pair, ``i < j``.
+def a2a_reducer_masks(schema: A2ASchema) -> tuple[int, ...]:
+    """Per-input reducer bitmask: bit *r* is set when the input is at *r*.
 
-    Iterating reducers in ascending index order means the first reducer a
-    pair is seen at *is* its smallest shared reducer, so one pass over the
-    schema replaces a :func:`canonical_meeting` call per output pair with a
-    dict lookup.  The table is plain data, hence picklable into reduce
-    tasks on the ``processes`` backend.
+    One pass over the memberships.  Reducer *r* owns a pair ``(a, b)`` it
+    holds iff ``masks[a] & masks[b] & ((1 << r) - 1) == 0`` — no earlier
+    reducer holds both, so *r* is the pair's :func:`canonical_meeting`.
+    The masks are plain ints, hence picklable into reduce tasks on the
+    ``processes`` backend.
     """
-    owners: dict[tuple[int, int], int] = {}
+    masks = [0] * schema.instance.m
     for r, members in enumerate(schema.reducers):
-        for a_pos, i in enumerate(members):
-            for j in members[a_pos + 1 :]:
-                pair = (i, j) if i < j else (j, i)
-                if pair not in owners:
-                    owners[pair] = r
-    return owners
+        bit = 1 << r
+        for i in members:
+            masks[i] |= bit
+    return tuple(masks)
 
 
-def x2y_meeting_table(schema: X2YSchema) -> dict[tuple[int, int], int]:
-    """Canonical meeting reducer for every X2Y cross pair ``(x_i, y_j)``.
+def x2y_reducer_masks(
+    schema: X2YSchema,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-input reducer bitmasks for both sides of an X2Y schema.
 
-    Same one-pass construction as :func:`a2a_meeting_table`; keys are
-    ``(x_index, y_index)``.
+    Same construction and ownership rule as :func:`a2a_reducer_masks`,
+    with ``a`` an X input and ``b`` a Y input.
     """
-    owners: dict[tuple[int, int], int] = {}
+    x_masks = [0] * schema.instance.m
+    y_masks = [0] * schema.instance.n
     for r, (x_part, y_part) in enumerate(schema.reducers):
+        bit = 1 << r
         for i in x_part:
-            for j in y_part:
-                if (i, j) not in owners:
-                    owners[(i, j)] = r
-    return owners
+            x_masks[i] |= bit
+        for j in y_part:
+            y_masks[j] |= bit
+    return tuple(x_masks), tuple(y_masks)
 
 
 def route_a2a(

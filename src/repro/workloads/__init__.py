@@ -14,6 +14,7 @@ from repro.workloads.documents import (
     all_pairs_above,
     generate_documents,
     jaccard,
+    set_jaccard,
 )
 from repro.workloads.relations import (
     Relation,
@@ -49,6 +50,7 @@ __all__ = [
     "all_pairs_above",
     "generate_documents",
     "jaccard",
+    "set_jaccard",
     "Relation",
     "Tuple2",
     "generate_join_workload",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 import numpy as np
 
@@ -38,17 +38,28 @@ class Document:
         return len(self.tokens)
 
 
+def set_jaccard(a: AbstractSet[str], b: AbstractSet[str]) -> float:
+    """Jaccard similarity of two token sets; 1.0 when both are empty.
+
+    The union size comes by inclusion–exclusion, ``|a| + |b| - |a & b|``,
+    so no union set is built.  It is the same integer as ``len(a | b)``,
+    hence the same float.  Reducers that compare a document against many
+    others build its set once and call this directly.
+    """
+    common = len(a & b)
+    union = len(a) + len(b) - common
+    if not union:
+        return 1.0
+    return common / union
+
+
 def jaccard(a: Document, b: Document) -> float:
     """Jaccard similarity of two documents' token sets.
 
     Deliberately has no locality-sensitive shortcut here — the all-pairs
     requirement is the premise of the A2A problem.
     """
-    set_a, set_b = set(a.tokens), set(b.tokens)
-    union = set_a | set_b
-    if not union:
-        return 1.0
-    return len(set_a & set_b) / len(union)
+    return set_jaccard(frozenset(a.tokens), frozenset(b.tokens))
 
 
 def generate_documents(
@@ -142,8 +153,9 @@ def all_pairs_above(
     right pair set.
     """
     results: set[tuple[int, int]] = set()
-    for i in range(len(documents)):
+    token_sets = [frozenset(d.tokens) for d in documents]
+    for i, set_a in enumerate(token_sets):
         for j in range(i + 1, len(documents)):
-            if jaccard(documents[i], documents[j]) >= threshold:
+            if set_jaccard(set_a, token_sets[j]) >= threshold:
                 results.add((documents[i].doc_id, documents[j].doc_id))
     return results

@@ -28,7 +28,6 @@ from repro.core.multiway import MultiwayInstance, multiway_bin_combining
 from repro.core.selector import solve_a2a, solve_x2y
 from repro.engine.config import ExecutionConfig
 from repro.engine.routing import (
-    a2a_meeting_table,
     a2a_memberships,
     canonical_meeting,
     x2y_memberships,
@@ -43,10 +42,10 @@ SERIAL = ExecutionConfig(backend="serial")
 
 
 def direct_similarity_pairs(documents, q, threshold):
-    """The seed repo's simulator path: solve directly, wire the job by hand."""
+    """The seed repo's simulator path: solve directly, wire the job by hand,
+    with per-pair canonical meetings as the ownership reference."""
     instance = A2AInstance([d.size for d in documents], q)
     schema = solve_a2a(instance, "auto")
-    owners = a2a_meeting_table(schema)
     memberships = a2a_memberships(schema)
     position = {id(doc): i for i, doc in enumerate(documents)}
 
@@ -60,7 +59,7 @@ def direct_similarity_pairs(documents, q, threshold):
             i = position[id(doc_a)]
             for doc_b in by_position[a_idx + 1:]:
                 j = position[id(doc_b)]
-                if owners[(i, j)] != key:
+                if canonical_meeting(memberships[i], memberships[j]) != key:
                     continue
                 similarity = jaccard(doc_a, doc_b)
                 if similarity >= threshold:
@@ -187,7 +186,7 @@ class TestCommonFriends:
         assert run.pairs == self.direct_pairs(users)
         assert run.engine is not None
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     def test_backends_agree(self, users, backend):
         run = run_common_friends(users, self.Q, backend=backend, num_workers=2)
         assert dict(run.as_dict()) == dict(
@@ -261,6 +260,15 @@ class TestTensorProduct:
         engine = distributed_outer_product(u, v, self.Q, config=SERIAL)
         assert engine.dense() == default.dense()
         assert engine.engine is not None
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_backends_agree(self, vectors, backend):
+        u, v = vectors
+        run = distributed_outer_product(
+            u, v, self.Q, backend=backend, num_workers=2
+        )
+        assert sorted(run.entries) == sorted(self.direct_entries(u, v))
+        assert run.engine is not None
 
     def test_planned_mode_same_matrix(self, vectors):
         u, v = vectors

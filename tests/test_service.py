@@ -14,7 +14,7 @@ from repro.apps.similarity_join import (
     similarity_spec,
 )
 from repro.engine.config import ExecutionConfig
-from repro.engine.routing import a2a_meeting_table
+from repro.engine.routing import a2a_reducer_masks
 from repro.exceptions import (
     AdmissionError,
     InfeasibleInstanceError,
@@ -447,13 +447,13 @@ class TestCrossValidation:
         spec = similarity_spec(documents, self.Q)
         with JobService(slots=2, env=ENV) as service:
             planned = plan(spec, service.env)
-            owners = a2a_meeting_table(planned.schema())
+            masks = a2a_reducer_masks(planned.schema())
             handle = service.submit(
                 spec,
                 records=documents,
                 reduce_fn=partial(
                     _similarity_reduce,
-                    owners=owners,
+                    masks=masks,
                     threshold=self.THRESHOLD,
                 ),
                 config=ExecutionConfig(backend="threads", num_workers=2),

@@ -17,8 +17,10 @@ from repro.workloads.distributions import (
 )
 from repro.workloads.documents import (
     all_pairs_above,
+    Document,
     generate_documents,
     jaccard,
+    set_jaccard,
 )
 from repro.workloads.relations import (
     generate_join_workload,
@@ -105,8 +107,6 @@ class TestDocuments:
         assert jaccard(docs[0], docs[0]) == 1.0
 
     def test_jaccard_disjoint(self):
-        from repro.workloads.documents import Document
-
         a = Document(0, ("x",))
         b = Document(1, ("y",))
         assert jaccard(a, b) == 0.0
@@ -114,6 +114,19 @@ class TestDocuments:
     def test_jaccard_symmetric(self):
         docs = generate_documents(2, 40, seed=1)
         assert jaccard(docs[0], docs[1]) == jaccard(docs[1], docs[0])
+
+    def test_jaccard_matches_the_union_set_formula_bit_for_bit(self):
+        docs = generate_documents(40, 60, seed=3, vocabulary_size=80)
+        for a in docs:
+            for b in docs:
+                set_a, set_b = set(a.tokens), set(b.tokens)
+                expected = len(set_a & set_b) / len(set_a | set_b)
+                assert jaccard(a, b) == expected
+                assert set_jaccard(frozenset(a.tokens), frozenset(b.tokens)) == expected
+
+    def test_jaccard_of_two_empty_documents_is_one(self):
+        assert jaccard(Document(0, ()), Document(1, ())) == 1.0
+        assert set_jaccard(frozenset(), frozenset()) == 1.0
 
     def test_all_pairs_above_threshold_zero_is_all_pairs(self):
         docs = generate_documents(6, 40, seed=2)
