@@ -5,7 +5,7 @@ on a future, joining a thread, sleeping, or doing file I/O inside a
 ``with <lock>:`` block turns a mutex into a convoy (every submitter and
 status query stalls behind the blocked holder) and is one worker-death
 away from a deadlock.  The codebase convention — visible in
-``JobScheduler.shutdown`` and ``Backend._resilient_call`` — is to snapshot
+``JobScheduler.shutdown`` and ``Backend._heal_broken_pool`` — is to snapshot
 state under the lock, release it, then block.
 
 ``Condition.wait``/``wait_for`` are exempt: they release the lock while

@@ -1,7 +1,7 @@
 """Rule ``pickle-safety``: task callables must survive the process boundary.
 
-Everything submitted through ``Backend.run_tasks`` /
-``run_tasks_resilient`` may be pickled to a worker process.  Lambdas and
+Everything submitted through ``Backend.run_tasks`` (with or without a
+retry ``policy=``) may be pickled to a worker process.  Lambdas and
 functions defined inside other functions are not importable by name, so
 they fail at dispatch time on the process backend only — exactly the kind
 of backend-dependent behaviour the determinism contract forbids.  Worse, a
@@ -41,7 +41,7 @@ _UNPICKLABLE_FACTORIES = {
     "multiprocessing.Manager",
 }
 
-_SUBMIT_METHODS = ("run_tasks", "run_tasks_resilient")
+_SUBMIT_METHODS = ("run_tasks",)
 
 
 class PickleSafetyRule(LintRule):

@@ -77,6 +77,11 @@ class Dataset:
         """True when the records are already held in memory as a list."""
         return self._items is not None
 
+    @property
+    def is_single_use(self) -> bool:
+        """True for an iterator-backed source, which iterates only once."""
+        return self._iterator is not None
+
     def __iter__(self) -> Iterator[Any]:
         if self._items is not None:
             return iter(self._items)

@@ -1,23 +1,39 @@
 """Pluggable task-execution backends for the engine.
 
-A backend answers one question: given a task function and a list of task
-payloads, run them all and return the results *in task order*.  Everything
-schema- or MapReduce-specific lives in :mod:`repro.engine.engine`; backends
-are interchangeable executors, so correctness is backend-independent and the
-backends can be compared purely on wall clock.
+A backend answers one question: given a task function and an iterable of
+task payloads, run them all and return the results *in task order*.
+Everything schema- or MapReduce-specific lives in
+:mod:`repro.engine.engine`; backends are interchangeable executors, so
+correctness is backend-independent and the backends can be compared
+purely on wall clock.
 
 Three backends ship:
 
-* ``serial`` — a plain loop; the reference the others are validated against.
+* ``serial`` — runs each task inline; the reference the others are
+  validated against.
 * ``threads`` — :class:`concurrent.futures.ThreadPoolExecutor`; wins when
   task bodies release the GIL (I/O, zlib/hashlib, numpy) and costs little
   otherwise.
-* ``processes`` — :class:`concurrent.futures.ProcessPoolExecutor` with
-  chunked task batches; wins on CPU-bound reduce work, but requires the
-  task function and payloads to be picklable (module-level functions and
-  :func:`functools.partial` over them qualify; closures do not).  It is
-  the one backend that sets :attr:`Backend.ships_blocks`: shuffle buckets
-  cross its pipes as blocks (:mod:`repro.engine.codec`).
+* ``processes`` — :class:`concurrent.futures.ProcessPoolExecutor`; wins on
+  CPU-bound reduce work, but requires the task function and payloads to
+  be picklable (module-level functions and :func:`functools.partial` over
+  them qualify; closures do not).  It is the one backend that sets
+  :attr:`Backend.ships_blocks`: shuffle buckets cross its pipes as blocks
+  (:mod:`repro.engine.codec`).
+
+Every backend dispatches through one windowed loop,
+:meth:`Backend.run_tasks`.  It pulls tasks lazily, keeps at most
+``max_workers * 4`` of them in flight, and collects results in task
+order, so a streaming task iterable is never materialized.  Retry, per-task
+timeouts, a run deadline and deterministic fault injection
+(:mod:`repro.faults`) are policy on that loop, not a second path: with
+``policy=None`` and no injector every failure propagates unchanged, and
+with a :class:`~repro.faults.RetryPolicy` a failed task is sent again
+(safe because engine tasks are pure over their schema-assigned
+partitions).  Only the in-flight payloads are kept for replay.  A worker
+death breaks a process pool; the loop heals the backend (the broken pool
+is torn down and rebuilt) and either replays the lost tasks or, with no
+policy, raises :class:`~repro.exceptions.WorkerLostError`.
 
 Backends have an explicit pool lifecycle.  Entering one as a context
 manager opens a worker pool that every :meth:`Backend.run_tasks` call
@@ -29,24 +45,12 @@ share one pool across many runs.  A pre-built backend handed to the engine
 is treated as caller-owned — the engine opens its pool persistently and
 never tears it down, so repeated runs on the same instance reuse one pool
 (:attr:`Backend.pools_created` counts actual pool constructions, which is
-what the regression tests pin).  Outside any of that, pooled backends fall
-back to a throwaway pool per call.
+what the regression tests pin).  Outside any of that, a
+:meth:`Backend.run_tasks` call opens a pool for its own duration.
 The process backend additionally ships the task function *pickled once per
 ``run_tasks`` call* (workers cache the unpickled callable), rather than once
 per task — with schema routing tables bound into the map function, per-task
 pickling used to dominate small-task runs.
-
-Fault tolerance lives in a second dispatch path,
-:meth:`Backend.run_tasks_resilient`: per-task retry with attempt tracking
-(safe because engine tasks are pure over their schema-assigned
-partitions), per-task timeouts, a run deadline, and deterministic fault
-injection (:mod:`repro.faults`).  The process backend detects a broken
-pool (a worker died mid-flight), keeps every result that finished before
-the breakage, rebuilds the pool, and replays only the lost tasks.  The
-plain :meth:`Backend.run_tasks` path is untouched — zero overhead when
-the fault plane is off — and self-heals: a broken pool is torn down and
-rebuilt on next use instead of poisoning every later run that shares the
-backend.
 """
 
 from __future__ import annotations
@@ -57,10 +61,10 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import BrokenExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import BrokenExecutor, Future, wait
 from functools import partial
-from typing import Any, Callable, Iterable, Sequence
+from heapq import heappop, heappush
+from typing import Any, Callable, Iterable
 
 from repro.exceptions import (
     InvalidInstanceError,
@@ -76,8 +80,8 @@ from repro.faults import (
     remaining_time,
 )
 
-#: In-flight futures per worker when consuming a streaming task iterable:
-#: enough to keep every worker busy without materializing the stream.
+#: In-flight tasks per worker: enough to keep every worker busy without
+#: materializing a streaming task iterable.
 _WINDOW_PER_WORKER = 4
 
 #: Livelock backstop for worker-death replay: a task lost to pool
@@ -87,26 +91,8 @@ _WINDOW_PER_WORKER = 4
 #: a pool that dies on every round still terminates.
 _LOST_DISPATCH_FACTOR = 4
 
-
-def _windowed_submit(
-    pool: Any, fn: Callable[[Any], Any], tasks: Iterable[Any], window: int
-) -> list[Any]:
-    """Submit tasks from an iterable with a bounded in-flight window.
-
-    ``Executor.map`` consumes its whole iterable up front, which would
-    materialize a streaming dataset's chunks in the submission queue;
-    this helper keeps at most *window* futures pending, pulling the next
-    task only as earlier results are collected.  Results keep task order.
-    """
-    results: list[Any] = []
-    pending: deque[Any] = deque()
-    for task in tasks:
-        pending.append(pool.submit(fn, task))
-        if len(pending) >= window:
-            results.append(pending.popleft().result())
-    while pending:
-        results.append(pending.popleft().result())
-    return results
+#: Marks the end of the task iterable.
+_EXHAUSTED = object()
 
 
 def available_workers() -> int:
@@ -121,35 +107,69 @@ def available_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def _resilient_call(
+def _injected_call(
     item: tuple[int, int, Any],
     *,
     fn: Callable[[Any], Any],
-    injector: FaultInjector | None,
+    injector: FaultInjector,
     phase: str,
     allow_kill: bool,
-) -> tuple[str, Any]:
-    """Worker-side guard around one task attempt.
+) -> Any:
+    """Worker-side fault injection around one task attempt.
 
-    *item* is ``(task index, attempt, payload)``.  Returns ``("ok",
-    result)`` or ``("err", exception)`` — failures are captured *inside*
-    the worker so one bad task cannot abort a whole pool batch; the
-    parent's retry loop classifies and replays.  An injected worker kill
-    is the one failure that escapes: the worker process exits, the pool
-    breaks, and the parent observes the task as lost.  Module-level so
-    process-pool workers can unpickle it (configuration bound via
-    :func:`functools.partial`, shipped through the once-per-call pickled
-    blob like every other task function).
+    *item* is ``(task index, dispatch number, payload)``: the injector's
+    decision coordinates travel with the payload, so every backend draws
+    the same faults.  An injected kill exits the worker process; any other
+    injected fault raises like a task failure.  Module-level so process
+    pool workers can unpickle it.
     """
-    index, attempt, payload = item
-    try:
-        if injector is not None:
-            injector.maybe_inject(
-                phase, index, attempt, allow_kill=allow_kill
-            )
-        return ("ok", fn(payload))
-    except Exception as exc:  # noqa: BLE001 - classified by RetryPolicy
-        return ("err", exc)
+    index, dispatch, payload = item
+    injector.maybe_inject(phase, index, dispatch, allow_kill=allow_kill)
+    return fn(payload)
+
+
+class _Ran:
+    """The outcome of a task run inline, read like a finished future."""
+
+    __slots__ = ("_value", "_error")
+
+    def __init__(self, call: Callable[[Any], Any], item: Any):
+        self._value: Any = None
+        self._error: Exception | None = None
+        try:
+            self._value = call(item)
+        except Exception as exc:  # noqa: BLE001 - classified by the loop
+            self._error = exc
+
+    def cancel(self) -> bool:
+        return False
+
+    def result(self) -> Any:
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+class _Attempt:
+    """One dispatch of one task, in flight until the loop collects it."""
+
+    __slots__ = (
+        "index", "payload", "dispatch", "failures", "future", "pool",
+        "overran",
+    )
+
+    #: The attempt's outcome, set by :meth:`Backend._send`.
+    future: Future | _Ran
+
+    def __init__(self, index: int, payload: Any, dispatch: int, failures: int):
+        self.index = index
+        self.payload = payload
+        self.dispatch = dispatch
+        self.failures = failures
+        #: The pool it was submitted to (``None`` when run inline).
+        self.pool: Any = None
+        #: Whether an inline run took longer than the task timeout.
+        self.overran = False
 
 
 class Backend(ABC):
@@ -172,31 +192,18 @@ class Backend(ABC):
         #: long-lived backend that is reused correctly creates exactly one;
         #: the pool-reuse regression tests pin this counter.
         self.pools_created = 0
-        #: Tasks run over this backend's lifetime; the service exports it
-        #: as a pool-utilization metric for shared backends.
+        #: Task dispatches (retries included) over this backend's
+        #: lifetime; the service exports it as a pool-utilization metric
+        #: for shared backends.
         self.tasks_dispatched = 0
         #: Pools rebuilt after a worker death broke them (process backend);
         #: the worker-death recovery tests pin this counter.
         self.pool_rebuilds = 0
 
-    @abstractmethod
-    def run_tasks(
-        self, fn: Callable[[Any], Any], tasks: Iterable[Any]
-    ) -> list[Any]:
-        """Run ``fn`` over every task payload; results keep task order.
-
-        *tasks* may be any iterable; non-sequence iterables (generators,
-        streaming chunk producers) are consumed lazily — the serial
-        backend pulls one task at a time, pooled backends keep a bounded
-        window of submissions in flight.
-        """
-
-    def _count_tasks(self, results: list[Any]) -> list[Any]:
-        """Add a completed batch to the dispatch counter (thread-safe —
-        shared pools run batches from several jobs concurrently)."""
-        with self._lifecycle_lock:
-            self.tasks_dispatched += len(results)
-        return results
+    #: Whether tasks run inline in the calling thread, one at a time.
+    #: True only for the poolless serial backend; every other backend
+    #: submits each task to its worker pool.
+    runs_inline: bool = False
 
     #: Whether an injected ``kill`` fault may really terminate a worker on
     #: this backend.  True only where workers are disposable OS processes;
@@ -209,7 +216,7 @@ class Backend(ABC):
     #: so encoding would be pure overhead.
     ships_blocks: bool = False
 
-    def run_tasks_resilient(
+    def run_tasks(
         self,
         fn: Callable[[Any], Any],
         tasks: Iterable[Any],
@@ -222,242 +229,250 @@ class Backend(ABC):
         on_retry: Callable[[str, int, int, BaseException, float], None]
         | None = None,
     ) -> list[Any]:
-        """Run tasks with per-task retry, timeouts, and a run deadline.
+        """Run ``fn`` over every task payload; results keep task order.
 
-        The fault-tolerant counterpart of :meth:`run_tasks`; same contract
-        (results in task order), same task functions.  Differences:
+        *tasks* may be any iterable and is consumed lazily: the serial
+        backend runs one task at a time, pooled backends keep at most
+        ``max_workers * 4`` tasks in flight.
 
-        * *tasks* is materialized up front — retry requires being able to
-          replay any payload, so this path trades the streaming window for
-          recoverability.
-        * Each failed attempt is classified by *policy*
-          (:class:`~repro.faults.RetryPolicy`): retryable failures are
-          re-dispatched (up to ``max_attempts`` observed failures per
-          task, with the policy's deterministic backoff between rounds);
-          everything else propagates immediately, so model and user
-          errors behave exactly as on the plain path.  A task lost to a
-          pool breakage is replayed without consuming an attempt — the
-          loss says nothing about the task — subject to a generous
-          total-dispatch backstop so a dying pool still terminates.
-        * A task attempt that exceeds *task_timeout* seconds is abandoned
-          and counts as a retryable failure; *deadline_at* (an absolute
-          ``time.monotonic`` instant) bounds the whole call —
-          :class:`~repro.exceptions.DeadlineExceededError` once passed.
-        * On the process backend, a worker death (e.g. an injected
-          ``kill`` from *injector*) breaks the pool: completed results
-          are kept, the pool is rebuilt, and only the lost in-flight
-          tasks are replayed.
-        * *on_retry* is called as ``(phase, task index, failed attempt,
+        With ``policy=None`` (the default) a failing task's exception
+        propagates unchanged; a worker death heals the pool and raises
+        :class:`~repro.exceptions.WorkerLostError`.  With a
+        :class:`~repro.faults.RetryPolicy`:
+
+        * each failure is classified by the policy: retryable failures
+          are sent again after the policy's deterministic backoff (up to
+          ``max_attempts`` observed failures per task); anything else
+          propagates at once, exactly as with no policy.  A task lost to
+          a worker death is replayed without consuming an attempt — the
+          loss says nothing about the task — subject to a total-dispatch
+          backstop so a dying pool still terminates.  A task that fails
+          on every allowed attempt raises
+          :class:`~repro.exceptions.TaskRetryExhaustedError` carrying the
+          last underlying error;
+        * *on_retry* is called as ``(phase, task index, failed dispatch,
           exception, backoff seconds)`` before each replay — the engine
           wires it to tracer instants and retry counters.
 
-        A task that fails on every allowed attempt raises
-        :class:`~repro.exceptions.TaskRetryExhaustedError` carrying the
-        last underlying error.
+        A task attempt that exceeds *task_timeout* seconds is abandoned
+        with :class:`~repro.exceptions.TaskTimeoutError` (the serial
+        backend cannot preempt, so it discards an attempt that overran);
+        *deadline_at* (an absolute ``time.monotonic`` instant) bounds the
+        whole call with :class:`~repro.exceptions.DeadlineExceededError`.
+        *injector* applies seeded faults at ``(phase, task index,
+        dispatch number)`` inside each attempt.
         """
-        payloads = list(tasks)
-        if not payloads:
-            return []
-        policy = policy or RetryPolicy()
-        call = partial(
-            _resilient_call,
-            fn=fn,
-            injector=injector,
-            phase=phase,
-            allow_kill=self.supports_worker_kill,
+        if injector is not None:
+            fn = partial(
+                _injected_call,
+                fn=fn,
+                injector=injector,
+                phase=phase,
+                allow_kill=self.supports_worker_kill,
+            )
+        call = self._task_callable(fn)
+        source = iter(tasks)
+        results: list[Any] = []
+        in_flight: deque[_Attempt] = deque()
+        # Retries waiting out their backoff: (ready at, task index, attempt).
+        backlog: list[tuple[float, int, _Attempt]] = []
+        dispatched = 0
+        window = (
+            1 if self.runs_inline else self.max_workers * _WINDOW_PER_WORKER
         )
-        results: list[Any] = [None] * len(payloads)
-        # ``dispatches`` counts every send of a task (it keys the fault
-        # injector's per-attempt decisions and the backoff schedule);
-        # ``failures`` counts only *observed* task failures, which is what
-        # max_attempts bounds — a task lost to pool breakage is replayed
-        # without consuming an attempt, because its loss carries no
-        # information about the task itself (see _LOST_DISPATCH_FACTOR
-        # for the termination backstop).
-        dispatches = [0] * len(payloads)
-        failures = [0] * len(payloads)
-        dispatch_cap = policy.max_attempts * _LOST_DISPATCH_FACTOR
-        pending = list(range(len(payloads)))
         with self:
-            while pending:
-                check_deadline(deadline_at, what=f"{phase} phase")
-                batch = []
-                for index in pending:
-                    dispatches[index] += 1
-                    batch.append(
-                        (index, dispatches[index], payloads[index])
-                    )
-                outcomes = self._dispatch_resilient(
-                    call,
-                    batch,
-                    task_timeout=task_timeout,
-                    deadline_at=deadline_at,
-                )
-                with self._lifecycle_lock:
-                    self.tasks_dispatched += len(batch)
-                retry_indices: list[int] = []
-                backoff = 0.0
-                for index, (status, value) in zip(pending, outcomes):
-                    if status == "ok":
-                        results[index] = value
-                        continue
-                    exc: BaseException
-                    if status == "lost":
-                        exc = WorkerLostError(
-                            f"worker died running {phase} task {index} "
-                            f"(dispatch {dispatches[index]})"
-                        )
-                    else:
-                        exc = value
-                        failures[index] += 1
-                    if not policy.is_retryable(exc):
-                        raise exc
-                    if (
-                        failures[index] >= policy.max_attempts
-                        or dispatches[index] >= dispatch_cap
-                    ):
-                        if failures[index]:
-                            message = (
-                                f"{phase} task {index} failed on all "
-                                f"{failures[index]} attempts "
-                                f"({dispatches[index]} dispatches): {exc}"
-                            )
+            try:
+                while True:
+                    while len(in_flight) < window:
+                        if backlog and backlog[0][0] <= time.monotonic():
+                            attempt = heappop(backlog)[2]
                         else:
-                            message = (
-                                f"{phase} task {index} was lost to worker "
-                                f"deaths on all {dispatches[index]} "
-                                f"dispatches: {exc}"
-                            )
-                        raise TaskRetryExhaustedError(
-                            message,
-                            attempts=max(failures[index], 1),
-                            last_error=exc,
-                        ) from exc
-                    delay = policy.delay_seconds(
-                        dispatches[index], key=(phase, index)
-                    )
-                    if on_retry is not None:
-                        on_retry(
-                            phase, index, dispatches[index], exc, delay
+                            payload = next(source, _EXHAUSTED)
+                            if payload is _EXHAUSTED:
+                                break
+                            attempt = _Attempt(len(results), payload, 1, 0)
+                            results.append(None)
+                        self._send(
+                            call, attempt, injector is not None,
+                            task_timeout, deadline_at, phase,
                         )
-                    retry_indices.append(index)
-                    backoff = max(backoff, delay)
-                pending = retry_indices
-                if pending and backoff > 0.0:
-                    remaining = remaining_time(deadline_at)
-                    if remaining is not None:
-                        check_deadline(deadline_at, what=f"{phase} phase")
-                        backoff = min(backoff, remaining)
-                    time.sleep(backoff)
-        return results
+                        in_flight.append(attempt)
+                        dispatched += 1
+                    if not in_flight:
+                        if not backlog:
+                            return results
+                        self._pause(backlog[0][0], deadline_at, phase)
+                        continue
+                    attempt = in_flight.popleft()
+                    try:
+                        results[attempt.index] = self._collect(
+                            attempt, task_timeout, deadline_at, phase
+                        )
+                        continue
+                    except BrokenExecutor as exc:
+                        self._heal_broken_pool(attempt.pool)
+                        if policy is None:
+                            raise WorkerLostError(
+                                "a process-pool worker died mid-batch; the "
+                                "pool was rebuilt — rerun the job (or enable "
+                                "a retry policy for in-place replay)"
+                            ) from exc
+                        error: BaseException = WorkerLostError(
+                            f"worker died running {phase} task "
+                            f"{attempt.index} (dispatch {attempt.dispatch})"
+                        )
+                    except Exception as exc:
+                        if policy is None:
+                            raise
+                        error = exc
+                        attempt.failures += 1
+                    delay = self._retry_delay(
+                        attempt, error, policy, phase, on_retry
+                    )
+                    attempt.dispatch += 1
+                    heappush(
+                        backlog,
+                        (time.monotonic() + delay, attempt.index, attempt),
+                    )
+            except BaseException:
+                for attempt in in_flight:
+                    attempt.future.cancel()
+                raise
+            finally:
+                with self._lifecycle_lock:
+                    self.tasks_dispatched += dispatched
 
-    def _dispatch_resilient(
+    def _send(
         self,
-        call: Callable[[tuple[int, int, Any]], tuple[str, Any]],
-        batch: list[tuple[int, int, Any]],
-        *,
+        call: Callable[[Any], Any],
+        attempt: _Attempt,
+        injected: bool,
         task_timeout: float | None,
         deadline_at: float | None,
-    ) -> list[tuple[str, Any]]:
-        """Run one retry round; returns per-item ``(status, value)``.
-
-        ``status`` is ``"ok"``, ``"err"`` (value is the captured
-        exception), or ``"lost"`` (the worker died before producing
-        either).  The base implementation runs inline (the serial path):
-        nothing can be preempted, so *task_timeout* is enforced post hoc —
-        an attempt that measurably overran is discarded and reported as a
-        timeout, keeping retry semantics identical to the pooled backends.
-        The run deadline is likewise re-checked after each attempt: a
-        result that arrived past the deadline is discarded and the run
-        fails, exactly as a pooled backend's bounded wait would have.
-        """
-        outcomes: list[tuple[str, Any]] = []
-        for item in batch:
-            check_deadline(deadline_at, what="task dispatch")
+        phase: str,
+    ) -> None:
+        """Dispatch one attempt: run it inline, or submit it to the pool."""
+        check_deadline(deadline_at, what=f"{phase} phase")
+        item = (
+            (attempt.index, attempt.dispatch, attempt.payload)
+            if injected
+            else attempt.payload
+        )
+        if self.runs_inline:
+            # Nothing preempts an inline run, so a timeout is judged after.
             started = time.monotonic()
-            outcome = call(item)
-            check_deadline(deadline_at, what="task dispatch")
-            if (
+            attempt.future = _Ran(call, item)
+            attempt.overran = (
                 task_timeout is not None
                 and time.monotonic() - started > task_timeout
-            ):
-                index, attempt, _ = item
-                outcome = (
-                    "err",
-                    TaskTimeoutError(
-                        f"task {index} attempt {attempt} exceeded "
-                        f"{task_timeout:g}s timeout"
-                    ),
-                )
-            outcomes.append(outcome)
-        return outcomes
+            )
+            return
+        # Opens the pool on first use, and reopens it when it was closed
+        # before or during this call (a service evicting a shared backend).
+        with self._lifecycle_lock:
+            self._ensure_pool()
+            pool = self._pool
+        attempt.pool = pool
+        try:
+            attempt.future = pool.submit(call, item)
+        except BrokenExecutor as exc:
+            attempt.future = Future()
+            attempt.future.set_exception(exc)
 
-    def _submit_resilient(
-        self,
-        pool: Any,
-        call: Callable[[tuple[int, int, Any]], tuple[str, Any]],
-        batch: list[tuple[int, int, Any]],
-        *,
+    @staticmethod
+    def _collect(
+        attempt: _Attempt,
         task_timeout: float | None,
         deadline_at: float | None,
-    ) -> list[tuple[str, Any]]:
-        """Pooled retry round: per-task futures, timeouts, loss detection.
+        phase: str,
+    ) -> Any:
+        """Wait for one attempt and return its result, or raise its failure.
 
-        Shared by the thread and process backends.  Tasks are submitted
-        individually (no chunked ``map``) so the parent knows exactly
-        which tasks completed when a pool breaks mid-batch.  Collection
-        walks the futures in task order; each future gets up to
-        *task_timeout* seconds of patience from the moment the parent
-        starts waiting on it (a task queued behind a straggler therefore
-        keeps its full allowance), capped by the run deadline.  A future
-        that raises :class:`concurrent.futures.BrokenExecutor` — and
-        every later future in the batch — is reported ``"lost"``.
+        The wait starts when the loop reaches the attempt, so a task queued
+        behind a straggler keeps its full *task_timeout*; it is capped by
+        the run deadline.  A result that arrives past the deadline is
+        discarded.
         """
-        futures: list[Any] = []
-        broken = False
-        for item in batch:
-            if broken:
-                futures.append(None)
-                continue
-            try:
-                futures.append(pool.submit(call, item))
-            except BrokenExecutor:
-                broken = True
-                futures.append(None)
-        outcomes: list[tuple[str, Any]] = []
-        for item, future in zip(batch, futures):
-            if future is None:
-                outcomes.append(("lost", None))
-                continue
-            index, attempt, _ = item
-            timeout = task_timeout
-            remaining = remaining_time(deadline_at)
-            if remaining is not None:
-                check_deadline(deadline_at, what="task dispatch")
-                timeout = (
-                    remaining if timeout is None else min(timeout, remaining)
-                )
-            try:
-                outcomes.append(future.result(timeout=timeout))
-            except (FuturesTimeoutError, TimeoutError):
-                future.cancel()
-                check_deadline(deadline_at, what="task dispatch")
-                outcomes.append(
-                    (
-                        "err",
-                        TaskTimeoutError(
-                            f"task {index} attempt {attempt} exceeded "
-                            f"{task_timeout:g}s timeout"
-                        ),
-                    )
-                )
-            except BrokenExecutor:
-                outcomes.append(("lost", None))
-        return outcomes
+        future = attempt.future
+        timeout = task_timeout
+        remaining = remaining_time(deadline_at)
+        if remaining is not None:
+            check_deadline(deadline_at, what=f"{phase} phase")
+            timeout = remaining if timeout is None else min(timeout, remaining)
+        timed_out = attempt.overran or (
+            timeout is not None
+            and isinstance(future, Future)
+            and not wait((future,), timeout).done
+        )
+        if timed_out:
+            future.cancel()
+        check_deadline(deadline_at, what=f"{phase} phase")
+        if timed_out:
+            raise TaskTimeoutError(
+                f"{phase} task {attempt.index} attempt {attempt.dispatch} "
+                f"exceeded {task_timeout:g}s timeout"
+            )
+        return future.result()
 
+    @staticmethod
+    def _retry_delay(
+        attempt: _Attempt,
+        error: BaseException,
+        policy: RetryPolicy,
+        phase: str,
+        on_retry: Callable[[str, int, int, BaseException, float], None]
+        | None,
+    ) -> float:
+        """Backoff before replaying a failed attempt; raises when the
+        failure is not retryable or the task's budget is spent."""
+        if not policy.is_retryable(error):
+            raise error
+        index, dispatch, failures = (
+            attempt.index, attempt.dispatch, attempt.failures
+        )
+        if (
+            failures >= policy.max_attempts
+            or dispatch >= policy.max_attempts * _LOST_DISPATCH_FACTOR
+        ):
+            if failures:
+                message = (
+                    f"{phase} task {index} failed on all {failures} "
+                    f"attempts ({dispatch} dispatches): {error}"
+                )
+            else:
+                message = (
+                    f"{phase} task {index} was lost to worker deaths on "
+                    f"all {dispatch} dispatches: {error}"
+                )
+            raise TaskRetryExhaustedError(
+                message, attempts=max(failures, 1), last_error=error
+            ) from error
+        delay = policy.delay_seconds(dispatch, key=(phase, index))
+        if on_retry is not None:
+            on_retry(phase, index, dispatch, error, delay)
+        return delay
+
+    @staticmethod
+    def _pause(
+        ready_at: float, deadline_at: float | None, phase: str
+    ) -> None:
+        """Sleep until the next retry is due, but not past the deadline."""
+        pause = ready_at - time.monotonic()
+        if pause <= 0.0:
+            return
+        remaining = remaining_time(deadline_at)
+        if remaining is not None:
+            check_deadline(deadline_at, what=f"{phase} phase")
+            pause = min(pause, remaining)
+        time.sleep(pause)
+
+    def _task_callable(self, fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
+        """The callable actually dispatched for *fn* (once per call)."""
+        return fn
+
+    @abstractmethod
     def _make_pool(self) -> Any:
         """Build the reusable worker pool; ``None`` for poolless backends."""
-        return None
 
     def _ensure_pool(self) -> None:
         """Construct the reusable pool if it is not already open."""
@@ -466,6 +481,27 @@ class Backend(ABC):
             if pool is not None:
                 self._pool = pool
                 self.pools_created += 1
+
+    def _heal_broken_pool(self, pool: Any) -> None:
+        """Tear down a broken *pool* and rebuild it if one should be open.
+
+        A no-op when *pool* was already replaced (another attempt, or
+        another job sharing this backend, saw the same breakage first).
+        Keeps the lifecycle flags (persistent / context depth) untouched:
+        if a pool is supposed to be open right now it is rebuilt
+        immediately, otherwise the next :meth:`_ensure_pool` builds one.
+        Either way :attr:`pool_rebuilds` records the breakage.
+        """
+        with self._lifecycle_lock:
+            if pool is None or pool is not self._pool:
+                return
+            self._pool = None
+            self.pool_rebuilds += 1
+            rebuild = self._persistent or self._depth > 0
+        pool.shutdown(wait=False)
+        if rebuild:
+            with self._lifecycle_lock:
+                self._ensure_pool()
 
     def open(self) -> "Backend":
         """Open the worker pool persistently (idempotent).
@@ -538,15 +574,13 @@ class SerialBackend(Backend):
     """Reference backend: runs every task inline, one after another."""
 
     name = "serial"
+    runs_inline = True
 
     def __init__(self, max_workers: int | None = None):
         super().__init__(max_workers=1)
 
-    def run_tasks(
-        self, fn: Callable[[Any], Any], tasks: Iterable[Any]
-    ) -> list[Any]:
-        """Run tasks in a plain loop (lazily for streaming iterables)."""
-        return self._count_tasks([fn(task) for task in tasks])
+    def _make_pool(self) -> None:
+        return None
 
 
 class ThreadBackend(Backend):
@@ -558,45 +592,6 @@ class ThreadBackend(Backend):
         from concurrent.futures import ThreadPoolExecutor
 
         return ThreadPoolExecutor(max_workers=self.max_workers)
-
-    def run_tasks(
-        self, fn: Callable[[Any], Any], tasks: Iterable[Any]
-    ) -> list[Any]:
-        """Run tasks on a thread pool; exceptions propagate to the caller."""
-        if not isinstance(tasks, Sequence):
-            window = self.max_workers * _WINDOW_PER_WORKER
-            if self._pool is not None:
-                return self._count_tasks(
-                    _windowed_submit(self._pool, fn, tasks, window)
-                )
-            with self._make_pool() as pool:
-                return self._count_tasks(
-                    _windowed_submit(pool, fn, tasks, window)
-                )
-        if not tasks:
-            return []
-        if self._pool is not None:
-            return self._count_tasks(list(self._pool.map(fn, tasks)))
-        with self._make_pool() as pool:
-            return self._count_tasks(list(pool.map(fn, tasks)))
-
-    def _dispatch_resilient(
-        self,
-        call: Callable[[tuple[int, int, Any]], tuple[str, Any]],
-        batch: list[tuple[int, int, Any]],
-        *,
-        task_timeout: float | None,
-        deadline_at: float | None,
-    ) -> list[tuple[str, Any]]:
-        """Pooled retry round on the thread pool (threads never break —
-        a ``lost`` outcome cannot occur here)."""
-        return self._submit_resilient(
-            self._pool,
-            call,
-            batch,
-            task_timeout=task_timeout,
-            deadline_at=deadline_at,
-        )
 
 
 #: Per-worker cache of recently unpickled task functions, keyed by their
@@ -619,9 +614,10 @@ def _noop() -> None:
 def _call_pickled(blob: bytes, task: Any) -> Any:
     """Worker-side trampoline: unpickle the task function once, then call it.
 
-    ``blob`` travels with every chunk (it is bound into the mapped partial),
-    but the expensive part — unpickling a function with schema routing
-    tables attached — happens once per worker per phase thanks to the cache.
+    ``blob`` travels with every task (it is bound into the submitted
+    partial), but the expensive part — unpickling a function with schema
+    routing tables attached — happens once per worker per phase thanks to
+    the cache.
     """
     fn = _FN_CACHE.get(blob)
     if fn is None:
@@ -633,12 +629,10 @@ def _call_pickled(blob: bytes, task: Any) -> Any:
 
 
 class ProcessBackend(Backend):
-    """Process-pool backend with chunked task batches.
+    """Process-pool backend.
 
-    ``chunksize`` controls how many tasks ship to a worker per round trip;
-    the default targets four batches per worker, which amortizes payload
-    transfer without starving the pool.  The task function is pickled once
-    in the parent and cached per worker (see :func:`_call_pickled`); task
+    The task function is pickled once per :meth:`run_tasks` call in the
+    parent and cached per worker (see :func:`_call_pickled`); task
     payloads must still be picklable.
 
     This backend ships shuffle data as blocks (:attr:`ships_blocks`):
@@ -649,18 +643,6 @@ class ProcessBackend(Backend):
     name = "processes"
     supports_worker_kill = True
     ships_blocks = True
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        chunksize: int | None = None,
-    ):
-        super().__init__(max_workers)
-        if chunksize is not None and chunksize <= 0:
-            raise InvalidInstanceError(
-                f"chunksize must be positive, got {chunksize}"
-            )
-        self.chunksize = chunksize
 
     def _make_pool(self):
         from concurrent.futures import ProcessPoolExecutor
@@ -673,108 +655,8 @@ class ProcessBackend(Backend):
             future.result()
         return pool
 
-    def run_tasks(
-        self, fn: Callable[[Any], Any], tasks: Iterable[Any]
-    ) -> list[Any]:
-        """Run tasks on a process pool in chunked batches.
-
-        Streaming (non-sequence) task iterables go through windowed
-        single-task submission instead of chunked ``map`` — the function
-        blob is still pickled once and cached per worker.
-
-        A worker death mid-batch breaks the pool; this path cannot tell
-        which in-flight tasks were lost (chunked ``map`` shares one
-        future per chunk), so it heals the backend — tears down the
-        broken pool so the next use builds a fresh one — and raises
-        :class:`~repro.exceptions.WorkerLostError`.  Callers that need
-        replay instead of an error use :meth:`run_tasks_resilient`.
-        """
-        try:
-            return self._run_tasks_pooled(fn, tasks)
-        except BrokenExecutor as exc:
-            self._heal_broken_pool()
-            raise WorkerLostError(
-                "a process-pool worker died mid-batch; the pool was "
-                "rebuilt — rerun the job (or enable a retry policy for "
-                "in-place replay)"
-            ) from exc
-
-    def _run_tasks_pooled(
-        self, fn: Callable[[Any], Any], tasks: Iterable[Any]
-    ) -> list[Any]:
-        """The chunked/windowed dispatch body (see :meth:`run_tasks`)."""
-        if not isinstance(tasks, Sequence):
-            call = partial(_call_pickled, pickle.dumps(fn))
-            window = self.max_workers * _WINDOW_PER_WORKER
-            if self._pool is not None:
-                return self._count_tasks(
-                    _windowed_submit(self._pool, call, tasks, window)
-                )
-            with self._make_pool() as pool:
-                return self._count_tasks(
-                    _windowed_submit(pool, call, tasks, window)
-                )
-        if not tasks:
-            return []
-        call = partial(_call_pickled, pickle.dumps(fn))
-        chunksize = self.chunksize or max(
-            1, -(-len(tasks) // (self.max_workers * 4))
-        )
-        if self._pool is not None:
-            return self._count_tasks(
-                list(self._pool.map(call, tasks, chunksize=chunksize))
-            )
-        with self._make_pool() as pool:
-            return self._count_tasks(
-                list(pool.map(call, tasks, chunksize=chunksize))
-            )
-
-    def _heal_broken_pool(self) -> None:
-        """Tear down a broken pool and rebuild it if one should be open.
-
-        Keeps the lifecycle flags (persistent / context depth) untouched:
-        if a pool is supposed to be open right now it is rebuilt
-        immediately, otherwise the next :meth:`_ensure_pool` builds one.
-        Either way :attr:`pool_rebuilds` records the breakage.
-        """
-        with self._lifecycle_lock:
-            pool, self._pool = self._pool, None
-            self.pool_rebuilds += 1
-            rebuild = self._persistent or self._depth > 0
-        if pool is not None:
-            pool.shutdown(wait=False)
-        if rebuild:
-            with self._lifecycle_lock:
-                self._ensure_pool()
-
-    def _dispatch_resilient(
-        self,
-        call: Callable[[tuple[int, int, Any]], tuple[str, Any]],
-        batch: list[tuple[int, int, Any]],
-        *,
-        task_timeout: float | None,
-        deadline_at: float | None,
-    ) -> list[tuple[str, Any]]:
-        """Pooled retry round with worker-death recovery.
-
-        Tasks go through the once-per-round pickled-callable trick like
-        the plain path, but as individual futures: when a worker death
-        breaks the pool, futures that already completed keep their
-        results, the unfinished ones come back ``"lost"``, and the pool
-        is rebuilt here so the caller's next retry round dispatches onto
-        fresh workers immediately.
-        """
-        wrapped = partial(_call_pickled, pickle.dumps(call))
-        outcomes = self._submit_resilient(
-            self._pool,
-            wrapped,
-            batch,
-            task_timeout=task_timeout,
-            deadline_at=deadline_at,
-        )
-        if any(status == "lost" for status, _ in outcomes):
-            self._heal_broken_pool()
-        return outcomes
+    def _task_callable(self, fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
+        return partial(_call_pickled, pickle.dumps(fn))
 
 
 #: Name -> backend class; the CLI and benches iterate this.

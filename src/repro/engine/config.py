@@ -14,8 +14,9 @@ The fault-plane knobs (``retry``, ``faults``, ``task_timeout``,
 ``deadline``, ``fallback``) ride in the same object.  They are runtime
 policy, not plan decisions: the planner never serializes them, and the
 service applies a submission's per-job retry/deadline on top of whatever
-config the plan resolved.  All of them default to off, and the engine
-takes the exact pre-fault-plane dispatch path when every one is off.
+config the plan resolved.  All of them default to off; with every one
+off the engine dispatches with no retry policy and no fault injector, so
+task failures propagate unchanged.
 """
 
 from __future__ import annotations
@@ -87,17 +88,6 @@ class ExecutionConfig:
         # Normalize a spec string into a validated FaultSpec right away so
         # a malformed --inject-faults fails at construction, not mid-run.
         object.__setattr__(self, "faults", as_fault_spec(self.faults))
-
-    @property
-    def fault_plane_active(self) -> bool:
-        """Whether any knob requires the resilient dispatch path."""
-        faults = self.faults
-        return (
-            self.retry is not None
-            or (faults is not None and faults.enabled)
-            or self.task_timeout is not None
-            or self.deadline is not None
-        )
 
     def engine_kwargs(self) -> dict[str, object]:
         """The config as keyword arguments for ``ExecutionEngine``.

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
@@ -72,7 +72,12 @@ from repro.exceptions import (
 )
 from repro.faults import FaultInjector, FaultSpec, RetryPolicy, as_fault_spec
 from repro.mapreduce.metrics import JobMetrics
-from repro.obs.profiler import PhaseProfiler, as_profiler, profile_worker_task
+from repro.obs.profiler import (
+    PhaseProfiler,
+    ProfileCapture,
+    as_profiler,
+    merge_stats,
+)
 from repro.obs.trace import Tracer, as_tracer, worker_span
 from repro.mapreduce.shuffle import (
     map_record,
@@ -136,6 +141,30 @@ class EngineResult:
     engine: EngineMetrics
 
 
+@dataclass
+class TaskResult:
+    """What one map or reduce task sends home to the parent.
+
+    Attributes:
+        outputs: a map task's partition buckets (dicts, or blocks and
+            ``None`` when encoded); a reduce task's per-key outputs, or
+            ``None`` when strict capacity discarded them.
+        counters: named task counters (``records``, ``pairs``, ...) that
+            the parent sums; they also label the task's worker span.
+        loads: a reduce task's per-key loads in key order (empty for map).
+        spill: a map task's spill runs (``None`` without a memory budget).
+        span: the worker span, set when tracing is on.
+        profile: the task's ``cProfile`` table, set when profiling is on.
+    """
+
+    outputs: Any
+    counters: dict[str, float]
+    loads: list[tuple[Hashable, int]] = field(default_factory=list)
+    spill: MapSpill | None = None
+    span: dict[str, Any] | None = None
+    profile: dict[str, list[float]] | None = None
+
+
 def _run_map_task(
     chunk: list[Any],
     *,
@@ -147,16 +176,17 @@ def _run_map_task(
     spill_dir: str | None = None,
     check_keys: bool = True,
     encode: bool = False,
-) -> tuple[Any, int, int, int, int, MapSpill | None, int, float]:
+) -> TaskResult:
     """One map task: map (and combine) a chunk into partition-bucketed groups.
 
-    Returns ``(buckets, pair_count, comm, record_count, peak_buffered,
-    spill, encoded_bytes, encode_seconds)`` where ``buckets[p]`` maps
-    each key of reduce partition ``p`` to its value list in record order.
-    Pair counting and size accounting happen here, in the (parallel)
-    task, so the parent does no per-pair work at all.  Module-level so
-    process-pool workers can unpickle it; the configuration is bound via
-    :func:`functools.partial` and pickled once per phase.
+    The result's ``outputs`` are the buckets: ``outputs[p]`` maps each key
+    of reduce partition ``p`` to its value list in record order.  Its
+    counters are ``records``, ``pairs``, ``comm``, ``peak_buffered``,
+    ``encoded_bytes`` and ``encode_seconds``.  Pair counting and size
+    accounting happen here, in the (parallel) task, so the parent does no
+    per-pair work at all.  Module-level so process-pool workers can
+    unpickle it; the configuration is bound via :func:`functools.partial`
+    and pickled once per phase.
 
     With *encode* (set exactly when the backend ships results across a
     process boundary), each non-empty bucket is returned as one block
@@ -226,15 +256,17 @@ def _run_map_task(
                 blocks.append(None)
         buckets = blocks
         encode_seconds = time.perf_counter() - encode_started
-    return (
-        buckets,
-        pair_count,
-        comm,
-        record_count,
-        peak_buffered,
-        spill,
-        encoded_bytes,
-        encode_seconds,
+    return TaskResult(
+        outputs=buckets,
+        counters={
+            "records": record_count,
+            "pairs": pair_count,
+            "comm": comm,
+            "peak_buffered": peak_buffered,
+            "encoded_bytes": encoded_bytes,
+            "encode_seconds": encode_seconds,
+        },
+        spill=spill,
     )
 
 
@@ -264,11 +296,7 @@ def _run_reduce_task(
     size_of: SizeFn,
     capacity: int | None,
     strict: bool,
-) -> tuple[
-    list[tuple[Hashable, list[Any]]] | None,
-    list[tuple[Hashable, int]],
-    float,
-]:
+) -> TaskResult:
     """One reduce task: merge a partition's sources and reduce each key.
 
     ``sources`` holds, in spill order (map-task order, then flush order
@@ -279,11 +307,11 @@ def _run_reduce_task(
     record order.  When every source is in-memory the merge is the
     dict-based fast path; as soon as one source lives on disk the whole
     partition goes through the streaming external merge, which holds one
-    key's merged values at a time.  Returns ``(results, loads,
-    decode_seconds)``: per-key outputs plus per-key loads plus the time
-    spent decoding block sources.  Under strict capacity, a task whose
-    partition contains an overloaded key discards its outputs and returns
-    ``results=None`` — the parent merges all loads and raises for the
+    key's merged values at a time.  The result carries the per-key
+    outputs and loads, and counts ``keys`` and ``decode_seconds`` (time
+    spent decoding block sources).  Under strict capacity, a task whose
+    partition contains an overloaded key discards its outputs
+    (``outputs=None``) — the parent merges all loads and raises for the
     globally smallest offending key, so the strict-mode exception is
     identical to the simulator's.
     """
@@ -311,32 +339,83 @@ def _run_reduce_task(
             overloaded = True
         if not (strict and overloaded):
             results.append((key, list(reduce_fn(key, values))))
-    if strict and overloaded:
-        return None, loads, decode_seconds
-    return results, loads, decode_seconds
+    return TaskResult(
+        outputs=None if strict and overloaded else results,
+        counters={"keys": len(loads), "decode_seconds": decode_seconds},
+        loads=loads,
+    )
 
 
-def _traced_task(
+def _instrumented_task(
     payload: Any,
     *,
     inner: Any,
-    ctx: tuple[str, str | None],
     name: str,
-) -> tuple[Any, dict[str, Any]]:
-    """Run one task under a worker-side span; returns ``(result, span)``.
+    trace_ctx: tuple[str, str | None] | None,
+    profile: bool,
+) -> TaskResult:
+    """Run one task under a worker span and/or ``cProfile``.
 
-    Installed around the map/reduce task partials *only when tracing is
-    enabled*, so the task functions keep their exact signatures and
-    return shapes for the disabled path (and for the tests that unpack
-    them directly).  ``ctx`` is the pickled ``(trace id, parent span id)``
-    from :meth:`Tracer.worker_context`; the span travels home as a plain
-    dict next to the task result and the parent merges it into the trace.
+    Installed around the map/reduce task partials *only when tracing or
+    profiling is on*.  ``trace_ctx`` is the pickled ``(trace id, parent
+    span id)`` from :meth:`Tracer.worker_context`; the span (labelled with
+    the task's counters) and the function table travel home on the
+    :class:`TaskResult`, and :func:`_merge_task_telemetry` folds them in.
     """
-    started = time.perf_counter()
-    result = inner(payload)
-    return result, worker_span(
-        ctx, name, started, time.perf_counter() - started
-    )
+    with ProfileCapture(enabled=profile) as capture:
+        started = time.perf_counter()
+        result = inner(payload)
+        duration = time.perf_counter() - started
+    if trace_ctx is not None:
+        result.span = worker_span(
+            trace_ctx, name, started, duration, **result.counters
+        )
+    if profile:
+        result.profile = capture.stats
+    return result
+
+
+def _merge_task_telemetry(
+    results: list[TaskResult],
+    phase: str,
+    tracer: Tracer,
+    profiler: PhaseProfiler,
+) -> None:
+    """Fold the worker spans and ``cProfile`` tables tasks carried home.
+
+    A map task that spilled additionally contributes one ``spill`` child
+    span per flush window, so disk pressure shows up on the timeline
+    exactly where it occurred.
+    """
+    spans: list[dict[str, Any]] = []
+    stats: dict[str, list[float]] = {}
+    for result in results:
+        span = result.span
+        if span is not None:
+            spill = result.spill
+            if spill is not None and spill.flush_windows:
+                span["args"]["spilled_bytes"] = spill.spilled_bytes
+                for start, duration, nbytes in spill.flush_windows:
+                    tracer.record(
+                        "spill",
+                        start=start,
+                        duration=duration,
+                        category="engine",
+                        parent=span["id"],
+                        trace_id=span["trace"],
+                        bytes=nbytes,
+                    )
+            spans.append(span)
+        if result.profile:
+            merge_stats(stats, result.profile)
+    tracer.add_worker_spans(spans)
+    if stats:
+        profiler.add_functions(phase, stats)
+
+
+def _total(results: list[TaskResult], counter: str) -> Any:
+    """Sum one named counter over task results, in task order."""
+    return sum(result.counters[counter] for result in results)
 
 
 def _chunk(records: list[Any], chunk_size: int) -> list[list[Any]]:
@@ -402,12 +481,13 @@ class ExecutionEngine:
             exactly like *tracer*.
         retry: per-task :class:`~repro.faults.RetryPolicy`.  Any
             fault-plane knob (retry, faults, task_timeout, deadline)
-            routes map/reduce dispatch through
-            :meth:`Backend.run_tasks_resilient`; with all of them off the
-            engine takes the exact plain dispatch path at zero cost.
-            Retry is safe here by construction: map and reduce tasks are
-            pure functions of their schema-assigned partitions, so a
-            replayed task recomputes identical output.
+            hands :meth:`Backend.run_tasks` a policy (this one, or the
+            default ``RetryPolicy()``); with all of them off the engine
+            passes ``policy=None`` and no injector, so failures propagate
+            unchanged.  Retry is safe here by construction: map and
+            reduce tasks are pure functions of their schema-assigned
+            partitions, so a replayed task recomputes identical output,
+            and it streams — only in-flight chunks are kept for replay.
         faults: deterministic fault injection
             (:class:`~repro.faults.FaultSpec` or spec string) for chaos
             testing; decisions are a pure function of the spec's seed and
@@ -422,7 +502,8 @@ class ExecutionEngine:
             the configured backend cannot run (pool construction fails,
             or workers keep dying past the retry budget), replay the
             whole run down ``processes → threads → serial``.  Requires a
-            re-iterable record source (lists, factory-backed datasets).
+            re-iterable record source (lists, factory-backed datasets);
+            :meth:`run` rejects a single-use iterator up front.
     """
 
     map_fn: MapFn
@@ -465,10 +546,8 @@ class ExecutionEngine:
         *records* may be any iterable or a :class:`~repro.dataset.Dataset`;
         non-materialized datasets are consumed chunk by chunk, so the full
         input is never held in the parent at once (pooled backends keep a
-        bounded submission window of chunks in flight).  With the fault
-        plane active the map phase materializes its chunks instead — a
-        retried task must be replayable — and the run deadline starts
-        counting here.
+        bounded window of chunks in flight, retry or not).  The run
+        deadline starts counting here.
         """
         if self.memory_budget is not None and self.memory_budget <= 0:
             raise InvalidInstanceError(
@@ -487,6 +566,12 @@ class ExecutionEngine:
         )
         dataset = as_dataset(records)
         chain = self._backend_chain()
+        if len(chain) > 1 and dataset.is_single_use:
+            raise InvalidInstanceError(
+                "fallback=True may replay the run on another backend, but "
+                "the records are a single-use iterator; pass a list or "
+                "build the source with Dataset.from_factory"
+            )
         last_exc: BaseException | None = None
         for position, backend_spec in enumerate(chain):
             if position:
@@ -563,61 +648,22 @@ class ExecutionEngine:
                 shutil.rmtree(run_spill_dir, ignore_errors=True)
 
     def _fault_plane(
-        self, backend: Backend, tracer: Tracer, deadline_at: float | None
-    ) -> tuple[Any, list[int]]:
-        """Build the resilient-dispatch closure for this run, or ``None``.
-
-        Returns ``(dispatch, retry_counter)`` where *dispatch* is ``None``
-        when every fault-plane knob is off — the phases then call
-        :meth:`Backend.run_tasks` directly, keeping the happy path free
-        of any fault-plane work.
-        """
+        self, deadline_at: float | None
+    ) -> tuple[RetryPolicy, FaultInjector | None] | None:
+        """The run's ``(policy, injector)``, or ``None`` when every
+        fault-plane setting is off (failures then propagate unchanged)."""
         spec = as_fault_spec(self.faults)
-        injection = spec is not None and spec.enabled
-        retries = [0]
+        injector = (
+            FaultInjector(spec) if spec is not None and spec.enabled else None
+        )
         if not (
             self.retry is not None
-            or injection
+            or injector is not None
             or self.task_timeout is not None
             or deadline_at is not None
         ):
-            return None, retries
-        policy = self.retry or RetryPolicy()
-        injector = FaultInjector(spec) if injection else None
-
-        def on_retry(
-            phase: str,
-            index: int,
-            attempt: int,
-            exc: BaseException,
-            delay: float,
-        ) -> None:
-            retries[0] += 1
-            tracer.instant(
-                "retry",
-                category="faults",
-                phase=phase,
-                task=index,
-                attempt=attempt,
-                error=type(exc).__name__,
-                backoff_s=round(delay, 4),
-            )
-
-        def dispatch(
-            fn: Any, tasks: Iterable[Any], phase: str
-        ) -> list[Any]:
-            return backend.run_tasks_resilient(
-                fn,
-                tasks,
-                policy=policy,
-                injector=injector,
-                phase=phase,
-                task_timeout=self.task_timeout,
-                deadline_at=deadline_at,
-                on_retry=on_retry,
-            )
-
-        return dispatch, retries
+            return None
+        return self.retry or RetryPolicy(), injector
 
     def _run_phases(
         self,
@@ -632,15 +678,58 @@ class ExecutionEngine:
         :meth:`_run_on`)."""
         tracer = as_tracer(self.tracer)
         profiler = as_profiler(self.profiler)
-        resilient, retry_counter = self._fault_plane(
-            backend, tracer, deadline_at
-        )
+        policy, injector = self._fault_plane(deadline_at) or (None, None)
         rebuilds_before = backend.pool_rebuilds
+        retries = 0
 
-        def run_phase(fn: Any, tasks: Iterable[Any], phase: str) -> list[Any]:
-            if resilient is not None:
-                return resilient(fn, tasks, phase)
-            return backend.run_tasks(fn, tasks)
+        def on_retry(
+            phase: str,
+            index: int,
+            attempt: int,
+            exc: BaseException,
+            delay: float,
+        ) -> None:
+            nonlocal retries
+            retries += 1
+            tracer.instant(
+                "retry",
+                category="faults",
+                phase=phase,
+                task=index,
+                attempt=attempt,
+                error=type(exc).__name__,
+                backoff_s=round(delay, 4),
+            )
+
+        def run_phase(
+            task: Any, tasks: Iterable[Any], phase: str
+        ) -> list[TaskResult]:
+            """Dispatch one phase's tasks, instrumented when tracing or
+            profiling is on, and fold their telemetry in."""
+            trace_ctx = tracer.worker_context()
+            profile = profiler.worker_context() is not None
+            instrumented = trace_ctx is not None or profile
+            if instrumented:
+                task = partial(
+                    _instrumented_task,
+                    inner=task,
+                    name=f"{phase}_task",
+                    trace_ctx=trace_ctx,
+                    profile=profile,
+                )
+            results = backend.run_tasks(
+                task,
+                tasks,
+                policy=policy,
+                injector=injector,
+                phase=phase,
+                task_timeout=self.task_timeout,
+                deadline_at=deadline_at,
+                on_retry=on_retry,
+            )
+            if instrumented:
+                _merge_task_telemetry(results, phase, tracer, profiler)
+            return results
 
         with backend:
             # --- map phase: chunk records into tasks; each task returns its
@@ -676,22 +765,7 @@ class ExecutionEngine:
                     ),
                     encode=backend.ships_blocks,
                 )
-                ctx = tracer.worker_context()
-                pctx = profiler.worker_context()
-                task_fn: Any = map_task
-                if ctx is not None:
-                    task_fn = partial(
-                        _traced_task, inner=task_fn, ctx=ctx, name="map_task"
-                    )
-                if pctx is not None:
-                    task_fn = partial(profile_worker_task, inner=task_fn)
-                raw_map = run_phase(task_fn, chunks, "map")
-                if pctx is not None:
-                    raw_map = profiler.merge_worker_results("map", raw_map)
-                if ctx is not None:
-                    map_results = self._merge_map_spans(tracer, raw_map)
-                else:
-                    map_results = raw_map
+                map_results = run_phase(map_task, chunks, "map")
                 map_span.set("tasks", len(map_results))
                 map_seconds = time.perf_counter() - map_started
 
@@ -704,33 +778,30 @@ class ExecutionEngine:
                 "shuffle", category="engine"
             ) as shuffle_span, profiler.phase("shuffle", capture=True):
                 shuffle_started = time.perf_counter()
-                map_inputs = sum(result[3] for result in map_results)
-                map_pairs = sum(result[1] for result in map_results)
-                comm = sum(result[2] for result in map_results)
+                map_inputs = _total(map_results, "records")
+                map_pairs = _total(map_results, "pairs")
+                comm = _total(map_results, "comm")
                 peak_buffered = max(
-                    (result[4] for result in map_results), default=0
+                    (r.counters["peak_buffered"] for r in map_results),
+                    default=0,
                 )
-                spilled_bytes = sum(
-                    result[5].spilled_bytes
+                spills = [
+                    result.spill
                     for result in map_results
-                    if result[5] is not None
-                )
-                spill_runs = sum(
-                    result[5].spill_runs
-                    for result in map_results
-                    if result[5] is not None
-                )
-                encoded_bytes = sum(result[6] for result in map_results)
-                encode_seconds = sum(result[7] for result in map_results)
+                    if result.spill is not None
+                ]
+                spilled_bytes = sum(spill.spilled_bytes for spill in spills)
+                spill_runs = sum(spill.spill_runs for spill in spills)
+                encoded_bytes = _total(map_results, "encoded_bytes")
+                encode_seconds = _total(map_results, "encode_seconds")
                 partitions: list[list[Any]] = []
                 for p in range(num_partitions):
                     sources: list[Any] = []
                     for result in map_results:
-                        spill = result[5]
-                        if spill is not None:
-                            sources.extend(spill.partition_runs(p))
-                        if result[0][p]:
-                            sources.append(result[0][p])
+                        if result.spill is not None:
+                            sources.extend(result.spill.partition_runs(p))
+                        if result.outputs[p]:
+                            sources.append(result.outputs[p])
                     if sources:
                         partitions.append(sources)
                 shuffle_span.set("pairs", map_pairs)
@@ -743,9 +814,8 @@ class ExecutionEngine:
                         "spill",
                         sum(
                             duration
-                            for result in map_results
-                            if result[5] is not None
-                            for _, duration, _ in result[5].flush_windows
+                            for spill in spills
+                            for _, duration, _ in spill.flush_windows
                         ),
                         bytes=spilled_bytes,
                         runs=spill_runs,
@@ -765,29 +835,7 @@ class ExecutionEngine:
                     capacity=self.reducer_capacity,
                     strict=self.strict_capacity,
                 )
-                ctx = tracer.worker_context()
-                pctx = profiler.worker_context()
-                task_fn = reduce_task
-                if ctx is not None:
-                    task_fn = partial(
-                        _traced_task,
-                        inner=task_fn,
-                        ctx=ctx,
-                        name="reduce_task",
-                    )
-                if pctx is not None:
-                    task_fn = partial(profile_worker_task, inner=task_fn)
-                raw_reduce = run_phase(task_fn, partitions, "reduce")
-                if pctx is not None:
-                    raw_reduce = profiler.merge_worker_results(
-                        "reduce", raw_reduce
-                    )
-                if ctx is not None:
-                    task_results = self._merge_reduce_spans(
-                        tracer, raw_reduce
-                    )
-                else:
-                    task_results = raw_reduce
+                task_results = run_phase(reduce_task, partitions, "reduce")
                 reduce_span.set("tasks", len(partitions))
                 reduce_run_seconds = time.perf_counter() - reduce_started
 
@@ -803,12 +851,12 @@ class ExecutionEngine:
             outputs_by_key: dict[Hashable, list[Any]] = {}
             task_loads: list[int] = []
             decode_seconds = 0.0
-            for results, partition_loads, task_decode in task_results:
-                task_loads.append(sum(load for _, load in partition_loads))
-                loads.update(partition_loads)
-                decode_seconds += task_decode
-                if results is not None:
-                    for key, outs in results:
+            for result in task_results:
+                task_loads.append(sum(load for _, load in result.loads))
+                loads.update(result.loads)
+                decode_seconds += result.counters["decode_seconds"]
+                if result.outputs is not None:
+                    for key, outs in result.outputs:
                         outputs_by_key[key] = outs
             keys = ordered_keys(loads)
             violations: list[Hashable] = []
@@ -858,7 +906,7 @@ class ExecutionEngine:
             bytes_moved=comm,
             task_loads=tuple(task_loads),
             capacity=self.reducer_capacity,
-            task_retries=retry_counter[0],
+            task_retries=retries,
             pool_rebuilds=backend.pool_rebuilds - rebuilds_before,
             fallback_backend=(
                 backend.name if fallback_from is not None else None
@@ -870,57 +918,6 @@ class ExecutionEngine:
         return EngineResult(
             outputs=outputs, metrics=metrics, engine=engine_metrics
         )
-
-    @staticmethod
-    def _merge_map_spans(
-        tracer: Tracer, raw: list[tuple[Any, dict[str, Any]]]
-    ) -> list[Any]:
-        """Unwrap traced map-task results and fold their spans into the trace.
-
-        Each worker span is enriched with the task's measured counters
-        before merging; a map task that spilled additionally contributes
-        one ``spill`` child span per flush window, so disk pressure shows
-        up on the timeline exactly where it occurred.
-        """
-        results: list[Any] = []
-        worker_spans: list[dict[str, Any]] = []
-        for result, span_dict in raw:
-            args = span_dict["args"]
-            args["records"] = result[3]
-            args["pairs"] = result[1]
-            if result[6]:
-                args["encoded_bytes"] = result[6]
-            spill = result[5]
-            if spill is not None and spill.flush_windows:
-                args["spilled_bytes"] = spill.spilled_bytes
-                for start, duration, nbytes in spill.flush_windows:
-                    tracer.record(
-                        "spill",
-                        start=start,
-                        duration=duration,
-                        category="engine",
-                        parent=span_dict["id"],
-                        trace_id=span_dict["trace"],
-                        bytes=nbytes,
-                    )
-            results.append(result)
-            worker_spans.append(span_dict)
-        tracer.add_worker_spans(worker_spans)
-        return results
-
-    @staticmethod
-    def _merge_reduce_spans(
-        tracer: Tracer, raw: list[tuple[Any, dict[str, Any]]]
-    ) -> list[Any]:
-        """Unwrap traced reduce-task results and fold spans into the trace."""
-        results: list[Any] = []
-        worker_spans: list[dict[str, Any]] = []
-        for result, span_dict in raw:
-            span_dict["args"]["keys"] = len(result[1])
-            results.append(result)
-            worker_spans.append(span_dict)
-        tracer.add_worker_spans(worker_spans)
-        return results
 
     @staticmethod
     def _default_chunk(

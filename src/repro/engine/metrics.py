@@ -56,8 +56,8 @@ class EngineMetrics:
             reducer loads).
         capacity: the reducer capacity ``q`` the job enforced, if any.
         task_retries: task attempts replayed by the fault plane (0 on
-            every run with the fault plane off — the plain dispatch path
-            cannot retry).
+            every run with the fault plane off — dispatch without a retry
+            policy never retries).
         pool_rebuilds: worker pools rebuilt after a worker death during
             this run.
         fallback_backend: set to the backend that actually completed the

@@ -537,10 +537,10 @@ def run_fault_injection(
     """E23: completion time under deterministic fault injection.
 
     For every backend the scenario first runs with the fault plane fully
-    off (mode ``faults-off`` — the plain dispatch path, which is also the
-    overhead baseline), then once per injected mode: *spec* as given, or,
-    with *rates*, *spec* with its crash rate swept over the non-zero
-    rates.  Every injected run's outputs are asserted identical to the
+    off (mode ``faults-off`` — no retry policy and no injector, which is
+    also the overhead baseline), then once per injected mode: *spec* as
+    given, or, with *rates*, *spec* with its crash rate swept over the
+    non-zero rates.  Every injected run's outputs are asserted identical to the
     same backend's fault-free outputs **and** to serial's — recovery must
     be invisible in the results — and each row carries the retry/rebuild
     counters plus the documented retry bound.

@@ -221,6 +221,13 @@ def build_schema_plan(
             memberships = tuple(tuple(m) for m in a2a_memberships(schema))
             map_fn = partial(route_a2a, memberships=memberships)
             size_of = partial(indexed_size, sizes=schema.instance.sizes)
+            # The wrapper re-iterates exactly as often as its source, so a
+            # single-use source stays single-use (the engine checks that).
+            if records.is_single_use:
+                return map_fn, size_of, Dataset(
+                    iterator=_enumerate_checked(records, schema.instance.m),
+                    length=records.length,
+                )
             return map_fn, size_of, Dataset.from_factory(
                 partial(_enumerate_checked, records, schema.instance.m),
                 length=records.length,

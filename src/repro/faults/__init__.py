@@ -17,9 +17,10 @@ service layers need to exploit that:
   succeed are retried).
 
 Wiring lives elsewhere: :class:`~repro.engine.config.ExecutionConfig`
-carries both objects into the engine, backends implement the resilient
-dispatch loop (:meth:`~repro.engine.backends.Backend.run_tasks_resilient`),
-and the CLI exposes ``--inject-faults`` on ``repro run`` and ``bench``.
+carries both objects into the engine, which hands them to the backends'
+one dispatch loop (:meth:`~repro.engine.backends.Backend.run_tasks`) as
+policy — "fault plane off" is ``policy=None`` with no injector — and the
+CLI exposes ``--inject-faults`` on ``repro run`` and ``bench``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Retry policy: attempts, deterministic backoff, exception classification.
 
-The policy answers three questions the resilient dispatch loop asks:
+The policy answers three questions the backends' dispatch loop
+(:meth:`~repro.engine.backends.Backend.run_tasks`) asks when it is given
+one — with ``policy=None`` the loop never retries and every failure
+propagates as it happened:
 
 * *Is this failure worth retrying?* — :meth:`RetryPolicy.is_retryable`.
   The default classification is semantics-preserving: only failures whose

@@ -50,9 +50,9 @@ from repro.obs.profiler import (
     NULL_PROFILER,
     NullProfiler,
     PhaseProfiler,
+    ProfileCapture,
     ResourceSampler,
     as_profiler,
-    profile_worker_task,
     validate_collapsed,
     write_profile,
 )
@@ -88,6 +88,7 @@ __all__ = [
     "ObservationRecord",
     "ObservationStore",
     "PhaseProfiler",
+    "ProfileCapture",
     "ProfileHistory",
     "ResourceSampler",
     "Span",
@@ -99,7 +100,6 @@ __all__ = [
     "load_observations",
     "next_span_id",
     "percentile",
-    "profile_worker_task",
     "summarize_observations",
     "to_chrome_trace",
     "validate_chrome_trace",

@@ -12,9 +12,10 @@ the process held while each engine phase ran.  Two cooperating pieces:
 * :class:`PhaseProfiler` — accumulates per-phase wall/CPU/peak-RSS plus
   deterministically aggregated ``cProfile`` function tables.  Phases
   that dispatch worker tasks (map/reduce) get their function tables from
-  *inside* the tasks via the same pickling path worker spans use
-  (:func:`profile_worker_task` wraps the task, stats ride home next to
-  the result); parent-side phases (shuffle/post) are captured in-process.
+  *inside* the tasks: the engine's one worker wrapper runs the task under
+  a :class:`ProfileCapture` and the table rides home on the task result,
+  next to the worker span; parent-side phases (shuffle/post) are
+  captured in-process.
   The export is JSON (:meth:`PhaseProfiler.to_dict`) including
   collapsed-stack lines every flamegraph tool accepts.
 
@@ -38,15 +39,15 @@ import json
 import os
 import threading
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 __all__ = [
     "NULL_PROFILER",
     "NullProfiler",
     "PhaseProfiler",
+    "ProfileCapture",
     "ResourceSampler",
     "as_profiler",
-    "profile_worker_task",
     "read_cpu_seconds",
     "read_rss_bytes",
     "validate_collapsed",
@@ -279,31 +280,37 @@ def merge_stats(
             target[2] += row[2]
 
 
-def profile_worker_task(payload: Any, *, inner: Callable[[Any], Any]) -> tuple[
-    Any, dict[str, list[float]]
-]:
-    """Run one task under ``cProfile``; returns ``(result, stats)``.
+class ProfileCapture:
+    """Context manager: ``cProfile`` the block into :attr:`stats`.
 
-    The worker-side half of task profiling, installed around the
-    map/reduce task partials *only when profiling is enabled* — the
-    exact pattern of the tracer's ``_traced_task``.  Module-level, so
-    ``functools.partial`` over it stays picklable for the processes
-    backend.  When another capture is already active on this thread
-    (serial backend running tasks inline under a capturing phase) the
-    task runs unprofiled and returns an empty table.
+    ``stats`` stays empty when *enabled* is false or another capture
+    already owns this thread (the serial backend runs tasks inline, under
+    a capturing phase) — ``cProfile`` cannot nest.  Used for parent-side
+    phase captures and, inside worker tasks, by the engine's task wrapper.
     """
-    if not _capture_slot_acquire():
-        return inner(payload), {}
-    profile = cProfile.Profile()
-    try:
-        profile.enable()
+
+    __slots__ = ("stats", "_enabled", "_prof")
+
+    def __init__(self, enabled: bool = True):
+        self.stats: dict[str, list[float]] = {}
+        self._enabled = enabled
+        self._prof: cProfile.Profile | None = None
+
+    def __enter__(self) -> "ProfileCapture":
+        if self._enabled and _capture_slot_acquire():
+            self._prof = cProfile.Profile()
+            self._prof.enable()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        if self._prof is None:
+            return
         try:
-            result = inner(payload)
+            self._prof.disable()
+            self.stats = profile_to_stats(self._prof)
         finally:
-            profile.disable()
-    finally:
-        _capture_slot_release()
-    return result, profile_to_stats(profile)
+            self._prof = None
+            _capture_slot_release()
 
 
 # --------------------------------------------------------------------------
@@ -314,30 +321,21 @@ def profile_worker_task(payload: Any, *, inner: Callable[[Any], Any]) -> tuple[
 class _PhaseHandle:
     """Context manager recording one phase occurrence into the profiler."""
 
-    __slots__ = ("_profiler", "_name", "_capture", "_mono0", "_cpu0", "_prof")
+    __slots__ = ("_profiler", "_name", "_capture", "_mono0", "_cpu0")
 
     def __init__(self, profiler: "PhaseProfiler", name: str, capture: bool):
         self._profiler = profiler
         self._name = name
-        self._capture = capture
-        self._prof: cProfile.Profile | None = None
+        self._capture = ProfileCapture(enabled=capture)
 
     def __enter__(self) -> "_PhaseHandle":
         self._mono0 = time.monotonic()
         self._cpu0 = read_cpu_seconds()
-        if self._capture and _capture_slot_acquire():
-            self._prof = cProfile.Profile()
-            self._prof.enable()
+        self._capture.__enter__()
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        stats: dict[str, list[float]] | None = None
-        if self._prof is not None:
-            try:
-                self._prof.disable()
-                stats = profile_to_stats(self._prof)
-            finally:
-                _capture_slot_release()
+        self._capture.__exit__()
         self._profiler._record_phase(
             self._name,
             wall_seconds=time.monotonic() - self._mono0,
@@ -345,7 +343,7 @@ class _PhaseHandle:
             peak_rss_bytes=self._profiler.sampler.peak_rss_bytes(
                 since=self._mono0
             ),
-            stats=stats,
+            stats=self._capture.stats,
         )
 
 
@@ -375,9 +373,8 @@ class PhaseProfiler:
       map/reduce CPU belongs to the workers);
     * ``worker_context()`` → truthy token or ``None``, exactly like
       ``Tracer.worker_context`` — ``None`` means "do not wrap tasks";
-    * ``merge_worker_results(phase, raw)`` to strip the
-      ``(result, stats)`` envelopes :func:`profile_worker_task` produces
-      and fold the stats in;
+    * ``add_functions(phase, stats)`` to fold the function tables worker
+      tasks carried home on their results;
     * ``add_counter(phase, ...)`` for phase-adjacent counters (spill
       bytes/runs).
 
@@ -439,21 +436,12 @@ class PhaseProfiler:
         """Truthy (picklable) token when tasks should be profiled."""
         return True if self.capture_tasks else None
 
-    def merge_worker_results(
-        self, phase: str, raw: list[tuple[Any, dict[str, list[float]]]]
-    ) -> list[Any]:
-        """Unwrap ``(result, stats)`` task envelopes, folding stats in."""
-        results: list[Any] = []
-        merged: dict[str, list[float]] = {}
-        for result, stats in raw:
-            results.append(result)
-            if stats:
-                merge_stats(merged, stats)
-        if merged:
-            with self._lock:
-                entry = self._phase_entry(phase)
-                merge_stats(entry["functions"], merged)
-        return results
+    def add_functions(
+        self, phase: str, stats: dict[str, list[float]]
+    ) -> None:
+        """Fold an aggregated function table into *phase*."""
+        with self._lock:
+            merge_stats(self._phase_entry(phase)["functions"], stats)
 
     def add_counter(self, phase: str, **counters: float) -> None:
         """Accumulate named counters (e.g. spill bytes) under *phase*."""
@@ -641,10 +629,10 @@ class NullProfiler(PhaseProfiler):
     def worker_context(self) -> None:
         return None
 
-    def merge_worker_results(
-        self, phase: str, raw: list[tuple[Any, dict[str, list[float]]]]
-    ) -> list[Any]:
-        return [result for result, _ in raw]
+    def add_functions(
+        self, phase: str, stats: dict[str, list[float]]
+    ) -> None:
+        return None
 
     def add_counter(self, phase: str, **counters: float) -> None:
         return None

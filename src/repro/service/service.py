@@ -767,8 +767,9 @@ class JobService:
         the entry is removed under the backend lock (so a concurrent
         :meth:`_shared_config` builds a fresh backend) and the old
         backend closed outside it.  A job currently running on the old
-        backend is unaffected beyond losing pool reuse — its remaining
-        ``run_tasks`` calls fall back to throwaway pools.
+        backend is unaffected beyond losing pool reuse — its next
+        ``run_tasks`` dispatch opens a fresh pool, closed when the job's
+        run ends.
         """
         with self._backend_lock:
             backend = self._backends.pop(key, None)

@@ -11,5 +11,7 @@ def run_module_level(backend, items):
     return backend.run_tasks(double, items)
 
 
-def run_partial(backend, items, factor):
-    return backend.run_tasks_resilient(partial(double, factor=factor), items)
+def run_partial(backend, items, factor, policy):
+    return backend.run_tasks(
+        partial(double, factor=factor), items, policy=policy
+    )

@@ -14,7 +14,7 @@ def run_with_nested(backend, items):
     return backend.run_tasks(task, items)
 
 
-def run_with_captured_lock(backend, items):
+def run_with_captured_lock(backend, items, policy):
     lock = threading.Lock()
     results = []
 
@@ -23,4 +23,4 @@ def run_with_captured_lock(backend, items):
             results.append(x)
         return x
 
-    return backend.run_tasks_resilient(task, items)
+    return backend.run_tasks(task, items, policy=policy)

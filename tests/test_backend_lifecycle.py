@@ -8,10 +8,13 @@ spawn a second worker pool.  Pool constructions are observable through
 
 from __future__ import annotations
 
+import os
+
 from repro.core.instance import A2AInstance
 from repro.core.selector import solve_a2a
 from repro.engine.backends import ProcessBackend, SerialBackend, ThreadBackend
 from repro.engine.engine import execute_schema
+from repro.faults import FaultInjector, FaultSpec, RetryPolicy
 
 INSTANCE = A2AInstance([3, 5, 2, 7, 4], q=12)
 SCHEMA = solve_a2a(INSTANCE)
@@ -21,6 +24,11 @@ RECORDS = [f"rec-{i}" for i in range(INSTANCE.m)]
 def tally_reduce(key, values):
     """Module-level so the processes backend can pickle it."""
     yield key, sorted(i for i, _ in values)
+
+
+def square_with_pid(value: int) -> tuple[int, int]:
+    """Module-level so the processes backend can pickle it."""
+    return value * value, os.getpid()
 
 
 class TestExplicitLifecycle:
@@ -67,6 +75,37 @@ class TestExplicitLifecycle:
         assert not backend.is_open
         assert backend.pools_created == 0
         backend.close()
+
+
+class TestPoolClosedBeforeACall:
+    """A pooled backend closed while a run holds its context (a service
+    evicting a shared pool) still dispatches to worker processes."""
+
+    def test_closed_pool_reopens_for_the_next_dispatch(self):
+        backend = ProcessBackend(max_workers=2).open()
+        tasks = list(range(12))
+        spec = FaultSpec(kill=0.3, seed=3)
+        injector = FaultInjector(spec)
+        assert any(injector.decides("kill", "map", i, 1) for i in tasks)
+        with backend:
+            backend.close()
+            plain = backend.run_tasks(square_with_pid, tasks)
+            assert all(pid != os.getpid() for _, pid in plain)
+            backend.close()
+            healed = backend.run_tasks(
+                square_with_pid,
+                tasks,
+                policy=RetryPolicy(max_attempts=6, backoff_base=0.001),
+                injector=injector,
+                phase="map",
+            )
+        expected = [value * value for value in tasks]
+        assert [value for value, _ in plain] == expected
+        assert [value for value, _ in healed] == expected
+        assert all(pid != os.getpid() for _, pid in healed)
+        assert backend.pool_rebuilds >= 1
+        # The reopened pool belongs to the run, not to the evicted backend.
+        assert not backend.is_open
 
 
 class TestEngineReusesCallerPool:

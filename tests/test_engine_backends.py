@@ -17,6 +17,7 @@ from repro.engine.backends import (
     available_workers,
     get_backend,
 )
+from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
 from repro.exceptions import CapacityExceededError
 from repro.mapreduce.job import MapReduceJob
@@ -57,7 +58,7 @@ class TestBackendRegistry:
         assert backend.max_workers == 3
 
     def test_get_backend_passthrough(self):
-        instance = ProcessBackend(max_workers=2, chunksize=5)
+        instance = ProcessBackend(max_workers=2)
         assert get_backend(instance) is instance
 
     def test_unknown_backend(self):
@@ -70,8 +71,8 @@ class TestBackendRegistry:
     def test_bad_worker_and_chunk_counts(self):
         with pytest.raises(ValueError, match="max_workers"):
             ThreadBackend(max_workers=0)
-        with pytest.raises(ValueError, match="chunksize"):
-            ProcessBackend(chunksize=0)
+        with pytest.raises(ValueError, match="map_chunk_size"):
+            ExecutionConfig(map_chunk_size=0)
 
     def test_available_workers_positive(self):
         assert available_workers() >= 1

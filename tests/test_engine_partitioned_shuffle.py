@@ -143,28 +143,25 @@ def sum_reduce(key, values):
 class TestMapTaskContract:
     def test_map_task_buckets_pairs_and_accounts(self):
         chunk = ["a b a", "b c"]
-        (
-            buckets,
-            pair_count,
-            comm,
-            record_count,
-            peak,
-            spill,
-            encoded_bytes,
-            encode_seconds,
-        ) = _run_map_task(
+        result = _run_map_task(
             chunk,
             map_fn=word_map,
             combiner_fn=None,
             size_of=default_size,
             num_partitions=4,
         )
-        assert pair_count == 5
-        assert comm == 5
-        assert record_count == 2
-        assert peak == 0  # only measured in memory-budgeted runs
-        assert spill is None
-        assert encoded_bytes == 0 and encode_seconds == 0.0
+        counters = result.counters
+        assert counters["pairs"] == 5
+        assert counters["comm"] == 5
+        assert counters["records"] == 2
+        # Peak buffering is only measured in memory-budgeted runs.
+        assert counters["peak_buffered"] == 0
+        assert result.spill is None
+        assert counters["encoded_bytes"] == 0
+        assert counters["encode_seconds"] == 0.0
+        assert result.loads == []
+        assert result.span is None and result.profile is None
+        buckets = result.outputs
         assert len(buckets) == 4
         merged = {}
         for bucket in buckets:
@@ -177,26 +174,28 @@ class TestMapTaskContract:
 
     def test_reduce_task_merges_in_task_order(self):
         slabs = [{"a": [1, 2]}, {"a": [3], "b": [4]}]
-        results, loads, _decode = _run_reduce_task(
+        result = _run_reduce_task(
             slabs,
             reduce_fn=lambda key, values: [tuple(values)],
             size_of=default_size,
             capacity=None,
             strict=True,
         )
-        assert results == [("a", [(1, 2, 3)]), ("b", [(4,)])]
-        assert loads == [("a", 3), ("b", 1)]
+        assert result.outputs == [("a", [(1, 2, 3)]), ("b", [(4,)])]
+        assert result.loads == [("a", 3), ("b", 1)]
+        assert result.counters["keys"] == 2
+        assert result.counters["decode_seconds"] == 0.0
 
     def test_reduce_task_skips_reducing_on_strict_overflow(self):
-        results, loads, _decode = _run_reduce_task(
+        result = _run_reduce_task(
             [{"a": [1, 1, 1]}],
             reduce_fn=lambda key, values: [sum(values)],
             size_of=default_size,
             capacity=2,
             strict=True,
         )
-        assert results is None
-        assert loads == [("a", 3)]
+        assert result.outputs is None
+        assert result.loads == [("a", 3)]
 
 
 class TestCrossRunStability:

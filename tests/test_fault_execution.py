@@ -12,15 +12,22 @@ Map/reduce functions are module-level so they survive pickling on the
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 
 import pytest
 
+from repro.core.instance import A2AInstance
+from repro.core.selector import solve_a2a
+from repro.dataset import as_dataset
 from repro.engine.backends import BACKENDS, ProcessBackend
-from repro.engine.engine import ExecutionEngine
+from repro.engine.config import ExecutionConfig
+from repro.engine.engine import ExecutionEngine, execute_schema
 from repro.exceptions import (
     DeadlineExceededError,
     InjectedFaultError,
+    InvalidInstanceError,
     TaskRetryExhaustedError,
     TaskTimeoutError,
     WorkerLostError,
@@ -58,6 +65,17 @@ def word_reduce(key, values):
 def slow_reduce(key, values):
     time.sleep(0.05)
     yield key, sum(values)
+
+
+def map_dying_in_workers(record: str):
+    """Kill the worker process that runs it; harmless in the parent."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    yield from word_map(record)
+
+
+def schema_reduce(key, values):
+    yield key, len(values)
 
 
 def angry_reduce(key, values):
@@ -134,6 +152,23 @@ class TestWorkerDeathRecovery:
             assert _engine(backend).run(RECORDS).outputs == (
                 fault_free_outputs
             )
+
+    def test_worker_death_without_policy_heals_and_raises(
+        self, fault_free_outputs
+    ):
+        # No fault-plane setting: the loss surfaces as WorkerLostError
+        # (what fallback=True keys on), and the caller-owned pool is healed
+        # exactly once and keeps serving.
+        backend = ProcessBackend(max_workers=2)
+        try:
+            with pytest.raises(WorkerLostError):
+                _engine(backend, map_fn=map_dying_in_workers).run(RECORDS)
+            assert backend.pool_rebuilds == 1
+            assert _engine(backend).run(RECORDS).outputs == (
+                fault_free_outputs
+            )
+        finally:
+            backend.close()
 
     def test_unrecoverable_worker_deaths_exhaust_with_context(self):
         result_error = None
@@ -242,6 +277,40 @@ class TestFallbackChain:
         assert result.outputs == fault_free_outputs
         assert result.engine.backend in ("threads", "serial")
         assert result.engine.fallback_backend == result.engine.backend
+
+    def test_single_use_source_is_rejected_before_any_task(self):
+        # A fallback replays the run, which a bare generator cannot feed:
+        # fail up front instead of running and then re-iterating it.
+        pulled = []
+
+        def records():
+            for record in RECORDS:
+                pulled.append(record)
+                yield record
+
+        with pytest.raises(InvalidInstanceError, match="from_factory"):
+            _engine("processes", fallback=True).run(records())
+        assert pulled == []
+
+    def test_single_use_source_is_rejected_through_execute_schema(self):
+        # The schema wrapper must keep the source single-use, or the
+        # engine's up-front check cannot see it.
+        instance = A2AInstance([1] * len(RECORDS), q=4)
+        pulled = []
+
+        def records():
+            for record in RECORDS:
+                pulled.append(record)
+                yield record
+
+        with pytest.raises(InvalidInstanceError, match="from_factory"):
+            execute_schema(
+                solve_a2a(instance),
+                as_dataset(records()),
+                schema_reduce,
+                config=ExecutionConfig(backend="processes", fallback=True),
+            )
+        assert pulled == []
 
     def test_without_opt_in_the_failure_propagates(self, monkeypatch):
         def broken_pool(self):

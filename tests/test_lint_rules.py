@@ -109,8 +109,10 @@ class TestPickleSafetyRule:
     def test_keyword_fn_argument_checked(self, tmp_path):
         findings = lint_source(
             tmp_path,
-            "def go(backend, items):\n"
-            "    return backend.run_tasks(fn=lambda x: x, tasks=items)\n",
+            "def go(backend, items, policy):\n"
+            "    return backend.run_tasks(\n"
+            "        fn=lambda x: x, tasks=items, policy=policy\n"
+            "    )\n",
             PickleSafetyRule(),
         )
         assert len(findings) == 1
@@ -120,8 +122,8 @@ class TestPickleSafetyRule:
             tmp_path,
             "def task(x):\n"
             "    return x\n"
-            "def go(backend, items):\n"
-            "    return backend.run_tasks(task, items)\n",
+            "def go(backend, items, policy):\n"
+            "    return backend.run_tasks(task, items, policy=policy)\n",
             PickleSafetyRule(),
         )
         assert findings == []

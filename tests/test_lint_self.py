@@ -87,14 +87,14 @@ def test_closure_captured_lock_task_is_caught(tmp_path):
     source = (
         "import threading\n"
         "\n"
-        "def dispatch(backend, items):\n"
+        "def dispatch(backend, items, policy):\n"
         "    lock = threading.Lock()\n"
         "    seen = []\n"
         "    def task(x):\n"
         "        with lock:\n"
         "            seen.append(x)\n"
         "        return x\n"
-        "    return backend.run_tasks_resilient(task, items)\n"
+        "    return backend.run_tasks(task, items, policy=policy)\n"
     )
     path = tmp_path / "repro" / "engine" / "tainted.py"
     path.parent.mkdir(parents=True)

@@ -5,7 +5,12 @@ import threading
 import pytest
 
 from repro.engine.config import ExecutionConfig
-from repro.engine.engine import ExecutionEngine
+from repro.engine.engine import (
+    ExecutionEngine,
+    TaskResult,
+    _instrumented_task,
+    _merge_task_telemetry,
+)
 from repro.engine.quickbench import run_profile_overhead, run_scenario
 from repro.obs.profiler import (
     NULL_PROFILER,
@@ -14,11 +19,19 @@ from repro.obs.profiler import (
     ResourceSampler,
     as_profiler,
     merge_stats,
-    profile_worker_task,
     read_cpu_seconds,
     read_rss_bytes,
     validate_collapsed,
 )
+from repro.obs.trace import NULL_TRACER
+
+
+def _doubling_task(value):
+    return TaskResult(outputs=value * 2, counters={})
+
+
+def _summing_task(values):
+    return TaskResult(outputs=sum(values), counters={"records": len(values)})
 
 
 def _repro_threads():
@@ -92,9 +105,10 @@ class TestNullProfiler:
         assert as_profiler(live) is live
         live.stop()
 
-    def test_merge_worker_results_unwraps(self):
-        raw = [(1, {"f": [1, 0.1, 0.1]}), (2, {})]
-        assert NullProfiler().merge_worker_results("map", raw) == [1, 2]
+    def test_add_functions_is_inert(self):
+        null = NullProfiler()
+        null.add_functions("map", {"f": [1, 0.1, 0.1]})
+        assert null.phases() == {}
 
 
 class TestPhaseProfiler:
@@ -125,25 +139,31 @@ class TestPhaseProfiler:
         # a capturing phase must yield, not raise (the serial backend).
         profiler = PhaseProfiler(autostart=False)
         with profiler.phase("post", capture=True):
-            result, stats = profile_worker_task(3, inner=lambda v: v * 2)
+            result = _instrumented_task(
+                3, inner=_doubling_task, name="map_task", trace_ctx=None,
+                profile=True,
+            )
         profiler.stop()
-        assert result == 6 and stats == {}
+        assert result.outputs == 6 and result.profile == {}
 
     def test_worker_task_roundtrip_and_merge(self):
-        result, stats = profile_worker_task(
-            list(range(50)), inner=lambda vs: sum(vs)
-        )
-        assert result == sum(range(50))
-        assert stats, "an unnested capture must produce stats"
+        results = [
+            _instrumented_task(
+                list(range(50)), inner=_summing_task, name="map_task",
+                trace_ctx=None, profile=True,
+            )
+            for _ in range(2)
+        ]
+        assert [r.outputs for r in results] == [sum(range(50))] * 2
+        first, second = (r.profile for r in results)
+        assert first, "an unnested capture must produce stats"
         profiler = PhaseProfiler(autostart=False)
-        merged = profiler.merge_worker_results(
-            "map", [(result, stats), (result, stats)]
-        )
-        assert merged == [result, result]
+        _merge_task_telemetry(results, "map", NULL_TRACER, profiler)
         table = profiler.phases()["map"]["functions"]
-        # Folding the same table twice doubles every call count.
-        for key in stats:
-            assert table[key][0] == stats[key][0] * 2
+        # Folding both tasks' tables sums every call count per key.
+        for key in first:
+            expected = first[key][0] + second.get(key, [0.0])[0]
+            assert table[key][0] == expected
 
     def test_merge_stats_sums_per_key(self):
         into = {"a": [1.0, 0.5, 0.6]}
