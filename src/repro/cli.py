@@ -21,14 +21,6 @@ Commands:
   the spill counters are printed after the metrics tables.  ``--plan
   auto`` lets the planner choose the schema method *and* the execution
   configuration (``--objective`` sets what it optimizes).
-* ``bench [--scale 1.0] [--repeat 1] [--check]`` — a fast subset of the
-  E17/E18 engine benchmarks: the skew join plus the map/reduce/shuffle-heavy
-  scenarios across all backends, printed as a speedup table.  ``--check``
-  exits 1 when the threads backend is grossly slower than serial (the CI
-  perf smoke).  ``--service-jobs N`` additionally runs the job-service
-  scenario (N concurrent jobs on a 2-slot service vs N sequential
-  one-shot runs; ``--check`` then also asserts output identity and the
-  expected plan-cache hits).
 * ``serve [--slots 2] [--input jobs.ndjson]`` — the job-service loop:
   read newline-delimited JSON job requests (``{"id": ..., "spec":
   {"kind": "a2a", "q": 12, "sizes": [...]}, "priority": 0, "execute":
@@ -40,24 +32,16 @@ Commands:
 * ``metrics --log obs.ndjson`` — summarize a service observation log
   (written by ``serve --obs-log``) as a per-backend table: job counts,
   cache hit rate, wall-clock percentiles, phase means.
-* ``history record|report|compare|check|gc --file history.ndjson`` —
-  the per-commit perf history: append records (from ``bench
-  --json-out`` rows, a ``--profile`` export, or explicit flags), print
-  per-series trend tables, compare two commits, trend-gate the latest
-  run against the rolling median (``check`` exits 1 on a regression),
-  and bound the file's growth.
 
-``run`` and ``bench`` accept ``--inject-faults SPEC`` (e.g.
+``run`` accepts ``--inject-faults SPEC`` (e.g.
 ``crash=0.2,kill=0.05,delay=0.1:0.02,transient=0.1,seed=7``) for
-deterministic chaos testing: ``run`` additionally takes
-``--max-attempts``, ``--task-timeout``, ``--deadline``, and
-``--fallback`` to shape the recovery policy, and ``bench`` adds the E23
-fault-injection comparison (fault-free vs injected, outputs asserted
-identical).  ``serve`` shuts down gracefully on SIGINT/SIGTERM —
+deterministic chaos testing, plus ``--max-attempts``,
+``--task-timeout``, ``--deadline``, and ``--fallback`` to shape the
+recovery policy.  ``serve`` shuts down gracefully on SIGINT/SIGTERM —
 draining jobs, closing pools, and flushing ``--obs-log``/``--trace``
 before exiting 0.
 
-``run``, ``bench``, and ``submit`` accept ``--trace out.json`` to export
+``run`` and ``submit`` accept ``--trace out.json`` to export
 the run's spans as Chrome trace-event JSON (openable in Perfetto or
 ``chrome://tracing``) and ``--profile out.json`` to attach the
 continuous profiler (background RSS/CPU sampler plus per-phase function
@@ -87,7 +71,7 @@ from repro.core.costs import summarize
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.selector import A2A_METHODS, X2Y_METHODS, solve_a2a, solve_x2y
 from repro.engine.backends import BACKENDS
-from repro.exceptions import InvalidInstanceError, ReproError, UnknownMethodError
+from repro.exceptions import InvalidInstanceError, ReproError
 from repro.planner import OBJECTIVES
 from repro.utils.tables import format_table
 
@@ -360,110 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         "processes -> threads -> serial when a backend cannot run",
     )
 
-    bench = commands.add_parser(
-        "bench", help="quick engine benchmark: backends x scenarios"
-    )
-    bench.add_argument(
-        "--backends",
-        default=None,
-        help="comma-separated backend names (default: all)",
-    )
-    bench.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="scenario workload multiplier",
-    )
-    bench.add_argument(
-        "--tuples",
-        type=_positive_int,
-        default=500,
-        help="skew-join tuples per relation",
-    )
-    bench.add_argument(
-        "--repeat",
-        type=_positive_int,
-        default=1,
-        help="runs per cell; best wall time is reported",
-    )
-    bench.add_argument(
-        "--num-workers", type=_positive_int, default=None
-    )
-    bench.add_argument(
-        "--plan",
-        default=None,
-        choices=["auto"],
-        help="add a planner-driven row (method and execution both "
-        "planner-chosen) to the join bench",
-    )
-    bench.add_argument(
-        "--objective",
-        default="min-reducers",
-        choices=list(OBJECTIVES),
-        help="what the planner-driven row optimizes",
-    )
-    bench.add_argument(
-        "--memory-budget",
-        type=_positive_int,
-        default=None,
-        help="also run the E19 memory-bounded comparison (unbounded vs "
-        "this budget) and include its spill rows",
-    )
-    bench.add_argument(
-        "--json-out",
-        default=None,
-        help="write the raw bench rows to this JSON file",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 if threads is >1.3x slower than serial, or (with "
-        "--memory-budget) if the budgeted run failed to spill (perf smoke)",
-    )
-    bench.add_argument(
-        "--service-jobs",
-        type=_positive_int,
-        default=None,
-        help="also run the job-service scenario: this many concurrent "
-        "jobs on a 2-slot service vs the same jobs sequentially "
-        "(--check asserts output identity and plan-cache hits)",
-    )
-    bench.add_argument(
-        "--service-slots",
-        type=_positive_int,
-        default=2,
-        help="concurrent slots for the --service-jobs scenario",
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        help="committed bench --json-out file to gate against: with "
-        "--check, exit 1 when a scenario runs >1.3x slower than the "
-        "baseline (same worker count and bench params only)",
-    )
-    bench.add_argument(
-        "--trace",
-        default=None,
-        help="write the scenario runs' spans to this file as Chrome "
-        "trace-event JSON",
-    )
-    bench.add_argument(
-        "--profile",
-        default=None,
-        metavar="PATH",
-        help="profile the scenario runs and write the profile JSON here",
-    )
-    bench.add_argument(
-        "--inject-faults",
-        type=_fault_spec,
-        default=None,
-        metavar="SPEC",
-        help="also run the fault-injection comparison (E23): each backend "
-        "runs the shuffle scenario fault-free and under this spec; "
-        "outputs are asserted identical and --check gates bounded "
-        "retries",
-    )
-
     serve = commands.add_parser(
         "serve",
         help="job service: NDJSON job specs in, status/result lines out",
@@ -560,114 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument(
         "--json", action="store_true", help="print the summary as JSON"
-    )
-
-    history = commands.add_parser(
-        "history",
-        help="per-commit perf history: record, report, and trend-gate "
-        "profile records",
-    )
-    history_actions = history.add_subparsers(dest="history_command")
-    history_actions.required = True
-    h_record = history_actions.add_parser(
-        "record", help="append one or more records to a history file"
-    )
-    h_record.add_argument(
-        "--file", required=True, help="history NDJSON file to append to"
-    )
-    h_record.add_argument(
-        "--from-bench",
-        default=None,
-        metavar="ROWS_JSON",
-        help="bench --json-out file: record one entry per scenario row",
-    )
-    h_record.add_argument(
-        "--from-profile",
-        default=None,
-        metavar="PROFILE_JSON",
-        help="--profile output file: record one entry per phase",
-    )
-    h_record.add_argument(
-        "--bench",
-        default=None,
-        help="bench name for the records (required with explicit "
-        "--scenario/--wall; defaults to 'bench'/'profile' for file "
-        "sources)",
-    )
-    h_record.add_argument(
-        "--scenario", default=None, help="explicit single-record scenario"
-    )
-    h_record.add_argument(
-        "--wall",
-        type=_positive_float,
-        default=None,
-        help="explicit single-record wall seconds",
-    )
-    h_record.add_argument(
-        "--commit",
-        default=None,
-        help="commit id (default: REPRO_COMMIT, GITHUB_SHA, or git HEAD)",
-    )
-    h_record.add_argument(
-        "--hardware",
-        default=None,
-        help="hardware class label (default: '<available workers>w')",
-    )
-    h_report = history_actions.add_parser(
-        "report", help="per-series trend table from a history file"
-    )
-    h_report.add_argument("--file", required=True)
-    h_report.add_argument("--bench", default=None, help="filter by bench")
-    h_report.add_argument(
-        "--window",
-        type=_positive_int,
-        default=None,
-        help="trend window (median of this many previous runs)",
-    )
-    h_report.add_argument(
-        "--json", action="store_true", help="print the rows as JSON"
-    )
-    h_compare = history_actions.add_parser(
-        "compare", help="wall-clock ratios between two commits"
-    )
-    h_compare.add_argument("--file", required=True)
-    h_compare.add_argument("--base", required=True, help="baseline commit id")
-    h_compare.add_argument("--to", required=True, help="candidate commit id")
-    h_compare.add_argument(
-        "--json", action="store_true", help="print the rows as JSON"
-    )
-    h_check = history_actions.add_parser(
-        "check",
-        help="trend gate: exit 1 when the latest run of any series is "
-        "slower than tolerance x the rolling median",
-    )
-    h_check.add_argument("--file", required=True)
-    h_check.add_argument("--bench", default=None, help="filter by bench")
-    h_check.add_argument(
-        "--window", type=_positive_int, default=None,
-        help="median window (default 5)",
-    )
-    h_check.add_argument(
-        "--tolerance",
-        type=_positive_float,
-        default=None,
-        help="allowed latest/median ratio (default 1.5)",
-    )
-    h_check.add_argument(
-        "--min-wall",
-        type=_positive_float,
-        default=None,
-        help="ignore series whose median wall is below this (default 0.02)",
-    )
-    h_gc = history_actions.add_parser(
-        "gc", help="drop the oldest records beyond --keep per series"
-    )
-    h_gc.add_argument("--file", required=True)
-    h_gc.add_argument(
-        "--keep",
-        type=_positive_int,
-        default=50,
-        help="records retained per series (newest kept)",
     )
 
     lint = commands.add_parser(
@@ -1237,163 +1009,6 @@ def _run_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _history_records_from_args(args: argparse.Namespace) -> list:
-    """Build the HistoryRecords a ``history record`` invocation describes."""
-    import json
-
-    from repro.obs.history import (
-        HistoryRecord,
-        current_commit,
-        hardware_class,
-    )
-
-    commit = args.commit or current_commit()
-    records: list[HistoryRecord] = []
-    if args.from_bench:
-        with open(args.from_bench) as handle:
-            payload = json.load(handle)
-        hardware = args.hardware or hardware_class(
-            int(payload.get("workers", 0)) or None
-        )
-        bench = args.bench or "bench"
-        for row in payload.get("rows", []):
-            if "wall_s" not in row or "scenario" not in row:
-                continue
-            wall = float(row["wall_s"])
-            if wall <= 0:
-                continue
-            records.append(
-                HistoryRecord(
-                    bench=bench,
-                    scenario=f"{row['scenario']}/{row.get('backend', '?')}",
-                    hardware_class=hardware,
-                    commit=commit,
-                    wall_seconds=wall,
-                )
-            )
-    if args.from_profile:
-        with open(args.from_profile) as handle:
-            payload = json.load(handle)
-        hardware = args.hardware or hardware_class()
-        bench = args.bench or "profile"
-        for name, phase in sorted(payload.get("phases", {}).items()):
-            wall = float(phase.get("wall_seconds", 0.0))
-            if wall <= 0:
-                continue
-            records.append(
-                HistoryRecord(
-                    bench=bench,
-                    scenario=name,
-                    hardware_class=hardware,
-                    commit=commit,
-                    wall_seconds=wall,
-                    cpu_seconds=float(phase.get("cpu_seconds", 0.0)),
-                    peak_rss_bytes=int(phase.get("peak_rss_bytes", 0)),
-                )
-            )
-    if args.scenario is not None or args.wall is not None:
-        if args.scenario is None or args.wall is None or args.bench is None:
-            raise InvalidInstanceError(
-                "an explicit record needs --bench, --scenario, and --wall "
-                "together"
-            )
-        records.append(
-            HistoryRecord(
-                bench=args.bench,
-                scenario=args.scenario,
-                hardware_class=args.hardware or hardware_class(),
-                commit=commit,
-                wall_seconds=args.wall,
-            )
-        )
-    if not records:
-        raise InvalidInstanceError(
-            "nothing to record: give --from-bench, --from-profile, or "
-            "--bench/--scenario/--wall"
-        )
-    return records
-
-
-def _run_history(args: argparse.Namespace) -> int:
-    """Handle ``repro history``: the per-commit perf-history store."""
-    import json
-
-    from repro.obs.history import ProfileHistory
-
-    history = ProfileHistory(args.file)
-    if args.history_command == "record":
-        try:
-            records = _history_records_from_args(args)
-        except OSError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        except (ValueError, json.JSONDecodeError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        count = history.extend(records)
-        print(
-            f"recorded {count} record(s) to {args.file} "
-            f"(commit {records[0].commit}, {records[0].hardware_class})"
-        )
-        return 0
-    try:
-        if args.history_command == "report":
-            kwargs = {"bench": args.bench}
-            if args.window is not None:
-                kwargs["window"] = args.window
-            rows = history.report(**kwargs)
-            if args.json:
-                print(json.dumps(rows, default=str))
-            elif rows:
-                print(format_table(rows, title=f"perf history ({args.file})"))
-            else:
-                print(f"no history in {args.file}")
-            return 0
-        if args.history_command == "compare":
-            rows = history.compare(args.base, args.to)
-            if args.json:
-                print(json.dumps(rows, default=str))
-            elif rows:
-                print(
-                    format_table(
-                        rows, title=f"{args.base} vs {args.to} ({args.file})"
-                    )
-                )
-            else:
-                print(
-                    f"no series has records for both {args.base!r} and "
-                    f"{args.to!r}"
-                )
-            return 0
-        if args.history_command == "check":
-            kwargs = {"bench": args.bench}
-            if args.window is not None:
-                kwargs["window"] = args.window
-            if args.tolerance is not None:
-                kwargs["tolerance"] = args.tolerance
-            if args.min_wall is not None:
-                kwargs["min_wall"] = args.min_wall
-            failures, notes = history.check(**kwargs)
-            for note in notes:
-                print(f"history: {note}", file=sys.stderr)
-            for failure in failures:
-                print(f"PERF TREND REGRESSION: {failure}", file=sys.stderr)
-            if failures:
-                return 1
-            print(f"history check: ok ({args.file})")
-            return 0
-        # gc
-        kept, dropped = history.gc(keep=args.keep)
-        print(
-            f"history gc: kept {kept}, dropped {dropped} "
-            f"(keep={args.keep} per series)"
-        )
-        return 0
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
 def _run_lint(args: argparse.Namespace) -> int:
     """Handle ``repro lint``: run the static-analysis rules, gate on new
     findings (anything not absorbed by the baseline)."""
@@ -1470,191 +1085,6 @@ def _run_lint(args: argparse.Namespace) -> int:
     return 1 if new else 0
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    """Handle ``repro bench``: quick speedup table, optional smoke check."""
-    from repro.engine.backends import available_workers
-    from repro.engine.quickbench import (
-        check_baseline,
-        check_faults,
-        check_regression,
-        check_spill,
-        run_fault_injection,
-        run_join_bench,
-        run_out_of_core,
-        run_planned_join,
-        run_scenarios,
-    )
-
-    backends = args.backends.split(",") if args.backends else None
-    if backends:
-        for name in backends:
-            if name not in BACKENDS:
-                raise UnknownMethodError(
-                    f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
-                )
-    rows = run_join_bench(
-        tuples=args.tuples,
-        backends=backends,
-        repeat=args.repeat,
-        num_workers=args.num_workers,
-    )
-    if args.plan == "auto":
-        rows += run_planned_join(
-            tuples=args.tuples,
-            repeat=args.repeat,
-            objective=args.objective,
-        )
-    tracer = _tracer_for(args.trace)
-    profiler = _profiler_for(args.profile)
-    rows += run_scenarios(
-        backends=backends,
-        scale=args.scale,
-        repeat=args.repeat,
-        num_workers=args.num_workers,
-        tracer=tracer,
-        profiler=profiler,
-    )
-    print(
-        format_table(
-            rows,
-            title=(
-                f"engine quick bench ({available_workers()} workers, "
-                f"scale={args.scale}, repeat={args.repeat})"
-            ),
-        )
-    )
-    spill_rows: list[dict[str, object]] = []
-    if args.memory_budget is not None:
-        spill_rows = run_out_of_core(
-            backends=backends,
-            scale=args.scale,
-            memory_budget=args.memory_budget,
-            repeat=args.repeat,
-            num_workers=args.num_workers,
-        )
-        print(
-            format_table(
-                spill_rows,
-                title=(
-                    "out-of-core: unbounded vs memory_budget="
-                    f"{args.memory_budget} (outputs asserted identical)"
-                ),
-            )
-        )
-    fault_rows: list[dict[str, object]] = []
-    if args.inject_faults is not None:
-        fault_rows = run_fault_injection(
-            backends=backends,
-            spec=args.inject_faults,
-            scale=args.scale,
-            repeat=args.repeat,
-            num_workers=args.num_workers,
-        )
-        print(
-            format_table(
-                fault_rows,
-                title=(
-                    f"fault injection: {args.inject_faults.format()} vs "
-                    "fault-free (outputs asserted identical)"
-                ),
-            )
-        )
-    service_rows: list[dict[str, object]] = []
-    service_failures: list[str] = []
-    if args.service_jobs is not None:
-        from repro.service.smoke import run_service_smoke
-
-        service_rows, service_failures = run_service_smoke(
-            args.service_jobs, slots=args.service_slots
-        )
-        print(
-            format_table(
-                service_rows,
-                title=(
-                    f"job service: {args.service_jobs} jobs, "
-                    f"{args.service_slots} slots vs sequential one-shot "
-                    "(outputs asserted identical)"
-                ),
-            )
-        )
-    _write_trace(tracer, args.trace)
-    _write_profile(profiler, args.profile)
-    params = {
-        "tuples": args.tuples,
-        "scale": args.scale,
-        "repeat": args.repeat,
-        "faults": (
-            args.inject_faults.format()
-            if args.inject_faults is not None
-            else None
-        ),
-    }
-    if args.json_out:
-        import json
-
-        repro_io.atomic_write_text(
-            args.json_out,
-            json.dumps(
-                {
-                    "workers": available_workers(),
-                    "params": params,
-                    "rows": rows,
-                    "out_of_core_rows": spill_rows,
-                    "service_rows": service_rows,
-                    "fault_rows": fault_rows,
-                },
-                indent=2,
-                default=str,
-            )
-            + "\n",
-        )
-    baseline_notes: list[str] = []
-    baseline_failures: list[str] = []
-    if args.baseline:
-        import json
-
-        try:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            print(
-                f"error: cannot load baseline {args.baseline!r}: {error}",
-                file=sys.stderr,
-            )
-            return 1
-        baseline_failures, baseline_notes = check_baseline(
-            rows + fault_rows, baseline, params=params
-        )
-        for note in baseline_notes:
-            print(f"baseline: {note}", file=sys.stderr)
-    if args.check:
-        failures = check_regression(rows)
-        if args.memory_budget is not None:
-            failures += check_spill(spill_rows)
-        if args.inject_faults is not None:
-            failures += check_faults(fault_rows)
-        failures += service_failures
-        failures += baseline_failures
-        for failure in failures:
-            print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        notes = ["threads within 1.3x of serial everywhere"]
-        if args.memory_budget is not None:
-            notes.append("budgeted runs spilled and matched in-memory outputs")
-        if args.inject_faults is not None:
-            notes.append(
-                "injected-fault runs recovered with bounded retries and "
-                "identical outputs"
-            )
-        if args.service_jobs is not None:
-            notes.append("service outputs matched one-shot runs")
-        if args.baseline and not baseline_notes:
-            notes.append("within 1.3x of the committed baseline")
-        print(f"perf smoke: ok ({'; '.join(notes)})")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
     if argv is None:
@@ -1678,16 +1108,12 @@ def main(argv: list[str] | None = None) -> int:
             return _run_plan(args)
         elif args.command == "run":
             return _run_app(args)
-        elif args.command == "bench":
-            return _run_bench(args)
         elif args.command == "serve":
             return _run_serve(args)
         elif args.command == "submit":
             return _run_submit(args)
         elif args.command == "metrics":
             return _run_metrics(args)
-        elif args.command == "history":
-            return _run_history(args)
         elif args.command == "lint":
             return _run_lint(args)
         elif args.command == "verify":

@@ -8,7 +8,7 @@ service layers need to exploit that:
 
 * :class:`FaultSpec` / :class:`FaultInjector` — seedable, deterministic
   injection of task crashes, worker kills, straggler delays, and
-  transient exceptions, for chaos tests and the E23 bench.  Decisions
+  transient exceptions, for chaos tests.  Decisions
   are pure functions of ``(seed, phase, task, attempt)``, so a failure
   scenario reproduces bit-for-bit on any backend.
 * :class:`RetryPolicy` — bounded attempts with deterministic exponential
@@ -20,7 +20,7 @@ Wiring lives elsewhere: :class:`~repro.engine.config.ExecutionConfig`
 carries both objects into the engine, which hands them to the backends'
 one dispatch loop (:meth:`~repro.engine.backends.Backend.run_tasks`) as
 policy — "fault plane off" is ``policy=None`` with no injector — and the
-CLI exposes ``--inject-faults`` on ``repro run`` and ``bench``.
+CLI exposes ``--inject-faults`` on ``repro run``.
 """
 
 from __future__ import annotations

@@ -163,8 +163,8 @@ class FaultSpec:
     def scaled(self, factor: float) -> "FaultSpec":
         """A copy with every rate multiplied by *factor* (capped at 1).
 
-        The E23 bench sweeps one spec shape across failure rates; scaling
-        keeps the kind mix constant while the overall rate varies.
+        Sweeping one spec shape across failure rates this way keeps the
+        kind mix constant while the overall rate varies.
         """
         return FaultSpec(
             crash=min(1.0, self.crash * factor),

@@ -1,6 +1,6 @@
 """Observability: trace spans, process metrics, and durable observations.
 
-Three complementary views of the same running system, each a sibling
+Four complementary views of the same running system, each a sibling
 module here:
 
 * :mod:`repro.obs.trace` — *where did this run's time go*: nested
@@ -14,31 +14,24 @@ module here:
   with JSON-ready snapshots.
 * :mod:`repro.obs.store` — *what actually happened, durably*: one
   :class:`ObservationRecord` per executed job (plan fingerprint plus
-  measured phase timings and job metrics), appended to an NDJSON log —
-  the input the self-calibrating-planner roadmap item consumes next.
+  measured phase timings and job metrics, stamped with
+  :func:`current_commit` and :func:`hardware_class`), appended to an
+  NDJSON log — the input the self-calibrating-planner roadmap item
+  consumes next.
 * :mod:`repro.obs.profiler` — *why a phase cost what it did*: an opt-in
   :class:`PhaseProfiler` pairing a background RSS/CPU sampler with
   per-phase ``cProfile`` capture (worker-side for map/reduce, via the
   same pickling path as worker spans), exported as JSON with
   flamegraph-ready collapsed stacks.  Disabled profiling
   (:data:`NULL_PROFILER`) is zero-cost, mirroring the tracer.
-* :mod:`repro.obs.history` — *how the numbers move across commits*: a
-  :class:`ProfileHistory` append-only NDJSON trajectory keyed by
-  (bench, scenario, hardware class, commit) with a rolling-median trend
-  gate — ``check_baseline`` generalized to an enforced time-series.
 
 The engine, planner, and service accept an optional ``tracer`` and
 ``profiler``; the CLI surfaces every layer (``--trace``, ``--profile``,
-``repro metrics``, ``repro history``, ``repro serve --obs-log`` and its
-``{"health": true}`` request).
+``repro metrics``, ``repro serve --obs-log`` and its ``{"health": true}``
+request).  Performance across commits is measured by the ``bench/``
+harness (``python -m bench``), not by this package.
 """
 
-from repro.obs.history import (
-    HistoryRecord,
-    ProfileHistory,
-    current_commit,
-    hardware_class,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -59,6 +52,8 @@ from repro.obs.profiler import (
 from repro.obs.store import (
     ObservationRecord,
     ObservationStore,
+    current_commit,
+    hardware_class,
     load_observations,
     summarize_observations,
 )
@@ -79,7 +74,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "HistoryRecord",
     "MetricsRegistry",
     "NULL_PROFILER",
     "NULL_TRACER",
@@ -89,7 +83,6 @@ __all__ = [
     "ObservationStore",
     "PhaseProfiler",
     "ProfileCapture",
-    "ProfileHistory",
     "ResourceSampler",
     "Span",
     "Tracer",

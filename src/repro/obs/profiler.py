@@ -23,8 +23,7 @@ Mirroring the tracer, the disabled path is zero-cost:
 :data:`NULL_PROFILER` answers every call with a no-op and
 ``worker_context()`` returns ``None``, so the engine never wraps task
 functions, starts threads, or touches ``cProfile`` unless a caller
-passes a live profiler (``--profile out.json`` on ``run``/``bench``/
-``submit``).
+passes a live profiler (``--profile out.json`` on ``run``/``submit``).
 
 ``cProfile`` cannot nest on one thread, so captures are guarded by a
 thread-local flag: on the serial backend (tasks run inline in the

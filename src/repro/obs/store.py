@@ -7,7 +7,10 @@ queue wait, the :class:`~repro.mapreduce.metrics.JobMetrics` totals).
 :class:`ObservationStore` appends exactly that record per finished job:
 a bounded in-memory window for live queries plus, optionally, an
 append-only NDJSON log on disk so observations survive the process —
-perun-style profiles keyed by plan fingerprint rather than commit.
+perun-style profiles keyed by plan fingerprint.  Each record is also
+stamped with the commit (:func:`current_commit`) and the hardware class
+(:func:`hardware_class`) it ran on, so logs from different builds or
+machines can be told apart.
 
 ``repro serve --obs-log obs.ndjson`` writes the log;
 ``repro metrics --log obs.ndjson`` summarizes it
@@ -18,6 +21,8 @@ with :func:`load_observations`.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import threading
 import time
 import warnings
@@ -29,6 +34,50 @@ from repro.obs.metrics import percentile
 
 #: Default number of observations retained in memory.
 DEFAULT_CAPACITY = 4096
+
+_COMMIT_CACHE: dict[str, str] = {}
+
+
+def hardware_class(workers: int | None = None) -> str:
+    """Coarse hardware key: the effective worker count, e.g. ``"8w"``.
+
+    Wall-clock observations from machines with different worker counts
+    are not comparable; this label keeps them apart.
+    """
+    if workers is None:
+        from repro.engine.backends import available_workers
+
+        workers = available_workers()
+    return f"{workers}w"
+
+
+def current_commit(default: str = "unknown") -> str:
+    """Current commit id (12 hex chars), best-effort and cached.
+
+    Resolution order: ``REPRO_COMMIT`` env override, ``GITHUB_SHA``
+    (CI), ``git rev-parse HEAD``, then *default* — so observation logs
+    can be written from exported tarballs too.
+    """
+    cached = _COMMIT_CACHE.get("commit")
+    if cached is not None:
+        return cached
+    commit = os.environ.get("REPRO_COMMIT") or os.environ.get("GITHUB_SHA")
+    if not commit:
+        try:
+            proc = subprocess.run(
+                ["git", "rev-parse", "HEAD"],
+                capture_output=True,
+                text=True,
+                timeout=10,
+                check=False,
+            )
+            if proc.returncode == 0:
+                commit = proc.stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            commit = ""
+    commit = (commit or default)[:12]
+    _COMMIT_CACHE["commit"] = commit
+    return commit
 
 
 @dataclass(frozen=True)
@@ -56,11 +105,11 @@ class ObservationRecord:
     backends that ship blocks.  Keys a record no longer has (such as
     ``shm_segments`` in older logs) are dropped on load.
 
-    ``commit`` and ``hardware_class`` key the record against the
-    profile-history trajectory (:mod:`repro.obs.history`), and
-    ``peak_rss_bytes``/``cpu_seconds`` carry the resource sampler's
-    per-job attribution; all four default (empty/zero) so older logs
-    load unchanged.
+    ``commit`` and ``hardware_class`` (from :func:`current_commit` and
+    :func:`hardware_class`) say which build ran the job on which class
+    of machine, and ``peak_rss_bytes``/``cpu_seconds`` carry the
+    resource sampler's per-job attribution; all four default
+    (empty/zero) so older logs load unchanged.
     """
 
     job_id: str

@@ -40,7 +40,7 @@ class PlanCache:
         capacity: maximum retained plans; the least recently used entry
             is evicted when a ``put`` would exceed it.
         hits / misses / evictions: monotonic counters, reported by the
-            service's ``stats()`` and the E21 bench's hit-rate column.
+            service's ``stats()``.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):

@@ -48,14 +48,18 @@ from repro.exceptions import (
 )
 from repro.faults import RetryPolicy
 from repro.mapreduce.types import ReduceFn
-from repro.obs.history import current_commit, hardware_class
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import (
     PhaseProfiler,
     ResourceSampler,
     read_cpu_seconds,
 )
-from repro.obs.store import ObservationRecord, ObservationStore
+from repro.obs.store import (
+    ObservationRecord,
+    ObservationStore,
+    current_commit,
+    hardware_class,
+)
 from repro.obs.trace import Span, Tracer, as_tracer
 from repro.planner.environment import Environment
 from repro.planner.planner import BYTES_PER_SIZE_UNIT, plan_cached
@@ -962,10 +966,11 @@ class JobService:
                 with tracer.span("store", category="service"):
                     self.results.put(result)
             # Build the observation *before* the terminal transition:
-            # ``wait()`` unblocks on DONE, and ``current_commit()`` can
-            # shell out to git on first use — doing that work after the
-            # transition opens a window where a waiter reads the
-            # observation snapshot before the record lands.
+            # ``wait()`` unblocks on DONE, and the store's
+            # ``current_commit()`` can shell out to git on first use —
+            # doing that work after the transition opens a window where a
+            # waiter reads the observation snapshot before the record
+            # lands.
             observation = ObservationRecord.from_result(
                 result,
                 queue_seconds=queue_seconds,

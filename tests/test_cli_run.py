@@ -1,4 +1,4 @@
-"""Tests for the ``repro run``/``bench`` subcommands and ``--version``."""
+"""Tests for the ``repro run``/``plan`` subcommands and ``--version``."""
 
 from __future__ import annotations
 
@@ -95,65 +95,6 @@ class TestRunSubcommand:
                 ]
             )
         assert excinfo.value.code == 2
-
-    def test_bench_prints_speedup_table(self, capsys):
-        status = main(
-            [
-                "bench",
-                "--scale",
-                "0.05",
-                "--tuples",
-                "80",
-                "--backends",
-                "serial,threads",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "engine quick bench" in out
-        assert "speedup_vs_serial" in out
-        for scenario in ("skew_join", "map_heavy", "reduce_heavy", "shuffle_heavy"):
-            assert scenario in out
-
-    def test_bench_check_passes_on_small_workload(self, capsys):
-        # --check compares threads against serial; on any machine threads
-        # must stay within the generous 1.3x bound used by the CI smoke.
-        # The scale keeps serial walls well above check_regression's
-        # too-fast-to-judge floor while staying quick, and best-of-2 plus
-        # the GIL-releasing scenario bodies keep the ratio noise-free.
-        status = main(
-            [
-                "bench",
-                "--scale",
-                "0.2",
-                "--tuples",
-                "100",
-                "--backends",
-                "serial,threads",
-                "--repeat",
-                "2",
-                "--check",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "perf smoke: ok" in out
-
-    def test_bench_check_fails_without_a_baseline(self, capsys):
-        # Excluding serial (or threads) must fail loudly, not pass
-        # vacuously — this is the CI perf-smoke gate.
-        status = main(
-            ["bench", "--scale", "0.05", "--tuples", "60",
-             "--backends", "threads", "--check"]
-        )
-        captured = capsys.readouterr()
-        assert status == 1
-        assert "compared nothing" in captured.err
-
-    def test_bench_rejects_unknown_backend(self, capsys):
-        status = main(["bench", "--backends", "serial,gpu"])
-        assert status == 1
-        assert "unknown backend" in capsys.readouterr().err
 
     def test_unknown_method_is_reported_as_error(self, capsys):
         status = main(
@@ -278,12 +219,3 @@ class TestPlanAutoMode:
         out = capsys.readouterr().out
         assert status == 0
         assert "serial" in out
-
-    def test_bench_plan_auto_adds_planned_row(self, capsys):
-        status = main(
-            ["bench", "--scale", "0.05", "--tuples", "80",
-             "--backends", "serial", "--plan", "auto"]
-        )
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "planned[" in out

@@ -196,19 +196,6 @@ class TestAtomicJsonOut:
         # No temp-file litter in the target directory.
         assert os.listdir(tmp_path) == ["plan.json"]
 
-    def test_bench_json_out_is_complete_json(self, tmp_path, capsys):
-        target = tmp_path / "bench.json"
-        assert main(
-            ["bench", "--tuples", "60", "--scale", "0.05", "--backends",
-             "serial", "--service-jobs", "3", "--json-out", str(target)]
-        ) == 0
-        payload = json.loads(target.read_text())
-        assert payload["rows"]
-        assert [row["mode"] for row in payload["service_rows"]] == [
-            "sequential", "service",
-        ]
-        assert os.listdir(tmp_path) == ["bench.json"]
-
     def test_failed_replace_preserves_existing_file(self, tmp_path, monkeypatch):
         target = tmp_path / "out.json"
         target.write_text('{"precious": true}')

@@ -10,9 +10,9 @@ from repro.apps.similarity_join import run_similarity_join
 from repro.dataset import Dataset, as_dataset, iter_chunks
 from repro.engine.backends import BACKENDS
 from repro.engine.engine import ExecutionEngine, execute_schema
-from repro.engine.quickbench import fanout_map, sum_reduce
 from repro.exceptions import InvalidInstanceError
 from repro.workloads.documents import document_dataset, generate_documents
+from shuffle_heavy import fanout_map, sum_reduce
 
 
 class TestDataset:

@@ -33,6 +33,7 @@ from repro.exceptions import (
     WorkerLostError,
 )
 from repro.faults import FaultSpec, RetryPolicy
+from shuffle_heavy import fanout_map, sum_reduce
 
 #: Pinned geometry: identical task decomposition on every backend, so the
 #: seeded injector's decisions hit the same (phase, task, attempt) cells.
@@ -40,6 +41,13 @@ GEOMETRY = dict(map_chunk_size=2, num_reduce_tasks=4)
 
 #: Fast deterministic policy for tests (backoff in the low milliseconds).
 POLICY = RetryPolicy(max_attempts=6, backoff_base=0.001, backoff_max=0.01)
+
+#: The chaos run: the shuffle-heavy workload (125 map and 8 reduce tasks
+#: under its pinned geometry) with crashes and worker kills.
+SHUFFLE_RECORDS = 4000
+SHUFFLE_GEOMETRY = dict(map_chunk_size=32, num_reduce_tasks=8)
+CHAOS_SPEC = "crash=0.2,kill=0.05,seed=7"
+CHAOS_ATTEMPTS = 6
 
 RECORDS = [
     "the quick brown fox",
@@ -134,6 +142,35 @@ class TestCrossBackendIdentity:
         assert result.outputs == fault_free_outputs
         assert result.engine.task_retries >= 1
         assert result.engine.pool_rebuilds == 0
+
+
+class TestShuffleHeavyChaos:
+    """Crashes and worker kills on a realistic task count: every backend
+    recovers with identical outputs and a bounded number of retries."""
+
+    @pytest.fixture(scope="class")
+    def fault_free(self):
+        return ExecutionEngine(
+            map_fn=fanout_map, reduce_fn=sum_reduce, **SHUFFLE_GEOMETRY
+        ).run(range(SHUFFLE_RECORDS)).outputs
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_outputs_identical_and_retries_bounded(self, backend, fault_free):
+        result = ExecutionEngine(
+            map_fn=fanout_map,
+            reduce_fn=sum_reduce,
+            backend=backend,
+            num_workers=2,
+            retry=RetryPolicy(max_attempts=CHAOS_ATTEMPTS),
+            faults=CHAOS_SPEC,
+            **SHUFFLE_GEOMETRY,
+        ).run(range(SHUFFLE_RECORDS))
+        assert result.outputs == fault_free
+        tasks = result.engine.num_map_tasks + result.engine.num_reduce_tasks
+        assert tasks == 125 + 8
+        # At least one injected fault was recovered, and no task used
+        # more than its max_attempts - 1 retries.
+        assert 1 <= result.engine.task_retries <= tasks * (CHAOS_ATTEMPTS - 1)
 
 
 class TestWorkerDeathRecovery:

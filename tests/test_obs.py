@@ -18,9 +18,12 @@ from repro.obs.metrics import (
     MetricsRegistry,
     percentile,
 )
+from repro.obs import store as obs_store
 from repro.obs.store import (
     ObservationRecord,
     ObservationStore,
+    current_commit,
+    hardware_class,
     load_observations,
     summarize_observations,
 )
@@ -407,6 +410,17 @@ class TestObservationStore:
         assert new.hardware_class == "8w"
         assert new.peak_rss_bytes == 1 << 20
         assert new.cpu_seconds == 0.25
+
+    def test_hardware_class_format(self):
+        assert hardware_class(8) == "8w"
+        # Default probes this machine: always "<positive int>w".
+        label = hardware_class()
+        assert label.endswith("w") and int(label[:-1]) >= 1
+
+    def test_current_commit_env_override(self, monkeypatch):
+        monkeypatch.setattr(obs_store, "_COMMIT_CACHE", {})
+        monkeypatch.setenv("REPRO_COMMIT", "abcdef0123456789")
+        assert current_commit() == "abcdef012345"  # truncated to 12
 
     def test_summarize_groups_by_backend(self):
         records = [

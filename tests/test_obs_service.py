@@ -8,7 +8,6 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.engine.quickbench import check_baseline
 from repro.obs.store import load_observations
 from repro.obs.trace import Tracer, validate_chrome_trace
 from repro.planner import JobSpec
@@ -260,62 +259,6 @@ class TestEventLogOrdering:
         assert spans[0].attrs["seq"] == 1
 
 
-class TestCheckBaseline:
-    ROWS = [
-        {"scenario": "map_heavy", "backend": "serial", "wall_s": 0.30},
-        {"scenario": "map_heavy", "backend": "threads", "wall_s": 0.20},
-    ]
-
-    def baseline(self, serial=0.30, **extra):
-        return {
-            "workers": 4,
-            "params": {"scale": 1.0},
-            "rows": [
-                {"scenario": "map_heavy", "backend": "serial", "wall_s": serial},
-                {"scenario": "map_heavy", "backend": "threads", "wall_s": 0.20},
-            ],
-            **extra,
-        }
-
-    def test_passes_within_bound(self):
-        failures, notes = check_baseline(
-            self.ROWS, self.baseline(), workers=4, params={"scale": 1.0}
-        )
-        assert failures == [] and notes == []
-
-    def test_fails_on_slowdown(self):
-        failures, _ = check_baseline(
-            self.ROWS, self.baseline(serial=0.10), workers=4,
-            params={"scale": 1.0},
-        )
-        assert len(failures) == 1
-        assert "map_heavy/serial" in failures[0]
-
-    def test_different_worker_count_skips_with_note(self):
-        failures, notes = check_baseline(
-            self.ROWS, self.baseline(), workers=2, params={"scale": 1.0}
-        )
-        assert failures == []
-        assert notes and "workers" in notes[0]
-
-    def test_different_params_skip_with_note(self):
-        failures, notes = check_baseline(
-            self.ROWS, self.baseline(), workers=4, params={"scale": 0.5}
-        )
-        assert failures == []
-        assert notes and "params differ" in notes[0]
-
-    def test_same_class_but_nothing_compared_fails(self):
-        baseline = {
-            "workers": 4,
-            "rows": [
-                {"scenario": "map_heavy", "backend": "serial", "wall_s": 0.001}
-            ],
-        }
-        failures, _ = check_baseline(self.ROWS, baseline, workers=4)
-        assert failures and "compared nothing" in failures[0]
-
-
 class TestObservabilityCli:
     def test_submit_trace_writes_valid_chrome_json(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
@@ -450,23 +393,3 @@ class TestObservabilityCli:
     def test_metrics_command_missing_log_fails_cleanly(self, tmp_path, capsys):
         assert main(["metrics", "--log", str(tmp_path / "nope.ndjson")]) == 1
         assert "cannot read" in capsys.readouterr().err
-
-    def test_bench_baseline_gate_round_trip(self, tmp_path, capsys):
-        baseline_path = tmp_path / "base.json"
-        args = [
-            "bench",
-            "--backends",
-            "serial",
-            "--scale",
-            "0.05",
-            "--tuples",
-            "60",
-        ]
-        assert main(args + ["--json-out", str(baseline_path)]) == 0
-        payload = json.loads(baseline_path.read_text())
-        assert "workers" in payload and "params" in payload
-        capsys.readouterr()
-        # Same params, same machine: the gate runs (tiny walls are skipped
-        # with notes, and check_regression needs threads rows, so no
-        # --check here — just the comparison plumbing).
-        assert main(args + ["--baseline", str(baseline_path)]) == 0

@@ -22,12 +22,6 @@ from repro.engine.codec import encode_items
 from repro.engine.config import ExecutionConfig, resolve_execution
 from repro.engine.crossval import validate_against_simulator
 from repro.engine.engine import ExecutionEngine
-from repro.engine.quickbench import (
-    check_spill,
-    fanout_map,
-    run_out_of_core,
-    sum_reduce,
-)
 from repro.engine.spill import (
     RUN_BLOCK_ITEMS,
     MapSpill,
@@ -41,6 +35,7 @@ from repro.exceptions import (
 )
 from repro.mapreduce.job import MapReduceJob
 from repro.workloads.relations import generate_join_workload
+from shuffle_heavy import FANOUT, fanout_map, sum_reduce
 
 ALL_BACKENDS = sorted(BACKENDS)
 
@@ -63,6 +58,13 @@ def fanout_engine(backend: str, memory_budget: int | None, **kwargs):
         memory_budget=memory_budget,
         **kwargs,
     )
+
+
+def budgeted_pair(backend: str, records: int, memory_budget: int):
+    """The fan-out workload run unbudgeted and under ``memory_budget``."""
+    unbounded = fanout_engine(backend, None).run(range(records))
+    budgeted = fanout_engine(backend, memory_budget).run(range(records))
+    return unbounded, budgeted
 
 
 class TestSpillPrimitives:
@@ -151,7 +153,7 @@ class TestSpilledEqualsInMemory:
         # >= 2 spill runs per partition, per the acceptance criteria.
         assert budgeted.metrics.spill_runs >= 2 * 2
         assert budgeted.metrics.spilled_bytes > 0
-        assert 0 < budgeted.metrics.peak_buffered_pairs <= 64 + 24
+        assert 0 < budgeted.metrics.peak_buffered_pairs <= 64 + FANOUT
         # Analytical metrics are identical either way.
         assert budgeted.metrics.reducer_loads == unbounded.metrics.reducer_loads
         assert (
@@ -309,40 +311,37 @@ class TestConfigAndBench:
             engine.run([1])
 
     def test_run_out_of_core_rows_and_check(self):
-        rows = run_out_of_core(
-            backends=["serial", "threads"],
-            scale=0.2,
-            memory_budget=128,
-        )
-        assert len(rows) == 4  # two backends x two modes
-        assert check_spill(rows) == []
-        budgeted = [r for r in rows if r["mode"] == "budgeted"]
-        assert all(int(r["spill_runs"]) >= 1 for r in budgeted)
-        unbounded = [r for r in rows if r["mode"] == "unbounded"]
-        assert all(int(r["spill_runs"]) == 0 for r in unbounded)
+        # On every backend a budgeted run spills, keeps its buffer within
+        # the budget plus one record's fan-out, and matches the unbudgeted
+        # run; the unbudgeted run never spills.
+        for backend in ALL_BACKENDS:
+            unbounded, budgeted = budgeted_pair(backend, 800, 128)
+            assert unbounded.metrics.spill_runs == 0, backend
+            assert budgeted.metrics.spill_runs >= 1, backend
+            assert budgeted.metrics.peak_buffered_pairs <= 128 - 1 + FANOUT
+            assert budgeted.outputs == unbounded.outputs, backend
 
     def test_check_spill_flags_missing_spill(self):
-        rows = [
-            {
-                "scenario": "s",
-                "backend": "serial",
-                "mode": "budgeted",
-                "memory_budget": 10,
-                "spill_runs": 0,
-                "peak_buffered": 5,
-            }
-        ]
-        assert any("spilled no runs" in f for f in check_spill(rows))
-        assert any("compared nothing" in f for f in check_spill([]))
+        # spill_runs counts real spills: a budget that holds every pair
+        # reports none, and the same records under a small budget do not.
+        records = 100
+        for backend in ALL_BACKENDS:
+            roomy = fanout_engine(backend, records * FANOUT + 1).run(
+                range(records)
+            )
+            tight = fanout_engine(backend, 16).run(range(records))
+            assert roomy.metrics.spill_runs == 0, backend
+            assert roomy.metrics.spilled_bytes == 0, backend
+            assert tight.metrics.spill_runs >= 1, backend
+            assert tight.metrics.spilled_bytes > 0, backend
+            assert tight.outputs == roomy.outputs, backend
 
     def test_check_spill_peak_bound_accounts_for_fanout(self):
-        # A budget smaller than one record's fan-out must not flag the
-        # documented budget+fanout overshoot as a failure...
-        rows = run_out_of_core(
-            backends=["serial"], scale=0.05, memory_budget=8
-        )
-        assert check_spill(rows) == []
-        # ...but a peak beyond budget + fan-out is a real failure.
-        bad = [dict(r) for r in rows if r["mode"] == "budgeted"]
-        bad[0]["peak_buffered"] = int(bad[0]["peak_bound"]) + 1
-        assert any("exceeds bound" in f for f in check_spill(bad))
+        # A budget below one record's fan-out: the spill trigger fires
+        # between records, so the buffer passes the budget by up to one
+        # record's fan-out, and no further.
+        for backend in ALL_BACKENDS:
+            unbounded, budgeted = budgeted_pair(backend, 200, 8)
+            assert budgeted.metrics.spill_runs >= 1, backend
+            assert 8 < budgeted.metrics.peak_buffered_pairs <= 8 - 1 + FANOUT
+            assert budgeted.outputs == unbounded.outputs, backend

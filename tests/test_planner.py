@@ -8,6 +8,8 @@ run stage funneling into the engine.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.instance import A2AInstance, X2YInstance
@@ -19,6 +21,7 @@ from repro.exceptions import (
     UnknownMethodError,
 )
 from repro.planner import (
+    OBJECTIVES,
     Environment,
     JobSpec,
     Plan,
@@ -116,20 +119,30 @@ class TestPlanModes:
                 )
 
     def test_chosen_within_ten_percent_of_best_candidate(self):
-        # The acceptance bar: the planner's pick is within 10% of the best
-        # candidate it enumerated (it is the argmin, so the gap is zero).
-        for spec in [
-            JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None),
-            JobSpec.a2a([4] * 8, q=12, method=None, objective="min-communication"),
-            JobSpec.x2y([9, 2, 3], [5, 3], q=17, method=None, objective="min-makespan"),
-        ]:
-            planned = plan(spec, ENV)
-            best = min(
-                c.objective_value
-                for c in planned.candidates
-                if c.status == "scored"
-            )
-            assert planned.chosen_score.objective_value <= best * 1.10
+        # The acceptance bar is 10% of the best candidate the planner
+        # enumerated; it picks the argmin, so the regret is exactly zero
+        # on every shape (uniform, mixed, big/small, X2Y, multiway).
+        shapes = [
+            JobSpec.a2a([3, 5, 2, 7, 4], q=12),
+            JobSpec.a2a([4] * 8, q=12),
+            JobSpec.a2a([4] * 12, q=12),
+            JobSpec.a2a([3, 5, 2, 7, 4, 6, 1, 8], q=16),
+            JobSpec.a2a([11, 3, 4, 5, 2, 6], q=20),
+            JobSpec.x2y([9, 2, 3], [5, 3], q=17),
+            JobSpec.x2y([2] * 6, [2] * 8, q=8),
+            JobSpec.x2y([9, 2, 3, 1], [5, 3, 4], q=17),
+            JobSpec.multiway([2] * 8, q=9, r=3),
+        ]
+        for shape in shapes:
+            for objective in OBJECTIVES:
+                spec = replace(shape, method=None, objective=objective)
+                planned = plan(spec, ENV)
+                best = min(
+                    c.objective_value
+                    for c in planned.candidates
+                    if c.status == "scored"
+                )
+                assert planned.chosen_score.objective_value == best, spec
 
     def test_pinned_method(self):
         spec = JobSpec.a2a([3, 5, 2], q=12, method="greedy")

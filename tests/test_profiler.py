@@ -11,7 +11,6 @@ from repro.engine.engine import (
     _instrumented_task,
     _merge_task_telemetry,
 )
-from repro.engine.quickbench import run_profile_overhead, run_scenario
 from repro.obs.profiler import (
     NULL_PROFILER,
     NullProfiler,
@@ -293,30 +292,3 @@ class TestEngineIntegration:
         assert sorted(baseline.outputs) == sorted(nulled.outputs)
         assert len(NULL_PROFILER) == 0
         assert not NULL_PROFILER.sampler.running
-
-
-class TestProfileOverheadBench:
-    def test_modes_and_loose_bounds(self):
-        rows = run_profile_overhead(
-            scenario="map_heavy", backend="serial", scale=0.2, repeat=2
-        )
-        by_mode = {r["profiling"]: r for r in rows}
-        assert set(by_mode) == {"off", "null", "on"}
-        assert by_mode["off"]["functions"] == 0
-        assert by_mode["null"]["functions"] == 0
-        assert by_mode["on"]["phases"] > 0
-        assert by_mode["on"]["functions"] > 0
-        assert by_mode["on"]["peak_rss_mb"] > 0
-        # Loose in-test sanity (the committed E25 artifact carries the
-        # real ratios): a disabled profiler must not double the wall.
-        off = float(by_mode["off"]["wall_s"])
-        assert float(by_mode["null"]["wall_s"]) <= off * 1.25 + 0.05
-
-    def test_run_scenario_accepts_profiler(self):
-        profiler = PhaseProfiler(sample_interval=0.005)
-        outputs, wall = run_scenario(
-            "map_heavy", "serial", scale=0.2, profiler=profiler
-        )
-        profiler.stop()
-        assert outputs and wall > 0
-        assert "map" in profiler.phases()
