@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Similarity join of documents on the simulated MapReduce cluster.
+"""Similarity join of documents on the MapReduce engine.
 
 The paper's A2A motivating example: every pair of web pages must be
 compared because the similarity function admits no LSH shortcut.  This

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Skew join with heavy hitters on the simulated MapReduce cluster.
+"""Skew join with heavy hitters on the MapReduce engine.
 
 The paper's X2Y motivating example: a join key occurring many times
 overloads its reducer under conventional hash partitioning.  This demo

@@ -3,8 +3,9 @@
 Afrati, Dolev, Korach, Sharma, Ullman (EDBT 2015 / DISC 2014 BA /
 arXiv:1501.06758).  The library implements the paper's two mapping-schema
 problems (A2A and X2Y), the assignment algorithms and lower bounds, a
-capacity-checked MapReduce simulator, workload generators, and the three
-motivating applications (similarity join, skew join, tensor product).
+capacity-checked parallel MapReduce engine, workload generators, and the
+three motivating applications (similarity join, skew join, tensor
+product).
 
 Quickstart::
 
@@ -53,7 +54,7 @@ from repro.exceptions import (
     SolverLimitError,
     SpillError,
 )
-from repro.mapreduce import MapReduceJob, SimulatedCluster, schedule_loads
+from repro.mapreduce.cluster import SimulatedCluster, schedule_loads
 from repro.planner import Environment, JobSpec, Plan
 from repro.service import JobHandle, JobResult, JobService
 
@@ -73,7 +74,6 @@ __all__ = [
     "VerificationReport",
     "parallelism_degree",
     "skew",
-    "MapReduceJob",
     "SimulatedCluster",
     "schedule_loads",
     "ExecutionEngine",

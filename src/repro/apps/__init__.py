@@ -2,8 +2,9 @@
 
 Every application states its problem as a
 :class:`~repro.planner.spec.JobSpec` (exposed as a ``*_spec`` builder),
-lets :func:`repro.planner.plan` choose the mapping schema, and — when an
-engine backend is requested — executes through :func:`repro.planner.run`.
+lets :func:`repro.planner.plan` choose the mapping schema, and executes
+on the engine (the serial backend unless a ``config=`` says otherwise),
+through :func:`repro.planner.run` for single-schema jobs.
 The shared membership and reducer-bitmask helpers live in
 :mod:`repro.engine.routing`.
 """

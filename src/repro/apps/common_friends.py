@@ -1,4 +1,4 @@
-"""Common-friends computation on the simulated MapReduce cluster.
+"""Common-friends computation on the MapReduce engine.
 
 The paper's social-network A2A example: for every pair of users, compute
 the friends they share.  Friend lists are the different-sized inputs; the
@@ -7,9 +7,8 @@ each reducer emits results only for the pairs it canonically owns.
 
 Like the other applications, this is a thin spec builder over the
 planner: :func:`common_friends_spec` states the problem, the planner
-picks the schema, and the engine path funnels through
-:func:`repro.planner.run` (the default path stays on the reference
-simulator).
+picks the schema, and the job runs on the engine through
+:func:`repro.planner.run`.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from typing import Iterator
 
 from repro import planner
 from repro.core.schema import A2ASchema
-from repro.engine.config import ExecutionConfig, resolve_execution
+from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import a2a_reducer_masks, build_schema_plan
-from repro.mapreduce.job import MapReduceJob
+from repro.engine.routing import a2a_reducer_masks
 from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
 from repro.workloads.social import User, common_friends
@@ -39,18 +37,16 @@ class CommonFriendsRun:
             decides what to drop — mirroring the problem statement where
             *every* pair corresponds to one output).
         schema: the mapping schema used.
-        metrics: simulator metrics (engine runs report the identical
-            analytical metrics).
-        engine: physical execution metrics when the run went through the
-            engine; ``None`` for simulator runs.
+        metrics: analytical job metrics of the run.
+        engine: physical execution metrics of the run.
         plan: the planner's full decision record for this run.
     """
 
     pairs: tuple[tuple[int, int, frozenset[int]], ...]
     schema: A2ASchema
     metrics: JobMetrics
-    engine: EngineMetrics | None = None
-    plan: Plan | None = None
+    engine: EngineMetrics
+    plan: Plan
 
     def as_dict(self) -> dict[tuple[int, int], frozenset[int]]:
         """The output keyed by user-id pair, for ground-truth comparison."""
@@ -102,56 +98,34 @@ def run_common_friends(
     *,
     method: str = "auto",
     objective: str = "min-reducers",
-    backend: str | None = None,
-    num_workers: int | None = None,
     config: ExecutionConfig | None = None,
 ) -> CommonFriendsRun:
     """Run the schema-driven common-friends job end to end.
 
     Users are indexed by list position; capacity is enforced strictly
-    (a correct schema cannot overflow).  With neither ``backend=`` nor
-    ``config=`` the job runs on the reference simulator; naming a backend
-    or passing an :class:`~repro.engine.config.ExecutionConfig` routes it
-    through the engine with identical outputs.  ``method="planned"``
-    enables full cost-based planning under *objective* and defaults to
-    the plan's resolved execution configuration.
+    (a correct schema cannot overflow).  The job runs on the engine, on
+    *config* when given and on the serial backend otherwise.
+    ``method="planned"`` enables full cost-based planning under
+    *objective* and defaults to the plan's resolved execution
+    configuration.
     """
     spec = common_friends_spec(users, q, method=method, objective=objective)
     planned = planner.plan(spec)
     schema = planned.schema()
     masks = a2a_reducer_masks(schema)
 
-    execution = resolve_execution(config, backend, num_workers)
-    if execution is None and method == "planned":
-        execution = planned.execution
-    reduce_fn = partial(_common_friends_reduce, masks=masks)
-    if execution is not None:
-        result = planner.run(
-            planned,
-            users,
-            reduce_fn,
-            config=execution,
-        )
-        return CommonFriendsRun(
-            pairs=tuple(result.outputs),
-            schema=schema,
-            metrics=result.metrics,
-            engine=result.engine,
-            plan=planned,
-        )
-
-    map_fn, size_of, wrapped = build_schema_plan(schema, users)
-    job = MapReduceJob(
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
-        size_of=size_of,
-        reducer_capacity=q,
-        strict_capacity=True,
+    if config is None and method != "planned":
+        config = ExecutionConfig()
+    result = planner.run(
+        planned,
+        users,
+        partial(_common_friends_reduce, masks=masks),
+        config=config,
     )
-    result = job.run(wrapped)
     return CommonFriendsRun(
         pairs=tuple(result.outputs),
         schema=schema,
         metrics=result.metrics,
+        engine=result.engine,
         plan=planned,
     )

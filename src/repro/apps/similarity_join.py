@@ -1,4 +1,4 @@
-"""Similarity join on the simulated MapReduce cluster.
+"""Similarity join on the MapReduce engine.
 
 The paper's A2A motivating application: every pair of documents must be
 compared (the similarity function admits no LSH shortcut).  The schema
@@ -9,7 +9,7 @@ The app is a thin spec builder over the planner pipeline:
 :func:`similarity_spec` states the problem as a
 :class:`~repro.planner.spec.JobSpec`, :func:`repro.planner.plan` picks the
 schema (the structural fast path by default, full cost-based planning
-with ``method="planned"``), and the engine path funnels through
+with ``method="planned"``), and the job runs on the engine through
 :func:`repro.planner.run`.
 
 Also provides the naive broadcast baseline (all documents to one reducer)
@@ -26,10 +26,10 @@ from repro import planner
 from repro.core.instance import A2AInstance
 from repro.core.schema import A2ASchema
 from repro.dataset import Dataset
-from repro.engine.config import ExecutionConfig, resolve_execution
+from repro.engine.config import ExecutionConfig
+from repro.engine.engine import ExecutionEngine
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import a2a_reducer_masks, build_schema_plan
-from repro.mapreduce.job import MapReduceJob
+from repro.engine.routing import a2a_reducer_masks
 from repro.mapreduce.metrics import JobMetrics
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import Tracer
@@ -45,16 +45,16 @@ class SimilarityJoinRun:
         pairs: ``(doc_id_a, doc_id_b, similarity)`` for every pair at or
             above the threshold, each emitted exactly once.
         schema: the mapping schema used.
-        metrics: job metrics of the run (simulator and engine agree).
-        engine: physical execution metrics when the run went through the
-            engine (``backend=`` was given); ``None`` for simulator runs.
-        plan: the planner's full decision record for this run.
+        metrics: analytical job metrics of the run.
+        engine: physical execution metrics of the run.
+        plan: the planner's full decision record (``None`` for the
+            broadcast baseline, which is not planned).
     """
 
     pairs: tuple[tuple[int, int, float], ...]
     schema: A2ASchema
     metrics: JobMetrics
-    engine: EngineMetrics | None = None
+    engine: EngineMetrics
     plan: Plan | None = None
 
     def pair_set(self) -> set[tuple[int, int]]:
@@ -120,8 +120,6 @@ def run_similarity_join(
     *,
     method: str = "auto",
     objective: str = "min-reducers",
-    backend: str | None = None,
-    num_workers: int | None = None,
     config: ExecutionConfig | None = None,
     tracer: Tracer | None = None,
     profiler: PhaseProfiler | None = None,
@@ -133,22 +131,17 @@ def run_similarity_join(
     strictly: a correct schema never overflows, so an exception here means
     a bug, not a workload property.
 
-    With neither ``backend=`` nor ``config=`` the job runs on the
-    reference simulator; naming a backend (``"serial"``, ``"threads"``,
-    ``"processes"``) or passing an
-    :class:`~repro.engine.config.ExecutionConfig` (which may set a
-    ``memory_budget`` for the out-of-core shuffle) routes it through
-    :mod:`repro.engine` instead, which produces identical pairs and
-    additionally reports phase timings in ``run.engine``.
+    The job runs on the engine through :func:`repro.planner.run`, on
+    *config* when given (which may set a backend, or a ``memory_budget``
+    for the out-of-core shuffle) and on the serial backend otherwise.
     ``method="planned"`` enables full cost-based planning under
-    *objective* and — when no execution knobs are given — runs on the
-    plan's resolved :class:`~repro.engine.config.ExecutionConfig`.
+    *objective* and — when no *config* is given — runs on the plan's
+    resolved :class:`~repro.engine.config.ExecutionConfig`.
     *documents* may be a :class:`~repro.dataset.Dataset` (materialized
     once for schema planning — the sizes must be known before any record
-    is routed).  A *tracer* records ``plan``/``score:*`` spans and, on
-    the engine path, the ``map``/``shuffle``/``reduce`` phase spans; a
-    *profiler* attributes CPU/RSS and function time to those phases
-    (engine path only).
+    is routed).  A *tracer* records ``plan``/``score:*`` spans and the
+    engine's ``map``/``shuffle``/``reduce`` phase spans; a *profiler*
+    attributes CPU/RSS and function time to those phases.
     """
     if isinstance(documents, Dataset):
         documents = documents.materialize()
@@ -157,42 +150,44 @@ def run_similarity_join(
     schema = planned.schema()
     masks = a2a_reducer_masks(schema)
 
-    execution = resolve_execution(config, backend, num_workers)
-    if execution is None and method == "planned":
-        execution = planned.execution
-    reduce_fn = partial(_similarity_reduce, masks=masks, threshold=threshold)
-    if execution is not None:
-        result = planner.run(
-            planned,
-            documents,
-            reduce_fn,
-            config=execution,
-            tracer=tracer,
-            profiler=profiler,
-        )
-        return SimilarityJoinRun(
-            pairs=tuple(result.outputs),
-            schema=schema,
-            metrics=result.metrics,
-            engine=result.engine,
-            plan=planned,
-        )
-
-    map_fn, size_of, wrapped = build_schema_plan(schema, documents)
-    job = MapReduceJob(
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
-        size_of=size_of,
-        reducer_capacity=q,
-        strict_capacity=True,
+    if config is None and method != "planned":
+        config = ExecutionConfig()
+    result = planner.run(
+        planned,
+        documents,
+        partial(_similarity_reduce, masks=masks, threshold=threshold),
+        config=config,
+        tracer=tracer,
+        profiler=profiler,
     )
-    result = job.run(wrapped)
     return SimilarityJoinRun(
         pairs=tuple(result.outputs),
         schema=schema,
         metrics=result.metrics,
+        engine=result.engine,
         plan=planned,
     )
+
+
+def _broadcast_map(doc: Document) -> list[tuple[int, Document]]:
+    """Baseline mapper: every document goes to reducer 0."""
+    return [(0, doc)]
+
+
+def _broadcast_reduce(
+    key: int, docs: list[Document], *, threshold: float
+) -> Iterator[tuple[int, int, float]]:
+    """Baseline reducer: compare every pair of documents it received.
+
+    Module-level (threshold bound through :func:`functools.partial`) so
+    the baseline runs on any backend.
+    """
+    token_sets = [frozenset(doc.tokens) for doc in docs]
+    for a_idx, set_a in enumerate(token_sets):
+        for b_idx in range(a_idx + 1, len(docs)):
+            similarity = set_jaccard(set_a, token_sets[b_idx])
+            if similarity >= threshold:
+                yield (docs[a_idx].doc_id, docs[b_idx].doc_id, similarity)
 
 
 def run_broadcast_baseline(
@@ -202,35 +197,27 @@ def run_broadcast_baseline(
 ) -> SimilarityJoinRun:
     """Naive baseline: ship every document to a single reducer.
 
-    Runs with non-strict capacity so the (expected) overflow is *measured*
-    rather than fatal — E7 reports the violation count and max load.
-    The schema recorded is the trivial one-reducer schema.
+    Runs on the serial engine with non-strict capacity so the (expected)
+    overflow is *measured* rather than fatal — E7 reports the violation
+    count and max load.  The schema recorded is the trivial one-reducer
+    schema.
     """
     instance = A2AInstance([d.size for d in documents], max(q, instance_total(documents)))
     schema = A2ASchema.from_lists(
         instance, [list(range(len(documents)))], algorithm="broadcast"
     )
-
-    def map_fn(doc: Document):
-        yield 0, doc
-
-    def reduce_fn(key, docs: list[Document]):
-        token_sets = [frozenset(doc.tokens) for doc in docs]
-        for a_idx, set_a in enumerate(token_sets):
-            for b_idx in range(a_idx + 1, len(docs)):
-                similarity = set_jaccard(set_a, token_sets[b_idx])
-                if similarity >= threshold:
-                    yield (docs[a_idx].doc_id, docs[b_idx].doc_id, similarity)
-
-    job = MapReduceJob(
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
+    engine = ExecutionEngine(
+        map_fn=_broadcast_map,
+        reduce_fn=partial(_broadcast_reduce, threshold=threshold),
         reducer_capacity=q,
         strict_capacity=False,
     )
-    result = job.run(documents)
+    result = engine.run(documents)
     return SimilarityJoinRun(
-        pairs=tuple(result.outputs), schema=schema, metrics=result.metrics
+        pairs=tuple(result.outputs),
+        schema=schema,
+        metrics=result.metrics,
+        engine=result.engine,
     )
 
 

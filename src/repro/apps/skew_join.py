@@ -1,4 +1,4 @@
-"""Skew join of X(A, B) and Y(B, C) on the simulated cluster.
+"""Skew join of X(A, B) and Y(B, C) on the MapReduce engine.
 
 The paper's X2Y motivating application.  A conventional repartition join
 sends every tuple with join key ``b`` to reducer ``hash(b)``; a heavy
@@ -16,11 +16,10 @@ from typing import Hashable, Iterator
 
 from repro import planner
 from repro.core.schema import X2YSchema
-from repro.engine.config import ExecutionConfig, resolve_execution
+from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
 from repro.engine.metrics import EngineMetrics
 from repro.engine.routing import x2y_memberships, x2y_reducer_masks
-from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import Tracer
@@ -38,21 +37,20 @@ class SkewJoinRun:
 
     Attributes:
         triples: the join output ``(a, b, c)`` = (X payload, key, Y payload).
-        metrics: job metrics (simulator and engine agree).
+        metrics: analytical job metrics of the run.
+        engine: physical execution metrics of the run.
         heavy_keys: join keys handled by X2Y schemas (empty for the
             baseline).
         schemas: the per-heavy-key schemas, keyed by join key.
-        engine: physical execution metrics when ``backend=`` routed the run
-            through the engine; ``None`` for simulator runs.
         plans: the planner's per-heavy-key decision records, keyed by
             join key.
     """
 
     triples: tuple[tuple[int, int, int], ...]
     metrics: JobMetrics
+    engine: EngineMetrics
     heavy_keys: tuple[int, ...] = ()
     schemas: dict[int, X2YSchema] | None = None
-    engine: EngineMetrics | None = None
     plans: dict[int, Plan] | None = None
 
     def triple_set(self) -> set[tuple[int, int, int]]:
@@ -72,34 +70,50 @@ def naive_join(x: Relation, y: Relation) -> set[tuple[int, int, int]]:
     return output
 
 
+def _hash_map(
+    record: tuple[str, Tuple2],
+) -> list[tuple[int, tuple[str, Tuple2]]]:
+    """Repartition-join mapper: route a tagged tuple to its join key."""
+    return [(record[1].key, record)]
+
+
+def _hash_reduce(
+    key: int, values: list[tuple[str, Tuple2]]
+) -> Iterator[tuple[int, int, int]]:
+    """Repartition-join reducer: cross the X and Y tuples of one key."""
+    x_tuples = [t for side, t in values if side == "x"]
+    y_tuples = [t for side, t in values if side == "y"]
+    for tx in x_tuples:
+        for ty in y_tuples:
+            yield (tx.payload, key, ty.payload)
+
+
+def _hash_record_size(record: tuple[str, Tuple2]) -> int:
+    """Assignment size of a tagged tuple (its declared tuple size)."""
+    return record[1].size
+
+
 def hash_join(x: Relation, y: Relation, q: int) -> SkewJoinRun:
     """Conventional repartition join: one reducer per join key.
 
-    Runs with non-strict capacity so heavy hitters *overflow measurably*
-    instead of crashing — E6 reports exactly that overflow.
+    Runs on the serial engine with non-strict capacity so heavy hitters
+    *overflow measurably* instead of crashing — E6 reports exactly that
+    overflow.
     """
-
-    def map_fn(record: tuple[str, Tuple2]):
-        side, t = record
-        yield t.key, (side, t)
-
-    def reduce_fn(key, values):
-        x_tuples = [t for side, t in values if side == "x"]
-        y_tuples = [t for side, t in values if side == "y"]
-        for tx in x_tuples:
-            for ty in y_tuples:
-                yield (tx.payload, key, ty.payload)
-
-    job = MapReduceJob(
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
-        size_of=lambda value: value[1].size,
+    engine = ExecutionEngine(
+        map_fn=_hash_map,
+        reduce_fn=_hash_reduce,
+        size_of=_hash_record_size,
         reducer_capacity=q,
         strict_capacity=False,
     )
     records = [("x", t) for t in x.tuples] + [("y", t) for t in y.tuples]
-    result = job.run(records)
-    return SkewJoinRun(triples=tuple(result.outputs), metrics=result.metrics)
+    result = engine.run(records)
+    return SkewJoinRun(
+        triples=tuple(result.outputs),
+        metrics=result.metrics,
+        engine=result.engine,
+    )
 
 
 #: Per-heavy-key routing plan: the two per-side membership tables (used by
@@ -111,6 +125,16 @@ SkewPlan = tuple[
     tuple[tuple[int, ...], ...],
     tuple[tuple[int, ...], tuple[int, ...]],
 ]
+
+
+def _skew_plan(schema: X2YSchema) -> SkewPlan:
+    """One heavy key's routing plan, from its X2Y schema."""
+    x_members, y_members = x2y_memberships(schema)
+    return (
+        tuple(tuple(m) for m in x_members),
+        tuple(tuple(m) for m in y_members),
+        x2y_reducer_masks(schema),
+    )
 
 
 def _skew_map(
@@ -175,6 +199,23 @@ def _skew_record_size(record: SkewRecord) -> int:
     return record[4]
 
 
+def _tag(relation: Relation, side: str) -> list[SkewRecord]:
+    """Wrap a relation's tuples as :data:`SkewRecord` tuples, in order.
+
+    A tuple's position is its index among the relation's tuples with the
+    same join key — the index the per-key schema gives it.  The position
+    is a running count per key, so a relation that holds one tuple
+    object several times still gives each occurrence its own position.
+    """
+    seen: dict[int, int] = {}
+    records: list[SkewRecord] = []
+    for t in relation.tuples:
+        position = seen.get(t.key, 0)
+        seen[t.key] = position + 1
+        records.append((side, position, t.key, t.payload, t.size))
+    return records
+
+
 def heavy_key_spec(
     x_tuples: list[Tuple2],
     y_tuples: list[Tuple2],
@@ -204,8 +245,6 @@ def schema_skew_join(
     *,
     method: str = "auto",
     objective: str = "min-reducers",
-    backend: str | None = None,
-    num_workers: int | None = None,
     config: ExecutionConfig | None = None,
     tracer: Tracer | None = None,
     profiler: PhaseProfiler | None = None,
@@ -219,19 +258,14 @@ def schema_skew_join(
     Light keys keep the conventional per-key reducer ``("light", key)``.
     Capacity is enforced strictly: by construction nothing overflows.
 
-    With neither ``backend=`` nor ``config=`` the job runs on the
-    reference simulator; naming a backend (``"serial"``, ``"threads"``,
-    ``"processes"``) or passing an
-    :class:`~repro.engine.config.ExecutionConfig` (which may set a
-    ``memory_budget`` for the out-of-core shuffle) runs the same
-    map/reduce functions through :mod:`repro.engine`, producing identical
-    triples plus phase timings in ``run.engine``.  ``method="planned"``
-    plans every heavy key's schema cost-based under *objective* and —
-    when no execution knobs are given — resolves the engine configuration
-    from the environment probe.  A *tracer* records one ``plan`` span per
-    heavy key plus the engine phase spans on engine-backed runs; a
-    *profiler* attributes CPU/RSS and function time to those phases
-    (engine path only).
+    The job runs on the engine, on *config* when given (which may set a
+    backend, or a ``memory_budget`` for the out-of-core shuffle) and on
+    the serial backend otherwise.  ``method="planned"`` plans every heavy
+    key's schema cost-based under *objective* and — when no *config* is
+    given — resolves the engine configuration from the environment
+    probe.  A *tracer* records one ``plan`` span per heavy key plus the
+    engine phase spans; a *profiler* attributes CPU/RSS and function
+    time to those phases.
     """
     heavy = heavy_hitters(x, y, q)
     heavy_set = frozenset(heavy)
@@ -261,26 +295,13 @@ def schema_skew_join(
         schema = planned.schema()
         plans[key] = planned
         schemas[key] = schema
-        x_members, y_members = x2y_memberships(schema)
-        members[key] = (
-            tuple(tuple(m) for m in x_members),
-            tuple(tuple(m) for m in y_members),
-            x2y_reducer_masks(schema),
-        )
+        members[key] = _skew_plan(schema)
 
-    positions_x = {key: {id(t): i for i, t in enumerate(ts)} for key, ts in x_by_key.items()}
-    positions_y = {key: {id(t): j for j, t in enumerate(ts)} for key, ts in y_by_key.items()}
-    records: list[SkewRecord] = [
-        ("x", positions_x[t.key][id(t)], t.key, t.payload, t.size) for t in x.tuples
-    ] + [
-        ("y", positions_y[t.key][id(t)], t.key, t.payload, t.size) for t in y.tuples
-    ]
-
+    records = _tag(x, "x") + _tag(y, "y")
     map_fn = partial(_skew_map, members=members, heavy=heavy_set)
     reduce_fn = partial(_skew_reduce, members=members)
 
-    execution = resolve_execution(config, backend, num_workers)
-    if execution is None and method == "planned":
+    if config is None and method == "planned":
         # The top-level job is not a single schema (composite light/heavy
         # keys), so resolve the engine configuration from the aggregate
         # shape: one reducer per light key plus every heavy schema's
@@ -294,44 +315,27 @@ def schema_skew_join(
             for t in (*x.tuples, *y.tuples)
             if t.key not in heavy_set
         )
-        execution = planner.resolve_execution_config(
+        config = planner.resolve_execution_config(
             env,
             num_reducers=max(1, total_reducers),
             communication_cost=light_comm
             + sum(s.communication_cost for s in schemas.values()),
         )
-    if execution is not None:
-        engine = ExecutionEngine.from_config(
-            execution,
-            map_fn=map_fn,
-            reduce_fn=reduce_fn,
-            size_of=_skew_record_size,
-            reducer_capacity=q,
-            strict_capacity=True,
-            tracer=tracer,
-            profiler=profiler,
-        )
-        result = engine.run(records)
-        return SkewJoinRun(
-            triples=tuple(result.outputs),
-            metrics=result.metrics,
-            heavy_keys=tuple(heavy),
-            schemas=schemas,
-            engine=result.engine,
-            plans=plans,
-        )
-
-    job = MapReduceJob(
+    engine = ExecutionEngine.from_config(
+        config if config is not None else ExecutionConfig(),
         map_fn=map_fn,
         reduce_fn=reduce_fn,
         size_of=_skew_record_size,
         reducer_capacity=q,
         strict_capacity=True,
+        tracer=tracer,
+        profiler=profiler,
     )
-    result = job.run(records)
+    result = engine.run(records)
     return SkewJoinRun(
         triples=tuple(result.outputs),
         metrics=result.metrics,
+        engine=result.engine,
         heavy_keys=tuple(heavy),
         schemas=schemas,
         plans=plans,

@@ -1,4 +1,4 @@
-"""Distributed outer (tensor) product on the simulated cluster.
+"""Distributed outer (tensor) product on the MapReduce engine.
 
 The paper's third X2Y example: for block-partitioned vectors ``u`` and
 ``v``, every (u-block, v-block) pair must meet to produce its tile of the
@@ -6,9 +6,8 @@ outer-product matrix ``u v^T``.  Blocks of different sizes are exactly the
 different-sized inputs the schema machinery handles.
 
 A thin spec builder over the planner: :func:`outer_product_spec` states
-the problem, the planner picks the schema, and the engine path funnels
-through :func:`repro.planner.run` (the default path stays on the
-reference simulator).
+the problem, the planner picks the schema, and the job runs on the
+engine through :func:`repro.planner.run`.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from typing import Iterator
 
 from repro import planner
 from repro.core.schema import X2YSchema
-from repro.engine.config import ExecutionConfig, resolve_execution
+from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import build_schema_plan, x2y_reducer_masks
-from repro.mapreduce.job import MapReduceJob
+from repro.engine.routing import x2y_reducer_masks
 from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
 from repro.workloads.vectors import BlockVector, VectorBlock
@@ -36,11 +34,9 @@ class OuterProductRun:
         entries: ``(row, col, value)`` triples covering the whole matrix,
             each exactly once.
         schema: the X2Y mapping schema used.
-        metrics: simulator metrics (engine runs report the identical
-            analytical metrics).
+        metrics: analytical job metrics of the run.
         shape: ``(len(u), len(v))`` of the full matrix.
-        engine: physical execution metrics when the run went through the
-            engine; ``None`` for simulator runs.
+        engine: physical execution metrics of the run.
         plan: the planner's full decision record for this run.
     """
 
@@ -48,8 +44,8 @@ class OuterProductRun:
     schema: X2YSchema
     metrics: JobMetrics
     shape: tuple[int, int]
-    engine: EngineMetrics | None = None
-    plan: Plan | None = None
+    engine: EngineMetrics
+    plan: Plan
 
     def dense(self) -> list[list[float]]:
         """Assemble the dense matrix from the emitted entries."""
@@ -113,18 +109,15 @@ def distributed_outer_product(
     *,
     method: str = "auto",
     objective: str = "min-reducers",
-    backend: str | None = None,
-    num_workers: int | None = None,
     config: ExecutionConfig | None = None,
 ) -> OuterProductRun:
     """Compute ``u v^T`` with an X2Y mapping schema.
 
     Block sizes define the instance; each reducer computes the tiles of the
     (u-block, v-block) pairs it canonically owns.  Capacity is strict — a
-    correct schema cannot overflow.  With neither ``backend=`` nor
-    ``config=`` the job runs on the reference simulator; naming a backend
-    or passing an :class:`~repro.engine.config.ExecutionConfig` routes it
-    through the engine with identical entries.  ``method="planned"``
+    correct schema cannot overflow.  The job runs on the engine, on
+    *config* when given and on the serial backend otherwise.
+    ``method="planned"``
     enables full cost-based planning under *objective* and defaults to
     the plan's resolved execution configuration.
     """
@@ -133,39 +126,19 @@ def distributed_outer_product(
     schema = planned.schema()
     masks = x2y_reducer_masks(schema)
 
-    execution = resolve_execution(config, backend, num_workers)
-    if execution is None and method == "planned":
-        execution = planned.execution
-    reduce_fn = partial(_outer_product_reduce, masks=masks)
-    if execution is not None:
-        result = planner.run(
-            planned,
-            (u.blocks, v.blocks),
-            reduce_fn,
-            config=execution,
-        )
-        return OuterProductRun(
-            entries=tuple(result.outputs),
-            schema=schema,
-            metrics=result.metrics,
-            shape=(u.dimension, v.dimension),
-            engine=result.engine,
-            plan=planned,
-        )
-
-    map_fn, size_of, wrapped = build_schema_plan(schema, (u.blocks, v.blocks))
-    job = MapReduceJob(
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
-        size_of=size_of,
-        reducer_capacity=q,
-        strict_capacity=True,
+    if config is None and method != "planned":
+        config = ExecutionConfig()
+    result = planner.run(
+        planned,
+        (u.blocks, v.blocks),
+        partial(_outer_product_reduce, masks=masks),
+        config=config,
     )
-    result = job.run(wrapped)
     return OuterProductRun(
         entries=tuple(result.outputs),
         schema=schema,
         metrics=result.metrics,
         shape=(u.dimension, v.dimension),
+        engine=result.engine,
         plan=planned,
     )

@@ -1,20 +1,25 @@
-"""Three-way similarity on the simulated cluster (multiway extension).
+"""Three-way similarity on the MapReduce engine (multiway extension).
 
 Exercises the r > 2 generalization end to end: for every *triple* of
 documents, compute the Jaccard similarity of the triple's token sets
 (|A ∩ B ∩ C| / |A ∪ B ∪ C|) and report the triples above a threshold.
 The mapping schema must bring every triple together at some reducer —
 the :mod:`repro.core.multiway` bin-combining scheme provides exactly that.
+The planner picks the schema and :func:`repro.planner.run` executes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
+from typing import Iterator
 
 from repro import planner
 from repro.core.multiway import MultiwaySchema
-from repro.mapreduce.job import MapReduceJob
+from repro.engine.config import ExecutionConfig
+from repro.engine.metrics import EngineMetrics
+from repro.engine.routing import a2a_reducer_masks
 from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
 from repro.workloads.documents import Document
@@ -42,12 +47,22 @@ def all_triples_above(documents: list[Document], threshold: float) -> set[tuple[
 
 @dataclass(frozen=True)
 class ThreeWayRun:
-    """Result of a distributed three-way similarity computation."""
+    """Result of a distributed three-way similarity computation.
+
+    Attributes:
+        triples: ``(doc_id_a, doc_id_b, doc_id_c, similarity)`` for every
+            triple at or above the threshold, each emitted exactly once.
+        schema: the multiway mapping schema used.
+        metrics: analytical job metrics of the run.
+        engine: physical execution metrics of the run.
+        plan: the planner's full decision record for this run.
+    """
 
     triples: tuple[tuple[int, int, int, float], ...]
     schema: MultiwaySchema
     metrics: JobMetrics
-    plan: Plan | None = None
+    engine: EngineMetrics
+    plan: Plan
 
     def triple_set(self) -> set[tuple[int, int, int]]:
         """Just the id triples, for ground-truth comparison."""
@@ -64,6 +79,39 @@ def threeway_spec(
     return JobSpec.multiway(documents, q, 3, objective=objective)
 
 
+def _threeway_reduce(
+    key: int,
+    values: list[tuple[int, Document]],
+    *,
+    masks: tuple[int, ...],
+    threshold: float,
+) -> Iterator[tuple[int, int, int, float]]:
+    """Reducer: score the triples this reducer owns, in input order.
+
+    Values arrive as ``(input_index, document)``; *masks* are the schema's
+    per-input reducer bitmasks (:func:`a2a_reducer_masks`), and reducer
+    *key* owns a triple when no earlier reducer holds all three inputs.
+    Module-level (with data bound through :func:`functools.partial`) so
+    the ``processes`` backend can pickle it.
+    """
+    low = (1 << key) - 1
+    held = [
+        (masks[i], doc) for i, doc in sorted(values, key=lambda item: item[0])
+    ]
+    for a_pos, (mask_a, doc_a) in enumerate(held):
+        for b_pos in range(a_pos + 1, len(held)):
+            mask_b, doc_b = held[b_pos]
+            earlier = mask_a & mask_b & low
+            for mask_c, doc_c in held[b_pos + 1 :]:
+                if earlier & mask_c:
+                    continue
+                similarity = triple_jaccard(doc_a, doc_b, doc_c)
+                if similarity >= threshold:
+                    yield (
+                        doc_a.doc_id, doc_b.doc_id, doc_c.doc_id, similarity
+                    )
+
+
 def run_threeway_similarity(
     documents: list[Document],
     q: int,
@@ -71,61 +119,29 @@ def run_threeway_similarity(
 ) -> ThreeWayRun:
     """Run the schema-driven three-way similarity job end to end.
 
-    Each reducer evaluates only the triples whose *canonical* reducer it is
-    (the smallest reducer index containing all three documents), so every
-    triple is emitted exactly once despite replication.  Multiway schemas
-    run on the reference simulator (the engine's schema router executes
-    pairwise schemas); the planner still records the plan.
+    Documents are indexed by list position.  Each reducer evaluates only
+    the triples it owns (the smallest reducer index holding all three
+    documents), so every triple is emitted exactly once despite
+    replication.  The job runs on the serial engine through
+    :func:`repro.planner.run`, which routes the multiway schema like an
+    A2A one.
     """
     planned = planner.plan(threeway_spec(documents, q))
     schema = planned.schema()
-    memberships: list[list[int]] = [[] for _ in documents]
-    for r, members in enumerate(schema.reducers):
-        for i in members:
-            memberships[i].append(r)
-    position = {id(doc): i for i, doc in enumerate(documents)}
-
-    def canonical(i: int, j: int, k: int) -> int:
-        common = set(memberships[i]) & set(memberships[j]) & set(memberships[k])
-        if not common:
-            raise ValueError("triple shares no reducer; schema invalid")
-        return min(common)
-
-    def map_fn(doc: Document):
-        for r in memberships[position[id(doc)]]:
-            yield r, doc
-
-    def reduce_fn(key, docs: list[Document]):
-        ordered = sorted(docs, key=lambda d: position[id(d)])
-        for a_pos in range(len(ordered)):
-            i = position[id(ordered[a_pos])]
-            for b_pos in range(a_pos + 1, len(ordered)):
-                j = position[id(ordered[b_pos])]
-                for c_pos in range(b_pos + 1, len(ordered)):
-                    k = position[id(ordered[c_pos])]
-                    if canonical(i, j, k) != key:
-                        continue
-                    similarity = triple_jaccard(
-                        ordered[a_pos], ordered[b_pos], ordered[c_pos]
-                    )
-                    if similarity >= threshold:
-                        yield (
-                            ordered[a_pos].doc_id,
-                            ordered[b_pos].doc_id,
-                            ordered[c_pos].doc_id,
-                            similarity,
-                        )
-
-    job = MapReduceJob(
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
-        reducer_capacity=q,
-        strict_capacity=True,
+    result = planner.run(
+        planned,
+        documents,
+        partial(
+            _threeway_reduce,
+            masks=a2a_reducer_masks(schema),
+            threshold=threshold,
+        ),
+        config=ExecutionConfig(),
     )
-    result = job.run(documents)
     return ThreeWayRun(
         triples=tuple(result.outputs),
         schema=schema,
         metrics=result.metrics,
+        engine=result.engine,
         plan=planned,
     )

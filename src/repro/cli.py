@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--plan-only",
         action="store_true",
-        help="plan without executing (multiway specs are always plan-only)",
+        help="plan without executing",
     )
     submit.add_argument(
         "--priority", type=int, default=0,
@@ -678,7 +678,7 @@ def _run_app(args: argparse.Namespace) -> int:
             chosen = {key: planned.chosen for key, planned in run.plans.items()}
             print(f"plan      : per-heavy-key methods {chosen}")
         print(f"outputs   : {len(run.triples)} triples")
-    if plan_mode and run.engine is not None:
+    if plan_mode:
         source = (
             "explicit knobs override the planner"
             if engine_knobs_given
@@ -690,7 +690,7 @@ def _run_app(args: argparse.Namespace) -> int:
         )
     print(format_table([run.metrics.as_row()], title="job metrics"))
     print(format_table([run.engine.as_row()], title="engine metrics"))
-    if fault_plane and run.engine is not None:
+    if fault_plane:
         engine = run.engine
         parts = [
             f"retries={engine.task_retries}",
@@ -910,7 +910,7 @@ def _run_submit(args: argparse.Namespace) -> int:
     from repro.service import JobService
 
     spec = _spec_from_args(args, "submit")
-    execute = not args.plan_only and spec.kind != "multiway"
+    execute = not args.plan_only
     tracer = _tracer_for(args.trace)
     profiler = _profiler_for(args.profile)
     service = JobService(slots=1, tracer=tracer, profiler=profiler)

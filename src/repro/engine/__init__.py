@@ -1,10 +1,11 @@
 """Parallel execution engine: run mapping schemas on pluggable backends.
 
-This package turns a solved :class:`~repro.core.schema.A2ASchema` or
-:class:`~repro.core.schema.X2YSchema` into an actually-executed MapReduce
-job: records are replicated to exactly the reducers the schema assigns
-their input to, map tasks pre-partition their output by reduce task
-(mapper-side partitioned shuffle), and the phases run on a pluggable
+This package turns a solved :class:`~repro.core.schema.A2ASchema`,
+:class:`~repro.core.schema.X2YSchema` or
+:class:`~repro.core.multiway.MultiwaySchema` into an actually-executed
+MapReduce job: records are replicated to exactly the reducers the schema
+assigns their input to, map tasks pre-partition their output by reduce
+task (mapper-side partitioned shuffle), and the phases run on a pluggable
 backend (``serial``, ``threads``, ``processes``) sharing one worker pool
 per run.  The serial backend is validated to be byte-identical to the
 reference simulator (:mod:`repro.mapreduce`); the parallel backends
@@ -43,7 +44,7 @@ from repro.engine.codec import (
     encode_groups,
     encode_items,
 )
-from repro.engine.config import ExecutionConfig, resolve_execution
+from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import (
     CrossValidationReport,
     compare_results,
@@ -62,7 +63,6 @@ from repro.engine.routing import (
 __all__ = [
     "ExecutionEngine",
     "ExecutionConfig",
-    "resolve_execution",
     "EngineResult",
     "execute_schema",
     "Backend",

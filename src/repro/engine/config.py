@@ -4,11 +4,11 @@ The engine grew its tuning surface one keyword at a time (backend, worker
 count, chunk size, partition count, and now the out-of-core memory
 budget).  :class:`ExecutionConfig` bundles them so applications and the
 CLI pass a single validated object instead of threading five keyword
-arguments through every layer.  The individual keyword arguments remain
-on :class:`~repro.engine.engine.ExecutionEngine` and
-:func:`~repro.engine.engine.execute_schema` for backwards compatibility;
-:func:`resolve_execution` is the shared shim that lets an application
-accept either style.
+arguments through every layer.  The applications take only ``config=``,
+and run on ``ExecutionConfig()`` (the serial backend) when none is given.
+The individual keyword arguments remain on
+:class:`~repro.engine.engine.ExecutionEngine` and
+:func:`~repro.engine.engine.execute_schema`, whose callers pass them.
 
 The fault-plane knobs (``retry``, ``faults``, ``task_timeout``,
 ``deadline``, ``fallback``) ride in the same object.  They are runtime
@@ -109,21 +109,3 @@ class ExecutionConfig:
             "deadline": self.deadline,
             "fallback": self.fallback,
         }
-
-
-def resolve_execution(
-    config: ExecutionConfig | None,
-    backend: str | Backend | None = None,
-    num_workers: int | None = None,
-) -> ExecutionConfig | None:
-    """Reconcile an app's ``config=`` with its legacy ``backend=`` kwargs.
-
-    Returns ``None`` when neither is given — the applications read that as
-    "run on the reference simulator".  An explicit *config* wins over the
-    legacy keywords.
-    """
-    if config is not None:
-        return config
-    if backend is None:
-        return None
-    return ExecutionConfig(backend=backend, num_workers=num_workers)

@@ -4,7 +4,8 @@ The simulator (:class:`repro.mapreduce.job.MapReduceJob`) is the ground
 truth for the paper's metrics; the engine must agree with it exactly — same
 outputs in the same order, same :class:`~repro.mapreduce.metrics.JobMetrics`
 — before its parallel backends mean anything.  This module runs both
-executors on identical inputs and diffs every observable.
+executors on identical inputs and diffs every observable.  The simulator
+is only this oracle: every application executes on the engine.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Sequence
 
+from repro.core.multiway import MultiwaySchema
 from repro.core.schema import A2ASchema, X2YSchema
 from repro.engine.backends import Backend
 from repro.engine.engine import EngineResult, execute_schema
@@ -80,13 +82,15 @@ def compare_results(
 
 
 def validate_against_simulator(
-    schema: A2ASchema | X2YSchema,
+    schema: A2ASchema | X2YSchema | MultiwaySchema,
     records: Sequence[Any] | tuple[Sequence[Any], Sequence[Any]],
     reduce_fn: ReduceFn,
     *,
     combiner_fn: ReduceFn | None = None,
     backend: str | Backend = "serial",
     num_workers: int | None = None,
+    map_chunk_size: int | None = None,
+    num_reduce_tasks: int | None = None,
     memory_budget: int | None = None,
 ) -> tuple[EngineResult, JobResult, CrossValidationReport]:
     """Run a schema-driven job on both executors and diff the results.
@@ -94,10 +98,10 @@ def validate_against_simulator(
     The simulator is fed the *same* wrapped records and the same routing
     map function the engine uses (both come from
     :func:`repro.engine.routing.build_schema_plan`), so any disagreement is
-    an executor bug rather than an encoding difference.  A *memory_budget*
-    routes the engine through the spill-to-disk shuffle, proving the
-    out-of-core path produces the simulator's exact outputs and analytical
-    metrics.
+    an executor bug rather than an encoding difference.  The engine knobs
+    pass through to :func:`execute_schema`.  A *memory_budget* routes the
+    engine through the spill-to-disk shuffle, proving the out-of-core path
+    produces the simulator's exact outputs and analytical metrics.
     """
     engine_result = execute_schema(
         schema,
@@ -106,6 +110,8 @@ def validate_against_simulator(
         combiner_fn=combiner_fn,
         backend=backend,
         num_workers=num_workers,
+        map_chunk_size=map_chunk_size,
+        num_reduce_tasks=num_reduce_tasks,
         memory_budget=memory_budget,
     )
 

@@ -29,9 +29,10 @@ what the cross-validation in :mod:`repro.engine.crossval` checks, and the
 parallel backends produce the same observables for any orderable key space.
 
 :func:`execute_schema` is the schema-driven entry point: it takes a solved
-:class:`~repro.core.schema.A2ASchema` or :class:`~repro.core.schema.X2YSchema`
-plus per-input records and replicates each record to exactly the reducers
-the schema assigns its input to.
+:class:`~repro.core.schema.A2ASchema`, :class:`~repro.core.schema.X2YSchema`
+or :class:`~repro.core.multiway.MultiwaySchema` plus per-input records and
+replicates each record to exactly the reducers the schema assigns its
+input to.
 
 Two knobs make the engine *out-of-core*: records may arrive as a streaming
 :class:`~repro.dataset.Dataset` (consumed chunk by chunk, never
@@ -50,6 +51,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
+from repro.core.multiway import MultiwaySchema
 from repro.core.schema import A2ASchema, X2YSchema
 from repro.dataset import Dataset, as_dataset, iter_chunks
 from repro.engine.backends import Backend, SerialBackend, get_backend
@@ -957,7 +959,7 @@ class ExecutionEngine:
 
 
 def execute_schema(
-    schema: A2ASchema | X2YSchema,
+    schema: A2ASchema | X2YSchema | MultiwaySchema,
     records: Sequence[Any] | Dataset | tuple[Sequence[Any], Sequence[Any]],
     reduce_fn: ReduceFn,
     *,
@@ -978,7 +980,8 @@ def execute_schema(
     For an :class:`A2ASchema`, *records* is a sequence (or streaming
     :class:`~repro.dataset.Dataset`) aligned with the instance's inputs
     (record ``i`` has size ``sizes[i]``); reducers receive values wrapped
-    as ``(i, record)``.  For an :class:`X2YSchema`, *records* is a
+    as ``(i, record)``.  A :class:`MultiwaySchema` takes its records and
+    wraps them the same way.  For an :class:`X2YSchema`, *records* is a
     ``(x_records, y_records)`` pair and values arrive as
     ``(side, i, record)``.  Each record is replicated to exactly the
     reducers the schema assigns its input to; reduce keys are the schema's

@@ -8,13 +8,16 @@ the engine uses, so schema-driven jobs run unchanged on the ``processes``
 backend (closures would not survive pickling).
 
 Records routed by these helpers are wrapped with their input index:
-``(i, record)`` for A2A, ``(side, i, record)`` with ``side in {"x", "y"}``
-for X2Y.  A pair of inputs may meet at several reducers; reduce functions
-keep the output exactly-once by letting only the pair's smallest shared
-reducer emit it.  The hot loops test that with per-input reducer bitmasks
-from :func:`a2a_reducer_masks` / :func:`x2y_reducer_masks`: reducer *r*
-owns a pair it holds iff ``masks[a] & masks[b] & ((1 << r) - 1) == 0``,
-i.e. no earlier reducer holds both.  :func:`canonical_meeting` computes
+``(i, record)`` for A2A and multiway, ``(side, i, record)`` with
+``side in {"x", "y"}`` for X2Y.  A multiway schema has the A2A shape (one
+member tuple per reducer over one list of inputs), so it is routed and
+sized exactly like an A2A schema.  A pair of inputs may meet at several
+reducers; reduce functions keep the output exactly-once by letting only
+the pair's smallest shared reducer emit it.  The hot loops test that with
+per-input reducer bitmasks from :func:`a2a_reducer_masks` /
+:func:`x2y_reducer_masks`: reducer *r* owns a pair it holds iff
+``masks[a] & masks[b] & ((1 << r) - 1) == 0``, i.e. no earlier reducer
+holds both.  :func:`canonical_meeting` computes
 the same reducer from membership lists and is the independent reference.
 """
 
@@ -23,12 +26,13 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
+from repro.core.multiway import MultiwaySchema
 from repro.core.schema import A2ASchema, X2YSchema
 from repro.dataset import Dataset
 from repro.exceptions import InvalidInstanceError, InvalidSchemaError
 
 
-def a2a_memberships(schema: A2ASchema) -> list[list[int]]:
+def a2a_memberships(schema: A2ASchema | MultiwaySchema) -> list[list[int]]:
     """Per-input sorted list of reducer indices (one pass over the schema)."""
     memberships: list[list[int]] = [[] for _ in range(schema.instance.m)]
     for r, members in enumerate(schema.reducers):
@@ -89,12 +93,14 @@ def canonical_meeting(
     return min(common)  # pragma: no cover - unsorted-input fallback
 
 
-def a2a_reducer_masks(schema: A2ASchema) -> tuple[int, ...]:
+def a2a_reducer_masks(schema: A2ASchema | MultiwaySchema) -> tuple[int, ...]:
     """Per-input reducer bitmask: bit *r* is set when the input is at *r*.
 
     One pass over the memberships.  Reducer *r* owns a pair ``(a, b)`` it
     holds iff ``masks[a] & masks[b] & ((1 << r) - 1) == 0`` — no earlier
     reducer holds both, so *r* is the pair's :func:`canonical_meeting`.
+    The same test extends to a multiway group: reducer *r* owns a triple
+    it holds iff ``masks[a] & masks[b] & masks[c] & ((1 << r) - 1) == 0``.
     The masks are plain ints, hence picklable into reduce tasks on the
     ``processes`` backend.
     """
@@ -191,7 +197,7 @@ def _enumerate_checked(
 
 
 def build_schema_plan(
-    schema: A2ASchema | X2YSchema,
+    schema: A2ASchema | X2YSchema | MultiwaySchema,
     records: Sequence[Any] | Dataset | tuple[Sequence[Any], Sequence[Any]],
 ) -> tuple[Callable, Callable, list[Any] | Dataset]:
     """Turn a schema plus per-input records into ``(map_fn, size_of, wrapped)``.
@@ -202,13 +208,14 @@ def build_schema_plan(
     from it, so the two executors cannot drift in how records are wrapped,
     routed, or sized.  Validates record counts against the instance.
 
-    An A2A *records* source may be a :class:`~repro.dataset.Dataset`; the
+    A multiway schema takes the A2A branch.  An A2A or multiway *records*
+    source may be a :class:`~repro.dataset.Dataset`; the
     wrapping then stays lazy (``wrapped`` is itself a dataset), so the
     engine can stream the records without materializing them.  X2Y takes
     its two sides as sequences (datasets per side are materialized — the
     sides are concatenated and tagged, which needs their lengths anyway).
     """
-    if isinstance(schema, A2ASchema):
+    if isinstance(schema, (A2ASchema, MultiwaySchema)):
         if isinstance(records, Dataset):
             if (
                 records.length is not None
@@ -273,5 +280,6 @@ def build_schema_plan(
         wrapped += [("y", j, record) for j, record in enumerate(y_records)]
         return map_fn, size_of, wrapped
     raise TypeError(
-        f"expected an A2ASchema or X2YSchema, got {type(schema).__name__}"
+        "expected an A2ASchema, X2YSchema or MultiwaySchema, got "
+        f"{type(schema).__name__}"
     )

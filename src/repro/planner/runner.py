@@ -6,11 +6,9 @@ routes the records, and the plan's resolved
 :class:`~repro.engine.config.ExecutionConfig` configures the engine
 unless the caller overrides it.  Applications therefore reduce to spec
 building plus result formatting — schema choice and execution tuning
-both live in the plan.
-
-Multiway plans describe schemas the engine's schema router does not
-execute (reducers are r-way input sets, not pairwise memberships);
-applications run those on the reference simulator and say so here.
+both live in the plan.  All three schema kinds run here: a multiway
+plan's reducers are input sets over one input list, so the engine routes
+them exactly like an A2A plan's.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from typing import Any, Sequence
 from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import EngineResult, execute_schema
-from repro.exceptions import InvalidInstanceError
 from repro.mapreduce.types import ReduceFn
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import Tracer
@@ -42,20 +39,14 @@ def run(
 
     *records* follows :func:`~repro.engine.engine.execute_schema`'s
     contract: a sequence or streaming dataset aligned with the instance's
-    inputs for A2A plans, an ``(x_records, y_records)`` pair for X2Y
-    plans.  *config* overrides the plan's resolved execution
+    inputs for A2A and multiway plans, an ``(x_records, y_records)`` pair
+    for X2Y plans.  *config* overrides the plan's resolved execution
     configuration (e.g. to pin a backend in a benchmark sweep); by
     default the plan runs exactly as planned.  *tracer* (optional)
     collects the engine's phase and task spans for this run; *profiler*
     (optional) additionally attributes CPU/RSS and function time to the
     engine phases.
     """
-    if plan.spec.kind == "multiway":
-        raise InvalidInstanceError(
-            "multiway plans run on the reference simulator (the engine's "
-            "schema router executes pairwise A2A/X2Y schemas); build the "
-            "job from plan.schema() instead"
-        )
     return execute_schema(
         plan.schema(),
         records,

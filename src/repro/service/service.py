@@ -89,19 +89,15 @@ def spec_records(
     The engine routes records by *position* (record ``i`` carries size
     ``sizes[i]`` from the spec), so any placeholder payload exercises the
     full shuffle; these tokens are what ``repro serve``/``repro submit``
-    run when a request asks for execution without shipping data.
+    run when a request asks for execution without shipping data.  A2A and
+    multiway specs get one token per input, X2Y specs one per side.
     """
-    if spec.kind == "a2a":
-        return [f"input-{i}" for i in range(len(spec.sizes))]
     if spec.kind == "x2y":
         return (
             [f"x-{i}" for i in range(len(spec.x_sizes))],
             [f"y-{j}" for j in range(len(spec.y_sizes))],
         )
-    raise InvalidInstanceError(
-        "multiway specs run on the reference simulator, not the engine; "
-        "submit them as plan-only jobs"
-    )
+    return [f"input-{i}" for i in range(len(spec.sizes))]
 
 
 def _involves_worker_loss(error: BaseException | None) -> bool:
@@ -128,7 +124,7 @@ def _involves_worker_loss(error: BaseException | None) -> bool:
 def collect_reduce(key, values):
     """Reducer for spec-driven jobs: emit each reducer's sorted input ids.
 
-    Values arrive as ``(input_index, record)`` (A2A) or ``(side,
+    Values arrive as ``(input_index, record)`` (A2A, multiway) or ``(side,
     input_index, record)`` (X2Y); the payload is stripped so outputs are
     small, deterministic, and comparable across backends.  Module-level,
     hence picklable for the ``processes`` backend.
@@ -428,16 +424,15 @@ class JobService:
         retry: RetryPolicy | None = None,
         deadline: float | None = None,
     ) -> JobHandle:
-        """Submit a bare spec, synthesizing records for pairwise kinds.
+        """Submit a bare spec, synthesizing placeholder records.
 
         This is the submission path of the NDJSON protocol (``repro
         serve`` / ``repro submit``): *execute* runs the planned schema
         over :func:`spec_records` placeholders with the
-        :func:`collect_reduce` reducer; multiway specs are always
-        plan-only (the engine's schema router is pairwise).  *retry* and
+        :func:`collect_reduce` reducer, for every spec kind.  *retry* and
         *deadline* pass through to :meth:`submit`.
         """
-        if not execute or spec.kind == "multiway":
+        if not execute:
             return self.submit(
                 spec,
                 priority=priority,

@@ -2,13 +2,14 @@
 
 Each application used to call ``solve_a2a``/``solve_x2y``/
 ``multiway_bin_combining`` directly and wire its own MapReduce job; it
-now builds a :class:`~repro.planner.spec.JobSpec`, plans it, and (on the
-engine path) funnels through :func:`repro.planner.run`.  These tests
-reimplement the pre-refactor direct-call paths as oracles and assert the
-refactored apps produce identical outputs — on the default simulator
-path, on the engine path, and under full cost-based planning
-(``method="planned"``, where a *different but valid* schema must still
-yield the same application output).
+now builds a :class:`~repro.planner.spec.JobSpec`, plans it, and runs on
+the engine (through :func:`repro.planner.run` for single-schema apps).
+These tests reimplement the pre-refactor direct-call paths as
+:class:`~repro.mapreduce.job.MapReduceJob` oracles and assert the apps
+produce identical outputs — on the default path (the serial engine), on
+an explicitly configured threads engine, and under full cost-based
+planning (``method="planned"``, where a *different but valid* schema
+must still yield the same application output).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.workloads.relations import generate_join_workload
 from repro.workloads.social import common_friends, generate_users
 from repro.workloads.vectors import generate_block_vector
 
-SERIAL = ExecutionConfig(backend="serial")
+THREADS = ExecutionConfig(backend="threads", num_workers=2)
 
 
 def direct_similarity_pairs(documents, q, threshold):
@@ -82,14 +83,15 @@ class TestSimilarityJoin:
         direct = direct_similarity_pairs(documents, self.Q, self.THRESHOLD)
         run = run_similarity_join(documents, self.Q, self.THRESHOLD)
         assert run.pairs == direct
+        assert run.engine.backend == "serial"
 
     def test_engine_path_matches_direct_call(self, documents):
         direct = direct_similarity_pairs(documents, self.Q, self.THRESHOLD)
         run = run_similarity_join(
-            documents, self.Q, self.THRESHOLD, config=SERIAL
+            documents, self.Q, self.THRESHOLD, config=THREADS
         )
         assert run.pairs == direct
-        assert run.engine is not None
+        assert run.engine.backend == "threads"
 
     def test_planned_mode_same_output_set(self, documents):
         truth = all_pairs_above(documents, self.THRESHOLD)
@@ -122,7 +124,7 @@ class TestSkewJoin:
     def test_engine_and_planned_modes_agree(self, relations):
         x, y = relations
         default = schema_skew_join(x, y, self.Q)
-        engine = schema_skew_join(x, y, self.Q, config=SERIAL)
+        engine = schema_skew_join(x, y, self.Q, config=THREADS)
         planned = schema_skew_join(x, y, self.Q, method="planned")
         assert engine.triple_set() == default.triple_set()
         assert planned.triple_set() == default.triple_set()
@@ -182,13 +184,15 @@ class TestCommonFriends:
         assert run_common_friends(users, self.Q).pairs == self.direct_pairs(users)
 
     def test_engine_path_matches_direct_call(self, users):
-        run = run_common_friends(users, self.Q, config=SERIAL)
+        run = run_common_friends(users, self.Q, config=THREADS)
         assert run.pairs == self.direct_pairs(users)
-        assert run.engine is not None
+        assert run.engine.backend == "threads"
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     def test_backends_agree(self, users, backend):
-        run = run_common_friends(users, self.Q, backend=backend, num_workers=2)
+        run = run_common_friends(
+            users, self.Q, config=ExecutionConfig(backend=backend, num_workers=2)
+        )
         assert dict(run.as_dict()) == dict(
             run_common_friends(users, self.Q).as_dict()
         )
@@ -257,15 +261,15 @@ class TestTensorProduct:
     def test_engine_path_same_matrix(self, vectors):
         u, v = vectors
         default = distributed_outer_product(u, v, self.Q)
-        engine = distributed_outer_product(u, v, self.Q, config=SERIAL)
+        engine = distributed_outer_product(u, v, self.Q, config=THREADS)
         assert engine.dense() == default.dense()
-        assert engine.engine is not None
+        assert engine.engine.backend == "threads"
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     def test_backends_agree(self, vectors, backend):
         u, v = vectors
         run = distributed_outer_product(
-            u, v, self.Q, backend=backend, num_workers=2
+            u, v, self.Q, config=ExecutionConfig(backend=backend, num_workers=2)
         )
         assert sorted(run.entries) == sorted(self.direct_entries(u, v))
         assert run.engine is not None

@@ -1,10 +1,13 @@
-"""Integration tests: skew join on the simulator."""
+"""Integration tests: skew join and the hash-join baseline."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
 from repro.apps.skew_join import hash_join, naive_join, schema_skew_join
+from repro.engine.config import ExecutionConfig
 from repro.workloads.relations import (
     Relation,
     Tuple2,
@@ -106,3 +109,21 @@ class TestSchemaSkewJoin:
             schema_skew_join(x, y, q=60).triple_set()
             == hash_join(x, y, q=60).triple_set()
         )
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_repeated_tuple_object_keeps_its_own_positions(self, backend):
+        # One Tuple2 object listed six times is six tuples of the heavy
+        # key: each occurrence needs its own position in the key's schema,
+        # or the occurrences pile onto one reducer and overflow q.
+        repeated = Tuple2(7, 1, 5)
+        x = Relation("x", (repeated,) * 6 + (Tuple2(7, 2, 5),))
+        y = Relation("y", tuple(Tuple2(7, 10 + j, 5) for j in range(6)))
+        run = schema_skew_join(
+            x, y, 20, config=ExecutionConfig(backend=backend)
+        )
+        assert run.heavy_keys == (7,)
+        assert run.metrics.max_reducer_load <= 20
+        expected = Counter(
+            (tx.payload, 7, ty.payload) for tx in x.tuples for ty in y.tuples
+        )
+        assert Counter(run.triples) == expected

@@ -9,6 +9,9 @@ import pytest
 
 from repro import io as repro_io
 from repro.cli import main
+from repro.engine.crossval import validate_against_simulator
+from repro.planner import JobSpec, plan
+from repro.service.service import collect_reduce, spec_records
 
 
 def _parse_ndjson(text: str) -> list[dict]:
@@ -18,6 +21,21 @@ def _parse_ndjson(text: str) -> list[dict]:
 def _write_requests(path, requests) -> str:
     path.write_text("".join(json.dumps(request) + "\n" for request in requests))
     return str(path)
+
+
+def _assert_matches_oracle(line: dict, spec: JobSpec) -> None:
+    """The executed job's result line agrees with the reference simulator
+    run on the same plan over the same placeholder records."""
+    schema = plan(spec).schema()
+    _, oracle, report = validate_against_simulator(
+        schema, spec_records(spec), collect_reduce
+    )
+    assert report.ok, report.summary()
+    assert line["chosen"] == schema.algorithm
+    assert line["outputs"] == len(oracle.outputs)
+    assert line["reducers_used"] == oracle.metrics.num_reducers
+    assert line["max_load"] == oracle.metrics.max_reducer_load
+    assert line["communication_cost"] == oracle.metrics.communication_cost
 
 
 class TestServe:
@@ -78,6 +96,9 @@ class TestServe:
         assert "outputs" not in results["planned"]
         assert results["multi"]["state"] == "done"
         assert results["multi"]["chosen"]
+        _assert_matches_oracle(
+            results["multi"], JobSpec.multiway([2] * 6, q=9, r=3)
+        )
 
     def test_malformed_lines_do_not_abort_the_loop(self, tmp_path, capsys):
         path = tmp_path / "jobs.ndjson"
@@ -164,14 +185,16 @@ class TestSubmit:
         assert line["state"] == "done"
         assert "outputs" not in line
 
-    def test_multiway_is_plan_only(self, capsys):
+    def test_multiway_runs_on_engine(self, capsys):
         assert main(
             ["submit", "--sizes", "2,2,2,2,2,2", "--q", "9", "--r", "3",
              "--json"]
         ) == 0
         (line,) = _parse_ndjson(capsys.readouterr().out)
         assert line["state"] == "done"
-        assert "outputs" not in line
+        _assert_matches_oracle(
+            line, JobSpec.multiway([2] * 6, q=9, r=3)
+        )
 
     def test_infeasible_submit_fails_with_result_line(self, capsys):
         assert main(["submit", "--sizes", "3,4", "--q", "5"]) == 1

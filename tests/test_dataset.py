@@ -9,6 +9,7 @@ import pytest
 from repro.apps.similarity_join import run_similarity_join
 from repro.dataset import Dataset, as_dataset, iter_chunks
 from repro.engine.backends import BACKENDS
+from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine, execute_schema
 from repro.exceptions import InvalidInstanceError
 from repro.workloads.documents import document_dataset, generate_documents
@@ -138,8 +139,8 @@ class TestWorkloadDatasets:
 
     def test_similarity_join_accepts_dataset(self):
         docs = document_dataset(14, 50, seed=3)
-        from_ds = run_similarity_join(docs, 50, 0.2, backend="serial")
+        from_ds = run_similarity_join(docs, 50, 0.2, config=ExecutionConfig())
         from_list = run_similarity_join(
-            generate_documents(14, 50, seed=3), 50, 0.2, backend="serial"
+            generate_documents(14, 50, seed=3), 50, 0.2, config=ExecutionConfig()
         )
         assert from_ds.pairs == from_list.pairs

@@ -7,23 +7,74 @@ outputs *and* metrics before the parallel backends mean anything.
 
 from __future__ import annotations
 
+from functools import partial
+from math import comb
+
 import pytest
 
-from repro.apps.similarity_join import run_similarity_join
-from repro.apps.skew_join import naive_join, schema_skew_join
+from repro.apps.common_friends import (
+    _common_friends_reduce,
+    run_common_friends,
+)
+from repro.apps.similarity_join import (
+    _broadcast_map,
+    _broadcast_reduce,
+    _similarity_reduce,
+    run_broadcast_baseline,
+    run_similarity_join,
+)
+from repro.apps.skew_join import (
+    _hash_map,
+    _hash_record_size,
+    _hash_reduce,
+    _skew_map,
+    _skew_plan,
+    _skew_record_size,
+    _skew_reduce,
+    _tag,
+    hash_join,
+    naive_join,
+    schema_skew_join,
+)
+from repro.apps.tensor_product import (
+    _outer_product_reduce,
+    distributed_outer_product,
+)
+from repro.apps.threeway_similarity import (
+    _threeway_reduce,
+    run_threeway_similarity,
+)
 from repro.core.selector import solve_a2a, solve_x2y
+from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import (
     CrossValidationReport,
     compare_results,
     validate_against_simulator,
 )
+from repro.engine.engine import ExecutionEngine
+from repro.engine.routing import a2a_reducer_masks, x2y_reducer_masks
+from repro.mapreduce.job import JobResult, MapReduceJob
 from repro.workloads.documents import generate_documents
 from repro.workloads.relations import generate_join_workload
+from repro.workloads.social import generate_users
+from repro.workloads.vectors import generate_block_vector
+
+BACKENDS = ["serial", "threads", "processes"]
 
 
 def tally_reduce(key, values):
     """Deterministic reducer: reducer id plus the sorted input indices."""
     yield key, tuple(sorted(v[:-1] if len(v) == 3 else (v[0],) for v in values))
+
+
+def schema_oracle(schema, records, reduce_fn, backend) -> JobResult:
+    """The simulator's run of a schema app, checked against the engine's
+    run of the same functions on *backend*."""
+    _, oracle, report = validate_against_simulator(
+        schema, records, reduce_fn, backend=backend
+    )
+    assert report.ok, report.summary()
+    return oracle
 
 
 class TestSchemaCrossValidation:
@@ -71,28 +122,137 @@ class TestSchemaCrossValidation:
 
 
 class TestApplicationCrossValidation:
-    """Outputs *and* JobMetrics must match the simulator on every backend,
-    not just serial — partitioning may batch keys differently, but nothing
-    observable may change."""
+    """Every app against a :class:`MapReduceJob` oracle built here.
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    The oracle runs the app's own module-level map and reduce functions
+    (through :func:`validate_against_simulator` for the schema apps), so
+    the app's engine run is compared with the reference executor rather
+    than with another engine run.  Outputs *and* JobMetrics must match on
+    every backend: partitioning may batch keys differently, but nothing
+    observable may change.
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_similarity_join_engine_is_byte_identical(self, backend):
         documents = generate_documents(24, 50, seed=11)
-        simulator = run_similarity_join(documents, 50, 0.2)
-        engine = run_similarity_join(documents, 50, 0.2, backend=backend)
-        assert engine.pairs == simulator.pairs
-        assert engine.metrics == simulator.metrics
-        assert engine.schema.reducers == simulator.schema.reducers
-        assert engine.engine is not None and simulator.engine is None
-        assert engine.engine.backend == backend
+        run = run_similarity_join(
+            documents, 50, 0.02, config=ExecutionConfig(backend=backend)
+        )
+        reduce_fn = partial(
+            _similarity_reduce,
+            masks=a2a_reducer_masks(run.schema),
+            threshold=0.02,
+        )
+        oracle = schema_oracle(run.schema, documents, reduce_fn, backend)
+        assert run.pairs and run.pairs == tuple(oracle.outputs)
+        assert run.metrics == oracle.metrics
+        assert run.engine.backend == backend
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_common_friends_engine_is_byte_identical(self, backend):
+        users = generate_users(16, 40, seed=4)
+        run = run_common_friends(
+            users, 40, config=ExecutionConfig(backend=backend)
+        )
+        reduce_fn = partial(
+            _common_friends_reduce, masks=a2a_reducer_masks(run.schema)
+        )
+        oracle = schema_oracle(run.schema, users, reduce_fn, backend)
+        assert run.pairs == tuple(oracle.outputs)
+        assert run.metrics == oracle.metrics
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_tensor_product_engine_is_byte_identical(self, backend):
+        u = generate_block_vector("u", 6, 20, seed=1)
+        v = generate_block_vector("v", 5, 20, seed=2)
+        run = distributed_outer_product(
+            u, v, 20, config=ExecutionConfig(backend=backend)
+        )
+        reduce_fn = partial(
+            _outer_product_reduce, masks=x2y_reducer_masks(run.schema)
+        )
+        oracle = schema_oracle(
+            run.schema, (u.blocks, v.blocks), reduce_fn, backend
+        )
+        assert run.entries == tuple(oracle.outputs)
+        assert run.metrics == oracle.metrics
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_threeway_similarity_engine_is_byte_identical(self, backend):
+        # The app runs serial; the oracle check runs its reducer on every
+        # backend over the app's multiway schema.
+        documents = generate_documents(14, 30, seed=3)
+        run = run_threeway_similarity(documents, 30, 0.0)
+        reduce_fn = partial(
+            _threeway_reduce,
+            masks=a2a_reducer_masks(run.schema),
+            threshold=0.0,
+        )
+        oracle = schema_oracle(run.schema, documents, reduce_fn, backend)
+        assert len(run.triples) == comb(14, 3)
+        assert run.triples == tuple(oracle.outputs)
+        assert run.metrics == oracle.metrics
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_skew_join_engine_is_byte_identical(self, backend):
         x, y = generate_join_workload(240, 240, 8, 1.3, seed=5)
-        simulator = schema_skew_join(x, y, 70)
-        engine = schema_skew_join(x, y, 70, backend=backend)
-        assert engine.triples == simulator.triples
-        assert engine.metrics == simulator.metrics
-        assert engine.heavy_keys == simulator.heavy_keys
+        run = schema_skew_join(
+            x, y, 70, config=ExecutionConfig(backend=backend)
+        )
+        members = {key: _skew_plan(s) for key, s in run.schemas.items()}
+        oracle = MapReduceJob(
+            map_fn=partial(
+                _skew_map, members=members, heavy=frozenset(run.heavy_keys)
+            ),
+            reduce_fn=partial(_skew_reduce, members=members),
+            size_of=_skew_record_size,
+            reducer_capacity=70,
+            strict_capacity=True,
+        ).run(_tag(x, "x") + _tag(y, "y"))
+        assert run.heavy_keys
+        assert run.triples == tuple(oracle.outputs)
+        assert run.metrics == oracle.metrics
         # Both match the centrally-computed ground truth.
-        assert engine.triple_set() == naive_join(x, y)
+        assert run.triple_set() == naive_join(x, y)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_hash_join_engine_is_byte_identical(self, backend):
+        x, y = generate_join_workload(240, 240, 8, 1.3, seed=5)
+        records = [("x", t) for t in x.tuples] + [("y", t) for t in y.tuples]
+        job = dict(
+            map_fn=_hash_map,
+            reduce_fn=_hash_reduce,
+            size_of=_hash_record_size,
+            reducer_capacity=70,
+            strict_capacity=False,
+        )
+        oracle = MapReduceJob(**job).run(records)
+        engine = ExecutionEngine(**job, backend=backend).run(records)
+        run = hash_join(x, y, 70)
+        assert oracle.metrics.capacity_violations  # the baseline overflows
+        for outputs, metrics in (
+            (engine.outputs, engine.metrics),
+            (run.triples, run.metrics),
+        ):
+            assert tuple(outputs) == tuple(oracle.outputs)
+            assert metrics == oracle.metrics
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_broadcast_baseline_engine_is_byte_identical(self, backend):
+        documents = generate_documents(24, 50, seed=11)
+        job = dict(
+            map_fn=_broadcast_map,
+            reduce_fn=partial(_broadcast_reduce, threshold=0.02),
+            reducer_capacity=50,
+            strict_capacity=False,
+        )
+        oracle = MapReduceJob(**job).run(documents)
+        engine = ExecutionEngine(**job, backend=backend).run(documents)
+        run = run_broadcast_baseline(documents, 50, 0.02)
+        assert oracle.metrics.capacity_violations  # the baseline overflows
+        for outputs, metrics in (
+            (engine.outputs, engine.metrics),
+            (run.pairs, run.metrics),
+        ):
+            assert tuple(outputs) == tuple(oracle.outputs)
+            assert metrics == oracle.metrics

@@ -1,0 +1,106 @@
+"""Generated differential test: the engine against the simulator oracle.
+
+Hypothesis draws a mapping-schema problem (A2A, X2Y or multiway), one of
+the registered solver methods for its kind, the payload type, the
+backend and the engine knobs, then checks that the engine's run of the
+schema equals :class:`~repro.mapreduce.job.MapReduceJob`'s run of the
+same map and reduce functions: the same outputs in the same order and
+the same analytical :class:`~repro.mapreduce.metrics.JobMetrics`.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from repro.engine.backends import ProcessBackend
+from repro.engine.crossval import validate_against_simulator
+from repro.exceptions import ReproError
+from repro.planner import JobSpec
+from repro.planner.planner import build_schema, method_registry
+
+#: Exhaustive search is exponential; larger instances do not draw it.
+EXACT_MAX_INPUTS = 6
+
+
+@pytest.fixture(scope="module")
+def process_backend():
+    """One pre-built process pool shared by every example."""
+    with ProcessBackend(max_workers=2) as backend:
+        yield backend
+
+
+def echo_reduce(key, values):
+    """Emit the reducer id with every value it received, payloads included,
+    so the outputs also check that each payload type survives the shuffle."""
+    yield key, tuple(values)
+
+
+PAYLOADS = {
+    "str": lambda i: f"rec-{i}",
+    "bytes": lambda i: bytes([i % 256]) * (i % 3 + 1),
+    "tuple": lambda i: (i, f"t{i}", (i % 2, b"x")),
+}
+
+
+@st.composite
+def specs(draw):
+    """A feasible spec of a drawn kind."""
+    kind = draw(st.sampled_from(["a2a", "x2y", "multiway"]))
+    q = draw(st.integers(6, 30))
+    if kind == "x2y":
+        x_max = draw(st.integers(1, q - 1))
+        xs = draw(st.lists(st.integers(1, x_max), min_size=1, max_size=7))
+        ys = draw(st.lists(st.integers(1, q - x_max), min_size=1, max_size=7))
+        return JobSpec.x2y(xs, ys, q)
+    if kind == "multiway":
+        sizes = draw(st.lists(st.integers(1, q // 3), min_size=1, max_size=8))
+        return JobSpec.multiway(sizes, q, 3)
+    sizes = draw(st.lists(st.integers(1, q // 2), min_size=1, max_size=10))
+    return JobSpec.a2a(sizes, q)
+
+
+def records_for(spec: JobSpec, payload):
+    """Per-input records of *spec* (an ``(x, y)`` pair for X2Y)."""
+    if spec.kind == "x2y":
+        return (
+            [payload(i) for i in range(len(spec.x_sizes))],
+            [payload(100 + j) for j in range(len(spec.y_sizes))],
+        )
+    return [payload(i) for i in range(len(spec.sizes))]
+
+
+KNOBS = st.one_of(st.none(), st.integers(1, 6))
+
+
+@settings(deadline=None)
+@given(spec=specs(), data=st.data())
+def test_engine_equals_simulator_on_generated_jobs(process_backend, spec, data):
+    inputs = sum(len(s or ()) for s in (spec.sizes, spec.x_sizes, spec.y_sizes))
+    methods = [
+        m
+        for m in sorted(method_registry(spec.kind))
+        if m != "exact" or inputs <= EXACT_MAX_INPUTS
+    ]
+    method = data.draw(st.sampled_from(methods), label="method")
+    try:
+        schema = build_schema(spec, method)
+    except ReproError:
+        reject()  # the method does not apply to this instance
+    payload = data.draw(st.sampled_from(sorted(PAYLOADS)), label="payload")
+    backend = data.draw(
+        st.sampled_from(["serial", "threads", process_backend]),
+        label="backend",
+    )
+    _, _, report = validate_against_simulator(
+        schema,
+        records_for(spec, PAYLOADS[payload]),
+        echo_reduce,
+        backend=backend,
+        num_workers=2,
+        memory_budget=data.draw(KNOBS, label="memory_budget"),
+        map_chunk_size=data.draw(KNOBS, label="map_chunk_size"),
+        num_reduce_tasks=data.draw(KNOBS, label="num_reduce_tasks"),
+    )
+    assert report.ok, report.summary()

@@ -117,7 +117,9 @@ class TestX2YExecution:
 
 class TestSchemaTypeDispatch:
     def test_non_schema_rejected(self):
-        with pytest.raises(TypeError, match="A2ASchema or X2YSchema"):
+        with pytest.raises(
+            TypeError, match="A2ASchema, X2YSchema or MultiwaySchema"
+        ):
             execute_schema("not a schema", [], collect_reduce)  # type: ignore[arg-type]
 
     def test_engine_metrics_present(self, small_a2a):

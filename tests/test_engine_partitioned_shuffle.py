@@ -13,6 +13,7 @@ import pytest
 
 from repro.apps.skew_join import schema_skew_join
 from repro.engine.backends import ProcessBackend, ThreadBackend
+from repro.engine.config import ExecutionConfig
 from repro.engine.engine import _run_map_task, _run_reduce_task
 from repro.exceptions import InvalidInstanceError
 from repro.mapreduce.shuffle import (
@@ -42,6 +43,8 @@ KEYS = [
     None,
     frozenset({1, 2}),
 ]
+
+PROCESSES = ExecutionConfig(backend="processes")
 
 
 class TestStableHash:
@@ -208,8 +211,8 @@ class TestCrossRunStability:
 
     def test_processes_backend_twice_same_task_loads(self, workload):
         x, y = workload
-        first = schema_skew_join(x, y, 80, backend="processes")
-        second = schema_skew_join(x, y, 80, backend="processes")
+        first = schema_skew_join(x, y, 80, config=PROCESSES)
+        second = schema_skew_join(x, y, 80, config=PROCESSES)
         assert first.engine.task_loads == second.engine.task_loads
         assert first.engine.num_reduce_tasks == second.engine.num_reduce_tasks
         assert first.triples == second.triples
@@ -217,8 +220,10 @@ class TestCrossRunStability:
 
     def test_threads_and_processes_agree_on_task_loads(self, workload):
         x, y = workload
-        threaded = schema_skew_join(x, y, 80, backend="threads")
-        processed = schema_skew_join(x, y, 80, backend="processes")
+        threaded = schema_skew_join(
+            x, y, 80, config=ExecutionConfig(backend="threads")
+        )
+        processed = schema_skew_join(x, y, 80, config=PROCESSES)
         assert threaded.engine.task_loads == processed.engine.task_loads
         assert threaded.triples == processed.triples
 

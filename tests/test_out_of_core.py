@@ -19,7 +19,7 @@ from repro.core.instance import A2AInstance
 from repro.core.selector import solve_a2a
 from repro.engine.backends import BACKENDS
 from repro.engine.codec import encode_items
-from repro.engine.config import ExecutionConfig, resolve_execution
+from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import validate_against_simulator
 from repro.engine.engine import ExecutionEngine
 from repro.engine.spill import (
@@ -209,7 +209,9 @@ class TestSpilledEqualsInMemory:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_skew_join_app_spilled_equals_in_memory(self, backend):
         x, y = generate_join_workload(300, 300, 8, 1.3, seed=11)
-        baseline = schema_skew_join(x, y, 80, backend=backend)
+        baseline = schema_skew_join(
+            x, y, 80, config=ExecutionConfig(backend=backend)
+        )
         budgeted = schema_skew_join(
             x, y, 80, config=ExecutionConfig(backend=backend, memory_budget=32)
         )
@@ -294,15 +296,6 @@ class TestConfigAndBench:
             ExecutionConfig(memory_budget=0)
         with pytest.raises(InvalidInstanceError, match="num_workers"):
             ExecutionConfig(num_workers=-1)
-
-    def test_resolve_execution_precedence(self):
-        config = ExecutionConfig(backend="threads", memory_budget=9)
-        assert resolve_execution(config, "serial", 4) is config
-        assert resolve_execution(None, None, None) is None
-        legacy = resolve_execution(None, "processes", 2)
-        assert legacy.backend == "processes"
-        assert legacy.num_workers == 2
-        assert legacy.memory_budget is None
 
     def test_engine_rejects_nonpositive_budget(self):
         engine = fanout_engine("serial", None)

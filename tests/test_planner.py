@@ -15,6 +15,7 @@ import pytest
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.selector import A2A_METHODS, X2Y_METHODS
 from repro.engine.config import ExecutionConfig
+from repro.engine.crossval import validate_against_simulator
 from repro.exceptions import (
     InfeasibleInstanceError,
     InvalidInstanceError,
@@ -35,6 +36,7 @@ from repro.planner.planner import (
     EXACT_X2Y_PAIR_LIMIT,
     MULTIWAY_METHODS,
 )
+from repro.service.service import collect_reduce
 
 ENV = Environment(num_workers=2, memory_bytes=1 << 30)
 SERIAL_ENV = Environment(num_workers=1, memory_bytes=1 << 30)
@@ -341,10 +343,19 @@ class TestRunStage:
         )
         assert result.engine.backend == "threads"
 
-    def test_multiway_plans_do_not_run_on_engine(self):
-        planned = plan(JobSpec.multiway([2, 2, 2], q=9, r=3), ENV)
-        with pytest.raises(InvalidInstanceError):
-            run(planned, list("abc"), lambda k, v: [])
+    def test_multiway_plans_run_on_engine(self):
+        # A multiway plan routes like an A2A plan and matches the
+        # reference simulator fed the same schema.
+        planned = plan(JobSpec.multiway([2, 3, 2, 3, 2, 2], q=9, r=3), ENV)
+        records = list("abcdef")
+        result = run(planned, records, collect_reduce)
+        _, oracle, report = validate_against_simulator(
+            planned.schema(), records, collect_reduce
+        )
+        assert report.ok, report.summary()
+        assert result.outputs == oracle.outputs
+        assert result.metrics == oracle.metrics
+        assert result.metrics.num_reducers == planned.chosen_score.num_reducers
 
     def test_plan_schema_convenience(self):
         schema = plan_schema(JobSpec.a2a([2] * 6, q=8), ENV)

@@ -474,6 +474,7 @@ class TestCrossValidation:
         specs = [
             JobSpec.a2a([3, 5, 2, 7, 4, 6], q=13, method=None),
             JobSpec.x2y([4, 2, 3], [5, 3], q=9, method=None),
+            JobSpec.multiway([2, 3, 2, 3, 2, 2], q=9, r=3),
         ]
         with JobService(slots=2, env=ENV) as service:
             handles = [service.submit_spec(spec) for spec in specs]
