@@ -31,7 +31,6 @@ from repro.engine.engine import ExecutionEngine
 from repro.engine.metrics import EngineMetrics
 from repro.engine.routing import a2a_reducer_masks
 from repro.mapreduce.metrics import JobMetrics
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import Tracer
 from repro.planner import JobSpec, Plan
 from repro.workloads.documents import Document, set_jaccard
@@ -122,7 +121,6 @@ def run_similarity_join(
     objective: str = "min-reducers",
     config: ExecutionConfig | None = None,
     tracer: Tracer | None = None,
-    profiler: PhaseProfiler | None = None,
 ) -> SimilarityJoinRun:
     """Run the schema-driven similarity join end to end.
 
@@ -140,8 +138,9 @@ def run_similarity_join(
     *documents* may be a :class:`~repro.dataset.Dataset` (materialized
     once for schema planning — the sizes must be known before any record
     is routed).  A *tracer* records ``plan``/``score:*`` spans and the
-    engine's ``map``/``shuffle``/``reduce`` phase spans; a *profiler*
-    attributes CPU/RSS and function time to those phases.
+    engine's ``map``/``shuffle``/``reduce`` phase spans; a profiling
+    tracer (``Tracer(profile=True)``) also attributes CPU/RSS and
+    function time to those phases.
     """
     if isinstance(documents, Dataset):
         documents = documents.materialize()
@@ -158,7 +157,6 @@ def run_similarity_join(
         partial(_similarity_reduce, masks=masks, threshold=threshold),
         config=config,
         tracer=tracer,
-        profiler=profiler,
     )
     return SimilarityJoinRun(
         pairs=tuple(result.outputs),

@@ -21,7 +21,6 @@ from repro.engine.engine import ExecutionEngine
 from repro.engine.metrics import EngineMetrics
 from repro.engine.routing import x2y_memberships, x2y_reducer_masks
 from repro.mapreduce.metrics import JobMetrics
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import Tracer
 from repro.planner import Environment, JobSpec, Plan
 from repro.workloads.relations import Relation, Tuple2, heavy_hitters
@@ -247,7 +246,6 @@ def schema_skew_join(
     objective: str = "min-reducers",
     config: ExecutionConfig | None = None,
     tracer: Tracer | None = None,
-    profiler: PhaseProfiler | None = None,
 ) -> SkewJoinRun:
     """Skew-aware join: X2Y mapping schemas for heavy keys, hashing for light.
 
@@ -264,8 +262,8 @@ def schema_skew_join(
     key's schema cost-based under *objective* and — when no *config* is
     given — resolves the engine configuration from the environment
     probe.  A *tracer* records one ``plan`` span per heavy key plus the
-    engine phase spans; a *profiler* attributes CPU/RSS and function
-    time to those phases.
+    engine phase spans; a profiling tracer (``Tracer(profile=True)``)
+    also attributes CPU/RSS and function time to those phases.
     """
     heavy = heavy_hitters(x, y, q)
     heavy_set = frozenset(heavy)
@@ -329,7 +327,6 @@ def schema_skew_join(
         reducer_capacity=q,
         strict_capacity=True,
         tracer=tracer,
-        profiler=profiler,
     )
     result = engine.run(records)
     return SkewJoinRun(

@@ -43,9 +43,10 @@ before exiting 0.
 
 ``run`` and ``submit`` accept ``--trace out.json`` to export
 the run's spans as Chrome trace-event JSON (openable in Perfetto or
-``chrome://tracing``) and ``--profile out.json`` to attach the
-continuous profiler (background RSS/CPU sampler plus per-phase function
-capture; the export includes flamegraph-ready collapsed stacks);
+``chrome://tracing``) and ``--profile out.json`` to profile the run
+(the tracer's profiling mode plus a background RSS/CPU sampler; the
+export is computed from the spans and includes flamegraph-ready
+collapsed stacks);
 ``serve --trace`` additionally streams every finished span as an NDJSON
 ``{"event": "span", ...}`` line, a ``{"metrics": true}`` request line
 answers with a metrics snapshot, and a ``{"health": true}`` request
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="profile the run (resource sampler + per-phase function "
-        "capture) and write the profile JSON here",
+        "tables on the trace spans) and write the profile JSON here",
     )
     run.add_argument(
         "--inject-faults",
@@ -539,13 +540,14 @@ def _run_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tracer_for(path: str | None):
-    """A live tracer when a ``--trace`` path was given, else ``None``."""
-    if not path:
+def _tracer_for(trace: str | None, profile: str | None = None):
+    """A live tracer when ``--trace`` or ``--profile`` was given, else
+    ``None``; with ``--profile`` the one tracer also profiles."""
+    if not (trace or profile):
         return None
     from repro.obs.trace import Tracer
 
-    return Tracer()
+    return Tracer(profile=bool(profile))
 
 
 def _write_trace(tracer, path: str | None) -> None:
@@ -559,21 +561,16 @@ def _write_trace(tracer, path: str | None) -> None:
     print(f"trace: {count} events written to {path}", file=sys.stderr)
 
 
-def _profiler_for(path: str | None):
-    """A live PhaseProfiler when ``--profile PATH`` was given, else None."""
-    if not path:
-        return None
-    from repro.obs.profiler import PhaseProfiler
-
-    return PhaseProfiler()
-
-
-def _write_profile(profiler, path: str | None) -> None:
-    """Export a profiler to *path*; summary goes to stderr so the profile
-    line never corrupts ``--json`` stdout output."""
-    if profiler is None or not path:
+def _write_profile(tracer, sampler, path: str | None) -> None:
+    """Export the profile computed from *tracer*'s spans and the stopped
+    *sampler* to *path*; summary goes to stderr so the profile line never
+    corrupts ``--json`` stdout output."""
+    if tracer is None or not path:
         return
-    payload = profiler.write(path)
+    from repro.obs.profiler import profile_export, write_profile
+
+    payload = profile_export(tracer.spans(), sampler)
+    write_profile(payload, path)
     phases = payload.get("phases", {})
     functions = sum(
         len(entry.get("functions", {})) for entry in phases.values()
@@ -586,13 +583,31 @@ def _write_profile(profiler, path: str | None) -> None:
 
 
 def _run_app(args: argparse.Namespace) -> int:
-    """Handle ``repro run``: generate a workload, execute it, print metrics."""
+    """Handle ``repro run``: generate a workload, execute it, print metrics.
+
+    With ``--profile`` a resource sampler runs for the whole workload.
+    """
+    from repro.obs.profiler import ResourceSampler
+
+    tracer = _tracer_for(args.trace, args.profile)
+    sampler = ResourceSampler()
+    if args.profile:
+        sampler.start()
+    try:
+        _run_workload(args, tracer)
+    finally:
+        sampler.stop()
+    _write_trace(tracer, args.trace)
+    _write_profile(tracer, sampler, args.profile)
+    return 0
+
+
+def _run_workload(args: argparse.Namespace, tracer) -> None:
+    """``repro run``'s workload: generate, execute, print the metrics."""
     from repro.engine.config import ExecutionConfig
 
     plan_mode = args.plan == "auto"
     method = "planned" if plan_mode else args.method
-    tracer = _tracer_for(args.trace)
-    profiler = _profiler_for(args.profile)
     retry = None
     if args.max_attempts is not None:
         from repro.faults import RetryPolicy
@@ -645,7 +660,6 @@ def _run_app(args: argparse.Namespace) -> int:
             objective=args.objective,
             config=config,
             tracer=tracer,
-            profiler=profiler,
         )
         print(f"app       : similarity join ({args.m} documents, q={args.q})")
         print(f"schema    : {run.schema.algorithm}, {run.schema.num_reducers} reducers")
@@ -667,7 +681,6 @@ def _run_app(args: argparse.Namespace) -> int:
             objective=args.objective,
             config=config,
             tracer=tracer,
-            profiler=profiler,
         )
         print(
             f"app       : skew join ({args.tuples}x{args.tuples} tuples, "
@@ -708,9 +721,6 @@ def _run_app(args: argparse.Namespace) -> int:
             f"{metrics.spill_runs} runs (budget {args.memory_budget} pairs, "
             f"peak buffered {metrics.peak_buffered_pairs})"
         )
-    _write_trace(tracer, args.trace)
-    _write_profile(profiler, args.profile)
-    return 0
 
 
 def _result_line(service, job_id: str) -> dict:
@@ -911,9 +921,8 @@ def _run_submit(args: argparse.Namespace) -> int:
 
     spec = _spec_from_args(args, "submit")
     execute = not args.plan_only
-    tracer = _tracer_for(args.trace)
-    profiler = _profiler_for(args.profile)
-    service = JobService(slots=1, tracer=tracer, profiler=profiler)
+    tracer = _tracer_for(args.trace, args.profile)
+    service = JobService(slots=1, tracer=tracer)
     closed = False
     try:
         handle = service.submit_spec(
@@ -972,7 +981,7 @@ def _run_submit(args: argparse.Namespace) -> int:
         if not closed:
             service.close()
         _write_trace(tracer, args.trace)
-        _write_profile(profiler, args.profile)
+        _write_profile(tracer, service.sampler, args.profile)
     return 0
 
 

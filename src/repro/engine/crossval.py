@@ -21,6 +21,7 @@ from repro.engine.routing import build_schema_plan
 from repro.mapreduce.job import JobResult, MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
 from repro.mapreduce.types import ReduceFn
+from repro.obs.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,7 @@ def validate_against_simulator(
     map_chunk_size: int | None = None,
     num_reduce_tasks: int | None = None,
     memory_budget: int | None = None,
+    tracer: Tracer | None = None,
 ) -> tuple[EngineResult, JobResult, CrossValidationReport]:
     """Run a schema-driven job on both executors and diff the results.
 
@@ -101,7 +103,9 @@ def validate_against_simulator(
     an executor bug rather than an encoding difference.  The engine knobs
     pass through to :func:`execute_schema`.  A *memory_budget* routes the
     engine through the spill-to-disk shuffle, proving the out-of-core path
-    produces the simulator's exact outputs and analytical metrics.
+    produces the simulator's exact outputs and analytical metrics.  A
+    *tracer* (profiling or not) instruments the engine run, which must
+    not change what it computes.
     """
     engine_result = execute_schema(
         schema,
@@ -113,6 +117,7 @@ def validate_against_simulator(
         map_chunk_size=map_chunk_size,
         num_reduce_tasks=num_reduce_tasks,
         memory_budget=memory_budget,
+        tracer=tracer,
     )
 
     map_fn, size_of, wrapped = build_schema_plan(schema, records)

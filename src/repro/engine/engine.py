@@ -74,12 +74,7 @@ from repro.exceptions import (
 )
 from repro.faults import FaultInjector, FaultSpec, RetryPolicy, as_fault_spec
 from repro.mapreduce.metrics import JobMetrics
-from repro.obs.profiler import (
-    PhaseProfiler,
-    ProfileCapture,
-    as_profiler,
-    merge_stats,
-)
+from repro.obs.profiler import ProfileCapture, phase_span
 from repro.obs.trace import Tracer, as_tracer, worker_span
 from repro.mapreduce.shuffle import (
     map_record,
@@ -155,8 +150,9 @@ class TaskResult:
             the parent sums; they also label the task's worker span.
         loads: a reduce task's per-key loads in key order (empty for map).
         spill: a map task's spill runs (``None`` without a memory budget).
-        span: the worker span, set when tracing is on.
-        profile: the task's ``cProfile`` table, set when profiling is on.
+        span: the worker span, set when tracing is on; a profiling
+            tracer's tasks also put their ``cProfile`` table on it
+            (``span["functions"]``).
     """
 
     outputs: Any
@@ -164,7 +160,6 @@ class TaskResult:
     loads: list[tuple[Hashable, int]] = field(default_factory=list)
     spill: MapSpill | None = None
     span: dict[str, Any] | None = None
-    profile: dict[str, list[float]] | None = None
 
 
 def _run_map_task(
@@ -353,66 +348,58 @@ def _instrumented_task(
     *,
     inner: Any,
     name: str,
-    trace_ctx: tuple[str, str | None] | None,
+    trace_ctx: tuple[str, str | None],
     profile: bool,
 ) -> TaskResult:
-    """Run one task under a worker span and/or ``cProfile``.
+    """Run one task under a worker span (and ``cProfile`` when *profile*).
 
-    Installed around the map/reduce task partials *only when tracing or
-    profiling is on*.  ``trace_ctx`` is the pickled ``(trace id, parent
-    span id)`` from :meth:`Tracer.worker_context`; the span (labelled with
-    the task's counters) and the function table travel home on the
-    :class:`TaskResult`, and :func:`_merge_task_telemetry` folds them in.
+    Installed around the map/reduce task partials *only when tracing is
+    on*.  ``trace_ctx`` is the pickled ``(trace id, parent span id)`` from
+    :meth:`Tracer.worker_context`; the span (labelled with the task's
+    counters, and carrying the task's function table when profiled)
+    travels home on the :class:`TaskResult`, and
+    :func:`_merge_task_telemetry` folds it in.
     """
     with ProfileCapture(enabled=profile) as capture:
         started = time.perf_counter()
         result = inner(payload)
         duration = time.perf_counter() - started
-    if trace_ctx is not None:
-        result.span = worker_span(
-            trace_ctx, name, started, duration, **result.counters
-        )
+    result.span = worker_span(
+        trace_ctx, name, started, duration, **result.counters
+    )
     if profile:
-        result.profile = capture.stats
+        result.span["functions"] = capture.stats
     return result
 
 
-def _merge_task_telemetry(
-    results: list[TaskResult],
-    phase: str,
-    tracer: Tracer,
-    profiler: PhaseProfiler,
-) -> None:
-    """Fold the worker spans and ``cProfile`` tables tasks carried home.
+def _merge_task_telemetry(results: list[TaskResult], tracer: Tracer) -> None:
+    """Fold the worker spans tasks carried home into *tracer*.
 
     A map task that spilled additionally contributes one ``spill`` child
-    span per flush window, so disk pressure shows up on the timeline
-    exactly where it occurred.
+    span per flush window (its bytes and run files as attributes), so
+    disk pressure shows up on the timeline exactly where it occurred.
     """
     spans: list[dict[str, Any]] = []
-    stats: dict[str, list[float]] = {}
     for result in results:
         span = result.span
-        if span is not None:
-            spill = result.spill
-            if spill is not None and spill.flush_windows:
-                span["args"]["spilled_bytes"] = spill.spilled_bytes
-                for start, duration, nbytes in spill.flush_windows:
-                    tracer.record(
-                        "spill",
-                        start=start,
-                        duration=duration,
-                        category="engine",
-                        parent=span["id"],
-                        trace_id=span["trace"],
-                        bytes=nbytes,
-                    )
-            spans.append(span)
-        if result.profile:
-            merge_stats(stats, result.profile)
+        if span is None:
+            continue
+        spill = result.spill
+        if spill is not None and spill.flush_windows:
+            span["args"]["spilled_bytes"] = spill.spilled_bytes
+            for start, duration, nbytes, runs in spill.flush_windows:
+                tracer.record(
+                    "spill",
+                    start=start,
+                    duration=duration,
+                    category="engine",
+                    parent=span["id"],
+                    trace_id=span["trace"],
+                    bytes=nbytes,
+                    runs=runs,
+                )
+        spans.append(span)
     tracer.add_worker_spans(spans)
-    if stats:
-        profiler.add_functions(phase, stats)
 
 
 def _total(results: list[TaskResult], counter: str) -> Any:
@@ -473,14 +460,13 @@ class ExecutionEngine:
             spans plus per-task worker spans (propagated through the
             pickling path on pooled backends) and per-flush ``spill``
             spans.  ``None`` (the default) disables tracing at zero cost.
-        profiler: optional :class:`~repro.obs.profiler.PhaseProfiler`;
-            when given, each phase additionally records CPU seconds and
-            peak RSS (from the profiler's background sampler) plus
+            A profiling tracer (``Tracer(profile=True)``) additionally
+            records each phase's CPU seconds and RSS on its span, and
             deterministic ``cProfile`` function tables — captured inside
-            worker tasks for map/reduce (stats ride the same pickling
-            path as worker spans) and parent-side for shuffle/post.
-            ``None`` (the default) disables profiling at zero cost,
-            exactly like *tracer*.
+            worker tasks for map/reduce (they ride home on the worker
+            spans) and parent-side for shuffle/post;
+            :func:`~repro.obs.profiler.profile_export` turns the spans
+            into the profile export.
         retry: per-task :class:`~repro.faults.RetryPolicy`.  Any
             fault-plane knob (retry, faults, task_timeout, deadline)
             hands :meth:`Backend.run_tasks` a policy (this one, or the
@@ -521,7 +507,6 @@ class ExecutionEngine:
     memory_budget: int | None = None
     spill_dir: str | None = None
     tracer: Tracer | None = None
-    profiler: PhaseProfiler | None = None
     retry: RetryPolicy | None = None
     faults: FaultSpec | str | None = None
     task_timeout: float | None = None
@@ -679,7 +664,6 @@ class ExecutionEngine:
         """The three phases plus the post-pass (the spill dir is owned by
         :meth:`_run_on`)."""
         tracer = as_tracer(self.tracer)
-        profiler = as_profiler(self.profiler)
         policy, injector = self._fault_plane(deadline_at) or (None, None)
         rebuilds_before = backend.pool_rebuilds
         retries = 0
@@ -706,18 +690,16 @@ class ExecutionEngine:
         def run_phase(
             task: Any, tasks: Iterable[Any], phase: str
         ) -> list[TaskResult]:
-            """Dispatch one phase's tasks, instrumented when tracing or
-            profiling is on, and fold their telemetry in."""
+            """Dispatch one phase's tasks, instrumented when tracing is on,
+            and fold their spans in."""
             trace_ctx = tracer.worker_context()
-            profile = profiler.worker_context() is not None
-            instrumented = trace_ctx is not None or profile
-            if instrumented:
+            if trace_ctx is not None:
                 task = partial(
                     _instrumented_task,
                     inner=task,
                     name=f"{phase}_task",
                     trace_ctx=trace_ctx,
-                    profile=profile,
+                    profile=tracer.profile,
                 )
             results = backend.run_tasks(
                 task,
@@ -729,17 +711,15 @@ class ExecutionEngine:
                 deadline_at=deadline_at,
                 on_retry=on_retry,
             )
-            if instrumented:
-                _merge_task_telemetry(results, phase, tracer, profiler)
+            if trace_ctx is not None:
+                _merge_task_telemetry(results, tracer)
             return results
 
         with backend:
             # --- map phase: chunk records into tasks; each task returns its
             # pairs pre-grouped by key and bucketed by reduce partition
             # (overflow beyond the memory budget goes to sorted spill runs).
-            with tracer.span(
-                "map", category="engine", backend=backend.name
-            ) as map_span, profiler.phase("map"):
+            with phase_span(tracer, "map", backend=backend.name) as map_span:
                 map_started = time.perf_counter()
                 chunk_size = self.map_chunk_size or self._default_chunk(
                     dataset.length, backend, self.memory_budget
@@ -776,9 +756,7 @@ class ExecutionEngine:
             # task's in-memory leftover (a dict bucket, or an opaque
             # block on block-shipping backends) — and drop empty
             # partitions; no per-pair or per-key work happens here.
-            with tracer.span(
-                "shuffle", category="engine"
-            ) as shuffle_span, profiler.phase("shuffle", capture=True):
+            with phase_span(tracer, "shuffle", capture=True) as shuffle_span:
                 shuffle_started = time.perf_counter()
                 map_inputs = _total(map_results, "records")
                 map_pairs = _total(map_results, "pairs")
@@ -811,24 +789,11 @@ class ExecutionEngine:
                 shuffle_span.set("spilled_bytes", spilled_bytes)
                 if encoded_bytes:
                     shuffle_span.set("encoded_bytes", encoded_bytes)
-                if spill_runs and profiler.enabled:
-                    profiler.record(
-                        "spill",
-                        sum(
-                            duration
-                            for spill in spills
-                            for _, duration, _ in spill.flush_windows
-                        ),
-                        bytes=spilled_bytes,
-                        runs=spill_runs,
-                    )
                 shuffle_seconds = time.perf_counter() - shuffle_started
 
             # --- reduce phase: each task merges its partition's sources,
             # accounts per-key loads, and reduces.
-            with tracer.span(
-                "reduce", category="engine"
-            ) as reduce_span, profiler.phase("reduce"):
+            with phase_span(tracer, "reduce") as reduce_span:
                 reduce_started = time.perf_counter()
                 reduce_task = partial(
                     _run_reduce_task,
@@ -846,9 +811,7 @@ class ExecutionEngine:
         # (identical to the simulator), and reassemble outputs in that same
         # order.
         post_started = time.perf_counter()
-        with tracer.span(
-            "post", category="engine"
-        ) as post_span, profiler.phase("post", capture=True):
+        with phase_span(tracer, "post", capture=True) as post_span:
             loads: dict[Hashable, int] = {}
             outputs_by_key: dict[Hashable, list[Any]] = {}
             task_loads: list[int] = []
@@ -973,7 +936,6 @@ def execute_schema(
     spill_dir: str | None = None,
     config: ExecutionConfig | None = None,
     tracer: Tracer | None = None,
-    profiler: PhaseProfiler | None = None,
 ) -> EngineResult:
     """Execute a solved mapping schema over per-input records.
 
@@ -991,9 +953,10 @@ def execute_schema(
     Execution knobs can be given individually or bundled in *config* (an
     :class:`~repro.engine.config.ExecutionConfig`), which takes precedence
     over the individual keyword arguments when both are supplied.
-    *tracer* and *profiler* ride alongside either form: they are live
-    objects, never part of the serializable config, and ``None`` keeps
-    each disabled.
+    *tracer* rides alongside either form: it is a live object, never
+    part of the serializable config, and ``None`` keeps tracing (and
+    with it profiling) disabled; ``Tracer(profile=True)`` also profiles
+    the run.
     """
     map_fn, size_of, wrapped = build_schema_plan(schema, records)
     if config is None:
@@ -1014,6 +977,5 @@ def execute_schema(
         reducer_capacity=schema.instance.q,
         strict_capacity=strict_capacity,
         tracer=tracer,
-        profiler=profiler,
     )
     return engine.run(wrapped)

@@ -70,15 +70,15 @@ class MapSpill:
     flush ``f`` (``None`` when the partition had no keys in that flush).
     Flush order is record order, which the reduce-side merge preserves.
     ``flush_windows[f]`` records when flush ``f`` happened —
-    ``(monotonic start, duration seconds, bytes written)`` — so the
-    tracing layer can render each disk flush as its own span under the
-    map task that performed it.
+    ``(monotonic start, duration seconds, bytes written, run files
+    written)`` — so the tracing layer can render each disk flush as its
+    own span under the map task that performed it.
     """
 
     flushes: list[tuple[str | None, ...]] = field(default_factory=list)
     spilled_bytes: int = 0
     spill_runs: int = 0
-    flush_windows: list[tuple[float, float, int]] = field(
+    flush_windows: list[tuple[float, float, int, int]] = field(
         default_factory=list
     )
 
@@ -147,6 +147,7 @@ def spill_groups(
     """
     started = time.perf_counter()
     flushed_bytes = 0
+    flushed_runs = 0
     flush: list[str | None] = []
     for bucket in partition_groups(groups, num_partitions):
         if not bucket:
@@ -155,11 +156,12 @@ def spill_groups(
         path, nbytes = write_run(bucket, spill_dir)
         flush.append(path)
         flushed_bytes += nbytes
+        flushed_runs += 1
         spill.spilled_bytes += nbytes
         spill.spill_runs += 1
     spill.flushes.append(tuple(flush))
     spill.flush_windows.append(
-        (started, time.perf_counter() - started, flushed_bytes)
+        (started, time.perf_counter() - started, flushed_bytes, flushed_runs)
     )
 
 

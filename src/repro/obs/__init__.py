@@ -1,7 +1,7 @@
 """Observability: trace spans, process metrics, and durable observations.
 
-Four complementary views of the same running system, each a sibling
-module here:
+Three complementary views of the same running system, each a sibling
+module here, plus a profile export computed from the spans:
 
 * :mod:`repro.obs.trace` — *where did this run's time go*: nested
   :class:`Span` records produced by a :class:`Tracer`, propagated into
@@ -18,15 +18,15 @@ module here:
   :func:`current_commit` and :func:`hardware_class`), appended to an
   NDJSON log — the input the self-calibrating-planner roadmap item
   consumes next.
-* :mod:`repro.obs.profiler` — *why a phase cost what it did*: an opt-in
-  :class:`PhaseProfiler` pairing a background RSS/CPU sampler with
-  per-phase ``cProfile`` capture (worker-side for map/reduce, via the
-  same pickling path as worker spans), exported as JSON with
-  flamegraph-ready collapsed stacks.  Disabled profiling
-  (:data:`NULL_PROFILER`) is zero-cost, mirroring the tracer.
+* :mod:`repro.obs.profiler` — *why a phase cost what it did*: a
+  profiling tracer (``Tracer(profile=True)``) puts CPU seconds, RSS and
+  ``cProfile`` function tables (worker-side for map/reduce) on the
+  engine's spans, and :func:`profile_export` turns those spans plus a
+  background :class:`ResourceSampler` into JSON with flamegraph-ready
+  collapsed stacks.
 
-The engine, planner, and service accept an optional ``tracer`` and
-``profiler``; the CLI surfaces every layer (``--trace``, ``--profile``,
+The engine, planner, apps, and service accept an optional ``tracer``;
+the CLI surfaces every view (``--trace``, ``--profile``,
 ``repro metrics``, ``repro serve --obs-log`` and its ``{"health": true}``
 request).  Performance across commits is measured by the ``bench/``
 harness (``python -m bench``), not by this package.
@@ -40,12 +40,9 @@ from repro.obs.metrics import (
     percentile,
 )
 from repro.obs.profiler import (
-    NULL_PROFILER,
-    NullProfiler,
-    PhaseProfiler,
     ProfileCapture,
     ResourceSampler,
-    as_profiler,
+    profile_export,
     validate_collapsed,
     write_profile,
 )
@@ -75,24 +72,21 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_PROFILER",
     "NULL_TRACER",
-    "NullProfiler",
     "NullTracer",
     "ObservationRecord",
     "ObservationStore",
-    "PhaseProfiler",
     "ProfileCapture",
     "ResourceSampler",
     "Span",
     "Tracer",
-    "as_profiler",
     "as_tracer",
     "current_commit",
     "hardware_class",
     "load_observations",
     "next_span_id",
     "percentile",
+    "profile_export",
     "summarize_observations",
     "to_chrome_trace",
     "validate_chrome_trace",

@@ -1,29 +1,32 @@
-"""Continuous profiling: phase-attributed CPU/RSS plus ``cProfile`` capture.
+"""Profiling: phase-attributed CPU/RSS plus ``cProfile`` capture.
 
-Spans (:mod:`repro.obs.trace`) say *where wall-clock time went*; this
-module says *why* — which functions burned the CPU and how much memory
-the process held while each engine phase ran.  Two cooperating pieces:
+Spans (:mod:`repro.obs.trace`) say *where wall-clock time went*; a
+profiled tracer (``Tracer(profile=True)``) also says *why* — which
+functions burned the CPU and how much memory the process held while each
+engine phase ran.  Profiling is a mode of the tracer, not a second
+channel:
 
+* :func:`phase_span` opens an engine phase span.  When the tracer
+  profiles, the span also records ``cpu_s`` (an ``os.times`` delta) and
+  ``rss_bytes`` at phase end, and parent-side phases (shuffle, post)
+  capture a ``cProfile`` table onto :attr:`Span.functions`.
+* Worker tasks (map, reduce) run under a :class:`ProfileCapture` and put
+  their function table on the worker span, so it rides home on the same
+  pickling path as the span itself.
 * :class:`ResourceSampler` — a daemon thread that samples resident-set
   size (``/proc/self/statm``) and cumulative CPU seconds (``os.times``,
   including children, so process-pool work is visible from the parent)
-  on a monotonic clock.  Queries are windowed, so callers can attribute
-  a peak-RSS figure to one phase or one service job.
-* :class:`PhaseProfiler` — accumulates per-phase wall/CPU/peak-RSS plus
-  deterministically aggregated ``cProfile`` function tables.  Phases
-  that dispatch worker tasks (map/reduce) get their function tables from
-  *inside* the tasks: the engine's one worker wrapper runs the task under
-  a :class:`ProfileCapture` and the table rides home on the task result,
-  next to the worker span; parent-side phases (shuffle/post) are
-  captured in-process.
-  The export is JSON (:meth:`PhaseProfiler.to_dict`) including
-  collapsed-stack lines every flamegraph tool accepts.
+  on the spans' clock, :func:`time.perf_counter`.
 
-Mirroring the tracer, the disabled path is zero-cost:
-:data:`NULL_PROFILER` answers every call with a no-op and
-``worker_context()`` returns ``None``, so the engine never wraps task
-functions, starts threads, or touches ``cProfile`` unless a caller
-passes a live profiler (``--profile out.json`` on ``run``/``submit``).
+:func:`profile_export` computes the JSON export — per-phase wall, CPU,
+peak RSS, counters and function tables, plus collapsed-stack lines every
+flamegraph tool accepts — from the spans and a sampler.  Function tables
+live outside span attributes, so neither the Chrome trace nor the span
+stream of ``repro serve`` carries them.
+
+An unprofiled tracer (the default, and :data:`~repro.obs.trace.NULL_TRACER`)
+never wraps a phase in a capture, reads no extra clocks, and starts no
+thread.
 
 ``cProfile`` cannot nest on one thread, so captures are guarded by a
 thread-local flag: on the serial backend (tasks run inline in the
@@ -33,20 +36,23 @@ instead of raising.
 
 from __future__ import annotations
 
+import bisect
 import cProfile
 import json
 import os
 import threading
 import time
-from typing import Any, Iterable
+from contextlib import contextmanager
+from typing import Any, Iterable, Iterator
+
+from repro.obs.trace import Span, Tracer
 
 __all__ = [
-    "NULL_PROFILER",
-    "NullProfiler",
-    "PhaseProfiler",
     "ProfileCapture",
     "ResourceSampler",
-    "as_profiler",
+    "merge_stats",
+    "phase_span",
+    "profile_export",
     "read_cpu_seconds",
     "read_rss_bytes",
     "validate_collapsed",
@@ -91,11 +97,13 @@ def read_cpu_seconds() -> float:
 
 
 class ResourceSampler:
-    """Background RSS/CPU sampler on a monotonic clock.
+    """Background RSS/CPU sampler on the spans' clock.
 
     One daemon thread (named ``repro-sampler`` so shutdown checks can
     find it) wakes every *interval* seconds and records
-    ``(monotonic_t, rss_bytes, cpu_seconds)``.  ``start``/``stop`` are
+    ``(perf_counter_t, rss_bytes, cpu_seconds)``; the timestamps share
+    :func:`time.perf_counter` with span starts, so a span's interval
+    selects the samples taken while it ran.  ``start``/``stop`` are
     idempotent and thread-safe; samples are kept in a bounded window.
     """
 
@@ -160,7 +168,7 @@ class ResourceSampler:
 
     def _sample_locked(self) -> None:
         self._samples.append(
-            (time.monotonic(), read_rss_bytes(), read_cpu_seconds())
+            (time.perf_counter(), read_rss_bytes(), read_cpu_seconds())
         )
         if len(self._samples) > self.max_samples:
             del self._samples[: -self.max_samples]
@@ -312,353 +320,177 @@ class ProfileCapture:
             _capture_slot_release()
 
 
-# --------------------------------------------------------------------------
-# PhaseProfiler
-# --------------------------------------------------------------------------
+@contextmanager
+def phase_span(
+    tracer: Tracer,
+    name: str,
+    *,
+    capture: bool = False,
+    **attrs: Any,
+) -> Iterator[Span]:
+    """Open one engine phase span; profile it when the tracer profiles.
 
-
-class _PhaseHandle:
-    """Context manager recording one phase occurrence into the profiler."""
-
-    __slots__ = ("_profiler", "_name", "_capture", "_mono0", "_cpu0")
-
-    def __init__(self, profiler: "PhaseProfiler", name: str, capture: bool):
-        self._profiler = profiler
-        self._name = name
-        self._capture = ProfileCapture(enabled=capture)
-
-    def __enter__(self) -> "_PhaseHandle":
-        self._mono0 = time.monotonic()
-        self._cpu0 = read_cpu_seconds()
-        self._capture.__enter__()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._capture.__exit__()
-        self._profiler._record_phase(
-            self._name,
-            wall_seconds=time.monotonic() - self._mono0,
-            cpu_seconds=max(0.0, read_cpu_seconds() - self._cpu0),
-            peak_rss_bytes=self._profiler.sampler.peak_rss_bytes(
-                since=self._mono0
-            ),
-            stats=self._capture.stats,
-        )
-
-
-class _NullPhaseHandle:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullPhaseHandle":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        return None
-
-
-_NULL_PHASE = _NullPhaseHandle()
-
-
-class PhaseProfiler:
-    """Accumulates per-phase wall/CPU/peak-RSS and function profiles.
-
-    One profiler may span many engine runs (a bench sweep, a service's
-    lifetime); repeated phases accumulate — wall and CPU sum, peak RSS
-    maxes, function tables merge per key.  The engine drives it through
-    four touchpoints, each a no-op on :data:`NULL_PROFILER`:
-
-    * ``phase(name, capture=...)`` around map/shuffle/reduce/post (the
-      engine captures parent-side cProfile only for shuffle/post —
-      map/reduce CPU belongs to the workers);
-    * ``worker_context()`` → truthy token or ``None``, exactly like
-      ``Tracer.worker_context`` — ``None`` means "do not wrap tasks";
-    * ``add_functions(phase, stats)`` to fold the function tables worker
-      tasks carried home on their results;
-    * ``add_counter(phase, ...)`` for phase-adjacent counters (spill
-      bytes/runs).
-
-    Args:
-        sample_interval: seconds between background resource samples.
-        capture_tasks: profile inside worker tasks (function tables for
-            map/reduce).  Off leaves only sampler-derived numbers.
-        autostart: start the sampler lazily on first ``phase()`` entry;
-            callers may also ``start()``/``stop()`` explicitly (both
-            idempotent; ``stop`` leaves recorded data intact).
+    On a profiling tracer the span also records ``cpu_s`` (process CPU
+    seconds, children included, over the phase) and ``rss_bytes`` (the
+    resident-set size at phase end), and with *capture* the phase's
+    parent-side ``cProfile`` table lands on :attr:`Span.functions`.
+    Phases that dispatch worker tasks pass ``capture=False``: their CPU
+    belongs to the tasks, which carry their own tables.
     """
+    with tracer.span(name, category="engine", **attrs) as span:
+        if not tracer.profile:
+            yield span
+            return
+        cpu0 = read_cpu_seconds()
+        with ProfileCapture(enabled=capture) as profile:
+            yield span
+        span.set("cpu_s", round(max(0.0, read_cpu_seconds() - cpu0), 6))
+        span.set("rss_bytes", read_rss_bytes())
+        if profile.stats:
+            span.functions = profile.stats
 
-    enabled = True
 
-    def __init__(
-        self,
-        *,
-        sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
-        capture_tasks: bool = True,
-        autostart: bool = True,
-    ):
-        self.sampler = ResourceSampler(interval=sample_interval)
-        self.capture_tasks = capture_tasks
-        self.autostart = autostart
-        self._lock = threading.Lock()
-        self._phases: dict[str, dict[str, Any]] = {}
-        self._started_mono = time.monotonic()
-        self._cpu0 = read_cpu_seconds()
+#: The engine phases an export reports, and the task spans whose
+#: function tables belong to each phase.
+_PHASES = ("map", "shuffle", "reduce", "post", "spill")
+_TASK_PHASE = {"map_task": "map", "reduce_task": "reduce"}
 
-    # -- lifecycle ----------------------------------------------------
+#: Span attributes summed into a phase's export counters.
+_COUNTERS = {"spill": ("bytes", "runs")}
 
-    def start(self) -> None:
-        self.sampler.start()
 
-    def stop(self) -> None:
-        self.sampler.stop()
+def _window_peak(
+    samples: list[tuple[float, int, float]],
+    times: list[float],
+    span: Span,
+) -> int:
+    """Largest sampled RSS inside *span*'s interval (0 when none landed)."""
+    end = span.start + (span.duration or 0.0)
+    lo = bisect.bisect_left(times, span.start)
+    hi = bisect.bisect_right(times, end)
+    return max((rss for _, rss, _ in samples[lo:hi]), default=0)
 
-    def __enter__(self) -> "PhaseProfiler":
-        self.start()
-        return self
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+def _collapsed(phases: dict[str, dict[str, Any]]) -> list[str]:
+    """Flamegraph-compatible collapsed lines: ``phase;func weight``.
 
-    # -- engine touchpoints -------------------------------------------
+    Weights are inline-time microseconds (integer, minimum 1 for any
+    function that consumed measurable time); phases without function
+    tables contribute one phase-level line weighted by CPU (falling
+    back to wall) so the graph still shows where the run went.
+    Output is sorted, hence deterministic for equal inputs.
+    """
+    lines: list[str] = []
+    for name, entry in phases.items():
+        emitted = False
+        for key, (_, tot, _) in sorted(entry["functions"].items()):
+            weight = int(round(tot * 1e6))
+            if weight <= 0:
+                continue
+            lines.append(f"{name};{key} {weight}")
+            emitted = True
+        if not emitted:
+            weight = int(
+                round((entry["cpu_seconds"] or entry["wall_seconds"]) * 1e6)
+            )
+            if weight > 0:
+                lines.append(f"{name} {weight}")
+    return sorted(lines)
 
-    def phase(self, name: str, capture: bool = False) -> Any:
-        """Context manager timing one occurrence of phase *name*.
 
-        ``capture=True`` additionally runs a parent-side ``cProfile``
-        for the duration (used for phases that do their work in this
-        process; nested/concurrent captures degrade to sampling only).
-        """
-        if self.autostart:
-            self.sampler.start()
-        return _PhaseHandle(self, name, capture)
+def profile_export(
+    spans: Iterable[Span], sampler: ResourceSampler
+) -> dict[str, Any]:
+    """The profile JSON export, computed from spans and a sampler.
 
-    def worker_context(self) -> bool | None:
-        """Truthy (picklable) token when tasks should be profiled."""
-        return True if self.capture_tasks else None
+    Each engine phase (``map``/``shuffle``/``reduce``/``post`` and
+    ``spill``) accumulates over every span of that name, so one export
+    covers many runs or a service's many jobs: wall time is the sum of
+    span durations, CPU the sum of their ``cpu_s``, ``count`` the span
+    count, and peak RSS the largest of the spans' ``rss_bytes`` and the
+    sampler readings taken inside their intervals.  Function tables come
+    from the phase spans (shuffle, post) and from the ``map_task`` /
+    ``reduce_task`` spans (map, reduce), merged per key; the spill phase
+    sums its spans' ``bytes`` and ``runs`` into counters.  The top level
+    carries the sampler's window: wall and CPU seconds between its first
+    and last sample, its peak RSS, and the (newest) samples themselves.
+    """
+    samples = sampler.samples()
+    times = [t for t, _, _ in samples]
+    phases: dict[str, dict[str, Any]] = {}
 
-    def add_functions(
-        self, phase: str, stats: dict[str, list[float]]
-    ) -> None:
-        """Fold an aggregated function table into *phase*."""
-        with self._lock:
-            merge_stats(self._phase_entry(phase)["functions"], stats)
-
-    def add_counter(self, phase: str, **counters: float) -> None:
-        """Accumulate named counters (e.g. spill bytes) under *phase*."""
-        with self._lock:
-            entry = self._phase_entry(phase)
-            for key, value in counters.items():
-                entry["counters"][key] = entry["counters"].get(key, 0) + value
-
-    def record(self, phase: str, wall_seconds: float, **counters: float) -> None:
-        """Record a measured-elsewhere phase occurrence (e.g. spill flushes)."""
-        self._record_phase(
-            phase,
-            wall_seconds=wall_seconds,
-            cpu_seconds=0.0,
-            peak_rss_bytes=0,
-            stats=None,
-        )
-        if counters:
-            self.add_counter(phase, **counters)
-
-    def _phase_entry(self, name: str) -> dict[str, Any]:
-        entry = self._phases.get(name)
+    def entry_for(name: str) -> dict[str, Any]:
+        entry = phases.get(name)
         if entry is None:
-            entry = {
+            entry = phases[name] = {
                 "wall_seconds": 0.0,
                 "cpu_seconds": 0.0,
                 "peak_rss_bytes": 0,
                 "count": 0,
                 "functions": {},
-                "counters": {},
+                "counters": dict.fromkeys(_COUNTERS.get(name, ()), 0),
             }
-            self._phases[name] = entry
         return entry
 
-    def _record_phase(
-        self,
-        name: str,
-        *,
-        wall_seconds: float,
-        cpu_seconds: float,
-        peak_rss_bytes: int,
-        stats: dict[str, list[float]] | None,
-    ) -> None:
-        with self._lock:
-            entry = self._phase_entry(name)
-            entry["wall_seconds"] += wall_seconds
-            entry["cpu_seconds"] += cpu_seconds
-            entry["peak_rss_bytes"] = max(
-                entry["peak_rss_bytes"], peak_rss_bytes
-            )
-            entry["count"] += 1
-            if stats:
-                merge_stats(entry["functions"], stats)
+    for span in spans:
+        task_phase = _TASK_PHASE.get(span.name)
+        if task_phase is not None:
+            if span.functions:
+                table = entry_for(task_phase)["functions"]
+                merge_stats(table, span.functions)
+            continue
+        if span.name not in _PHASES or span.category != "engine":
+            continue
+        entry = entry_for(span.name)
+        attrs = span.attrs
+        entry["wall_seconds"] += span.duration or 0.0
+        entry["cpu_seconds"] += attrs.get("cpu_s", 0.0)
+        entry["peak_rss_bytes"] = max(
+            entry["peak_rss_bytes"],
+            attrs.get("rss_bytes", 0),
+            _window_peak(samples, times, span),
+        )
+        entry["count"] += 1
+        for key in entry["counters"]:
+            entry["counters"][key] += attrs.get(key, 0)
+        if span.functions:
+            merge_stats(entry["functions"], span.functions)
 
-    # -- queries and export -------------------------------------------
-
-    def phases(self) -> dict[str, dict[str, Any]]:
-        """Deep-enough copy of the per-phase accumulators."""
-        with self._lock:
-            return {
-                name: {
-                    **{
-                        k: v
-                        for k, v in entry.items()
-                        if k not in ("functions", "counters")
-                    },
-                    "functions": dict(entry["functions"]),
-                    "counters": dict(entry["counters"]),
+    phases_out: dict[str, Any] = {}
+    for name, entry in sorted(phases.items()):
+        table = sorted(
+            entry["functions"].items(),
+            key=lambda item: (-item[1][1], item[0]),
+        )[:MAX_EXPORT_FUNCTIONS]
+        phases_out[name] = {
+            "wall_seconds": round(entry["wall_seconds"], 6),
+            "cpu_seconds": round(entry["cpu_seconds"], 6),
+            "peak_rss_bytes": entry["peak_rss_bytes"],
+            "count": entry["count"],
+            "counters": dict(sorted(entry["counters"].items())),
+            "functions": [
+                {
+                    "func": key,
+                    "calls": int(calls),
+                    "tottime_s": round(tot, 6),
+                    "cumtime_s": round(cum, 6),
                 }
-                for name, entry in self._phases.items()
-            }
-
-    def collapsed_stacks(self) -> list[str]:
-        """Flamegraph-compatible collapsed lines: ``phase;func weight``.
-
-        Weights are inline-time microseconds (integer, minimum 1 for any
-        function that consumed measurable time); phases without function
-        tables contribute one phase-level line weighted by CPU (falling
-        back to wall) so the graph still shows where the run went.
-        Output is sorted, hence deterministic for equal inputs.
-        """
-        lines: list[str] = []
-        for name, entry in self.phases().items():
-            functions = entry["functions"]
-            emitted = False
-            for key, (_, tot, _) in sorted(functions.items()):
-                weight = int(round(tot * 1e6))
-                if weight <= 0:
-                    continue
-                lines.append(f"{name};{key} {weight}")
-                emitted = True
-            if not emitted:
-                weight = int(
-                    round(
-                        (entry["cpu_seconds"] or entry["wall_seconds"]) * 1e6
-                    )
-                )
-                if weight > 0:
-                    lines.append(f"{name} {weight}")
-        return sorted(lines)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready export: totals, timeline, per-phase tables, stacks."""
-        samples = self.sampler.samples()[-MAX_EXPORT_SAMPLES:]
-        phases_out: dict[str, Any] = {}
-        for name, entry in sorted(self.phases().items()):
-            table = sorted(
-                entry["functions"].items(),
-                key=lambda item: (-item[1][1], item[0]),
-            )[:MAX_EXPORT_FUNCTIONS]
-            phases_out[name] = {
-                "wall_seconds": round(entry["wall_seconds"], 6),
-                "cpu_seconds": round(entry["cpu_seconds"], 6),
-                "peak_rss_bytes": entry["peak_rss_bytes"],
-                "count": entry["count"],
-                "counters": {
-                    k: entry["counters"][k] for k in sorted(entry["counters"])
-                },
-                "functions": [
-                    {
-                        "func": key,
-                        "calls": int(calls),
-                        "tottime_s": round(tot, 6),
-                        "cumtime_s": round(cum, 6),
-                    }
-                    for key, (calls, tot, cum) in table
-                ],
-            }
-        return {
-            "version": 1,
-            "wall_seconds": round(time.monotonic() - self._started_mono, 6),
-            "cpu_seconds": round(
-                max(0.0, read_cpu_seconds() - self._cpu0), 6
-            ),
-            "peak_rss_bytes": self.sampler.peak_rss_bytes(),
-            "sample_interval": self.sampler.interval,
-            "samples": [
-                [round(t, 4), rss, round(cpu, 4)] for t, rss, cpu in samples
+                for key, (calls, tot, cum) in table
             ],
-            "phases": phases_out,
-            "collapsed": self.collapsed_stacks(),
         }
-
-    def write(self, path: str) -> dict[str, Any]:
-        """Stop sampling and atomically write the JSON export to *path*."""
-        self.stop()
-        payload = self.to_dict()
-        write_profile(payload, path)
-        return payload
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._phases)
-
-
-class NullProfiler(PhaseProfiler):
-    """Disabled profiler: every operation is a no-op.
-
-    Mirrors :class:`~repro.obs.trace.NullTracer` — ``worker_context``
-    returns ``None`` so the engine never wraps task functions, and
-    ``phase`` hands back a shared do-nothing context manager.  No
-    sampler thread is ever started.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:  # noqa: D401 - no sampler, no state
-        self.capture_tasks = False
-        self.autostart = False
-        self.sampler = ResourceSampler()  # never started
-        self._lock = threading.Lock()
-        self._phases = {}
-        self._started_mono = 0.0
-        self._cpu0 = 0.0
-
-    def start(self) -> None:
-        return None
-
-    def stop(self) -> None:
-        return None
-
-    def phase(self, name: str, capture: bool = False) -> Any:
-        return _NULL_PHASE
-
-    def worker_context(self) -> None:
-        return None
-
-    def add_functions(
-        self, phase: str, stats: dict[str, list[float]]
-    ) -> None:
-        return None
-
-    def add_counter(self, phase: str, **counters: float) -> None:
-        return None
-
-    def _record_phase(self, name: str, **kwargs: Any) -> None:
-        return None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": 1,
-            "wall_seconds": 0.0,
-            "cpu_seconds": 0.0,
-            "peak_rss_bytes": 0,
-            "sample_interval": 0.0,
-            "samples": [],
-            "phases": {},
-            "collapsed": [],
-        }
-
-
-#: Shared disabled profiler (the engine's default via ``as_profiler``).
-NULL_PROFILER = NullProfiler()
-
-
-def as_profiler(profiler: PhaseProfiler | None) -> PhaseProfiler:
-    """Normalize an optional profiler: ``None`` becomes the null profiler."""
-    return profiler if profiler is not None else NULL_PROFILER
+    return {
+        "version": 1,
+        "wall_seconds": round(times[-1] - times[0], 6) if times else 0.0,
+        "cpu_seconds": round(sampler.cpu_seconds(), 6),
+        "peak_rss_bytes": sampler.peak_rss_bytes(),
+        "sample_interval": sampler.interval,
+        "samples": [
+            [round(t, 4), rss, round(cpu, 4)]
+            for t, rss, cpu in samples[-MAX_EXPORT_SAMPLES:]
+        ],
+        "phases": phases_out,
+        "collapsed": _collapsed(phases),
+    }
 
 
 # --------------------------------------------------------------------------

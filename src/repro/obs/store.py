@@ -143,29 +143,52 @@ class ObservationRecord:
     at: float = field(default_factory=time.time)
 
     @classmethod
-    def from_result(
-        cls, result: Any, *, queue_seconds: float = 0.0, **extra: Any
+    def build(
+        cls,
+        *,
+        job_id: str,
+        fingerprint: str,
+        cache_hit: bool,
+        wall_seconds: float,
+        queue_seconds: float = 0.0,
+        metrics: Any = None,
+        engine: Any = None,
+        backend: str = "",
+        workers: int = 0,
+        error: BaseException | None = None,
+        **extra: Any,
     ) -> "ObservationRecord":
-        """Build a record from a service :class:`JobResult`-shaped object.
+        """The one builder of a job's record, done or failed.
 
-        Duck-typed (``job_id``/``fingerprint``/``cache_hit``/``metrics``/
-        ``engine``/``wall_seconds`` attributes) so this module never
-        imports the service layer.  Plan-only results produce a record
-        with zeroed execution fields — still useful for cache-hit-rate
-        accounting over time.  ``extra`` passes caller-measured fields
+        *metrics* and *engine* are the run's
+        :class:`~repro.mapreduce.metrics.JobMetrics` and
+        :class:`~repro.engine.metrics.EngineMetrics` (duck-typed, so this
+        module never imports the engine), or ``None`` for a plan-only
+        job or a run that raised.  Plan-only records keep zeroed
+        execution fields — still useful for cache-hit-rate accounting
+        over time.  *backend* and *workers* name what a failed run ran
+        on; engine metrics, when present, supersede them.  An *error*
+        marks the record ``failed``, with the error text and the retries
+        its ``attempts`` imply.  ``extra`` passes caller-measured fields
         (``commit``, ``hardware_class``, ``peak_rss_bytes``,
         ``cpu_seconds``) straight through to the constructor.
         """
-        metrics = getattr(result, "metrics", None)
-        engine = getattr(result, "engine", None)
         kwargs: dict[str, Any] = {
-            "job_id": result.job_id,
-            "fingerprint": result.fingerprint,
-            "cache_hit": result.cache_hit,
-            "wall_seconds": result.wall_seconds,
+            "job_id": job_id,
+            "fingerprint": fingerprint,
+            "cache_hit": cache_hit,
+            "wall_seconds": wall_seconds,
             "queue_seconds": queue_seconds,
+            "backend": backend,
+            "workers": workers,
             **extra,
         }
+        if error is not None:
+            kwargs.update(
+                status="failed",
+                error=f"{type(error).__name__}: {error}",
+                task_retries=max(getattr(error, "attempts", 1) - 1, 0),
+            )
         if engine is not None:
             kwargs.update(
                 backend=engine.backend,
@@ -256,7 +279,8 @@ class ObservationStore:
 def load_observations(path: str) -> list[ObservationRecord]:
     """Read an NDJSON observation log back into records.
 
-    Blank lines are skipped.  A malformed *final* line is the signature
+    Blank lines are skipped.  A line is malformed when it is not JSON or
+    not a JSON object.  A malformed *final* line is the signature
     of a crash mid-append (the writer died between ``write`` and the
     newline hitting disk); that partial record is skipped with a counted
     ``RuntimeWarning`` so a log survives its writer.  A malformed line
@@ -275,7 +299,12 @@ def load_observations(path: str) -> list[ObservationRecord]:
         if not stripped:
             continue
         try:
-            records.append(ObservationRecord.from_dict(json.loads(stripped)))
+            payload = json.loads(stripped)
+            if not isinstance(payload, dict):
+                raise TypeError(
+                    f"expected a JSON object, got {type(payload).__name__}"
+                )
+            records.append(ObservationRecord.from_dict(payload))
         except (json.JSONDecodeError, TypeError) as exc:
             if index == last_content:
                 warnings.warn(

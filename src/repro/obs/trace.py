@@ -20,6 +20,13 @@ Timestamps are :func:`time.perf_counter` — monotonic, so durations can
 never go negative, and (on the platforms this project targets) a
 system-wide clock, so parent and worker-process spans share a timeline.
 
+``Tracer(profile=True)`` turns on profiling, a mode of the same spans:
+engine phase spans also record CPU seconds and RSS, and phase and task
+spans carry ``cProfile`` function tables in :attr:`Span.functions` — a
+field of its own, outside ``attrs``, so neither the Chrome export nor
+:meth:`Span.to_dict` ships the tables.  :mod:`repro.obs.profiler`
+computes the profile export from such spans.
+
 Tracing is **zero-cost when disabled**: :data:`NULL_TRACER` (a
 :class:`NullTracer`) returns one shared no-op span from every call,
 records nothing, and hands workers a ``None`` context so instrumented
@@ -59,7 +66,10 @@ class Span:
     Spans are created by a :class:`Tracer` (``span``/``begin``/
     ``record``/``instant``) and usable as context managers; ``set``
     attaches an attribute.  ``duration`` is ``None`` while the span is
-    open and seconds once finished (0.0 for instants).
+    open and seconds once finished (0.0 for instants).  ``functions``
+    holds the span's ``cProfile`` table (``{"file:line:name": [calls,
+    tottime, cumtime]}``) when a profiling tracer captured one, else
+    ``None``.
     """
 
     __slots__ = (
@@ -73,6 +83,7 @@ class Span:
         "pid",
         "tid",
         "attrs",
+        "functions",
         "_tracer",
         "_on_stack",
     )
@@ -97,6 +108,7 @@ class Span:
         self.pid = os.getpid()
         self.tid = threading.get_ident()
         self.attrs = attrs if attrs is not None else {}
+        self.functions: dict[str, list[float]] | None = None
         self._tracer: "Tracer | None" = None
         self._on_stack = False
 
@@ -146,6 +158,10 @@ class Tracer:
             (the serve loop streams spans as NDJSON lines through this).
             Callback exceptions are swallowed — an observer must never
             break the traced code path.
+        profile: also profile what is traced — engine phase spans record
+            ``cpu_s`` and ``rss_bytes``, and phase and task spans carry
+            ``cProfile`` tables in :attr:`Span.functions`.  Off by
+            default; :meth:`child` tracers inherit it.
     """
 
     #: Class-level so instrumented code can branch cheaply; the
@@ -156,11 +172,13 @@ class Tracer:
         self,
         trace_id: str | None = None,
         *,
+        profile: bool = False,
         on_finish: Callable[[Span], None] | None = None,
         _sink: list[Span] | None = None,
         _lock: threading.Lock | None = None,
     ):
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
+        self.profile = profile
         self._sink: list[Span] = _sink if _sink is not None else []
         self._lock = _lock if _lock is not None else threading.Lock()
         self._on_finish = on_finish
@@ -328,7 +346,9 @@ class Tracer:
 
         Preserves the worker-assigned ids, parents, pids, and tids, so
         the merged trace shows work on the thread/process it actually ran
-        on, nested under the dispatching phase span.
+        on, nested under the dispatching phase span.  A dict's
+        ``functions`` table (set by a profiled task) becomes the span's
+        :attr:`Span.functions`.
         """
         for payload in spans:
             span = Span(
@@ -343,14 +363,17 @@ class Tracer:
             span.duration = payload["dur"]
             span.pid = payload.get("pid", span.pid)
             span.tid = payload.get("tid", span.tid)
+            span.functions = payload.get("functions")
             self._record(span)
 
     # -- access -----------------------------------------------------------
 
     def child(self, trace_id: str) -> "Tracer":
-        """A tracer with its own trace id and span stack, same sink."""
+        """A tracer with its own trace id and span stack, same sink and
+        profile mode."""
         return Tracer(
             trace_id,
+            profile=self.profile,
             on_finish=self._on_finish,
             _sink=self._sink,
             _lock=self._lock,
@@ -406,6 +429,7 @@ class NullTracer(Tracer):
     """
 
     enabled = False
+    profile = False
 
     def __init__(self):
         self.trace_id = ""

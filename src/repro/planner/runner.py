@@ -19,7 +19,6 @@ from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import EngineResult, execute_schema
 from repro.mapreduce.types import ReduceFn
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import Tracer
 from repro.planner.plan import Plan
 
@@ -33,7 +32,6 @@ def run(
     strict_capacity: bool = True,
     config: ExecutionConfig | None = None,
     tracer: Tracer | None = None,
-    profiler: PhaseProfiler | None = None,
 ) -> EngineResult:
     """Execute a plan's chosen schema over *records* on the engine.
 
@@ -43,9 +41,9 @@ def run(
     for X2Y plans.  *config* overrides the plan's resolved execution
     configuration (e.g. to pin a backend in a benchmark sweep); by
     default the plan runs exactly as planned.  *tracer* (optional)
-    collects the engine's phase and task spans for this run; *profiler*
-    (optional) additionally attributes CPU/RSS and function time to the
-    engine phases.
+    collects the engine's phase and task spans for this run; a profiling
+    tracer (``Tracer(profile=True)``) additionally attributes CPU/RSS and
+    function time to the engine phases.
     """
     return execute_schema(
         plan.schema(),
@@ -55,5 +53,4 @@ def run(
         strict_capacity=strict_capacity,
         config=config if config is not None else plan.execution,
         tracer=tracer,
-        profiler=profiler,
     )

@@ -49,11 +49,7 @@ from repro.exceptions import (
 from repro.faults import RetryPolicy
 from repro.mapreduce.types import ReduceFn
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import (
-    PhaseProfiler,
-    ResourceSampler,
-    read_cpu_seconds,
-)
+from repro.obs.profiler import ResourceSampler, read_cpu_seconds
 from repro.obs.store import (
     ObservationRecord,
     ObservationStore,
@@ -266,20 +262,20 @@ class JobService:
             the service, planner spans from planning, and phase/task
             spans from the engine; lifecycle events become instant spans
             via the :class:`EventLog`.  ``None`` disables tracing at
-            zero cost.
+            zero cost.  A profiling tracer (``Tracer(profile=True)``)
+            profiles every executed job's engine phases; feed its spans
+            and :attr:`sampler` to
+            :func:`~repro.obs.profiler.profile_export` for the profile
+            export.
         obs_log: optional NDJSON path; every finished job appends one
             :class:`~repro.obs.store.ObservationRecord` (plan
             fingerprint + measured timings) there via the service's
             :class:`~repro.obs.store.ObservationStore`.
-        profiler: optional
-            :class:`~repro.obs.profiler.PhaseProfiler` shared by every
-            executed job (engine phases accumulate across the service's
-            lifetime); its resource sampler doubles as the service's.
-            ``None`` disables phase profiling — the service still runs
-            its own :class:`~repro.obs.profiler.ResourceSampler`
-            (started lazily with the first executed job, stopped by
-            :meth:`close`) for the per-job peak-RSS/CPU observation
-            fields and the ``health`` snapshot.
+
+    The service owns one :class:`~repro.obs.profiler.ResourceSampler`
+    (:attr:`sampler`), started lazily with the first executed job and
+    stopped by :meth:`close`, for the per-job peak-RSS/CPU observation
+    fields and the ``health`` snapshot.
     """
 
     def __init__(
@@ -292,7 +288,6 @@ class JobService:
         default_priority: int = 0,
         tracer: Tracer | None = None,
         obs_log: str | None = None,
-        profiler: PhaseProfiler | None = None,
     ):
         self.env = env if env is not None else Environment.detect()
         self.plan_cache = PlanCache(plan_cache_size)
@@ -300,12 +295,7 @@ class JobService:
         self.tracer = as_tracer(tracer)
         self.metrics = MetricsRegistry()
         self.observations = ObservationStore(path=obs_log)
-        self.profiler = profiler
-        self._sampler = (
-            profiler.sampler
-            if profiler is not None and profiler.enabled
-            else ResourceSampler()
-        )
+        self.sampler = ResourceSampler()
         self._started_mono = time.perf_counter()
         self.events = EventLog(tracer=self.tracer)
         self.default_priority = default_priority
@@ -595,7 +585,7 @@ class JobService:
             backend.close()
         # The sampler thread must not outlive the service: chaos-smoke
         # asserts no repro-* threads remain after a serve shutdown.
-        self._sampler.stop()
+        self.sampler.stop()
 
     def __enter__(self) -> "JobService":
         return self
@@ -860,9 +850,9 @@ class JobService:
             "jobs_done": int(counters.get("jobs.done", 0)),
             "jobs_failed": int(counters.get("jobs.failed", 0)),
             "pool_rebuilds": pool_rebuilds,
-            "sampler_running": self._sampler.running,
-            "peak_rss_bytes": self._sampler.peak_rss_bytes(),
-            "cpu_seconds": round(self._sampler.cpu_seconds(), 3),
+            "sampler_running": self.sampler.running,
+            "peak_rss_bytes": self.sampler.peak_rss_bytes(),
+            "cpu_seconds": round(self.sampler.cpu_seconds(), 3),
         }
 
     def _execute_job(self, record: _JobRecord) -> None:
@@ -892,11 +882,11 @@ class JobService:
         # (peak_rss_bytes always takes a fresh reading, so plan-only jobs
         # still report a real figure without the thread).
         if record.records is not None:
-            self._sampler.start()
-        job_mono = time.monotonic()
-        job_cpu0 = read_cpu_seconds()
+            self.sampler.start()
         started = time.perf_counter()
+        cpu0 = read_cpu_seconds()
         fingerprint = ""
+        config: ExecutionConfig | None = None
         pool_key: tuple[str, int | None] | None = None
         try:
             # Everything below nests under the job's root span: the
@@ -925,13 +915,10 @@ class JobService:
                         wall_seconds=time.perf_counter() - started,
                     )
                 else:
-                    base_config = self._job_config(record, planned)
-                    if isinstance(base_config.backend, str):
-                        pool_key = (
-                            base_config.backend,
-                            base_config.num_workers,
-                        )
-                    config = self._shared_config(base_config)
+                    config = self._job_config(record, planned)
+                    if isinstance(config.backend, str):
+                        pool_key = (config.backend, config.num_workers)
+                    config = self._shared_config(config)
                     engine_result = planner_pkg.run(
                         planned,
                         record.records,
@@ -940,7 +927,6 @@ class JobService:
                         strict_capacity=record.strict_capacity,
                         config=config,
                         tracer=tracer,
-                        profiler=self.profiler,
                     )
                     result = JobResult(
                         job_id=record.job_id,
@@ -966,13 +952,13 @@ class JobService:
             # doing that work after the transition opens a window where a
             # waiter reads the observation snapshot before the record
             # lands.
-            observation = ObservationRecord.from_result(
-                result,
-                queue_seconds=queue_seconds,
-                commit=current_commit(),
-                hardware_class=hardware_class(self.env.num_workers),
-                peak_rss_bytes=self._sampler.peak_rss_bytes(since=job_mono),
-                cpu_seconds=max(0.0, read_cpu_seconds() - job_cpu0),
+            observation = self._observation(
+                record,
+                fingerprint,
+                queue_seconds,
+                started,
+                cpu0,
+                result=result,
             )
             self._transition(
                 record,
@@ -1007,24 +993,65 @@ class JobService:
                     )
             # As on the success path, measure before the terminal
             # transition so waiters unblocked by FAILED find the record.
-            observation = ObservationRecord(
-                job_id=record.job_id,
-                fingerprint=fingerprint,
-                cache_hit=bool(record.cache_hit),
-                wall_seconds=time.perf_counter() - started,
-                queue_seconds=queue_seconds,
-                status=FAILED,
-                error=record.error,
-                task_retries=max(getattr(error, "attempts", 1) - 1, 0),
-                commit=current_commit(),
-                hardware_class=hardware_class(self.env.num_workers),
-                peak_rss_bytes=self._sampler.peak_rss_bytes(since=job_mono),
-                cpu_seconds=max(0.0, read_cpu_seconds() - job_cpu0),
+            observation = self._observation(
+                record,
+                fingerprint,
+                queue_seconds,
+                started,
+                cpu0,
+                config=config,
+                error=error,
             )
             self._transition(record, FAILED, detail=record.error)
             self.observations.record(observation)
         finally:
             self._update_scheduler_gauges()
+
+    def _observation(
+        self,
+        record: _JobRecord,
+        fingerprint: str,
+        queue_seconds: float,
+        started: float,
+        cpu0: float,
+        *,
+        result: JobResult | None = None,
+        config: ExecutionConfig | None = None,
+        error: BaseException | None = None,
+    ) -> ObservationRecord:
+        """A finished job's observation: a done job's from its *result*,
+        a failed job's from the *error* and the *config* it ran on.
+
+        Peak RSS is the sampler's reading since *started*; CPU is the
+        process-wide delta since *cpu0*.
+        """
+        backend = config.backend if config is not None else ""
+        return ObservationRecord.build(
+            job_id=record.job_id,
+            fingerprint=fingerprint,
+            cache_hit=bool(record.cache_hit),
+            wall_seconds=(
+                result.wall_seconds
+                if result is not None
+                else time.perf_counter() - started
+            ),
+            queue_seconds=queue_seconds,
+            metrics=getattr(result, "metrics", None),
+            engine=getattr(result, "engine", None),
+            backend=(
+                backend.name if isinstance(backend, Backend) else backend
+            ),
+            workers=(
+                backend.max_workers
+                if isinstance(backend, Backend)
+                else getattr(config, "num_workers", None) or 0
+            ),
+            error=error,
+            commit=current_commit(),
+            hardware_class=hardware_class(self.env.num_workers),
+            peak_rss_bytes=self.sampler.peak_rss_bytes(since=started),
+            cpu_seconds=max(0.0, read_cpu_seconds() - cpu0),
+        )
 
     def _account_engine_metrics(self, engine_result: Any) -> None:
         """Fold one engine run's totals into the service metrics."""

@@ -142,15 +142,14 @@ class TestMetricsSurfacing:
     def test_observation_record_carries_engine_counters(self):
         result = _engine("serial").run(RECORDS)
 
-        class FakeResult:
-            job_id = "j1"
-            fingerprint = "f1"
-            cache_hit = False
-            wall_seconds = 0.5
-            metrics = result.metrics
-            engine = result.engine
-
-        record = ObservationRecord.from_result(FakeResult())
+        record = ObservationRecord.build(
+            job_id="j1",
+            fingerprint="f1",
+            cache_hit=False,
+            wall_seconds=0.5,
+            metrics=result.metrics,
+            engine=result.engine,
+        )
         assert record.encoded_bytes == result.engine.encoded_bytes
         assert record.decode_seconds == result.engine.decode_seconds
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import threading
+
 import pytest
 
 import repro
@@ -119,6 +122,40 @@ class TestRunSubcommand:
         captured = capsys.readouterr()
         assert status == 1
         assert "unknown X2Y method" in captured.err
+
+
+    def test_run_writes_trace_and_profile_together(self, tmp_path, capsys):
+        from repro.obs.profiler import validate_collapsed
+        from repro.obs.trace import validate_chrome_trace
+
+        trace_path = tmp_path / "t.json"
+        profile_path = tmp_path / "p.json"
+        status = main(
+            [
+                "run", "--app", "similarity", "--q", "200", "--m", "60",
+                "--trace", str(trace_path), "--profile", str(profile_path),
+            ]
+        )
+        assert status == 0
+        err = capsys.readouterr().err
+        assert "trace:" in err and "profile:" in err
+        events = validate_chrome_trace(json.loads(trace_path.read_text()))
+        # One tracer serves both flags: the trace is the profiled run's,
+        # yet its events carry no function tables.
+        assert {"map", "shuffle", "reduce", "post"} <= {
+            event["name"] for event in events
+        }
+        assert "functions" not in trace_path.read_text()
+        payload = json.loads(profile_path.read_text())
+        phases = payload["phases"]
+        assert set(phases) == {"map", "shuffle", "reduce", "post"}
+        assert phases["map"]["functions"] and phases["reduce"]["functions"]
+        assert payload["peak_rss_bytes"] > 0
+        assert validate_collapsed(payload["collapsed"]) > 0
+        # The run's sampler stopped with the run.
+        assert not [
+            t for t in threading.enumerate() if t.name == "repro-sampler"
+        ]
 
 
 class TestPlanSubcommand:

@@ -2,10 +2,11 @@
 
 Hypothesis draws a mapping-schema problem (A2A, X2Y or multiway), one of
 the registered solver methods for its kind, the payload type, the
-backend and the engine knobs, then checks that the engine's run of the
-schema equals :class:`~repro.mapreduce.job.MapReduceJob`'s run of the
-same map and reduce functions: the same outputs in the same order and
-the same analytical :class:`~repro.mapreduce.metrics.JobMetrics`.
+backend, the engine knobs and the instrumentation (none, a tracer, or a
+profiling tracer), then checks that the engine's run of the schema
+equals :class:`~repro.mapreduce.job.MapReduceJob`'s run of the same map
+and reduce functions: the same outputs in the same order and the same
+analytical :class:`~repro.mapreduce.metrics.JobMetrics`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.engine.backends import ProcessBackend
 from repro.engine.crossval import validate_against_simulator
 from repro.exceptions import ReproError
+from repro.obs.trace import Tracer
 from repro.planner import JobSpec
 from repro.planner.planner import build_schema, method_registry
 
@@ -73,6 +75,13 @@ def records_for(spec: JobSpec, payload):
 
 KNOBS = st.one_of(st.none(), st.integers(1, 6))
 
+#: Instrumentation to run under; a fresh tracer per example.
+TRACERS = {
+    "none": lambda: None,
+    "traced": Tracer,
+    "profiled": lambda: Tracer(profile=True),
+}
+
 
 @settings(deadline=None)
 @given(spec=specs(), data=st.data())
@@ -93,6 +102,10 @@ def test_engine_equals_simulator_on_generated_jobs(process_backend, spec, data):
         st.sampled_from(["serial", "threads", process_backend]),
         label="backend",
     )
+    instrumentation = data.draw(
+        st.sampled_from(sorted(TRACERS)), label="instrumentation"
+    )
+    tracer = TRACERS[instrumentation]()
     _, _, report = validate_against_simulator(
         schema,
         records_for(spec, PAYLOADS[payload]),
@@ -102,5 +115,14 @@ def test_engine_equals_simulator_on_generated_jobs(process_backend, spec, data):
         memory_budget=data.draw(KNOBS, label="memory_budget"),
         map_chunk_size=data.draw(KNOBS, label="map_chunk_size"),
         num_reduce_tasks=data.draw(KNOBS, label="num_reduce_tasks"),
+        tracer=tracer,
     )
     assert report.ok, report.summary()
+    if tracer is not None:
+        # The profile flag reaches every task, the pooled ones included:
+        # profiled tasks bring a function table home, traced ones none.
+        tasks = [
+            s for s in tracer.spans() if s.name in ("map_task", "reduce_task")
+        ]
+        assert tasks
+        assert all((s.functions is not None) == tracer.profile for s in tasks)

@@ -163,7 +163,7 @@ class TestMapTaskContract:
         assert counters["encoded_bytes"] == 0
         assert counters["encode_seconds"] == 0.0
         assert result.loads == []
-        assert result.span is None and result.profile is None
+        assert result.span is None
         buckets = result.outputs
         assert len(buckets) == 4
         merged = {}

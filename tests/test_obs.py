@@ -365,6 +365,23 @@ class TestObservationStore:
         )
         with pytest.raises(ValueError, match=":2:"):
             load_observations(str(path))
+        # Valid JSON that is not an object is malformed too: an error
+        # with the line number mid-log, a counted skip as the final line.
+        for line in ("[1, 2]", '"x"', "7", "null"):
+            path.write_text(
+                '{"job_id": "a", "fingerprint": "f", "cache_hit": false}\n'
+                f"{line}\n"
+                '{"job_id": "b", "fingerprint": "f", "cache_hit": false}\n'
+            )
+            with pytest.raises(ValueError, match=":2: .*JSON object"):
+                load_observations(str(path))
+            path.write_text(
+                '{"job_id": "a", "fingerprint": "f", "cache_hit": false}\n'
+                f"{line}\n"
+            )
+            with pytest.warns(RuntimeWarning, match="1 record dropped"):
+                loaded = load_observations(str(path))
+            assert [r.job_id for r in loaded] == ["a"]
 
     def test_truncated_final_line_skipped_with_warning(self, tmp_path):
         # A crash mid-append leaves a half-written last line; loading

@@ -8,7 +8,9 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.obs.store import load_observations
+from repro.engine.backends import ThreadBackend
+from repro.engine.config import ExecutionConfig
+from repro.obs.store import load_observations, summarize_observations
 from repro.obs.trace import Tracer, validate_chrome_trace
 from repro.planner import JobSpec
 from repro.service import JobService
@@ -20,6 +22,10 @@ def _parse_ndjson(text: str) -> list[dict]:
 
 
 SPEC_SIZES = [3, 5, 2, 7, 4]
+
+
+def _failing_reduce(key, values):
+    raise RuntimeError("reduce failed")
 
 
 class TestServiceTracing:
@@ -194,10 +200,10 @@ class TestServiceHealth:
         assert record.cpu_seconds >= 0.0
 
     def test_service_profiler_accumulates_phases_across_jobs(self):
-        from repro.obs.profiler import PhaseProfiler
+        from repro.obs.profiler import profile_export
 
-        profiler = PhaseProfiler(sample_interval=0.005)
-        service = JobService(slots=1, profiler=profiler)
+        tracer = Tracer(profile=True)
+        service = JobService(slots=1, tracer=tracer)
         try:
             for _ in range(2):
                 handle = service.submit_spec(JobSpec.a2a(SPEC_SIZES, 12))
@@ -205,11 +211,44 @@ class TestServiceHealth:
             service.drain()
         finally:
             service.close()
-        phases = profiler.phases()
+        # Every job's child tracer inherited the profile mode.
+        assert {s.trace_id for s in tracer.spans() if s.name == "map"} == {
+            "job-0001",
+            "job-0002",
+        }
+        phases = profile_export(tracer.spans(), service.sampler)["phases"]
         assert {"map", "shuffle", "reduce", "post"} <= set(phases)
         assert phases["map"]["count"] == 2
-        # close() stopped the shared sampler along with the service.
-        assert not profiler.sampler.running
+        assert phases["map"]["functions"] and phases["reduce"]["functions"]
+        assert phases["map"]["peak_rss_bytes"] > 0
+        # close() stopped the service's sampler.
+        assert not service.sampler.running
+
+
+    @pytest.mark.parametrize("owned", [False, True])
+    def test_failed_job_is_summarized_under_its_backend(self, owned):
+        # A run that raises is logged against the backend it ran on (a
+        # caller-owned Backend by its name), never as plan-only.
+        backend = ThreadBackend(max_workers=2) if owned else "threads"
+        service = JobService(slots=1)
+        try:
+            handle = service.submit(
+                JobSpec.a2a([3, 5, 2, 7], 12),
+                records=list("abcd"),
+                reduce_fn=_failing_reduce,
+                config=ExecutionConfig(backend=backend, num_workers=2),
+            )
+            assert handle.wait(timeout=60.0).state == "failed"
+        finally:
+            service.close()
+            if owned:
+                backend.close()
+        (observation,) = service.observations.snapshot()
+        assert observation.status == "failed"
+        assert observation.error == "RuntimeError: reduce failed"
+        assert (observation.backend, observation.workers) == ("threads", 2)
+        (row,) = summarize_observations([observation])
+        assert row["backend"] == "threads" and row["jobs"] == 1
 
 
 class TestEventLogOrdering:
@@ -393,3 +432,15 @@ class TestObservabilityCli:
     def test_metrics_command_missing_log_fails_cleanly(self, tmp_path, capsys):
         assert main(["metrics", "--log", str(tmp_path / "nope.ndjson")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_metrics_command_rejects_non_object_line(self, tmp_path, capsys):
+        log = tmp_path / "obs.ndjson"
+        log.write_text(
+            '{"job_id": "a", "fingerprint": "f", "cache_hit": false}\n'
+            "[1, 2]\n"
+            '{"job_id": "b", "fingerprint": "f", "cache_hit": false}\n'
+        )
+        assert main(["metrics", "--log", str(log)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert ":2:" in err[0]

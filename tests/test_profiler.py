@@ -1,6 +1,10 @@
-"""Continuous profiler: sampler lifecycle, phase capture, export format."""
+"""Profiling as a tracer mode: sampler lifecycle, span capture, export."""
 
+import json
+import os
+import pickle
 import threading
+import time
 
 import pytest
 
@@ -12,17 +16,16 @@ from repro.engine.engine import (
     _merge_task_telemetry,
 )
 from repro.obs.profiler import (
-    NULL_PROFILER,
-    NullProfiler,
-    PhaseProfiler,
     ResourceSampler,
-    as_profiler,
     merge_stats,
+    phase_span,
+    profile_export,
     read_cpu_seconds,
     read_rss_bytes,
     validate_collapsed,
+    write_profile,
 )
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NULL_TRACER, Tracer, as_tracer, to_chrome_trace
 
 
 def _doubling_task(value):
@@ -86,83 +89,105 @@ class TestResourceSampler:
         assert not sampler.running
 
 
-class TestNullProfiler:
+class TestProfilingOff:
     def test_singleton_is_disabled_and_inert(self):
-        assert NULL_PROFILER.enabled is False
-        assert NULL_PROFILER.worker_context() is None
-        with NULL_PROFILER.phase("map", capture=True):
+        assert NULL_TRACER.profile is False
+        assert NULL_TRACER.worker_context() is None
+        with phase_span(NULL_TRACER, "map", capture=True) as span:
             pass
-        NULL_PROFILER.add_counter("map", bytes=10)
-        assert len(NULL_PROFILER) == 0
-        assert not NULL_PROFILER.sampler.running
-        payload = NULL_PROFILER.to_dict()
+        assert span.span_id == "" and len(NULL_TRACER) == 0
+        sampler = ResourceSampler()
+        payload = profile_export(NULL_TRACER.spans(), sampler)
         assert payload["phases"] == {} and payload["collapsed"] == []
+        assert not sampler.running
 
-    def test_as_profiler_normalizes_none(self):
-        assert as_profiler(None) is NULL_PROFILER
-        live = PhaseProfiler(autostart=False)
-        assert as_profiler(live) is live
-        live.stop()
+    def test_as_tracer_normalizes_none(self):
+        assert as_tracer(None) is NULL_TRACER
+        assert Tracer().profile is False
+        # Per-job child tracers inherit the mode and share the sink.
+        parent = Tracer(profile=True)
+        child = parent.child("job-1")
+        assert child.profile is True
+        with child.span("x"):
+            pass
+        assert [s.trace_id for s in parent.spans()] == ["job-1"]
 
-    def test_add_functions_is_inert(self):
-        null = NullProfiler()
-        null.add_functions("map", {"f": [1, 0.1, 0.1]})
-        assert null.phases() == {}
+    def test_unprofiled_tracer_captures_nothing(self):
+        # An unprofiled tracer traces tasks and phases but captures no
+        # function table and measures no CPU or RSS.
+        tracer = Tracer()
+        result = _instrumented_task(
+            list(range(50)), inner=_summing_task, name="map_task",
+            trace_ctx=tracer.worker_context(), profile=tracer.profile,
+        )
+        assert "functions" not in result.span
+        _merge_task_telemetry([result], tracer)
+        with phase_span(tracer, "post", capture=True):
+            sorted(range(1000), key=lambda v: -v)
+        for span in tracer.spans():
+            assert span.functions is None
+            assert "cpu_s" not in span.attrs and "rss_bytes" not in span.attrs
 
 
-class TestPhaseProfiler:
+class TestProfileExport:
     def test_phase_accumulates_across_occurrences(self):
-        profiler = PhaseProfiler(autostart=False)
-        with profiler.phase("map"):
+        tracer = Tracer(profile=True)
+        with phase_span(tracer, "map"):
             pass
-        with profiler.phase("map"):
+        with phase_span(tracer, "map"):
             pass
-        profiler.stop()
-        entry = profiler.phases()["map"]
+        entry = profile_export(tracer.spans(), ResourceSampler())["phases"][
+            "map"
+        ]
         assert entry["count"] == 2
         assert entry["wall_seconds"] >= 0.0
+        assert entry["cpu_seconds"] >= 0.0
         assert entry["peak_rss_bytes"] > 0
 
     def test_capture_records_function_table(self):
-        profiler = PhaseProfiler(autostart=False)
-        with profiler.phase("post", capture=True):
+        tracer = Tracer(profile=True)
+        with phase_span(tracer, "post", capture=True) as span:
             sorted(range(1000), key=lambda v: -v)
-        profiler.stop()
-        functions = profiler.phases()["post"]["functions"]
-        assert functions, "capture=True must produce a function table"
-        for key, row in functions.items():
+        assert span.functions, "capture=True must produce a function table"
+        for key, row in span.functions.items():
             assert len(row) == 3 and row[0] >= 1
+        assert span.attrs["rss_bytes"] > 0 and span.attrs["cpu_s"] >= 0.0
 
     def test_nested_capture_degrades_instead_of_fighting(self):
         # cProfile cannot nest on one thread: an inline worker task under
         # a capturing phase must yield, not raise (the serial backend).
-        profiler = PhaseProfiler(autostart=False)
-        with profiler.phase("post", capture=True):
+        tracer = Tracer(profile=True)
+        with phase_span(tracer, "post", capture=True):
             result = _instrumented_task(
-                3, inner=_doubling_task, name="map_task", trace_ctx=None,
-                profile=True,
+                3, inner=_doubling_task, name="map_task",
+                trace_ctx=tracer.worker_context(), profile=True,
             )
-        profiler.stop()
-        assert result.outputs == 6 and result.profile == {}
+        assert result.outputs == 6 and result.span["functions"] == {}
 
     def test_worker_task_roundtrip_and_merge(self):
+        tracer = Tracer(profile=True)
         results = [
-            _instrumented_task(
+            # The pickle round trip is the process backend's path home.
+            pickle.loads(pickle.dumps(_instrumented_task(
                 list(range(50)), inner=_summing_task, name="map_task",
-                trace_ctx=None, profile=True,
-            )
+                trace_ctx=tracer.worker_context(), profile=True,
+            )))
             for _ in range(2)
         ]
         assert [r.outputs for r in results] == [sum(range(50))] * 2
-        first, second = (r.profile for r in results)
+        first, second = (r.span["functions"] for r in results)
         assert first, "an unnested capture must produce stats"
-        profiler = PhaseProfiler(autostart=False)
-        _merge_task_telemetry(results, "map", NULL_TRACER, profiler)
-        table = profiler.phases()["map"]["functions"]
+        _merge_task_telemetry(results, tracer)
+        table = {
+            row["func"]: row
+            for row in profile_export(tracer.spans(), ResourceSampler())[
+                "phases"
+            ]["map"]["functions"]
+        }
         # Folding both tasks' tables sums every call count per key.
         for key in first:
             expected = first[key][0] + second.get(key, [0.0])[0]
-            assert table[key][0] == expected
+            assert table[key]["calls"] == expected
 
     def test_merge_stats_sums_per_key(self):
         into = {"a": [1.0, 0.5, 0.6]}
@@ -170,55 +195,86 @@ class TestPhaseProfiler:
         assert into["a"] == pytest.approx([3.0, 0.75, 0.9])
         assert into["b"] == [1.0, 0.1, 0.1]
 
-    def test_record_and_counters(self):
-        profiler = PhaseProfiler(autostart=False)
-        profiler.record("spill", 0.5, bytes=100, runs=2)
-        profiler.record("spill", 0.25, bytes=50, runs=1)
-        entry = profiler.phases()["spill"]
+    def test_spill_spans_become_counters(self):
+        tracer = Tracer(profile=True)
+        now = time.perf_counter()
+        for duration, nbytes, runs in ((0.5, 100, 2), (0.25, 50, 1)):
+            tracer.record(
+                "spill", start=now, duration=duration, category="engine",
+                bytes=nbytes, runs=runs,
+            )
+        entry = profile_export(tracer.spans(), ResourceSampler())["phases"][
+            "spill"
+        ]
         assert entry["wall_seconds"] == pytest.approx(0.75)
+        assert entry["count"] == 2
         assert entry["counters"] == {"bytes": 150, "runs": 3}
 
-    def test_to_dict_and_collapsed_validate(self):
-        profiler = PhaseProfiler(autostart=False)
-        with profiler.phase("post", capture=True):
+    def test_export_and_collapsed_validate(self):
+        tracer = Tracer(profile=True)
+        with phase_span(tracer, "post", capture=True):
             sorted(range(2000), key=lambda v: -v)
-        profiler.record("spill", 0.5)
-        profiler.stop()
-        payload = profiler.to_dict()
+        tracer.record(
+            "spill", start=time.perf_counter(), duration=0.5,
+            category="engine", bytes=10, runs=1,
+        )
+        payload = profile_export(tracer.spans(), ResourceSampler())
         assert payload["version"] == 1
+        assert set(payload) == {
+            "version", "wall_seconds", "cpu_seconds", "peak_rss_bytes",
+            "sample_interval", "samples", "phases", "collapsed",
+        }
         assert set(payload["phases"]) == {"post", "spill"}
         post = payload["phases"]["post"]
+        assert set(post) == {
+            "wall_seconds", "cpu_seconds", "peak_rss_bytes", "count",
+            "counters", "functions",
+        }
         assert post["functions"], "export keeps the function table"
         tots = [row["tottime_s"] for row in post["functions"]]
         assert tots == sorted(tots, reverse=True)
         assert validate_collapsed(payload["collapsed"]) == len(
             payload["collapsed"]
         )
-        # The capture-free spill phase falls back to a phase-level line.
+        # The table-free spill phase falls back to a phase-level line.
         assert any(
             line.startswith("spill ") for line in payload["collapsed"]
         )
 
-    def test_write_is_atomic_json_and_stops_sampler(self, tmp_path):
-        import json
-
-        profiler = PhaseProfiler(sample_interval=0.005)
-        with profiler.phase("map"):
+    def test_phase_peak_rss_reads_sampler_window(self):
+        tracer = Tracer(profile=True)
+        sampler = ResourceSampler()
+        with phase_span(tracer, "map") as span:
             pass
+        inside = span.start + span.duration / 2
+        outside = span.start + span.duration + 1.0
+        sampler._samples[:] = [(inside, 1 << 40, 0.0), (outside, 1 << 41, 0.0)]
+        payload = profile_export(tracer.spans(), sampler)
+        assert payload["phases"]["map"]["peak_rss_bytes"] == 1 << 40
+
+    def test_function_tables_stay_out_of_trace_exports(self):
+        tracer = Tracer(profile=True)
+        with phase_span(tracer, "post", capture=True) as span:
+            sorted(range(1000), key=lambda v: -v)
+        assert span.functions
+        assert "functions" not in json.dumps(span.to_dict(), default=str)
+        assert "functions" not in json.dumps(to_chrome_trace([span]))
+
+    def test_write_is_atomic_json(self, tmp_path):
+        sampler = ResourceSampler(interval=0.005)
+        tracer = Tracer(profile=True)
+        with sampler, phase_span(tracer, "map"):
+            pass
+        payload = profile_export(tracer.spans(), sampler)
         path = tmp_path / "profile.json"
-        payload = profiler.write(str(path))
-        assert not profiler.sampler.running
+        path.write_text("stale")
+        write_profile(payload, str(path))
         assert json.loads(path.read_text()) == json.loads(
             json.dumps(payload, default=str)
         )
-
-    def test_autostart_starts_sampler_on_phase(self):
-        profiler = PhaseProfiler(sample_interval=0.005)
-        assert not profiler.sampler.running
-        with profiler.phase("map"):
-            assert profiler.sampler.running
-        profiler.stop()
-        assert not profiler.sampler.running
+        # The write renames a finished temp file into place.
+        assert os.listdir(tmp_path) == ["profile.json"]
+        assert payload["wall_seconds"] >= 0.0 and len(payload["samples"]) >= 2
 
 
 class TestValidateCollapsed:
@@ -242,7 +298,7 @@ class TestValidateCollapsed:
 
 
 class TestEngineIntegration:
-    def _run(self, backend, profiler, **config_kwargs):
+    def _run(self, backend, tracer, **config_kwargs):
         def map_fn(value):
             yield value % 4, value
 
@@ -254,41 +310,51 @@ class TestEngineIntegration:
             map_fn=map_fn,
             reduce_fn=reduce_fn,
             reducer_capacity=10_000,
-            profiler=profiler,
+            tracer=tracer,
         )
         return engine.run(list(range(200)))
 
     @pytest.mark.parametrize("backend", ["serial", "threads"])
     def test_phases_and_worker_tables_recorded(self, backend):
-        profiler = PhaseProfiler(sample_interval=0.005)
-        result = self._run(backend, profiler)
-        profiler.stop()
-        phases = profiler.phases()
+        tracer = Tracer(profile=True)
+        with ResourceSampler(interval=0.005) as sampler:
+            result = self._run(backend, tracer)
+            self._run(backend, tracer)
+        phases = profile_export(tracer.spans(), sampler)["phases"]
         assert {"map", "shuffle", "reduce", "post"} <= set(phases)
+        # Two runs on one tracer accumulate.
+        assert all(phases[name]["count"] == 2 for name in phases)
         assert phases["map"]["functions"], backend
         assert phases["reduce"]["functions"], backend
-        assert validate_collapsed(profiler.collapsed_stacks()) > 0
+        assert validate_collapsed(
+            profile_export(tracer.spans(), sampler)["collapsed"]
+        ) > 0
         assert sorted(result.outputs) == sorted(
             self._run(backend, None).outputs
         )
 
     def test_spill_phase_recorded_under_memory_budget(self, tmp_path):
-        profiler = PhaseProfiler(sample_interval=0.005)
+        tracer = Tracer(profile=True)
         budgeted = self._run(
             "serial",
-            profiler,
+            tracer,
             memory_budget=16,
             spill_dir=str(tmp_path),
         )
-        profiler.stop()
         assert budgeted.metrics.spill_runs > 0
-        spill = profiler.phases()["spill"]
+        spill = profile_export(tracer.spans(), ResourceSampler())["phases"][
+            "spill"
+        ]
         assert spill["counters"]["runs"] == budgeted.metrics.spill_runs
         assert spill["counters"]["bytes"] == budgeted.metrics.spilled_bytes
 
     def test_null_profiler_leaves_no_trace_and_same_outputs(self):
         baseline = self._run("serial", None)
-        nulled = self._run("serial", NULL_PROFILER)
-        assert sorted(baseline.outputs) == sorted(nulled.outputs)
-        assert len(NULL_PROFILER) == 0
-        assert not NULL_PROFILER.sampler.running
+        traced = Tracer()
+        unprofiled = self._run("serial", traced)
+        profiled = self._run("serial", Tracer(profile=True))
+        for run in (unprofiled, profiled):
+            assert run.outputs == baseline.outputs
+            assert run.metrics == baseline.metrics
+        assert len(NULL_TRACER) == 0
+        assert all(span.functions is None for span in traced.spans())
