@@ -319,14 +319,14 @@ def schema_skew_join(
             communication_cost=light_comm
             + sum(s.communication_cost for s in schemas.values()),
         )
-    engine = ExecutionEngine.from_config(
-        config if config is not None else ExecutionConfig(),
+    engine = ExecutionEngine(
         map_fn=map_fn,
         reduce_fn=reduce_fn,
         size_of=_skew_record_size,
         reducer_capacity=q,
         strict_capacity=True,
         tracer=tracer,
+        config=config if config is not None else ExecutionConfig(),
     )
     result = engine.run(records)
     return SkewJoinRun(

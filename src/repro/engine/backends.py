@@ -677,8 +677,14 @@ def get_backend(
     """
     if isinstance(spec, Backend):
         return spec
-    if spec not in BACKENDS:
+    return backend_class(spec)(max_workers=max_workers)
+
+
+def backend_class(name: str) -> type[Backend]:
+    """The backend class registered under *name*
+    (:class:`~repro.exceptions.UnknownMethodError` for any other name)."""
+    if name not in BACKENDS:
         raise UnknownMethodError(
-            f"unknown backend {spec!r}; choose from {sorted(BACKENDS)}"
+            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
         )
-    return BACKENDS[spec](max_workers=max_workers)
+    return BACKENDS[name]

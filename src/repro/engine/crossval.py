@@ -15,7 +15,7 @@ from typing import Any, Sequence
 
 from repro.core.multiway import MultiwaySchema
 from repro.core.schema import A2ASchema, X2YSchema
-from repro.engine.backends import Backend
+from repro.engine.config import ExecutionConfig
 from repro.engine.engine import EngineResult, execute_schema
 from repro.engine.routing import build_schema_plan
 from repro.mapreduce.job import JobResult, MapReduceJob
@@ -88,11 +88,7 @@ def validate_against_simulator(
     reduce_fn: ReduceFn,
     *,
     combiner_fn: ReduceFn | None = None,
-    backend: str | Backend = "serial",
-    num_workers: int | None = None,
-    map_chunk_size: int | None = None,
-    num_reduce_tasks: int | None = None,
-    memory_budget: int | None = None,
+    config: ExecutionConfig | None = None,
     tracer: Tracer | None = None,
 ) -> tuple[EngineResult, JobResult, CrossValidationReport]:
     """Run a schema-driven job on both executors and diff the results.
@@ -100,10 +96,11 @@ def validate_against_simulator(
     The simulator is fed the *same* wrapped records and the same routing
     map function the engine uses (both come from
     :func:`repro.engine.routing.build_schema_plan`), so any disagreement is
-    an executor bug rather than an encoding difference.  The engine knobs
-    pass through to :func:`execute_schema`.  A *memory_budget* routes the
-    engine through the spill-to-disk shuffle, proving the out-of-core path
-    produces the simulator's exact outputs and analytical metrics.  A
+    an executor bug rather than an encoding difference.  The engine runs
+    on *config* (default: serial).  A ``memory_budget`` in it routes the
+    engine through the spill-to-disk shuffle, and fault-plane settings
+    through retried, fault-injected tasks; either way the engine must
+    produce the simulator's exact outputs and analytical metrics.  A
     *tracer* (profiling or not) instruments the engine run, which must
     not change what it computes.
     """
@@ -112,11 +109,7 @@ def validate_against_simulator(
         records,
         reduce_fn,
         combiner_fn=combiner_fn,
-        backend=backend,
-        num_workers=num_workers,
-        map_chunk_size=map_chunk_size,
-        num_reduce_tasks=num_reduce_tasks,
-        memory_budget=memory_budget,
+        config=config,
         tracer=tracer,
     )
 

@@ -72,7 +72,7 @@ from repro.exceptions import (
     TaskRetryExhaustedError,
     WorkerLostError,
 )
-from repro.faults import FaultInjector, FaultSpec, RetryPolicy, as_fault_spec
+from repro.faults import FaultInjector, RetryPolicy, as_fault_spec
 from repro.mapreduce.metrics import JobMetrics
 from repro.obs.profiler import ProfileCapture, phase_span
 from repro.obs.trace import Tracer, as_tracer, worker_span
@@ -431,30 +431,6 @@ class ExecutionEngine:
         reducer_capacity: the paper's ``q``; checked per key, exactly like
             the simulator.
         strict_capacity: raise on overflow (True) or record violations.
-        backend: backend name from :data:`repro.engine.backends.BACKENDS`
-            or a pre-built :class:`Backend` instance.  A named backend's
-            pool lives for exactly one run; a pre-built instance is
-            caller-owned — its pool is opened persistently on first use,
-            reused by every subsequent run, and released only by
-            :meth:`Backend.close` (or the instance's context manager).
-        num_workers: worker-pool size (defaults to the machine's cores).
-        map_chunk_size: records per map task (default: adaptive — about
-            four tasks per worker, but never chunks smaller than 16
-            records; a single task on the serial backend).
-        num_reduce_tasks: reduce partition count, fixed before the map
-            phase so map tasks can pre-partition their output (default:
-            four partitions per worker; one on the serial backend).  Empty
-            partitions are dropped, so this is an upper bound on dispatched
-            reduce tasks.
-        memory_budget: maximum key-value pairs a map task buffers before
-            spilling its groups to sorted on-disk runs (``None`` keeps the
-            fully in-memory shuffle).  Outputs, metrics, and strict-mode
-            exceptions are identical either way; the budget only bounds
-            memory, at the cost of disk traffic (reported in the job
-            metrics' spill counters).
-        spill_dir: base directory for spill files (``None``: the system
-            temporary directory).  Each run spills into its own
-            subdirectory, which is removed when the run finishes.
         tracer: optional :class:`~repro.obs.trace.Tracer`; when given,
             the run emits ``map``/``shuffle``/``reduce``/``post`` phase
             spans plus per-task worker spans (propagated through the
@@ -467,31 +443,14 @@ class ExecutionEngine:
             spans) and parent-side for shuffle/post;
             :func:`~repro.obs.profiler.profile_export` turns the spans
             into the profile export.
-        retry: per-task :class:`~repro.faults.RetryPolicy`.  Any
-            fault-plane knob (retry, faults, task_timeout, deadline)
-            hands :meth:`Backend.run_tasks` a policy (this one, or the
-            default ``RetryPolicy()``); with all of them off the engine
-            passes ``policy=None`` and no injector, so failures propagate
-            unchanged.  Retry is safe here by construction: map and
-            reduce tasks are pure functions of their schema-assigned
-            partitions, so a replayed task recomputes identical output,
-            and it streams — only in-flight chunks are kept for replay.
-        faults: deterministic fault injection
-            (:class:`~repro.faults.FaultSpec` or spec string) for chaos
-            testing; decisions are a pure function of the spec's seed and
-            the task coordinates, so outputs under injection are
-            byte-identical to a fault-free run on every backend.
-        task_timeout: seconds one task attempt may run before being
-            abandoned and retried.
-        deadline: seconds the whole run may take
-            (:class:`~repro.exceptions.DeadlineExceededError` once
-            passed; checked between tasks, never preempting one).
-        fallback: opt-in graceful degradation for *named* backends: when
-            the configured backend cannot run (pool construction fails,
-            or workers keep dying past the retry budget), replay the
-            whole run down ``processes → threads → serial``.  Requires a
-            re-iterable record source (lists, factory-backed datasets);
-            :meth:`run` rejects a single-use iterator up front.
+        config: how the job runs — backend, workers, chunking, spill
+            and the fault plane, all in one validated
+            :class:`~repro.engine.config.ExecutionConfig` (default: the
+            serial backend with every fault-plane setting off).  Any
+            fault-plane setting hands :meth:`Backend.run_tasks` a retry
+            policy; with all of them off the engine passes
+            ``policy=None`` and no injector, so failures propagate
+            unchanged.
     """
 
     map_fn: MapFn
@@ -500,32 +459,8 @@ class ExecutionEngine:
     size_of: SizeFn = default_size
     reducer_capacity: int | None = None
     strict_capacity: bool = True
-    backend: str | Backend = "serial"
-    num_workers: int | None = None
-    map_chunk_size: int | None = None
-    num_reduce_tasks: int | None = None
-    memory_budget: int | None = None
-    spill_dir: str | None = None
     tracer: Tracer | None = None
-    retry: RetryPolicy | None = None
-    faults: FaultSpec | str | None = None
-    task_timeout: float | None = None
-    deadline: float | None = None
-    fallback: bool = False
-
-    @classmethod
-    def from_config(
-        cls,
-        config: ExecutionConfig,
-        *,
-        map_fn: MapFn,
-        reduce_fn: ReduceFn,
-        **kwargs: Any,
-    ) -> "ExecutionEngine":
-        """Build an engine from an :class:`ExecutionConfig` plus job fields."""
-        return cls(
-            map_fn=map_fn, reduce_fn=reduce_fn, **config.engine_kwargs(), **kwargs
-        )
+    config: ExecutionConfig = field(default_factory=ExecutionConfig)
 
     def run(self, records: Iterable[Any] | Dataset) -> EngineResult:
         """Execute the job end-to-end and return outputs plus metrics.
@@ -536,20 +471,9 @@ class ExecutionEngine:
         bounded window of chunks in flight, retry or not).  The run
         deadline starts counting here.
         """
-        if self.memory_budget is not None and self.memory_budget <= 0:
-            raise InvalidInstanceError(
-                f"memory_budget must be positive, got {self.memory_budget}"
-            )
-        for name in ("task_timeout", "deadline"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise InvalidInstanceError(
-                    f"{name} must be positive, got {value}"
-                )
+        deadline = self.config.deadline
         deadline_at = (
-            time.monotonic() + self.deadline
-            if self.deadline is not None
-            else None
+            time.monotonic() + deadline if deadline is not None else None
         )
         dataset = as_dataset(records)
         chain = self._backend_chain()
@@ -585,15 +509,14 @@ class ExecutionEngine:
     def _backend_chain(self) -> list[str | Backend]:
         """The backends this run may try, strongest first.
 
-        A single entry unless :attr:`fallback` is on; live
+        A single entry unless ``config.fallback`` is on; live
         :class:`Backend` instances never fall back (their pool lifecycle
         belongs to the caller).
         """
-        if not self.fallback or not isinstance(self.backend, str):
-            return [self.backend]
-        if self.backend not in _FALLBACK_CHAIN:
-            return [self.backend]
-        start = _FALLBACK_CHAIN.index(self.backend)
+        backend = self.config.backend
+        if not self.config.fallback or backend not in _FALLBACK_CHAIN:
+            return [backend]
+        start = _FALLBACK_CHAIN.index(backend)
         return list(_FALLBACK_CHAIN[start:])
 
     def _run_on(
@@ -604,7 +527,8 @@ class ExecutionEngine:
         fallback_from: str | Backend | None = None,
     ) -> EngineResult:
         """One attempt of the whole run on one backend."""
-        backend = get_backend(backend_spec, max_workers=self.num_workers)
+        config = self.config
+        backend = get_backend(backend_spec, max_workers=config.num_workers)
         if isinstance(backend_spec, Backend) and not backend.is_open:
             # A pre-built backend is caller-owned: open its pool
             # persistently so consecutive runs on the same instance reuse
@@ -613,12 +537,12 @@ class ExecutionEngine:
             # the caller already opened (open() or an enclosing context)
             # keeps the caller's lifecycle untouched.
             backend.open()
-        num_partitions = self.num_reduce_tasks or self._default_partitions(
+        num_partitions = config.num_reduce_tasks or self._default_partitions(
             backend
         )
         run_spill_dir = (
-            make_spill_dir(self.spill_dir)
-            if self.memory_budget is not None
+            make_spill_dir(config.spill_dir)
+            if config.memory_budget is not None
             else None
         )
         try:
@@ -639,18 +563,19 @@ class ExecutionEngine:
     ) -> tuple[RetryPolicy, FaultInjector | None] | None:
         """The run's ``(policy, injector)``, or ``None`` when every
         fault-plane setting is off (failures then propagate unchanged)."""
-        spec = as_fault_spec(self.faults)
+        config = self.config
+        spec = as_fault_spec(config.faults)
         injector = (
             FaultInjector(spec) if spec is not None and spec.enabled else None
         )
         if not (
-            self.retry is not None
+            config.retry is not None
             or injector is not None
-            or self.task_timeout is not None
+            or config.task_timeout is not None
             or deadline_at is not None
         ):
             return None
-        return self.retry or RetryPolicy(), injector
+        return config.retry or RetryPolicy(), injector
 
     def _run_phases(
         self,
@@ -664,6 +589,7 @@ class ExecutionEngine:
         """The three phases plus the post-pass (the spill dir is owned by
         :meth:`_run_on`)."""
         tracer = as_tracer(self.tracer)
+        config = self.config
         policy, injector = self._fault_plane(deadline_at) or (None, None)
         rebuilds_before = backend.pool_rebuilds
         retries = 0
@@ -707,7 +633,7 @@ class ExecutionEngine:
                 policy=policy,
                 injector=injector,
                 phase=phase,
-                task_timeout=self.task_timeout,
+                task_timeout=config.task_timeout,
                 deadline_at=deadline_at,
                 on_retry=on_retry,
             )
@@ -721,8 +647,8 @@ class ExecutionEngine:
             # (overflow beyond the memory budget goes to sorted spill runs).
             with phase_span(tracer, "map", backend=backend.name) as map_span:
                 map_started = time.perf_counter()
-                chunk_size = self.map_chunk_size or self._default_chunk(
-                    dataset.length, backend, self.memory_budget
+                chunk_size = config.map_chunk_size or self._default_chunk(
+                    dataset.length, backend, config.memory_budget
                 )
                 chunks: Iterable[list[Any]]
                 if dataset.is_materialized:
@@ -740,11 +666,10 @@ class ExecutionEngine:
                     combiner_fn=self.combiner_fn,
                     size_of=self.size_of,
                     num_partitions=num_partitions,
-                    memory_budget=self.memory_budget,
+                    memory_budget=config.memory_budget,
                     spill_dir=run_spill_dir,
-                    check_keys=(
-                        self.strict_capacity or self.memory_budget is not None
-                    ),
+                    check_keys=self.strict_capacity
+                    or config.memory_budget is not None,
                     encode=backend.ships_blocks,
                 )
                 map_results = run_phase(map_task, chunks, "map")
@@ -927,7 +852,7 @@ def execute_schema(
     reduce_fn: ReduceFn,
     *,
     combiner_fn: ReduceFn | None = None,
-    backend: str | Backend = "serial",
+    backend: str | Backend | None = None,
     num_workers: int | None = None,
     strict_capacity: bool = True,
     map_chunk_size: int | None = None,
@@ -950,26 +875,38 @@ def execute_schema(
     reducer indices; capacity ``q`` is enforced with the instance's declared
     sizes, so a valid schema can never overflow.
 
-    Execution knobs can be given individually or bundled in *config* (an
-    :class:`~repro.engine.config.ExecutionConfig`), which takes precedence
-    over the individual keyword arguments when both are supplied.
-    *tracer* rides alongside either form: it is a live object, never
-    part of the serializable config, and ``None`` keeps tracing (and
-    with it profiling) disabled; ``Tracer(profile=True)`` also profiles
-    the run.
+    The execution settings are bundled in *config* (an
+    :class:`~repro.engine.config.ExecutionConfig`); without one, the
+    individual keywords *backend*, *num_workers*, *map_chunk_size*,
+    *num_reduce_tasks*, *memory_budget* and *spill_dir* build it, and
+    passing any of them together with *config* raises
+    :class:`~repro.exceptions.InvalidInstanceError` rather than dropping
+    one of the two.  *tracer* rides alongside either form: it is a live
+    object, never part of the serializable config, and ``None`` keeps
+    tracing (and with it profiling) disabled; ``Tracer(profile=True)``
+    also profiles the run.
     """
-    map_fn, size_of, wrapped = build_schema_plan(schema, records)
-    if config is None:
-        config = ExecutionConfig(
-            backend=backend,
-            num_workers=num_workers,
-            map_chunk_size=map_chunk_size,
-            num_reduce_tasks=num_reduce_tasks,
-            memory_budget=memory_budget,
-            spill_dir=spill_dir,
+    settings: dict[str, Any] = {
+        name: value
+        for name, value in (
+            ("backend", backend),
+            ("num_workers", num_workers),
+            ("map_chunk_size", map_chunk_size),
+            ("num_reduce_tasks", num_reduce_tasks),
+            ("memory_budget", memory_budget),
+            ("spill_dir", spill_dir),
         )
-    engine = ExecutionEngine.from_config(
-        config,
+        if value is not None
+    }
+    if config is None:
+        config = ExecutionConfig(**settings)
+    elif settings:
+        raise InvalidInstanceError(
+            f"execute_schema got config= together with {sorted(settings)}; "
+            "put every execution setting in the config"
+        )
+    map_fn, size_of, wrapped = build_schema_plan(schema, records)
+    engine = ExecutionEngine(
         map_fn=map_fn,
         reduce_fn=reduce_fn,
         combiner_fn=combiner_fn,
@@ -977,5 +914,6 @@ def execute_schema(
         reducer_capacity=schema.instance.q,
         strict_capacity=strict_capacity,
         tracer=tracer,
+        config=config,
     )
     return engine.run(wrapped)

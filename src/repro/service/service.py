@@ -46,7 +46,6 @@ from repro.exceptions import (
     UnknownJobError,
     WorkerLostError,
 )
-from repro.faults import RetryPolicy
 from repro.mapreduce.types import ReduceFn
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import ResourceSampler, read_cpu_seconds
@@ -188,8 +187,6 @@ class _JobRecord:
     combiner_fn: ReduceFn | None
     config: ExecutionConfig | None
     strict_capacity: bool
-    retry: RetryPolicy | None = None
-    deadline: float | None = None
     state: str = QUEUED
     # repro-lint: disable=determinism -- display-only wall time; latency metrics use submitted_mono
     submitted_at: float = field(default_factory=time.time)
@@ -324,8 +321,6 @@ class JobService:
         priority: int | None = None,
         job_id: str | None = None,
         strict_capacity: bool = True,
-        retry: RetryPolicy | None = None,
-        deadline: float | None = None,
     ) -> JobHandle:
         """Submit one job; returns immediately with a :class:`JobHandle`.
 
@@ -333,21 +328,17 @@ class JobService:
         the shared plan cache) and no engine run.  With *records* (and a
         *reduce_fn*) the job executes the planned schema on the service's
         shared backend pools; *config* overrides the plan's resolved
-        execution configuration.  *retry* and *deadline* are per-job
-        fault-tolerance policy layered on top of whichever config the job
-        executes with (an explicit *config* or the plan's): the retry
-        policy bounds per-task replay, the deadline bounds the whole run
-        in seconds from dispatch.  Jobs that fail admission control are
-        returned in the ``rejected`` state rather than raised, so batch
-        submitters observe rejections uniformly via status/result.
+        execution configuration, and is the one place a job's recovery
+        policy lives: ``ExecutionConfig(retry=..., deadline=...)`` bounds
+        per-task replay and the whole run's seconds from dispatch (the
+        plan's resolved config never carries either).  Jobs that fail
+        admission control are returned in the ``rejected`` state rather
+        than raised, so batch submitters observe rejections uniformly via
+        status/result.
         """
         if records is not None and reduce_fn is None:
             raise InvalidInstanceError(
                 "submitting records requires a reduce_fn"
-            )
-        if deadline is not None and deadline <= 0:
-            raise InvalidInstanceError(
-                f"deadline must be positive, got {deadline}"
             )
         with self._lock:
             if self._closed:
@@ -370,8 +361,6 @@ class JobService:
                 combiner_fn=combiner_fn,
                 config=config,
                 strict_capacity=strict_capacity,
-                retry=retry,
-                deadline=deadline,
             )
             # The job's whole lifetime is one trace (trace id = job id)
             # sharing the service tracer's sink; the root span stays open
@@ -411,16 +400,14 @@ class JobService:
         priority: int | None = None,
         job_id: str | None = None,
         config: ExecutionConfig | None = None,
-        retry: RetryPolicy | None = None,
-        deadline: float | None = None,
     ) -> JobHandle:
         """Submit a bare spec, synthesizing placeholder records.
 
         This is the submission path of the NDJSON protocol (``repro
         serve`` / ``repro submit``): *execute* runs the planned schema
         over :func:`spec_records` placeholders with the
-        :func:`collect_reduce` reducer, for every spec kind.  *retry* and
-        *deadline* pass through to :meth:`submit`.
+        :func:`collect_reduce` reducer, for every spec kind.  *config*
+        (recovery policy included) passes through to :meth:`submit`.
         """
         if not execute:
             return self.submit(
@@ -428,8 +415,6 @@ class JobService:
                 priority=priority,
                 job_id=job_id,
                 config=config,
-                retry=retry,
-                deadline=deadline,
             )
         return self.submit(
             spec,
@@ -438,8 +423,6 @@ class JobService:
             priority=priority,
             job_id=job_id,
             config=config,
-            retry=retry,
-            deadline=deadline,
         )
 
     # -- lifecycle queries ----------------------------------------------
@@ -708,11 +691,6 @@ class JobService:
         """
         if isinstance(config.backend, Backend):
             return config
-        if config.backend not in BACKENDS:
-            raise InvalidInstanceError(
-                f"unknown backend {config.backend!r}; "
-                f"choose from {sorted(BACKENDS)}"
-            )
         key = (config.backend, config.num_workers)
         with self._backend_lock:
             backend = self._backends.get(key)
@@ -723,31 +701,6 @@ class JobService:
                 backend.open()
                 self._backends[key] = backend
         return replace(config, backend=backend)
-
-    def _job_config(self, record: _JobRecord, planned: Any) -> ExecutionConfig:
-        """The config this job executes with, per-job policy applied.
-
-        Starts from the submission's explicit config (or the plan's
-        resolved one) and layers the per-job ``retry``/``deadline`` from
-        :meth:`submit` on top — an explicit per-job policy wins over
-        whatever the base config carries.
-        """
-        base = (
-            record.config
-            if record.config is not None
-            else planned.execution
-        )
-        if record.retry is not None or record.deadline is not None:
-            base = replace(
-                base,
-                retry=record.retry if record.retry is not None else base.retry,
-                deadline=(
-                    record.deadline
-                    if record.deadline is not None
-                    else base.deadline
-                ),
-            )
-        return base
 
     def _evict_backend(self, key: tuple[str, int | None]) -> bool:
         """Drop and close the shared pool entry for *key*, if present.
@@ -915,7 +868,7 @@ class JobService:
                         wall_seconds=time.perf_counter() - started,
                     )
                 else:
-                    config = self._job_config(record, planned)
+                    config = record.config or planned.execution
                     if isinstance(config.backend, str):
                         pool_key = (config.backend, config.num_workers)
                     config = self._shared_config(config)

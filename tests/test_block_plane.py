@@ -16,6 +16,7 @@ import multiprocessing
 import pytest
 
 from repro.engine.backends import ProcessBackend
+from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
 from repro.faults import RetryPolicy
 from repro.obs.store import ObservationRecord
@@ -44,12 +45,12 @@ def word_reduce(key, values):
     yield key, sum(values)
 
 
-def _engine(backend, **kwargs):
-    merged = dict(
-        map_fn=word_map, reduce_fn=word_reduce, backend=backend, **GEOMETRY
+def _engine(backend, **settings):
+    return ExecutionEngine(
+        map_fn=word_map,
+        reduce_fn=word_reduce,
+        config=ExecutionConfig(backend=backend, **GEOMETRY, **settings),
     )
-    merged.update(kwargs)
-    return ExecutionEngine(**merged)
 
 
 class TestBlockShuffleCrossval:

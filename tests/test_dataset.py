@@ -69,7 +69,9 @@ class TestStreamingEngine:
             map_fn=fanout_map, reduce_fn=sum_reduce
         ).run(records)
         streamed = ExecutionEngine(
-            map_fn=fanout_map, reduce_fn=sum_reduce, backend=backend
+            map_fn=fanout_map,
+            reduce_fn=sum_reduce,
+            config=ExecutionConfig(backend=backend),
         ).run(Dataset.from_factory(partial(range, 2000), length=2000))
         assert streamed.outputs == baseline.outputs
         assert streamed.metrics == baseline.metrics
@@ -79,7 +81,9 @@ class TestStreamingEngine:
             map_fn=fanout_map, reduce_fn=sum_reduce
         ).run(list(range(3000)))
         result = ExecutionEngine(
-            map_fn=fanout_map, reduce_fn=sum_reduce, backend="threads"
+            map_fn=fanout_map,
+            reduce_fn=sum_reduce,
+            config=ExecutionConfig(backend="threads"),
         ).run(i for i in range(3000))
         assert result.outputs == baseline.outputs
         assert result.metrics.map_input_records == 3000

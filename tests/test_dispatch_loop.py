@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.backends import ProcessBackend, get_backend
+from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
 from repro.exceptions import TaskRetryExhaustedError
 from repro.faults import FaultInjector, FaultSpec, RetryPolicy
@@ -148,10 +149,9 @@ def test_retry_keeps_a_generator_source_streaming(retry):
     engine = ExecutionEngine(
         map_fn=map_fn,
         reduce_fn=count_reduce,
-        backend="threads",
-        num_workers=1,
-        map_chunk_size=chunk,
-        retry=retry,
+        config=ExecutionConfig(
+            backend="threads", num_workers=1, map_chunk_size=chunk, retry=retry
+        ),
     )
     result = engine.run(source())
     assert sorted(result.outputs) == [(str(d), total // 10) for d in range(10)]

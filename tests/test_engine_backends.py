@@ -92,8 +92,7 @@ class TestBackendEquivalence:
         engine = ExecutionEngine(
             map_fn=word_map,
             reduce_fn=word_reduce,
-            backend=backend,
-            num_workers=2,
+            config=ExecutionConfig(backend=backend, num_workers=2),
         )
         result = engine.run(RECORDS)
         assert result.outputs == reference.outputs
@@ -109,8 +108,7 @@ class TestBackendEquivalence:
             map_fn=word_map,
             reduce_fn=word_reduce,
             combiner_fn=count_combiner,
-            backend=backend,
-            num_workers=2,
+            config=ExecutionConfig(backend=backend, num_workers=2),
         )
         result = engine.run(RECORDS)
         assert result.outputs == reference.outputs
@@ -127,10 +125,12 @@ class TestBackendEquivalence:
         chunked = ExecutionEngine(
             map_fn=word_map,
             reduce_fn=word_reduce,
-            backend="threads",
-            num_workers=2,
-            map_chunk_size=1,
-            num_reduce_tasks=5,
+            config=ExecutionConfig(
+                backend="threads",
+                num_workers=2,
+                map_chunk_size=1,
+                num_reduce_tasks=5,
+            ),
         ).run(RECORDS)
         assert chunked.outputs == baseline.outputs
         assert chunked.metrics == baseline.metrics
@@ -143,8 +143,7 @@ class TestBackendEquivalence:
         result = ExecutionEngine(
             map_fn=word_map,
             reduce_fn=word_reduce,
-            backend="threads",
-            num_reduce_tasks=2,
+            config=ExecutionConfig(backend="threads", num_reduce_tasks=2),
         ).run(RECORDS)
         assert sum(result.engine.task_loads) == sum(
             result.metrics.reducer_loads.values()
@@ -180,7 +179,7 @@ class TestCapacityEnforcement:
             reduce_fn=word_reduce,
             reducer_capacity=2,
             strict_capacity=False,
-            backend="threads",
+            config=ExecutionConfig(backend="threads"),
         ).run(RECORDS)
         job_result = MapReduceJob(
             map_fn=word_map,

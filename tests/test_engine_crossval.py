@@ -71,7 +71,7 @@ def schema_oracle(schema, records, reduce_fn, backend) -> JobResult:
     """The simulator's run of a schema app, checked against the engine's
     run of the same functions on *backend*."""
     _, oracle, report = validate_against_simulator(
-        schema, records, reduce_fn, backend=backend
+        schema, records, reduce_fn, config=ExecutionConfig(backend=backend)
     )
     assert report.ok, report.summary()
     return oracle
@@ -83,7 +83,10 @@ class TestSchemaCrossValidation:
         schema = solve_a2a(small_a2a).require_valid()
         records = [f"rec{i}" for i in range(schema.instance.m)]
         engine_result, job_result, report = validate_against_simulator(
-            schema, records, tally_reduce, backend=backend, num_workers=2
+            schema,
+            records,
+            tally_reduce,
+            config=ExecutionConfig(backend=backend, num_workers=2),
         )
         assert report.ok, report.summary()
         assert engine_result.outputs == job_result.outputs
@@ -95,7 +98,10 @@ class TestSchemaCrossValidation:
         x_records = [f"x{i}" for i in range(schema.instance.m)]
         y_records = [f"y{j}" for j in range(schema.instance.n)]
         _, _, report = validate_against_simulator(
-            schema, (x_records, y_records), tally_reduce, backend=backend
+            schema,
+            (x_records, y_records),
+            tally_reduce,
+            config=ExecutionConfig(backend=backend),
         )
         assert report.ok, report.summary()
 
@@ -227,7 +233,9 @@ class TestApplicationCrossValidation:
             strict_capacity=False,
         )
         oracle = MapReduceJob(**job).run(records)
-        engine = ExecutionEngine(**job, backend=backend).run(records)
+        engine = ExecutionEngine(
+            **job, config=ExecutionConfig(backend=backend)
+        ).run(records)
         run = hash_join(x, y, 70)
         assert oracle.metrics.capacity_violations  # the baseline overflows
         for outputs, metrics in (
@@ -247,7 +255,9 @@ class TestApplicationCrossValidation:
             strict_capacity=False,
         )
         oracle = MapReduceJob(**job).run(documents)
-        engine = ExecutionEngine(**job, backend=backend).run(documents)
+        engine = ExecutionEngine(
+            **job, config=ExecutionConfig(backend=backend)
+        ).run(documents)
         run = run_broadcast_baseline(documents, 50, 0.02)
         assert oracle.metrics.capacity_violations  # the baseline overflows
         for outputs, metrics in (

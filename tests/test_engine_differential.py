@@ -2,8 +2,10 @@
 
 Hypothesis draws a mapping-schema problem (A2A, X2Y or multiway), one of
 the registered solver methods for its kind, the payload type, the
-backend, the engine knobs and the instrumentation (none, a tracer, or a
-profiling tracer), then checks that the engine's run of the schema
+backend, the engine settings, the injected faults (none, or seeded task
+crashes and transient failures under a retry policy) and the
+instrumentation (none, a tracer, or a profiling tracer), then checks
+that the engine's run of the schema
 equals :class:`~repro.mapreduce.job.MapReduceJob`'s run of the same map
 and reduce functions: the same outputs in the same order and the same
 analytical :class:`~repro.mapreduce.metrics.JobMetrics`.
@@ -16,8 +18,10 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from repro.engine.backends import ProcessBackend
+from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import validate_against_simulator
 from repro.exceptions import ReproError
+from repro.faults import FaultSpec, RetryPolicy
 from repro.obs.trace import Tracer
 from repro.planner import JobSpec
 from repro.planner.planner import build_schema, method_registry
@@ -75,6 +79,22 @@ def records_for(spec: JobSpec, payload):
 
 KNOBS = st.one_of(st.none(), st.integers(1, 6))
 
+#: Seeded crashes and transient failures, each at most 20% per attempt.
+#: An attempt then fails with probability at most 1 - 0.8**2 = 0.36, so a
+#: task exhausts :data:`RETRY`'s 16 attempts with probability at most
+#: 0.36**16 < 1e-7; worker kills stay with the chaos tests.
+FAULTS = st.one_of(
+    st.none(),
+    st.builds(
+        FaultSpec,
+        crash=st.floats(0.0, 0.2),
+        transient=st.floats(0.0, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+    ),
+)
+
+RETRY = RetryPolicy(max_attempts=16, backoff_base=0.001, backoff_max=0.005)
+
 #: Instrumentation to run under; a fresh tracer per example.
 TRACERS = {
     "none": lambda: None,
@@ -105,16 +125,22 @@ def test_engine_equals_simulator_on_generated_jobs(process_backend, spec, data):
     instrumentation = data.draw(
         st.sampled_from(sorted(TRACERS)), label="instrumentation"
     )
-    tracer = TRACERS[instrumentation]()
-    _, _, report = validate_against_simulator(
-        schema,
-        records_for(spec, PAYLOADS[payload]),
-        echo_reduce,
+    faults = data.draw(FAULTS, label="faults")
+    config = ExecutionConfig(
         backend=backend,
         num_workers=2,
         memory_budget=data.draw(KNOBS, label="memory_budget"),
         map_chunk_size=data.draw(KNOBS, label="map_chunk_size"),
         num_reduce_tasks=data.draw(KNOBS, label="num_reduce_tasks"),
+        faults=faults,
+        retry=RETRY if faults is not None else None,
+    )
+    tracer = TRACERS[instrumentation]()
+    _, _, report = validate_against_simulator(
+        schema,
+        records_for(spec, PAYLOADS[payload]),
+        echo_reduce,
+        config=config,
         tracer=tracer,
     )
     assert report.ok, report.summary()

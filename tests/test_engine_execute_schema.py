@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.selector import solve_a2a, solve_x2y
-from repro.engine import canonical_meeting, execute_schema
+from repro.engine import ExecutionConfig, canonical_meeting, execute_schema
 from repro.engine.routing import a2a_memberships, x2y_memberships
 from repro.exceptions import InvalidInstanceError
 
@@ -129,3 +129,41 @@ class TestSchemaTypeDispatch:
         assert result.engine.backend == "threads"
         assert result.engine.num_map_tasks >= 1
         assert result.engine.timings.total_seconds >= 0.0
+
+
+class TestExecutionSettings:
+    @pytest.fixture
+    def job(self):
+        instance = A2AInstance([3, 5, 2, 7, 4, 6, 1, 8] * 3, q=24)
+        return solve_a2a(instance), [f"rec{i}" for i in range(instance.m)]
+
+    def test_individual_settings_build_the_config(self, job):
+        schema, records = job
+        budgeted = execute_schema(
+            schema, records, collect_reduce, memory_budget=4
+        )
+        same = execute_schema(
+            schema,
+            records,
+            collect_reduce,
+            config=ExecutionConfig(memory_budget=4),
+        )
+        assert budgeted.metrics.spill_runs > 0
+        assert budgeted.metrics == same.metrics
+        assert budgeted.outputs == same.outputs
+
+    def test_settings_beside_config_are_rejected(self, job):
+        # Either form alone is fine; both at once used to drop the
+        # individual settings silently (no spill despite the budget).
+        schema, records = job
+        with pytest.raises(
+            InvalidInstanceError, match=r"\['backend', 'memory_budget'\]"
+        ):
+            execute_schema(
+                schema,
+                records,
+                collect_reduce,
+                backend="threads",
+                memory_budget=4,
+                config=ExecutionConfig(),
+            )

@@ -82,6 +82,7 @@ class TestStableHash:
     def test_mixed_numeric_key_types_match_simulator(self):
         """Equal keys emitted with different numeric types must merge into
         one reducer on every backend, exactly as the simulator's dict does."""
+        from repro.engine.config import ExecutionConfig
         from repro.engine.engine import ExecutionEngine
         from repro.mapreduce.job import MapReduceJob
 
@@ -93,9 +94,9 @@ class TestStableHash:
             result = ExecutionEngine(
                 map_fn=int_float_map,
                 reduce_fn=sum_reduce,
-                backend=backend,
-                map_chunk_size=2,
-                num_reduce_tasks=3,
+                config=ExecutionConfig(
+                    backend=backend, map_chunk_size=2, num_reduce_tasks=3
+                ),
             ).run(records)
             assert result.outputs == reference.outputs, backend
             assert result.metrics == reference.metrics, backend

@@ -91,16 +91,16 @@ def angry_reduce(key, values):
     yield  # pragma: no cover
 
 
-def _engine(backend, **kwargs):
-    merged = dict(
-        map_fn=word_map,
-        reduce_fn=word_reduce,
-        backend=backend,
-        num_workers=2,
-        **GEOMETRY,
+def _engine(backend, *, map_fn=word_map, reduce_fn=word_reduce, **settings):
+    """The word-count job on *backend* under the pinned geometry, with any
+    further execution *settings* in its config."""
+    return ExecutionEngine(
+        map_fn=map_fn,
+        reduce_fn=reduce_fn,
+        config=ExecutionConfig(
+            backend=backend, num_workers=2, **GEOMETRY, **settings
+        ),
     )
-    merged.update(kwargs)
-    return ExecutionEngine(**merged)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +151,9 @@ class TestShuffleHeavyChaos:
     @pytest.fixture(scope="class")
     def fault_free(self):
         return ExecutionEngine(
-            map_fn=fanout_map, reduce_fn=sum_reduce, **SHUFFLE_GEOMETRY
+            map_fn=fanout_map,
+            reduce_fn=sum_reduce,
+            config=ExecutionConfig(**SHUFFLE_GEOMETRY),
         ).run(range(SHUFFLE_RECORDS)).outputs
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
@@ -159,11 +161,13 @@ class TestShuffleHeavyChaos:
         result = ExecutionEngine(
             map_fn=fanout_map,
             reduce_fn=sum_reduce,
-            backend=backend,
-            num_workers=2,
-            retry=RetryPolicy(max_attempts=CHAOS_ATTEMPTS),
-            faults=CHAOS_SPEC,
-            **SHUFFLE_GEOMETRY,
+            config=ExecutionConfig(
+                backend=backend,
+                num_workers=2,
+                retry=RetryPolicy(max_attempts=CHAOS_ATTEMPTS),
+                faults=CHAOS_SPEC,
+                **SHUFFLE_GEOMETRY,
+            ),
         ).run(range(SHUFFLE_RECORDS))
         assert result.outputs == fault_free
         tasks = result.engine.num_map_tasks + result.engine.num_reduce_tasks

@@ -1,7 +1,7 @@
 """Fault tolerance at the service layer, plus the fault-plane CLI surface.
 
 Covers the recovery contracts that live above the engine: per-job retry
-policies and deadlines layered onto submissions, shared-pool eviction
+policies and deadlines carried in a submission's config, shared-pool eviction
 when a job dies of worker loss (a broken pool must not poison later
 jobs), failed-job observability, cancellation racing completion, and the
 ``repro run``/``submit``/``serve`` fault-plane behavior.
@@ -43,14 +43,13 @@ POLICY = RetryPolicy(max_attempts=6, backoff_base=0.001, backoff_max=0.01)
 GEOMETRY = dict(map_chunk_size=2, num_reduce_tasks=4)
 
 
-def _submit_exec(service, *, config, job_id, **kwargs):
+def _submit_exec(service, *, config, job_id):
     return service.submit(
         SPEC,
         records=spec_records(SPEC),
         reduce_fn=collect_reduce,
         config=config,
         job_id=job_id,
-        **kwargs,
     )
 
 
@@ -66,10 +65,12 @@ class TestPerJobPolicy:
             faulty = _submit_exec(
                 service,
                 config=ExecutionConfig(
-                    backend="serial", faults="crash=0.2,seed=7", **GEOMETRY
+                    backend="serial",
+                    faults="crash=0.2,seed=7",
+                    retry=POLICY,
+                    **GEOMETRY,
                 ),
                 job_id="faulty",
-                retry=POLICY,
             )
             assert faulty.wait(timeout=30.0).state == DONE
             # Recovery is invisible in results but visible in telemetry.
@@ -90,9 +91,10 @@ class TestPerJobPolicy:
                 SPEC,
                 records=spec_records(SPEC),
                 reduce_fn=_slow_collect,
-                config=ExecutionConfig(backend="serial", **GEOMETRY),
+                config=ExecutionConfig(
+                    backend="serial", deadline=0.01, **GEOMETRY
+                ),
                 job_id="late",
-                deadline=0.01,
             )
             status = handle.wait(timeout=30.0)
             assert status.state == FAILED
@@ -106,9 +108,12 @@ class TestPerJobPolicy:
             assert "DeadlineExceededError" in record.error
 
     def test_invalid_deadline_rejected_at_submit(self):
+        # The deadline rides in the submission's config, which rejects
+        # it when built, so no job is ever recorded.
         with JobService(slots=1, env=ENV) as service:
             with pytest.raises(InvalidInstanceError, match="deadline"):
-                service.submit(SPEC, deadline=0.0)
+                service.submit(SPEC, config=ExecutionConfig(deadline=0.0))
+            assert service.list() == []
 
 
 class TestPoolEvictionOnBreakage:
@@ -120,12 +125,12 @@ class TestPoolEvictionOnBreakage:
                     backend="processes",
                     num_workers=2,
                     faults="kill=1.0,seed=1",
+                    retry=RetryPolicy(
+                        max_attempts=2, backoff_base=0.0, jitter=0.0
+                    ),
                     **GEOMETRY,
                 ),
                 job_id="doomed",
-                retry=RetryPolicy(
-                    max_attempts=2, backoff_base=0.0, jitter=0.0
-                ),
             )
             status = doomed.wait(timeout=60.0)
             assert status.state == FAILED

@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 
 from repro.dataset import Dataset
+from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
 from repro.obs.metrics import (
     Counter,
@@ -145,9 +146,8 @@ class TestWorkerPropagation:
         engine = ExecutionEngine(
             map_fn=fanout_map,
             reduce_fn=sum_reduce,
-            backend=backend,
-            num_workers=2,
             tracer=tracer,
+            config=ExecutionConfig(backend=backend, num_workers=2),
         )
         result = engine.run(range(40))
         assert result.outputs
@@ -175,15 +175,17 @@ class TestWorkerPropagation:
         engine = ExecutionEngine(
             map_fn=fanout_map,
             reduce_fn=sum_reduce,
-            backend="processes",
-            num_workers=2,
-            map_chunk_size=2,
-            num_reduce_tasks=4,
             tracer=tracer,
-            retry=RetryPolicy(
-                max_attempts=6, backoff_base=0.001, backoff_max=0.01
+            config=ExecutionConfig(
+                backend="processes",
+                num_workers=2,
+                map_chunk_size=2,
+                num_reduce_tasks=4,
+                retry=RetryPolicy(
+                    max_attempts=6, backoff_base=0.001, backoff_max=0.01
+                ),
+                faults="crash=0.2,seed=7",
             ),
-            faults="crash=0.2,seed=7",
         )
         result = engine.run(range(40))
         assert result.outputs

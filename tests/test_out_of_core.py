@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.exceptions import (
     CapacityExceededError,
     InvalidInstanceError,
     SpillError,
+    UnknownMethodError,
 )
 from repro.mapreduce.job import MapReduceJob
 from repro.workloads.relations import generate_join_workload
@@ -50,13 +52,13 @@ def mod3_map(record):
     yield record % 3, 1
 
 
-def fanout_engine(backend: str, memory_budget: int | None, **kwargs):
+def fanout_engine(backend: str, memory_budget: int | None, **settings):
     return ExecutionEngine(
         map_fn=fanout_map,
         reduce_fn=sum_reduce,
-        backend=backend,
-        memory_budget=memory_budget,
-        **kwargs,
+        config=ExecutionConfig(
+            backend=backend, memory_budget=memory_budget, **settings
+        ),
     )
 
 
@@ -174,8 +176,7 @@ class TestSpilledEqualsInMemory:
                 schema,
                 records,
                 index_reduce,
-                backend=backend,
-                memory_budget=budget,
+                config=ExecutionConfig(backend=backend, memory_budget=budget),
             )
             assert report.ok, report.summary()
             results[budget] = engine_result
@@ -195,8 +196,7 @@ class TestSpilledEqualsInMemory:
                 reduce_fn=sum_reduce,
                 reducer_capacity=5,
                 strict_capacity=True,
-                backend=backend,
-                memory_budget=budget,
+                config=ExecutionConfig(backend=backend, memory_budget=budget),
             )
             with pytest.raises(CapacityExceededError) as excinfo:
                 engine.run(list(range(60)))
@@ -236,8 +236,7 @@ class TestSpilledEqualsInMemory:
             reduce_fn=sum_reduce,
             reducer_capacity=3,
             strict_capacity=True,
-            memory_budget=8,
-            spill_dir=str(spill_base),
+            config=ExecutionConfig(memory_budget=8, spill_dir=str(spill_base)),
         )
         with pytest.raises(CapacityExceededError):
             engine.run(list(range(50)))
@@ -259,7 +258,7 @@ class TestKeyContract:
             map_fn=lambda r: [(float("nan"), r)],
             reduce_fn=sum_reduce,
             strict_capacity=False,
-            memory_budget=1,
+            config=ExecutionConfig(memory_budget=1),
         )
         with pytest.raises(InvalidInstanceError, match="non-self-equal"):
             engine.run([1, 2, 3])
@@ -296,12 +295,29 @@ class TestConfigAndBench:
             ExecutionConfig(memory_budget=0)
         with pytest.raises(InvalidInstanceError, match="num_workers"):
             ExecutionConfig(num_workers=-1)
+        # An unknown backend fails here with the same error type as at
+        # run time, not later on whichever path first resolves it.
+        with pytest.raises(UnknownMethodError, match="unknown backend 'gpu'"):
+            ExecutionConfig(backend="gpu")
+        # Counts must be integers: a float is a typed error, not a bare
+        # TypeError from deep inside the engine.
+        for name, value in (
+            ("num_workers", 2.5),
+            ("map_chunk_size", 1.5),
+            ("num_reduce_tasks", "3"),
+            ("memory_budget", True),
+        ):
+            with pytest.raises(InvalidInstanceError, match=name):
+                ExecutionConfig(backend="threads", **{name: value})
 
     def test_engine_rejects_nonpositive_budget(self):
-        engine = fanout_engine("serial", None)
-        engine.memory_budget = 0
+        # The config is validated when built and frozen after, so a bad
+        # budget never reaches an engine run.
         with pytest.raises(InvalidInstanceError, match="memory_budget"):
-            engine.run([1])
+            fanout_engine("serial", 0)
+        engine = fanout_engine("serial", None)
+        with pytest.raises(FrozenInstanceError):
+            engine.config.memory_budget = 0
 
     def test_run_out_of_core_rows_and_check(self):
         # On every backend a budgeted run spills, keeps its buffer within

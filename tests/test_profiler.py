@@ -305,12 +305,12 @@ class TestEngineIntegration:
         def reduce_fn(key, values):
             yield key, sum(values)
 
-        engine = ExecutionEngine.from_config(
-            ExecutionConfig(backend=backend, **config_kwargs),
+        engine = ExecutionEngine(
             map_fn=map_fn,
             reduce_fn=reduce_fn,
             reducer_capacity=10_000,
             tracer=tracer,
+            config=ExecutionConfig(backend=backend, **config_kwargs),
         )
         return engine.run(list(range(200)))
 
