@@ -3,9 +3,10 @@
 This package turns a solved :class:`~repro.core.schema.A2ASchema`,
 :class:`~repro.core.schema.X2YSchema` or
 :class:`~repro.core.multiway.MultiwaySchema` into an actually-executed
-MapReduce job: records are replicated to exactly the reducers the schema
-assigns their input to, map tasks pre-partition their output by reduce
-task (mapper-side partitioned shuffle), and the phases run on a pluggable
+MapReduce job: every reducer receives exactly the records of the inputs
+the schema assigns to it, map tasks ship each record once to each reduce
+task holding one of its reducers (a schema-routed, mapper-side
+partitioned shuffle), and the phases run on a pluggable
 backend (``serial``, ``threads``, ``processes``) sharing one worker pool
 per run.  The serial backend is validated to be byte-identical to the
 reference simulator (:mod:`repro.mapreduce`); the parallel backends

@@ -6,22 +6,71 @@ outputs in the same order, same :class:`~repro.mapreduce.metrics.JobMetrics`
 — before its parallel backends mean anything.  This module runs both
 executors on identical inputs and diffs every observable.  The simulator
 is only this oracle: every application executes on the engine.
+
+The oracle routes a schema job the way the paper counts it: its map
+functions, :func:`route_a2a` and :func:`route_x2y`, emit one pair per
+(input, reducer) membership.  The engine ships each record once per
+reduce partition instead (:mod:`repro.engine.routing`), so the diff also
+checks that the routed shuffle rebuilds every reducer's value list and
+the per-reducer metrics exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Hashable, Sequence
 
 from repro.core.multiway import MultiwaySchema
 from repro.core.schema import A2ASchema, X2YSchema
+from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import EngineResult, execute_schema
-from repro.engine.routing import build_schema_plan
+from repro.engine.routing import (
+    a2a_memberships,
+    build_schema_plan,
+    x2y_memberships,
+)
 from repro.mapreduce.job import JobResult, MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
-from repro.mapreduce.types import ReduceFn
+from repro.mapreduce.types import MapFn, ReduceFn
 from repro.obs.trace import Tracer
+
+
+def route_a2a(
+    record: tuple[int, Any], memberships: tuple[tuple[int, ...], ...]
+) -> list[tuple[Hashable, Any]]:
+    """Oracle map function for A2A and multiway schemas: replicate
+    ``(i, payload)`` to every reducer input *i* belongs to.  Module-level,
+    hence picklable under :func:`functools.partial`."""
+    index, _ = record
+    return [(r, record) for r in memberships[index]]
+
+
+def route_x2y(
+    record: tuple[str, int, Any],
+    x_memberships: tuple[tuple[int, ...], ...],
+    y_memberships: tuple[tuple[int, ...], ...],
+) -> list[tuple[Hashable, Any]]:
+    """Oracle map function for X2Y schemas: route ``(side, i, payload)``
+    by its side's membership list."""
+    side, index, _ = record
+    members = x_memberships if side == "x" else y_memberships
+    return [(r, record) for r in members[index]]
+
+
+def oracle_map_fn(schema: A2ASchema | X2YSchema | MultiwaySchema) -> MapFn:
+    """The per-reducer map function the oracle runs *schema* with."""
+    if isinstance(schema, X2YSchema):
+        x_members, y_members = x2y_memberships(schema)
+        return partial(
+            route_x2y,
+            x_memberships=tuple(map(tuple, x_members)),
+            y_memberships=tuple(map(tuple, y_members)),
+        )
+    return partial(
+        route_a2a, memberships=tuple(map(tuple, a2a_memberships(schema)))
+    )
 
 
 @dataclass(frozen=True)
@@ -84,43 +133,42 @@ def compare_results(
 
 def validate_against_simulator(
     schema: A2ASchema | X2YSchema | MultiwaySchema,
-    records: Sequence[Any] | tuple[Sequence[Any], Sequence[Any]],
+    records: Sequence[Any] | Dataset | tuple[Sequence[Any], Sequence[Any]],
     reduce_fn: ReduceFn,
     *,
-    combiner_fn: ReduceFn | None = None,
     config: ExecutionConfig | None = None,
     tracer: Tracer | None = None,
 ) -> tuple[EngineResult, JobResult, CrossValidationReport]:
     """Run a schema-driven job on both executors and diff the results.
 
-    The simulator is fed the *same* wrapped records and the same routing
-    map function the engine uses (both come from
-    :func:`repro.engine.routing.build_schema_plan`), so any disagreement is
-    an executor bug rather than an encoding difference.  The engine runs
-    on *config* (default: serial).  A ``memory_budget`` in it routes the
-    engine through the spill-to-disk shuffle, and fault-plane settings
-    through retried, fault-injected tasks; either way the engine must
-    produce the simulator's exact outputs and analytical metrics.  A
-    *tracer* (profiling or not) instruments the engine run, which must
-    not change what it computes.
+    The simulator is fed the *same* wrapped records and sizes the engine
+    uses (both come from :func:`repro.engine.routing.build_schema_plan`)
+    and routes them per reducer with :func:`oracle_map_fn`, so any
+    disagreement is an executor bug rather than an encoding difference.
+    The engine runs on *config* (default: serial).  A ``memory_budget``
+    in it routes the engine through the spill-to-disk shuffle, and
+    fault-plane settings through retried, fault-injected tasks; either
+    way the engine must produce the simulator's exact outputs and
+    analytical metrics.  *records* may be a re-iterable
+    :class:`~repro.dataset.Dataset` (both executors read it).  A *tracer*
+    (profiling or not) instruments the engine run, which must not change
+    what it computes.
     """
     engine_result = execute_schema(
         schema,
         records,
         reduce_fn,
-        combiner_fn=combiner_fn,
         config=config,
         tracer=tracer,
     )
 
-    map_fn, size_of, wrapped = build_schema_plan(schema, records)
+    plan = build_schema_plan(schema, records)
     job = MapReduceJob(
-        map_fn=map_fn,
+        map_fn=oracle_map_fn(schema),
         reduce_fn=reduce_fn,
-        combiner_fn=combiner_fn,
-        size_of=size_of,
+        size_of=plan.size_of,
         reducer_capacity=schema.instance.q,
         strict_capacity=True,
     )
-    job_result = job.run(wrapped)
+    job_result = job.run(plan.records)
     return engine_result, job_result, compare_results(engine_result, job_result)

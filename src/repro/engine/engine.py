@@ -4,17 +4,16 @@ Where :class:`repro.mapreduce.job.MapReduceJob` *simulates* a job to define
 the paper's metrics, the engine *executes* the same model as physical tasks
 with a **partitioned shuffle**:
 
-* A *map task* takes a chunk of records and returns its pairs already
-  grouped by key and bucketed by reduce partition (plus its pair count and
-  communication cost), so the parent never re-hashes or re-groups
-  individual pairs.  The number of reduce partitions is fixed before the
+* A *map task* takes a chunk of records and returns its output already
+  bucketed by reduce partition (plus its pair count and communication
+  cost), so the parent never re-hashes or re-groups individual pairs.  The number of reduce partitions is fixed before the
   map phase, exactly like a real MapReduce deployment.
 * The parent's "shuffle" is just a transpose: for each partition it
   collects the per-map-task buckets, in task order.
-* A *reduce task* receives its partition's pre-grouped buckets, merges them
-  (task order = record order, so value order matches the simulator), checks
-  the capacity per key, and reduces — the final merge happens inside the
-  parallel task, not on the parent's critical path.
+* A *reduce task* receives its partition's buckets, merges them into
+  per-key value lists in record order (so value order matches the
+  simulator), checks the capacity per key, and reduces — the final merge
+  happens inside the parallel task, not on the parent's critical path.
 
 Where tasks run in other processes (:attr:`Backend.ships_blocks`), map tasks
 return each bucket as one block (:mod:`repro.engine.codec`) that only the
@@ -30,17 +29,28 @@ parallel backends produce the same observables for any orderable key space.
 
 :func:`execute_schema` is the schema-driven entry point: it takes a solved
 :class:`~repro.core.schema.A2ASchema`, :class:`~repro.core.schema.X2YSchema`
-or :class:`~repro.core.multiway.MultiwaySchema` plus per-input records and
-replicates each record to exactly the reducers the schema assigns its
-input to.
+or :class:`~repro.core.multiway.MultiwaySchema` plus per-input records, and
+every reducer receives exactly the records of the inputs the schema assigns
+to it.  Because the schema fixes those reducers before the run, a schema
+job's shuffle is *routed* (:mod:`repro.engine.routing`): a map task ships
+each record once to each reduce partition holding one of its reducers,
+and the reduce task rebuilds every reducer's value list from the records
+it received and the partition's ``(reducer, members)`` list, which ships
+with that task.  The job metrics still count one pair per (input,
+reducer) membership; ``EngineMetrics.pairs_shipped`` counts what moves.
+Any other job (:class:`ExecutionEngine` with a ``map_fn``) uses the keyed
+shuffle above.
 
 Two knobs make the engine *out-of-core*: records may arrive as a streaming
 :class:`~repro.dataset.Dataset` (consumed chunk by chunk, never
 materialized in the parent), and a ``memory_budget`` bounds the pairs a map
 task buffers before spilling sorted runs to disk
-(:mod:`repro.engine.spill`), which reduce tasks stream-merge back in
-sorted-key order.  Outputs and strict-mode exceptions are identical to the
-in-memory path; only the spill counters in the job metrics differ.
+(:mod:`repro.engine.spill`).  A keyed reduce task stream-merges its runs
+back in sorted-key order, holding one key's values at a time; a schema
+reduce task reads its runs into a record table that holds each input of
+its partition once, plus one reducer's value list.  Outputs and
+strict-mode exceptions are identical to the in-memory path; only the
+spill counters in the job metrics differ.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.core.multiway import MultiwaySchema
 from repro.core.schema import A2ASchema, X2YSchema
@@ -58,12 +68,18 @@ from repro.engine.backends import Backend, SerialBackend, get_backend
 from repro.engine.codec import decode_block_groups, encode_groups
 from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics, PhaseTimings
-from repro.engine.routing import build_schema_plan
+from repro.engine.routing import (
+    ReducerMembers,
+    Route,
+    SchemaPlan,
+    build_schema_plan,
+)
 from repro.engine.spill import (
     MapSpill,
     make_spill_dir,
     merge_sources,
-    spill_groups,
+    record_table,
+    spill_buckets,
 )
 from repro.exceptions import (
     CapacityExceededError,
@@ -174,11 +190,13 @@ def _run_map_task(
     check_keys: bool = True,
     encode: bool = False,
 ) -> TaskResult:
-    """One map task: map (and combine) a chunk into partition-bucketed groups.
+    """One keyed map task: map (and combine) a chunk into
+    partition-bucketed groups.
 
     The result's ``outputs`` are the buckets: ``outputs[p]`` maps each key
     of reduce partition ``p`` to its value list in record order.  Its
-    counters are ``records``, ``pairs``, ``comm``, ``peak_buffered``,
+    counters are ``records``, ``pairs``, ``shipped`` (equal to ``pairs``:
+    every emitted pair travels), ``comm``, ``peak_buffered``,
     ``encoded_bytes`` and ``encode_seconds``.  Pair counting and size
     accounting happen here, in the (parallel) task, so the parent does no
     per-pair work at all.  Module-level so process-pool workers can
@@ -235,10 +253,95 @@ def _run_map_task(
             if buffered > peak_buffered:
                 peak_buffered = buffered
             if buffered >= memory_budget and groups:
-                spill_groups(groups, num_partitions, spill_dir, spill)
+                spill_buckets(
+                    partition_groups(groups, num_partitions), spill_dir, spill
+                )
                 groups = {}
                 buffered = 0
-    buckets: Any = partition_groups(groups, num_partitions)
+    return _map_result(
+        partition_groups(groups, num_partitions),
+        spill,
+        encode,
+        records=record_count,
+        pairs=pair_count,
+        shipped=pair_count,
+        comm=comm,
+        peak_buffered=peak_buffered,
+    )
+
+
+def _run_routed_map_task(
+    chunk: list[Any],
+    *,
+    routes: dict[Hashable, Route],
+    key_of: Callable[[Any], Hashable],
+    num_partitions: int,
+    memory_budget: int | None = None,
+    spill_dir: str | None = None,
+    encode: bool = False,
+) -> TaskResult:
+    """One schema map task: ship each record once per reduce partition.
+
+    *routes* is the map side of :meth:`SchemaPlan.routes`: per input key,
+    the partitions that hold one of its reducers, its fan-out and its
+    communication.  ``outputs[p]`` maps the input key of every record
+    routed to partition ``p`` to that record, so a record crosses the
+    shuffle once per partition, not once per reducer.  The counters are
+    those of :func:`_run_map_task`, with ``pairs`` and ``comm`` summed
+    from the routes (what per-reducer emission would count, so the job
+    metrics stay analytical) and ``shipped`` counting the routed pairs.
+
+    A *memory_budget* bounds the routed pairs the task buffers: when it
+    is reached, the buckets are flushed to per-partition sorted runs keyed
+    by input.  *encode* is as in :func:`_run_map_task`.
+    """
+    buckets: list[dict[Hashable, Any]] = [{} for _ in range(num_partitions)]
+    pair_count = 0
+    comm = 0
+    record_count = 0
+    shipped = 0
+    buffered = 0
+    peak_buffered = 0
+    spill = MapSpill() if memory_budget is not None else None
+    for record in chunk:
+        record_count += 1
+        key = key_of(record)
+        parts, fanout, cost = routes[key]
+        pair_count += fanout
+        comm += cost
+        shipped += len(parts)
+        for p in parts:
+            buckets[p][key] = record
+        if spill is not None:
+            buffered += len(parts)
+            if buffered > peak_buffered:
+                peak_buffered = buffered
+            if buffered >= memory_budget:
+                spill_buckets(buckets, spill_dir, spill)
+                buckets = [{} for _ in range(num_partitions)]
+                buffered = 0
+    return _map_result(
+        buckets,
+        spill,
+        encode,
+        records=record_count,
+        pairs=pair_count,
+        shipped=shipped,
+        comm=comm,
+        peak_buffered=peak_buffered,
+    )
+
+
+def _map_result(
+    buckets: list[dict[Hashable, Any]],
+    spill: MapSpill | None,
+    encode: bool,
+    **counters: float,
+) -> TaskResult:
+    """A map task's result: its buckets (as blocks when *encode*) and
+    counters, with the encoding work added as ``encoded_bytes`` and
+    ``encode_seconds``."""
+    outputs: list[Any] = buckets
     encoded_bytes = 0
     encode_seconds = 0.0
     if encode:
@@ -251,15 +354,12 @@ def _run_map_task(
                 blocks.append(block)
             else:
                 blocks.append(None)
-        buckets = blocks
+        outputs = blocks
         encode_seconds = time.perf_counter() - encode_started
     return TaskResult(
-        outputs=buckets,
+        outputs=outputs,
         counters={
-            "records": record_count,
-            "pairs": pair_count,
-            "comm": comm,
-            "peak_buffered": peak_buffered,
+            **counters,
             "encoded_bytes": encoded_bytes,
             "encode_seconds": encode_seconds,
         },
@@ -294,7 +394,8 @@ def _run_reduce_task(
     capacity: int | None,
     strict: bool,
 ) -> TaskResult:
-    """One reduce task: merge a partition's sources and reduce each key.
+    """One keyed reduce task: merge a partition's sources and reduce
+    each key.
 
     ``sources`` holds, in spill order (map-task order, then flush order
     within a task, with each task's in-memory leftover last), bucket
@@ -304,18 +405,13 @@ def _run_reduce_task(
     record order.  When every source is in-memory the merge is the
     dict-based fast path; as soon as one source lives on disk the whole
     partition goes through the streaming external merge, which holds one
-    key's merged values at a time.  The result carries the per-key
-    outputs and loads, and counts ``keys`` and ``decode_seconds`` (time
-    spent decoding block sources).  Under strict capacity, a task whose
-    partition contains an overloaded key discards its outputs
-    (``outputs=None``) — the parent merges all loads and raises for the
-    globally smallest offending key, so the strict-mode exception is
-    identical to the simulator's.
+    key's merged values at a time.  See :func:`_reduce_groups` for the
+    result.
     """
     sources, decode_seconds = _resolve_sources(sources)
-    stream: Iterable[tuple[Hashable, list[Any]]]
+    groups: Iterable[tuple[Hashable, list[Any]]]
     if any(isinstance(source, str) for source in sources):
-        stream = merge_sources(sources)
+        groups = merge_sources(sources)
     else:
         merged: dict[Hashable, list[Any]] = {}
         for slab in sources:
@@ -325,12 +421,69 @@ def _run_reduce_task(
                     merged[key] = values
                 else:
                     existing.extend(values)
-        stream = ((key, merged[key]) for key in ordered_keys(merged))
+        groups = ((key, merged[key]) for key in ordered_keys(merged))
+    stream = (
+        (key, values, sum(size_of(value) for value in values))
+        for key, values in groups
+    )
+    return _reduce_groups(stream, reduce_fn, capacity, strict, decode_seconds)
+
+
+def _run_routed_reduce_task(
+    payload: tuple[list[Any], ReducerMembers],
+    *,
+    reduce_fn: ReduceFn,
+    sizes: dict[Hashable, int],
+    capacity: int | None,
+    strict: bool,
+) -> TaskResult:
+    """One schema reduce task: rebuild each reducer's values and reduce.
+
+    *payload* is ``(sources, reducers)``: the partition's sources (as in
+    :func:`_run_reduce_task`, holding records by input key) and its
+    ``(reducer, member keys)`` list from :meth:`SchemaPlan.routes`, in
+    reducer order.  The sources are read into one record table, so the
+    task holds each input of its partition once plus the value list of
+    the reducer it is reducing.  A reducer's values are its members'
+    records in sorted-key order, which is record order (for X2Y,
+    ``("x", i)`` sorts before ``("y", j)``), and its load is the sum of
+    its members' declared *sizes*.
+    """
+    sources, reducers = payload
+    sources, decode_seconds = _resolve_sources(sources)
+    record_of = record_table(sources).__getitem__
+    size_of = sizes.__getitem__
+    stream = (
+        (
+            reducer,
+            list(map(record_of, sorted(members))),
+            sum(map(size_of, members)),
+        )
+        for reducer, members in reducers
+    )
+    return _reduce_groups(stream, reduce_fn, capacity, strict, decode_seconds)
+
+
+def _reduce_groups(
+    stream: Iterable[tuple[Hashable, list[Any], int]],
+    reduce_fn: ReduceFn,
+    capacity: int | None,
+    strict: bool,
+    decode_seconds: float,
+) -> TaskResult:
+    """Reduce a task's ``(key, values, load)`` groups in key order.
+
+    The result carries the per-key outputs and loads, and counts ``keys``
+    and ``decode_seconds`` (time spent decoding block sources).  Under
+    strict capacity, a task whose partition contains an overloaded key
+    discards its outputs (``outputs=None``) — the parent merges all loads
+    and raises for the globally smallest offending key, so the
+    strict-mode exception is identical to the simulator's.
+    """
     loads: list[tuple[Hashable, int]] = []
     overloaded = False
     results: list[tuple[Hashable, list[Any]]] = []
-    for key, values in stream:
-        load = sum(size_of(value) for value in values)
+    for key, values, load in stream:
         loads.append((key, load))
         if capacity is not None and load > capacity:
             overloaded = True
@@ -415,52 +568,36 @@ def _chunk(records: list[Any], chunk_size: int) -> list[list[Any]]:
     ]
 
 
-@dataclass
-class ExecutionEngine:
-    """Runs a MapReduce job as parallel tasks on a pluggable backend.
+#: A job's tasks for one run: the map task, the reduce task, and the
+#: reduce task's payload for partition ``p`` given that partition's sources.
+_Tasks = tuple[
+    Callable[[list[Any]], TaskResult],
+    Callable[[Any], TaskResult],
+    Callable[[int, list[Any]], Any],
+]
 
-    Attributes:
-        map_fn: record -> iterable of (key, value); must be picklable for
-            the ``processes`` backend (module-level function or a
-            :func:`functools.partial` over one).
-        reduce_fn: (key, values) -> iterable of outputs; same picklability
-            caveat.
-        combiner_fn: optional mapper-side combiner, applied per record.
-        size_of: value-size function for capacity/communication accounting;
-            picklability caveat again (it runs inside map and reduce tasks).
-        reducer_capacity: the paper's ``q``; checked per key, exactly like
-            the simulator.
-        strict_capacity: raise on overflow (True) or record violations.
-        tracer: optional :class:`~repro.obs.trace.Tracer`; when given,
-            the run emits ``map``/``shuffle``/``reduce``/``post`` phase
-            spans plus per-task worker spans (propagated through the
-            pickling path on pooled backends) and per-flush ``spill``
-            spans.  ``None`` (the default) disables tracing at zero cost.
-            A profiling tracer (``Tracer(profile=True)``) additionally
-            records each phase's CPU seconds and RSS on its span, and
-            deterministic ``cProfile`` function tables — captured inside
-            worker tasks for map/reduce (they ride home on the worker
-            spans) and parent-side for shuffle/post;
-            :func:`~repro.obs.profiler.profile_export` turns the spans
-            into the profile export.
-        config: how the job runs — backend, workers, chunking, spill
-            and the fault plane, all in one validated
-            :class:`~repro.engine.config.ExecutionConfig` (default: the
-            serial backend with every fault-plane setting off).  Any
-            fault-plane setting hands :meth:`Backend.run_tasks` a retry
-            policy; with all of them off the engine passes
-            ``policy=None`` and no injector, so failures propagate
-            unchanged.
+
+class _PhaseRunner:
+    """The run loop shared by keyed jobs and schema jobs.
+
+    Backend choice and fallback, the deadline, the fault plane, spill
+    directories, the three phases, the post-pass and the metrics are the
+    same for both; a subclass only says what its tasks are
+    (:meth:`_tasks`).  :class:`ExecutionEngine` runs any ``map_fn`` with a
+    keyed shuffle; the schema engine behind :func:`execute_schema` ships
+    each record once per reduce partition.
     """
 
-    map_fn: MapFn
-    reduce_fn: ReduceFn
-    combiner_fn: ReduceFn | None = None
-    size_of: SizeFn = default_size
-    reducer_capacity: int | None = None
-    strict_capacity: bool = True
-    tracer: Tracer | None = None
-    config: ExecutionConfig = field(default_factory=ExecutionConfig)
+    reducer_capacity: int | None
+    strict_capacity: bool
+    tracer: Tracer | None
+    config: ExecutionConfig
+
+    def _tasks(
+        self, num_partitions: int, spill_dir: str | None, encode: bool
+    ) -> _Tasks:
+        """This job's tasks for a run over *num_partitions* partitions."""
+        raise NotImplementedError
 
     def run(self, records: Iterable[Any] | Dataset) -> EngineResult:
         """Execute the job end-to-end and return outputs plus metrics.
@@ -643,8 +780,9 @@ class ExecutionEngine:
 
         with backend:
             # --- map phase: chunk records into tasks; each task returns its
-            # pairs pre-grouped by key and bucketed by reduce partition
-            # (overflow beyond the memory budget goes to sorted spill runs).
+            # output bucketed by reduce partition (a keyed job's pairs
+            # grouped by key, a schema job's records by input), and
+            # overflow beyond the memory budget goes to sorted spill runs.
             with phase_span(tracer, "map", backend=backend.name) as map_span:
                 map_started = time.perf_counter()
                 chunk_size = config.map_chunk_size or self._default_chunk(
@@ -660,17 +798,8 @@ class ExecutionEngine:
                     )
                 else:
                     chunks = iter_chunks(dataset, chunk_size)
-                map_task = partial(
-                    _run_map_task,
-                    map_fn=self.map_fn,
-                    combiner_fn=self.combiner_fn,
-                    size_of=self.size_of,
-                    num_partitions=num_partitions,
-                    memory_budget=config.memory_budget,
-                    spill_dir=run_spill_dir,
-                    check_keys=self.strict_capacity
-                    or config.memory_budget is not None,
-                    encode=backend.ships_blocks,
+                map_task, reduce_task, reduce_payload = self._tasks(
+                    num_partitions, run_spill_dir, backend.ships_blocks
                 )
                 map_results = run_phase(map_task, chunks, "map")
                 map_span.set("tasks", len(map_results))
@@ -685,6 +814,7 @@ class ExecutionEngine:
                 shuffle_started = time.perf_counter()
                 map_inputs = _total(map_results, "records")
                 map_pairs = _total(map_results, "pairs")
+                pairs_shipped = _total(map_results, "shipped")
                 comm = _total(map_results, "comm")
                 peak_buffered = max(
                     (r.counters["peak_buffered"] for r in map_results),
@@ -699,7 +829,7 @@ class ExecutionEngine:
                 spill_runs = sum(spill.spill_runs for spill in spills)
                 encoded_bytes = _total(map_results, "encoded_bytes")
                 encode_seconds = _total(map_results, "encode_seconds")
-                partitions: list[list[Any]] = []
+                partitions: list[Any] = []
                 for p in range(num_partitions):
                     sources: list[Any] = []
                     for result in map_results:
@@ -708,25 +838,19 @@ class ExecutionEngine:
                         if result.outputs[p]:
                             sources.append(result.outputs[p])
                     if sources:
-                        partitions.append(sources)
-                shuffle_span.set("pairs", map_pairs)
+                        partitions.append(reduce_payload(p, sources))
+                shuffle_span.set("pairs", pairs_shipped)
                 shuffle_span.set("partitions", len(partitions))
                 shuffle_span.set("spilled_bytes", spilled_bytes)
                 if encoded_bytes:
                     shuffle_span.set("encoded_bytes", encoded_bytes)
                 shuffle_seconds = time.perf_counter() - shuffle_started
 
-            # --- reduce phase: each task merges its partition's sources,
-            # accounts per-key loads, and reduces.
+            # --- reduce phase: each task merges its partition's sources
+            # into per-key value lists, accounts per-key loads, and
+            # reduces.
             with phase_span(tracer, "reduce") as reduce_span:
                 reduce_started = time.perf_counter()
-                reduce_task = partial(
-                    _run_reduce_task,
-                    reduce_fn=self.reduce_fn,
-                    size_of=self.size_of,
-                    capacity=self.reducer_capacity,
-                    strict=self.strict_capacity,
-                )
                 task_results = run_phase(reduce_task, partitions, "reduce")
                 reduce_span.set("tasks", len(partitions))
                 reduce_run_seconds = time.perf_counter() - reduce_started
@@ -794,6 +918,7 @@ class ExecutionEngine:
                 reduce_seconds=reduce_seconds,
             ),
             bytes_moved=comm,
+            pairs_shipped=pairs_shipped,
             task_loads=tuple(task_loads),
             capacity=self.reducer_capacity,
             task_retries=retries,
@@ -846,12 +971,146 @@ class ExecutionEngine:
         return backend.max_workers * _TASKS_PER_WORKER
 
 
+@dataclass
+class ExecutionEngine(_PhaseRunner):
+    """Runs a MapReduce job as parallel tasks on a pluggable backend.
+
+    Map tasks group their pairs by key and bucket the keys by reduce
+    partition; reduce tasks merge their partition's groups key by key.
+
+    Attributes:
+        map_fn: record -> iterable of (key, value); must be picklable for
+            the ``processes`` backend (module-level function or a
+            :func:`functools.partial` over one).
+        reduce_fn: (key, values) -> iterable of outputs; same picklability
+            caveat.
+        combiner_fn: optional mapper-side combiner, applied per record.
+        size_of: value-size function for capacity/communication accounting;
+            picklability caveat again (it runs inside map and reduce tasks).
+        reducer_capacity: the paper's ``q``; checked per key, exactly like
+            the simulator.
+        strict_capacity: raise on overflow (True) or record violations.
+        tracer: optional :class:`~repro.obs.trace.Tracer`; when given,
+            the run emits ``map``/``shuffle``/``reduce``/``post`` phase
+            spans plus per-task worker spans (propagated through the
+            pickling path on pooled backends) and per-flush ``spill``
+            spans.  ``None`` (the default) disables tracing at zero cost.
+            A profiling tracer (``Tracer(profile=True)``) additionally
+            records each phase's CPU seconds and RSS on its span, and
+            deterministic ``cProfile`` function tables — captured inside
+            worker tasks for map/reduce (they ride home on the worker
+            spans) and parent-side for shuffle/post;
+            :func:`~repro.obs.profiler.profile_export` turns the spans
+            into the profile export.
+        config: how the job runs — backend, workers, chunking, spill
+            and the fault plane, all in one validated
+            :class:`~repro.engine.config.ExecutionConfig` (default: the
+            serial backend with every fault-plane setting off).  Any
+            fault-plane setting hands :meth:`Backend.run_tasks` a retry
+            policy; with all of them off the engine passes
+            ``policy=None`` and no injector, so failures propagate
+            unchanged.
+    """
+
+    map_fn: MapFn
+    reduce_fn: ReduceFn
+    combiner_fn: ReduceFn | None = None
+    size_of: SizeFn = default_size
+    reducer_capacity: int | None = None
+    strict_capacity: bool = True
+    tracer: Tracer | None = None
+    config: ExecutionConfig = field(default_factory=ExecutionConfig)
+
+    def _tasks(
+        self, num_partitions: int, spill_dir: str | None, encode: bool
+    ) -> _Tasks:
+        map_task = partial(
+            _run_map_task,
+            map_fn=self.map_fn,
+            combiner_fn=self.combiner_fn,
+            size_of=self.size_of,
+            num_partitions=num_partitions,
+            memory_budget=self.config.memory_budget,
+            spill_dir=spill_dir,
+            check_keys=self.strict_capacity
+            or self.config.memory_budget is not None,
+            encode=encode,
+        )
+        reduce_task = partial(
+            _run_reduce_task,
+            reduce_fn=self.reduce_fn,
+            size_of=self.size_of,
+            capacity=self.reducer_capacity,
+            strict=self.strict_capacity,
+        )
+        return map_task, reduce_task, _sources_payload
+
+
+def _sources_payload(partition: int, sources: list[Any]) -> list[Any]:
+    """A keyed reduce task's payload: its partition's sources alone."""
+    return sources
+
+
+@dataclass
+class _SchemaEngine(_PhaseRunner):
+    """Runs a compiled schema (:class:`~repro.engine.routing.SchemaPlan`).
+
+    Map tasks ship each record once to every reduce partition holding one
+    of its reducers; each reduce task receives its partition's
+    ``(reducer, members)`` list with its sources and rebuilds every
+    reducer's values from them.  The other fields are
+    :class:`ExecutionEngine`'s.
+    """
+
+    plan: SchemaPlan
+    reduce_fn: ReduceFn
+    reducer_capacity: int | None
+    strict_capacity: bool = True
+    tracer: Tracer | None = None
+    config: ExecutionConfig = field(default_factory=ExecutionConfig)
+
+    def _tasks(
+        self, num_partitions: int, spill_dir: str | None, encode: bool
+    ) -> _Tasks:
+        routes, partition_members = self.plan.routes(num_partitions)
+        map_task = partial(
+            _run_routed_map_task,
+            routes=routes,
+            key_of=self.plan.key_of,
+            num_partitions=num_partitions,
+            memory_budget=self.config.memory_budget,
+            spill_dir=spill_dir,
+            encode=encode,
+        )
+        reduce_task = partial(
+            _run_routed_reduce_task,
+            reduce_fn=self.reduce_fn,
+            sizes=self.plan.sizes,
+            capacity=self.reducer_capacity,
+            strict=self.strict_capacity,
+        )
+        return (
+            map_task,
+            reduce_task,
+            partial(_routed_payload, partition_members),
+        )
+
+
+def _routed_payload(
+    partition_members: list[ReducerMembers],
+    partition: int,
+    sources: list[Any],
+) -> tuple[list[Any], ReducerMembers]:
+    """A schema reduce task's payload: its partition's sources and its
+    ``(reducer, members)`` list, so each list ships once, with its task."""
+    return sources, partition_members[partition]
+
+
 def execute_schema(
     schema: A2ASchema | X2YSchema | MultiwaySchema,
     records: Sequence[Any] | Dataset | tuple[Sequence[Any], Sequence[Any]],
     reduce_fn: ReduceFn,
     *,
-    combiner_fn: ReduceFn | None = None,
     backend: str | Backend | None = None,
     num_workers: int | None = None,
     strict_capacity: bool = True,
@@ -870,10 +1129,20 @@ def execute_schema(
     as ``(i, record)``.  A :class:`MultiwaySchema` takes its records and
     wraps them the same way.  For an :class:`X2YSchema`, *records* is a
     ``(x_records, y_records)`` pair and values arrive as
-    ``(side, i, record)``.  Each record is replicated to exactly the
-    reducers the schema assigns its input to; reduce keys are the schema's
-    reducer indices; capacity ``q`` is enforced with the instance's declared
-    sizes, so a valid schema can never overflow.
+    ``(side, i, record)``.  Each reducer receives exactly the records of
+    the inputs the schema assigns to it, in record order (for X2Y, the X
+    side then the Y side); reduce keys are the schema's reducer indices;
+    capacity ``q`` is enforced with the instance's declared sizes, so a
+    valid schema can never overflow.
+
+    The schema fixes every reducer's inputs before the run, so a map task
+    ships each record once to each reduce partition that holds one of its
+    reducers, not once per reducer, and the reduce task rebuilds each
+    reducer's value list from the records it received
+    (:class:`~repro.engine.routing.SchemaPlan`).  The job metrics stay the
+    paper's: ``map_output_pairs`` and ``communication_cost`` count one
+    pair per (input, reducer) membership, while
+    ``EngineMetrics.pairs_shipped`` counts the routed pairs.
 
     The execution settings are bundled in *config* (an
     :class:`~repro.engine.config.ExecutionConfig`); without one, the
@@ -905,15 +1174,13 @@ def execute_schema(
             f"execute_schema got config= together with {sorted(settings)}; "
             "put every execution setting in the config"
         )
-    map_fn, size_of, wrapped = build_schema_plan(schema, records)
-    engine = ExecutionEngine(
-        map_fn=map_fn,
+    plan = build_schema_plan(schema, records)
+    engine = _SchemaEngine(
+        plan=plan,
         reduce_fn=reduce_fn,
-        combiner_fn=combiner_fn,
-        size_of=size_of,
         reducer_capacity=schema.instance.q,
         strict_capacity=strict_capacity,
         tracer=tracer,
         config=config,
     )
-    return engine.run(wrapped)
+    return engine.run(plan.records)

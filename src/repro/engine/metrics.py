@@ -48,9 +48,15 @@ class EngineMetrics:
             partitions out of the fixed partition count chosen before the
             map phase.
         timings: per-phase wall times.
-        bytes_moved: total value size shipped through the shuffle, in the
-            same size units the schema counts — equal to the job's
-            communication cost by construction.
+        bytes_moved: the job's communication cost, in the size units the
+            schema counts: the value size a per-reducer shuffle would
+            ship (a schema job ships each record once per reduce
+            partition, so the volume that actually moves is smaller).
+        pairs_shipped: pairs that actually crossed the shuffle.  For a
+            keyed job this is the map output pair count; a schema job
+            ships each record once per reduce partition holding one of
+            its reducers, so it is at most ``records * num_reduce_tasks``
+            however many reducers share a partition.
         task_loads: total value size per reduce *task* (a task batches one
             hash partition of keys, so its load is the sum of its keys'
             reducer loads).
@@ -84,6 +90,7 @@ class EngineMetrics:
     bytes_moved: int
     task_loads: tuple[int, ...]
     capacity: int | None = None
+    pairs_shipped: int = 0
     task_retries: int = 0
     pool_rebuilds: int = 0
     fallback_backend: str | None = None
@@ -117,6 +124,7 @@ class EngineMetrics:
             "reduce_s": round(self.timings.reduce_seconds, 4),
             "total_s": round(self.timings.total_seconds, 4),
             "bytes_moved": self.bytes_moved,
+            "pairs_shipped": self.pairs_shipped,
             "max_task_load": self.max_task_load,
             "retries": self.task_retries,
             "encoded_bytes": self.encoded_bytes,

@@ -1,29 +1,38 @@
-"""Schema-driven routing: from a solved schema to per-record reducer fan-out.
+"""Schema-driven routing: from a solved schema to per-partition shipping.
 
-The engine's contract with the paper is that a record of input *i* is
-replicated to *exactly* the reducers the mapping schema assigns *i* to.
-This module turns a schema into the data structures that implement that —
-per-input membership lists — and provides the picklable map/size functions
-the engine uses, so schema-driven jobs run unchanged on the ``processes``
-backend (closures would not survive pickling).
+The engine's contract with the paper is that a record of input *i*
+reaches *exactly* the reducers the mapping schema assigns *i* to.  The
+schema fixes those reducers before the job runs, so the engine does not
+ship one copy per reducer: :func:`build_schema_plan` compiles the schema
+into a :class:`SchemaPlan`, whose :meth:`SchemaPlan.routes` tables let a
+map task send each record once to every reduce partition holding one of
+its reducers, and let the reduce task rebuild each reducer's value list
+from the records it received.  The paper's metrics stay analytical: an
+input's pairs and communication are its fan-out (reducers it belongs to)
+and fan-out times its size, exactly what per-reducer emission would
+count.
 
-Records routed by these helpers are wrapped with their input index:
-``(i, record)`` for A2A and multiway, ``(side, i, record)`` with
-``side in {"x", "y"}`` for X2Y.  A multiway schema has the A2A shape (one
-member tuple per reducer over one list of inputs), so it is routed and
-sized exactly like an A2A schema.  A pair of inputs may meet at several
-reducers; reduce functions keep the output exactly-once by letting only
-the pair's smallest shared reducer emit it.  The hot loops test that with
-per-input reducer bitmasks from :func:`a2a_reducer_masks` /
-:func:`x2y_reducer_masks`: reducer *r* owns a pair it holds iff
-``masks[a] & masks[b] & ((1 << r) - 1) == 0``, i.e. no earlier reducer
-holds both.  :func:`canonical_meeting` computes
-the same reducer from membership lists and is the independent reference.
+Records are wrapped with their input index: ``(i, record)`` for A2A and
+multiway, ``(side, i, record)`` with ``side in {"x", "y"}`` for X2Y.  An
+input's *key* is ``i``, or ``(side, i)`` for X2Y.  A multiway schema has
+the A2A shape (one member tuple per reducer over one list of inputs), so
+it is routed and sized exactly like an A2A schema.  A pair of inputs may
+meet at several reducers; reduce functions keep the output exactly-once
+by letting only the pair's smallest shared reducer emit it.  The hot
+loops test that with per-input reducer bitmasks from
+:func:`a2a_reducer_masks` / :func:`x2y_reducer_masks`: reducer *r* owns
+a pair it holds iff ``masks[a] & masks[b] & ((1 << r) - 1) == 0``, i.e.
+no earlier reducer holds both.  :func:`canonical_meeting` computes the
+same reducer from membership lists and is the independent reference.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from functools import partial
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.core.multiway import MultiwaySchema
@@ -131,28 +140,6 @@ def x2y_reducer_masks(
     return tuple(x_masks), tuple(y_masks)
 
 
-def route_a2a(
-    record: tuple[int, Any], memberships: tuple[tuple[int, ...], ...]
-) -> list[tuple[Hashable, Any]]:
-    """Map function for A2A schemas: replicate ``(i, payload)`` to every
-    reducer input *i* belongs to.  Module-level, hence picklable under
-    :func:`functools.partial`."""
-    index, _ = record
-    return [(r, record) for r in memberships[index]]
-
-
-def route_x2y(
-    record: tuple[str, int, Any],
-    x_memberships: tuple[tuple[int, ...], ...],
-    y_memberships: tuple[tuple[int, ...], ...],
-) -> list[tuple[Hashable, Any]]:
-    """Map function for X2Y schemas: route ``(side, i, payload)`` by its
-    side's membership list."""
-    side, index, _ = record
-    members = x_memberships if side == "x" else y_memberships
-    return [(r, record) for r in members[index]]
-
-
 def indexed_size(record: tuple[int, Any], sizes: tuple[int, ...]) -> int:
     """Size function for A2A-wrapped records: the instance size of input i.
 
@@ -196,58 +183,137 @@ def _enumerate_checked(
         )
 
 
+#: One input's map-side route: the reduce partitions it ships to (each
+#: once, ascending), its fan-out (reducers it belongs to) and its
+#: communication (fan-out times its declared size).
+Route = tuple[tuple[int, ...], int, int]
+
+#: One reduce partition's reducers: ``(reducer, member keys)`` pairs in
+#: reducer order.
+ReducerMembers = list[tuple[int, tuple[Hashable, ...]]]
+
+
+@dataclass(frozen=True, eq=False)
+class SchemaPlan:
+    """A schema compiled for execution: wrapped records plus route tables.
+
+    Attributes:
+        records: the wrapped records, in record order (a lazy
+            :class:`~repro.dataset.Dataset` when the A2A or multiway
+            source was one).
+        key_of: wrapped record -> its input key (``i``, or ``(side, i)``
+            for X2Y); picklable.
+        size_of: wrapped record -> its input's declared size; picklable.
+        sizes: input key -> declared size, for every input.
+        members: per reducer, its members' input keys as the schema lists
+            them.  Sorted, they are in record order (for X2Y, the X side
+            then the Y side).
+    """
+
+    records: list[Any] | Dataset
+    key_of: Callable[[Any], Hashable]
+    size_of: Callable[[Any], int]
+    sizes: dict[Hashable, int]
+    members: tuple[tuple[Hashable, ...], ...]
+
+    def routes(
+        self, num_partitions: int
+    ) -> tuple[dict[Hashable, Route], list[ReducerMembers]]:
+        """The route tables for *num_partitions* reduce partitions.
+
+        Returns ``(map_routes, partition_members)``:
+
+        * ``map_routes[key]`` is the input's :data:`Route`, the only table
+          map tasks carry;
+        * ``partition_members[p]`` lists ``(reducer, members)`` for every
+          non-empty reducer of partition ``p`` in reducer order; it ships
+          with partition ``p``'s reduce task only.
+
+        Reducer ``r`` lives in partition ``r % num_partitions``, which is
+        ``stable_hash(r) % num_partitions``: the partition a keyed shuffle
+        hashes reducer key ``r`` to, so task counts and task loads do not
+        depend on how the records travel.
+        """
+        reducers = range(len(self.members))
+        partition_members: list[ReducerMembers] = []
+        parts: dict[Hashable, list[int]] = {key: [] for key in self.sizes}
+        fanout: dict[Hashable, int] = {}
+        for p in range(num_partitions):
+            members_of_p = self.members[p::num_partitions]
+            partition_members.append(
+                [
+                    (r, members)
+                    for r, members in zip(
+                        reducers[p::num_partitions], members_of_p
+                    )
+                    if members
+                ]
+            )
+            held = Counter(chain.from_iterable(members_of_p))
+            for key, count in held.items():
+                parts[key].append(p)
+                fanout[key] = fanout.get(key, 0) + count
+        map_routes: dict[Hashable, Route] = {}
+        for key, size in self.sizes.items():
+            count = fanout.get(key, 0)
+            map_routes[key] = (tuple(parts[key]), count, count * size)
+        return map_routes, partition_members
+
+
 def build_schema_plan(
     schema: A2ASchema | X2YSchema | MultiwaySchema,
     records: Sequence[Any] | Dataset | tuple[Sequence[Any], Sequence[Any]],
-) -> tuple[Callable, Callable, list[Any] | Dataset]:
-    """Turn a schema plus per-input records into ``(map_fn, size_of, wrapped)``.
+) -> SchemaPlan:
+    """Compile a schema plus per-input records into a :class:`SchemaPlan`.
 
-    This is the single source of the schema-to-execution encoding: both the
-    engine (:func:`repro.engine.engine.execute_schema`) and the simulator
-    side of cross-validation (:mod:`repro.engine.crossval`) build their jobs
-    from it, so the two executors cannot drift in how records are wrapped,
-    routed, or sized.  Validates record counts against the instance.
+    This is the single source of how a schema's records are wrapped,
+    keyed and sized: the engine
+    (:func:`repro.engine.engine.execute_schema`) runs the plan's routes,
+    and the simulator side of cross-validation
+    (:mod:`repro.engine.crossval`) runs the same wrapped records and sizes
+    through its own per-reducer routing.  Validates record counts against
+    the instance.
 
     A multiway schema takes the A2A branch.  An A2A or multiway *records*
     source may be a :class:`~repro.dataset.Dataset`; the
-    wrapping then stays lazy (``wrapped`` is itself a dataset), so the
+    wrapping then stays lazy (``records`` is itself a dataset), so the
     engine can stream the records without materializing them.  X2Y takes
     its two sides as sequences (datasets per side are materialized — the
     sides are concatenated and tagged, which needs their lengths anyway).
     """
     if isinstance(schema, (A2ASchema, MultiwaySchema)):
+        m = schema.instance.m
+        wrapped: list[Any] | Dataset
         if isinstance(records, Dataset):
-            if (
-                records.length is not None
-                and records.length != schema.instance.m
-            ):
+            if records.length is not None and records.length != m:
                 raise InvalidInstanceError(
-                    f"schema expects {schema.instance.m} records, "
-                    f"got {records.length}"
+                    f"schema expects {m} records, got {records.length}"
                 )
-            memberships = tuple(tuple(m) for m in a2a_memberships(schema))
-            map_fn = partial(route_a2a, memberships=memberships)
-            size_of = partial(indexed_size, sizes=schema.instance.sizes)
             # The wrapper re-iterates exactly as often as its source, so a
             # single-use source stays single-use (the engine checks that).
             if records.is_single_use:
-                return map_fn, size_of, Dataset(
-                    iterator=_enumerate_checked(records, schema.instance.m),
+                wrapped = Dataset(
+                    iterator=_enumerate_checked(records, m),
                     length=records.length,
                 )
-            return map_fn, size_of, Dataset.from_factory(
-                partial(_enumerate_checked, records, schema.instance.m),
-                length=records.length,
-            )
-        if len(records) != schema.instance.m:
-            raise InvalidInstanceError(
-                f"schema expects {schema.instance.m} records, got {len(records)}"
-            )
-        memberships = tuple(tuple(m) for m in a2a_memberships(schema))
-        map_fn = partial(route_a2a, memberships=memberships)
-        size_of = partial(indexed_size, sizes=schema.instance.sizes)
-        wrapped: list[Any] = list(enumerate(records))
-        return map_fn, size_of, wrapped
+            else:
+                wrapped = Dataset.from_factory(
+                    partial(_enumerate_checked, records, m),
+                    length=records.length,
+                )
+        else:
+            if len(records) != m:
+                raise InvalidInstanceError(
+                    f"schema expects {m} records, got {len(records)}"
+                )
+            wrapped = list(enumerate(records))
+        return SchemaPlan(
+            records=wrapped,
+            key_of=itemgetter(0),
+            size_of=partial(indexed_size, sizes=schema.instance.sizes),
+            sizes=dict(enumerate(schema.instance.sizes)),
+            members=schema.reducers,
+        )
     if isinstance(schema, X2YSchema):
         try:
             x_records, y_records = records
@@ -259,26 +325,32 @@ def build_schema_plan(
             x_records = x_records.materialize()
         if isinstance(y_records, Dataset):
             y_records = y_records.materialize()
-        if len(x_records) != schema.instance.m or len(y_records) != schema.instance.n:
+        instance = schema.instance
+        if len(x_records) != instance.m or len(y_records) != instance.n:
             raise InvalidInstanceError(
-                f"schema expects {schema.instance.m} X records and "
-                f"{schema.instance.n} Y records, got "
+                f"schema expects {instance.m} X records and "
+                f"{instance.n} Y records, got "
                 f"{len(x_records)} and {len(y_records)}"
             )
-        x_members, y_members = x2y_memberships(schema)
-        map_fn = partial(
-            route_x2y,
-            x_memberships=tuple(tuple(m) for m in x_members),
-            y_memberships=tuple(tuple(m) for m in y_members),
-        )
-        size_of = partial(
-            tagged_size,
-            x_sizes=schema.instance.x_sizes,
-            y_sizes=schema.instance.y_sizes,
-        )
+        x_keys = [("x", i) for i in range(instance.m)]
+        y_keys = [("y", j) for j in range(instance.n)]
+        sizes = dict(zip(x_keys, instance.x_sizes))
+        sizes.update(zip(y_keys, instance.y_sizes))
         wrapped = [("x", i, record) for i, record in enumerate(x_records)]
         wrapped += [("y", j, record) for j, record in enumerate(y_records)]
-        return map_fn, size_of, wrapped
+        return SchemaPlan(
+            records=wrapped,
+            key_of=itemgetter(0, 1),
+            size_of=partial(
+                tagged_size, x_sizes=instance.x_sizes, y_sizes=instance.y_sizes
+            ),
+            sizes=sizes,
+            members=tuple(
+                tuple(x_keys[i] for i in x_part)
+                + tuple(y_keys[j] for j in y_part)
+                for x_part, y_part in schema.reducers
+            ),
+        )
     raise TypeError(
         "expected an A2ASchema, X2YSchema or MultiwaySchema, got "
         f"{type(schema).__name__}"

@@ -1,17 +1,31 @@
-"""Spill-to-disk shuffle: sorted run files plus streaming external merge.
+"""Spill-to-disk shuffle: sorted run files plus their reduce-side readers.
 
 When an :class:`~repro.engine.engine.ExecutionEngine` runs with a
 ``memory_budget``, map tasks no longer buffer an unbounded number of
-key-value pairs: once the buffered pair count reaches the budget, the
-task's current groups are hash-partitioned (the same
-:func:`~repro.mapreduce.shuffle.partition_groups` the in-memory path uses)
-and each non-empty partition is written to disk as a *sorted run* — the
-partition's ``(key, values)`` items in sorted-key order, in blocks.
-Reduce tasks then stream-merge their partition's runs (plus any in-memory
-leftovers) with a k-way heap merge, so at any moment a reduce task holds
-one key's merged value list, not the whole partition.
+pairs: once the buffered pair count reaches the budget, the task's
+current per-partition buckets are written to disk, each non-empty one as
+a *sorted run* — the bucket's items in sorted-key order, in blocks.  The
+buckets hold one of two kinds of items, and the reduce side reads each
+kind its own way:
 
-Two invariants make the spilled path bit-identical to the in-memory one:
+* **Keyed jobs** (any ``map_fn``; ``hash_join``, ``schema_skew_join``)
+  buffer ``key -> values`` groups, hash-partitioned by the same
+  :func:`~repro.mapreduce.shuffle.partition_groups` the in-memory path
+  uses.  Reduce tasks stream-merge their partition's runs (plus any
+  in-memory leftovers) with a k-way heap merge (:func:`merge_sources`),
+  so at any moment a reduce task holds one key's merged value list, not
+  the whole partition.
+* **Schema jobs** (:func:`~repro.engine.engine.execute_schema`) buffer
+  ``input key -> record`` buckets: the input key is ``i`` (A2A and
+  multiway) or ``("x", i)`` / ``("y", j)`` (X2Y), and a record sits in
+  every bucket whose partition holds one of its reducers.  A reduce task
+  reads its partition's runs into one record table
+  (:func:`record_table`) and builds each reducer's value list from it,
+  so it holds each input of its partition once, plus one reducer's value
+  list.
+
+Two invariants make the spilled keyed path bit-identical to the
+in-memory one:
 
 * **Key order** — runs are sorted and merged by key, which is exactly the
   ``sorted(keys)`` order :func:`~repro.mapreduce.shuffle.ordered_keys`
@@ -24,6 +38,10 @@ Two invariants make the spilled path bit-identical to the in-memory one:
   in-memory leftover last.  That is precisely the record order the
   in-memory path produces by extending value lists slab by slab.
 
+A schema job needs neither: input keys are orderable by construction, an
+input reaches a partition once, and the reducer's member list, not the
+arrival order, fixes the value order.
+
 Run files live in a per-run temporary directory owned by the engine
 (workers on the ``processes`` backend write to the shared directory and
 return file paths; the parent removes the directory when the run
@@ -32,7 +50,7 @@ is a short pickled header ``("rblk1", item count)`` followed by blocks
 (:mod:`repro.engine.codec`) of up to :data:`RUN_BLOCK_ITEMS` sorted items
 each, pickled as opaque ``bytes`` — the same block format the shuffle
 ships, so spilling pays one batch pickle per block instead of one pickle
-per item, and the k-way merge streams one decoded block at a time.
+per item, and readers stream one decoded block at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +65,6 @@ from typing import Any, Hashable, Iterator
 
 from repro.engine.codec import decode_block, encode_items
 from repro.exceptions import CodecError, SpillError
-from repro.mapreduce.shuffle import partition_groups
 
 #: Sorted items per block in a run file: large enough to amortize the
 #: per-block pickle framing, small enough that the streaming merge holds
@@ -92,8 +109,8 @@ class MapSpill:
 
 
 def _sorted_items(
-    groups: dict[Hashable, list[Any]]
-) -> list[tuple[Hashable, list[Any]]]:
+    groups: dict[Hashable, Any]
+) -> list[tuple[Hashable, Any]]:
     """Group items in sorted-key order; unorderable keys are a hard error."""
     try:
         return sorted(groups.items(), key=lambda item: item[0])
@@ -106,13 +123,14 @@ def _sorted_items(
 
 
 def write_run(
-    groups: dict[Hashable, list[Any]], spill_dir: str
+    groups: dict[Hashable, Any], spill_dir: str
 ) -> tuple[str, int]:
-    """Write one partition's groups as a sorted block-format run file.
+    """Write one partition's bucket as a sorted block-format run file.
 
     Returns ``(path, bytes_written)``.  The file is a pickled
     ``("rblk1", item count)`` header followed by blocks of up to
-    :data:`RUN_BLOCK_ITEMS` ``(key, values)`` items in sorted-key order,
+    :data:`RUN_BLOCK_ITEMS` ``(key, item)`` pairs in sorted-key order
+    (the item is a value list for keyed jobs, a record for schema jobs),
     each pickled as one ``bytes`` object.  The count header lets
     :func:`iter_run` distinguish a complete run from one truncated at a
     block boundary (which a bare pickle stream would silently read as a
@@ -132,24 +150,26 @@ def write_run(
     return path, os.path.getsize(path)
 
 
-def spill_groups(
-    groups: dict[Hashable, list[Any]],
-    num_partitions: int,
+def spill_buckets(
+    buckets: list[dict[Hashable, Any]],
     spill_dir: str,
     spill: MapSpill,
 ) -> None:
-    """Flush a map task's buffered groups to per-partition sorted runs.
+    """Flush a map task's per-partition buckets to sorted run files.
 
-    Appends one flush entry to *spill* (a path per partition, ``None`` for
-    partitions with no keys this flush) and updates its byte/run counters
-    plus the flush's timing window.  The caller clears the in-memory
-    groups afterwards.
+    ``buckets[p]`` is partition ``p``'s buffered items: value lists by key
+    for a keyed job (hash-partitioned by
+    :func:`~repro.mapreduce.shuffle.partition_groups`), or records by
+    input key for a schema job.  Appends one flush entry to *spill* (a
+    path per partition, ``None`` for partitions with nothing buffered) and
+    updates its byte/run counters plus the flush's timing window.  The
+    caller clears the in-memory buckets afterwards.
     """
     started = time.perf_counter()
     flushed_bytes = 0
     flushed_runs = 0
     flush: list[str | None] = []
-    for bucket in partition_groups(groups, num_partitions):
+    for bucket in buckets:
         if not bucket:
             flush.append(None)
             continue
@@ -165,8 +185,8 @@ def spill_groups(
     )
 
 
-def iter_run(path: str) -> Iterator[tuple[Hashable, list[Any]]]:
-    """Stream ``(key, values)`` items back out of one run file.
+def iter_run(path: str) -> Iterator[tuple[Hashable, Any]]:
+    """Stream ``(key, item)`` pairs back out of one run file.
 
     Decodes the run one block at a time, so memory is bounded by one
     block, not the run.  Every failure mode — unreadable file, garbage
@@ -268,6 +288,20 @@ def merge_sources(
             "out-of-core shuffle requires totally orderable keys "
             f"(merge comparison failed: {exc})"
         ) from exc
+
+
+def record_table(sources: list[Source]) -> dict[Hashable, Any]:
+    """A schema job's reduce-side record table: input key -> record.
+
+    Reads every source of one partition — in-memory buckets and run files
+    alike — into one dict.  A map task ships each input to a partition at
+    most once and every input has one record, so sources never disagree
+    on a key and the table holds each input of the partition once.
+    """
+    table: dict[Hashable, Any] = {}
+    for source in sources:
+        table.update(iter_run(source) if isinstance(source, str) else source)
+    return table
 
 
 def make_spill_dir(base_dir: str | None = None) -> str:

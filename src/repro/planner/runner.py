@@ -28,7 +28,6 @@ def run(
     records: Sequence[Any] | Dataset | tuple[Sequence[Any], Sequence[Any]],
     reduce_fn: ReduceFn,
     *,
-    combiner_fn: ReduceFn | None = None,
     strict_capacity: bool = True,
     config: ExecutionConfig | None = None,
     tracer: Tracer | None = None,
@@ -49,7 +48,6 @@ def run(
         plan.schema(),
         records,
         reduce_fn,
-        combiner_fn=combiner_fn,
         strict_capacity=strict_capacity,
         config=config if config is not None else plan.execution,
         tracer=tracer,

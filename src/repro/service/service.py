@@ -184,7 +184,6 @@ class _JobRecord:
     priority: int
     records: Any
     reduce_fn: ReduceFn | None
-    combiner_fn: ReduceFn | None
     config: ExecutionConfig | None
     strict_capacity: bool
     state: str = QUEUED
@@ -316,7 +315,6 @@ class JobService:
         *,
         records: Sequence[Any] | Dataset | tuple | None = None,
         reduce_fn: ReduceFn | None = None,
-        combiner_fn: ReduceFn | None = None,
         config: ExecutionConfig | None = None,
         priority: int | None = None,
         job_id: str | None = None,
@@ -358,7 +356,6 @@ class JobService:
                 ),
                 records=records,
                 reduce_fn=reduce_fn,
-                combiner_fn=combiner_fn,
                 config=config,
                 strict_capacity=strict_capacity,
             )
@@ -876,7 +873,6 @@ class JobService:
                         planned,
                         record.records,
                         record.reduce_fn,
-                        combiner_fn=record.combiner_fn,
                         strict_capacity=record.strict_capacity,
                         config=config,
                         tracer=tracer,

@@ -1,22 +1,27 @@
 """Generated differential test: the engine against the simulator oracle.
 
 Hypothesis draws a mapping-schema problem (A2A, X2Y or multiway), one of
-the registered solver methods for its kind, the payload type, the
-backend, the engine settings, the injected faults (none, or seeded task
-crashes and transient failures under a retry policy) and the
-instrumentation (none, a tracer, or a profiling tracer), then checks
-that the engine's run of the schema
-equals :class:`~repro.mapreduce.job.MapReduceJob`'s run of the same map
-and reduce functions: the same outputs in the same order and the same
-analytical :class:`~repro.mapreduce.metrics.JobMetrics`.
+the registered solver methods for its kind, the payload type, the record
+source (a list, or for A2A and multiway a streaming
+``Dataset.from_factory``), the backend, the engine settings, the
+injected faults (none, or seeded task crashes and transient failures
+under a retry policy) and the instrumentation (none, a tracer, or a
+profiling tracer), then checks that the engine's routed run of the
+schema equals :class:`~repro.mapreduce.job.MapReduceJob`'s per-reducer
+run of the same records and reduce function: the same outputs in the
+same order and the same analytical
+:class:`~repro.mapreduce.metrics.JobMetrics`.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from repro.dataset import Dataset
 from repro.engine.backends import ProcessBackend
 from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import validate_against_simulator
@@ -67,14 +72,28 @@ def specs(draw):
     return JobSpec.a2a(sizes, q)
 
 
-def records_for(spec: JobSpec, payload):
-    """Per-input records of *spec* (an ``(x, y)`` pair for X2Y)."""
+def records_for(spec: JobSpec, payload, source: str):
+    """Per-input records of *spec* (an ``(x, y)`` pair for X2Y).
+
+    With *source* ``"factory"`` an A2A or multiway job's records come as
+    a re-iterable streaming dataset, of known or unknown length, so the
+    routed map reads them chunk by chunk (both executors iterate it).
+    """
     if spec.kind == "x2y":
         return (
             [payload(i) for i in range(len(spec.x_sizes))],
             [payload(100 + j) for j in range(len(spec.y_sizes))],
         )
-    return [payload(i) for i in range(len(spec.sizes))]
+    records = [payload(i) for i in range(len(spec.sizes))]
+    if source == "list":
+        return records
+    length = len(records) if source == "factory" else None
+    return Dataset.from_factory(partial(iter, records), length=length)
+
+
+#: Record sources: a list, or a streaming factory of known or unknown
+#: length (X2Y always takes lists).
+SOURCES = ["list", "factory", "factory-unsized"]
 
 
 KNOBS = st.one_of(st.none(), st.integers(1, 6))
@@ -118,6 +137,7 @@ def test_engine_equals_simulator_on_generated_jobs(process_backend, spec, data):
     except ReproError:
         reject()  # the method does not apply to this instance
     payload = data.draw(st.sampled_from(sorted(PAYLOADS)), label="payload")
+    source = data.draw(st.sampled_from(SOURCES), label="source")
     backend = data.draw(
         st.sampled_from(["serial", "threads", process_backend]),
         label="backend",
@@ -138,7 +158,7 @@ def test_engine_equals_simulator_on_generated_jobs(process_backend, spec, data):
     tracer = TRACERS[instrumentation]()
     _, _, report = validate_against_simulator(
         schema,
-        records_for(spec, PAYLOADS[payload]),
+        records_for(spec, PAYLOADS[payload], source),
         echo_reduce,
         config=config,
         tracer=tracer,

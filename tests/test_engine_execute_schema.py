@@ -2,18 +2,49 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.instance import A2AInstance, X2YInstance
+from repro.core.schema import A2ASchema, X2YSchema
 from repro.core.selector import solve_a2a, solve_x2y
-from repro.engine import ExecutionConfig, canonical_meeting, execute_schema
-from repro.engine.routing import a2a_memberships, x2y_memberships
+from repro.engine import (
+    ExecutionConfig,
+    ExecutionEngine,
+    canonical_meeting,
+    execute_schema,
+)
+from repro.engine.backends import BACKENDS
+from repro.engine.crossval import validate_against_simulator
+from repro.engine.engine import _SchemaEngine
+from repro.engine.routing import (
+    a2a_memberships,
+    build_schema_plan,
+    x2y_memberships,
+)
 from repro.exceptions import InvalidInstanceError
+from repro.mapreduce.shuffle import stable_hash
+from repro.obs.trace import Tracer
+from repro.planner import JobSpec, plan
+from repro.workloads.distributions import sample_sizes
+
+ALL_BACKENDS = sorted(BACKENDS)
 
 
 def collect_reduce(key, values):
     """Reducer that reports which input indices met at this reducer."""
     yield key, tuple(sorted(v[0] if len(v) == 2 else (v[0], v[1]) for v in values))
+
+
+def echo_reduce(key, values):
+    """Emit the reducer id with every value it received, in order."""
+    yield key, tuple(values)
+
+
+def count_reduce(key, values):
+    """How many records reached the reducer."""
+    yield key, len(values)
 
 
 def pair_reduce_a2a(key, values):
@@ -167,3 +198,143 @@ class TestExecutionSettings:
                 memory_budget=4,
                 config=ExecutionConfig(),
             )
+
+
+class TestEmptyReducersAndPartitions:
+    """Hand-built schemas with empty reducers, run on more reduce
+    partitions than there are reducers: the outputs and job metrics equal
+    the oracle's, and only non-empty partitions become reduce tasks."""
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_a2a_schema_with_an_empty_reducer(self, backend):
+        # Reducer 2 lists its inputs out of record order.
+        schema = A2ASchema(
+            instance=A2AInstance([3, 4, 5], q=12),
+            reducers=((0, 1, 2), (), (2, 1)),
+        )
+        engine_result, _, report = validate_against_simulator(
+            schema,
+            ["a", "b", "c"],
+            echo_reduce,
+            config=ExecutionConfig(
+                backend=backend, num_workers=2, num_reduce_tasks=5
+            ),
+        )
+        assert report.ok, report.summary()
+        assert engine_result.outputs == [
+            (0, ((0, "a"), (1, "b"), (2, "c"))),
+            (2, ((1, "b"), (2, "c"))),
+        ]
+        assert engine_result.metrics.num_reducers == 2
+        assert engine_result.engine.num_reduce_tasks == 2
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_x2y_schema_with_an_empty_reducer(self, backend):
+        # Reducer 2 holds only an X input.
+        schema = X2YSchema(
+            instance=X2YInstance([2, 3], [4, 1], q=10),
+            reducers=(((0, 1), (1, 0)), ((), ()), ((1,), ())),
+        )
+        engine_result, _, report = validate_against_simulator(
+            schema,
+            (["x0", "x1"], ["y0", "y1"]),
+            echo_reduce,
+            config=ExecutionConfig(
+                backend=backend, num_workers=2, num_reduce_tasks=5
+            ),
+        )
+        assert report.ok, report.summary()
+        assert engine_result.outputs[0] == (
+            0,
+            (("x", 0, "x0"), ("x", 1, "x1"), ("y", 0, "y0"), ("y", 1, "y1")),
+        )
+        assert engine_result.metrics.num_reducers == 2
+        assert engine_result.engine.num_reduce_tasks == 2
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_all_empty_partitions(self, backend):
+        schema = A2ASchema(
+            instance=A2AInstance([3, 4], q=12), reducers=((), ())
+        )
+        engine_result, _, report = validate_against_simulator(
+            schema,
+            ["a", "b"],
+            echo_reduce,
+            config=ExecutionConfig(
+                backend=backend, num_workers=2, num_reduce_tasks=4
+            ),
+        )
+        assert report.ok, report.summary()
+        assert engine_result.outputs == []
+        assert engine_result.engine.num_reduce_tasks == 0
+        assert engine_result.engine.pairs_shipped == 0
+
+
+class TestRoutedShuffle:
+    """A schema job ships each record once per reduce partition."""
+
+    def test_each_record_ships_once_per_partition(self, small_a2a):
+        schema = solve_a2a(small_a2a)
+        records = [f"rec{i}" for i in range(schema.instance.m)]
+        tracer = Tracer()
+        result = execute_schema(
+            schema, records, collect_reduce, num_reduce_tasks=3, tracer=tracer
+        )
+        partitions = {
+            i: {r % 3 for r in reducers}
+            for i, reducers in enumerate(a2a_memberships(schema))
+        }
+        shipped = sum(len(parts) for parts in partitions.values())
+        assert result.engine.pairs_shipped == shipped
+        assert result.metrics.map_output_pairs == sum(schema.replication)
+        (shuffle,) = [s for s in tracer.spans() if s.name == "shuffle"]
+        assert shuffle.attrs["pairs"] == shipped
+
+    def test_keyed_jobs_ship_every_pair(self, small_a2a):
+        # The generic engine has no routes: every map output pair moves.
+        result = ExecutionEngine(
+            map_fn=lambda record: [(record % 3, record), (record % 2, record)],
+            reduce_fn=count_reduce,
+        ).run(range(10))
+        assert result.engine.pairs_shipped == 20
+        assert result.metrics.map_output_pairs == 20
+
+    def test_reducers_land_where_a_keyed_shuffle_hashes_them(self):
+        schema = solve_a2a(A2AInstance([3, 5, 2, 7, 4, 6, 1, 8] * 3, q=24))
+        routes, partition_members = build_schema_plan(
+            schema, [None] * schema.instance.m
+        ).routes(5)
+        for p, reducers in enumerate(partition_members):
+            assert [r for r, _ in reducers] == sorted(r for r, _ in reducers)
+            for r, members in reducers:
+                assert stable_hash(r) % 5 == p
+                assert members == schema.reducers[r]
+                for i in members:
+                    assert p in routes[i][0]
+        for i, (parts, fanout, comm) in enumerate(routes.values()):
+            assert list(parts) == sorted(parts)
+            assert fanout == schema.replication[i]
+            assert comm == fanout * schema.instance.sizes[i]
+
+    def test_benchmark_shape_ships_once_per_partition(self):
+        """1200 uniform inputs at q=200 on 8 partitions: 306 reducers per
+        input on average, but at most 8 copies of each record move."""
+        sizes = sample_sizes("uniform", 1200, 200, seed=1)
+        schema = plan(JobSpec.a2a(sizes, 200)).schema()
+        result = execute_schema(
+            schema, list(range(1200)), count_reduce, num_reduce_tasks=8
+        )
+        assert result.metrics.map_output_pairs == 367200
+        assert result.engine.pairs_shipped == 9600
+        assert result.engine.num_reduce_tasks == 8
+        assert result.metrics.communication_cost == schema.communication_cost
+        # The map task carries one small route per input, not the
+        # per-input membership table.
+        engine = _SchemaEngine(
+            plan=build_schema_plan(schema, list(range(1200))),
+            reduce_fn=count_reduce,
+            reducer_capacity=200,
+        )
+        map_task, _, _ = engine._tasks(8, None, True)
+        memberships = tuple(map(tuple, a2a_memberships(schema)))
+        assert len(pickle.dumps(map_task)) * 10 < len(pickle.dumps(memberships))

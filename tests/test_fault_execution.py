@@ -33,6 +33,7 @@ from repro.exceptions import (
     WorkerLostError,
 )
 from repro.faults import FaultSpec, RetryPolicy
+from repro.service.service import collect_reduce
 from shuffle_heavy import fanout_map, sum_reduce
 
 #: Pinned geometry: identical task decomposition on every backend, so the
@@ -175,6 +176,44 @@ class TestShuffleHeavyChaos:
         # At least one injected fault was recovered, and no task used
         # more than its max_attempts - 1 retries.
         assert 1 <= result.engine.task_retries <= tasks * (CHAOS_ATTEMPTS - 1)
+
+
+class TestSchemaSpillChaos:
+    """Crashes and worker kills on a schema job under a memory budget: the
+    routed shuffle spills on every map task, recovers with the fault-free
+    run's outputs and job metrics, and leaves no run file or worker."""
+
+    def test_kills_under_spill_match_the_fault_free_serial_run(
+        self, tmp_path
+    ):
+        instance = A2AInstance([3, 5, 2, 7, 4, 6, 1, 8, 2, 5] * 4, q=24)
+        schema = solve_a2a(instance)
+        records = [f"rec-{i}" for i in range(instance.m)]
+        geometry = dict(map_chunk_size=4, num_reduce_tasks=8, memory_budget=8)
+        reference = execute_schema(
+            schema, records, collect_reduce, config=ExecutionConfig(**geometry)
+        )
+        spill_base = tmp_path / "spills"
+        before = set(multiprocessing.active_children())
+        chaotic = execute_schema(
+            schema,
+            records,
+            collect_reduce,
+            config=ExecutionConfig(
+                backend="processes",
+                num_workers=2,
+                spill_dir=str(spill_base),
+                retry=RetryPolicy(max_attempts=CHAOS_ATTEMPTS),
+                faults=CHAOS_SPEC,
+                **geometry,
+            ),
+        )
+        assert chaotic.outputs == reference.outputs
+        assert chaotic.metrics == reference.metrics
+        assert chaotic.metrics.spill_runs > 0
+        assert chaotic.engine.task_retries > 0
+        assert list(spill_base.iterdir()) == []
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestWorkerDeathRecovery:
