@@ -11,7 +11,7 @@ smuggles shared mutable state into what must be a pure task.
 
 Allowed idiom: a module-level function, optionally pre-bound with
 ``functools.partial`` (partials of importable functions pickle fine) — see
-``engine._run_map_task`` / ``_run_reduce_task``.
+``engine._run_routed_map_task`` / ``_run_routed_reduce_task``.
 """
 
 from __future__ import annotations

@@ -29,8 +29,9 @@ from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import a2a_reducer_masks
+from repro.engine.routing import SchemaPlan, a2a_reducer_masks
 from repro.mapreduce.metrics import JobMetrics
+from repro.mapreduce.types import default_size
 from repro.obs.trace import Tracer
 from repro.planner import JobSpec, Plan
 from repro.workloads.documents import Document, set_jaccard
@@ -167,25 +168,40 @@ def run_similarity_join(
     )
 
 
-def _broadcast_map(doc: Document) -> list[tuple[int, Document]]:
-    """Baseline mapper: every document goes to reducer 0."""
-    return [(0, doc)]
-
-
 def _broadcast_reduce(
-    key: int, docs: list[Document], *, threshold: float
+    key: int, values: list[tuple[int, Document]], *, threshold: float
 ) -> Iterator[tuple[int, int, float]]:
     """Baseline reducer: compare every pair of documents it received.
 
-    Module-level (threshold bound through :func:`functools.partial`) so
-    the baseline runs on any backend.
+    Values arrive as ``(input_index, document)``.  Module-level
+    (threshold bound through :func:`functools.partial`) so the baseline
+    runs on any backend.
     """
+    docs = [doc for _, doc in values]
     token_sets = [frozenset(doc.tokens) for doc in docs]
     for a_idx, set_a in enumerate(token_sets):
         for b_idx in range(a_idx + 1, len(docs)):
             similarity = set_jaccard(set_a, token_sets[b_idx])
             if similarity >= threshold:
                 yield (docs[a_idx].doc_id, docs[b_idx].doc_id, similarity)
+
+
+def _broadcast_engine(
+    documents: list[Document], q: int, threshold: float
+) -> ExecutionEngine:
+    """The broadcast baseline as a plan: one reducer holding every
+    document, with non-strict capacity ``q``."""
+    plan = SchemaPlan.from_members(
+        documents,
+        [default_size(doc) for doc in documents],
+        [range(len(documents))],
+        capacity=q,
+    )
+    return ExecutionEngine(
+        plan=plan,
+        reduce_fn=partial(_broadcast_reduce, threshold=threshold),
+        strict_capacity=False,
+    )
 
 
 def run_broadcast_baseline(
@@ -204,13 +220,7 @@ def run_broadcast_baseline(
     schema = A2ASchema.from_lists(
         instance, [list(range(len(documents)))], algorithm="broadcast"
     )
-    engine = ExecutionEngine(
-        map_fn=_broadcast_map,
-        reduce_fn=partial(_broadcast_reduce, threshold=threshold),
-        reducer_capacity=q,
-        strict_capacity=False,
-    )
-    result = engine.run(documents)
+    result = _broadcast_engine(documents, q, threshold).run()
     return SimilarityJoinRun(
         pairs=tuple(result.outputs),
         schema=schema,

@@ -10,22 +10,22 @@ within ``q`` while the join output remains exactly the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Hashable, Iterator
+from typing import Iterable, Iterator
 
 from repro import planner
 from repro.core.schema import X2YSchema
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import x2y_memberships, x2y_reducer_masks
+from repro.engine.routing import SchemaPlan, x2y_reducer_masks
 from repro.mapreduce.metrics import JobMetrics
 from repro.obs.trace import Tracer
 from repro.planner import Environment, JobSpec, Plan
 from repro.workloads.relations import Relation, Tuple2, heavy_hitters
 
-#: Wrapped record shipped through the executors:
+#: A tuple as the skew join's plan carries it:
 #: ``(side, position-within-key-group, join key, payload, size)``.
 SkewRecord = tuple[str, int, int, int, int]
 
@@ -69,27 +69,51 @@ def naive_join(x: Relation, y: Relation) -> set[tuple[int, int, int]]:
     return output
 
 
-def _hash_map(
-    record: tuple[str, Tuple2],
-) -> list[tuple[int, tuple[str, Tuple2]]]:
-    """Repartition-join mapper: route a tagged tuple to its join key."""
-    return [(record[1].key, record)]
+def _by_key(keys: Iterable[int], start: int = 0) -> dict[int, list[int]]:
+    """Record indices grouped by join key, in record order, given each
+    record's join key; the first record has index *start*."""
+    groups: dict[int, list[int]] = {}
+    for index, key in enumerate(keys, start):
+        groups.setdefault(key, []).append(index)
+    return groups
 
 
 def _hash_reduce(
-    key: int, values: list[tuple[str, Tuple2]]
+    reducer: int,
+    values: list[tuple[int, tuple[str, Tuple2]]],
+    *,
+    keys: tuple[int, ...],
 ) -> Iterator[tuple[int, int, int]]:
-    """Repartition-join reducer: cross the X and Y tuples of one key."""
-    x_tuples = [t for side, t in values if side == "x"]
-    y_tuples = [t for side, t in values if side == "y"]
+    """Repartition-join reducer: cross the X and Y tuples of one key.
+
+    *keys* maps each reducer index to its join key.
+    """
+    key = keys[reducer]
+    x_tuples = [t for _, (side, t) in values if side == "x"]
+    y_tuples = [t for _, (side, t) in values if side == "y"]
     for tx in x_tuples:
         for ty in y_tuples:
             yield (tx.payload, key, ty.payload)
 
 
-def _hash_record_size(record: tuple[str, Tuple2]) -> int:
-    """Assignment size of a tagged tuple (its declared tuple size)."""
-    return record[1].size
+def _hash_join_engine(x: Relation, y: Relation, q: int) -> ExecutionEngine:
+    """The repartition join as a plan: one reducer per join key, in
+    sorted key order, holding every tuple with that key; non-strict
+    capacity ``q``."""
+    records = [("x", t) for t in x.tuples] + [("y", t) for t in y.tuples]
+    groups = _by_key(t.key for _, t in records)
+    keys = tuple(sorted(groups))
+    plan = SchemaPlan.from_members(
+        records,
+        [t.size for _, t in records],
+        [groups[key] for key in keys],
+        capacity=q,
+    )
+    return ExecutionEngine(
+        plan=plan,
+        reduce_fn=partial(_hash_reduce, keys=keys),
+        strict_capacity=False,
+    )
 
 
 def hash_join(x: Relation, y: Relation, q: int) -> SkewJoinRun:
@@ -97,17 +121,10 @@ def hash_join(x: Relation, y: Relation, q: int) -> SkewJoinRun:
 
     Runs on the serial engine with non-strict capacity so heavy hitters
     *overflow measurably* instead of crashing — E6 reports exactly that
-    overflow.
+    overflow.  The metrics' reducer loads and violations are keyed by
+    reducer index, in sorted join-key order.
     """
-    engine = ExecutionEngine(
-        map_fn=_hash_map,
-        reduce_fn=_hash_reduce,
-        size_of=_hash_record_size,
-        reducer_capacity=q,
-        strict_capacity=False,
-    )
-    records = [("x", t) for t in x.tuples] + [("y", t) for t in y.tuples]
-    result = engine.run(records)
+    result = _hash_join_engine(x, y, q).run()
     return SkewJoinRun(
         triples=tuple(result.outputs),
         metrics=result.metrics,
@@ -115,71 +132,39 @@ def hash_join(x: Relation, y: Relation, q: int) -> SkewJoinRun:
     )
 
 
-#: Per-heavy-key routing plan: the two per-side membership tables (used by
-#: the mapper to replicate tuples) plus the two per-side reducer bitmasks
-#: of :func:`x2y_reducer_masks` (used by the reducer to keep the output
-#: exactly-once: reducer ``r`` owns a pair no earlier reducer holds).
-SkewPlan = tuple[
-    tuple[tuple[int, ...], ...],
-    tuple[tuple[int, ...], ...],
-    tuple[tuple[int, ...], tuple[int, ...]],
-]
-
-
-def _skew_plan(schema: X2YSchema) -> SkewPlan:
-    """One heavy key's routing plan, from its X2Y schema."""
-    x_members, y_members = x2y_memberships(schema)
-    return (
-        tuple(tuple(m) for m in x_members),
-        tuple(tuple(m) for m in y_members),
-        x2y_reducer_masks(schema),
-    )
-
-
-def _skew_map(
-    record: SkewRecord,
-    *,
-    members: dict[int, SkewPlan],
-    heavy: frozenset[int],
-) -> list[tuple[Hashable, SkewRecord]]:
-    """Route one wrapped tuple: hash-style for light keys, schema for heavy.
-
-    Module-level (data bound via :func:`functools.partial`) so the
-    ``processes`` backend can pickle it.
-    """
-    side, pos, key, _, _ = record
-    if key not in heavy:
-        return [(("light", key), record)]
-    plan = members.get(key)
-    if plan is None:
-        return []  # one-sided heavy key: no partner, no output
-    side_members = plan[0] if side == "x" else plan[1]
-    return [(("hh", key, r), record) for r in side_members[pos]]
+#: What the skew join's reduce knows about reducer ``r``:
+#: ``(join key, local reducer)`` for a heavy key's X2Y reducer, or
+#: ``(join key, None)`` for a light key's single reducer.
+SkewOwner = tuple[int, int | None]
 
 
 def _skew_reduce(
-    key,
-    values: list[SkewRecord],
+    reducer: int,
+    values: list[tuple[int, SkewRecord]],
     *,
-    members: dict[int, SkewPlan],
+    owners: tuple[SkewOwner, ...],
+    masks: dict[int, tuple[tuple[int, ...], tuple[int, ...]]],
 ) -> Iterator[tuple[int, int, int]]:
     """Join the X and Y tuples that met at this reducer.
 
-    Heavy-key reducers emit a pair only from its canonical meeting reducer,
+    *owners* maps the reducer index to its join key and local reducer;
+    *masks* holds each heavy key's :func:`x2y_reducer_masks`.  Heavy-key
+    reducers emit a pair only from its canonical meeting reducer,
     keeping the distributed output exactly-once despite replication.  The
-    test is the bitmask rule: reducer ``r`` owns a pair when no earlier
-    reducer holds both tuples, and an X tuple that no earlier reducer
-    holds owns every pair at ``r`` without a per-pair check.
+    test is the bitmask rule: local reducer ``r`` owns a pair when no
+    earlier reducer of the key holds both tuples, and an X tuple that no
+    earlier reducer holds owns every pair at ``r`` without a per-pair
+    check.
     """
-    x_records = [v for v in values if v[0] == "x"]
-    y_records = [v for v in values if v[0] == "y"]
-    if key[0] == "light":
+    join_key, r = owners[reducer]
+    x_records = [v for _, v in values if v[0] == "x"]
+    y_records = [v for _, v in values if v[0] == "y"]
+    if r is None:
         for tx in x_records:
             for ty in y_records:
-                yield (tx[3], tx[2], ty[3])
+                yield (tx[3], join_key, ty[3])
         return
-    _, join_key, r = key
-    x_masks, y_masks = members[join_key][2]
+    x_masks, y_masks = masks[join_key]
     low = (1 << r) - 1
     for tx in x_records:
         x_payload = tx[3]
@@ -191,11 +176,6 @@ def _skew_reduce(
         for ty in y_records:
             if not earlier & y_masks[ty[1]]:
                 yield (x_payload, join_key, ty[3])
-
-
-def _skew_record_size(record: SkewRecord) -> int:
-    """Assignment size of a wrapped tuple (its declared tuple size)."""
-    return record[4]
 
 
 def _tag(relation: Relation, side: str) -> list[SkewRecord]:
@@ -213,6 +193,51 @@ def _tag(relation: Relation, side: str) -> list[SkewRecord]:
         seen[t.key] = position + 1
         records.append((side, position, t.key, t.payload, t.size))
     return records
+
+
+def _skew_join_engine(
+    x: Relation,
+    y: Relation,
+    q: int,
+    heavy: Iterable[int],
+    schemas: dict[int, X2YSchema],
+    *,
+    config: ExecutionConfig | None = None,
+    tracer: Tracer | None = None,
+) -> ExecutionEngine:
+    """The skew join as one plan, with strict capacity ``q``.
+
+    Reducers are, in order: every heavy key's X2Y reducers (keys sorted,
+    each key's reducers in schema order), then one reducer per light key
+    (sorted).  A heavy key without a schema (it is one-sided, so it has no
+    output) puts its tuples in no reducer.
+    """
+    x_records = _tag(x, "x")
+    y_records = _tag(y, "y")
+    records = x_records + y_records
+    xs_of = _by_key([record[2] for record in x_records])
+    ys_of = _by_key([record[2] for record in y_records], len(x_records))
+    members: list[list[int]] = []
+    owners: list[SkewOwner] = []
+    for key in sorted(schemas):
+        xs, ys = xs_of[key], ys_of[key]
+        for r, (x_part, y_part) in enumerate(schemas[key].reducers):
+            members.append([xs[a] for a in x_part] + [ys[b] for b in y_part])
+            owners.append((key, r))
+    for key in sorted((xs_of.keys() | ys_of.keys()) - set(heavy)):
+        members.append(xs_of.get(key, []) + ys_of.get(key, []))
+        owners.append((key, None))
+    plan = SchemaPlan.from_members(
+        records, [record[4] for record in records], members, capacity=q
+    )
+    masks = {key: x2y_reducer_masks(schema) for key, schema in schemas.items()}
+    return ExecutionEngine(
+        plan=plan,
+        reduce_fn=partial(_skew_reduce, owners=tuple(owners), masks=masks),
+        strict_capacity=True,
+        tracer=tracer,
+        config=config if config is not None else ExecutionConfig(),
+    )
 
 
 def heavy_key_spec(
@@ -247,14 +272,17 @@ def schema_skew_join(
     config: ExecutionConfig | None = None,
     tracer: Tracer | None = None,
 ) -> SkewJoinRun:
-    """Skew-aware join: X2Y mapping schemas for heavy keys, hashing for light.
+    """Skew-aware join: X2Y mapping schemas for heavy keys, one reducer
+    per light key.
 
     A key is *heavy* when its combined tuple load exceeds ``q``.  For each
     heavy key the tuples of X and Y (with their individual sizes —
     different-sized inputs, per the paper) form an :class:`X2YInstance`
-    solved by *method*; its reducers get composite ids ``("hh", key, r)``.
-    Light keys keep the conventional per-key reducer ``("light", key)``.
-    Capacity is enforced strictly: by construction nothing overflows.
+    solved by *method*.  Light keys keep the conventional per-key reducer.
+    All of it runs as one plan (:func:`_skew_join_engine`): the heavy
+    keys' reducers in sorted key order, then the light keys', so the
+    metrics' reducer loads are keyed by that reducer index.  Capacity is
+    enforced strictly: by construction nothing overflows.
 
     The job runs on the engine, on *config* when given (which may set a
     backend, or a ``memory_budget`` for the out-of-core shuffle) and on
@@ -266,7 +294,6 @@ def schema_skew_join(
     also attributes CPU/RSS and function time to those phases.
     """
     heavy = heavy_hitters(x, y, q)
-    heavy_set = frozenset(heavy)
 
     x_by_key: dict[int, list[Tuple2]] = {}
     for t in x.tuples:
@@ -278,7 +305,6 @@ def schema_skew_join(
     env = Environment.detect()
     schemas: dict[int, X2YSchema] = {}
     plans: dict[int, Plan] = {}
-    members: dict[int, SkewPlan] = {}
     for key in heavy:
         x_tuples = x_by_key.get(key, [])
         y_tuples = y_by_key.get(key, [])
@@ -293,42 +319,23 @@ def schema_skew_join(
         schema = planned.schema()
         plans[key] = planned
         schemas[key] = schema
-        members[key] = _skew_plan(schema)
 
-    records = _tag(x, "x") + _tag(y, "y")
-    map_fn = partial(_skew_map, members=members, heavy=heavy_set)
-    reduce_fn = partial(_skew_reduce, members=members)
-
+    engine = _skew_join_engine(
+        x, y, q, heavy, schemas, config=config, tracer=tracer
+    )
     if config is None and method == "planned":
         # The top-level job is not a single schema (composite light/heavy
-        # keys), so resolve the engine configuration from the aggregate
-        # shape: one reducer per light key plus every heavy schema's
-        # reducers, and the communication the mappers will actually ship.
-        light_keys = (set(x_by_key) | set(y_by_key)) - heavy_set
-        total_reducers = len(light_keys) + sum(
-            s.num_reducers for s in schemas.values()
+        # keys), so resolve the engine configuration from the plan's
+        # aggregate shape: its reducers and its communication.
+        engine = replace(
+            engine,
+            config=planner.resolve_execution_config(
+                env,
+                num_reducers=max(1, len(engine.plan.members)),
+                communication_cost=engine.plan.communication_cost,
+            ),
         )
-        light_comm = sum(
-            t.size
-            for t in (*x.tuples, *y.tuples)
-            if t.key not in heavy_set
-        )
-        config = planner.resolve_execution_config(
-            env,
-            num_reducers=max(1, total_reducers),
-            communication_cost=light_comm
-            + sum(s.communication_cost for s in schemas.values()),
-        )
-    engine = ExecutionEngine(
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
-        size_of=_skew_record_size,
-        reducer_capacity=q,
-        strict_capacity=True,
-        tracer=tracer,
-        config=config if config is not None else ExecutionConfig(),
-    )
-    result = engine.run(records)
+    result = engine.run()
     return SkewJoinRun(
         triples=tuple(result.outputs),
         metrics=result.metrics,

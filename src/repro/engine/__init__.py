@@ -2,9 +2,11 @@
 
 This package turns a solved :class:`~repro.core.schema.A2ASchema`,
 :class:`~repro.core.schema.X2YSchema` or
-:class:`~repro.core.multiway.MultiwaySchema` into an actually-executed
+:class:`~repro.core.multiway.MultiwaySchema` — or any
+:class:`~repro.engine.routing.SchemaPlan`, the one job model, which an
+app may also build from explicit member lists — into an actually-executed
 MapReduce job: every reducer receives exactly the records of the inputs
-the schema assigns to it, map tasks ship each record once to each reduce
+the plan assigns to it, map tasks ship each record once to each reduce
 task holding one of its reducers (a schema-routed, mapper-side
 partitioned shuffle), and the phases run on a pluggable
 backend (``serial``, ``threads``, ``processes``) sharing one worker pool
@@ -54,6 +56,7 @@ from repro.engine.crossval import (
 from repro.engine.engine import EngineResult, ExecutionEngine, execute_schema
 from repro.engine.metrics import EngineMetrics, PhaseTimings
 from repro.engine.routing import (
+    SchemaPlan,
     a2a_memberships,
     a2a_reducer_masks,
     canonical_meeting,
@@ -63,6 +66,7 @@ from repro.engine.routing import (
 
 __all__ = [
     "ExecutionEngine",
+    "SchemaPlan",
     "ExecutionConfig",
     "EngineResult",
     "execute_schema",

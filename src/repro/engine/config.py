@@ -1,6 +1,7 @@
 """Execution configuration: one object for all engine settings.
 
-A job is fixed by its mapping schema and the reducer capacity ``q``; how
+A job is fixed by its plan — every reducer's inputs and the capacity
+``q``; how
 it runs is a separate concern, and :class:`ExecutionConfig` carries all of
 it in one validated, frozen object: backend, worker count, chunk size,
 partition count, the out-of-core memory budget and the fault plane.
@@ -57,11 +58,12 @@ class ExecutionConfig:
             phase so map tasks can pre-partition their output (``None`` =
             four per worker, one on the serial backend).  Empty partitions
             are dropped, so this bounds the dispatched reduce tasks.
-        memory_budget: maximum key-value pairs a map task buffers before
-            spilling its groups to sorted on-disk runs; ``None`` keeps the
-            fully in-memory shuffle.  The budget is counted in *pairs*
-            (post-combiner), not bytes, so it is deterministic across
-            backends and platforms.  Outputs, metrics and strict-mode
+        memory_budget: maximum routed pairs (a record bound for one
+            reduce partition) a map task buffers before spilling them to
+            sorted on-disk runs; ``None`` keeps the fully in-memory
+            shuffle.  The budget is counted in *pairs*, not bytes, so it
+            is deterministic across backends and platforms.  Outputs,
+            metrics and strict-mode
             exceptions are identical either way; only the spill counters
             in the job metrics differ.
         spill_dir: base directory for spill files (``None`` = the system

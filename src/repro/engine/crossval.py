@@ -7,70 +7,71 @@ outputs in the same order, same :class:`~repro.mapreduce.metrics.JobMetrics`
 executors on identical inputs and diffs every observable.  The simulator
 is only this oracle: every application executes on the engine.
 
-The oracle routes a schema job the way the paper counts it: its map
-functions, :func:`route_a2a` and :func:`route_x2y`, emit one pair per
-(input, reducer) membership.  The engine ships each record once per
-reduce partition instead (:mod:`repro.engine.routing`), so the diff also
-checks that the routed shuffle rebuilds every reducer's value list and
-the per-reducer metrics exactly.
+The oracle routes a plan the way the paper counts it: its map function,
+:func:`oracle_map_fn`, emits one pair per (input, reducer) membership.
+The engine ships each record once per reduce partition instead
+(:mod:`repro.engine.routing`), so the diff also checks that the routed
+shuffle rebuilds every reducer's value list and the per-reducer metrics
+exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Any, Hashable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 from repro.core.multiway import MultiwaySchema
 from repro.core.schema import A2ASchema, X2YSchema
 from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig
-from repro.engine.engine import EngineResult, execute_schema
-from repro.engine.routing import (
-    a2a_memberships,
-    build_schema_plan,
-    x2y_memberships,
-)
+from repro.engine.engine import EngineResult, ExecutionEngine
+from repro.engine.routing import SchemaPlan, build_schema_plan
 from repro.mapreduce.job import JobResult, MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
 from repro.mapreduce.types import MapFn, ReduceFn
 from repro.obs.trace import Tracer
 
 
-def route_a2a(
-    record: tuple[int, Any], memberships: tuple[tuple[int, ...], ...]
-) -> list[tuple[Hashable, Any]]:
-    """Oracle map function for A2A and multiway schemas: replicate
-    ``(i, payload)`` to every reducer input *i* belongs to.  Module-level,
-    hence picklable under :func:`functools.partial`."""
-    index, _ = record
-    return [(r, record) for r in memberships[index]]
+def route_members(
+    record: Any,
+    *,
+    key_of: Callable[[Any], Hashable],
+    memberships: dict[Hashable, tuple[int, ...]],
+) -> list[tuple[int, Any]]:
+    """Oracle map function: replicate a wrapped record to every reducer
+    whose members hold its input key.  Module-level, hence picklable under
+    :func:`functools.partial`."""
+    return [(r, record) for r in memberships.get(key_of(record), ())]
 
 
-def route_x2y(
-    record: tuple[str, int, Any],
-    x_memberships: tuple[tuple[int, ...], ...],
-    y_memberships: tuple[tuple[int, ...], ...],
-) -> list[tuple[Hashable, Any]]:
-    """Oracle map function for X2Y schemas: route ``(side, i, payload)``
-    by its side's membership list."""
-    side, index, _ = record
-    members = x_memberships if side == "x" else y_memberships
-    return [(r, record) for r in members[index]]
-
-
-def oracle_map_fn(schema: A2ASchema | X2YSchema | MultiwaySchema) -> MapFn:
-    """The per-reducer map function the oracle runs *schema* with."""
-    if isinstance(schema, X2YSchema):
-        x_members, y_members = x2y_memberships(schema)
-        return partial(
-            route_x2y,
-            x_memberships=tuple(map(tuple, x_members)),
-            y_memberships=tuple(map(tuple, y_members)),
-        )
+def oracle_map_fn(plan: SchemaPlan) -> MapFn:
+    """The per-reducer map function the oracle runs *plan* with: each
+    record goes to every reducer whose ``plan.members`` holds its key."""
+    memberships: dict[Hashable, list[int]] = {}
+    for r, members in enumerate(plan.members):
+        for key in members:
+            memberships.setdefault(key, []).append(r)
     return partial(
-        route_a2a, memberships=tuple(map(tuple, a2a_memberships(schema)))
+        route_members,
+        key_of=plan.key_of,
+        memberships={key: tuple(rs) for key, rs in memberships.items()},
     )
+
+
+def oracle_run(engine: ExecutionEngine) -> JobResult:
+    """The simulator's run of *engine*'s job: the plan's records routed
+    per reducer by :func:`oracle_map_fn` and sized by the plan, reduced by
+    the engine's reduce function under the plan's capacity and the
+    engine's strictness."""
+    plan = engine.plan
+    return MapReduceJob(
+        map_fn=oracle_map_fn(plan),
+        reduce_fn=engine.reduce_fn,
+        size_of=plan.size_of,
+        reducer_capacity=plan.capacity,
+        strict_capacity=engine.strict_capacity,
+    ).run(plan.records)
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,10 @@ def validate_against_simulator(
 ) -> tuple[EngineResult, JobResult, CrossValidationReport]:
     """Run a schema-driven job on both executors and diff the results.
 
-    The simulator is fed the *same* wrapped records and sizes the engine
-    uses (both come from :func:`repro.engine.routing.build_schema_plan`)
-    and routes them per reducer with :func:`oracle_map_fn`, so any
+    Both executors run the *same* plan
+    (:func:`repro.engine.routing.build_schema_plan`): the engine ships
+    it, and the simulator routes its records per reducer
+    (:func:`oracle_run`), so any
     disagreement is an executor bug rather than an encoding difference.
     The engine runs on *config* (default: serial).  A ``memory_budget``
     in it routes the engine through the spill-to-disk shuffle, and
@@ -154,21 +156,12 @@ def validate_against_simulator(
     (profiling or not) instruments the engine run, which must not change
     what it computes.
     """
-    engine_result = execute_schema(
-        schema,
-        records,
-        reduce_fn,
-        config=config,
-        tracer=tracer,
-    )
-
-    plan = build_schema_plan(schema, records)
-    job = MapReduceJob(
-        map_fn=oracle_map_fn(schema),
+    engine = ExecutionEngine(
+        plan=build_schema_plan(schema, records),
         reduce_fn=reduce_fn,
-        size_of=plan.size_of,
-        reducer_capacity=schema.instance.q,
-        strict_capacity=True,
+        tracer=tracer,
+        config=config if config is not None else ExecutionConfig(),
     )
-    job_result = job.run(plan.records)
+    engine_result = engine.run()
+    job_result = oracle_run(engine)
     return engine_result, job_result, compare_results(engine_result, job_result)

@@ -1,56 +1,58 @@
 """The execution engine: parallel map/shuffle/reduce over pluggable backends.
 
 Where :class:`repro.mapreduce.job.MapReduceJob` *simulates* a job to define
-the paper's metrics, the engine *executes* the same model as physical tasks
-with a **partitioned shuffle**:
+the paper's metrics, the engine *executes* one as physical tasks.  Every
+job is a :class:`~repro.engine.routing.SchemaPlan`: the mapping schema (or
+an app's explicit member lists) fixes which inputs each reducer receives
+before the run, so the shuffle is *routed*:
 
-* A *map task* takes a chunk of records and returns its output already
-  bucketed by reduce partition (plus its pair count and communication
-  cost), so the parent never re-hashes or re-groups individual pairs.  The number of reduce partitions is fixed before the
-  map phase, exactly like a real MapReduce deployment.
+* A *map task* takes a chunk of records and ships each record once to
+  each reduce partition holding one of its reducers — not once per
+  reducer — bucketed by partition and keyed by input.  It also sums the
+  job's analytical pair count and communication from the plan's routes,
+  so the parent does no per-record work.  The number of reduce
+  partitions is fixed before the map phase (reducer ``r`` lives in
+  partition ``r % partitions``), exactly like a real MapReduce
+  deployment.
 * The parent's "shuffle" is just a transpose: for each partition it
-  collects the per-map-task buckets, in task order.
-* A *reduce task* receives its partition's buckets, merges them into
-  per-key value lists in record order (so value order matches the
-  simulator), checks the capacity per key, and reduces — the final merge
-  happens inside the parallel task, not on the parent's critical path.
+  collects the per-map-task buckets, in task order, and pairs them with
+  the partition's ``(reducer, members)`` list, which ships once, with
+  that partition's task.
+* A *reduce task* reads its partition's records into one table, rebuilds
+  every reducer's value list from its members (in record order, so
+  value order matches the simulator), checks the capacity per reducer,
+  and reduces — inside the parallel task, not on the parent's critical
+  path.
 
-Where tasks run in other processes (:attr:`Backend.ships_blocks`), map tasks
-return each bucket as one block (:mod:`repro.engine.codec`) that only the
-reduce task decodes, so the parent moves opaque ``bytes``; the in-process
-backends hand dict buckets over by reference.
+The job metrics still count one pair per (input, reducer) membership;
+``EngineMetrics.pairs_shipped`` counts what moves.  Where tasks run in
+other processes (:attr:`Backend.ships_blocks`), map tasks return each
+bucket as one block (:mod:`repro.engine.codec`) that only the reduce task
+decodes, so the parent moves opaque ``bytes``; the in-process backends
+hand dict buckets over by reference.
 
 Both phases run inside one backend context, so pooled backends pay pool
-startup once per run (phase timings exclude that startup).  The serial
-backend remains semantically identical to the simulator — same outputs in
-the same order, same :class:`~repro.mapreduce.metrics.JobMetrics` — which is
-what the cross-validation in :mod:`repro.engine.crossval` checks, and the
-parallel backends produce the same observables for any orderable key space.
+startup once per run (phase timings exclude that startup).  Every backend
+is semantically identical to the simulator — same outputs in the same
+order, same :class:`~repro.mapreduce.metrics.JobMetrics` — which is what
+the cross-validation in :mod:`repro.engine.crossval` checks.
 
 :func:`execute_schema` is the schema-driven entry point: it takes a solved
 :class:`~repro.core.schema.A2ASchema`, :class:`~repro.core.schema.X2YSchema`
-or :class:`~repro.core.multiway.MultiwaySchema` plus per-input records, and
-every reducer receives exactly the records of the inputs the schema assigns
-to it.  Because the schema fixes those reducers before the run, a schema
-job's shuffle is *routed* (:mod:`repro.engine.routing`): a map task ships
-each record once to each reduce partition holding one of its reducers,
-and the reduce task rebuilds every reducer's value list from the records
-it received and the partition's ``(reducer, members)`` list, which ships
-with that task.  The job metrics still count one pair per (input,
-reducer) membership; ``EngineMetrics.pairs_shipped`` counts what moves.
-Any other job (:class:`ExecutionEngine` with a ``map_fn``) uses the keyed
-shuffle above.
+or :class:`~repro.core.multiway.MultiwaySchema` plus per-input records and
+runs the compiled plan.  Apps whose reducers are not one solved schema
+(composite joins, baselines) build their plan with
+:meth:`~repro.engine.routing.SchemaPlan.from_members` and run
+:class:`ExecutionEngine` directly.
 
 Two knobs make the engine *out-of-core*: records may arrive as a streaming
 :class:`~repro.dataset.Dataset` (consumed chunk by chunk, never
-materialized in the parent), and a ``memory_budget`` bounds the pairs a map
-task buffers before spilling sorted runs to disk
-(:mod:`repro.engine.spill`).  A keyed reduce task stream-merges its runs
-back in sorted-key order, holding one key's values at a time; a schema
-reduce task reads its runs into a record table that holds each input of
-its partition once, plus one reducer's value list.  Outputs and
-strict-mode exceptions are identical to the in-memory path; only the
-spill counters in the job metrics differ.
+materialized in the parent), and a ``memory_budget`` bounds the routed
+pairs a map task buffers before spilling sorted runs to disk
+(:mod:`repro.engine.spill`).  A reduce task reads its runs into a record
+table that holds each input of its partition once, plus one reducer's
+value list.  Outputs and strict-mode exceptions are identical to the
+in-memory path; only the spill counters in the job metrics differ.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ from repro.engine.routing import (
 from repro.engine.spill import (
     MapSpill,
     make_spill_dir,
-    merge_sources,
     record_table,
     spill_buckets,
 )
@@ -90,14 +91,9 @@ from repro.exceptions import (
 )
 from repro.faults import FaultInjector, RetryPolicy, as_fault_spec
 from repro.mapreduce.metrics import JobMetrics
+from repro.mapreduce.types import ReduceFn
 from repro.obs.profiler import ProfileCapture, phase_span
 from repro.obs.trace import Tracer, as_tracer, worker_span
-from repro.mapreduce.shuffle import (
-    map_record,
-    ordered_keys,
-    partition_groups,
-)
-from repro.mapreduce.types import MapFn, ReduceFn, SizeFn, default_size
 
 #: Records below this count are not worth splitting into more map tasks —
 #: per-task dispatch overhead would dominate the mapping work.
@@ -160,11 +156,12 @@ class TaskResult:
 
     Attributes:
         outputs: a map task's partition buckets (dicts, or blocks and
-            ``None`` when encoded); a reduce task's per-key outputs, or
-            ``None`` when strict capacity discarded them.
+            ``None`` when encoded); a reduce task's per-reducer outputs,
+            or ``None`` when strict capacity discarded them.
         counters: named task counters (``records``, ``pairs``, ...) that
             the parent sums; they also label the task's worker span.
-        loads: a reduce task's per-key loads in key order (empty for map).
+        loads: a reduce task's per-reducer loads in reducer order (empty
+            for map).
         spill: a map task's spill runs (``None`` without a memory budget).
         span: the worker span, set when tracing is on; a profiling
             tracer's tasks also put their ``cProfile`` table on it
@@ -173,101 +170,9 @@ class TaskResult:
 
     outputs: Any
     counters: dict[str, float]
-    loads: list[tuple[Hashable, int]] = field(default_factory=list)
+    loads: list[tuple[int, int]] = field(default_factory=list)
     spill: MapSpill | None = None
     span: dict[str, Any] | None = None
-
-
-def _run_map_task(
-    chunk: list[Any],
-    *,
-    map_fn: MapFn,
-    combiner_fn: ReduceFn | None,
-    size_of: SizeFn,
-    num_partitions: int,
-    memory_budget: int | None = None,
-    spill_dir: str | None = None,
-    check_keys: bool = True,
-    encode: bool = False,
-) -> TaskResult:
-    """One keyed map task: map (and combine) a chunk into
-    partition-bucketed groups.
-
-    The result's ``outputs`` are the buckets: ``outputs[p]`` maps each key
-    of reduce partition ``p`` to its value list in record order.  Its
-    counters are ``records``, ``pairs``, ``shipped`` (equal to ``pairs``:
-    every emitted pair travels), ``comm``, ``peak_buffered``,
-    ``encoded_bytes`` and ``encode_seconds``.  Pair counting and size
-    accounting happen here, in the (parallel) task, so the parent does no
-    per-pair work at all.  Module-level so process-pool workers can
-    unpickle it; the configuration is bound via :func:`functools.partial`
-    and pickled once per phase.
-
-    With *encode* (set exactly when the backend ships results across a
-    process boundary), each non-empty bucket is returned as one block
-    (:mod:`repro.engine.codec`) instead of a dict, and empty buckets as
-    ``None``, so the parent moves opaque ``bytes`` and never unpickles
-    per-pair objects.  ``encoded_bytes``/``encode_seconds`` report that
-    work; both are 0 on the in-process backends, whose dict buckets are
-    handed over by reference.
-
-    With a *memory_budget*, the task flushes its buffered groups to
-    per-partition sorted run files in *spill_dir* whenever the buffered
-    pair count reaches the budget; whatever remains at the end of the
-    chunk is returned in-memory as usual, so unbudgeted runs take this
-    exact code path with zero flushes.  *check_keys* rejects keys that are
-    not equal to themselves (NaN floats and friends): such keys cannot be
-    grouped consistently by any shuffle — each NaN object becomes its own
-    dict entry — and would silently diverge between the dict-based and the
-    sorted spill-file merge.
-    """
-    groups: dict[Hashable, list[Any]] = {}
-    pair_count = 0
-    comm = 0
-    record_count = 0
-    buffered = 0
-    peak_buffered = 0
-    spill = MapSpill() if memory_budget is not None else None
-    for record in chunk:
-        record_count += 1
-        emitted = map_record(record, map_fn, combiner_fn)
-        pair_count += len(emitted)
-        buffered += len(emitted)
-        for key, value in emitted:
-            comm += size_of(value)
-            values = groups.get(key)
-            if values is None:
-                if check_keys and key != key:
-                    raise InvalidInstanceError(
-                        f"map emitted a non-self-equal key {key!r} (e.g. "
-                        "NaN): such keys cannot be grouped consistently; "
-                        "use a self-equal surrogate key instead"
-                    )
-                groups[key] = [value]
-            else:
-                values.append(value)
-        if spill is not None:
-            # Peak tracking is tied to the budget: unbounded runs report 0
-            # so their JobMetrics stay identical across backends (the
-            # unbounded peak would just echo the backend's chunking).
-            if buffered > peak_buffered:
-                peak_buffered = buffered
-            if buffered >= memory_budget and groups:
-                spill_buckets(
-                    partition_groups(groups, num_partitions), spill_dir, spill
-                )
-                groups = {}
-                buffered = 0
-    return _map_result(
-        partition_groups(groups, num_partitions),
-        spill,
-        encode,
-        records=record_count,
-        pairs=pair_count,
-        shipped=pair_count,
-        comm=comm,
-        peak_buffered=peak_buffered,
-    )
 
 
 def _run_routed_map_task(
@@ -280,20 +185,33 @@ def _run_routed_map_task(
     spill_dir: str | None = None,
     encode: bool = False,
 ) -> TaskResult:
-    """One schema map task: ship each record once per reduce partition.
+    """One map task: ship each record once per reduce partition.
 
     *routes* is the map side of :meth:`SchemaPlan.routes`: per input key,
     the partitions that hold one of its reducers, its fan-out and its
     communication.  ``outputs[p]`` maps the input key of every record
     routed to partition ``p`` to that record, so a record crosses the
     shuffle once per partition, not once per reducer.  The counters are
-    those of :func:`_run_map_task`, with ``pairs`` and ``comm`` summed
-    from the routes (what per-reducer emission would count, so the job
-    metrics stay analytical) and ``shipped`` counting the routed pairs.
+    ``records``; ``pairs`` and ``comm``, summed from the routes (what
+    per-reducer emission would count, so the job metrics stay
+    analytical); ``shipped``, the routed pairs; ``peak_buffered``;
+    ``encoded_bytes`` and ``encode_seconds``.  Module-level so
+    process-pool workers can unpickle it; the routes are bound via
+    :func:`functools.partial` and pickled once per phase.
 
     A *memory_budget* bounds the routed pairs the task buffers: when it
     is reached, the buckets are flushed to per-partition sorted runs keyed
-    by input.  *encode* is as in :func:`_run_map_task`.
+    by input; whatever remains at the end of the chunk is returned
+    in-memory, so unbudgeted runs take this exact code path with zero
+    flushes.  Peak tracking is tied to the budget: unbudgeted runs report
+    0, so their metrics do not echo the backend's chunking.
+
+    With *encode* (set exactly when the backend ships results across a
+    process boundary), each non-empty bucket is returned as one block
+    (:mod:`repro.engine.codec`) and empty buckets as ``None``, so the
+    parent moves opaque ``bytes``; ``encoded_bytes``/``encode_seconds``
+    report that work and are 0 on the in-process backends, whose dict
+    buckets are handed over by reference.
     """
     buckets: list[dict[Hashable, Any]] = [{} for _ in range(num_partitions)]
     pair_count = 0
@@ -320,27 +238,6 @@ def _run_routed_map_task(
                 spill_buckets(buckets, spill_dir, spill)
                 buckets = [{} for _ in range(num_partitions)]
                 buffered = 0
-    return _map_result(
-        buckets,
-        spill,
-        encode,
-        records=record_count,
-        pairs=pair_count,
-        shipped=shipped,
-        comm=comm,
-        peak_buffered=peak_buffered,
-    )
-
-
-def _map_result(
-    buckets: list[dict[Hashable, Any]],
-    spill: MapSpill | None,
-    encode: bool,
-    **counters: float,
-) -> TaskResult:
-    """A map task's result: its buckets (as blocks when *encode*) and
-    counters, with the encoding work added as ``encoded_bytes`` and
-    ``encode_seconds``."""
     outputs: list[Any] = buckets
     encoded_bytes = 0
     encode_seconds = 0.0
@@ -359,7 +256,11 @@ def _map_result(
     return TaskResult(
         outputs=outputs,
         counters={
-            **counters,
+            "records": record_count,
+            "pairs": pair_count,
+            "shipped": shipped,
+            "comm": comm,
+            "peak_buffered": peak_buffered,
             "encoded_bytes": encoded_bytes,
             "encode_seconds": encode_seconds,
         },
@@ -386,49 +287,6 @@ def _resolve_sources(
     return resolved, time.perf_counter() - decode_started
 
 
-def _run_reduce_task(
-    sources: list[Any],
-    *,
-    reduce_fn: ReduceFn,
-    size_of: SizeFn,
-    capacity: int | None,
-    strict: bool,
-) -> TaskResult:
-    """One keyed reduce task: merge a partition's sources and reduce
-    each key.
-
-    ``sources`` holds, in spill order (map-task order, then flush order
-    within a task, with each task's in-memory leftover last), bucket
-    dicts, blocks (``bytes``, decoded here, in the parallel task), or
-    paths of sorted run files.
-    Extending value lists in that order reproduces the simulator's global
-    record order.  When every source is in-memory the merge is the
-    dict-based fast path; as soon as one source lives on disk the whole
-    partition goes through the streaming external merge, which holds one
-    key's merged values at a time.  See :func:`_reduce_groups` for the
-    result.
-    """
-    sources, decode_seconds = _resolve_sources(sources)
-    groups: Iterable[tuple[Hashable, list[Any]]]
-    if any(isinstance(source, str) for source in sources):
-        groups = merge_sources(sources)
-    else:
-        merged: dict[Hashable, list[Any]] = {}
-        for slab in sources:
-            for key, values in slab.items():
-                existing = merged.get(key)
-                if existing is None:
-                    merged[key] = values
-                else:
-                    existing.extend(values)
-        groups = ((key, merged[key]) for key in ordered_keys(merged))
-    stream = (
-        (key, values, sum(size_of(value) for value in values))
-        for key, values in groups
-    )
-    return _reduce_groups(stream, reduce_fn, capacity, strict, decode_seconds)
-
-
 def _run_routed_reduce_task(
     payload: tuple[list[Any], ReducerMembers],
     *,
@@ -437,58 +295,42 @@ def _run_routed_reduce_task(
     capacity: int | None,
     strict: bool,
 ) -> TaskResult:
-    """One schema reduce task: rebuild each reducer's values and reduce.
+    """One reduce task: rebuild each reducer's values and reduce.
 
-    *payload* is ``(sources, reducers)``: the partition's sources (as in
-    :func:`_run_reduce_task`, holding records by input key) and its
-    ``(reducer, member keys)`` list from :meth:`SchemaPlan.routes`, in
-    reducer order.  The sources are read into one record table, so the
-    task holds each input of its partition once plus the value list of
-    the reducer it is reducing.  A reducer's values are its members'
-    records in sorted-key order, which is record order (for X2Y,
-    ``("x", i)`` sorts before ``("y", j)``), and its load is the sum of
-    its members' declared *sizes*.
+    *payload* is ``(sources, reducers)``: the partition's sources, in
+    spill order (bucket dicts, blocks — ``bytes``, decoded here, in the
+    parallel task — or paths of sorted run files, all holding records by
+    input key), and its ``(reducer, member keys)`` list from
+    :meth:`SchemaPlan.routes`, in reducer order.  The sources are read
+    into one record table, so the task holds each input of its partition
+    once plus the value list of the reducer it is reducing.  A reducer's
+    values are its members' records in sorted-key order, which is record
+    order (for X2Y, ``("x", i)`` sorts before ``("y", j)``), and its load
+    is the sum of its members' declared *sizes*.
+
+    The result carries the per-reducer outputs and loads, and counts
+    ``keys`` (reducers) and ``decode_seconds`` (time spent decoding block
+    sources).  Under strict capacity, a task whose partition holds an
+    overloaded reducer discards its outputs (``outputs=None``) — the
+    parent merges all loads and raises for the globally smallest
+    offending reducer, so the strict-mode exception is identical to the
+    simulator's.
     """
     sources, reducers = payload
     sources, decode_seconds = _resolve_sources(sources)
     record_of = record_table(sources).__getitem__
     size_of = sizes.__getitem__
-    stream = (
-        (
-            reducer,
-            list(map(record_of, sorted(members))),
-            sum(map(size_of, members)),
-        )
-        for reducer, members in reducers
-    )
-    return _reduce_groups(stream, reduce_fn, capacity, strict, decode_seconds)
-
-
-def _reduce_groups(
-    stream: Iterable[tuple[Hashable, list[Any], int]],
-    reduce_fn: ReduceFn,
-    capacity: int | None,
-    strict: bool,
-    decode_seconds: float,
-) -> TaskResult:
-    """Reduce a task's ``(key, values, load)`` groups in key order.
-
-    The result carries the per-key outputs and loads, and counts ``keys``
-    and ``decode_seconds`` (time spent decoding block sources).  Under
-    strict capacity, a task whose partition contains an overloaded key
-    discards its outputs (``outputs=None``) — the parent merges all loads
-    and raises for the globally smallest offending key, so the
-    strict-mode exception is identical to the simulator's.
-    """
-    loads: list[tuple[Hashable, int]] = []
+    loads: list[tuple[int, int]] = []
     overloaded = False
-    results: list[tuple[Hashable, list[Any]]] = []
-    for key, values, load in stream:
-        loads.append((key, load))
+    results: list[tuple[int, list[Any]]] = []
+    for reducer, members in reducers:
+        load = sum(map(size_of, members))
+        loads.append((reducer, load))
         if capacity is not None and load > capacity:
             overloaded = True
         if not (strict and overloaded):
-            results.append((key, list(reduce_fn(key, values))))
+            values = list(map(record_of, sorted(members)))
+            results.append((reducer, list(reduce_fn(reducer, values))))
     return TaskResult(
         outputs=None if strict and overloaded else results,
         counters={"keys": len(loads), "decode_seconds": decode_seconds},
@@ -568,41 +410,58 @@ def _chunk(records: list[Any], chunk_size: int) -> list[list[Any]]:
     ]
 
 
-#: A job's tasks for one run: the map task, the reduce task, and the
-#: reduce task's payload for partition ``p`` given that partition's sources.
-_Tasks = tuple[
-    Callable[[list[Any]], TaskResult],
-    Callable[[Any], TaskResult],
-    Callable[[int, list[Any]], Any],
-]
+@dataclass
+class ExecutionEngine:
+    """Runs a :class:`~repro.engine.routing.SchemaPlan` as parallel tasks
+    on a pluggable backend.
 
+    Map tasks ship each record once to every reduce partition holding one
+    of its reducers; each reduce task receives its partition's
+    ``(reducer, members)`` list with its sources and rebuilds every
+    reducer's values from them.
 
-class _PhaseRunner:
-    """The run loop shared by keyed jobs and schema jobs.
-
-    Backend choice and fallback, the deadline, the fault plane, spill
-    directories, the three phases, the post-pass and the metrics are the
-    same for both; a subclass only says what its tasks are
-    (:meth:`_tasks`).  :class:`ExecutionEngine` runs any ``map_fn`` with a
-    keyed shuffle; the schema engine behind :func:`execute_schema` ships
-    each record once per reduce partition.
+    Attributes:
+        plan: the job: wrapped records, declared sizes, every reducer's
+            members and the capacity ``q``
+            (:func:`~repro.engine.routing.build_schema_plan` or
+            :meth:`~repro.engine.routing.SchemaPlan.from_members`).
+        reduce_fn: (reducer index, values) -> iterable of outputs; must be
+            picklable for the ``processes`` backend (module-level
+            function or a :func:`functools.partial` over one).
+        strict_capacity: raise on a reducer whose load exceeds the plan's
+            capacity (True) or record it as a violation.
+        tracer: optional :class:`~repro.obs.trace.Tracer`; when given,
+            the run emits ``map``/``shuffle``/``reduce``/``post`` phase
+            spans plus per-task worker spans (propagated through the
+            pickling path on pooled backends) and per-flush ``spill``
+            spans.  ``None`` (the default) disables tracing at zero cost.
+            A profiling tracer (``Tracer(profile=True)``) additionally
+            records each phase's CPU seconds and RSS on its span, and
+            deterministic ``cProfile`` function tables — captured inside
+            worker tasks for map/reduce (they ride home on the worker
+            spans) and parent-side for shuffle/post;
+            :func:`~repro.obs.profiler.profile_export` turns the spans
+            into the profile export.
+        config: how the job runs — backend, workers, chunking, spill
+            and the fault plane, all in one validated
+            :class:`~repro.engine.config.ExecutionConfig` (default: the
+            serial backend with every fault-plane setting off).  Any
+            fault-plane setting hands :meth:`Backend.run_tasks` a retry
+            policy; with all of them off the engine passes
+            ``policy=None`` and no injector, so failures propagate
+            unchanged.
     """
 
-    reducer_capacity: int | None
-    strict_capacity: bool
-    tracer: Tracer | None
-    config: ExecutionConfig
+    plan: SchemaPlan
+    reduce_fn: ReduceFn
+    strict_capacity: bool = True
+    tracer: Tracer | None = None
+    config: ExecutionConfig = field(default_factory=ExecutionConfig)
 
-    def _tasks(
-        self, num_partitions: int, spill_dir: str | None, encode: bool
-    ) -> _Tasks:
-        """This job's tasks for a run over *num_partitions* partitions."""
-        raise NotImplementedError
+    def run(self) -> EngineResult:
+        """Execute the plan end-to-end and return outputs plus metrics.
 
-    def run(self, records: Iterable[Any] | Dataset) -> EngineResult:
-        """Execute the job end-to-end and return outputs plus metrics.
-
-        *records* may be any iterable or a :class:`~repro.dataset.Dataset`;
+        The plan's records may be a :class:`~repro.dataset.Dataset`;
         non-materialized datasets are consumed chunk by chunk, so the full
         input is never held in the parent at once (pooled backends keep a
         bounded window of chunks in flight, retry or not).  The run
@@ -612,7 +471,7 @@ class _PhaseRunner:
         deadline_at = (
             time.monotonic() + deadline if deadline is not None else None
         )
-        dataset = as_dataset(records)
+        dataset = as_dataset(self.plan.records)
         chain = self._backend_chain()
         if len(chain) > 1 and dataset.is_single_use:
             raise InvalidInstanceError(
@@ -780,8 +639,7 @@ class _PhaseRunner:
 
         with backend:
             # --- map phase: chunk records into tasks; each task returns its
-            # output bucketed by reduce partition (a keyed job's pairs
-            # grouped by key, a schema job's records by input), and
+            # records bucketed by reduce partition and keyed by input, and
             # overflow beyond the memory budget goes to sorted spill runs.
             with phase_span(tracer, "map", backend=backend.name) as map_span:
                 map_started = time.perf_counter()
@@ -798,8 +656,15 @@ class _PhaseRunner:
                     )
                 else:
                     chunks = iter_chunks(dataset, chunk_size)
-                map_task, reduce_task, reduce_payload = self._tasks(
-                    num_partitions, run_spill_dir, backend.ships_blocks
+                routes, partition_members = self.plan.routes(num_partitions)
+                map_task = partial(
+                    _run_routed_map_task,
+                    routes=routes,
+                    key_of=self.plan.key_of,
+                    num_partitions=num_partitions,
+                    memory_budget=config.memory_budget,
+                    spill_dir=run_spill_dir,
+                    encode=backend.ships_blocks,
                 )
                 map_results = run_phase(map_task, chunks, "map")
                 map_span.set("tasks", len(map_results))
@@ -809,7 +674,7 @@ class _PhaseRunner:
             # across map tasks — spilled runs in flush order, then the
             # task's in-memory leftover (a dict bucket, or an opaque
             # block on block-shipping backends) — and drop empty
-            # partitions; no per-pair or per-key work happens here.
+            # partitions; no per-record work happens here.
             with phase_span(tracer, "shuffle", capture=True) as shuffle_span:
                 shuffle_started = time.perf_counter()
                 map_inputs = _total(map_results, "records")
@@ -838,7 +703,9 @@ class _PhaseRunner:
                         if result.outputs[p]:
                             sources.append(result.outputs[p])
                     if sources:
-                        partitions.append(reduce_payload(p, sources))
+                        # The partition's member lists ship once, with
+                        # its own task, not in the task partial.
+                        partitions.append((sources, partition_members[p]))
                 shuffle_span.set("pairs", pairs_shipped)
                 shuffle_span.set("partitions", len(partitions))
                 shuffle_span.set("spilled_bytes", spilled_bytes)
@@ -846,23 +713,30 @@ class _PhaseRunner:
                     shuffle_span.set("encoded_bytes", encoded_bytes)
                 shuffle_seconds = time.perf_counter() - shuffle_started
 
-            # --- reduce phase: each task merges its partition's sources
-            # into per-key value lists, accounts per-key loads, and
-            # reduces.
+            # --- reduce phase: each task reads its partition's sources
+            # into a record table, rebuilds each reducer's value list,
+            # accounts its load, and reduces.
             with phase_span(tracer, "reduce") as reduce_span:
                 reduce_started = time.perf_counter()
+                reduce_task = partial(
+                    _run_routed_reduce_task,
+                    reduce_fn=self.reduce_fn,
+                    sizes=self.plan.sizes,
+                    capacity=self.plan.capacity,
+                    strict=self.strict_capacity,
+                )
                 task_results = run_phase(reduce_task, partitions, "reduce")
                 reduce_span.set("tasks", len(partitions))
                 reduce_run_seconds = time.perf_counter() - reduce_started
 
         # --- post-pass (pool already released; its shutdown is not timed):
-        # merge per-task loads, enforce capacity in global sorted-key order
+        # merge per-task loads, enforce capacity in global reducer order
         # (identical to the simulator), and reassemble outputs in that same
         # order.
         post_started = time.perf_counter()
         with phase_span(tracer, "post", capture=True) as post_span:
-            loads: dict[Hashable, int] = {}
-            outputs_by_key: dict[Hashable, list[Any]] = {}
+            loads: dict[int, int] = {}
+            outputs_by_key: dict[int, list[Any]] = {}
             task_loads: list[int] = []
             decode_seconds = 0.0
             for result in task_results:
@@ -872,19 +746,19 @@ class _PhaseRunner:
                 if result.outputs is not None:
                     for key, outs in result.outputs:
                         outputs_by_key[key] = outs
-            keys = ordered_keys(loads)
-            violations: list[Hashable] = []
-            if self.reducer_capacity is not None:
+            keys = sorted(loads)
+            capacity = self.plan.capacity
+            violations: list[int] = []
+            if capacity is not None:
                 for key in keys:
-                    if loads[key] > self.reducer_capacity:
+                    if loads[key] > capacity:
                         if self.strict_capacity:
                             raise CapacityExceededError(
                                 f"reducer for key {key!r} received load "
-                                f"{loads[key]} > capacity "
-                                f"{self.reducer_capacity}",
+                                f"{loads[key]} > capacity {capacity}",
                                 key=key,
                                 load=loads[key],
-                                capacity=self.reducer_capacity,
+                                capacity=capacity,
                             )
                         violations.append(key)
             outputs = [out for key in keys for out in outputs_by_key[key]]
@@ -900,7 +774,7 @@ class _PhaseRunner:
             num_reducers=len(loads),
             reducer_loads=loads,
             max_reducer_load=max(loads.values(), default=0),
-            capacity=self.reducer_capacity,
+            capacity=capacity,
             capacity_violations=tuple(violations),
             output_records=len(outputs),
             spilled_bytes=spilled_bytes,
@@ -920,7 +794,7 @@ class _PhaseRunner:
             bytes_moved=comm,
             pairs_shipped=pairs_shipped,
             task_loads=tuple(task_loads),
-            capacity=self.reducer_capacity,
+            capacity=capacity,
             task_retries=retries,
             pool_rebuilds=backend.pool_rebuilds - rebuilds_before,
             fallback_backend=(
@@ -969,141 +843,6 @@ class _PhaseRunner:
         if isinstance(backend, SerialBackend):
             return 1
         return backend.max_workers * _TASKS_PER_WORKER
-
-
-@dataclass
-class ExecutionEngine(_PhaseRunner):
-    """Runs a MapReduce job as parallel tasks on a pluggable backend.
-
-    Map tasks group their pairs by key and bucket the keys by reduce
-    partition; reduce tasks merge their partition's groups key by key.
-
-    Attributes:
-        map_fn: record -> iterable of (key, value); must be picklable for
-            the ``processes`` backend (module-level function or a
-            :func:`functools.partial` over one).
-        reduce_fn: (key, values) -> iterable of outputs; same picklability
-            caveat.
-        combiner_fn: optional mapper-side combiner, applied per record.
-        size_of: value-size function for capacity/communication accounting;
-            picklability caveat again (it runs inside map and reduce tasks).
-        reducer_capacity: the paper's ``q``; checked per key, exactly like
-            the simulator.
-        strict_capacity: raise on overflow (True) or record violations.
-        tracer: optional :class:`~repro.obs.trace.Tracer`; when given,
-            the run emits ``map``/``shuffle``/``reduce``/``post`` phase
-            spans plus per-task worker spans (propagated through the
-            pickling path on pooled backends) and per-flush ``spill``
-            spans.  ``None`` (the default) disables tracing at zero cost.
-            A profiling tracer (``Tracer(profile=True)``) additionally
-            records each phase's CPU seconds and RSS on its span, and
-            deterministic ``cProfile`` function tables — captured inside
-            worker tasks for map/reduce (they ride home on the worker
-            spans) and parent-side for shuffle/post;
-            :func:`~repro.obs.profiler.profile_export` turns the spans
-            into the profile export.
-        config: how the job runs — backend, workers, chunking, spill
-            and the fault plane, all in one validated
-            :class:`~repro.engine.config.ExecutionConfig` (default: the
-            serial backend with every fault-plane setting off).  Any
-            fault-plane setting hands :meth:`Backend.run_tasks` a retry
-            policy; with all of them off the engine passes
-            ``policy=None`` and no injector, so failures propagate
-            unchanged.
-    """
-
-    map_fn: MapFn
-    reduce_fn: ReduceFn
-    combiner_fn: ReduceFn | None = None
-    size_of: SizeFn = default_size
-    reducer_capacity: int | None = None
-    strict_capacity: bool = True
-    tracer: Tracer | None = None
-    config: ExecutionConfig = field(default_factory=ExecutionConfig)
-
-    def _tasks(
-        self, num_partitions: int, spill_dir: str | None, encode: bool
-    ) -> _Tasks:
-        map_task = partial(
-            _run_map_task,
-            map_fn=self.map_fn,
-            combiner_fn=self.combiner_fn,
-            size_of=self.size_of,
-            num_partitions=num_partitions,
-            memory_budget=self.config.memory_budget,
-            spill_dir=spill_dir,
-            check_keys=self.strict_capacity
-            or self.config.memory_budget is not None,
-            encode=encode,
-        )
-        reduce_task = partial(
-            _run_reduce_task,
-            reduce_fn=self.reduce_fn,
-            size_of=self.size_of,
-            capacity=self.reducer_capacity,
-            strict=self.strict_capacity,
-        )
-        return map_task, reduce_task, _sources_payload
-
-
-def _sources_payload(partition: int, sources: list[Any]) -> list[Any]:
-    """A keyed reduce task's payload: its partition's sources alone."""
-    return sources
-
-
-@dataclass
-class _SchemaEngine(_PhaseRunner):
-    """Runs a compiled schema (:class:`~repro.engine.routing.SchemaPlan`).
-
-    Map tasks ship each record once to every reduce partition holding one
-    of its reducers; each reduce task receives its partition's
-    ``(reducer, members)`` list with its sources and rebuilds every
-    reducer's values from them.  The other fields are
-    :class:`ExecutionEngine`'s.
-    """
-
-    plan: SchemaPlan
-    reduce_fn: ReduceFn
-    reducer_capacity: int | None
-    strict_capacity: bool = True
-    tracer: Tracer | None = None
-    config: ExecutionConfig = field(default_factory=ExecutionConfig)
-
-    def _tasks(
-        self, num_partitions: int, spill_dir: str | None, encode: bool
-    ) -> _Tasks:
-        routes, partition_members = self.plan.routes(num_partitions)
-        map_task = partial(
-            _run_routed_map_task,
-            routes=routes,
-            key_of=self.plan.key_of,
-            num_partitions=num_partitions,
-            memory_budget=self.config.memory_budget,
-            spill_dir=spill_dir,
-            encode=encode,
-        )
-        reduce_task = partial(
-            _run_routed_reduce_task,
-            reduce_fn=self.reduce_fn,
-            sizes=self.plan.sizes,
-            capacity=self.reducer_capacity,
-            strict=self.strict_capacity,
-        )
-        return (
-            map_task,
-            reduce_task,
-            partial(_routed_payload, partition_members),
-        )
-
-
-def _routed_payload(
-    partition_members: list[ReducerMembers],
-    partition: int,
-    sources: list[Any],
-) -> tuple[list[Any], ReducerMembers]:
-    """A schema reduce task's payload: its partition's sources and its
-    ``(reducer, members)`` list, so each list ships once, with its task."""
-    return sources, partition_members[partition]
 
 
 def execute_schema(
@@ -1174,13 +913,10 @@ def execute_schema(
             f"execute_schema got config= together with {sorted(settings)}; "
             "put every execution setting in the config"
         )
-    plan = build_schema_plan(schema, records)
-    engine = _SchemaEngine(
-        plan=plan,
+    return ExecutionEngine(
+        plan=build_schema_plan(schema, records),
         reduce_fn=reduce_fn,
-        reducer_capacity=schema.instance.q,
         strict_capacity=strict_capacity,
         tracer=tracer,
         config=config,
-    )
-    return engine.run(plan.records)
+    ).run()

@@ -52,14 +52,13 @@ class EngineMetrics:
             schema counts: the value size a per-reducer shuffle would
             ship (a schema job ships each record once per reduce
             partition, so the volume that actually moves is smaller).
-        pairs_shipped: pairs that actually crossed the shuffle.  For a
-            keyed job this is the map output pair count; a schema job
-            ships each record once per reduce partition holding one of
-            its reducers, so it is at most ``records * num_reduce_tasks``
+        pairs_shipped: pairs that actually crossed the shuffle.  Each
+            record ships once per reduce partition holding one of its
+            reducers, so this is at most ``records * num_reduce_tasks``
             however many reducers share a partition.
-        task_loads: total value size per reduce *task* (a task batches one
-            hash partition of keys, so its load is the sum of its keys'
-            reducer loads).
+        task_loads: total value size per reduce *task* (a task batches
+            one partition of reducers, so its load is the sum of its
+            reducers' loads).
         capacity: the reducer capacity ``q`` the job enforced, if any.
         task_retries: task attempts replayed by the fault plane (0 on
             every run with the fault plane off — dispatch without a retry

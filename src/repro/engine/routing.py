@@ -4,6 +4,7 @@ The engine's contract with the paper is that a record of input *i*
 reaches *exactly* the reducers the mapping schema assigns *i* to.  The
 schema fixes those reducers before the job runs, so the engine does not
 ship one copy per reducer: :func:`build_schema_plan` compiles the schema
+(and :meth:`SchemaPlan.from_members` an app's explicit member lists)
 into a :class:`SchemaPlan`, whose :meth:`SchemaPlan.routes` tables let a
 map task send each record once to every reduce partition holding one of
 its reducers, and let the reduce task rebuild each reducer's value list
@@ -12,9 +13,10 @@ input's pairs and communication are its fan-out (reducers it belongs to)
 and fan-out times its size, exactly what per-reducer emission would
 count.
 
-Records are wrapped with their input index: ``(i, record)`` for A2A and
-multiway, ``(side, i, record)`` with ``side in {"x", "y"}`` for X2Y.  An
-input's *key* is ``i``, or ``(side, i)`` for X2Y.  A multiway schema has
+Records are wrapped with their input index: ``(i, record)`` for A2A,
+multiway and member-list plans, ``(side, i, record)`` with
+``side in {"x", "y"}`` for X2Y.  An input's *key* is ``i``, or
+``(side, i)`` for X2Y.  A multiway schema has
 the A2A shape (one member tuple per reducer over one list of inputs), so
 it is routed and sized exactly like an A2A schema.  A pair of inputs may
 meet at several reducers; reduce functions keep the output exactly-once
@@ -173,14 +175,30 @@ def _enumerate_checked(
     for index, record in enumerate(records):
         if index >= expected:
             raise InvalidInstanceError(
-                f"schema expects {expected} records, got more"
+                f"plan expects {expected} records, got more"
             )
         yield index, record
         count += 1
     if count != expected:
         raise InvalidInstanceError(
-            f"schema expects {expected} records, got {count}"
+            f"plan expects {expected} records, got {count}"
         )
+
+
+def _check_members(lists: tuple[tuple[Any, ...], ...], m: int) -> None:
+    """Reject member lists that name an input twice or outside ``0..m-1``."""
+    valid = frozenset(range(m))
+    for r, reducer in enumerate(lists):
+        held = set(reducer)
+        if len(held) != len(reducer):
+            raise InvalidInstanceError(
+                f"reducer {r} lists an input more than once: {reducer}"
+            )
+        if not held <= valid:
+            raise InvalidInstanceError(
+                f"reducer {r} lists inputs outside 0..{m - 1}: "
+                f"{sorted(held - valid, key=repr)}"
+            )
 
 
 #: One input's map-side route: the reduce partitions it ships to (each
@@ -195,19 +213,25 @@ ReducerMembers = list[tuple[int, tuple[Hashable, ...]]]
 
 @dataclass(frozen=True, eq=False)
 class SchemaPlan:
-    """A schema compiled for execution: wrapped records plus route tables.
+    """A job compiled for execution: wrapped records plus member lists.
+
+    Every job the engine runs is a plan: which inputs each reducer
+    receives is fixed before the run.  :func:`build_schema_plan` compiles
+    a solved schema, and :meth:`from_members` takes explicit member lists
+    (the apps' composite and baseline jobs).
 
     Attributes:
         records: the wrapped records, in record order (a lazy
-            :class:`~repro.dataset.Dataset` when the A2A or multiway
-            source was one).
+            :class:`~repro.dataset.Dataset` when the source was one).
         key_of: wrapped record -> its input key (``i``, or ``(side, i)``
             for X2Y); picklable.
         size_of: wrapped record -> its input's declared size; picklable.
         sizes: input key -> declared size, for every input.
-        members: per reducer, its members' input keys as the schema lists
-            them.  Sorted, they are in record order (for X2Y, the X side
-            then the Y side).
+        members: per reducer, its members' input keys.  Sorted, they are
+            in record order (for X2Y, the X side then the Y side).
+        capacity: the reducer capacity ``q`` checked against each
+            reducer's load (the sum of its members' sizes); ``None``
+            checks nothing.
     """
 
     records: list[Any] | Dataset
@@ -215,6 +239,86 @@ class SchemaPlan:
     size_of: Callable[[Any], int]
     sizes: dict[Hashable, int]
     members: tuple[tuple[Hashable, ...], ...]
+    capacity: int | None
+
+    @classmethod
+    def from_members(
+        cls,
+        records: Sequence[Any] | Dataset,
+        sizes: Sequence[int],
+        members: Iterable[Iterable[int]],
+        *,
+        capacity: int | None,
+    ) -> "SchemaPlan":
+        """A plan over explicit member lists.
+
+        Record ``i`` has declared size ``sizes[i]`` and is wrapped as
+        ``(i, record)`` with key ``i``; ``members[r]`` lists the indices
+        of reducer ``r``'s inputs.  A reducer may be empty and an input
+        may belong to no reducer.  *records* may be a
+        :class:`~repro.dataset.Dataset`; the wrapping then stays lazy and
+        a source of unknown length is counted as it streams.
+
+        Raises :class:`~repro.exceptions.InvalidInstanceError` when the
+        record count differs from ``len(sizes)``, or a reducer lists an
+        index out of range or the same index twice.
+        """
+        lists = tuple(map(tuple, members))
+        _check_members(lists, len(sizes))
+        return cls._indexed(records, tuple(sizes), lists, capacity)
+
+    @classmethod
+    def _indexed(
+        cls,
+        records: Sequence[Any] | Dataset,
+        sizes: tuple[int, ...],
+        lists: tuple[tuple[int, ...], ...],
+        capacity: int | None,
+    ) -> "SchemaPlan":
+        """The plan over member lists known to be valid: the one place
+        that wraps, keys and sizes indexed records and checks their count
+        (lazily for a stream of unknown length)."""
+        m = len(sizes)
+        wrapped: list[Any] | Dataset
+        if isinstance(records, Dataset):
+            if records.length is not None and records.length != m:
+                raise InvalidInstanceError(
+                    f"plan expects {m} records, got {records.length}"
+                )
+            # The wrapper re-iterates exactly as often as its source, so a
+            # single-use source stays single-use (the engine checks that).
+            if records.is_single_use:
+                wrapped = Dataset(
+                    iterator=_enumerate_checked(records, m),
+                    length=records.length,
+                )
+            else:
+                wrapped = Dataset.from_factory(
+                    partial(_enumerate_checked, records, m),
+                    length=records.length,
+                )
+        else:
+            if len(records) != m:
+                raise InvalidInstanceError(
+                    f"plan expects {m} records, got {len(records)}"
+                )
+            wrapped = list(enumerate(records))
+        return cls(
+            records=wrapped,
+            key_of=itemgetter(0),
+            size_of=partial(indexed_size, sizes=sizes),
+            sizes=dict(enumerate(sizes)),
+            members=lists,
+            capacity=capacity,
+        )
+
+    @property
+    def communication_cost(self) -> int:
+        """The paper's communication: every member's declared size, summed
+        over reducers (fan-out times size, per input)."""
+        return sum(
+            map(self.sizes.__getitem__, chain.from_iterable(self.members))
+        )
 
     def routes(
         self, num_partitions: int
@@ -229,10 +333,9 @@ class SchemaPlan:
           non-empty reducer of partition ``p`` in reducer order; it ships
           with partition ``p``'s reduce task only.
 
-        Reducer ``r`` lives in partition ``r % num_partitions``, which is
-        ``stable_hash(r) % num_partitions``: the partition a keyed shuffle
-        hashes reducer key ``r`` to, so task counts and task loads do not
-        depend on how the records travel.
+        Reducer ``r`` lives in partition ``r % num_partitions``, so task
+        counts and task loads depend only on the plan and the partition
+        count.
         """
         reducers = range(len(self.members))
         partition_members: list[ReducerMembers] = []
@@ -266,53 +369,30 @@ def build_schema_plan(
 ) -> SchemaPlan:
     """Compile a schema plus per-input records into a :class:`SchemaPlan`.
 
-    This is the single source of how a schema's records are wrapped,
-    keyed and sized: the engine
-    (:func:`repro.engine.engine.execute_schema`) runs the plan's routes,
-    and the simulator side of cross-validation
+    The engine (:func:`repro.engine.engine.execute_schema`) runs the
+    plan, and the oracle side of cross-validation
     (:mod:`repro.engine.crossval`) runs the same wrapped records and sizes
-    through its own per-reducer routing.  Validates record counts against
-    the instance.
+    through its own per-reducer routing.  The plan's capacity is the
+    instance's ``q``.
 
-    A multiway schema takes the A2A branch.  An A2A or multiway *records*
-    source may be a :class:`~repro.dataset.Dataset`; the
-    wrapping then stays lazy (``records`` is itself a dataset), so the
-    engine can stream the records without materializing them.  X2Y takes
-    its two sides as sequences (datasets per side are materialized — the
-    sides are concatenated and tagged, which needs their lengths anyway).
+    An A2A or multiway schema is its member lists over one list of
+    inputs, so it is wrapped, keyed and sized exactly as
+    :meth:`SchemaPlan.from_members` does it, which validates the record
+    count and keeps a :class:`~repro.dataset.Dataset` source lazy.  X2Y
+    takes its two sides
+    as sequences (datasets per side are materialized — the sides are
+    concatenated and tagged, which needs their lengths anyway).
     """
     if isinstance(schema, (A2ASchema, MultiwaySchema)):
-        m = schema.instance.m
-        wrapped: list[Any] | Dataset
-        if isinstance(records, Dataset):
-            if records.length is not None and records.length != m:
-                raise InvalidInstanceError(
-                    f"schema expects {m} records, got {records.length}"
-                )
-            # The wrapper re-iterates exactly as often as its source, so a
-            # single-use source stays single-use (the engine checks that).
-            if records.is_single_use:
-                wrapped = Dataset(
-                    iterator=_enumerate_checked(records, m),
-                    length=records.length,
-                )
-            else:
-                wrapped = Dataset.from_factory(
-                    partial(_enumerate_checked, records, m),
-                    length=records.length,
-                )
-        else:
-            if len(records) != m:
-                raise InvalidInstanceError(
-                    f"schema expects {m} records, got {len(records)}"
-                )
-            wrapped = list(enumerate(records))
-        return SchemaPlan(
-            records=wrapped,
-            key_of=itemgetter(0),
-            size_of=partial(indexed_size, sizes=schema.instance.sizes),
-            sizes=dict(enumerate(schema.instance.sizes)),
-            members=schema.reducers,
+        # A schema's reducers come from its solver, deduplicated by
+        # from_lists; from_members' whole-plan member check would add
+        # about 40 ms to every run of a 367k-membership schema (10% of
+        # the a2a_shuffle benchmark), so a schema skips it.
+        return SchemaPlan._indexed(
+            records,
+            tuple(schema.instance.sizes),
+            schema.reducers,
+            schema.instance.q,
         )
     if isinstance(schema, X2YSchema):
         try:
@@ -350,6 +430,7 @@ def build_schema_plan(
                 + tuple(y_keys[j] for j in y_part)
                 for x_part, y_part in schema.reducers
             ),
+            capacity=instance.q,
         )
     raise TypeError(
         "expected an A2ASchema, X2YSchema or MultiwaySchema, got "

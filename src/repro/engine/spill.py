@@ -1,46 +1,21 @@
-"""Spill-to-disk shuffle: sorted run files plus their reduce-side readers.
+"""Spill-to-disk shuffle: sorted run files plus their reduce-side reader.
 
 When an :class:`~repro.engine.engine.ExecutionEngine` runs with a
 ``memory_budget``, map tasks no longer buffer an unbounded number of
-pairs: once the buffered pair count reaches the budget, the task's
+routed pairs: once the buffered count reaches the budget, the task's
 current per-partition buckets are written to disk, each non-empty one as
-a *sorted run* — the bucket's items in sorted-key order, in blocks.  The
-buckets hold one of two kinds of items, and the reduce side reads each
-kind its own way:
+a *sorted run* — the bucket's ``input key -> record`` items in sorted-key
+order, in blocks.  The input key is ``i`` (A2A, multiway and member-list
+plans) or ``("x", i)`` / ``("y", j)`` (X2Y), and a record sits in every
+bucket whose partition holds one of its reducers.
 
-* **Keyed jobs** (any ``map_fn``; ``hash_join``, ``schema_skew_join``)
-  buffer ``key -> values`` groups, hash-partitioned by the same
-  :func:`~repro.mapreduce.shuffle.partition_groups` the in-memory path
-  uses.  Reduce tasks stream-merge their partition's runs (plus any
-  in-memory leftovers) with a k-way heap merge (:func:`merge_sources`),
-  so at any moment a reduce task holds one key's merged value list, not
-  the whole partition.
-* **Schema jobs** (:func:`~repro.engine.engine.execute_schema`) buffer
-  ``input key -> record`` buckets: the input key is ``i`` (A2A and
-  multiway) or ``("x", i)`` / ``("y", j)`` (X2Y), and a record sits in
-  every bucket whose partition holds one of its reducers.  A reduce task
-  reads its partition's runs into one record table
-  (:func:`record_table`) and builds each reducer's value list from it,
-  so it holds each input of its partition once, plus one reducer's value
-  list.
-
-Two invariants make the spilled keyed path bit-identical to the
-in-memory one:
-
-* **Key order** — runs are sorted and merged by key, which is exactly the
-  ``sorted(keys)`` order :func:`~repro.mapreduce.shuffle.ordered_keys`
-  reduces in.  Keys must therefore be totally orderable; a run over
-  unorderable keys raises :class:`~repro.exceptions.SpillError` instead of
-  silently diverging (the in-memory path falls back to insertion order,
-  which disk-resident runs cannot reproduce).
-* **Value order** — for one key, sources are merged in *spill order*:
-  map-task order first, then flush order within a task, with the task's
-  in-memory leftover last.  That is precisely the record order the
-  in-memory path produces by extending value lists slab by slab.
-
-A schema job needs neither: input keys are orderable by construction, an
-input reaches a partition once, and the reducer's member list, not the
-arrival order, fixes the value order.
+A reduce task reads its partition's runs (plus any in-memory leftovers)
+into one record table (:func:`record_table`) and builds each reducer's
+value list from it, so it holds each input of its partition once, plus
+one reducer's value list.  Outputs are bit-identical to the in-memory
+path because nothing depends on arrival order: an input reaches a
+partition once, its key is orderable by construction, and the reducer's
+member list, not the order runs are read in, fixes the value order.
 
 Run files live in a per-run temporary directory owned by the engine
 (workers on the ``processes`` backend write to the shared directory and
@@ -55,7 +30,6 @@ per item, and readers stream one decoded block at a time.
 
 from __future__ import annotations
 
-import heapq
 import os
 import pickle
 import tempfile
@@ -67,8 +41,8 @@ from repro.engine.codec import decode_block, encode_items
 from repro.exceptions import CodecError, SpillError
 
 #: Sorted items per block in a run file: large enough to amortize the
-#: per-block pickle framing, small enough that the streaming merge holds
-#: only a sliver of a big partition in memory.
+#: per-block pickle framing, small enough that a reader decodes only a
+#: sliver of a big run at a time.
 RUN_BLOCK_ITEMS = 512
 
 #: Header tag of block-format run files.
@@ -85,7 +59,7 @@ class MapSpill:
 
     ``flushes[f][p]`` is the run-file path partition ``p`` received in
     flush ``f`` (``None`` when the partition had no keys in that flush).
-    Flush order is record order, which the reduce-side merge preserves.
+    Flush order is record order.
     ``flush_windows[f]`` records when flush ``f`` happened —
     ``(monotonic start, duration seconds, bytes written, run files
     written)`` — so the tracing layer can render each disk flush as its
@@ -117,8 +91,7 @@ def _sorted_items(
     except TypeError as exc:
         raise SpillError(
             "out-of-core shuffle requires totally orderable keys "
-            f"(sorting failed: {exc}); run without memory_budget to use "
-            "the in-memory insertion-order fallback"
+            f"(sorting failed: {exc})"
         ) from exc
 
 
@@ -129,9 +102,8 @@ def write_run(
 
     Returns ``(path, bytes_written)``.  The file is a pickled
     ``("rblk1", item count)`` header followed by blocks of up to
-    :data:`RUN_BLOCK_ITEMS` ``(key, item)`` pairs in sorted-key order
-    (the item is a value list for keyed jobs, a record for schema jobs),
-    each pickled as one ``bytes`` object.  The count header lets
+    :data:`RUN_BLOCK_ITEMS` ``(input key, record)`` pairs in sorted-key
+    order, each pickled as one ``bytes`` object.  The count header lets
     :func:`iter_run` distinguish a complete run from one truncated at a
     block boundary (which a bare pickle stream would silently read as a
     shorter run).
@@ -157,10 +129,8 @@ def spill_buckets(
 ) -> None:
     """Flush a map task's per-partition buckets to sorted run files.
 
-    ``buckets[p]`` is partition ``p``'s buffered items: value lists by key
-    for a keyed job (hash-partitioned by
-    :func:`~repro.mapreduce.shuffle.partition_groups`), or records by
-    input key for a schema job.  Appends one flush entry to *spill* (a
+    ``buckets[p]`` is partition ``p``'s buffered records by input key.
+    Appends one flush entry to *spill* (a
     path per partition, ``None`` for partitions with nothing buffered) and
     updates its byte/run counters plus the flush's timing window.  The
     caller clears the in-memory buckets afterwards.
@@ -186,15 +156,15 @@ def spill_buckets(
 
 
 def iter_run(path: str) -> Iterator[tuple[Hashable, Any]]:
-    """Stream ``(key, item)`` pairs back out of one run file.
+    """Stream ``(input key, record)`` pairs back out of one run file.
 
     Decodes the run one block at a time, so memory is bounded by one
     block, not the run.  Every failure mode — unreadable file, garbage
     bytes, a bad header, a block that does not decode, or a run holding
     fewer items than its count header promises — raises
     :class:`~repro.exceptions.SpillError`; a truncated run must never be
-    silently read as a shorter one (the reduce task would drop keys and
-    produce wrong outputs without any error).
+    silently read as a shorter one (the reduce task would drop records
+    and produce wrong outputs without any error).
     """
     try:
         handle = open(path, "rb")
@@ -237,57 +207,6 @@ def iter_run(path: str) -> Iterator[tuple[Hashable, Any]]:
             raise SpillError(
                 f"corrupt or truncated spill run {path!r}: {exc}"
             ) from exc
-
-
-def _iter_source(source: Source) -> Iterator[tuple[Hashable, list[Any]]]:
-    """Sorted item stream for one source (run file or in-memory dict)."""
-    if isinstance(source, str):
-        return iter_run(source)
-    return iter(_sorted_items(source))
-
-
-def merge_sources(
-    sources: list[Source],
-) -> Iterator[tuple[Hashable, list[Any]]]:
-    """K-way merge of sorted sources, yielding ``(key, merged_values)``.
-
-    Keys come out in globally sorted order; a key appearing in several
-    sources has its value lists concatenated in source order (the heap
-    breaks key ties on the source index), which reproduces the in-memory
-    path's task-order/flush-order value concatenation.  Only the head item
-    of each source is held at a time, so memory is bounded by the largest
-    single key, not the partition.
-    """
-    heap: list[tuple[Hashable, int, list[Any], Iterator]] = []
-    for index, source in enumerate(sources):
-        stream = _iter_source(source)
-        head = next(stream, None)
-        if head is not None:
-            heap.append((head[0], index, head[1], stream))
-    try:
-        heapq.heapify(heap)
-        while heap:
-            key, index, values, stream = heapq.heappop(heap)
-            merged = list(values)
-            head = next(stream, None)
-            if head is not None:
-                heapq.heappush(heap, (head[0], index, head[1], stream))
-            while heap and heap[0][0] == key:
-                _, other_index, other_values, other_stream = heapq.heappop(
-                    heap
-                )
-                merged.extend(other_values)
-                head = next(other_stream, None)
-                if head is not None:
-                    heapq.heappush(
-                        heap, (head[0], other_index, head[1], other_stream)
-                    )
-            yield key, merged
-    except TypeError as exc:
-        raise SpillError(
-            "out-of-core shuffle requires totally orderable keys "
-            f"(merge comparison failed: {exc})"
-        ) from exc
 
 
 def record_table(sources: list[Source]) -> dict[Hashable, Any]:

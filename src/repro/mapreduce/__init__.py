@@ -1,15 +1,13 @@
-"""Simulated MapReduce substrate: jobs, capacity-checked reducers, cluster."""
+"""Simulated MapReduce substrate: jobs, capacity-checked reducers, cluster.
+
+:class:`MapReduceJob` is the reference simulator that defines the paper's
+metrics; the test suite runs it as the execution engine's oracle
+(:mod:`repro.engine.crossval`).
+"""
 
 from repro.mapreduce.types import MapFn, ReduceFn, SizeFn, default_size
 from repro.mapreduce.metrics import JobMetrics
-from repro.mapreduce.shuffle import (
-    group_pairs,
-    hash_partition,
-    map_record,
-    ordered_keys,
-    partition_groups,
-    stable_hash,
-)
+from repro.mapreduce.shuffle import group_pairs, map_record, ordered_keys
 from repro.mapreduce.job import JobResult, MapReduceJob
 from repro.mapreduce.cluster import ScheduleResult, SimulatedCluster, schedule_loads
 
@@ -27,7 +25,4 @@ __all__ = [
     "map_record",
     "group_pairs",
     "ordered_keys",
-    "hash_partition",
-    "partition_groups",
-    "stable_hash",
 ]

@@ -1,26 +1,19 @@
-"""Shared map/shuffle primitives for the simulator and the execution engine.
+"""Map/shuffle primitives of the reference simulator.
 
-Both :class:`repro.mapreduce.job.MapReduceJob` (the in-process reference
-simulator) and :mod:`repro.engine` (the parallel execution engine) implement
-the same abstract model: mappers emit key-value pairs, an optional combiner
-folds each mapper's emissions, and the shuffle groups values by key.  These
-helpers hold that logic in one place so the two executors cannot drift.
-
-The engine's shuffle is *partitioned*: map tasks pre-group their pairs by
-reduce partition (:func:`partition_groups` over :func:`stable_hash`) so the
-parent process never re-hashes individual pairs.  The simulator keeps the
-single-dict shuffle (:func:`group_pairs`) — its job is to define the
-metrics, not to be fast — and stays byte-identical to the engine because
-both executors reduce keys in :func:`ordered_keys` order.
+:class:`repro.mapreduce.job.MapReduceJob` implements the abstract model
+the paper defines its metrics on: mappers emit key-value pairs, an
+optional combiner folds each mapper's emissions, and the shuffle groups
+values by key into one dict (:func:`group_pairs`) — its job is to define
+the metrics, not to be fast.  The execution engine (:mod:`repro.engine`)
+runs plans whose reducers are fixed before the run; it agrees with the
+simulator because both reduce in sorted key order (:func:`ordered_keys`;
+the engine's keys are reducer indices).
 """
 
 from __future__ import annotations
 
-import numbers
-import zlib
 from typing import Any, Hashable, Iterable
 
-from repro.exceptions import InvalidInstanceError
 from repro.mapreduce.types import MapFn, ReduceFn
 
 
@@ -67,104 +60,11 @@ def group_pairs(
 def ordered_keys(groups: dict[Hashable, Any]) -> list[Hashable]:
     """Keys in sorted order when orderable, else insertion order.
 
-    Both executors reduce keys in this order, which is what makes their
-    outputs byte-identical for the same inputs.
+    The simulator reduces keys in this order; for reducer-index keys it
+    is the engine's order too, which is what makes their outputs
+    byte-identical for the same inputs.
     """
     try:
         return sorted(groups)
     except TypeError:
         return list(groups)
-
-
-def stable_hash(key: Hashable) -> int:
-    """A hash that is stable across interpreter runs and processes, and
-    consistent with equality for the key types jobs actually use.
-
-    The builtin ``hash()`` is salted per process for strings (and tuples
-    containing them), which would make the engine's partitioning — and with
-    it the per-task load metrics written to benchmark artifacts —
-    nondeterministic between identical runs.  Numbers, however, hash
-    *unsalted* in CPython, so numeric keys reuse ``hash()`` directly —
-    which also preserves the hash/equality contract (``1``, ``1.0`` and
-    ``True`` are equal and must land in the same partition, or the
-    partitioned shuffle would reduce "the same" key in two tasks).
-    Strings and bytes go through CRC32, and tuples mix their elements'
-    stable hashes (the same multiply-xor scheme CPython uses for tuple
-    hashing).  Everything else falls back to ``hash()`` for numeric types
-    and CRC32 over ``repr`` otherwise; keys of exotic types are supported
-    only insofar as equal keys produce equal reprs.
-
-    **Contract:** the guarantees above hold only for keys that are equal
-    to themselves.  ``float('nan')`` is not (``nan != nan``), which breaks
-    grouping itself, not just hashing: every NaN *object* becomes its own
-    dict group, on CPython >= 3.10 ``hash(nan)`` is id-based so the
-    partition assignment is not even stable across processes, and exotic
-    containers holding NaN hash equal through the ``repr`` fallback while
-    comparing unequal.  The execution engine therefore rejects
-    non-self-equal keys whenever it must merge groups deterministically
-    (strict capacity mode, and always in out-of-core runs, where the
-    sorted spill-file merge could otherwise silently diverge from dict
-    grouping); the reference simulator keeps the raw dict semantics,
-    which the test suite pins.
-    """
-    kind = type(key)
-    if kind is int or kind is bool or kind is float:
-        return hash(key) & 0xFFFFFFFF
-    if kind is str:
-        return zlib.crc32(key.encode("utf-8", "backslashreplace"))
-    if kind is tuple:
-        acc = 0x345678
-        for item in key:
-            acc = ((acc * 1000003) ^ stable_hash(item)) & 0xFFFFFFFF
-        return acc ^ len(key)
-    if kind is bytes:
-        return zlib.crc32(key)
-    if isinstance(key, numbers.Number):
-        return hash(key) & 0xFFFFFFFF
-    return zlib.crc32(repr(key).encode("utf-8", "backslashreplace"))
-
-
-def hash_partition(
-    keys: Iterable[Hashable], num_partitions: int
-) -> list[list[Hashable]]:
-    """Assign each key to one of *num_partitions* buckets by stable hash.
-
-    The relative order of keys within a bucket follows the input order, so
-    partitioning a sorted key list yields sorted buckets.
-    :func:`stable_hash` makes the assignment reproducible across runs and
-    across worker processes — mapper-side partitioning in different
-    processes agrees with the parent by construction.
-    """
-    if num_partitions <= 0:
-        raise InvalidInstanceError(
-            f"num_partitions must be positive, got {num_partitions}"
-        )
-    buckets: list[list[Hashable]] = [[] for _ in range(num_partitions)]
-    for key in keys:
-        buckets[stable_hash(key) % num_partitions].append(key)
-    return buckets
-
-
-def partition_groups(
-    groups: dict[Hashable, list[Any]], num_partitions: int
-) -> list[dict[Hashable, list[Any]]]:
-    """Split a key-grouped dict into per-reduce-partition dicts.
-
-    This is the mapper-side half of the engine's partitioned shuffle: each
-    map task groups its own pairs by key, then buckets the *distinct* keys
-    by :func:`stable_hash` — one hash per key instead of one per pair.  The
-    returned list has exactly *num_partitions* dicts (empty ones included;
-    the engine drops empty partitions after transposing across map tasks).
-    """
-    if num_partitions <= 0:
-        raise InvalidInstanceError(
-            f"num_partitions must be positive, got {num_partitions}"
-        )
-    if num_partitions == 1:
-        return [groups]
-    buckets: list[dict[Hashable, list[Any]]] = [
-        {} for _ in range(num_partitions)
-    ]
-    for key, values in groups.items():
-        buckets[stable_hash(key) % num_partitions][key] = values
-    return buckets

@@ -6,6 +6,8 @@ from collections import Counter
 
 import pytest
 
+from repro import planner
+from repro.apps import skew_join
 from repro.apps.skew_join import hash_join, naive_join, schema_skew_join
 from repro.engine.config import ExecutionConfig
 from repro.workloads.relations import (
@@ -127,3 +129,44 @@ class TestSchemaSkewJoin:
             (tx.payload, 7, ty.payload) for tx in x.tuples for ty in y.tuples
         )
         assert Counter(run.triples) == expected
+
+    def test_planned_config_resolves_from_the_plan(
+        self, skewed_workload, monkeypatch
+    ):
+        # method="planned" sizes the engine from the job's plan: its
+        # reducer count and communication equal the per-key sums the join
+        # used to add up by hand (one reducer and every tuple's size per
+        # light key, plus every heavy key's schema), so the resolved
+        # ExecutionConfig is unchanged.
+        x, y = skewed_workload
+        resolved = []
+        resolve = planner.resolve_execution_config
+
+        def spy(env, **shape):
+            config = resolve(env, **shape)
+            resolved.append((env, shape, config))
+            return config
+
+        monkeypatch.setattr(
+            skew_join.planner, "resolve_execution_config", spy
+        )
+        run = schema_skew_join(x, y, q=60, method="planned")
+        (env, shape, config), = resolved
+        heavy = set(run.heavy_keys)
+        tuples = (*x.tuples, *y.tuples)
+        light_keys = {t.key for t in tuples} - heavy
+        hand_rolled = dict(
+            num_reducers=max(
+                1,
+                len(light_keys)
+                + sum(s.num_reducers for s in run.schemas.values()),
+            ),
+            communication_cost=sum(
+                t.size for t in tuples if t.key not in heavy
+            )
+            + sum(s.communication_cost for s in run.schemas.values()),
+        )
+        assert run.schemas
+        assert shape == hand_rolled
+        assert config == resolve(env, **hand_rolled)
+        assert run.triple_set() == naive_join(x, y)

@@ -6,7 +6,7 @@ On the ``processes`` backend map tasks ship each bucket as one block
 under a ``memory_budget``, and under fault injection with real worker
 kills, and a run must leave no worker process or spill file behind.
 
-Map/reduce functions are module-level so they pickle on ``processes``.
+Reduce functions are module-level so they pickle on ``processes``.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import pytest
 
 from repro.engine.backends import ProcessBackend
 from repro.engine.config import ExecutionConfig
-from repro.engine.engine import ExecutionEngine
 from repro.faults import RetryPolicy
 from repro.obs.store import ObservationRecord
+
+from word_count import word_engine
 
 #: Pinned geometry so every backend decomposes work identically.
 GEOMETRY = dict(map_chunk_size=2, num_reduce_tasks=4, num_workers=2)
@@ -36,19 +37,9 @@ RECORDS = [
 ]
 
 
-def word_map(record: str):
-    for word in record.split():
-        yield word, 1
-
-
-def word_reduce(key, values):
-    yield key, sum(values)
-
-
 def _engine(backend, **settings):
-    return ExecutionEngine(
-        map_fn=word_map,
-        reduce_fn=word_reduce,
+    return word_engine(
+        RECORDS,
         config=ExecutionConfig(backend=backend, **GEOMETRY, **settings),
     )
 
@@ -56,7 +47,7 @@ def _engine(backend, **settings):
 class TestBlockShuffleCrossval:
     @pytest.fixture(scope="class")
     def reference(self):
-        return _engine("serial").run(RECORDS)
+        return _engine("serial").run()
 
     @pytest.mark.parametrize("shared_pool", [False, True])
     def test_processes_byte_identical_and_leak_free(
@@ -67,9 +58,9 @@ class TestBlockShuffleCrossval:
         before = set(multiprocessing.active_children())
         if shared_pool:
             with ProcessBackend(max_workers=2) as backend:
-                result = _engine(backend).run(RECORDS)
+                result = _engine(backend).run()
         else:
-            result = _engine("processes").run(RECORDS)
+            result = _engine("processes").run()
         assert result.outputs == reference.outputs
         assert result.metrics == reference.metrics
         assert result.engine.encoded_bytes > 0
@@ -80,7 +71,7 @@ class TestBlockShuffleCrossval:
 
     def test_serial_and_threads_do_not_encode(self, reference):
         for backend in ("serial", "threads"):
-            result = _engine(backend).run(RECORDS)
+            result = _engine(backend).run()
             assert result.outputs == reference.outputs
             assert result.metrics == reference.metrics
             assert result.engine.encoded_bytes == 0
@@ -90,24 +81,24 @@ class TestBlockShuffleCrossval:
             max_attempts=6, backoff_base=0.001, backoff_max=0.01
         )
         for budget in (None, 4):
-            reference = _engine("serial", memory_budget=budget).run(RECORDS)
+            reference = _engine("serial", memory_budget=budget).run()
             result = _engine(
                 "processes",
                 retry=policy,
                 faults="crash=0.2,kill=0.05,seed=7",
                 memory_budget=budget,
                 spill_dir=str(tmp_path),
-            ).run(RECORDS)
+            ).run()
             assert result.outputs == reference.outputs
             assert result.metrics == reference.metrics
             assert result.engine.task_retries >= 1
         assert list(tmp_path.iterdir()) == []
 
     def test_spilled_run_is_identical_and_leak_free(self, tmp_path):
-        reference = _engine("serial", memory_budget=4).run(RECORDS)
+        reference = _engine("serial", memory_budget=4).run()
         result = _engine(
             "processes", memory_budget=4, spill_dir=str(tmp_path)
-        ).run(RECORDS)
+        ).run()
         assert result.outputs == reference.outputs
         assert result.metrics == reference.metrics
         assert result.metrics.spilled_bytes > 0
@@ -125,7 +116,7 @@ class TestBlockShipping:
 
 class TestMetricsSurfacing:
     def test_engine_metrics_row_has_data_plane_columns(self):
-        result = _engine("serial").run(RECORDS)
+        result = _engine("serial").run()
         row = result.engine.as_row()
         for column in ("encoded_bytes", "encode_s", "decode_s"):
             assert column in row
@@ -141,7 +132,7 @@ class TestMetricsSurfacing:
         assert record.decode_seconds == 0.0
 
     def test_observation_record_carries_engine_counters(self):
-        result = _engine("serial").run(RECORDS)
+        result = _engine("serial").run()
 
         record = ObservationRecord.build(
             job_id="j1",

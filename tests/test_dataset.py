@@ -13,7 +13,7 @@ from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine, execute_schema
 from repro.exceptions import InvalidInstanceError
 from repro.workloads.documents import document_dataset, generate_documents
-from shuffle_heavy import fanout_map, sum_reduce
+from shuffle_heavy import fanout_plan, sum_reduce
 
 
 class TestDataset:
@@ -66,25 +66,31 @@ class TestStreamingEngine:
     def test_streaming_equals_materialized(self, backend):
         records = list(range(2000))
         baseline = ExecutionEngine(
-            map_fn=fanout_map, reduce_fn=sum_reduce
-        ).run(records)
+            plan=fanout_plan(records), reduce_fn=sum_reduce
+        ).run()
         streamed = ExecutionEngine(
-            map_fn=fanout_map,
+            plan=fanout_plan(
+                records,
+                source=Dataset.from_factory(partial(range, 2000), length=2000),
+            ),
             reduce_fn=sum_reduce,
             config=ExecutionConfig(backend=backend),
-        ).run(Dataset.from_factory(partial(range, 2000), length=2000))
+        ).run()
         assert streamed.outputs == baseline.outputs
         assert streamed.metrics == baseline.metrics
 
     def test_unknown_length_generator_stream(self):
+        records = list(range(3000))
         baseline = ExecutionEngine(
-            map_fn=fanout_map, reduce_fn=sum_reduce
-        ).run(list(range(3000)))
+            plan=fanout_plan(records), reduce_fn=sum_reduce
+        ).run()
         result = ExecutionEngine(
-            map_fn=fanout_map,
+            plan=fanout_plan(
+                records, source=as_dataset(i for i in range(3000))
+            ),
             reduce_fn=sum_reduce,
             config=ExecutionConfig(backend="threads"),
-        ).run(i for i in range(3000))
+        ).run()
         assert result.outputs == baseline.outputs
         assert result.metrics.map_input_records == 3000
         # Unknown length -> fixed streaming chunks, so several map tasks.

@@ -14,14 +14,17 @@ them.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dataset import as_dataset
 from repro.engine.backends import ProcessBackend, get_backend
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
+from repro.engine.routing import SchemaPlan
 from repro.exceptions import TaskRetryExhaustedError
 from repro.faults import FaultInjector, FaultSpec, RetryPolicy
 
@@ -140,20 +143,27 @@ def test_retry_keeps_a_generator_source_streaming(retry):
             pulled[0] += 1
             yield f"r{i}"
 
-    def map_fn(record):
-        if record == "r0":
+    def key_of(wrapped):
+        # Runs inside the map task, once per record.
+        if wrapped[0] == 0:
             time.sleep(0.2)  # let the parent fill its window
             pulled_while_first_task_ran.append(pulled[0])
-        yield record[-1], 1
+        return wrapped[0]
 
+    plan = SchemaPlan.from_members(
+        as_dataset(source()),
+        [1] * total,
+        [range(d, total, 10) for d in range(10)],
+        capacity=None,
+    )
     engine = ExecutionEngine(
-        map_fn=map_fn,
+        plan=replace(plan, key_of=key_of),
         reduce_fn=count_reduce,
         config=ExecutionConfig(
             backend="threads", num_workers=1, map_chunk_size=chunk, retry=retry
         ),
     )
-    result = engine.run(source())
-    assert sorted(result.outputs) == [(str(d), total // 10) for d in range(10)]
+    result = engine.run()
+    assert result.outputs == [(d, total // 10) for d in range(10)]
     assert pulled_while_first_task_ran[0] <= 4 * chunk
     assert pulled[0] == total

@@ -1,6 +1,6 @@
 """Unit tests for the engine's pluggable backends.
 
-Map/reduce functions used with the ``processes`` backend are module-level
+Reduce functions used with the ``processes`` backend are module-level
 so they survive pickling — the same discipline the apps follow.
 """
 
@@ -18,34 +18,10 @@ from repro.engine.backends import (
     get_backend,
 )
 from repro.engine.config import ExecutionConfig
-from repro.engine.engine import ExecutionEngine
+from repro.engine.crossval import oracle_run
 from repro.exceptions import CapacityExceededError
-from repro.mapreduce.job import MapReduceJob
 
-
-def word_map(record: str):
-    """Emit (word, 1) per word — the classic word count mapper."""
-    for word in record.split():
-        yield word, 1
-
-
-def word_reduce(key, values):
-    """Sum a word's counts."""
-    yield key, sum(values)
-
-
-def count_combiner(key, values):
-    """Mapper-side pre-aggregation of counts."""
-    yield sum(values)
-
-
-RECORDS = [
-    "the quick brown fox",
-    "the lazy dog",
-    "the quick dog jumps",
-    "a brown dog",
-    "fox and dog and fox",
-]
+from word_count import RECORDS, word_engine
 
 
 class TestBackendRegistry:
@@ -85,66 +61,39 @@ class TestBackendRegistry:
 class TestBackendEquivalence:
     @pytest.fixture
     def reference(self):
-        return MapReduceJob(map_fn=word_map, reduce_fn=word_reduce).run(RECORDS)
+        return oracle_run(word_engine())
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_matches_simulator(self, backend, reference):
-        engine = ExecutionEngine(
-            map_fn=word_map,
-            reduce_fn=word_reduce,
-            config=ExecutionConfig(backend=backend, num_workers=2),
+        engine = word_engine(
+            config=ExecutionConfig(backend=backend, num_workers=2)
         )
-        result = engine.run(RECORDS)
+        result = engine.run()
         assert result.outputs == reference.outputs
         assert result.metrics == reference.metrics
         assert result.engine.backend == backend
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_combiner_matches_simulator(self, backend):
-        reference = MapReduceJob(
-            map_fn=word_map, reduce_fn=word_reduce, combiner_fn=count_combiner
-        ).run(RECORDS)
-        engine = ExecutionEngine(
-            map_fn=word_map,
-            reduce_fn=word_reduce,
-            combiner_fn=count_combiner,
-            config=ExecutionConfig(backend=backend, num_workers=2),
-        )
-        result = engine.run(RECORDS)
-        assert result.outputs == reference.outputs
-        assert result.metrics == reference.metrics
-        # The combiner shrinks the shuffle relative to the raw map output.
-        assert result.metrics.communication_cost < len(
-            [w for r in RECORDS for w in r.split()]
-        )
-
     def test_chunk_sizes_do_not_change_results(self):
-        baseline = ExecutionEngine(map_fn=word_map, reduce_fn=word_reduce).run(
-            RECORDS
-        )
-        chunked = ExecutionEngine(
-            map_fn=word_map,
-            reduce_fn=word_reduce,
+        baseline = word_engine().run()
+        chunked = word_engine(
             config=ExecutionConfig(
                 backend="threads",
                 num_workers=2,
                 map_chunk_size=1,
                 num_reduce_tasks=5,
             ),
-        ).run(RECORDS)
+        ).run()
         assert chunked.outputs == baseline.outputs
         assert chunked.metrics == baseline.metrics
         assert chunked.engine.num_map_tasks == len(RECORDS)
-        # Empty hash partitions are dropped, so the requested partition
+        # Empty partitions are dropped, so the requested partition
         # count is an upper bound on dispatched reduce tasks.
         assert 1 <= chunked.engine.num_reduce_tasks <= 5
 
     def test_task_loads_cover_all_keys(self):
-        result = ExecutionEngine(
-            map_fn=word_map,
-            reduce_fn=word_reduce,
+        result = word_engine(
             config=ExecutionConfig(backend="threads", num_reduce_tasks=2),
-        ).run(RECORDS)
+        ).run()
         assert sum(result.engine.task_loads) == sum(
             result.metrics.reducer_loads.values()
         )
@@ -153,40 +102,23 @@ class TestBackendEquivalence:
 
 class TestCapacityEnforcement:
     def test_strict_overflow_raises_like_simulator(self):
-        engine = ExecutionEngine(
-            map_fn=word_map,
-            reduce_fn=word_reduce,
-            reducer_capacity=2,
-            strict_capacity=True,
-        )
+        engine = word_engine(capacity=5, strict_capacity=True)
         with pytest.raises(CapacityExceededError) as engine_error:
-            engine.run(RECORDS)
-        job = MapReduceJob(
-            map_fn=word_map,
-            reduce_fn=word_reduce,
-            reducer_capacity=2,
-            strict_capacity=True,
-        )
+            engine.run()
         with pytest.raises(CapacityExceededError) as job_error:
-            job.run(RECORDS)
+            oracle_run(engine)
         assert engine_error.value.key == job_error.value.key
         assert engine_error.value.load == job_error.value.load
         assert str(engine_error.value) == str(job_error.value)
 
     def test_non_strict_records_identical_violations(self):
-        engine_result = ExecutionEngine(
-            map_fn=word_map,
-            reduce_fn=word_reduce,
-            reducer_capacity=2,
+        engine = word_engine(
+            capacity=5,
             strict_capacity=False,
             config=ExecutionConfig(backend="threads"),
-        ).run(RECORDS)
-        job_result = MapReduceJob(
-            map_fn=word_map,
-            reduce_fn=word_reduce,
-            reducer_capacity=2,
-            strict_capacity=False,
-        ).run(RECORDS)
+        )
+        engine_result = engine.run()
+        job_result = oracle_run(engine)
         assert engine_result.metrics == job_result.metrics
         assert engine_result.metrics.capacity_violations
 

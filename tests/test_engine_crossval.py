@@ -7,6 +7,7 @@ outputs *and* metrics before the parallel backends mean anything.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from math import comb
 
@@ -17,21 +18,14 @@ from repro.apps.common_friends import (
     run_common_friends,
 )
 from repro.apps.similarity_join import (
-    _broadcast_map,
-    _broadcast_reduce,
+    _broadcast_engine,
     _similarity_reduce,
     run_broadcast_baseline,
     run_similarity_join,
 )
 from repro.apps.skew_join import (
-    _hash_map,
-    _hash_record_size,
-    _hash_reduce,
-    _skew_map,
-    _skew_plan,
-    _skew_record_size,
-    _skew_reduce,
-    _tag,
+    _hash_join_engine,
+    _skew_join_engine,
     hash_join,
     naive_join,
     schema_skew_join,
@@ -49,11 +43,11 @@ from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import (
     CrossValidationReport,
     compare_results,
+    oracle_run,
     validate_against_simulator,
 )
-from repro.engine.engine import ExecutionEngine
 from repro.engine.routing import a2a_reducer_masks, x2y_reducer_masks
-from repro.mapreduce.job import JobResult, MapReduceJob
+from repro.mapreduce.job import JobResult
 from repro.workloads.documents import generate_documents
 from repro.workloads.relations import generate_join_workload
 from repro.workloads.social import generate_users
@@ -130,12 +124,13 @@ class TestSchemaCrossValidation:
 class TestApplicationCrossValidation:
     """Every app against a :class:`MapReduceJob` oracle built here.
 
-    The oracle runs the app's own module-level map and reduce functions
-    (through :func:`validate_against_simulator` for the schema apps), so
+    The oracle runs the app's own reduce function over the app's plan,
+    routed per reducer by :func:`oracle_map_fn` (through
+    :func:`validate_against_simulator` for the single-schema apps), so
     the app's engine run is compared with the reference executor rather
     than with another engine run.  Outputs *and* JobMetrics must match on
-    every backend: partitioning may batch keys differently, but nothing
-    observable may change.
+    every backend: partitioning may batch reducers differently, but
+    nothing observable may change.
     """
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -205,16 +200,9 @@ class TestApplicationCrossValidation:
         run = schema_skew_join(
             x, y, 70, config=ExecutionConfig(backend=backend)
         )
-        members = {key: _skew_plan(s) for key, s in run.schemas.items()}
-        oracle = MapReduceJob(
-            map_fn=partial(
-                _skew_map, members=members, heavy=frozenset(run.heavy_keys)
-            ),
-            reduce_fn=partial(_skew_reduce, members=members),
-            size_of=_skew_record_size,
-            reducer_capacity=70,
-            strict_capacity=True,
-        ).run(_tag(x, "x") + _tag(y, "y"))
+        oracle = oracle_run(
+            _skew_join_engine(x, y, 70, run.heavy_keys, run.schemas)
+        )
         assert run.heavy_keys
         assert run.triples == tuple(oracle.outputs)
         assert run.metrics == oracle.metrics
@@ -224,22 +212,16 @@ class TestApplicationCrossValidation:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_hash_join_engine_is_byte_identical(self, backend):
         x, y = generate_join_workload(240, 240, 8, 1.3, seed=5)
-        records = [("x", t) for t in x.tuples] + [("y", t) for t in y.tuples]
-        job = dict(
-            map_fn=_hash_map,
-            reduce_fn=_hash_reduce,
-            size_of=_hash_record_size,
-            reducer_capacity=70,
-            strict_capacity=False,
+        engine = replace(
+            _hash_join_engine(x, y, 70),
+            config=ExecutionConfig(backend=backend),
         )
-        oracle = MapReduceJob(**job).run(records)
-        engine = ExecutionEngine(
-            **job, config=ExecutionConfig(backend=backend)
-        ).run(records)
+        oracle = oracle_run(engine)
+        result = engine.run()
         run = hash_join(x, y, 70)
         assert oracle.metrics.capacity_violations  # the baseline overflows
         for outputs, metrics in (
-            (engine.outputs, engine.metrics),
+            (result.outputs, result.metrics),
             (run.triples, run.metrics),
         ):
             assert tuple(outputs) == tuple(oracle.outputs)
@@ -248,20 +230,16 @@ class TestApplicationCrossValidation:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_broadcast_baseline_engine_is_byte_identical(self, backend):
         documents = generate_documents(24, 50, seed=11)
-        job = dict(
-            map_fn=_broadcast_map,
-            reduce_fn=partial(_broadcast_reduce, threshold=0.02),
-            reducer_capacity=50,
-            strict_capacity=False,
+        engine = replace(
+            _broadcast_engine(documents, 50, 0.02),
+            config=ExecutionConfig(backend=backend),
         )
-        oracle = MapReduceJob(**job).run(documents)
-        engine = ExecutionEngine(
-            **job, config=ExecutionConfig(backend=backend)
-        ).run(documents)
+        oracle = oracle_run(engine)
+        result = engine.run()
         run = run_broadcast_baseline(documents, 50, 0.02)
         assert oracle.metrics.capacity_violations  # the baseline overflows
         for outputs, metrics in (
-            (engine.outputs, engine.metrics),
+            (result.outputs, result.metrics),
             (run.pairs, run.metrics),
         ):
             assert tuple(outputs) == tuple(oracle.outputs)

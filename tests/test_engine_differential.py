@@ -1,16 +1,18 @@
 """Generated differential test: the engine against the simulator oracle.
 
-Hypothesis draws a mapping-schema problem (A2A, X2Y or multiway), one of
-the registered solver methods for its kind, the payload type, the record
-source (a list, or for A2A and multiway a streaming
+Hypothesis draws a job — a mapping-schema problem (A2A, X2Y or multiway)
+solved by one of the registered methods for its kind, or a plan built
+straight from member lists (empty reducers, inputs in no reducer,
+overloaded reducers, strict or not) — plus the payload type, the record
+source (a list, or for A2A, multiway and member lists a streaming
 ``Dataset.from_factory``), the backend, the engine settings, the
 injected faults (none, or seeded task crashes and transient failures
 under a retry policy) and the instrumentation (none, a tracer, or a
-profiling tracer), then checks that the engine's routed run of the
-schema equals :class:`~repro.mapreduce.job.MapReduceJob`'s per-reducer
-run of the same records and reduce function: the same outputs in the
-same order and the same analytical
-:class:`~repro.mapreduce.metrics.JobMetrics`.
+profiling tracer), then checks that the engine's routed run equals
+:class:`~repro.mapreduce.job.MapReduceJob`'s per-reducer run of the same
+records and reduce function: the same outputs in the same order and the
+same analytical :class:`~repro.mapreduce.metrics.JobMetrics`, or the same
+:class:`~repro.exceptions.CapacityExceededError`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,14 @@ from hypothesis import strategies as st
 from repro.dataset import Dataset
 from repro.engine.backends import ProcessBackend
 from repro.engine.config import ExecutionConfig
-from repro.engine.crossval import validate_against_simulator
-from repro.exceptions import ReproError
+from repro.engine.crossval import (
+    compare_results,
+    oracle_run,
+    validate_against_simulator,
+)
+from repro.engine.engine import ExecutionEngine
+from repro.engine.routing import SchemaPlan
+from repro.exceptions import CapacityExceededError, ReproError
 from repro.faults import FaultSpec, RetryPolicy
 from repro.obs.trace import Tracer
 from repro.planner import JobSpec
@@ -84,7 +92,12 @@ def records_for(spec: JobSpec, payload, source: str):
             [payload(i) for i in range(len(spec.x_sizes))],
             [payload(100 + j) for j in range(len(spec.y_sizes))],
         )
-    records = [payload(i) for i in range(len(spec.sizes))]
+    return source_of([payload(i) for i in range(len(spec.sizes))], source)
+
+
+def source_of(records: list, source: str):
+    """*records* as the drawn *source*: the list itself, or a streaming
+    factory of known or unknown length."""
     if source == "list":
         return records
     length = len(records) if source == "factory" else None
@@ -122,22 +135,9 @@ TRACERS = {
 }
 
 
-@settings(deadline=None)
-@given(spec=specs(), data=st.data())
-def test_engine_equals_simulator_on_generated_jobs(process_backend, spec, data):
-    inputs = sum(len(s or ()) for s in (spec.sizes, spec.x_sizes, spec.y_sizes))
-    methods = [
-        m
-        for m in sorted(method_registry(spec.kind))
-        if m != "exact" or inputs <= EXACT_MAX_INPUTS
-    ]
-    method = data.draw(st.sampled_from(methods), label="method")
-    try:
-        schema = build_schema(spec, method)
-    except ReproError:
-        reject()  # the method does not apply to this instance
-    payload = data.draw(st.sampled_from(sorted(PAYLOADS)), label="payload")
-    source = data.draw(st.sampled_from(SOURCES), label="source")
+def draw_run(data, process_backend) -> tuple[ExecutionConfig, Tracer | None]:
+    """The backend, engine settings, faults and instrumentation of one
+    example."""
     backend = data.draw(
         st.sampled_from(["serial", "threads", process_backend]),
         label="backend",
@@ -155,7 +155,38 @@ def test_engine_equals_simulator_on_generated_jobs(process_backend, spec, data):
         faults=faults,
         retry=RETRY if faults is not None else None,
     )
-    tracer = TRACERS[instrumentation]()
+    return config, TRACERS[instrumentation]()
+
+
+def check_task_spans(tracer: Tracer | None) -> None:
+    """The profile flag reaches every task, the pooled ones included:
+    profiled tasks bring a function table home, traced ones none."""
+    if tracer is None:
+        return
+    tasks = [
+        s for s in tracer.spans() if s.name in ("map_task", "reduce_task")
+    ]
+    assert tasks
+    assert all((s.functions is not None) == tracer.profile for s in tasks)
+
+
+@settings(deadline=None)
+@given(spec=specs(), data=st.data())
+def test_engine_equals_simulator_on_generated_jobs(process_backend, spec, data):
+    inputs = sum(len(s or ()) for s in (spec.sizes, spec.x_sizes, spec.y_sizes))
+    methods = [
+        m
+        for m in sorted(method_registry(spec.kind))
+        if m != "exact" or inputs <= EXACT_MAX_INPUTS
+    ]
+    method = data.draw(st.sampled_from(methods), label="method")
+    try:
+        schema = build_schema(spec, method)
+    except ReproError:
+        reject()  # the method does not apply to this instance
+    payload = data.draw(st.sampled_from(sorted(PAYLOADS)), label="payload")
+    source = data.draw(st.sampled_from(SOURCES), label="source")
+    config, tracer = draw_run(data, process_backend)
     _, _, report = validate_against_simulator(
         schema,
         records_for(spec, PAYLOADS[payload], source),
@@ -164,11 +195,60 @@ def test_engine_equals_simulator_on_generated_jobs(process_backend, spec, data):
         tracer=tracer,
     )
     assert report.ok, report.summary()
-    if tracer is not None:
-        # The profile flag reaches every task, the pooled ones included:
-        # profiled tasks bring a function table home, traced ones none.
-        tasks = [
-            s for s in tracer.spans() if s.name in ("map_task", "reduce_task")
-        ]
-        assert tasks
-        assert all((s.functions is not None) == tracer.profile for s in tasks)
+    check_task_spans(tracer)
+
+
+@st.composite
+def member_lists(draw):
+    """``(sizes, members, capacity)`` for a member-list plan: reducers may
+    be empty, inputs may belong to no reducer, members come in any order,
+    and the capacity (or none) may leave reducers overloaded."""
+    m = draw(st.integers(0, 10))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=m, max_size=m))
+    members = draw(
+        st.lists(
+            st.lists(st.integers(0, m - 1), unique=True, max_size=m)
+            if m
+            else st.just([]),
+            max_size=8,
+        )
+    )
+    capacity = draw(st.one_of(st.none(), st.integers(1, 30)))
+    return sizes, members, capacity
+
+
+@settings(deadline=None)
+@given(job=member_lists(), strict=st.booleans(), data=st.data())
+def test_engine_equals_simulator_on_member_list_plans(
+    process_backend, job, strict, data
+):
+    sizes, members, capacity = job
+    payload = data.draw(st.sampled_from(sorted(PAYLOADS)), label="payload")
+    source = data.draw(st.sampled_from(SOURCES), label="source")
+    records = [PAYLOADS[payload](i) for i in range(len(sizes))]
+    config, tracer = draw_run(data, process_backend)
+    engine = ExecutionEngine(
+        plan=SchemaPlan.from_members(
+            source_of(records, source), sizes, members, capacity=capacity
+        ),
+        reduce_fn=echo_reduce,
+        strict_capacity=strict,
+        tracer=tracer,
+        config=config,
+    )
+    try:
+        oracle = oracle_run(engine)
+    except CapacityExceededError as expected:
+        with pytest.raises(CapacityExceededError) as raised:
+            engine.run()
+        assert (raised.value.key, raised.value.load, raised.value.capacity) == (
+            expected.key,
+            expected.load,
+            expected.capacity,
+        )
+        assert str(raised.value) == str(expected)
+        return
+    report = compare_results(engine.run(), oracle)
+    assert report.ok, report.summary()
+    if records:
+        check_task_spans(tracer)

@@ -3,28 +3,29 @@
 from __future__ import annotations
 
 import pickle
+from functools import partial
 
 import pytest
 
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.schema import A2ASchema, X2YSchema
 from repro.core.selector import solve_a2a, solve_x2y
+from repro.dataset import Dataset
 from repro.engine import (
     ExecutionConfig,
     ExecutionEngine,
+    SchemaPlan,
     canonical_meeting,
     execute_schema,
 )
 from repro.engine.backends import BACKENDS
 from repro.engine.crossval import validate_against_simulator
-from repro.engine.engine import _SchemaEngine
 from repro.engine.routing import (
     a2a_memberships,
     build_schema_plan,
     x2y_memberships,
 )
 from repro.exceptions import InvalidInstanceError
-from repro.mapreduce.shuffle import stable_hash
 from repro.obs.trace import Tracer
 from repro.planner import JobSpec, plan
 from repro.workloads.distributions import sample_sizes
@@ -290,16 +291,7 @@ class TestRoutedShuffle:
         (shuffle,) = [s for s in tracer.spans() if s.name == "shuffle"]
         assert shuffle.attrs["pairs"] == shipped
 
-    def test_keyed_jobs_ship_every_pair(self, small_a2a):
-        # The generic engine has no routes: every map output pair moves.
-        result = ExecutionEngine(
-            map_fn=lambda record: [(record % 3, record), (record % 2, record)],
-            reduce_fn=count_reduce,
-        ).run(range(10))
-        assert result.engine.pairs_shipped == 20
-        assert result.metrics.map_output_pairs == 20
-
-    def test_reducers_land_where_a_keyed_shuffle_hashes_them(self):
+    def test_reducer_r_lands_in_partition_r_mod_p(self):
         schema = solve_a2a(A2AInstance([3, 5, 2, 7, 4, 6, 1, 8] * 3, q=24))
         routes, partition_members = build_schema_plan(
             schema, [None] * schema.instance.m
@@ -307,7 +299,7 @@ class TestRoutedShuffle:
         for p, reducers in enumerate(partition_members):
             assert [r for r, _ in reducers] == sorted(r for r, _ in reducers)
             for r, members in reducers:
-                assert stable_hash(r) % 5 == p
+                assert r % 5 == p
                 assert members == schema.reducers[r]
                 for i in members:
                     assert p in routes[i][0]
@@ -330,11 +322,66 @@ class TestRoutedShuffle:
         assert result.metrics.communication_cost == schema.communication_cost
         # The map task carries one small route per input, not the
         # per-input membership table.
-        engine = _SchemaEngine(
-            plan=build_schema_plan(schema, list(range(1200))),
-            reduce_fn=count_reduce,
-            reducer_capacity=200,
-        )
-        map_task, _, _ = engine._tasks(8, None, True)
+        routes, _ = build_schema_plan(schema, list(range(1200))).routes(8)
         memberships = tuple(map(tuple, a2a_memberships(schema)))
-        assert len(pickle.dumps(map_task)) * 10 < len(pickle.dumps(memberships))
+        assert len(pickle.dumps(routes)) * 10 < len(pickle.dumps(memberships))
+
+
+class TestMemberListPlans:
+    """``SchemaPlan.from_members``: the typed errors at its input surface,
+    and the wrapping every plan shares."""
+
+    def test_member_index_out_of_range_rejected(self):
+        for bad in (3, -1, "0"):
+            with pytest.raises(InvalidInstanceError, match="outside 0..2"):
+                SchemaPlan.from_members(
+                    ["a", "b", "c"], [1, 1, 1], [[0, 1], [2, bad]], capacity=None
+                )
+
+    def test_duplicate_member_within_a_reducer_rejected(self):
+        with pytest.raises(InvalidInstanceError, match="more than once"):
+            SchemaPlan.from_members(
+                ["a", "b", "c"], [1, 1, 1], [[0, 1], [2, 1, 2]], capacity=None
+            )
+        # The same input in several reducers is what replication means.
+        SchemaPlan.from_members(
+            ["a", "b", "c"], [1, 1, 1], [[0, 1], [1, 2]], capacity=None
+        )
+
+    def test_record_count_must_match_the_sizes(self):
+        with pytest.raises(InvalidInstanceError, match="expects 3 records"):
+            SchemaPlan.from_members(["a", "b"], [1, 1, 1], [], capacity=None)
+        with pytest.raises(InvalidInstanceError, match="expects 3 records"):
+            SchemaPlan.from_members(
+                Dataset.from_factory(partial(iter, ["a"]), length=1),
+                [1, 1, 1],
+                [],
+                capacity=None,
+            )
+        # A stream of unknown length is counted as it flows.
+        unsized = SchemaPlan.from_members(
+            Dataset.from_factory(partial(iter, "abcd")),
+            [1, 1, 1],
+            [[0, 1, 2]],
+            capacity=None,
+        )
+        with pytest.raises(InvalidInstanceError, match="got more"):
+            ExecutionEngine(plan=unsized, reduce_fn=count_reduce).run()
+
+    def test_records_wrapped_keyed_and_sized_like_a2a(self):
+        plan = SchemaPlan.from_members(
+            ["a", "b", "c"], [4, 5, 6], [[2, 0], [], [1]], capacity=9
+        )
+        assert plan.records == [(0, "a"), (1, "b"), (2, "c")]
+        assert [plan.key_of(r) for r in plan.records] == [0, 1, 2]
+        assert [plan.size_of(r) for r in plan.records] == [4, 5, 6]
+        assert plan.members == ((2, 0), (), (1,))
+        assert plan.capacity == 9
+        assert plan.communication_cost == 6 + 4 + 5
+        result = ExecutionEngine(
+            plan=plan, reduce_fn=collect_reduce, strict_capacity=False
+        ).run()
+        # Values arrive in record order; the empty reducer is skipped.
+        assert result.outputs == [(0, (0, 2)), (2, (1,))]
+        assert result.metrics.reducer_loads == {0: 10, 2: 5}
+        assert result.metrics.capacity_violations == (0,)

@@ -6,7 +6,7 @@ byte-identical to a fault-free run on every backend — including the
 process backend surviving real worker deaths via pool rebuild and
 in-flight task replay.
 
-Map/reduce functions are module-level so they survive pickling on the
+Reduce functions are module-level so they survive pickling on the
 ``processes`` backend.
 """
 
@@ -34,7 +34,8 @@ from repro.exceptions import (
 )
 from repro.faults import FaultSpec, RetryPolicy
 from repro.service.service import collect_reduce
-from shuffle_heavy import fanout_map, sum_reduce
+from shuffle_heavy import fanout_plan, sum_reduce
+from word_count import word_engine
 
 #: Pinned geometry: identical task decomposition on every backend, so the
 #: seeded injector's decisions hit the same (phase, task, attempt) cells.
@@ -62,25 +63,16 @@ RECORDS = [
 ]
 
 
-def word_map(record: str):
-    for word in record.split():
-        yield word, 1
-
-
-def word_reduce(key, values):
-    yield key, sum(values)
-
-
 def slow_reduce(key, values):
     time.sleep(0.05)
-    yield key, sum(values)
+    yield key, len(values)
 
 
-def map_dying_in_workers(record: str):
+def reduce_dying_in_workers(key, values):
     """Kill the worker process that runs it; harmless in the parent."""
     if multiprocessing.parent_process() is not None:
         os._exit(1)
-    yield from word_map(record)
+    yield key, len(values)
 
 
 def schema_reduce(key, values):
@@ -92,11 +84,12 @@ def angry_reduce(key, values):
     yield  # pragma: no cover
 
 
-def _engine(backend, *, map_fn=word_map, reduce_fn=word_reduce, **settings):
+def _engine(backend, *, reduce_fn=None, source=None, **settings):
     """The word-count job on *backend* under the pinned geometry, with any
     further execution *settings* in its config."""
-    return ExecutionEngine(
-        map_fn=map_fn,
+    return word_engine(
+        RECORDS,
+        source=source,
         reduce_fn=reduce_fn,
         config=ExecutionConfig(
             backend=backend, num_workers=2, **GEOMETRY, **settings
@@ -106,7 +99,7 @@ def _engine(backend, *, map_fn=word_map, reduce_fn=word_reduce, **settings):
 
 @pytest.fixture(scope="module")
 def fault_free_outputs():
-    return _engine("serial").run(RECORDS).outputs
+    return _engine("serial").run().outputs
 
 
 class TestCrossBackendIdentity:
@@ -116,7 +109,7 @@ class TestCrossBackendIdentity:
     ):
         result = _engine(
             backend, retry=POLICY, faults="crash=0.3,seed=11"
-        ).run(RECORDS)
+        ).run()
         assert result.outputs == fault_free_outputs
         assert result.engine.task_retries >= 1
 
@@ -127,7 +120,7 @@ class TestCrossBackendIdentity:
             backend: _engine(
                 backend, retry=POLICY, faults="crash=0.3,seed=11"
             )
-            .run(RECORDS)
+            .run()
             .engine.task_retries
             for backend in sorted(BACKENDS)
         }
@@ -139,7 +132,7 @@ class TestCrossBackendIdentity:
     ):
         result = _engine(
             backend, retry=POLICY, faults="kill=0.3,seed=5"
-        ).run(RECORDS)
+        ).run()
         assert result.outputs == fault_free_outputs
         assert result.engine.task_retries >= 1
         assert result.engine.pool_rebuilds == 0
@@ -152,15 +145,15 @@ class TestShuffleHeavyChaos:
     @pytest.fixture(scope="class")
     def fault_free(self):
         return ExecutionEngine(
-            map_fn=fanout_map,
+            plan=fanout_plan(range(SHUFFLE_RECORDS)),
             reduce_fn=sum_reduce,
             config=ExecutionConfig(**SHUFFLE_GEOMETRY),
-        ).run(range(SHUFFLE_RECORDS)).outputs
+        ).run().outputs
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     def test_outputs_identical_and_retries_bounded(self, backend, fault_free):
         result = ExecutionEngine(
-            map_fn=fanout_map,
+            plan=fanout_plan(range(SHUFFLE_RECORDS)),
             reduce_fn=sum_reduce,
             config=ExecutionConfig(
                 backend=backend,
@@ -169,7 +162,7 @@ class TestShuffleHeavyChaos:
                 faults=CHAOS_SPEC,
                 **SHUFFLE_GEOMETRY,
             ),
-        ).run(range(SHUFFLE_RECORDS))
+        ).run()
         assert result.outputs == fault_free
         tasks = result.engine.num_map_tasks + result.engine.num_reduce_tasks
         assert tasks == 125 + 8
@@ -224,12 +217,12 @@ class TestWorkerDeathRecovery:
         with backend:
             result = _engine(
                 backend, retry=POLICY, faults="kill=0.4,seed=3"
-            ).run(RECORDS)
+            ).run()
             assert result.outputs == fault_free_outputs
             assert result.engine.pool_rebuilds >= 1
             assert backend.pool_rebuilds >= 1
             # The healed persistent pool keeps serving plain runs.
-            assert _engine(backend).run(RECORDS).outputs == (
+            assert _engine(backend).run().outputs == (
                 fault_free_outputs
             )
 
@@ -242,9 +235,9 @@ class TestWorkerDeathRecovery:
         backend = ProcessBackend(max_workers=2)
         try:
             with pytest.raises(WorkerLostError):
-                _engine(backend, map_fn=map_dying_in_workers).run(RECORDS)
+                _engine(backend, reduce_fn=reduce_dying_in_workers).run()
             assert backend.pool_rebuilds == 1
-            assert _engine(backend).run(RECORDS).outputs == (
+            assert _engine(backend).run().outputs == (
                 fault_free_outputs
             )
         finally:
@@ -261,7 +254,7 @@ class TestWorkerDeathRecovery:
                         max_attempts=2, backoff_base=0.0, jitter=0.0
                     ),
                     faults="kill=1.0,seed=1",
-                ).run(RECORDS)
+                ).run()
             result_error = excinfo.value
         assert "lost to worker deaths" in str(result_error)
         assert isinstance(result_error.last_error, WorkerLostError)
@@ -276,7 +269,7 @@ class TestRetryBoundsAndClassification:
                     max_attempts=2, backoff_base=0.0, jitter=0.0
                 ),
                 faults="crash=1.0,seed=1",
-            ).run(RECORDS)
+            ).run()
         assert excinfo.value.attempts == 2
         assert isinstance(excinfo.value.last_error, InjectedFaultError)
 
@@ -294,7 +287,7 @@ class TestRetryBoundsAndClassification:
         with pytest.raises(ValueError, match="user bug"):
             _engine(
                 backend, reduce_fn=reduce_fn, retry=POLICY
-            ).run(RECORDS)
+            ).run()
         if backend == "serial":
             # Each reduce task observed the error at most once (keys are
             # unique to their task's partition, so a repeated key would
@@ -306,7 +299,7 @@ class TestRetryBoundsAndClassification:
     def test_transient_faults_are_recovered(self, fault_free_outputs):
         result = _engine(
             "serial", retry=POLICY, faults="transient=0.3,seed=2"
-        ).run(RECORDS)
+        ).run()
         assert result.outputs == fault_free_outputs
         assert result.engine.task_retries >= 1
 
@@ -324,7 +317,7 @@ class TestTimeoutsAndDeadlines:
                 ),
                 faults="delay=1.0:0.3,seed=1",
                 task_timeout=0.05,
-            ).run(RECORDS)
+            ).run()
         assert isinstance(excinfo.value.last_error, TaskTimeoutError)
 
     @pytest.mark.parametrize("backend", ["serial", "threads"])
@@ -332,7 +325,7 @@ class TestTimeoutsAndDeadlines:
         with pytest.raises(DeadlineExceededError):
             _engine(
                 backend, reduce_fn=slow_reduce, deadline=0.01
-            ).run(RECORDS)
+            ).run()
 
     def test_deadline_not_cured_by_retry(self):
         # The policy would retry timeouts, but a blown deadline is final.
@@ -342,7 +335,7 @@ class TestTimeoutsAndDeadlines:
                 reduce_fn=slow_reduce,
                 retry=POLICY,
                 deadline=0.01,
-            ).run(RECORDS)
+            ).run()
 
 
 class TestFallbackChain:
@@ -353,7 +346,7 @@ class TestFallbackChain:
             raise OSError("no more processes")
 
         monkeypatch.setattr(ProcessBackend, "_make_pool", broken_pool)
-        result = _engine("processes", fallback=True).run(RECORDS)
+        result = _engine("processes", fallback=True).run()
         assert result.outputs == fault_free_outputs
         assert result.engine.backend in ("threads", "serial")
         assert result.engine.fallback_backend == result.engine.backend
@@ -369,7 +362,9 @@ class TestFallbackChain:
                 yield record
 
         with pytest.raises(InvalidInstanceError, match="from_factory"):
-            _engine("processes", fallback=True).run(records())
+            _engine(
+                "processes", fallback=True, source=as_dataset(records())
+            ).run()
         assert pulled == []
 
     def test_single_use_source_is_rejected_through_execute_schema(self):
@@ -398,13 +393,13 @@ class TestFallbackChain:
 
         monkeypatch.setattr(ProcessBackend, "_make_pool", broken_pool)
         with pytest.raises(OSError, match="no more processes"):
-            _engine("processes").run(RECORDS)
+            _engine("processes").run()
 
 
 class TestFaultPlaneOffIsPlainPath:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_no_knobs_no_counters(self, backend, fault_free_outputs):
-        result = _engine(backend).run(RECORDS)
+        result = _engine(backend).run()
         assert result.outputs == fault_free_outputs
         assert result.engine.task_retries == 0
         assert result.engine.pool_rebuilds == 0
@@ -412,6 +407,6 @@ class TestFaultPlaneOffIsPlainPath:
 
     def test_noop_spec_stays_on_plain_path(self, fault_free_outputs):
         # A parsed spec with all-zero rates must not arm the fault plane.
-        result = _engine("serial", faults=FaultSpec(seed=9)).run(RECORDS)
+        result = _engine("serial", faults=FaultSpec(seed=9)).run()
         assert result.outputs == fault_free_outputs
         assert result.engine.task_retries == 0

@@ -63,15 +63,17 @@ def test_unseeded_random_in_engine_is_caught(tmp_path):
 
     def mutate(source: str) -> str:
         tainted = source.replace(
-            "def _run_map_task(",
+            "def _run_routed_map_task(",
             "def _jitter():\n"
             "    import random\n"
             "    return random.random()\n"
             "\n\n"
-            "def _run_map_task(",
+            "def _run_routed_map_task(",
             1,
         )
-        assert tainted != source, "engine.py no longer defines _run_map_task"
+        assert tainted != source, (
+            "engine.py no longer defines _run_routed_map_task"
+        )
         return tainted
 
     findings = _lint_mutated(

@@ -12,6 +12,7 @@ import pytest
 from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
+from repro.engine.routing import SchemaPlan
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -40,12 +41,18 @@ from repro.obs.trace import (
 )
 
 
-def fanout_map(record):
-    yield record % 4, record
+def mod4_plan(count: int = 40) -> SchemaPlan:
+    """Records ``0..count-1`` over four reducers by ``record % 4``."""
+    return SchemaPlan.from_members(
+        list(range(count)),
+        [1] * count,
+        [range(k, count, 4) for k in range(4)],
+        capacity=None,
+    )
 
 
 def sum_reduce(key, values):
-    yield key, sum(values)
+    yield key, sum(record for _, record in values)
 
 
 class TestSpans:
@@ -144,12 +151,12 @@ class TestWorkerPropagation:
     def test_engine_task_spans_carry_parent_trace(self, backend):
         tracer = Tracer("engine-trace")
         engine = ExecutionEngine(
-            map_fn=fanout_map,
+            plan=mod4_plan(),
             reduce_fn=sum_reduce,
             tracer=tracer,
             config=ExecutionConfig(backend=backend, num_workers=2),
         )
-        result = engine.run(range(40))
+        result = engine.run()
         assert result.outputs
         spans = {s.name: s for s in tracer.spans()}
         for phase in ("map", "shuffle", "reduce", "post"):
@@ -173,7 +180,7 @@ class TestWorkerPropagation:
 
         tracer = Tracer("faulty")
         engine = ExecutionEngine(
-            map_fn=fanout_map,
+            plan=mod4_plan(),
             reduce_fn=sum_reduce,
             tracer=tracer,
             config=ExecutionConfig(
@@ -187,7 +194,7 @@ class TestWorkerPropagation:
                 faults="crash=0.2,seed=7",
             ),
         )
-        result = engine.run(range(40))
+        result = engine.run()
         assert result.outputs
         assert result.engine.task_retries >= 1
         spans = tracer.spans()
@@ -209,12 +216,12 @@ class TestWorkerPropagation:
 
     def test_disabled_tracer_records_nothing_and_output_matches(self):
         traced = ExecutionEngine(
-            map_fn=fanout_map,
+            plan=mod4_plan(),
             reduce_fn=sum_reduce,
             tracer=NULL_TRACER,
         )
-        plain = ExecutionEngine(map_fn=fanout_map, reduce_fn=sum_reduce)
-        assert traced.run(range(40)).outputs == plain.run(range(40)).outputs
+        plain = ExecutionEngine(plan=mod4_plan(), reduce_fn=sum_reduce)
+        assert traced.run().outputs == plain.run().outputs
         assert len(NULL_TRACER) == 0
         assert NULL_TRACER.spans() == []
 

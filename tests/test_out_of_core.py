@@ -23,10 +23,12 @@ from repro.engine.codec import encode_items
 from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import validate_against_simulator
 from repro.engine.engine import ExecutionEngine
+from repro.engine.routing import SchemaPlan
 from repro.engine.spill import (
     RUN_BLOCK_ITEMS,
     MapSpill,
-    merge_sources,
+    iter_run,
+    record_table,
     write_run,
 )
 from repro.exceptions import (
@@ -37,7 +39,7 @@ from repro.exceptions import (
 )
 from repro.mapreduce.job import MapReduceJob
 from repro.workloads.relations import generate_join_workload
-from shuffle_heavy import FANOUT, fanout_map, sum_reduce
+from shuffle_heavy import fanout_plan, sum_reduce
 
 ALL_BACKENDS = sorted(BACKENDS)
 
@@ -47,14 +49,28 @@ def index_reduce(key, values):
     yield key, tuple(sorted(i for i, _ in values))
 
 
-def mod3_map(record):
-    """Module-level (picklable) mapper that overloads three keys."""
-    yield record % 3, 1
+def mod3_plan(count: int, capacity: int) -> SchemaPlan:
+    """Records ``0..count-1`` of size 1 over three reducers by
+    ``record % 3``, which overloads all three."""
+    return SchemaPlan.from_members(
+        list(range(count)),
+        [1] * count,
+        [range(k, count, 3) for k in range(3)],
+        capacity=capacity,
+    )
 
 
-def fanout_engine(backend: str, memory_budget: int | None, **settings):
+#: Reduce partitions of the fan-out runs, so a record ships at most this
+#: many routed pairs (its 24 reducers spread over every partition).
+PARTS = 8
+
+
+def fanout_engine(
+    backend: str, memory_budget: int | None, records: list[int], **settings
+):
+    settings.setdefault("num_reduce_tasks", PARTS)
     return ExecutionEngine(
-        map_fn=fanout_map,
+        plan=fanout_plan(records),
         reduce_fn=sum_reduce,
         config=ExecutionConfig(
             backend=backend, memory_budget=memory_budget, **settings
@@ -64,8 +80,8 @@ def fanout_engine(backend: str, memory_budget: int | None, **settings):
 
 def budgeted_pair(backend: str, records: int, memory_budget: int):
     """The fan-out workload run unbudgeted and under ``memory_budget``."""
-    unbounded = fanout_engine(backend, None).run(range(records))
-    budgeted = fanout_engine(backend, memory_budget).run(range(records))
+    unbounded = fanout_engine(backend, None, list(range(records))).run()
+    budgeted = fanout_engine(backend, memory_budget, list(range(records))).run()
     return unbounded, budgeted
 
 
@@ -74,45 +90,46 @@ class TestSpillPrimitives:
         groups = {"b": [2, 3], "a": [1], "c": [4]}
         path, nbytes = write_run(groups, str(tmp_path))
         assert nbytes == os.path.getsize(path) > 0
-        items = list(merge_sources([path]))
+        items = list(iter_run(path))
         assert items == [("a", [1]), ("b", [2, 3]), ("c", [4])]
 
     def test_merge_concatenates_in_source_order(self, tmp_path):
-        first, _ = write_run({"k": [1, 2], "a": [0]}, str(tmp_path))
-        second, _ = write_run({"k": [3], "z": [9]}, str(tmp_path))
-        leftover = {"k": [4]}
-        merged = dict(merge_sources([first, second, leftover]))
-        assert merged["k"] == [1, 2, 3, 4]
-        assert list(merged) == ["a", "k", "z"]
+        # A reduce task reads its partition's runs and in-memory buckets
+        # into one record table, source by source.
+        first, _ = write_run({("y", 0): "y0", ("x", 1): "x1"}, str(tmp_path))
+        second, _ = write_run({3: "r3", 2: "r2"}, str(tmp_path))
+        leftover = {0: "r0"}
+        table = record_table([first, second, leftover])
+        assert table == {
+            ("x", 1): "x1", ("y", 0): "y0", 2: "r2", 3: "r3", 0: "r0"
+        }
+        assert list(table) == [("x", 1), ("y", 0), 2, 3, 0]
 
     def test_merge_handles_cross_type_equal_keys(self, tmp_path):
-        # 1 == 1.0: the merge must group them exactly like a dict would.
-        first, _ = write_run({1: ["int"]}, str(tmp_path))
-        merged = dict(merge_sources([first, {1.0: ["float"]}]))
-        assert merged == {1: ["int", "float"]}
+        # 1 == 1.0: the record table keys them exactly like a dict would.
+        first, _ = write_run({1: "int"}, str(tmp_path))
+        assert record_table([first, {1.0: "float"}]) == {1: "float"}
 
     def test_unorderable_keys_raise_spill_error(self, tmp_path):
         with pytest.raises(SpillError, match="orderable"):
             write_run({"a": [1], (1, 2): [2]}, str(tmp_path))
-        with pytest.raises(SpillError, match="orderable"):
-            list(merge_sources([{"a": [1]}, {(1, 2): [2]}]))
 
     def test_corrupt_run_raises_spill_error(self, tmp_path):
         path = tmp_path / "bad.run"
         path.write_bytes(b"\x80\x05 this is not a pickle stream")
         with pytest.raises(SpillError, match="corrupt"):
-            list(merge_sources([str(path)]))
+            record_table([str(path)])
         # A bare item-count header followed by per-item pickles is not a
         # run format this reader accepts.
         with open(path, "wb") as handle:
             pickle.dump(1, handle)
             pickle.dump(("a", [1]), handle)
         with pytest.raises(SpillError, match="bad header"):
-            list(merge_sources([str(path)]))
+            record_table([str(path)])
 
     def test_missing_run_raises_spill_error(self, tmp_path):
         with pytest.raises(SpillError, match="cannot open"):
-            list(merge_sources([str(tmp_path / "gone.run")]))
+            record_table([str(tmp_path / "gone.run")])
 
     def test_run_truncated_at_item_boundary_raises(self, tmp_path):
         # A run whose count header promises more items than the file
@@ -131,7 +148,7 @@ class TestSpillPrimitives:
         with open(path, "wb") as handle:
             handle.write(data[: -len(last_block)])
         with pytest.raises(SpillError, match="truncated"):
-            list(merge_sources([path]))
+            record_table([path])
 
     def test_map_spill_partition_runs_preserve_flush_order(self):
         spill = MapSpill(
@@ -145,17 +162,18 @@ class TestSpilledEqualsInMemory:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_fanout_outputs_identical_and_spilled(self, backend):
         records = list(range(1500))
-        unbounded = fanout_engine(backend, None).run(records)
+        unbounded = fanout_engine(backend, None, records).run()
         budgeted = fanout_engine(
-            backend, 64, num_reduce_tasks=2, map_chunk_size=400
-        ).run(records)
+            backend, 64, records, num_reduce_tasks=2, map_chunk_size=400
+        ).run()
         assert budgeted.outputs == unbounded.outputs
         assert unbounded.metrics.spill_runs == 0
         assert unbounded.metrics.spilled_bytes == 0
         # >= 2 spill runs per partition, per the acceptance criteria.
         assert budgeted.metrics.spill_runs >= 2 * 2
         assert budgeted.metrics.spilled_bytes > 0
-        assert 0 < budgeted.metrics.peak_buffered_pairs <= 64 + FANOUT
+        # A record ships once to each of at most 2 partitions.
+        assert 0 < budgeted.metrics.peak_buffered_pairs <= 64 - 1 + 2
         # Analytical metrics are identical either way.
         assert budgeted.metrics.reducer_loads == unbounded.metrics.reducer_loads
         assert (
@@ -186,20 +204,19 @@ class TestSpilledEqualsInMemory:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_strict_mode_exception_identical(self, backend):
-        """An overloaded key must raise the same CapacityExceededError
+        """An overloaded reducer must raise the same CapacityExceededError
         (same key, load, capacity) with and without spilling."""
 
         errors = {}
         for budget in (None, 8):
             engine = ExecutionEngine(
-                map_fn=mod3_map,
+                plan=mod3_plan(60, capacity=5),
                 reduce_fn=sum_reduce,
-                reducer_capacity=5,
                 strict_capacity=True,
                 config=ExecutionConfig(backend=backend, memory_budget=budget),
             )
             with pytest.raises(CapacityExceededError) as excinfo:
-                engine.run(list(range(60)))
+                engine.run()
             errors[budget] = excinfo.value
         assert errors[8].key == errors[None].key
         assert errors[8].load == errors[None].load
@@ -222,8 +239,8 @@ class TestSpilledEqualsInMemory:
     def test_spill_dir_cleaned_up(self, tmp_path):
         spill_base = tmp_path / "spills"
         result = fanout_engine(
-            "serial", 32, spill_dir=str(spill_base)
-        ).run(list(range(500)))
+            "serial", 32, list(range(500)), spill_dir=str(spill_base)
+        ).run()
         assert result.metrics.spill_runs > 0
         # The base dir survives but the per-run subdirectory is removed.
         assert spill_base.exists()
@@ -232,49 +249,26 @@ class TestSpilledEqualsInMemory:
     def test_spill_dir_cleaned_up_on_strict_failure(self, tmp_path):
         spill_base = tmp_path / "spills"
         engine = ExecutionEngine(
-            map_fn=lambda r: [(0, 1)],
+            plan=SchemaPlan.from_members(
+                list(range(50)), [1] * 50, [range(50)], capacity=3
+            ),
             reduce_fn=sum_reduce,
-            reducer_capacity=3,
             strict_capacity=True,
             config=ExecutionConfig(memory_budget=8, spill_dir=str(spill_base)),
         )
         with pytest.raises(CapacityExceededError):
-            engine.run(list(range(50)))
+            engine.run()
         assert list(spill_base.iterdir()) == []
 
 
 class TestKeyContract:
     def test_engine_rejects_nan_keys_in_strict_mode(self):
-        engine = ExecutionEngine(
-            map_fn=lambda r: [(float("nan"), r)],
-            reduce_fn=sum_reduce,
-            strict_capacity=True,
-        )
-        with pytest.raises(InvalidInstanceError, match="non-self-equal"):
-            engine.run([1, 2, 3])
-
-    def test_engine_rejects_nan_keys_when_budgeted_even_nonstrict(self):
-        engine = ExecutionEngine(
-            map_fn=lambda r: [(float("nan"), r)],
-            reduce_fn=sum_reduce,
-            strict_capacity=False,
-            config=ExecutionConfig(memory_budget=1),
-        )
-        with pytest.raises(InvalidInstanceError, match="non-self-equal"):
-            engine.run([1, 2, 3])
-
-    def test_engine_nonstrict_unbudgeted_keeps_dict_semantics(self):
-        # Pin the historical behavior: without strict mode or a budget,
-        # NaN keys fall through to raw dict grouping (one group per NaN
-        # object within a chunk).
-        nan = float("nan")
-        engine = ExecutionEngine(
-            map_fn=lambda r: [(nan, r)],
-            reduce_fn=lambda k, v: [len(v)],
-            strict_capacity=False,
-        )
-        result = engine.run([1, 2, 3])
-        assert result.outputs == [3]  # same NaN object -> one dict group
+        # An engine's keys are its plan's input indices: a NaN (not equal
+        # to itself, so not groupable) cannot even enter a plan.
+        with pytest.raises(InvalidInstanceError, match="outside"):
+            SchemaPlan.from_members(
+                [1, 2, 3], [1, 1, 1], [[0, float("nan")]], capacity=None
+            )
 
     def test_simulator_pins_nan_grouping_behavior(self):
         # The reference simulator keeps raw dict semantics: distinct NaN
@@ -314,31 +308,31 @@ class TestConfigAndBench:
         # The config is validated when built and frozen after, so a bad
         # budget never reaches an engine run.
         with pytest.raises(InvalidInstanceError, match="memory_budget"):
-            fanout_engine("serial", 0)
-        engine = fanout_engine("serial", None)
+            fanout_engine("serial", 0, [])
+        engine = fanout_engine("serial", None, [])
         with pytest.raises(FrozenInstanceError):
             engine.config.memory_budget = 0
 
     def test_run_out_of_core_rows_and_check(self):
         # On every backend a budgeted run spills, keeps its buffer within
-        # the budget plus one record's fan-out, and matches the unbudgeted
-        # run; the unbudgeted run never spills.
+        # the budget plus one record's routed pairs (one per partition),
+        # and matches the unbudgeted run; the unbudgeted run never spills.
         for backend in ALL_BACKENDS:
             unbounded, budgeted = budgeted_pair(backend, 800, 128)
             assert unbounded.metrics.spill_runs == 0, backend
             assert budgeted.metrics.spill_runs >= 1, backend
-            assert budgeted.metrics.peak_buffered_pairs <= 128 - 1 + FANOUT
+            assert budgeted.metrics.peak_buffered_pairs <= 128 - 1 + PARTS
             assert budgeted.outputs == unbounded.outputs, backend
 
     def test_check_spill_flags_missing_spill(self):
         # spill_runs counts real spills: a budget that holds every pair
         # reports none, and the same records under a small budget do not.
-        records = 100
+        records = list(range(100))
         for backend in ALL_BACKENDS:
-            roomy = fanout_engine(backend, records * FANOUT + 1).run(
-                range(records)
-            )
-            tight = fanout_engine(backend, 16).run(range(records))
+            roomy = fanout_engine(
+                backend, len(records) * PARTS + 1, records
+            ).run()
+            tight = fanout_engine(backend, 16, records).run()
             assert roomy.metrics.spill_runs == 0, backend
             assert roomy.metrics.spilled_bytes == 0, backend
             assert tight.metrics.spill_runs >= 1, backend
@@ -346,11 +340,11 @@ class TestConfigAndBench:
             assert tight.outputs == roomy.outputs, backend
 
     def test_check_spill_peak_bound_accounts_for_fanout(self):
-        # A budget below one record's fan-out: the spill trigger fires
-        # between records, so the buffer passes the budget by up to one
-        # record's fan-out, and no further.
+        # A budget below one record's routed pairs: the spill trigger
+        # fires between records, so the buffer passes the budget by up to
+        # one record's routed pairs, and no further.
         for backend in ALL_BACKENDS:
-            unbounded, budgeted = budgeted_pair(backend, 200, 8)
+            unbounded, budgeted = budgeted_pair(backend, 200, 4)
             assert budgeted.metrics.spill_runs >= 1, backend
-            assert 8 < budgeted.metrics.peak_buffered_pairs <= 8 - 1 + FANOUT
+            assert 4 < budgeted.metrics.peak_buffered_pairs <= 4 - 1 + PARTS
             assert budgeted.outputs == unbounded.outputs, backend

@@ -15,6 +15,7 @@ from repro.engine.engine import (
     _instrumented_task,
     _merge_task_telemetry,
 )
+from repro.engine.routing import SchemaPlan
 from repro.obs.profiler import (
     ResourceSampler,
     merge_stats,
@@ -299,20 +300,21 @@ class TestValidateCollapsed:
 
 class TestEngineIntegration:
     def _run(self, backend, tracer, **config_kwargs):
-        def map_fn(value):
-            yield value % 4, value
-
         def reduce_fn(key, values):
-            yield key, sum(values)
+            yield key, sum(value for _, value in values)
 
         engine = ExecutionEngine(
-            map_fn=map_fn,
+            plan=SchemaPlan.from_members(
+                list(range(200)),
+                [1] * 200,
+                [range(k, 200, 4) for k in range(4)],
+                capacity=10_000,
+            ),
             reduce_fn=reduce_fn,
-            reducer_capacity=10_000,
             tracer=tracer,
             config=ExecutionConfig(backend=backend, **config_kwargs),
         )
-        return engine.run(list(range(200)))
+        return engine.run()
 
     @pytest.mark.parametrize("backend", ["serial", "threads"])
     def test_phases_and_worker_tables_recorded(self, backend):
