@@ -16,13 +16,22 @@ before the run, so the shuffle is *routed*:
   deployment.
 * The parent's "shuffle" is just a transpose: for each partition it
   collects the per-map-task buckets, in task order, and pairs them with
-  the partition's ``(reducer, members)`` list, which ships once, with
-  that partition's task.
+  the partition's slice of the plan's member lists
+  (``members[p::partitions]``, empty reducers kept), which ships once,
+  with that partition's task.
 * A *reduce task* reads its partition's records into one table, rebuilds
   every reducer's value list from its members (in record order, so
-  value order matches the simulator), checks the capacity per reducer,
-  and reduces — inside the parallel task, not on the parent's critical
-  path.
+  value order matches the simulator), computes each reducer's load, and
+  reduces — inside the parallel task, not on the parent's critical
+  path.  Its results are aligned to its slice: one flat output list with
+  a per-reducer output count, and one load per reducer.
+* The parent's *post-pass* merges the tasks' loads, enforces the
+  capacity exactly like the simulator, and walks the plan's reducers
+  once, in reducer order, taking reducer ``r``'s outputs from the flat
+  list of partition ``r % partitions`` (slot ``r // partitions`` holds
+  their count).  It builds no container per reducer, so its cost (and
+  the heap its garbage collector sweeps) follows the data, not the
+  schema's reducer count.
 
 The job metrics still count one pair per (input, reducer) membership;
 ``EngineMetrics.pairs_shipped`` counts what moves.  Where tasks run in
@@ -61,6 +70,7 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.core.multiway import MultiwaySchema
@@ -71,7 +81,7 @@ from repro.engine.codec import decode_block_groups, encode_groups
 from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics, PhaseTimings
 from repro.engine.routing import (
-    ReducerMembers,
+    MemberLists,
     Route,
     SchemaPlan,
     build_schema_plan,
@@ -156,12 +166,14 @@ class TaskResult:
 
     Attributes:
         outputs: a map task's partition buckets (dicts, or blocks and
-            ``None`` when encoded); a reduce task's per-reducer outputs,
-            or ``None`` when strict capacity discarded them.
+            ``None`` when encoded); a reduce task's ``(flat outputs,
+            per-reducer output counts)``, the counts aligned to its
+            members slice, or ``None`` when strict capacity discarded
+            them.
         counters: named task counters (``records``, ``pairs``, ...) that
             the parent sums; they also label the task's worker span.
-        loads: a reduce task's per-reducer loads in reducer order (empty
-            for map).
+        loads: a reduce task's per-reducer loads, aligned to its members
+            slice (0 for an empty reducer; empty for map).
         spill: a map task's spill runs (``None`` without a memory budget).
         span: the worker span, set when tracing is on; a profiling
             tracer's tasks also put their ``cProfile`` table on it
@@ -170,7 +182,7 @@ class TaskResult:
 
     outputs: Any
     counters: dict[str, float]
-    loads: list[tuple[int, int]] = field(default_factory=list)
+    loads: list[int] = field(default_factory=list)
     spill: MapSpill | None = None
     span: dict[str, Any] | None = None
 
@@ -288,7 +300,7 @@ def _resolve_sources(
 
 
 def _run_routed_reduce_task(
-    payload: tuple[list[Any], ReducerMembers],
+    payload: tuple[list[Any], tuple[int, int, MemberLists]],
     *,
     reduce_fn: ReduceFn,
     sizes: dict[Hashable, int],
@@ -297,43 +309,55 @@ def _run_routed_reduce_task(
 ) -> TaskResult:
     """One reduce task: rebuild each reducer's values and reduce.
 
-    *payload* is ``(sources, reducers)``: the partition's sources, in
-    spill order (bucket dicts, blocks — ``bytes``, decoded here, in the
-    parallel task — or paths of sorted run files, all holding records by
-    input key), and its ``(reducer, member keys)`` list from
-    :meth:`SchemaPlan.routes`, in reducer order.  The sources are read
-    into one record table, so the task holds each input of its partition
-    once plus the value list of the reducer it is reducing.  A reducer's
-    values are its members' records in sorted-key order, which is record
-    order (for X2Y, ``("x", i)`` sorts before ``("y", j)``), and its load
-    is the sum of its members' declared *sizes*.
+    *payload* is ``(sources, (first, step, members))``: the partition's
+    sources, in spill order (bucket dicts, blocks — ``bytes``, decoded
+    here, in the parallel task — or paths of sorted run files, all
+    holding records by input key), and its slice of the plan's member
+    lists from :meth:`SchemaPlan.routes`, whose slot ``k`` is reducer
+    ``first + k * step``.  The sources are read into one record table,
+    so the task holds each input of its partition once plus the value
+    list of the reducer it is reducing.  A reducer's values are its
+    members' records in sorted-key order, which is record order (for
+    X2Y, ``("x", i)`` sorts before ``("y", j)``), and its load is the sum
+    of its members' declared *sizes*.  Empty reducers are not reduced but
+    keep their slot.
 
-    The result carries the per-reducer outputs and loads, and counts
-    ``keys`` (reducers) and ``decode_seconds`` (time spent decoding block
-    sources).  Under strict capacity, a task whose partition holds an
-    overloaded reducer discards its outputs (``outputs=None``) — the
-    parent merges all loads and raises for the globally smallest
-    offending reducer, so the strict-mode exception is identical to the
-    simulator's.
+    The result is reducer-aligned, with no per-reducer container:
+    ``loads`` is one int per slot, and ``outputs`` is ``(flat outputs,
+    output count per slot)``.  It counts ``keys`` (non-empty reducers)
+    and ``decode_seconds`` (time spent decoding block sources).  Under
+    strict capacity, a task whose partition holds an overloaded reducer
+    discards its outputs (``outputs=None``) — the parent merges all loads
+    and raises for the globally smallest offending reducer, so the
+    strict-mode exception is identical to the simulator's.
     """
-    sources, reducers = payload
+    sources, (reducer, step, members_of_p) = payload
     sources, decode_seconds = _resolve_sources(sources)
     record_of = record_table(sources).__getitem__
     size_of = sizes.__getitem__
-    loads: list[tuple[int, int]] = []
+    loads: list[int] = []
+    counts: list[int] = []
+    outputs: list[Any] = []
+    keys = 0
     overloaded = False
-    results: list[tuple[int, list[Any]]] = []
-    for reducer, members in reducers:
-        load = sum(map(size_of, members))
-        loads.append((reducer, load))
-        if capacity is not None and load > capacity:
-            overloaded = True
-        if not (strict and overloaded):
-            values = list(map(record_of, sorted(members)))
-            results.append((reducer, list(reduce_fn(reducer, values))))
+    for members in members_of_p:
+        load = count = 0
+        if members:
+            keys += 1
+            load = sum(map(size_of, members))
+            if capacity is not None and load > capacity:
+                overloaded = True
+            if not (strict and overloaded):
+                before = len(outputs)
+                values = list(map(record_of, sorted(members)))
+                outputs.extend(reduce_fn(reducer, values))
+                count = len(outputs) - before
+        loads.append(load)
+        counts.append(count)
+        reducer += step
     return TaskResult(
-        outputs=None if strict and overloaded else results,
-        counters={"keys": len(loads), "decode_seconds": decode_seconds},
+        outputs=None if strict and overloaded else (outputs, counts),
+        counters={"keys": keys, "decode_seconds": decode_seconds},
         loads=loads,
     )
 
@@ -416,9 +440,9 @@ class ExecutionEngine:
     on a pluggable backend.
 
     Map tasks ship each record once to every reduce partition holding one
-    of its reducers; each reduce task receives its partition's
-    ``(reducer, members)`` list with its sources and rebuilds every
-    reducer's values from them.
+    of its reducers; each reduce task receives its partition's slice of
+    the plan's member lists with its sources, rebuilds every reducer's
+    values from them, and returns results aligned to that slice.
 
     Attributes:
         plan: the job: wrapped records, declared sizes, every reducer's
@@ -705,7 +729,12 @@ class ExecutionEngine:
                     if sources:
                         # The partition's member lists ship once, with
                         # its own task, not in the task partial.
-                        partitions.append((sources, partition_members[p]))
+                        partitions.append(
+                            (
+                                sources,
+                                (p, num_partitions, partition_members[p]),
+                            )
+                        )
                 shuffle_span.set("pairs", pairs_shipped)
                 shuffle_span.set("partitions", len(partitions))
                 shuffle_span.set("spilled_bytes", spilled_bytes)
@@ -730,38 +759,64 @@ class ExecutionEngine:
                 reduce_run_seconds = time.perf_counter() - reduce_started
 
         # --- post-pass (pool already released; its shutdown is not timed):
-        # merge per-task loads, enforce capacity in global reducer order
-        # (identical to the simulator), and reassemble outputs in that same
-        # order.
+        # merge the tasks' reducer-aligned loads, enforce capacity in
+        # global reducer order (identical to the simulator), and
+        # reassemble the outputs in that same order, with no container
+        # per reducer.
         post_started = time.perf_counter()
         with phase_span(tracer, "post", capture=True) as post_span:
+            members = self.plan.members
             loads: dict[int, int] = {}
-            outputs_by_key: dict[int, list[Any]] = {}
+            part_outputs: list[list[Any]] = [[] for _ in range(num_partitions)]
+            part_counts: list[list[int]] = [[] for _ in range(num_partitions)]
             task_loads: list[int] = []
             decode_seconds = 0.0
-            for result in task_results:
-                task_loads.append(sum(load for _, load in result.loads))
-                loads.update(result.loads)
+            for (_, (p, step, members_of_p)), result in zip(
+                partitions, task_results
+            ):
+                task_loads.append(sum(result.loads))
                 decode_seconds += result.counters["decode_seconds"]
+                # Slot k is reducer p + k * step; empty reducers have no
+                # load entry.
+                loads.update(
+                    compress(
+                        zip(range(p, len(members), step), result.loads),
+                        members_of_p,
+                    )
+                )
                 if result.outputs is not None:
-                    for key, outs in result.outputs:
-                        outputs_by_key[key] = outs
-            keys = sorted(loads)
+                    part_outputs[p], part_counts[p] = result.outputs
             capacity = self.plan.capacity
+            max_load = max(loads.values(), default=0)
             violations: list[int] = []
-            if capacity is not None:
-                for key in keys:
-                    if loads[key] > capacity:
-                        if self.strict_capacity:
-                            raise CapacityExceededError(
-                                f"reducer for key {key!r} received load "
-                                f"{loads[key]} > capacity {capacity}",
-                                key=key,
-                                load=loads[key],
-                                capacity=capacity,
-                            )
-                        violations.append(key)
-            outputs = [out for key in keys for out in outputs_by_key[key]]
+            if capacity is not None and max_load > capacity:
+                violations = sorted(
+                    key for key, load in loads.items() if load > capacity
+                )
+                if self.strict_capacity:
+                    # A task holding an offender discarded its outputs,
+                    # so this raises before the walk would need them.
+                    key = violations[0]
+                    raise CapacityExceededError(
+                        f"reducer for key {key!r} received load "
+                        f"{loads[key]} > capacity {capacity}",
+                        key=key,
+                        load=loads[key],
+                        capacity=capacity,
+                    )
+            # Reducer r's outputs are the next counts[r // partitions]
+            # items of partition r % partitions' flat list.
+            cursors = [0] * num_partitions
+            outputs: list[Any] = []
+            for key, held in enumerate(members):
+                if not held:
+                    continue
+                p = key % num_partitions
+                count = part_counts[p][key // num_partitions]
+                if count:
+                    start = cursors[p]
+                    cursors[p] = start + count
+                    outputs.extend(part_outputs[p][start : start + count])
             post_span.set("outputs", len(outputs))
         reduce_seconds = reduce_run_seconds + (
             time.perf_counter() - post_started
@@ -773,7 +828,7 @@ class ExecutionEngine:
             communication_cost=comm,
             num_reducers=len(loads),
             reducer_loads=loads,
-            max_reducer_load=max(loads.values(), default=0),
+            max_reducer_load=max_load,
             capacity=capacity,
             capacity_violations=tuple(violations),
             output_records=len(outputs),

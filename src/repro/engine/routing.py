@@ -206,9 +206,9 @@ def _check_members(lists: tuple[tuple[Any, ...], ...], m: int) -> None:
 #: communication (fan-out times its declared size).
 Route = tuple[tuple[int, ...], int, int]
 
-#: One reduce partition's reducers: ``(reducer, member keys)`` pairs in
-#: reducer order.
-ReducerMembers = list[tuple[int, tuple[Hashable, ...]]]
+#: Member lists, one tuple of input keys per reducer: a plan's, or one
+#: reduce partition's slice of them.
+MemberLists = tuple[tuple[Hashable, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +238,7 @@ class SchemaPlan:
     key_of: Callable[[Any], Hashable]
     size_of: Callable[[Any], int]
     sizes: dict[Hashable, int]
-    members: tuple[tuple[Hashable, ...], ...]
+    members: MemberLists
     capacity: int | None
 
     @classmethod
@@ -322,40 +322,46 @@ class SchemaPlan:
 
     def routes(
         self, num_partitions: int
-    ) -> tuple[dict[Hashable, Route], list[ReducerMembers]]:
+    ) -> tuple[dict[Hashable, Route], list[MemberLists]]:
         """The route tables for *num_partitions* reduce partitions.
 
         Returns ``(map_routes, partition_members)``:
 
         * ``map_routes[key]`` is the input's :data:`Route`, the only table
           map tasks carry;
-        * ``partition_members[p]`` lists ``(reducer, members)`` for every
-          non-empty reducer of partition ``p`` in reducer order; it ships
-          with partition ``p``'s reduce task only.
+        * ``partition_members[p]`` is ``members[p::num_partitions]``, the
+          member lists of partition ``p``'s reducers in reducer order,
+          empty reducers included: slot ``k`` is reducer
+          ``p + k * num_partitions``.  It ships with partition ``p``'s
+          reduce task only, and the task's results are aligned to it.
 
         Reducer ``r`` lives in partition ``r % num_partitions``, so task
         counts and task loads depend only on the plan and the partition
         count.
+
+        Raises :class:`~repro.exceptions.InvalidSchemaError` when a
+        reducer names a key that is not one of the plan's inputs.
         """
-        reducers = range(len(self.members))
-        partition_members: list[ReducerMembers] = []
+        partition_members = [
+            self.members[p::num_partitions] for p in range(num_partitions)
+        ]
         parts: dict[Hashable, list[int]] = {key: [] for key in self.sizes}
         fanout: dict[Hashable, int] = {}
-        for p in range(num_partitions):
-            members_of_p = self.members[p::num_partitions]
-            partition_members.append(
-                [
-                    (r, members)
-                    for r, members in zip(
-                        reducers[p::num_partitions], members_of_p
-                    )
-                    if members
-                ]
+        try:
+            for p, members_of_p in enumerate(partition_members):
+                held = Counter(chain.from_iterable(members_of_p))
+                for key, count in held.items():
+                    parts[key].append(p)
+                    fanout[key] = fanout.get(key, 0) + count
+        except KeyError as exc:
+            key = exc.args[0]
+            reducer = next(
+                r for r, members in enumerate(self.members) if key in members
             )
-            held = Counter(chain.from_iterable(members_of_p))
-            for key, count in held.items():
-                parts[key].append(p)
-                fanout[key] = fanout.get(key, 0) + count
+            raise InvalidSchemaError(
+                f"reducer {reducer} lists {key!r}, which is not an input "
+                "of the plan"
+            ) from None
         map_routes: dict[Hashable, Route] = {}
         for key, size in self.sizes.items():
             count = fanout.get(key, 0)

@@ -25,7 +25,7 @@ from repro.engine.routing import (
     build_schema_plan,
     x2y_memberships,
 )
-from repro.exceptions import InvalidInstanceError
+from repro.exceptions import InvalidInstanceError, InvalidSchemaError
 from repro.obs.trace import Tracer
 from repro.planner import JobSpec, plan
 from repro.workloads.distributions import sample_sizes
@@ -296,9 +296,11 @@ class TestRoutedShuffle:
         routes, partition_members = build_schema_plan(
             schema, [None] * schema.instance.m
         ).routes(5)
-        for p, reducers in enumerate(partition_members):
-            assert [r for r, _ in reducers] == sorted(r for r, _ in reducers)
-            for r, members in reducers:
+        assert sum(map(len, partition_members)) == len(schema.reducers)
+        for p, members_of_p in enumerate(partition_members):
+            # Slot k of partition p is reducer p + 5k, in reducer order.
+            for k, members in enumerate(members_of_p):
+                r = p + k * 5
                 assert r % 5 == p
                 assert members == schema.reducers[r]
                 for i in members:
@@ -325,6 +327,19 @@ class TestRoutedShuffle:
         routes, _ = build_schema_plan(schema, list(range(1200))).routes(8)
         memberships = tuple(map(tuple, a2a_memberships(schema)))
         assert len(pickle.dumps(routes)) * 10 < len(pickle.dumps(memberships))
+
+
+class TestUnknownSchemaMembers:
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_member_outside_the_instance_is_a_typed_error(self, backend):
+        # A hand-built schema is not validated against its instance; the
+        # run names the unknown input instead of failing with a KeyError.
+        instance = A2AInstance([1, 2, 3], q=10)
+        schema = A2ASchema.from_lists(instance, [[0, 1], [0, instance.m]])
+        with pytest.raises(InvalidSchemaError, match="reducer 1 lists 3"):
+            execute_schema(
+                schema, ["a", "b", "c"], count_reduce, backend=backend
+            )
 
 
 class TestMemberListPlans:

@@ -13,8 +13,14 @@ import pytest
 from repro.apps.skew_join import schema_skew_join
 from repro.engine.backends import ProcessBackend, ThreadBackend
 from repro.engine.config import ExecutionConfig
-from repro.engine.engine import _run_routed_map_task, _run_routed_reduce_task
+from repro.engine.crossval import compare_results, oracle_run
+from repro.engine.engine import (
+    ExecutionEngine,
+    _run_routed_map_task,
+    _run_routed_reduce_task,
+)
 from repro.engine.routing import SchemaPlan
+from repro.exceptions import CapacityExceededError
 from repro.workloads.relations import generate_join_workload
 
 PROCESSES = ExecutionConfig(backend="processes")
@@ -59,33 +65,144 @@ class TestMapTaskContract:
 
     def test_reduce_task_merges_in_task_order(self):
         # Two map tasks' buckets for one partition: each reducer's values
-        # come back in record order whichever task shipped them.
+        # come back in record order whichever task shipped them.  The
+        # payload's slice (first 0, step 2) holds reducers 0 and 2.
         slabs = [{2: (2, "c")}, {0: (0, "a b a"), 1: (1, "b c")}]
         result = _run_routed_reduce_task(
-            (slabs, [(0, (0,)), (2, (2, 1))]),
-            reduce_fn=lambda key, values: [tuple(values)],
+            (slabs, (0, 2, ((0,), (2, 1)))),
+            reduce_fn=lambda key, values: [(key, tuple(values))],
             sizes={0: 3, 1: 2, 2: 1},
             capacity=None,
             strict=True,
         )
-        assert result.outputs == [
-            (0, [((0, "a b a"),)]),
-            (2, [((1, "b c"), (2, "c"))]),
-        ]
-        assert result.loads == [(0, 3), (2, 3)]
+        assert result.outputs == (
+            [
+                (0, ((0, "a b a"),)),
+                (2, ((1, "b c"), (2, "c"))),
+            ],
+            [1, 1],
+        )
+        assert result.loads == [3, 3]
         assert result.counters["keys"] == 2
         assert result.counters["decode_seconds"] == 0.0
 
     def test_reduce_task_skips_reducing_on_strict_overflow(self):
         result = _run_routed_reduce_task(
-            ([{0: (0, "a b a"), 1: (1, "b c")}], [(1, (0, 1))]),
+            ([{0: (0, "a b a"), 1: (1, "b c")}], (1, 2, ((0, 1),))),
             reduce_fn=lambda key, values: [len(values)],
             sizes={0: 3, 1: 2},
             capacity=2,
             strict=True,
         )
         assert result.outputs is None
-        assert result.loads == [(1, 5)]
+        assert result.loads == [5]
+
+    def test_reduce_results_are_aligned_to_the_members_slice(self):
+        # Partition 1 of 3 over reducers 1, 4, 7, 10: reducers 4 and 10
+        # are empty but keep their slots, with load 0 and no outputs.
+        plan = word_plan()
+        members_of_p = ((0, 1), (), (2,), ())
+        calls = []
+
+        def reduce_fn(key, values):
+            calls.append(key)
+            return [key] * len(values)
+
+        bucket = dict(enumerate(plan.records))
+        result = _run_routed_reduce_task(
+            ([bucket], (1, 3, members_of_p)),
+            reduce_fn=reduce_fn,
+            sizes=plan.sizes,
+            capacity=None,
+            strict=True,
+        )
+        assert isinstance(result.loads, list)
+        assert len(result.loads) == len(members_of_p)
+        assert all(type(load) is int for load in result.loads)
+        assert result.loads == [5, 0, 1, 0]
+        flat, counts = result.outputs
+        assert counts == [2, 0, 1, 0]
+        assert flat == [1, 1, 7]
+        assert calls == [1, 7]
+        assert result.counters["keys"] == 2
+
+
+def uneven_reduce(key, values):
+    """0, 1, 3 or 1 outputs by ``key % 4``, so output counts vary per
+    reducer and some reducers emit nothing."""
+    for j in range((0, 1, 3, 1)[key % 4]):
+        yield key, j, tuple(i for i, _ in values)
+
+
+#: Thirteen reducers over three partitions (``r % 3``): reducers 1, 4, 8
+#: and 11 are empty, and reducers 3 and 12 (partition 0) and 7
+#: (partition 1) exceed the capacity 10.
+UNEVEN_SIZES = [3, 1, 4, 1, 5, 2, 6, 2]
+UNEVEN_MEMBERS = [
+    [0, 1],
+    [],
+    [1, 2, 3],
+    [2, 4, 5],
+    [],
+    [0, 6],
+    [3, 7],
+    [4, 6],
+    [],
+    [5, 7, 1],
+    [6],
+    [],
+    [0, 2, 4],
+]
+
+
+def uneven_engine(backend: str, budget: int | None, strict: bool):
+    """The uneven plan at capacity 10 on three reduce partitions."""
+    return ExecutionEngine(
+        plan=SchemaPlan.from_members(
+            [f"rec{i}" for i in range(len(UNEVEN_SIZES))],
+            UNEVEN_SIZES,
+            UNEVEN_MEMBERS,
+            capacity=10,
+        ),
+        reduce_fn=uneven_reduce,
+        strict_capacity=strict,
+        config=ExecutionConfig(
+            backend=backend,
+            num_workers=2,
+            num_reduce_tasks=3,
+            memory_budget=budget,
+        ),
+    )
+
+
+@pytest.mark.parametrize("budget", [None, 2])
+@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+class TestReducerAlignedReassembly:
+    """The parent rebuilds outputs and loads from reducer-aligned task
+    results: with empty reducers interleaved, per-reducer output counts
+    of 0, 1 and 3, and overloaded reducers in two partitions, the run
+    equals the simulator's on every backend, spilled or not."""
+
+    def test_non_strict_run_equals_the_oracle(self, backend, budget):
+        engine = uneven_engine(backend, budget, strict=False)
+        result = engine.run()
+        report = compare_results(result, oracle_run(engine))
+        assert report.ok, report.summary()
+        assert result.metrics.capacity_violations == (3, 7, 12)
+        assert result.engine.num_reduce_tasks == 3
+
+    def test_strict_run_raises_the_oracles_error(self, backend, budget):
+        engine = uneven_engine(backend, budget, strict=True)
+        with pytest.raises(CapacityExceededError) as expected:
+            oracle_run(engine)
+        with pytest.raises(CapacityExceededError) as raised:
+            engine.run()
+        assert str(raised.value) == str(expected.value)
+        assert (raised.value.key, raised.value.load, raised.value.capacity) == (
+            3,
+            11,
+            10,
+        )
 
 
 class TestCrossRunStability:
