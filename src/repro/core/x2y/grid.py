@@ -8,20 +8,24 @@ at most ``t + (q - t) = q``.  With ``b_x`` and ``b_y`` bins the scheme uses
 ``b_x * b_y`` reducers; :func:`best_split_grid` searches the split ``t``
 that minimizes the product, which makes the scheme fully general (any
 feasible instance admits a split with ``t >= max(x)`` and
-``q - t >= max(y)``).  The search compares bin counts only, so probing a
-split costs two packings and builds no schema; one schema is built, for
-the winning split.
+``q - t >= max(y)``).  The search compares bin counts only, and builds
+one schema, for the winning split.  With FFD a probe is two bin counts
+from the size multiset: each side's equal sizes are grouped into runs
+once, and a probe places whole runs, so it costs O(distinct sizes * bins)
+instead of a packing of every input.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import partial
 
-from repro.binpack.ffd import first_fit_decreasing
+from repro.binpack.ffd import decreasing_runs, ffd_bin_count, first_fit_decreasing
 from repro.binpack.packing import PackingResult
 from repro.core.instance import X2YInstance
 from repro.core.schema import X2YSchema
 from repro.exceptions import InvalidInstanceError
+from repro.utils.validation import check_positive_int
 
 Packer = Callable[[Sequence[int], int], PackingResult]
 
@@ -87,6 +91,13 @@ def _candidate_splits(instance: X2YInstance, max_candidates: int) -> list[int]:
     return sorted(t for t in candidates if low <= t <= high)
 
 
+def _bin_counter(sizes: tuple[int, ...], packer: Packer) -> Callable[[int], int]:
+    """The number of bins *packer* packs *sizes* into, by capacity."""
+    if packer is first_fit_decreasing:
+        return partial(ffd_bin_count, decreasing_runs(sizes))
+    return lambda capacity: packer(sizes, capacity).num_bins
+
+
 def best_split_grid(
     instance: X2YInstance,
     packer: Packer = first_fit_decreasing,
@@ -98,19 +109,22 @@ def best_split_grid(
     Probes up to *max_candidates* split values across the feasible range
     (always including the endpoints and the symmetric split) and keeps the
     one whose ``b_x * b_y`` product is smallest, the first one on ties.  A
-    probe costs two packings and builds no schema: the grid of split ``t``
-    has exactly ``b_x * b_y`` reducers, so only the winner is built, with
-    :func:`grid_with_split`.  Fully general: succeeds on every feasible X2Y
-    instance.
+    probe builds no schema: the grid of split ``t`` has exactly ``b_x *
+    b_y`` reducers, so only the winner is built, with
+    :func:`grid_with_split`.  With the default FFD packer a probe is two
+    bin counts from the size multiset (:func:`~repro.binpack.ffd.ffd_bin_count`
+    over runs of equal sizes built once per side); any other packer packs
+    both sides.  Fully general: succeeds on every feasible X2Y instance.
+    *max_candidates* must be a positive integer.
     """
+    max_candidates = check_positive_int(max_candidates, "max_candidates")
     instance.check_feasible()
+    x_bins = _bin_counter(instance.x_sizes, packer)
+    y_bins = _bin_counter(instance.y_sizes, packer)
     best_t: int | None = None
     best_reducers = 0
     for t in _candidate_splits(instance, max_candidates):
-        reducers = (
-            packer(instance.x_sizes, t).num_bins
-            * packer(instance.y_sizes, instance.q - t).num_bins
-        )
+        reducers = x_bins(t) * y_bins(instance.q - t)
         if best_t is None or reducers < best_reducers:
             best_t, best_reducers = t, reducers
     if best_t is None:

@@ -15,6 +15,7 @@ from repro.binpack import (
     next_fit,
     worst_fit,
 )
+from repro.binpack.ffd import decreasing_runs, ffd_bin_count
 from repro.exceptions import InvalidInstanceError
 
 ALL_PACKERS = list(HEURISTICS.values())
@@ -118,6 +119,23 @@ class TestFFD:
         result = first_fit_decreasing([7, 3, 6, 4, 5, 5], 10)
         assert result.num_bins == 3
         assert all(load == 10 for load in result.bin_loads())
+
+
+class TestFFDBinCount:
+    def test_runs_are_the_size_multiset_in_decreasing_order(self):
+        assert decreasing_runs([2, 5, 2, 7, 5, 2]) == [(7, 1), (5, 2), (2, 3)]
+        assert decreasing_runs([]) == []
+
+    def test_counts_ffd_bins(self):
+        # 7 | 5 5 | 2 2 2 at capacity 10 -> [7,2], [5,5], [2,2].
+        assert ffd_bin_count([(7, 1), (5, 2), (2, 3)], 10) == 3
+        assert ffd_bin_count([(1, 692)], 30) == 24
+        assert ffd_bin_count([], 10) == 0
+
+    @pytest.mark.parametrize("capacity", [6, 0, -1, 2.5, True])
+    def test_rejects_capacity_below_largest_or_not_positive(self, capacity):
+        with pytest.raises(InvalidInstanceError):
+            ffd_bin_count([(7, 1), (5, 2)], capacity)
 
 
 class TestBestFit:

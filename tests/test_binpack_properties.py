@@ -14,6 +14,7 @@ from repro.binpack import (
     next_fit,
     pack_exact,
 )
+from repro.binpack.ffd import decreasing_runs, ffd_bin_count
 
 sizes_and_capacity = st.integers(1, 30).flatmap(
     lambda cap: st.tuples(
@@ -36,6 +37,25 @@ first_fit_cases = st.one_of(
     st.lists(st.integers(1, 30), min_size=1, max_size=40).map(
         lambda sizes: (sizes, max(sizes))
     ),
+)
+
+# Long runs of repeated sizes, which the packers place a run at a time: all
+# sizes equal, a few distinct sizes, and sizes equal to the capacity.
+repeated_size_cases = st.integers(1, 30).flatmap(
+    lambda cap: st.tuples(
+        st.one_of(
+            st.integers(1, cap).flatmap(
+                lambda size: st.lists(st.just(size), min_size=1, max_size=150)
+            ),
+            st.lists(st.integers(1, cap), min_size=2, max_size=3).flatmap(
+                lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=150)
+            ),
+            st.lists(
+                st.one_of(st.just(cap), st.integers(1, cap)), min_size=1, max_size=60
+            ),
+        ),
+        st.just(cap),
+    )
 )
 
 small_sizes_and_capacity = st.integers(2, 15).flatmap(
@@ -111,14 +131,21 @@ def bin_first_fit(sizes, capacity, order):
     return tuple(tuple(b.items) for b in bins)
 
 
-@given(first_fit_cases)
+@given(st.one_of(first_fit_cases, repeated_size_cases))
 def test_first_fit_matches_bin_reference(case):
     sizes, cap = case
     assert first_fit(sizes, cap).bins == bin_first_fit(sizes, cap, range(len(sizes)))
 
 
-@given(first_fit_cases)
+@given(st.one_of(first_fit_cases, repeated_size_cases))
 def test_first_fit_decreasing_matches_bin_reference(case):
     sizes, cap = case
     order = sorted(range(len(sizes)), key=lambda i: sizes[i], reverse=True)
     assert first_fit_decreasing(sizes, cap).bins == bin_first_fit(sizes, cap, order)
+
+
+@given(st.one_of(first_fit_cases, repeated_size_cases))
+def test_ffd_bin_count_matches_first_fit_decreasing(case):
+    sizes, cap = case
+    runs = decreasing_runs(sizes)
+    assert ffd_bin_count(runs, cap) == first_fit_decreasing(sizes, cap).num_bins

@@ -8,6 +8,7 @@ pair, and it can never use fewer reducers than the lower bounds allow.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,11 +16,14 @@ from repro.core.a2a import big_small, greedy_cover
 from repro.core.bounds import (
     a2a_communication_lower_bound,
     a2a_reducer_lower_bound,
+    x2y_communication_lower_bound,
     x2y_reducer_lower_bound,
 )
 from repro.core.instance import A2AInstance, X2YInstance
-from repro.core.selector import solve_a2a, solve_x2y
+from repro.core.selector import A2A_METHODS, X2Y_METHODS, solve_a2a, solve_x2y
 from repro.core.x2y import best_split_grid, big_small_x2y, greedy_cover_x2y
+from repro.exceptions import InvalidInstanceError, ReproError, SolverLimitError
+from repro.planner.planner import _skip_reason
 
 
 @st.composite
@@ -134,3 +138,80 @@ def test_replication_counts_consistent_with_communication(instance):
         w * r for w, r in zip(instance.sizes, schema.replication)
     )
     assert recomputed == schema.communication_cost
+
+
+def _sizes_up_to(largest):
+    """One side's sizes, topped by an input of size *largest*: arbitrary
+    sizes, a few repeated ones, or all equal."""
+    return st.one_of(
+        st.lists(st.integers(1, largest), max_size=11),
+        st.lists(st.sampled_from([1, max(1, largest // 3), largest]), max_size=11),
+        st.integers(0, 11).map(lambda n: [largest] * n),
+    ).map(lambda sizes: sizes + [largest])
+
+
+@st.composite
+def feasible_x2y_any_sizes(draw):
+    """A feasible X2Y instance whose inputs may exceed q/2 on one side."""
+    q = draw(st.integers(2, 40))
+    max_x = draw(st.integers(1, q - 1))
+    max_y = draw(st.integers(1, q - max_x))
+    return X2YInstance(draw(_sizes_up_to(max_x)), draw(_sizes_up_to(max_y)), q)
+
+
+@settings(deadline=None, max_examples=80)
+@given(feasible_x2y_any_sizes())
+def test_every_x2y_method_valid_and_above_bounds(instance):
+    """Every registered method the planner would try either refuses the
+    shape with a typed error or builds a valid schema within the bounds."""
+    reducer_bound = x2y_reducer_lower_bound(instance)
+    communication_bound = x2y_communication_lower_bound(instance)
+    for name, method in X2Y_METHODS.items():
+        if _skip_reason(name, instance) is not None:
+            continue
+        try:
+            schema = method(instance)
+        except (InvalidInstanceError, SolverLimitError):
+            # equal_grid on unequal sizes; exact past its node budget, as on
+            # X2YInstance([1, 3], [1] * 12, 6).  The planner records both as
+            # failed candidates.
+            continue
+        report = schema.verify()
+        assert report.valid, f"{name}: {report.summary()}"
+        assert schema.num_reducers >= reducer_bound, name
+        assert schema.communication_cost >= communication_bound, name
+
+
+@st.composite
+def infeasible_x2y(draw):
+    """An X2Y instance whose largest X and largest Y overflow q together."""
+    q = draw(st.integers(2, 40))
+    max_x = draw(st.integers(1, q))
+    max_y = draw(st.integers(q - max_x + 1, q))
+    return X2YInstance(draw(_sizes_up_to(max_x)), draw(_sizes_up_to(max_y)), q)
+
+
+@st.composite
+def infeasible_a2a(draw):
+    """An A2A instance whose two largest inputs overflow q together."""
+    q = draw(st.integers(2, 40))
+    largest = draw(st.integers((q + 2) // 2, q))
+    second = draw(st.integers(q - largest + 1, largest))
+    rest = draw(st.lists(st.integers(1, second), max_size=8))
+    return A2AInstance(draw(st.permutations([largest, second, *rest])), q)
+
+
+@pytest.mark.parametrize("name", sorted(X2Y_METHODS))
+@settings(deadline=None, max_examples=40)
+@given(instance=infeasible_x2y())
+def test_every_x2y_method_raises_typed_error_on_infeasible(name, instance):
+    with pytest.raises(ReproError):
+        X2Y_METHODS[name](instance)
+
+
+@pytest.mark.parametrize("name", sorted(A2A_METHODS))
+@settings(deadline=None, max_examples=40)
+@given(instance=infeasible_a2a())
+def test_every_a2a_method_raises_typed_error_on_infeasible(name, instance):
+    with pytest.raises(ReproError):
+        A2A_METHODS[name](instance)

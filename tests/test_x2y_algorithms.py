@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.binpack import best_fit_decreasing, first_fit_decreasing, next_fit
+from repro.binpack import best_fit_decreasing, ffd, first_fit_decreasing, next_fit
 from repro.core.bounds import x2y_reducer_lower_bound
 from repro.core.instance import X2YInstance
 from repro.core.x2y.big import big_small_x2y, split_big_small_x2y
@@ -144,6 +144,28 @@ def test_best_split_grid_builds_one_schema(monkeypatch):
     schema = best_split_grid(instance)
     assert built == [schema.algorithm]
     assert schema.verify().valid
+
+
+def test_best_split_grid_packs_only_the_winning_split(monkeypatch):
+    # Same key: the probes count bins from each side's size multiset, so
+    # the only full FFD packings are the winner's, one per side.
+    packings = []
+    packing_result = ffd.PackingResult
+
+    def counting(**kwargs):
+        packings.append(kwargs["algorithm"])
+        return packing_result(**kwargs)
+
+    monkeypatch.setattr(ffd, "PackingResult", counting)
+    schema = best_split_grid(X2YInstance([1] * 692, [1] * 645, 60))
+    assert packings == ["first_fit_decreasing"] * 2
+    assert schema.algorithm.endswith("first_fit_decreasing]")
+
+
+@pytest.mark.parametrize("max_candidates", [0, -1, 2.5, True])
+def test_best_split_grid_rejects_bad_max_candidates(small_x2y, max_candidates):
+    with pytest.raises(InvalidInstanceError, match="max_candidates"):
+        best_split_grid(small_x2y, max_candidates=max_candidates)
 
 
 class TestBestGroupShape:
