@@ -326,13 +326,15 @@ def schema_skew_join(
     if config is None and method == "planned":
         # The top-level job is not a single schema (composite light/heavy
         # keys), so resolve the engine configuration from the plan's
-        # aggregate shape: its reducers and its communication.
+        # aggregate shape: its reducers, communication and input sizes.
         engine = replace(
             engine,
             config=planner.resolve_execution_config(
                 env,
                 num_reducers=max(1, len(engine.plan.members)),
                 communication_cost=engine.plan.communication_cost,
+                total_size=sum(engine.plan.sizes.values()),
+                num_inputs=len(engine.plan.sizes),
             ),
         )
     result = engine.run()

@@ -16,9 +16,9 @@ Commands:
   ``--y-sizes`` plan an X2Y instance, ``--r`` a multiway one.
 * ``run --app skew-join --q 80 --backend processes`` — execute a
   schema-driven application on an engine backend and print job plus
-  phase-timing metrics.  ``--memory-budget N`` bounds each map task to
-  ``N`` buffered pairs and spills the rest to disk (out-of-core mode);
-  the spill counters are printed after the metrics tables.  ``--plan
+  phase-timing metrics.  ``--memory-budget N`` bounds the routed pairs
+  the engine buffers to ``N`` and spills the rest to disk (out-of-core
+  mode); the spill counters are printed after the metrics tables.  ``--plan
   auto`` lets the planner choose the schema method *and* the execution
   configuration (``--objective`` sets what it optimizes).
 * ``serve [--slots 2] [--input jobs.ndjson]`` — the job-service loop:
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-budget",
         type=_positive_int,
         default=None,
-        help="max buffered pairs per map task before spilling to disk "
+        help="max routed pairs buffered before spilling to disk "
         "(default: unbounded, fully in-memory shuffle)",
     )
     run.add_argument(

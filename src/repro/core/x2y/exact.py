@@ -3,7 +3,9 @@
 Mirrors :mod:`repro.core.a2a.exact`: iterative deepening on the reducer
 budget with depth-first covering of cross pairs, used as ground truth in
 the E9 optimality-gap experiment.  The X2Y problem is NP-complete, so this
-is only tractable for roughly ``m * n <= 30`` pairs.
+is only tractable for roughly ``m * n <= 15`` pairs; from about 16 pairs
+some instances exhaust the node budget after seconds (e.g.
+``X2YInstance([1, 3], [1] * 12, 6)``, 24 pairs).
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ source to three shapes with one interface:
 * **iterator-backed** — :func:`as_dataset` over a bare generator; single
   use (a second iteration raises), for pipelines that truly stream.
 
-``length`` is ``None`` when unknown; the engine then falls back to a fixed
-streaming chunk size instead of sizing chunks from the record count.
+``length`` is ``None`` when unknown; the plan then counts the records as
+they stream.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class Dataset:
         The factory is invoked once per iteration, so the dataset is
         re-iterable as long as the factory is (ranges, file readers,
         generator functions all qualify).  Pass *length* when the record
-        count is known so the engine can size map chunks adaptively.
+        count is known so a plan can check it before the run.
         """
         if not callable(factory):
             raise InvalidInstanceError("Dataset factory must be callable")
@@ -131,24 +131,3 @@ def as_dataset(records: Any) -> Dataset:
         f"cannot build a Dataset from {type(records).__name__}"
     )
 
-
-def iter_chunks(records: Iterable[Any], chunk_size: int) -> Iterator[list[Any]]:
-    """Yield consecutive lists of at most *chunk_size* records.
-
-    The chunks are built lazily from the underlying iterator, so at most
-    one chunk of records is held by the producer at a time — this is what
-    lets the engine feed map tasks from a stream without materializing the
-    input.
-    """
-    if chunk_size <= 0:
-        raise InvalidInstanceError(
-            f"chunk_size must be positive, got {chunk_size}"
-        )
-    chunk: list[Any] = []
-    for record in records:
-        chunk.append(record)
-        if len(chunk) >= chunk_size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk

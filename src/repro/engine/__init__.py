@@ -6,15 +6,13 @@ This package turns a solved :class:`~repro.core.schema.A2ASchema`,
 :class:`~repro.engine.routing.SchemaPlan`, the one job model, which an
 app may also build from explicit member lists — into an actually-executed
 MapReduce job: every reducer receives exactly the records of the inputs
-the plan assigns to it, map tasks ship each record once to each reduce
-task holding one of its reducers (a schema-routed, mapper-side
-partitioned shuffle), and the phases run on a pluggable
-backend (``serial``, ``threads``, ``processes``) sharing one worker pool
-per run.  The serial backend is validated to be byte-identical to the
-reference simulator (:mod:`repro.mapreduce`); the parallel backends
-translate schema quality into wall-clock speedups.  Shuffle buckets that
-cross a process boundary, and spill runs on disk, use the one block
-format of :mod:`repro.engine.codec`.
+the plan assigns to it, the parent routes each record once to each
+reduce task holding one of its reducers (a schema-routed shuffle with no
+map tasks), and the reduce tasks run on a pluggable backend (``serial``,
+``threads``, ``processes``).  The serial backend is validated to be
+byte-identical to the reference simulator (:mod:`repro.mapreduce`); the
+parallel backends translate schema quality into wall-clock speedups.
+Spill runs on disk use the block format of :mod:`repro.engine.codec`.
 
 Quickstart::
 
@@ -41,12 +39,7 @@ from repro.engine.backends import (
     available_workers,
     get_backend,
 )
-from repro.engine.codec import (
-    decode_block,
-    decode_block_groups,
-    encode_groups,
-    encode_items,
-)
+from repro.engine.codec import decode_block, encode_items
 from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import (
     CrossValidationReport,
@@ -80,9 +73,7 @@ __all__ = [
     "EngineMetrics",
     "PhaseTimings",
     "encode_items",
-    "encode_groups",
     "decode_block",
-    "decode_block_groups",
     "CrossValidationReport",
     "compare_results",
     "validate_against_simulator",

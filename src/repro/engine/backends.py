@@ -17,9 +17,7 @@ Three backends ship:
 * ``processes`` — :class:`concurrent.futures.ProcessPoolExecutor`; wins on
   CPU-bound reduce work, but requires the task function and payloads to
   be picklable (module-level functions and :func:`functools.partial` over
-  them qualify; closures do not).  It is the one backend that sets
-  :attr:`Backend.ships_blocks`: shuffle buckets cross its pipes as blocks
-  (:mod:`repro.engine.codec`).
+  them qualify; closures do not).
 
 Every backend dispatches through one windowed loop,
 :meth:`Backend.run_tasks`.  It pulls tasks lazily, keeps at most
@@ -37,20 +35,20 @@ policy, raises :class:`~repro.exceptions.WorkerLostError`.
 
 Backends have an explicit pool lifecycle.  Entering one as a context
 manager opens a worker pool that every :meth:`Backend.run_tasks` call
-inside the context reuses, so a multi-phase job (map, then reduce) pays
-pool startup once instead of once per phase.  :meth:`Backend.open` opens
-the pool *persistently*: it survives context exits (the engine wraps every
-run in one) until :meth:`Backend.close`, which is how long-lived services
-share one pool across many runs.  A pre-built backend handed to the engine
-is treated as caller-owned — the engine opens its pool persistently and
-never tears it down, so repeated runs on the same instance reuse one pool
-(:attr:`Backend.pools_created` counts actual pool constructions, which is
-what the regression tests pin).  Outside any of that, a
+inside the context reuses, so several dispatches pay pool startup once.
+:meth:`Backend.open` opens the pool *persistently*: it survives context
+exits (the engine wraps every run in one) until :meth:`Backend.close`,
+which is how long-lived services share one pool across many runs.  A
+pre-built backend handed to the engine is treated as caller-owned — the
+engine opens its pool persistently and never tears it down, so repeated
+runs on the same instance reuse one pool (:attr:`Backend.pools_created`
+counts actual pool constructions, which is what the regression tests
+pin).  Outside any of that, a
 :meth:`Backend.run_tasks` call opens a pool for its own duration.
 The process backend additionally ships the task function *pickled once per
 ``run_tasks`` call* (workers cache the unpickled callable), rather than once
-per task — with schema routing tables bound into the map function, per-task
-pickling used to dominate small-task runs.
+per task, so a task function that binds large tables (the reduce task
+binds the plan's input sizes) is not re-pickled for every payload.
 """
 
 from __future__ import annotations
@@ -209,12 +207,6 @@ class Backend(ABC):
     #: this backend.  True only where workers are disposable OS processes;
     #: elsewhere the injector degrades a kill to a task crash.
     supports_worker_kill: bool = False
-
-    #: Whether task payloads and results cross a process boundary.  The
-    #: engine block-encodes shuffle buckets only when they do — on the
-    #: in-process backends the dict buckets are handed over by reference,
-    #: so encoding would be pure overhead.
-    ships_blocks: bool = False
 
     def run_tasks(
         self,
@@ -634,15 +626,10 @@ class ProcessBackend(Backend):
     The task function is pickled once per :meth:`run_tasks` call in the
     parent and cached per worker (see :func:`_call_pickled`); task
     payloads must still be picklable.
-
-    This backend ships shuffle data as blocks (:attr:`ships_blocks`):
-    map results and reduce payloads carry each bucket as opaque ``bytes``
-    through the pool's pipes.
     """
 
     name = "processes"
     supports_worker_kill = True
-    ships_blocks = True
 
     def _make_pool(self):
         from concurrent.futures import ProcessPoolExecutor

@@ -1,11 +1,11 @@
-"""The block format shared by the shuffle and the spill path.
+"""The block format of spill runs.
 
-A **block** is a batch of grouped ``(key, values)`` items encoded as one
-buffer: a small header plus one pickle of the item list.  Map tasks on a
-backend that ships results across a process boundary return each reduce
-partition's bucket as one block, so the parent moves opaque ``bytes`` and
-never unpickles per-pair objects; spill runs store the same blocks on
-disk.  This module is the only place that knows the layout.
+A **block** is a batch of ``(key, value)`` items encoded as one buffer: a
+small header plus one pickle of the item list.  Spill runs store their
+sorted items on disk as a sequence of blocks
+(:mod:`repro.engine.spill`), so spilling pays one batch pickle per block
+instead of one pickle per item.  This module is the only place that
+knows the layout.
 
 Wire format (integers little-endian)::
 
@@ -41,11 +41,11 @@ BLOCK_MAGIC = 0xB5
 _HEADER = struct.Struct("<BII")
 
 
-def encode_items(items: list[tuple[Hashable, list[Any]]]) -> bytes:
-    """Encode grouped ``(key, values)`` items as one block.
+def encode_items(items: list[tuple[Hashable, Any]]) -> bytes:
+    """Encode ``(key, value)`` items as one block.
 
-    Item order is preserved exactly; the shuffle relies on that to keep
-    insertion-order reduces byte-identical.
+    Item order is preserved exactly; spill runs rely on that to stay
+    sorted.
     """
     try:
         payload = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
@@ -54,13 +54,8 @@ def encode_items(items: list[tuple[Hashable, list[Any]]]) -> bytes:
     return _HEADER.pack(BLOCK_MAGIC, len(items), len(payload)) + payload
 
 
-def encode_groups(groups: dict[Hashable, list[Any]]) -> bytes:
-    """Encode one bucket dict as a block, preserving insertion order."""
-    return encode_items(list(groups.items()))
-
-
-def decode_block(buf: Any) -> list[tuple[Hashable, list[Any]]]:
-    """Decode one block back into its ``(key, values)`` items, in order.
+def decode_block(buf: Any) -> list[tuple[Hashable, Any]]:
+    """Decode one block back into its ``(key, value)`` items, in order.
 
     *buf* may be ``bytes`` or any buffer; decoding reads it in place and
     holds no reference to it afterwards.  Every malformed input raises
@@ -97,11 +92,3 @@ def decode_block(buf: Any) -> list[tuple[Hashable, list[Any]]]:
         )
     return items
 
-
-def decode_block_groups(buf: Any) -> dict[Hashable, list[Any]]:
-    """Decode one block into a bucket dict, preserving item order.
-
-    Keys within one encoded bucket are unique by construction (they came
-    out of a dict), so rebuilding a dict cannot merge entries.
-    """
-    return dict(decode_block(buf))

@@ -3,8 +3,8 @@
 A job is fixed by its plan — every reducer's inputs and the capacity
 ``q``; how
 it runs is a separate concern, and :class:`ExecutionConfig` carries all of
-it in one validated, frozen object: backend, worker count, chunk size,
-partition count, the out-of-core memory budget and the fault plane.
+it in one validated, frozen object: backend, worker count, partition
+count, the out-of-core memory budget and the fault plane.
 :class:`~repro.engine.engine.ExecutionEngine` reads its settings only from
 its ``config``; the applications, the service and the cross-validation
 oracle take ``config=`` and run on ``ExecutionConfig()`` (the serial
@@ -29,9 +29,7 @@ from repro.exceptions import InvalidInstanceError
 from repro.faults import FaultSpec, RetryPolicy, as_fault_spec
 
 #: Settings that count something, so must be integers.
-_COUNTS = (
-    "num_workers", "map_chunk_size", "num_reduce_tasks", "memory_budget"
-)
+_COUNTS = ("num_workers", "num_reduce_tasks", "memory_budget")
 
 
 @dataclass(frozen=True)
@@ -51,21 +49,19 @@ class ExecutionConfig:
             use, reused by every later run, and released only by
             :meth:`Backend.close` (or the instance's context manager).
         num_workers: worker-pool size (``None`` = the machine's cores).
-        map_chunk_size: records per map task (``None`` = adaptive: about
-            four tasks per worker, never chunks smaller than 16 records,
-            one task on the serial backend).
         num_reduce_tasks: reduce partition count, fixed before the map
-            phase so map tasks can pre-partition their output (``None`` =
-            four per worker, one on the serial backend).  Empty partitions
-            are dropped, so this bounds the dispatched reduce tasks.
+            phase so the parent can route each record to its partitions
+            (``None`` = four per worker, one on the serial backend).
+            Empty partitions are dropped, so this bounds the dispatched
+            reduce tasks.
         memory_budget: maximum routed pairs (a record bound for one
-            reduce partition) a map task buffers before spilling them to
-            sorted on-disk runs; ``None`` keeps the fully in-memory
-            shuffle.  The budget is counted in *pairs*, not bytes, so it
-            is deterministic across backends and platforms.  Outputs,
-            metrics and strict-mode
-            exceptions are identical either way; only the spill counters
-            in the job metrics differ.
+            reduce partition) the parent buffers, across all partitions,
+            before flushing them to sorted on-disk runs; ``None`` keeps
+            the fully in-memory shuffle.  The budget is counted in
+            *pairs*, not bytes, so it is deterministic across backends
+            and platforms.  Outputs, metrics and strict-mode exceptions
+            are identical either way; only the spill counters in the job
+            metrics differ.
         spill_dir: base directory for spill files (``None`` = the system
             temporary directory); each run gets its own subdirectory,
             removed when the run finishes.
@@ -73,9 +69,9 @@ class ExecutionConfig:
             disables retrying (one attempt, failures propagate).  When
             any other fault-plane setting is on without an explicit
             policy the engine uses the default ``RetryPolicy()``.  Retry
-            is safe by construction: map and reduce tasks are pure
-            functions of their schema-assigned partitions, so a replayed
-            task recomputes identical output.
+            is safe by construction: reduce tasks are pure functions
+            of their schema-assigned partitions, so a replayed task
+            recomputes identical output.
         faults: deterministic fault injection for chaos testing — a
             :class:`~repro.faults.FaultSpec`, a spec string (parsed and
             validated here, e.g. ``"crash=0.2,seed=7"``), or ``None``
@@ -85,10 +81,10 @@ class ExecutionConfig:
         task_timeout: seconds a single task attempt may run before it is
             abandoned and retried (``None`` = no per-task timeout).
         deadline: seconds the whole run may take, counted from the
-            engine's ``run()``; dispatch stops with
+            engine's ``run()``; the run stops with
             :class:`~repro.exceptions.DeadlineExceededError` once passed
-            (checked between tasks, never preempting one; ``None`` = no
-            deadline).
+            (checked between the records the parent routes and between
+            tasks, never preempting one; ``None`` = no deadline).
         fallback: opt-in graceful degradation — when a named backend
             cannot run (its pool cannot be built, or workers keep dying
             past the retry budget), retry the whole run down the chain
@@ -98,7 +94,6 @@ class ExecutionConfig:
 
     backend: str | Backend = "serial"
     num_workers: int | None = None
-    map_chunk_size: int | None = None
     num_reduce_tasks: int | None = None
     memory_budget: int | None = None
     spill_dir: str | None = None

@@ -1,24 +1,24 @@
-"""The execution engine: parallel map/shuffle/reduce over pluggable backends.
+"""The execution engine: schema-routed shuffle and parallel reduce over
+pluggable backends.
 
 Where :class:`repro.mapreduce.job.MapReduceJob` *simulates* a job to define
 the paper's metrics, the engine *executes* one as physical tasks.  Every
 job is a :class:`~repro.engine.routing.SchemaPlan`: the mapping schema (or
 an app's explicit member lists) fixes which inputs each reducer receives
-before the run, so the shuffle is *routed*:
+before the run, so the mapper computes nothing and the shuffle is
+*routed*:
 
-* A *map task* takes a chunk of records and ships each record once to
-  each reduce partition holding one of its reducers — not once per
-  reducer — bucketed by partition and keyed by input.  It also sums the
-  job's analytical pair count and communication from the plan's routes,
-  so the parent does no per-record work.  The number of reduce
-  partitions is fixed before the map phase (reducer ``r`` lives in
-  partition ``r % partitions``), exactly like a real MapReduce
-  deployment.
-* The parent's "shuffle" is just a transpose: for each partition it
-  collects the per-map-task buckets, in task order, and pairs them with
-  the partition's slice of the plan's member lists
-  (``members[p::partitions]``, empty reducers kept), which ships once,
-  with that partition's task.
+* The *map* phase runs in the parent: it reads the records once and
+  appends each to the table of every reduce partition holding one of its
+  reducers — once per partition, not once per reducer — keyed by input.
+  It sums the job's analytical pair count and communication from the
+  plan's routes as it goes.  The number of reduce partitions is fixed
+  before the run (reducer ``r`` lives in partition ``r % partitions``),
+  exactly like a real MapReduce deployment.
+* The parent's "shuffle" pairs each partition's records (spill runs,
+  then its in-memory table) with the partition's slice of the plan's
+  member lists (``members[p::partitions]``, empty reducers kept), which
+  ship together as that partition's reduce task.
 * A *reduce task* reads its partition's records into one table, rebuilds
   every reducer's value list from its members (in record order, so
   value order matches the simulator), computes each reducer's load, and
@@ -34,17 +34,15 @@ before the run, so the shuffle is *routed*:
   schema's reducer count.
 
 The job metrics still count one pair per (input, reducer) membership;
-``EngineMetrics.pairs_shipped`` counts what moves.  Where tasks run in
-other processes (:attr:`Backend.ships_blocks`), map tasks return each
-bucket as one block (:mod:`repro.engine.codec`) that only the reduce task
-decodes, so the parent moves opaque ``bytes``; the in-process backends
-hand dict buckets over by reference.
+``EngineMetrics.pairs_shipped`` counts what moves.  Reduce tasks are the
+only tasks a backend runs, so they are also the only tasks the fault
+plane retries or injects faults into.
 
-Both phases run inside one backend context, so pooled backends pay pool
-startup once per run (phase timings exclude that startup).  Every backend
-is semantically identical to the simulator — same outputs in the same
-order, same :class:`~repro.mapreduce.metrics.JobMetrics` — which is what
-the cross-validation in :mod:`repro.engine.crossval` checks.
+Pooled backends start their workers before the map phase, so phase
+timings exclude that startup.  Every backend is semantically identical
+to the simulator — same outputs in the same order, same
+:class:`~repro.mapreduce.metrics.JobMetrics` — which is what the
+cross-validation in :mod:`repro.engine.crossval` checks.
 
 :func:`execute_schema` is the schema-driven entry point: it takes a solved
 :class:`~repro.core.schema.A2ASchema`, :class:`~repro.core.schema.X2YSchema`
@@ -55,9 +53,9 @@ runs the compiled plan.  Apps whose reducers are not one solved schema
 :class:`ExecutionEngine` directly.
 
 Two knobs make the engine *out-of-core*: records may arrive as a streaming
-:class:`~repro.dataset.Dataset` (consumed chunk by chunk, never
-materialized in the parent), and a ``memory_budget`` bounds the routed
-pairs a map task buffers before spilling sorted runs to disk
+:class:`~repro.dataset.Dataset` (read lazily, never materialized in the
+parent), and a ``memory_budget`` bounds the routed pairs the parent
+buffers before it flushes them as sorted per-partition runs to disk
 (:mod:`repro.engine.spill`).  A reduce task reads its runs into a record
 table that holds each input of its partition once, plus one reducer's
 value list.  Outputs and strict-mode exceptions are identical to the
@@ -71,21 +69,15 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Hashable, Sequence
 
 from repro.core.multiway import MultiwaySchema
 from repro.core.schema import A2ASchema, X2YSchema
-from repro.dataset import Dataset, as_dataset, iter_chunks
+from repro.dataset import Dataset, as_dataset
 from repro.engine.backends import Backend, SerialBackend, get_backend
-from repro.engine.codec import decode_block_groups, encode_groups
 from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics, PhaseTimings
-from repro.engine.routing import (
-    MemberLists,
-    Route,
-    SchemaPlan,
-    build_schema_plan,
-)
+from repro.engine.routing import MemberLists, SchemaPlan, build_schema_plan
 from repro.engine.spill import (
     MapSpill,
     make_spill_dir,
@@ -99,24 +91,20 @@ from repro.exceptions import (
     TaskRetryExhaustedError,
     WorkerLostError,
 )
-from repro.faults import FaultInjector, RetryPolicy, as_fault_spec
+from repro.faults import (
+    FaultInjector,
+    RetryPolicy,
+    as_fault_spec,
+    check_deadline,
+)
 from repro.mapreduce.metrics import JobMetrics
 from repro.mapreduce.types import ReduceFn
 from repro.obs.profiler import ProfileCapture, phase_span
 from repro.obs.trace import Tracer, as_tracer, worker_span
 
-#: Records below this count are not worth splitting into more map tasks —
-#: per-task dispatch overhead would dominate the mapping work.
-_MIN_MAP_CHUNK = 16
-
 #: Target number of tasks per pool worker; enough slack for load balancing
 #: without drowning the run in task overhead.
 _TASKS_PER_WORKER = 4
-
-#: Map chunk size when the record count is unknown (streaming datasets):
-#: large enough to amortize dispatch, small enough to bound the number of
-#: records in flight per task.
-_STREAM_CHUNK = 1024
 
 #: Graceful-degradation order: when ``fallback=True`` and a named backend
 #: cannot run (pool construction fails, or workers keep dying past the
@@ -162,19 +150,16 @@ class EngineResult:
 
 @dataclass
 class TaskResult:
-    """What one map or reduce task sends home to the parent.
+    """What one reduce task sends home to the parent.
 
     Attributes:
-        outputs: a map task's partition buckets (dicts, or blocks and
-            ``None`` when encoded); a reduce task's ``(flat outputs,
-            per-reducer output counts)``, the counts aligned to its
-            members slice, or ``None`` when strict capacity discarded
-            them.
-        counters: named task counters (``records``, ``pairs``, ...) that
-            the parent sums; they also label the task's worker span.
-        loads: a reduce task's per-reducer loads, aligned to its members
-            slice (0 for an empty reducer; empty for map).
-        spill: a map task's spill runs (``None`` without a memory budget).
+        outputs: ``(flat outputs, per-reducer output counts)``, the
+            counts aligned to the task's members slice, or ``None`` when
+            strict capacity discarded them.
+        counters: named task counters (``keys``); they label the task's
+            worker span.
+        loads: per-reducer loads, aligned to the members slice (0 for an
+            empty reducer).
         span: the worker span, set when tracing is on; a profiling
             tracer's tasks also put their ``cProfile`` table on it
             (``span["functions"]``).
@@ -183,120 +168,7 @@ class TaskResult:
     outputs: Any
     counters: dict[str, float]
     loads: list[int] = field(default_factory=list)
-    spill: MapSpill | None = None
     span: dict[str, Any] | None = None
-
-
-def _run_routed_map_task(
-    chunk: list[Any],
-    *,
-    routes: dict[Hashable, Route],
-    key_of: Callable[[Any], Hashable],
-    num_partitions: int,
-    memory_budget: int | None = None,
-    spill_dir: str | None = None,
-    encode: bool = False,
-) -> TaskResult:
-    """One map task: ship each record once per reduce partition.
-
-    *routes* is the map side of :meth:`SchemaPlan.routes`: per input key,
-    the partitions that hold one of its reducers, its fan-out and its
-    communication.  ``outputs[p]`` maps the input key of every record
-    routed to partition ``p`` to that record, so a record crosses the
-    shuffle once per partition, not once per reducer.  The counters are
-    ``records``; ``pairs`` and ``comm``, summed from the routes (what
-    per-reducer emission would count, so the job metrics stay
-    analytical); ``shipped``, the routed pairs; ``peak_buffered``;
-    ``encoded_bytes`` and ``encode_seconds``.  Module-level so
-    process-pool workers can unpickle it; the routes are bound via
-    :func:`functools.partial` and pickled once per phase.
-
-    A *memory_budget* bounds the routed pairs the task buffers: when it
-    is reached, the buckets are flushed to per-partition sorted runs keyed
-    by input; whatever remains at the end of the chunk is returned
-    in-memory, so unbudgeted runs take this exact code path with zero
-    flushes.  Peak tracking is tied to the budget: unbudgeted runs report
-    0, so their metrics do not echo the backend's chunking.
-
-    With *encode* (set exactly when the backend ships results across a
-    process boundary), each non-empty bucket is returned as one block
-    (:mod:`repro.engine.codec`) and empty buckets as ``None``, so the
-    parent moves opaque ``bytes``; ``encoded_bytes``/``encode_seconds``
-    report that work and are 0 on the in-process backends, whose dict
-    buckets are handed over by reference.
-    """
-    buckets: list[dict[Hashable, Any]] = [{} for _ in range(num_partitions)]
-    pair_count = 0
-    comm = 0
-    record_count = 0
-    shipped = 0
-    buffered = 0
-    peak_buffered = 0
-    spill = MapSpill() if memory_budget is not None else None
-    for record in chunk:
-        record_count += 1
-        key = key_of(record)
-        parts, fanout, cost = routes[key]
-        pair_count += fanout
-        comm += cost
-        shipped += len(parts)
-        for p in parts:
-            buckets[p][key] = record
-        if spill is not None:
-            buffered += len(parts)
-            if buffered > peak_buffered:
-                peak_buffered = buffered
-            if buffered >= memory_budget:
-                spill_buckets(buckets, spill_dir, spill)
-                buckets = [{} for _ in range(num_partitions)]
-                buffered = 0
-    outputs: list[Any] = buckets
-    encoded_bytes = 0
-    encode_seconds = 0.0
-    if encode:
-        encode_started = time.perf_counter()
-        blocks: list[bytes | None] = []
-        for bucket in buckets:
-            if bucket:
-                block = encode_groups(bucket)
-                encoded_bytes += len(block)
-                blocks.append(block)
-            else:
-                blocks.append(None)
-        outputs = blocks
-        encode_seconds = time.perf_counter() - encode_started
-    return TaskResult(
-        outputs=outputs,
-        counters={
-            "records": record_count,
-            "pairs": pair_count,
-            "shipped": shipped,
-            "comm": comm,
-            "peak_buffered": peak_buffered,
-            "encoded_bytes": encoded_bytes,
-            "encode_seconds": encode_seconds,
-        },
-        spill=spill,
-    )
-
-
-def _resolve_sources(
-    sources: list[Any],
-) -> tuple[list[Any], float]:
-    """Decode a reduce task's block sources back into bucket dicts.
-
-    ``bytes`` sources (blocks shipped from map tasks) become dicts in
-    place; dict buckets and spill-run paths pass through untouched.
-    Returns ``(resolved sources, decode seconds)``.
-    """
-    if not any(isinstance(source, bytes) for source in sources):
-        return sources, 0.0
-    decode_started = time.perf_counter()
-    resolved = [
-        decode_block_groups(source) if isinstance(source, bytes) else source
-        for source in sources
-    ]
-    return resolved, time.perf_counter() - decode_started
 
 
 def _run_routed_reduce_task(
@@ -310,9 +182,9 @@ def _run_routed_reduce_task(
     """One reduce task: rebuild each reducer's values and reduce.
 
     *payload* is ``(sources, (first, step, members))``: the partition's
-    sources, in spill order (bucket dicts, blocks — ``bytes``, decoded
-    here, in the parallel task — or paths of sorted run files, all
-    holding records by input key), and its slice of the plan's member
+    sources, in flush order (paths of sorted run files, then the bucket
+    dict the parent still held, all holding records by input key), and
+    its slice of the plan's member
     lists from :meth:`SchemaPlan.routes`, whose slot ``k`` is reducer
     ``first + k * step``.  The sources are read into one record table,
     so the task holds each input of its partition once plus the value
@@ -324,15 +196,14 @@ def _run_routed_reduce_task(
 
     The result is reducer-aligned, with no per-reducer container:
     ``loads`` is one int per slot, and ``outputs`` is ``(flat outputs,
-    output count per slot)``.  It counts ``keys`` (non-empty reducers)
-    and ``decode_seconds`` (time spent decoding block sources).  Under
+    output count per slot)``.  It counts ``keys`` (non-empty reducers).
+    Under
     strict capacity, a task whose partition holds an overloaded reducer
     discards its outputs (``outputs=None``) — the parent merges all loads
     and raises for the globally smallest offending reducer, so the
     strict-mode exception is identical to the simulator's.
     """
     sources, (reducer, step, members_of_p) = payload
-    sources, decode_seconds = _resolve_sources(sources)
     record_of = record_table(sources).__getitem__
     size_of = sizes.__getitem__
     loads: list[int] = []
@@ -357,7 +228,7 @@ def _run_routed_reduce_task(
         reducer += step
     return TaskResult(
         outputs=None if strict and overloaded else (outputs, counts),
-        counters={"keys": keys, "decode_seconds": decode_seconds},
+        counters={"keys": keys},
         loads=loads,
     )
 
@@ -372,12 +243,12 @@ def _instrumented_task(
 ) -> TaskResult:
     """Run one task under a worker span (and ``cProfile`` when *profile*).
 
-    Installed around the map/reduce task partials *only when tracing is
-    on*.  ``trace_ctx`` is the pickled ``(trace id, parent span id)`` from
+    Installed around the reduce task partial *only when tracing is on*.
+    ``trace_ctx`` is the pickled ``(trace id, parent span id)`` from
     :meth:`Tracer.worker_context`; the span (labelled with the task's
     counters, and carrying the task's function table when profiled)
-    travels home on the :class:`TaskResult`, and
-    :func:`_merge_task_telemetry` folds it in.
+    travels home on the :class:`TaskResult`, and the parent folds it in
+    with :meth:`Tracer.add_worker_spans`.
     """
     with ProfileCapture(enabled=profile) as capture:
         started = time.perf_counter()
@@ -391,57 +262,14 @@ def _instrumented_task(
     return result
 
 
-def _merge_task_telemetry(results: list[TaskResult], tracer: Tracer) -> None:
-    """Fold the worker spans tasks carried home into *tracer*.
-
-    A map task that spilled additionally contributes one ``spill`` child
-    span per flush window (its bytes and run files as attributes), so
-    disk pressure shows up on the timeline exactly where it occurred.
-    """
-    spans: list[dict[str, Any]] = []
-    for result in results:
-        span = result.span
-        if span is None:
-            continue
-        spill = result.spill
-        if spill is not None and spill.flush_windows:
-            span["args"]["spilled_bytes"] = spill.spilled_bytes
-            for start, duration, nbytes, runs in spill.flush_windows:
-                tracer.record(
-                    "spill",
-                    start=start,
-                    duration=duration,
-                    category="engine",
-                    parent=span["id"],
-                    trace_id=span["trace"],
-                    bytes=nbytes,
-                    runs=runs,
-                )
-        spans.append(span)
-    tracer.add_worker_spans(spans)
-
-
-def _total(results: list[TaskResult], counter: str) -> Any:
-    """Sum one named counter over task results, in task order."""
-    return sum(result.counters[counter] for result in results)
-
-
-def _chunk(records: list[Any], chunk_size: int) -> list[list[Any]]:
-    """Split records into consecutive chunks of at most *chunk_size*."""
-    return [
-        records[start : start + chunk_size]
-        for start in range(0, len(records), chunk_size)
-    ]
-
-
 @dataclass
 class ExecutionEngine:
     """Runs a :class:`~repro.engine.routing.SchemaPlan` as parallel tasks
     on a pluggable backend.
 
-    Map tasks ship each record once to every reduce partition holding one
-    of its reducers; each reduce task receives its partition's slice of
-    the plan's member lists with its sources, rebuilds every reducer's
+    The parent routes each record once to every reduce partition holding
+    one of its reducers; each reduce task receives its partition's slice
+    of the plan's member lists with its sources, rebuilds every reducer's
     values from them, and returns results aligned to that slice.
 
     Attributes:
@@ -456,17 +284,17 @@ class ExecutionEngine:
             capacity (True) or record it as a violation.
         tracer: optional :class:`~repro.obs.trace.Tracer`; when given,
             the run emits ``map``/``shuffle``/``reduce``/``post`` phase
-            spans plus per-task worker spans (propagated through the
-            pickling path on pooled backends) and per-flush ``spill``
-            spans.  ``None`` (the default) disables tracing at zero cost.
-            A profiling tracer (``Tracer(profile=True)``) additionally
-            records each phase's CPU seconds and RSS on its span, and
-            deterministic ``cProfile`` function tables — captured inside
-            worker tasks for map/reduce (they ride home on the worker
-            spans) and parent-side for shuffle/post;
+            spans plus per-reduce-task worker spans (propagated through
+            the pickling path on pooled backends) and per-flush ``spill``
+            spans under ``map``.  ``None`` (the default) disables tracing
+            at zero cost.  A profiling tracer (``Tracer(profile=True)``)
+            additionally records each phase's CPU seconds and RSS on its
+            span, and deterministic ``cProfile`` function tables —
+            captured inside worker tasks for reduce (they ride home on
+            the worker spans) and parent-side for map/shuffle/post;
             :func:`~repro.obs.profiler.profile_export` turns the spans
             into the profile export.
-        config: how the job runs — backend, workers, chunking, spill
+        config: how the job runs — backend, workers, partitions, spill
             and the fault plane, all in one validated
             :class:`~repro.engine.config.ExecutionConfig` (default: the
             serial backend with every fault-plane setting off).  Any
@@ -486,10 +314,10 @@ class ExecutionEngine:
         """Execute the plan end-to-end and return outputs plus metrics.
 
         The plan's records may be a :class:`~repro.dataset.Dataset`;
-        non-materialized datasets are consumed chunk by chunk, so the full
-        input is never held in the parent at once (pooled backends keep a
-        bounded window of chunks in flight, retry or not).  The run
-        deadline starts counting here.
+        a non-materialized one is read lazily, record by record, as
+        the parent routes it, so with a memory budget the full input is never
+        held in the parent at once.  The run deadline starts counting
+        here.
         """
         deadline = self.config.deadline
         deadline_at = (
@@ -633,99 +461,64 @@ class ExecutionEngine:
                 backoff_s=round(delay, 4),
             )
 
-        def run_phase(
-            task: Any, tasks: Iterable[Any], phase: str
-        ) -> list[TaskResult]:
-            """Dispatch one phase's tasks, instrumented when tracing is on,
-            and fold their spans in."""
-            trace_ctx = tracer.worker_context()
-            if trace_ctx is not None:
-                task = partial(
-                    _instrumented_task,
-                    inner=task,
-                    name=f"{phase}_task",
-                    trace_ctx=trace_ctx,
-                    profile=tracer.profile,
-                )
-            results = backend.run_tasks(
-                task,
-                tasks,
-                policy=policy,
-                injector=injector,
-                phase=phase,
-                task_timeout=config.task_timeout,
-                deadline_at=deadline_at,
-                on_retry=on_retry,
-            )
-            if trace_ctx is not None:
-                _merge_task_telemetry(results, tracer)
-            return results
-
         with backend:
-            # --- map phase: chunk records into tasks; each task returns its
-            # records bucketed by reduce partition and keyed by input, and
-            # overflow beyond the memory budget goes to sorted spill runs.
-            with phase_span(tracer, "map", backend=backend.name) as map_span:
+            # --- map phase: the parent routes each record to the reduce
+            # partitions its route names, keyed by input; past the memory
+            # budget the buffered partitions flush to sorted spill runs.
+            with phase_span(
+                tracer, "map", capture=True, backend=backend.name
+            ) as map_span:
                 map_started = time.perf_counter()
-                chunk_size = config.map_chunk_size or self._default_chunk(
-                    dataset.length, backend, config.memory_budget
-                )
-                chunks: Iterable[list[Any]]
-                if dataset.is_materialized:
-                    materialized = dataset.materialize()
-                    chunks = (
-                        _chunk(materialized, chunk_size)
-                        if materialized
-                        else []
-                    )
-                else:
-                    chunks = iter_chunks(dataset, chunk_size)
                 routes, partition_members = self.plan.routes(num_partitions)
-                map_task = partial(
-                    _run_routed_map_task,
-                    routes=routes,
-                    key_of=self.plan.key_of,
-                    num_partitions=num_partitions,
-                    memory_budget=config.memory_budget,
-                    spill_dir=run_spill_dir,
-                    encode=backend.ships_blocks,
-                )
-                map_results = run_phase(map_task, chunks, "map")
-                map_span.set("tasks", len(map_results))
+                key_of = self.plan.key_of
+                budget = config.memory_budget
+                buckets: list[dict[Hashable, Any]] = [
+                    {} for _ in range(num_partitions)
+                ]
+                spill = MapSpill()
+                map_inputs = map_pairs = comm = pairs_shipped = 0
+                buffered = peak_buffered = 0
+                for record in dataset:
+                    if deadline_at is not None:
+                        # Routing a slow source must not outlive the
+                        # deadline that dispatch enforces between tasks.
+                        check_deadline(deadline_at, what="map phase")
+                    key = key_of(record)
+                    parts, fanout, cost = routes[key]
+                    map_inputs += 1
+                    map_pairs += fanout
+                    comm += cost
+                    pairs_shipped += len(parts)
+                    for p in parts:
+                        buckets[p][key] = record
+                    if budget is not None:
+                        buffered += len(parts)
+                        if buffered > peak_buffered:
+                            peak_buffered = buffered
+                        if buffered >= budget:
+                            with tracer.span(
+                                "spill", category="engine"
+                            ) as spill_span:
+                                nbytes, runs = spill_buckets(
+                                    buckets, run_spill_dir, spill
+                                )
+                                spill_span.set("bytes", nbytes)
+                                spill_span.set("runs", runs)
+                            buckets = [{} for _ in range(num_partitions)]
+                            buffered = 0
+                map_span.set("records", map_inputs)
                 map_seconds = time.perf_counter() - map_started
 
-            # --- shuffle: a transpose.  Collect each partition's sources
-            # across map tasks — spilled runs in flush order, then the
-            # task's in-memory leftover (a dict bucket, or an opaque
-            # block on block-shipping backends) — and drop empty
-            # partitions; no per-record work happens here.
+            # --- shuffle: each partition's sources are its spill runs in
+            # flush order, then the bucket still in memory; empty
+            # partitions are dropped.
             with phase_span(tracer, "shuffle", capture=True) as shuffle_span:
                 shuffle_started = time.perf_counter()
-                map_inputs = _total(map_results, "records")
-                map_pairs = _total(map_results, "pairs")
-                pairs_shipped = _total(map_results, "shipped")
-                comm = _total(map_results, "comm")
-                peak_buffered = max(
-                    (r.counters["peak_buffered"] for r in map_results),
-                    default=0,
-                )
-                spills = [
-                    result.spill
-                    for result in map_results
-                    if result.spill is not None
-                ]
-                spilled_bytes = sum(spill.spilled_bytes for spill in spills)
-                spill_runs = sum(spill.spill_runs for spill in spills)
-                encoded_bytes = _total(map_results, "encoded_bytes")
-                encode_seconds = _total(map_results, "encode_seconds")
                 partitions: list[Any] = []
                 for p in range(num_partitions):
-                    sources: list[Any] = []
-                    for result in map_results:
-                        if result.spill is not None:
-                            sources.extend(result.spill.partition_runs(p))
-                        if result.outputs[p]:
-                            sources.append(result.outputs[p])
+                    sources: list[Any] = spill.partition_runs(p)
+                    if buckets[p]:
+                        sources.append(buckets[p])
                     if sources:
                         # The partition's member lists ship once, with
                         # its own task, not in the task partial.
@@ -737,9 +530,7 @@ class ExecutionEngine:
                         )
                 shuffle_span.set("pairs", pairs_shipped)
                 shuffle_span.set("partitions", len(partitions))
-                shuffle_span.set("spilled_bytes", spilled_bytes)
-                if encoded_bytes:
-                    shuffle_span.set("encoded_bytes", encoded_bytes)
+                shuffle_span.set("spilled_bytes", spill.spilled_bytes)
                 shuffle_seconds = time.perf_counter() - shuffle_started
 
             # --- reduce phase: each task reads its partition's sources
@@ -747,14 +538,38 @@ class ExecutionEngine:
             # accounts its load, and reduces.
             with phase_span(tracer, "reduce") as reduce_span:
                 reduce_started = time.perf_counter()
-                reduce_task = partial(
+                reduce_task: Any = partial(
                     _run_routed_reduce_task,
                     reduce_fn=self.reduce_fn,
                     sizes=self.plan.sizes,
                     capacity=self.plan.capacity,
                     strict=self.strict_capacity,
                 )
-                task_results = run_phase(reduce_task, partitions, "reduce")
+                trace_ctx = tracer.worker_context()
+                if trace_ctx is not None:
+                    reduce_task = partial(
+                        _instrumented_task,
+                        inner=reduce_task,
+                        name="reduce_task",
+                        trace_ctx=trace_ctx,
+                        profile=tracer.profile,
+                    )
+                task_results: list[TaskResult] = backend.run_tasks(
+                    reduce_task,
+                    partitions,
+                    policy=policy,
+                    injector=injector,
+                    phase="reduce",
+                    task_timeout=config.task_timeout,
+                    deadline_at=deadline_at,
+                    on_retry=on_retry,
+                )
+                if trace_ctx is not None:
+                    tracer.add_worker_spans(
+                        result.span
+                        for result in task_results
+                        if result.span is not None
+                    )
                 reduce_span.set("tasks", len(partitions))
                 reduce_run_seconds = time.perf_counter() - reduce_started
 
@@ -770,12 +585,10 @@ class ExecutionEngine:
             part_outputs: list[list[Any]] = [[] for _ in range(num_partitions)]
             part_counts: list[list[int]] = [[] for _ in range(num_partitions)]
             task_loads: list[int] = []
-            decode_seconds = 0.0
             for (_, (p, step, members_of_p)), result in zip(
                 partitions, task_results
             ):
                 task_loads.append(sum(result.loads))
-                decode_seconds += result.counters["decode_seconds"]
                 # Slot k is reducer p + k * step; empty reducers have no
                 # load entry.
                 loads.update(
@@ -832,14 +645,13 @@ class ExecutionEngine:
             capacity=capacity,
             capacity_violations=tuple(violations),
             output_records=len(outputs),
-            spilled_bytes=spilled_bytes,
-            spill_runs=spill_runs,
+            spilled_bytes=spill.spilled_bytes,
+            spill_runs=spill.spill_runs,
             peak_buffered_pairs=peak_buffered,
         )
         engine_metrics = EngineMetrics(
             backend=backend.name,
             num_workers=backend.max_workers,
-            num_map_tasks=len(map_results),
             num_reduce_tasks=len(partitions),
             timings=PhaseTimings(
                 map_seconds=map_seconds,
@@ -855,42 +667,10 @@ class ExecutionEngine:
             fallback_backend=(
                 backend.name if fallback_from is not None else None
             ),
-            encoded_bytes=encoded_bytes,
-            encode_seconds=encode_seconds,
-            decode_seconds=decode_seconds,
         )
         return EngineResult(
             outputs=outputs, metrics=metrics, engine=engine_metrics
         )
-
-    @staticmethod
-    def _default_chunk(
-        num_records: int | None,
-        backend: Backend,
-        memory_budget: int | None = None,
-    ) -> int:
-        """Adaptive map chunk size: ~4 tasks per worker, floored at 16
-        records per task so dispatch overhead never dominates.
-
-        With an unknown record count (streaming dataset) the chunk is a
-        fixed :data:`_STREAM_CHUNK`; with a memory budget it is
-        additionally capped at the budget, so a budgeted serial run never
-        materializes the whole input as one giant chunk.
-        """
-        if num_records is None:
-            chunk = _STREAM_CHUNK
-        elif num_records <= 0:
-            return 1
-        elif isinstance(backend, SerialBackend):
-            chunk = num_records
-        else:
-            target = -(
-                -num_records // (backend.max_workers * _TASKS_PER_WORKER)
-            )
-            chunk = min(num_records, max(_MIN_MAP_CHUNK, target))
-        if memory_budget is not None:
-            chunk = min(chunk, max(_MIN_MAP_CHUNK, memory_budget))
-        return chunk
 
     @staticmethod
     def _default_partitions(backend: Backend) -> int:
@@ -908,7 +688,6 @@ def execute_schema(
     backend: str | Backend | None = None,
     num_workers: int | None = None,
     strict_capacity: bool = True,
-    map_chunk_size: int | None = None,
     num_reduce_tasks: int | None = None,
     memory_budget: int | None = None,
     spill_dir: str | None = None,
@@ -929,7 +708,7 @@ def execute_schema(
     capacity ``q`` is enforced with the instance's declared sizes, so a
     valid schema can never overflow.
 
-    The schema fixes every reducer's inputs before the run, so a map task
+    The schema fixes every reducer's inputs before the run, so the parent
     ships each record once to each reduce partition that holds one of its
     reducers, not once per reducer, and the reduce task rebuilds each
     reducer's value list from the records it received
@@ -940,8 +719,8 @@ def execute_schema(
 
     The execution settings are bundled in *config* (an
     :class:`~repro.engine.config.ExecutionConfig`); without one, the
-    individual keywords *backend*, *num_workers*, *map_chunk_size*,
-    *num_reduce_tasks*, *memory_budget* and *spill_dir* build it, and
+    individual keywords *backend*, *num_workers*, *num_reduce_tasks*,
+    *memory_budget* and *spill_dir* build it, and
     passing any of them together with *config* raises
     :class:`~repro.exceptions.InvalidInstanceError` rather than dropping
     one of the two.  *tracer* rides alongside either form: it is a live
@@ -954,7 +733,6 @@ def execute_schema(
         for name, value in (
             ("backend", backend),
             ("num_workers", num_workers),
-            ("map_chunk_size", map_chunk_size),
             ("num_reduce_tasks", num_reduce_tasks),
             ("memory_budget", memory_budget),
             ("spill_dir", spill_dir),

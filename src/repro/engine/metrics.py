@@ -17,11 +17,11 @@ from dataclasses import dataclass
 class PhaseTimings:
     """Wall-clock seconds spent in each phase of one engine run.
 
-    With the partitioned shuffle, ``shuffle_seconds`` covers only the
-    parent's bucket transpose (grouping and size accounting happen inside
-    map tasks; the final merge and capacity accounting inside reduce
-    tasks), and ``reduce_seconds`` includes the parent's post-pass that
-    reassembles outputs in sorted-key order.  Worker-pool startup happens
+    ``map_seconds`` covers the parent routing each record to its reduce
+    partitions (spill flushes included), ``shuffle_seconds`` only pairing
+    each partition's records with its member lists, and
+    ``reduce_seconds`` the reduce tasks plus the parent's post-pass that
+    reassembles outputs in reducer order.  Worker-pool startup happens
     outside all three phases and is not counted.
     """
 
@@ -43,8 +43,7 @@ class EngineMetrics:
         backend: name of the backend that ran the job.
         num_workers: worker-pool size the backend was configured with
             (1 for the serial backend).
-        num_map_tasks: map tasks (record chunks) dispatched.
-        num_reduce_tasks: reduce tasks dispatched — the non-empty hash
+        num_reduce_tasks: reduce tasks dispatched — the non-empty
             partitions out of the fixed partition count chosen before the
             map phase.
         timings: per-phase wall times.
@@ -68,14 +67,13 @@ class EngineMetrics:
         fallback_backend: set to the backend that actually completed the
             run when the graceful-degradation chain demoted it (``None``
             when the configured backend ran it).
-        encoded_bytes: total size of the shuffle blocks map tasks pickled
-            (:mod:`repro.engine.codec`); 0 on in-process backends, which
-            hand buckets over by reference.
-        encode_seconds: wall time map tasks spent encoding blocks (summed
-            across tasks, so it can exceed the map phase wall time on a
-            parallel backend).
-        decode_seconds: wall time reduce tasks spent decoding block
-            sources (same summation caveat).
+        num_map_tasks: always 0.  The parent routes the records and
+            dispatches no map task; the field stays only because
+            ``bench/layers.py`` reads it.
+        encoded_bytes: always 0.  No shuffle data is block-encoded; the
+            field stays only because ``bench/layers.py`` reads it.
+        encode_seconds: always 0.0, for the same reason.
+        decode_seconds: always 0.0, for the same reason.
         shm_segments: always 0.  The engine has no shared-memory
             transport; the field stays only because ``bench/layers.py``
             reads it.
@@ -83,7 +81,6 @@ class EngineMetrics:
 
     backend: str
     num_workers: int
-    num_map_tasks: int
     num_reduce_tasks: int
     timings: PhaseTimings
     bytes_moved: int
@@ -93,6 +90,7 @@ class EngineMetrics:
     task_retries: int = 0
     pool_rebuilds: int = 0
     fallback_backend: str | None = None
+    num_map_tasks: int = 0
     encoded_bytes: int = 0
     encode_seconds: float = 0.0
     decode_seconds: float = 0.0

@@ -5,9 +5,9 @@ reaches *exactly* the reducers the mapping schema assigns *i* to.  The
 schema fixes those reducers before the job runs, so the engine does not
 ship one copy per reducer: :func:`build_schema_plan` compiles the schema
 (and :meth:`SchemaPlan.from_members` an app's explicit member lists)
-into a :class:`SchemaPlan`, whose :meth:`SchemaPlan.routes` tables let a
-map task send each record once to every reduce partition holding one of
-its reducers, and let the reduce task rebuild each reducer's value list
+into a :class:`SchemaPlan`, whose :meth:`SchemaPlan.routes` tables let
+the engine send each record once to every reduce partition holding one
+of its reducers, and let the reduce task rebuild each reducer's value list
 from the records it received.  The paper's metrics stay analytical: an
 input's pairs and communication are its fan-out (reducers it belongs to)
 and fan-out times its size, exactly what per-reducer emission would
@@ -327,8 +327,8 @@ class SchemaPlan:
 
         Returns ``(map_routes, partition_members)``:
 
-        * ``map_routes[key]`` is the input's :data:`Route`, the only table
-          map tasks carry;
+        * ``map_routes[key]`` is the input's :data:`Route`, the table the
+          parent routes records by;
         * ``partition_members[p]`` is ``members[p::num_partitions]``, the
           member lists of partition ``p``'s reducers in reducer order,
           empty reducers included: slot ``k`` is reducer

@@ -1,10 +1,10 @@
 """Spill-to-disk shuffle: sorted run files plus their reduce-side reader.
 
 When an :class:`~repro.engine.engine.ExecutionEngine` runs with a
-``memory_budget``, map tasks no longer buffer an unbounded number of
-routed pairs: once the buffered count reaches the budget, the task's
-current per-partition buckets are written to disk, each non-empty one as
-a *sorted run* — the bucket's ``input key -> record`` items in sorted-key
+``memory_budget``, the parent no longer buffers an unbounded number of
+routed pairs: once the buffered count reaches the budget, its current
+per-partition buckets are written to disk, each non-empty one as a
+*sorted run* — the bucket's ``input key -> record`` items in sorted-key
 order, in blocks.  The input key is ``i`` (A2A, multiway and member-list
 plans) or ``("x", i)`` / ``("y", j)`` (X2Y), and a record sits in every
 bucket whose partition holds one of its reducers.
@@ -18,14 +18,14 @@ partition once, its key is orderable by construction, and the reducer's
 member list, not the order runs are read in, fixes the value order.
 
 Run files live in a per-run temporary directory owned by the engine
-(workers on the ``processes`` backend write to the shared directory and
-return file paths; the parent removes the directory when the run
+(reduce tasks on the ``processes`` backend get the run paths and read
+the shared directory; the parent removes the directory when the run
 finishes, so no run file outlives the run that wrote it).  A run file
 is a short pickled header ``("rblk1", item count)`` followed by blocks
 (:mod:`repro.engine.codec`) of up to :data:`RUN_BLOCK_ITEMS` sorted items
-each, pickled as opaque ``bytes`` — the same block format the shuffle
-ships, so spilling pays one batch pickle per block instead of one pickle
-per item, and readers stream one decoded block at a time.
+each, pickled as opaque ``bytes``, so spilling pays one batch pickle per
+block instead of one pickle per item, and readers stream one decoded
+block at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-import time
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterator
 
@@ -55,26 +54,19 @@ Source = Any
 
 @dataclass
 class MapSpill:
-    """What one map task spilled: per-flush run files plus counters.
+    """What a run's map phase spilled: per-flush run files plus counters.
 
     ``flushes[f][p]`` is the run-file path partition ``p`` received in
     flush ``f`` (``None`` when the partition had no keys in that flush).
     Flush order is record order.
-    ``flush_windows[f]`` records when flush ``f`` happened —
-    ``(monotonic start, duration seconds, bytes written, run files
-    written)`` — so the tracing layer can render each disk flush as its
-    own span under the map task that performed it.
     """
 
     flushes: list[tuple[str | None, ...]] = field(default_factory=list)
     spilled_bytes: int = 0
     spill_runs: int = 0
-    flush_windows: list[tuple[float, float, int, int]] = field(
-        default_factory=list
-    )
 
     def partition_runs(self, partition: int) -> list[str]:
-        """This task's run files for one partition, in flush order."""
+        """The run files of one partition, in flush order."""
         return [
             flush[partition]
             for flush in self.flushes
@@ -126,16 +118,15 @@ def spill_buckets(
     buckets: list[dict[Hashable, Any]],
     spill_dir: str,
     spill: MapSpill,
-) -> None:
-    """Flush a map task's per-partition buckets to sorted run files.
+) -> tuple[int, int]:
+    """Flush the per-partition buckets to sorted run files.
 
     ``buckets[p]`` is partition ``p``'s buffered records by input key.
-    Appends one flush entry to *spill* (a
-    path per partition, ``None`` for partitions with nothing buffered) and
-    updates its byte/run counters plus the flush's timing window.  The
+    Appends one flush entry to *spill* (a path per partition, ``None``
+    for partitions with nothing buffered), updates its byte/run counters
+    and returns this flush's ``(bytes written, run files written)``.  The
     caller clears the in-memory buckets afterwards.
     """
-    started = time.perf_counter()
     flushed_bytes = 0
     flushed_runs = 0
     flush: list[str | None] = []
@@ -150,9 +141,7 @@ def spill_buckets(
         spill.spilled_bytes += nbytes
         spill.spill_runs += 1
     spill.flushes.append(tuple(flush))
-    spill.flush_windows.append(
-        (started, time.perf_counter() - started, flushed_bytes, flushed_runs)
-    )
+    return flushed_bytes, flushed_runs
 
 
 def iter_run(path: str) -> Iterator[tuple[Hashable, Any]]:
@@ -212,10 +201,11 @@ def iter_run(path: str) -> Iterator[tuple[Hashable, Any]]:
 def record_table(sources: list[Source]) -> dict[Hashable, Any]:
     """A schema job's reduce-side record table: input key -> record.
 
-    Reads every source of one partition — in-memory buckets and run files
-    alike — into one dict.  A map task ships each input to a partition at
-    most once and every input has one record, so sources never disagree
-    on a key and the table holds each input of the partition once.
+    Reads every source of one partition — run files and the in-memory
+    bucket alike — into one dict.  The parent routes each input to a
+    partition at most once and every input has one record, so sources
+    never disagree on a key and the table holds each input of the
+    partition once.
     """
     table: dict[Hashable, Any] = {}
     for source in sources:

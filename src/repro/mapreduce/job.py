@@ -7,8 +7,8 @@ model, which the job executes faithfully in-process.
 
 The simulator deliberately keeps the simple one-dict shuffle even though
 the execution engine (:mod:`repro.engine.engine`) moved to a partitioned
-task contract (map tasks return partition-bucketed groups, reduce tasks
-merge their own partition): the shared helpers in
+task contract (the parent routes records into per-partition tables, and
+each reduce task reads its own partition): the shared helpers in
 :mod:`repro.mapreduce.shuffle` plus the sorted-key reduce order are what
 keep the two executors byte-identical, which
 :mod:`repro.engine.crossval` verifies.

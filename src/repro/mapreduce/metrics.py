@@ -25,18 +25,17 @@ class JobMetrics:
         capacity_violations: keys whose load exceeded the capacity (only
             populated when enforcement is non-strict; strict mode raises).
         output_records: records produced by reducers.
-        spilled_bytes: bytes written to on-disk shuffle runs by map tasks
-            (0 for the simulator and for unbounded engine runs; these
-            three counters describe the physical execution, not the
-            paper's analytical model, so cross-validation against the
-            simulator ignores them).
+        spilled_bytes: bytes written to on-disk shuffle runs by the map
+            phase (0 for the simulator and for unbounded engine runs;
+            these three counters describe the physical execution, not
+            the paper's analytical model, so cross-validation against
+            the simulator ignores them).
         spill_runs: sorted run files written during the map phase.
-        peak_buffered_pairs: most key-value pairs any single map task held
-            in memory at once, measured only in memory-budgeted runs
-            (0 otherwise — the unbounded peak would merely echo the
-            backend's chunking and break cross-backend metric identity).
-            It may overshoot the budget by at most one record's emissions,
-            since the flush triggers between records.
+        peak_buffered_pairs: most routed pairs the map phase held in
+            memory at once, measured only in memory-budgeted runs (0
+            otherwise).  It may overshoot the budget by at most one
+            record's routed pairs, since the flush triggers between
+            records.
     """
 
     map_input_records: int = 0

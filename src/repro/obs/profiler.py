@@ -353,7 +353,7 @@ def phase_span(
 #: The engine phases an export reports, and the task spans whose
 #: function tables belong to each phase.
 _PHASES = ("map", "shuffle", "reduce", "post", "spill")
-_TASK_PHASE = {"map_task": "map", "reduce_task": "reduce"}
+_TASK_PHASE = {"reduce_task": "reduce"}
 
 #: Span attributes summed into a phase's export counters.
 _COUNTERS = {"spill": ("bytes", "runs")}
@@ -409,8 +409,8 @@ def profile_export(
     span durations, CPU the sum of their ``cpu_s``, ``count`` the span
     count, and peak RSS the largest of the spans' ``rss_bytes`` and the
     sampler readings taken inside their intervals.  Function tables come
-    from the phase spans (shuffle, post) and from the ``map_task`` /
-    ``reduce_task`` spans (map, reduce), merged per key; the spill phase
+    from the phase spans (map, shuffle, post) and from the
+    ``reduce_task`` spans (reduce), merged per key; the spill phase
     sums its spans' ``bytes`` and ``runs`` into counters.  The top level
     carries the sampler's window: wall and CPU seconds between its first
     and last sample, its peak RSS, and the (newest) samples themselves.

@@ -99,11 +99,9 @@ class ObservationRecord:
     fault plane's recovery work into the calibration data.  All four
     fields default so logs written before the fault plane load cleanly.
 
-    The data-plane counters (``encoded_bytes``/``encode_seconds``/
-    ``decode_seconds``) likewise default to zero so logs written before
-    the block codec landed load unchanged; they are only nonzero on
-    backends that ship blocks.  Keys a record no longer has (such as
-    ``shm_segments`` in older logs) are dropped on load.
+    Keys a record no longer has (such as ``shm_segments`` or the
+    retired ``encoded_bytes``/``encode_seconds``/``decode_seconds`` in
+    older logs) are dropped on load.
 
     ``commit`` and ``hardware_class`` (from :func:`current_commit` and
     :func:`hardware_class`) say which build ran the job on which class
@@ -133,9 +131,6 @@ class ObservationRecord:
     error: str = ""
     task_retries: int = 0
     pool_rebuilds: int = 0
-    encoded_bytes: int = 0
-    encode_seconds: float = 0.0
-    decode_seconds: float = 0.0
     commit: str = ""
     hardware_class: str = ""
     peak_rss_bytes: int = 0
@@ -198,9 +193,6 @@ class ObservationRecord:
                 reduce_seconds=engine.timings.reduce_seconds,
                 task_retries=engine.task_retries,
                 pool_rebuilds=engine.pool_rebuilds,
-                encoded_bytes=engine.encoded_bytes,
-                encode_seconds=engine.encode_seconds,
-                decode_seconds=engine.decode_seconds,
             )
         if metrics is not None:
             kwargs.update(
@@ -360,7 +352,6 @@ def summarize_observations(
                 ),
                 "shuffle_pairs": sum(r.map_output_pairs for r in group),
                 "spilled_bytes": sum(r.spilled_bytes for r in group),
-                "encoded_bytes": sum(r.encoded_bytes for r in group),
                 "outputs": sum(r.output_records for r in group),
             }
         )

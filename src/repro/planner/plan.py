@@ -165,8 +165,6 @@ class Plan:
             exec_bits.append(f"workers={self.execution.num_workers}")
         if self.execution.num_reduce_tasks is not None:
             exec_bits.append(f"reduce_tasks={self.execution.num_reduce_tasks}")
-        if self.execution.map_chunk_size is not None:
-            exec_bits.append(f"chunk={self.execution.map_chunk_size}")
         if self.execution.memory_budget is not None:
             exec_bits.append(f"memory_budget={self.execution.memory_budget}")
         bounds = ", ".join(
@@ -206,7 +204,6 @@ class Plan:
             "execution": {
                 "backend": self.execution.backend,
                 "num_workers": self.execution.num_workers,
-                "map_chunk_size": self.execution.map_chunk_size,
                 "num_reduce_tasks": self.execution.num_reduce_tasks,
                 "memory_budget": self.execution.memory_budget,
                 "spill_dir": self.execution.spill_dir,
@@ -218,7 +215,12 @@ class Plan:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Plan":
-        """Rebuild a plan from its :meth:`to_dict` form (strict loading)."""
+        """Rebuild a plan from its :meth:`to_dict` form (strict loading).
+
+        Execution keys this library no longer has are ignored, so plans
+        saved by older versions (which also wrote ``map_chunk_size``)
+        still load.
+        """
         if not isinstance(payload, Mapping):
             raise InvalidInstanceError(
                 f"plan payload must be a JSON object, got {type(payload).__name__}"
@@ -245,7 +247,6 @@ class Plan:
             execution=ExecutionConfig(
                 backend=execution.get("backend", "serial"),
                 num_workers=execution.get("num_workers"),
-                map_chunk_size=execution.get("map_chunk_size"),
                 num_reduce_tasks=execution.get("num_reduce_tasks"),
                 memory_budget=execution.get("memory_budget"),
                 spill_dir=execution.get("spill_dir"),

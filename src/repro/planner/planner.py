@@ -64,8 +64,9 @@ MULTIWAY_METHODS = {"bin_combining": multiway_bin_combining}
 #: the node budget (matches the solver's documented m <= ~10-12 range).
 EXACT_A2A_INPUT_LIMIT = 10
 
-#: The exact X2Y solver is tractable for roughly m * n <= 30 cross pairs.
-EXACT_X2Y_PAIR_LIMIT = 30
+#: The exact X2Y solver is tractable for roughly m * n <= 15 cross pairs;
+#: from about 16 it can spend its whole node budget (seconds) and fail.
+EXACT_X2Y_PAIR_LIMIT = 15
 
 #: The greedy set-cover heuristics re-scan all uncovered pairs per
 #: reducer (quadratic-and-worse in the input count); above this many
@@ -74,8 +75,8 @@ EXACT_X2Y_PAIR_LIMIT = 30
 #: for candidates it does not choose.
 GREEDY_INPUT_LIMIT = 64
 
-#: Assumed bytes shipped per size unit when translating a schema's
-#: communication cost into an estimated shuffle footprint.
+#: Assumed bytes per size unit when translating the routed input volume
+#: into an estimated shuffle footprint.
 BYTES_PER_SIZE_UNIT = 256
 
 #: The planner lets the shuffle use at most this fraction of available
@@ -207,6 +208,8 @@ def resolve_execution_config(
     *,
     num_reducers: int,
     communication_cost: int,
+    total_size: int,
+    num_inputs: int,
 ) -> ExecutionConfig:
     """Resolve engine knobs from the environment and the chosen schema.
 
@@ -217,16 +220,20 @@ def resolve_execution_config(
       otherwise (shared memory, no pickling constraints on user code).
     * ``num_workers`` — ``min(env workers, reducer count)``; ``None``
       (machine default) when serial.
-    * ``map_chunk_size`` — always ``None``: the engine's adaptive
-      chunking (≈4 tasks per worker) is the right default everywhere.
     * ``num_reduce_tasks`` — ``min(reducer count, 4 × workers)``;
       ``None`` (adaptive) when serial.
     * ``memory_budget`` — set only when the estimated shuffle footprint
-      (``communication_cost ×`` :data:`BYTES_PER_SIZE_UNIT`) exceeds
-      :data:`MEMORY_FRACTION` of available memory; the budget divides
-      that memory share among the workers, floored at
-      :data:`MIN_MEMORY_BUDGET` pairs.  Never set when the environment
-      could not measure memory.
+      exceeds :data:`MEMORY_FRACTION` of available memory.  The engine
+      ships each input once per reduce partition holding one of its
+      reducers, so the routed volume is at most both the schema's
+      *communication_cost* and the partition count times the inputs'
+      *total_size*; the footprint is the smaller of the two times
+      :data:`BYTES_PER_SIZE_UNIT`.  The parent holds all routed pairs
+      in one buffer and the budget counts pairs, whatever their size,
+      so the budget is that whole memory share divided by the bytes of
+      one pair of mean size (``ceil(total_size / num_inputs)`` units),
+      floored at :data:`MIN_MEMORY_BUDGET`.  Never set when the
+      environment could not measure memory.
     * ``spill_dir`` — always ``None`` (system temporary directory).
     """
     if env.num_workers <= 1 or num_reducers <= 1:
@@ -239,11 +246,14 @@ def resolve_execution_config(
         reduce_tasks = min(num_reducers, workers * 4)
     memory_budget: int | None = None
     if env.memory_bytes is not None:
-        estimated_bytes = communication_cost * BYTES_PER_SIZE_UNIT
+        routed = min(communication_cost, (reduce_tasks or 1) * total_size)
         shuffle_share = int(env.memory_bytes * MEMORY_FRACTION)
-        if estimated_bytes > shuffle_share:
-            per_worker = shuffle_share // BYTES_PER_SIZE_UNIT // (workers or 1)
-            memory_budget = max(MIN_MEMORY_BUDGET, per_worker)
+        if routed * BYTES_PER_SIZE_UNIT > shuffle_share:
+            mean_size = -(-total_size // num_inputs)
+            memory_budget = max(
+                MIN_MEMORY_BUDGET,
+                shuffle_share // (BYTES_PER_SIZE_UNIT * mean_size),
+            )
     return ExecutionConfig(
         backend=backend,
         num_workers=workers,
@@ -436,6 +446,8 @@ def _plan_uncached(
         env,
         num_reducers=chosen_score.num_reducers or 0,
         communication_cost=chosen_score.communication_cost or 0,
+        total_size=spec.total_size,
+        num_inputs=spec.num_inputs,
     )
     result = Plan(
         spec=spec,

@@ -1018,8 +1018,6 @@ class JobService:
             counter("engine.pool_rebuilds").inc(engine.pool_rebuilds)
         if engine.fallback_backend is not None:
             counter(f"engine.fallbacks.{engine.fallback_backend}").inc()
-        if engine.encoded_bytes:
-            counter("engine.encoded_bytes").inc(engine.encoded_bytes)
         histogram = self.metrics.histogram
         histogram("phase.map_seconds").observe(timings.map_seconds)
         histogram("phase.shuffle_seconds").observe(timings.shuffle_seconds)

@@ -136,8 +136,8 @@ class TestSchemaSkewJoin:
         # method="planned" sizes the engine from the job's plan: its
         # reducer count and communication equal the per-key sums the join
         # used to add up by hand (one reducer and every tuple's size per
-        # light key, plus every heavy key's schema), so the resolved
-        # ExecutionConfig is unchanged.
+        # light key, plus every heavy key's schema), and its total input
+        # size is every tuple's size.
         x, y = skewed_workload
         resolved = []
         resolve = planner.resolve_execution_config
@@ -165,6 +165,8 @@ class TestSchemaSkewJoin:
                 t.size for t in tuples if t.key not in heavy
             )
             + sum(s.communication_cost for s in run.schemas.values()),
+            total_size=sum(t.size for t in tuples),
+            num_inputs=len(tuples),
         )
         assert run.schemas
         assert shape == hand_rolled

@@ -1,6 +1,6 @@
 """Tests for the block format (:mod:`repro.engine.codec`).
 
-Every shuffle block and spill run round-trips through it, so the contract
+Every spill run round-trips through it, so the contract
 is strict — exact-type key preservation (``True`` must never come back as
 ``1``), insertion-order preservation, and ``CodecError`` (never
 ``struct.error`` / ``EOFError`` / an unpickling error) on every malformed
@@ -17,8 +17,6 @@ from repro.engine.codec import (
     BLOCK_MAGIC,
     _HEADER,
     decode_block,
-    decode_block_groups,
-    encode_groups,
     encode_items,
 )
 from repro.exceptions import CodecError, ReproError
@@ -82,13 +80,10 @@ class TestRoundTrip:
 
     def test_empty_block(self):
         assert decode_block(encode_items([])) == []
-        assert decode_block_groups(encode_groups({})) == {}
 
     def test_insertion_order_preserved(self):
-        groups = {f"k{i}": [i] for i in (7, 2, 9, 0, 5)}
-        decoded = decode_block_groups(encode_groups(groups))
-        assert list(decoded) == list(groups)
-        assert decoded == groups
+        items = [(f"k{i}", [i]) for i in (7, 2, 9, 0, 5)]
+        assert roundtrip(items) == items
 
     def test_values_can_be_arbitrary_objects(self):
         items = [

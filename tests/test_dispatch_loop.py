@@ -21,7 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset import as_dataset
-from repro.engine.backends import ProcessBackend, get_backend
+from repro.engine.backends import (
+    _WINDOW_PER_WORKER,
+    ProcessBackend,
+    get_backend,
+)
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
 from repro.engine.routing import SchemaPlan
@@ -126,17 +130,43 @@ def test_processes_example_matches_the_injector():
     assert sorted(serial_retries) == sorted(retries)
 
 
+@pytest.mark.parametrize("retry", [None, RetryPolicy()])
+def test_retry_keeps_a_lazy_task_source_within_the_window(retry):
+    """Tasks pulled before the first task finishes stay within the
+    window (4 per worker), with or without a retry policy."""
+    total = 200
+    pulled = [0]
+    pulled_while_first_task_ran = []
+
+    def tasks():
+        for i in range(total):
+            pulled[0] += 1
+            yield i
+
+    def slow_first(value):
+        if value == 0:
+            time.sleep(0.2)  # let the loop fill its window
+            pulled_while_first_task_ran.append(pulled[0])
+        return square(value)
+
+    backend = get_backend("threads", max_workers=1)
+    results = backend.run_tasks(slow_first, tasks(), policy=retry)
+    assert results == [square(t) for t in range(total)]
+    assert pulled_while_first_task_ran[0] <= _WINDOW_PER_WORKER
+    assert pulled[0] == total
+
+
 def count_reduce(key, values):
     yield key, len(values)
 
 
 @pytest.mark.parametrize("retry", [None, RetryPolicy()])
 def test_retry_keeps_a_generator_source_streaming(retry):
-    """Records pulled before the first map task finishes stay within the
-    window (4 chunks per worker), with or without a retry policy."""
-    total, chunk = 400, 10
+    """The parent reads a generator source lazily, one record for each
+    record it routes, and only once, with or without a retry policy."""
+    total = 400
     pulled = [0]
-    pulled_while_first_task_ran = []
+    pulled_when_routed = []
 
     def source():
         for i in range(total):
@@ -144,10 +174,8 @@ def test_retry_keeps_a_generator_source_streaming(retry):
             yield f"r{i}"
 
     def key_of(wrapped):
-        # Runs inside the map task, once per record.
-        if wrapped[0] == 0:
-            time.sleep(0.2)  # let the parent fill its window
-            pulled_while_first_task_ran.append(pulled[0])
+        # Runs in the parent as it routes, once per record.
+        pulled_when_routed.append(pulled[0])
         return wrapped[0]
 
     plan = SchemaPlan.from_members(
@@ -159,11 +187,9 @@ def test_retry_keeps_a_generator_source_streaming(retry):
     engine = ExecutionEngine(
         plan=replace(plan, key_of=key_of),
         reduce_fn=count_reduce,
-        config=ExecutionConfig(
-            backend="threads", num_workers=1, map_chunk_size=chunk, retry=retry
-        ),
+        config=ExecutionConfig(backend="threads", num_workers=1, retry=retry),
     )
     result = engine.run()
     assert result.outputs == [(d, total // 10) for d in range(10)]
-    assert pulled_while_first_task_ran[0] <= 4 * chunk
+    assert pulled_when_routed == list(range(1, total + 1))
     assert pulled[0] == total

@@ -47,8 +47,11 @@ class TestBackendRegistry:
     def test_bad_worker_and_chunk_counts(self):
         with pytest.raises(ValueError, match="max_workers"):
             ThreadBackend(max_workers=0)
-        with pytest.raises(ValueError, match="map_chunk_size"):
-            ExecutionConfig(map_chunk_size=0)
+        with pytest.raises(ValueError, match="num_reduce_tasks"):
+            ExecutionConfig(num_reduce_tasks=0)
+        # The parent routes every record, so there is no map chunk knob.
+        with pytest.raises(TypeError, match="map_chunk_size"):
+            ExecutionConfig(map_chunk_size=1)
 
     def test_available_workers_positive(self):
         assert available_workers() >= 1
@@ -73,22 +76,22 @@ class TestBackendEquivalence:
         assert result.metrics == reference.metrics
         assert result.engine.backend == backend
 
-    def test_chunk_sizes_do_not_change_results(self):
+    @pytest.mark.parametrize("partitions", [1, 5, 64])
+    def test_partition_counts_do_not_change_results(self, partitions):
         baseline = word_engine().run()
-        chunked = word_engine(
+        partitioned = word_engine(
             config=ExecutionConfig(
                 backend="threads",
                 num_workers=2,
-                map_chunk_size=1,
-                num_reduce_tasks=5,
+                num_reduce_tasks=partitions,
             ),
         ).run()
-        assert chunked.outputs == baseline.outputs
-        assert chunked.metrics == baseline.metrics
-        assert chunked.engine.num_map_tasks == len(RECORDS)
+        assert partitioned.outputs == baseline.outputs
+        assert partitioned.metrics == baseline.metrics
+        assert partitioned.engine.num_map_tasks == 0
         # Empty partitions are dropped, so the requested partition
         # count is an upper bound on dispatched reduce tasks.
-        assert 1 <= chunked.engine.num_reduce_tasks <= 5
+        assert 1 <= partitioned.engine.num_reduce_tasks <= partitions
 
     def test_task_loads_cover_all_keys(self):
         result = word_engine(

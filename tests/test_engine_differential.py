@@ -84,8 +84,8 @@ def records_for(spec: JobSpec, payload, source: str):
     """Per-input records of *spec* (an ``(x, y)`` pair for X2Y).
 
     With *source* ``"factory"`` an A2A or multiway job's records come as
-    a re-iterable streaming dataset, of known or unknown length, so the
-    routed map reads them chunk by chunk (both executors iterate it).
+    a re-iterable streaming dataset, of known or unknown length, which
+    the parent reads lazily as it routes (both executors iterate it).
     """
     if spec.kind == "x2y":
         return (
@@ -150,7 +150,6 @@ def draw_run(data, process_backend) -> tuple[ExecutionConfig, Tracer | None]:
         backend=backend,
         num_workers=2,
         memory_budget=data.draw(KNOBS, label="memory_budget"),
-        map_chunk_size=data.draw(KNOBS, label="map_chunk_size"),
         num_reduce_tasks=data.draw(KNOBS, label="num_reduce_tasks"),
         faults=faults,
         retry=RETRY if faults is not None else None,
@@ -158,15 +157,14 @@ def draw_run(data, process_backend) -> tuple[ExecutionConfig, Tracer | None]:
     return config, TRACERS[instrumentation]()
 
 
-def check_task_spans(tracer: Tracer | None) -> None:
-    """The profile flag reaches every task, the pooled ones included:
-    profiled tasks bring a function table home, traced ones none."""
+def check_task_spans(tracer: Tracer | None, num_tasks: int) -> None:
+    """Every reduce task brings one span home, and the profile flag
+    reaches every task, the pooled ones included: profiled tasks bring a
+    function table home, traced ones none."""
     if tracer is None:
         return
-    tasks = [
-        s for s in tracer.spans() if s.name in ("map_task", "reduce_task")
-    ]
-    assert tasks
+    tasks = [s for s in tracer.spans() if s.name == "reduce_task"]
+    assert len(tasks) == num_tasks
     assert all((s.functions is not None) == tracer.profile for s in tasks)
 
 
@@ -187,7 +185,7 @@ def test_engine_equals_simulator_on_generated_jobs(process_backend, spec, data):
     payload = data.draw(st.sampled_from(sorted(PAYLOADS)), label="payload")
     source = data.draw(st.sampled_from(SOURCES), label="source")
     config, tracer = draw_run(data, process_backend)
-    _, _, report = validate_against_simulator(
+    result, _, report = validate_against_simulator(
         schema,
         records_for(spec, PAYLOADS[payload], source),
         echo_reduce,
@@ -195,7 +193,7 @@ def test_engine_equals_simulator_on_generated_jobs(process_backend, spec, data):
         tracer=tracer,
     )
     assert report.ok, report.summary()
-    check_task_spans(tracer)
+    check_task_spans(tracer, result.engine.num_reduce_tasks)
 
 
 @st.composite
@@ -248,7 +246,7 @@ def test_engine_equals_simulator_on_member_list_plans(
         )
         assert str(raised.value) == str(expected)
         return
-    report = compare_results(engine.run(), oracle)
+    result = engine.run()
+    report = compare_results(result, oracle)
     assert report.ok, report.summary()
-    if records:
-        check_task_spans(tracer)
+    check_task_spans(tracer, result.engine.num_reduce_tasks)

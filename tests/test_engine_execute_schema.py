@@ -159,7 +159,7 @@ class TestSchemaTypeDispatch:
         records = [f"rec{i}" for i in range(schema.instance.m)]
         result = execute_schema(schema, records, collect_reduce, backend="threads")
         assert result.engine.backend == "threads"
-        assert result.engine.num_map_tasks >= 1
+        assert result.engine.num_reduce_tasks >= 1
         assert result.engine.timings.total_seconds >= 0.0
 
 

@@ -1,5 +1,6 @@
-"""Tests for the partitioned shuffle: the map and reduce task contract,
-and stability of partition assignment across runs and worker processes.
+"""Tests for the partitioned shuffle: the parent's routing, the reduce
+task contract, and stability of partition assignment across runs and
+worker processes.
 
 Reducer ``r`` lives in reduce partition ``r % partitions``, so partition
 assignment — and with it the per-task load metrics written to benchmark
@@ -14,11 +15,8 @@ from repro.apps.skew_join import schema_skew_join
 from repro.engine.backends import ProcessBackend, ThreadBackend
 from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import compare_results, oracle_run
-from repro.engine.engine import (
-    ExecutionEngine,
-    _run_routed_map_task,
-    _run_routed_reduce_task,
-)
+from repro.engine import engine as engine_module
+from repro.engine.engine import ExecutionEngine, _run_routed_reduce_task
 from repro.engine.routing import SchemaPlan
 from repro.exceptions import CapacityExceededError
 from repro.workloads.relations import generate_join_workload
@@ -34,39 +32,49 @@ def word_plan() -> SchemaPlan:
 
 
 class TestMapTaskContract:
-    def test_map_task_buckets_pairs_and_accounts(self):
-        plan = word_plan()
-        routes, _ = plan.routes(2)
-        result = _run_routed_map_task(
-            plan.records[:2],
-            routes=routes,
-            key_of=plan.key_of,
-            num_partitions=2,
-        )
-        counters = result.counters
-        # Line 0 is in reducers 0 and 1, line 1 in reducers 1 and 2.
-        assert counters["pairs"] == 4
-        assert counters["comm"] == 3 * 2 + 2 * 2
-        assert counters["records"] == 2
-        # Line 0 ships to partitions 0 and 1 once each; line 1's reducers
-        # 1 and 2 sit in partitions 1 and 0.
-        assert counters["shipped"] == 4
+    def test_parent_routes_each_record_once_per_partition(
+        self, monkeypatch
+    ):
+        payloads = []
+
+        def spy(payload, **kwargs):
+            payloads.append(payload)
+            return _run_routed_reduce_task(payload, **kwargs)
+
+        monkeypatch.setattr(engine_module, "_run_routed_reduce_task", spy)
+        result = ExecutionEngine(
+            plan=word_plan(),
+            reduce_fn=lambda key, values: [(key, len(values))],
+            strict_capacity=False,
+            config=ExecutionConfig(num_reduce_tasks=2),
+        ).run()
+        metrics = result.metrics
+        # Line 0 is in reducers 0 and 1, line 1 in reducers 1 and 2, and
+        # line 2 in reducer 2.
+        assert metrics.map_input_records == 3
+        assert metrics.map_output_pairs == 5
+        assert metrics.communication_cost == 3 * 2 + 2 * 2 + 1 * 1
+        # Reducers 0 and 2 sit in partition 0, reducer 1 in partition 1:
+        # line 0 ships to both partitions once each, line 1 too, line 2
+        # to partition 0 only.
+        assert result.engine.pairs_shipped == 5
         # Peak buffering is only measured in memory-budgeted runs.
-        assert counters["peak_buffered"] == 0
-        assert result.spill is None
-        assert counters["encoded_bytes"] == 0
-        assert counters["encode_seconds"] == 0.0
-        assert result.loads == []
-        assert result.span is None
-        assert result.outputs == [
-            {0: (0, "a b a"), 1: (1, "b c")},
-            {0: (0, "a b a"), 1: (1, "b c")},
+        assert metrics.peak_buffered_pairs == 0
+        assert result.engine.num_map_tasks == 0
+        assert result.engine.encoded_bytes == 0
+        assert payloads == [
+            (
+                [{0: (0, "a b a"), 1: (1, "b c"), 2: (2, "c")}],
+                (0, 2, ((0,), (1, 2))),
+            ),
+            ([{0: (0, "a b a"), 1: (1, "b c")}], (1, 2, ((0, 1),))),
         ]
 
     def test_reduce_task_merges_in_task_order(self):
-        # Two map tasks' buckets for one partition: each reducer's values
-        # come back in record order whichever task shipped them.  The
-        # payload's slice (first 0, step 2) holds reducers 0 and 2.
+        # Two sources for one partition (a flushed bucket, then the one
+        # left in memory): each reducer's values come back in record
+        # order whichever source held them.  The payload's slice (first
+        # 0, step 2) holds reducers 0 and 2.
         slabs = [{2: (2, "c")}, {0: (0, "a b a"), 1: (1, "b c")}]
         result = _run_routed_reduce_task(
             (slabs, (0, 2, ((0,), (2, 1)))),
@@ -83,8 +91,7 @@ class TestMapTaskContract:
             [1, 1],
         )
         assert result.loads == [3, 3]
-        assert result.counters["keys"] == 2
-        assert result.counters["decode_seconds"] == 0.0
+        assert result.counters == {"keys": 2}
 
     def test_reduce_task_skips_reducing_on_strict_overflow(self):
         result = _run_routed_reduce_task(

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.instance import A2AInstance
 from repro.core.selector import solve_a2a
-from repro.dataset import as_dataset
+from repro.dataset import Dataset, as_dataset
 from repro.engine.backends import BACKENDS, ProcessBackend
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine, execute_schema
@@ -39,15 +39,18 @@ from word_count import word_engine
 
 #: Pinned geometry: identical task decomposition on every backend, so the
 #: seeded injector's decisions hit the same (phase, task, attempt) cells.
-GEOMETRY = dict(map_chunk_size=2, num_reduce_tasks=4)
+#: Reduce tasks are the only tasks a run dispatches, so the job is split
+#: into enough of them (8 of its 10 reducers' partitions) for every
+#: spec below to fire.
+GEOMETRY = dict(num_reduce_tasks=8)
 
 #: Fast deterministic policy for tests (backoff in the low milliseconds).
 POLICY = RetryPolicy(max_attempts=6, backoff_base=0.001, backoff_max=0.01)
 
-#: The chaos run: the shuffle-heavy workload (125 map and 8 reduce tasks
-#: under its pinned geometry) with crashes and worker kills.
+#: The chaos run: the shuffle-heavy workload (64 reduce tasks under its
+#: pinned geometry) with crashes and worker kills.
 SHUFFLE_RECORDS = 4000
-SHUFFLE_GEOMETRY = dict(map_chunk_size=32, num_reduce_tasks=8)
+SHUFFLE_GEOMETRY = dict(num_reduce_tasks=64)
 CHAOS_SPEC = "crash=0.2,kill=0.05,seed=7"
 CHAOS_ATTEMPTS = 6
 
@@ -164,8 +167,8 @@ class TestShuffleHeavyChaos:
             ),
         ).run()
         assert result.outputs == fault_free
-        tasks = result.engine.num_map_tasks + result.engine.num_reduce_tasks
-        assert tasks == 125 + 8
+        tasks = result.engine.num_reduce_tasks
+        assert tasks == 64
         # At least one injected fault was recovered, and no task used
         # more than its max_attempts - 1 retries.
         assert 1 <= result.engine.task_retries <= tasks * (CHAOS_ATTEMPTS - 1)
@@ -173,8 +176,9 @@ class TestShuffleHeavyChaos:
 
 class TestSchemaSpillChaos:
     """Crashes and worker kills on a schema job under a memory budget: the
-    routed shuffle spills on every map task, recovers with the fault-free
-    run's outputs and job metrics, and leaves no run file or worker."""
+    parent's routed shuffle spills, the reduce tasks recover with the
+    fault-free run's outputs and job metrics, and the run leaves no run
+    file or worker."""
 
     def test_kills_under_spill_match_the_fault_free_serial_run(
         self, tmp_path
@@ -182,7 +186,9 @@ class TestSchemaSpillChaos:
         instance = A2AInstance([3, 5, 2, 7, 4, 6, 1, 8, 2, 5] * 4, q=24)
         schema = solve_a2a(instance)
         records = [f"rec-{i}" for i in range(instance.m)]
-        geometry = dict(map_chunk_size=4, num_reduce_tasks=8, memory_budget=8)
+        # 48 of the schema's 105 reducers' partitions: enough reduce
+        # tasks for the chaos spec to crash some and kill one.
+        geometry = dict(num_reduce_tasks=48, memory_budget=8)
         reference = execute_schema(
             schema, records, collect_reduce, config=ExecutionConfig(**geometry)
         )
@@ -326,6 +332,26 @@ class TestTimeoutsAndDeadlines:
             _engine(
                 backend, reduce_fn=slow_reduce, deadline=0.01
             ).run()
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_deadline_bounds_routing_a_slow_source(self, backend):
+        # The parent routes the records itself: a slow streaming source
+        # must stop at the deadline, not after it was read to the end.
+        pulled = []
+
+        def slow_records():
+            for record in RECORDS * 50:
+                pulled.append(record)
+                time.sleep(0.001)
+                yield record
+
+        with pytest.raises(DeadlineExceededError, match="map phase"):
+            word_engine(
+                RECORDS * 50,
+                source=Dataset.from_factory(slow_records),
+                config=ExecutionConfig(backend=backend, deadline=0.05),
+            ).run()
+        assert len(pulled) < len(RECORDS) * 50
 
     def test_deadline_not_cured_by_retry(self):
         # The policy would retry timeouts, but a blown deadline is final.

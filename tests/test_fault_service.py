@@ -40,13 +40,17 @@ ENV = Environment(num_workers=2, memory_bytes=1 << 30)
 POLICY = RetryPolicy(max_attempts=6, backoff_base=0.001, backoff_max=0.01)
 
 #: Pinned geometry so injected decisions are stable across test runs.
-GEOMETRY = dict(map_chunk_size=2, num_reduce_tasks=4)
+GEOMETRY = dict(num_reduce_tasks=16)
+
+#: A job with enough reducers (21) to split into 16 reduce tasks, the only
+#: tasks an injected fault can hit.
+CHAOS_SPEC = JobSpec.a2a([3, 5, 2, 6, 4] * 2, q=12)
 
 
-def _submit_exec(service, *, config, job_id):
+def _submit_exec(service, *, config, job_id, spec=SPEC):
     return service.submit(
-        SPEC,
-        records=spec_records(SPEC),
+        spec,
+        records=spec_records(spec),
         reduce_fn=collect_reduce,
         config=config,
         job_id=job_id,
@@ -60,6 +64,7 @@ class TestPerJobPolicy:
                 service,
                 config=ExecutionConfig(backend="serial", **GEOMETRY),
                 job_id="clean",
+                spec=CHAOS_SPEC,
             )
             assert clean.wait(timeout=30.0).state == DONE
             faulty = _submit_exec(
@@ -71,6 +76,7 @@ class TestPerJobPolicy:
                     **GEOMETRY,
                 ),
                 job_id="faulty",
+                spec=CHAOS_SPEC,
             )
             assert faulty.wait(timeout=30.0).state == DONE
             # Recovery is invisible in results but visible in telemetry.

@@ -63,16 +63,16 @@ def test_unseeded_random_in_engine_is_caught(tmp_path):
 
     def mutate(source: str) -> str:
         tainted = source.replace(
-            "def _run_routed_map_task(",
+            "def _run_routed_reduce_task(",
             "def _jitter():\n"
             "    import random\n"
             "    return random.random()\n"
             "\n\n"
-            "def _run_routed_map_task(",
+            "def _run_routed_reduce_task(",
             1,
         )
         assert tainted != source, (
-            "engine.py no longer defines _run_routed_map_task"
+            "engine.py no longer defines _run_routed_reduce_task"
         )
         return tainted
 

@@ -161,15 +161,13 @@ class TestWorkerPropagation:
         spans = {s.name: s for s in tracer.spans()}
         for phase in ("map", "shuffle", "reduce", "post"):
             assert phase in spans, (backend, sorted(spans))
-        tasks = [s for s in tracer.spans() if s.name == "map_task"]
-        assert tasks, backend
+        tasks = [s for s in tracer.spans() if s.name == "reduce_task"]
+        assert len(tasks) == result.engine.num_reduce_tasks, backend
         for task in tasks:
             assert task.trace_id == "engine-trace"
-            assert task.parent_id == spans["map"].span_id
-        reduce_tasks = [s for s in tracer.spans() if s.name == "reduce_task"]
-        assert reduce_tasks and all(
-            t.parent_id == spans["reduce"].span_id for t in reduce_tasks
-        )
+            assert task.parent_id == spans["reduce"].span_id
+        # The parent routes the records itself: no map task runs.
+        assert "map_task" not in spans
 
     def test_retried_tasks_export_unique_spans_under_faults(self, tmp_path):
         # Injected faults retry tasks on the processes backend; every
@@ -180,14 +178,20 @@ class TestWorkerPropagation:
 
         tracer = Tracer("faulty")
         engine = ExecutionEngine(
-            plan=mod4_plan(),
+            # Sixteen reducers by record % 16, one per reduce task: enough
+            # tasks for the seeded crashes to hit some.
+            plan=SchemaPlan.from_members(
+                list(range(64)),
+                [1] * 64,
+                [range(k, 64, 16) for k in range(16)],
+                capacity=None,
+            ),
             reduce_fn=sum_reduce,
             tracer=tracer,
             config=ExecutionConfig(
                 backend="processes",
                 num_workers=2,
-                map_chunk_size=2,
-                num_reduce_tasks=4,
+                num_reduce_tasks=16,
                 retry=RetryPolicy(
                     max_attempts=6, backoff_base=0.001, backoff_max=0.01
                 ),
@@ -201,13 +205,10 @@ class TestWorkerPropagation:
         ids = [s.span_id for s in spans]
         assert len(ids) == len(set(ids)), "duplicate span ids"
         phase = {s.name: s for s in spans}
-        worker_spans = [
-            s for s in spans if s.name in ("map_task", "reduce_task")
-        ]
+        worker_spans = [s for s in spans if s.name == "reduce_task"]
         assert worker_spans
         for span in worker_spans:
-            parent = "map" if span.name == "map_task" else "reduce"
-            assert span.parent_id == phase[parent].span_id
+            assert span.parent_id == phase["reduce"].span_id
             assert span.trace_id == "faulty"
         path = tmp_path / "trace.json"
         count = write_chrome_trace(str(path), spans)
@@ -428,7 +429,8 @@ class TestObservationStore:
             )
         )
         old, older, new = load_observations(str(path))
-        assert older.job_id == "older" and older.encoded_bytes == 64
+        assert older.job_id == "older"
+        assert not hasattr(older, "encoded_bytes")
         assert not hasattr(older, "shm_segments")
         assert old.commit == "" and old.hardware_class == ""
         assert old.peak_rss_bytes == 0 and old.cpu_seconds == 0.0

@@ -50,7 +50,6 @@ class TestServiceTracing:
             "queue",
             "plan",
             "map",
-            "map_task",
             "shuffle",
             "reduce",
             "reduce_task",
@@ -71,9 +70,9 @@ class TestServiceTracing:
         root = by_name["job"][0]
         for name in ("submit", "queue", "plan", "map", "store"):
             assert by_name[name][0].parent_id == root.span_id, name
-        map_span = by_name["map"][0]
-        for task in by_name["map_task"]:
-            assert task.parent_id == map_span.span_id
+        reduce_span = by_name["reduce"][0]
+        for task in by_name["reduce_task"]:
+            assert task.parent_id == reduce_span.span_id
 
         # The trace exports as valid Chrome trace-event JSON.
         from repro.obs.trace import to_chrome_trace

@@ -21,7 +21,11 @@ from repro.core.selector import solve_a2a
 from repro.engine.backends import BACKENDS
 from repro.engine.codec import encode_items
 from repro.engine.config import ExecutionConfig
-from repro.engine.crossval import validate_against_simulator
+from repro.engine.crossval import (
+    compare_results,
+    oracle_run,
+    validate_against_simulator,
+)
 from repro.engine.engine import ExecutionEngine
 from repro.engine.routing import SchemaPlan
 from repro.engine.spill import (
@@ -38,6 +42,7 @@ from repro.exceptions import (
     UnknownMethodError,
 )
 from repro.mapreduce.job import MapReduceJob
+from repro.obs.trace import Tracer
 from repro.workloads.relations import generate_join_workload
 from shuffle_heavy import fanout_plan, sum_reduce
 
@@ -94,7 +99,7 @@ class TestSpillPrimitives:
         assert items == [("a", [1]), ("b", [2, 3]), ("c", [4])]
 
     def test_merge_concatenates_in_source_order(self, tmp_path):
-        # A reduce task reads its partition's runs and in-memory buckets
+        # A reduce task reads its partition's runs and in-memory bucket
         # into one record table, source by source.
         first, _ = write_run({("y", 0): "y0", ("x", 1): "x1"}, str(tmp_path))
         second, _ = write_run({3: "r3", 2: "r2"}, str(tmp_path))
@@ -164,7 +169,7 @@ class TestSpilledEqualsInMemory:
         records = list(range(1500))
         unbounded = fanout_engine(backend, None, records).run()
         budgeted = fanout_engine(
-            backend, 64, records, num_reduce_tasks=2, map_chunk_size=400
+            backend, 64, records, num_reduce_tasks=2
         ).run()
         assert budgeted.outputs == unbounded.outputs
         assert unbounded.metrics.spill_runs == 0
@@ -179,6 +184,42 @@ class TestSpilledEqualsInMemory:
         assert (
             budgeted.metrics.communication_cost
             == unbounded.metrics.communication_cost
+        )
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_budgeted_run_spills_under_the_map_span(self, backend, tmp_path):
+        """The parent flushes its routed pairs past the budget: the run
+        equals the oracle, removes every run file, and traces each flush
+        as a ``spill`` span under the ``map`` span."""
+        spill_base = tmp_path / "spills"
+        tracer = Tracer()
+        engine = ExecutionEngine(
+            plan=fanout_plan(list(range(300))),
+            reduce_fn=sum_reduce,
+            tracer=tracer,
+            config=ExecutionConfig(
+                backend=backend,
+                num_workers=2,
+                num_reduce_tasks=PARTS,
+                memory_budget=64,
+                spill_dir=str(spill_base),
+            ),
+        )
+        result = engine.run()
+        report = compare_results(result, oracle_run(engine))
+        assert report.ok, report.summary()
+        assert result.metrics.spill_runs > 0
+        assert list(spill_base.iterdir()) == []
+        spans = tracer.spans()
+        (map_span,) = [s for s in spans if s.name == "map"]
+        spills = [s for s in spans if s.name == "spill"]
+        assert spills
+        assert all(s.parent_id == map_span.span_id for s in spills)
+        assert sum(s.attrs["runs"] for s in spills) == (
+            result.metrics.spill_runs
+        )
+        assert sum(s.attrs["bytes"] for s in spills) == (
+            result.metrics.spilled_bytes
         )
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -297,7 +338,6 @@ class TestConfigAndBench:
         # TypeError from deep inside the engine.
         for name, value in (
             ("num_workers", 2.5),
-            ("map_chunk_size", 1.5),
             ("num_reduce_tasks", "3"),
             ("memory_budget", True),
         ):

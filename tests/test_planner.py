@@ -8,6 +8,7 @@ run stage funneling into the engine.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -34,6 +35,7 @@ from repro.planner import (
 from repro.planner.planner import (
     EXACT_A2A_INPUT_LIMIT,
     EXACT_X2Y_PAIR_LIMIT,
+    MIN_MEMORY_BUDGET,
     MULTIWAY_METHODS,
 )
 from repro.service.service import collect_reduce
@@ -199,6 +201,20 @@ class TestExactGate:
         assert exact.status == "skipped"
         assert "exceeds the exact-search limit" in exact.reason
 
+    def test_x2y_exact_skipped_where_it_would_exhaust_its_budget(self):
+        # 24 cross pairs: exact spends its whole node budget (seconds)
+        # on this instance and fails, so the gate must not let it run.
+        planned = plan(JobSpec.x2y([1, 3], [1] * 12, q=6, method=None), ENV)
+        exact = planned.candidate("exact")
+        assert exact.status == "skipped"
+        assert "exceeds the exact-search limit" in exact.reason
+
+    def test_x2y_exact_attempted_at_pair_limit(self):
+        x, y = [1] * 3, [1] * 5  # 15 cross pairs
+        assert len(x) * len(y) == EXACT_X2Y_PAIR_LIMIT
+        planned = plan(JobSpec.x2y(x, y, q=4, method=None), ENV)
+        assert planned.candidate("exact").status != "skipped"
+
     def test_a2a_exact_attempted_at_limit(self):
         # At the limit the gate lets exact run; it may still blow its node
         # budget, which must be recorded as a failure, never as fatal.
@@ -212,7 +228,7 @@ class TestExactGate:
 
     def test_x2y_exact_skipped_above_pair_limit(self):
         x = [1] * 6
-        y = [1] * 6  # 36 cross pairs > 30
+        y = [1] * 6  # 36 cross pairs > 15
         planned = plan(JobSpec.x2y(x, y, q=4, method=None), ENV)
         assert planned.candidate("exact").status == "skipped"
         assert EXACT_X2Y_PAIR_LIMIT > 0
@@ -228,7 +244,8 @@ class TestExactGate:
 class TestExecutionResolution:
     def test_serial_on_single_worker_machine(self):
         config = resolve_execution_config(
-            SERIAL_ENV, num_reducers=50, communication_cost=100
+            SERIAL_ENV, num_reducers=50, communication_cost=100, total_size=100,
+            num_inputs=10,
         )
         assert config.backend == "serial"
         assert config.num_workers is None
@@ -236,13 +253,15 @@ class TestExecutionResolution:
 
     def test_serial_for_single_reducer_schema(self):
         config = resolve_execution_config(
-            ENV, num_reducers=1, communication_cost=100
+            ENV, num_reducers=1, communication_cost=100, total_size=100,
+            num_inputs=10,
         )
         assert config.backend == "serial"
 
     def test_threads_with_capped_workers_and_partitions(self):
         config = resolve_execution_config(
-            ENV, num_reducers=3, communication_cost=100
+            ENV, num_reducers=3, communication_cost=100, total_size=100,
+            num_inputs=10,
         )
         assert config.backend == "threads"
         assert config.num_workers == 2  # min(env workers, reducers)
@@ -250,20 +269,57 @@ class TestExecutionResolution:
 
     def test_memory_budget_only_when_shuffle_exceeds_share(self):
         small = resolve_execution_config(
-            ENV, num_reducers=4, communication_cost=10
+            ENV, num_reducers=4, communication_cost=10, total_size=100,
+            num_inputs=10,
         )
         assert small.memory_budget is None
         tight_env = Environment(num_workers=2, memory_bytes=1 << 20)
         big = resolve_execution_config(
-            tight_env, num_reducers=4, communication_cost=1 << 20
+            tight_env,
+            num_reducers=4,
+            communication_cost=1 << 20,
+            total_size=1 << 20,
+            num_inputs=1 << 20,
         )
         assert big.memory_budget is not None
         assert big.memory_budget >= 1024
 
+    def test_memory_budget_sized_from_routed_pairs(self):
+        # 16 MiB: the shuffle may use a quarter, 4 MiB, which is 16384
+        # pairs of one size unit at 256 bytes each.  Two workers, four
+        # reduce tasks.
+        env = Environment(num_workers=2, memory_bytes=1 << 24)
+
+        def budget(communication_cost, total_size, num_inputs):
+            config = resolve_execution_config(
+                env,
+                num_reducers=4,
+                communication_cost=communication_cost,
+                total_size=total_size,
+                num_inputs=num_inputs,
+            )
+            assert config.num_reduce_tasks == 4
+            return config.memory_budget
+
+        # Routed volume min(2**20, 4 * 2**16) = 2**18 units, 64 MiB: the
+        # one parent buffer gets the whole share, not a per-worker part.
+        assert budget(1 << 20, 1 << 16, 1 << 16) == 16384
+        # The same volume in inputs of mean size 4 (2**14 inputs): a pair
+        # holds 4 units, 1 KiB, so the share holds a quarter as many.
+        assert budget(1 << 20, 1 << 16, 1 << 14) == 4096
+        # Mean size 5 / 2 rounds up to 3 units: 4 MiB // 768 bytes.
+        assert budget(1 << 20, 5 << 12, 2 << 12) == 5461
+        # Mean size 64: 256 pairs, floored at the minimum budget.
+        assert budget(1 << 20, 1 << 16, 1 << 10) == MIN_MEMORY_BUDGET
+        # Every input shipped to all four partitions is 4000 units, 1 MB:
+        # under the share, however large the per-reducer communication.
+        assert budget(1 << 20, 1000, 10) is None
+
     def test_no_budget_when_memory_unknown(self):
         env = Environment(num_workers=2, memory_bytes=None)
         config = resolve_execution_config(
-            env, num_reducers=4, communication_cost=1 << 40
+            env, num_reducers=4, communication_cost=1 << 40, total_size=100,
+            num_inputs=10,
         )
         assert config.memory_budget is None
 
@@ -298,6 +354,18 @@ class TestPlanSerialization:
             Plan.from_json('{"version": 99}')
         with pytest.raises(InvalidInstanceError):
             Plan.from_json('{"version": 1, "spec": {"kind": "a2a", "q": 5}}')
+
+    def test_plan_saved_with_map_chunk_size_still_loads(self):
+        # Plans saved before the engine dropped map tasks carry the
+        # execution key "map_chunk_size"; loading ignores it.
+        planned = plan(JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None), ENV)
+        payload = planned.to_dict()
+        assert "map_chunk_size" not in payload["execution"]
+        assert "chunk=" not in planned.describe()
+        payload["execution"]["map_chunk_size"] = 4
+        loaded = Plan.from_json(json.dumps(payload))
+        assert loaded == planned
+        assert loaded.execution == planned.execution
 
     def test_live_backend_does_not_serialize(self):
         from repro.engine.backends import SerialBackend

@@ -9,12 +9,7 @@ import time
 import pytest
 
 from repro.engine.config import ExecutionConfig
-from repro.engine.engine import (
-    ExecutionEngine,
-    TaskResult,
-    _instrumented_task,
-    _merge_task_telemetry,
-)
+from repro.engine.engine import ExecutionEngine, TaskResult, _instrumented_task
 from repro.engine.routing import SchemaPlan
 from repro.obs.profiler import (
     ResourceSampler,
@@ -118,11 +113,11 @@ class TestProfilingOff:
         # function table and measures no CPU or RSS.
         tracer = Tracer()
         result = _instrumented_task(
-            list(range(50)), inner=_summing_task, name="map_task",
+            list(range(50)), inner=_summing_task, name="reduce_task",
             trace_ctx=tracer.worker_context(), profile=tracer.profile,
         )
         assert "functions" not in result.span
-        _merge_task_telemetry([result], tracer)
+        tracer.add_worker_spans([result.span])
         with phase_span(tracer, "post", capture=True):
             sorted(range(1000), key=lambda v: -v)
         for span in tracer.spans():
@@ -160,7 +155,7 @@ class TestProfileExport:
         tracer = Tracer(profile=True)
         with phase_span(tracer, "post", capture=True):
             result = _instrumented_task(
-                3, inner=_doubling_task, name="map_task",
+                3, inner=_doubling_task, name="reduce_task",
                 trace_ctx=tracer.worker_context(), profile=True,
             )
         assert result.outputs == 6 and result.span["functions"] == {}
@@ -170,7 +165,7 @@ class TestProfileExport:
         results = [
             # The pickle round trip is the process backend's path home.
             pickle.loads(pickle.dumps(_instrumented_task(
-                list(range(50)), inner=_summing_task, name="map_task",
+                list(range(50)), inner=_summing_task, name="reduce_task",
                 trace_ctx=tracer.worker_context(), profile=True,
             )))
             for _ in range(2)
@@ -178,12 +173,12 @@ class TestProfileExport:
         assert [r.outputs for r in results] == [sum(range(50))] * 2
         first, second = (r.span["functions"] for r in results)
         assert first, "an unnested capture must produce stats"
-        _merge_task_telemetry(results, tracer)
+        tracer.add_worker_spans(r.span for r in results)
         table = {
             row["func"]: row
             for row in profile_export(tracer.spans(), ResourceSampler())[
                 "phases"
-            ]["map"]["functions"]
+            ]["reduce"]["functions"]
         }
         # Folding both tasks' tables sums every call count per key.
         for key in first:
