@@ -44,7 +44,6 @@ from repro.engine import (
 from repro.exceptions import (
     AdmissionError,
     CapacityExceededError,
-    CodecError,
     InfeasibleInstanceError,
     InvalidInstanceError,
     InvalidSchemaError,
@@ -100,6 +99,5 @@ __all__ = [
     "ResultEvictedError",
     "SolverLimitError",
     "SpillError",
-    "CodecError",
     "__version__",
 ]

@@ -12,7 +12,8 @@ map tasks), and the reduce tasks run on a pluggable backend (``serial``,
 ``threads``, ``processes``).  The serial backend is validated to be
 byte-identical to the reference simulator (:mod:`repro.mapreduce`); the
 parallel backends translate schema quality into wall-clock speedups.
-Spill runs on disk use the block format of :mod:`repro.engine.codec`.
+Past a ``memory_budget``, routed records spill to disk as one pickled
+record table per partition and flush (:mod:`repro.engine.spill`).
 
 Quickstart::
 
@@ -39,7 +40,6 @@ from repro.engine.backends import (
     available_workers,
     get_backend,
 )
-from repro.engine.codec import decode_block, encode_items
 from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import (
     CrossValidationReport,
@@ -72,8 +72,6 @@ __all__ = [
     "available_workers",
     "EngineMetrics",
     "PhaseTimings",
-    "encode_items",
-    "decode_block",
     "CrossValidationReport",
     "compare_results",
     "validate_against_simulator",

@@ -55,7 +55,7 @@ runs the compiled plan.  Apps whose reducers are not one solved schema
 Two knobs make the engine *out-of-core*: records may arrive as a streaming
 :class:`~repro.dataset.Dataset` (read lazily, never materialized in the
 parent), and a ``memory_budget`` bounds the routed pairs the parent
-buffers before it flushes them as sorted per-partition runs to disk
+buffers before it flushes them as per-partition runs to disk
 (:mod:`repro.engine.spill`).  A reduce task reads its runs into a record
 table that holds each input of its partition once, plus one reducer's
 value list.  Outputs and strict-mode exceptions are identical to the
@@ -182,7 +182,7 @@ def _run_routed_reduce_task(
     """One reduce task: rebuild each reducer's values and reduce.
 
     *payload* is ``(sources, (first, step, members))``: the partition's
-    sources, in flush order (paths of sorted run files, then the bucket
+    sources, in flush order (paths of run files, then the bucket
     dict the parent still held, all holding records by input key), and
     its slice of the plan's member
     lists from :meth:`SchemaPlan.routes`, whose slot ``k`` is reducer
@@ -464,7 +464,7 @@ class ExecutionEngine:
         with backend:
             # --- map phase: the parent routes each record to the reduce
             # partitions its route names, keyed by input; past the memory
-            # budget the buffered partitions flush to sorted spill runs.
+            # budget the buffered partitions flush to spill runs.
             with phase_span(
                 tracer, "map", capture=True, backend=backend.name
             ) as map_span:
@@ -475,7 +475,7 @@ class ExecutionEngine:
                 buckets: list[dict[Hashable, Any]] = [
                     {} for _ in range(num_partitions)
                 ]
-                spill = MapSpill()
+                spill = MapSpill(runs=[[] for _ in range(num_partitions)])
                 map_inputs = map_pairs = comm = pairs_shipped = 0
                 buffered = peak_buffered = 0
                 for record in dataset:
@@ -516,7 +516,7 @@ class ExecutionEngine:
                 shuffle_started = time.perf_counter()
                 partitions: list[Any] = []
                 for p in range(num_partitions):
-                    sources: list[Any] = spill.partition_runs(p)
+                    sources: list[Any] = list(spill.runs[p])
                     if buckets[p]:
                         sources.append(buckets[p])
                     if sources:

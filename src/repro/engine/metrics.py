@@ -110,11 +110,10 @@ class EngineMetrics:
         return self.max_task_load / self.capacity
 
     def as_row(self) -> dict[str, object]:
-        """Flat dict for table rendering."""
+        """Flat dict for table rendering (always-0 fields left out)."""
         return {
             "backend": self.backend,
             "workers": self.num_workers,
-            "map_tasks": self.num_map_tasks,
             "reduce_tasks": self.num_reduce_tasks,
             "map_s": round(self.timings.map_seconds, 4),
             "shuffle_s": round(self.timings.shuffle_seconds, 4),
@@ -124,7 +123,4 @@ class EngineMetrics:
             "pairs_shipped": self.pairs_shipped,
             "max_task_load": self.max_task_load,
             "retries": self.task_retries,
-            "encoded_bytes": self.encoded_bytes,
-            "encode_s": round(self.encode_seconds, 4),
-            "decode_s": round(self.decode_seconds, 4),
         }

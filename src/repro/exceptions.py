@@ -75,26 +75,12 @@ class SolverLimitError(ReproError):
 
 
 class SpillError(ReproError):
-    """The out-of-core shuffle could not spill or merge its data.
+    """The out-of-core shuffle could not spill or read back its data.
 
-    Raised when a memory-budgeted run encounters keys that cannot be
-    totally ordered (spill runs are merged in sorted-key order, so
-    orderable keys are a hard requirement of the out-of-core path — the
-    in-memory path tolerates unorderable keys by falling back to insertion
-    order) or when a spill file is truncated or unreadable.
-    """
-
-
-class CodecError(ReproError):
-    """A shuffle/spill block could not be encoded or decoded.
-
-    Raised by :mod:`repro.engine.codec` for every failure mode — a buffer
-    that is truncated, corrupt, or not a block at all; a payload whose
-    item count contradicts its header; unpicklable items.  Wrapping the
-    underlying ``struct.error``/``EOFError``/pickle errors in
-    one typed exception keeps the data plane's error surface stable: spill
-    readers re-wrap it in :class:`SpillError`, and callers never see a
-    bare low-level decoding exception.
+    Raised when a memory-budgeted run's spill file is missing,
+    unreadable, truncated or corrupt — including a file that loads to
+    something other than a run's record dict, or has bytes after it —
+    so a damaged run never reads as a shorter one.
     """
 
 

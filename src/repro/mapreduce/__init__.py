@@ -7,7 +7,7 @@ metrics; the test suite runs it as the execution engine's oracle
 
 from repro.mapreduce.types import MapFn, ReduceFn, SizeFn, default_size
 from repro.mapreduce.metrics import JobMetrics
-from repro.mapreduce.shuffle import group_pairs, map_record, ordered_keys
+from repro.mapreduce.shuffle import group_pairs, ordered_keys
 from repro.mapreduce.job import JobResult, MapReduceJob
 from repro.mapreduce.cluster import ScheduleResult, SimulatedCluster, schedule_loads
 
@@ -22,7 +22,6 @@ __all__ = [
     "ScheduleResult",
     "SimulatedCluster",
     "schedule_loads",
-    "map_record",
     "group_pairs",
     "ordered_keys",
 ]

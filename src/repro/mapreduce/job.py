@@ -21,7 +21,7 @@ from typing import Any, Hashable, Iterable
 
 from repro.exceptions import CapacityExceededError
 from repro.mapreduce.metrics import JobMetrics
-from repro.mapreduce.shuffle import group_pairs, map_record, ordered_keys
+from repro.mapreduce.shuffle import group_pairs, ordered_keys
 from repro.mapreduce.types import MapFn, ReduceFn, SizeFn, default_size
 
 
@@ -48,12 +48,6 @@ class MapReduceJob:
             :class:`CapacityExceededError`; when False the violation is
             recorded in the metrics and the reducer still runs — used by
             experiments that *measure* how badly a baseline overflows.
-        combiner_fn: optional mapper-side combiner ``(key, values) ->
-            iterable of values``: applied to each record's emissions before
-            the shuffle (each record plays the role of one mapper).
-            Combining reduces the communication cost and the reducer loads
-            — exactly the quantities the paper's metrics count — so the
-            metrics reflect the post-combine volumes.
     """
 
     map_fn: MapFn
@@ -61,7 +55,6 @@ class MapReduceJob:
     size_of: SizeFn = default_size
     reducer_capacity: int | None = None
     strict_capacity: bool = True
-    combiner_fn: ReduceFn | None = None
 
     def run(self, records: Iterable[Any]) -> JobResult:
         """Execute the job: map every record, shuffle, reduce every key.
@@ -75,14 +68,14 @@ class MapReduceJob:
     def _map_and_shuffle(
         self, records: Iterable[Any]
     ) -> tuple[dict[Hashable, list[Any]], int, int, int]:
-        """Run the map phase (plus any combiner) and group pairs by key."""
+        """Run the map phase and group pairs by key."""
         groups: dict[Hashable, list[Any]] = {}
         map_inputs = 0
         map_pairs = 0
         comm = 0
         for record in records:
             map_inputs += 1
-            emitted = map_record(record, self.map_fn, self.combiner_fn)
+            emitted = list(self.map_fn(record))
             map_pairs += len(emitted)
             comm += sum(self.size_of(value) for _, value in emitted)
             group_pairs(emitted, groups)

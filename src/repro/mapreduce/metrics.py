@@ -30,7 +30,7 @@ class JobMetrics:
             these three counters describe the physical execution, not
             the paper's analytical model, so cross-validation against
             the simulator ignores them).
-        spill_runs: sorted run files written during the map phase.
+        spill_runs: run files written during the map phase.
         peak_buffered_pairs: most routed pairs the map phase held in
             memory at once, measured only in memory-budgeted runs (0
             otherwise).  It may overshoot the budget by at most one

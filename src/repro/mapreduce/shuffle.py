@@ -1,44 +1,17 @@
 """Map/shuffle primitives of the reference simulator.
 
 :class:`repro.mapreduce.job.MapReduceJob` implements the abstract model
-the paper defines its metrics on: mappers emit key-value pairs, an
-optional combiner folds each mapper's emissions, and the shuffle groups
-values by key into one dict (:func:`group_pairs`) — its job is to define
-the metrics, not to be fast.  The execution engine (:mod:`repro.engine`)
-runs plans whose reducers are fixed before the run; it agrees with the
-simulator because both reduce in sorted key order (:func:`ordered_keys`;
-the engine's keys are reducer indices).
+the paper defines its metrics on: mappers emit key-value pairs, and the
+shuffle groups values by key into one dict (:func:`group_pairs`) — its
+job is to define the metrics, not to be fast.  The execution engine
+(:mod:`repro.engine`) runs plans whose reducers are fixed before the
+run; it agrees with the simulator because both reduce in sorted key
+order (:func:`ordered_keys`; the engine's keys are reducer indices).
 """
 
 from __future__ import annotations
 
 from typing import Any, Hashable, Iterable
-
-from repro.mapreduce.types import MapFn, ReduceFn
-
-
-def map_record(
-    record: Any,
-    map_fn: MapFn,
-    combiner_fn: ReduceFn | None = None,
-) -> list[tuple[Hashable, Any]]:
-    """Apply the map function (plus optional combiner) to one record.
-
-    Each record plays the role of one mapper, so the combiner sees exactly
-    the emissions of that record, grouped by key, before the shuffle — this
-    is what makes combining reduce the shuffled volume.
-    """
-    emitted: list[tuple[Hashable, Any]] = list(map_fn(record))
-    if combiner_fn is None:
-        return emitted
-    local: dict[Hashable, list[Any]] = {}
-    for key, value in emitted:
-        local.setdefault(key, []).append(value)
-    return [
-        (key, combined)
-        for key, values in local.items()
-        for combined in combiner_fn(key, values)
-    ]
 
 
 def group_pairs(

@@ -582,9 +582,11 @@ class JobService:
 
         Two rules, both judged against the service's environment probe:
         requesting more workers than the machine's schedulable cores, and
-        an estimated resident footprint (input bytes, or the requested
-        per-worker memory budget times the worker count) beyond the
-        measured available memory.
+        an estimated resident footprint beyond the measured available
+        memory: the input bytes, or the parent's one routing buffer at the
+        requested memory budget, each buffered pair a record of mean size
+        (``ceil(total_size / num_inputs)`` units, as in
+        :func:`~repro.planner.planner.resolve_execution_config`).
         """
         if config is not None and config.num_workers is not None:
             if config.num_workers > self.env.num_workers:
@@ -600,15 +602,14 @@ class JobService:
                     f"available memory {self.env.memory_bytes} bytes"
                 )
             if config is not None and config.memory_budget is not None:
-                workers = config.num_workers or self.env.num_workers
+                mean_size = -(-spec.total_size // max(spec.num_inputs, 1))
                 budget_bytes = (
-                    config.memory_budget * BYTES_PER_SIZE_UNIT * workers
+                    config.memory_budget * BYTES_PER_SIZE_UNIT * mean_size
                 )
                 if budget_bytes > self.env.memory_bytes:
                     return (
-                        f"memory_budget={config.memory_budget} pairs x "
-                        f"{workers} worker(s) (~{budget_bytes} bytes) "
-                        f"exceeds available memory "
+                        f"memory_budget={config.memory_budget} pairs "
+                        f"(~{budget_bytes} bytes) exceeds available memory "
                         f"{self.env.memory_bytes} bytes"
                     )
         return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import threading
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -18,8 +19,8 @@ import pytest
 from repro.apps.skew_join import schema_skew_join
 from repro.core.instance import A2AInstance
 from repro.core.selector import solve_a2a
+from repro.engine import engine as engine_module
 from repro.engine.backends import BACKENDS
-from repro.engine.codec import encode_items
 from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import (
     compare_results,
@@ -29,10 +30,10 @@ from repro.engine.crossval import (
 from repro.engine.engine import ExecutionEngine
 from repro.engine.routing import SchemaPlan
 from repro.engine.spill import (
-    RUN_BLOCK_ITEMS,
     MapSpill,
-    iter_run,
+    read_run,
     record_table,
+    spill_buckets,
     write_run,
 )
 from repro.exceptions import (
@@ -91,12 +92,14 @@ def budgeted_pair(backend: str, records: int, memory_budget: int):
 
 
 class TestSpillPrimitives:
-    def test_write_and_read_run_roundtrip_sorted(self, tmp_path):
-        groups = {"b": [2, 3], "a": [1], "c": [4]}
+    def test_write_and_read_run_roundtrip(self, tmp_path):
+        groups = {"b": [2, 3], "a": [1], ("x", 4): [4]}
         path, nbytes = write_run(groups, str(tmp_path))
         assert nbytes == os.path.getsize(path) > 0
-        items = list(iter_run(path))
-        assert items == [("a", [1]), ("b", [2, 3]), ("c", [4])]
+        table = read_run(path)
+        assert table == groups
+        # A run is the bucket as it was buffered: its keys need no order.
+        assert list(table) == ["b", "a", ("x", 4)]
 
     def test_merge_concatenates_in_source_order(self, tmp_path):
         # A reduce task reads its partition's runs and in-memory bucket
@@ -108,59 +111,69 @@ class TestSpillPrimitives:
         assert table == {
             ("x", 1): "x1", ("y", 0): "y0", 2: "r2", 3: "r3", 0: "r0"
         }
-        assert list(table) == [("x", 1), ("y", 0), 2, 3, 0]
+        assert list(table) == [("y", 0), ("x", 1), 3, 2, 0]
 
     def test_merge_handles_cross_type_equal_keys(self, tmp_path):
         # 1 == 1.0: the record table keys them exactly like a dict would.
         first, _ = write_run({1: "int"}, str(tmp_path))
         assert record_table([first, {1.0: "float"}]) == {1: "float"}
 
-    def test_unorderable_keys_raise_spill_error(self, tmp_path):
-        with pytest.raises(SpillError, match="orderable"):
-            write_run({"a": [1], (1, 2): [2]}, str(tmp_path))
-
     def test_corrupt_run_raises_spill_error(self, tmp_path):
         path = tmp_path / "bad.run"
         path.write_bytes(b"\x80\x05 this is not a pickle stream")
         with pytest.raises(SpillError, match="corrupt"):
             record_table([str(path)])
-        # A bare item-count header followed by per-item pickles is not a
-        # run format this reader accepts.
-        with open(path, "wb") as handle:
-            pickle.dump(1, handle)
-            pickle.dump(("a", [1]), handle)
-        with pytest.raises(SpillError, match="bad header"):
-            record_table([str(path)])
+
+    def test_non_dict_run_raises_spill_error(self, tmp_path):
+        path = tmp_path / "list.run"
+        path.write_bytes(pickle.dumps([("a", [1])]))
+        with pytest.raises(SpillError, match="expected a dict, got list"):
+            read_run(str(path))
+
+    def test_trailing_bytes_raise_spill_error(self, tmp_path):
+        # A second pickle after the run (the shape of the old per-item
+        # run format) is not a run this reader accepts.
+        path = tmp_path / "two.run"
+        path.write_bytes(pickle.dumps({"a": [1]}) + pickle.dumps({"b": [2]}))
+        with pytest.raises(SpillError, match="trailing bytes"):
+            read_run(str(path))
 
     def test_missing_run_raises_spill_error(self, tmp_path):
         with pytest.raises(SpillError, match="cannot open"):
             record_table([str(tmp_path / "gone.run")])
 
-    def test_run_truncated_at_item_boundary_raises(self, tmp_path):
-        # A run whose count header promises more items than the file
-        # holds must fail loudly, not be read as a shorter run.
-        groups = {f"k{i:04d}": [i] for i in range(RUN_BLOCK_ITEMS + 1)}
-        path, _ = write_run(groups, str(tmp_path))
+    def test_run_truncated_at_any_byte_raises(self, tmp_path):
+        # A run cut anywhere loses its pickle's STOP opcode: it must fail
+        # loudly, never read as a shorter run.
+        groups = {i: f"record-{i}" for i in range(40)}
+        path, nbytes = write_run(groups, str(tmp_path))
         with open(path, "rb") as handle:
             data = handle.read()
-        # Drop the final one-item block, cutting the file at a block
-        # boundary: the header still promises every item.
-        last_block = pickle.dumps(
-            encode_items([("k%04d" % RUN_BLOCK_ITEMS, [RUN_BLOCK_ITEMS])]),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        assert data.endswith(last_block)
-        with open(path, "wb") as handle:
-            handle.write(data[: -len(last_block)])
-        with pytest.raises(SpillError, match="truncated"):
-            record_table([path])
+        assert len(data) == nbytes
+        for cut in range(nbytes):
+            with open(path, "wb") as handle:
+                handle.write(data[:cut])
+            with pytest.raises(SpillError, match="truncated"):
+                read_run(path)
 
-    def test_map_spill_partition_runs_preserve_flush_order(self):
-        spill = MapSpill(
-            flushes=[("f0p0", None), ("f1p0", "f1p1"), (None, "f2p1")]
+    def test_spill_buckets_keeps_runs_per_partition_in_flush_order(
+        self, tmp_path
+    ):
+        spill = MapSpill(runs=[[], []])
+        flushes = [({0: "a"}, {}), ({2: "b"}, {1: "c"}), ({}, {3: "d"})]
+        for buckets in flushes:
+            spill_buckets(list(buckets), str(tmp_path), spill)
+        assert [len(runs) for runs in spill.runs] == [2, 2]
+        assert spill.spill_runs == 4
+        assert spill.spilled_bytes == sum(
+            os.path.getsize(path) for runs in spill.runs for path in runs
         )
-        assert spill.partition_runs(0) == ["f0p0", "f1p0"]
-        assert spill.partition_runs(1) == ["f1p1", "f2p1"]
+        assert [read_run(path) for path in spill.runs[0]] == [
+            {0: "a"}, {2: "b"}
+        ]
+        assert [read_run(path) for path in spill.runs[1]] == [
+            {1: "c"}, {3: "d"}
+        ]
 
 
 class TestSpilledEqualsInMemory:
@@ -301,6 +314,57 @@ class TestSpilledEqualsInMemory:
             engine.run()
         assert list(spill_base.iterdir()) == []
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_damaged_run_fails_typed_and_leaks_nothing(
+        self, backend, tmp_path, monkeypatch
+    ):
+        """A run cut short on disk fails its reduce task with SpillError,
+        which crosses the worker pool typed, and the run's spill
+        directory is still removed."""
+
+        def truncating_spill(buckets, spill_dir, spill):
+            before = [len(runs) for runs in spill.runs]
+            flushed = spill_buckets(buckets, spill_dir, spill)
+            for count, runs in zip(before, spill.runs):
+                for path in runs[count:]:
+                    os.truncate(path, os.path.getsize(path) // 2)
+            return flushed
+
+        monkeypatch.setattr(engine_module, "spill_buckets", truncating_spill)
+        spill_base = tmp_path / "spills"
+        engine = fanout_engine(
+            backend,
+            64,
+            list(range(300)),
+            num_workers=2,
+            spill_dir=str(spill_base),
+        )
+        with pytest.raises(SpillError, match="truncated"):
+            engine.run()
+        assert list(spill_base.iterdir()) == []
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_unpicklable_record_fails_typed_and_leaks_nothing(
+        self, backend, tmp_path
+    ):
+        """A record that cannot be pickled fails the flush that spills it
+        with SpillError (in-process backends never pickle it otherwise),
+        and the run's spill directory is still removed."""
+        records = [0, 1, threading.Lock(), 3, 4, 5]
+        spill_base = tmp_path / "spills"
+        engine = ExecutionEngine(
+            plan=SchemaPlan.from_members(
+                records, [1] * 6, [range(0, 6, 2), range(1, 6, 2)], capacity=6
+            ),
+            reduce_fn=index_reduce,
+            config=ExecutionConfig(
+                backend=backend, memory_budget=2, spill_dir=str(spill_base)
+            ),
+        )
+        with pytest.raises(SpillError, match="cannot write spill run"):
+            engine.run()
+        assert list(spill_base.iterdir()) == []
+
 
 class TestKeyContract:
     def test_engine_rejects_nan_keys_in_strict_mode(self):
@@ -388,3 +452,23 @@ class TestConfigAndBench:
             assert budgeted.metrics.spill_runs >= 1, backend
             assert 4 < budgeted.metrics.peak_buffered_pairs <= 4 - 1 + PARTS
             assert budgeted.outputs == unbounded.outputs, backend
+
+
+class TestLintScope:
+    """The spill writer and reader sit inside the engine package, so the
+    determinism and pickle-safety rules must cover them automatically."""
+
+    def test_spill_module_is_in_rule_scopes(self):
+        from pathlib import Path
+
+        from repro.analysis.lint import load_module
+        from repro.analysis.lint.rules import (
+            DeterminismRule,
+            PickleSafetyRule,
+        )
+
+        src = Path(__file__).parent.parent / "src"
+        info = load_module(src / "repro" / "engine" / "spill.py", root=src)
+        assert info.module == "repro.engine.spill"
+        assert info.in_package(DeterminismRule.scopes)
+        assert info.in_package(PickleSafetyRule.scopes)

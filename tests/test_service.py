@@ -347,6 +347,38 @@ class TestAdmissionControl:
             assert handle.status().state == REJECTED
             assert "memory_budget" in handle.status().detail
 
+    def test_memory_budget_counts_mean_size_pairs(self):
+        # The parent holds one routing buffer of budget pairs, each a
+        # record of mean size, whatever the worker count.
+        small_env = Environment(num_workers=2, memory_bytes=1 << 20)
+        unit = JobSpec.a2a([1] * 40, q=8)
+        wide = JobSpec.a2a([8] * 40, q=24)
+        with JobService(slots=1, env=small_env) as service:
+            admitted = service.submit(
+                unit,
+                config=ExecutionConfig(
+                    backend="threads", num_workers=2, memory_budget=3000
+                ),
+            )
+            assert admitted.wait(timeout=30.0).state == DONE
+            rejected = service.submit(
+                wide,
+                config=ExecutionConfig(
+                    backend="threads", num_workers=2, memory_budget=1024
+                ),
+            )
+            status = rejected.status()
+            assert status.state == REJECTED
+            assert "memory_budget=1024 pairs" in status.detail
+            assert str(1024 * 256 * 8) in status.detail
+            # A spec with no inputs has no mean size; admission passes it
+            # on to the planner instead of dividing by zero.
+            empty = service.submit(
+                JobSpec.a2a([], q=8),
+                config=ExecutionConfig(memory_budget=1024),
+            )
+            assert empty.wait(timeout=30.0).state != REJECTED
+
     def test_fitting_job_admitted(self):
         with JobService(slots=1, env=ENV) as service:
             handle = service.submit_spec(

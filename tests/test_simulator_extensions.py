@@ -1,4 +1,4 @@
-"""Tests for the combiner support and heterogeneous-worker scheduling."""
+"""Tests for heterogeneous-worker scheduling."""
 
 from __future__ import annotations
 
@@ -6,66 +6,6 @@ import pytest
 
 from repro.exceptions import InvalidInstanceError
 from repro.mapreduce.cluster import schedule_loads
-from repro.mapreduce.job import MapReduceJob
-
-
-def word_count_with_combiner():
-    """Word count where each record (line) pre-aggregates its own counts."""
-    return MapReduceJob(
-        map_fn=lambda line: ((word, 1) for word in line.split()),
-        reduce_fn=lambda word, counts: [(word, sum(counts))],
-        combiner_fn=lambda word, counts: [sum(counts)],
-        size_of=lambda value: 1,
-    )
-
-
-class TestCombiner:
-    def test_results_unchanged(self):
-        with_combiner = word_count_with_combiner().run(["a b a a", "b a"])
-        without = MapReduceJob(
-            map_fn=lambda line: ((w, 1) for w in line.split()),
-            reduce_fn=lambda w, counts: [(w, sum(counts))],
-            size_of=lambda value: 1,
-        ).run(["a b a a", "b a"])
-        assert dict(with_combiner.outputs) == dict(without.outputs)
-
-    def test_communication_reduced(self):
-        records = ["a a a a b", "a a b b b"]
-        combined = word_count_with_combiner().run(records)
-        plain = MapReduceJob(
-            map_fn=lambda line: ((w, 1) for w in line.split()),
-            reduce_fn=lambda w, counts: [(w, sum(counts))],
-            size_of=lambda value: 1,
-        ).run(records)
-        # Each record emits one pair per distinct word instead of per word.
-        assert combined.metrics.map_output_pairs == 4
-        assert plain.metrics.map_output_pairs == 10
-        assert (
-            combined.metrics.communication_cost < plain.metrics.communication_cost
-        )
-
-    def test_reducer_loads_shrink(self):
-        records = ["a a a a a a"]
-        combined = word_count_with_combiner().run(records)
-        assert combined.metrics.reducer_loads["a"] == 1
-
-    def test_combiner_can_keep_capacity(self):
-        # Without combining the reducer overflows q=2; with it, fits.
-        records = ["a a a", "a a a"]
-        job = word_count_with_combiner()
-        job.reducer_capacity = 2
-        result = job.run(records)
-        assert result.metrics.capacity_violations == ()
-
-    def test_combiner_emitting_multiple_values(self):
-        job = MapReduceJob(
-            map_fn=lambda n: [("k", n), ("k", n + 1)],
-            reduce_fn=lambda k, vs: [sorted(vs)],
-            combiner_fn=lambda k, vs: [min(vs), max(vs)],
-            size_of=lambda value: 1,
-        )
-        result = job.run([10])
-        assert result.outputs == [[10, 11]]
 
 
 class TestHeterogeneousWorkers:
