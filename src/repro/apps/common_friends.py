@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Iterator
 
 from repro import planner
 from repro.core.schema import A2ASchema
 from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import a2a_reducer_masks
+from repro.engine.routing import a2a_reducer_masks, owned_partners
 from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
 from repro.workloads.social import User, common_friends
@@ -79,16 +80,13 @@ def _common_friends_reduce(
 
     Values arrive as ``(input_index, user)``; reducer *key* owns a pair
     when no earlier reducer holds both (the bitmask rule of
-    :func:`a2a_reducer_masks`).  Module-level (data bound via
+    :func:`a2a_reducer_masks`), decided by :func:`owned_partners` once per
+    group of users with equal masks.  Module-level (data bound via
     :func:`functools.partial`) so the ``processes`` backend can pickle it.
     """
-    low = (1 << key) - 1
-    by_position = sorted(values, key=lambda item: item[0])
-    for a_pos, (i, user_a) in enumerate(by_position):
-        earlier = masks[i] & low
-        for j, user_b in by_position[a_pos + 1 :]:
-            if earlier & masks[j]:
-                continue
+    held = [(masks[i], user) for i, user in sorted(values, key=itemgetter(0))]
+    for user_a, partners in owned_partners(key, held):
+        for user_b in partners:
             yield (user_a.user_id, user_b.user_id, common_friends(user_a, user_b))
 
 

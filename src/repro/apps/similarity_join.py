@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Iterator
 
 from repro import planner
@@ -29,7 +30,7 @@ from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import SchemaPlan, a2a_reducer_masks
+from repro.engine.routing import SchemaPlan, a2a_reducer_masks, owned_partners
 from repro.mapreduce.metrics import JobMetrics
 from repro.mapreduce.types import default_size
 from repro.obs.trace import Tracer
@@ -94,20 +95,19 @@ def _similarity_reduce(
 
     Values arrive as ``(input_index, document)``; *masks* are the schema's
     per-input reducer bitmasks (:func:`a2a_reducer_masks`), and reducer
-    *key* owns a pair when no earlier reducer holds both inputs.  Each
-    document's token set is built once per reducer, not once per compared
-    pair.  Module-level (with data bound through
+    *key* owns a pair when no earlier reducer holds both inputs.
+    :func:`owned_partners` decides that once per group of documents with
+    equal masks (a bin of the schema), so only owned pairs are compared.
+    Each document's token set is built once per reducer, not once per
+    compared pair.  Module-level (with data bound through
     :func:`functools.partial`) so the ``processes`` backend can pickle it.
     """
-    low = (1 << key) - 1
     held = [
-        (masks[i] & low, masks[i], doc.doc_id, frozenset(doc.tokens))
-        for i, doc in sorted(values, key=lambda item: item[0])
+        (masks[i], (doc.doc_id, frozenset(doc.tokens)))
+        for i, doc in sorted(values, key=itemgetter(0))
     ]
-    for a_pos, (earlier, _, id_a, set_a) in enumerate(held):
-        for _, mask_b, id_b, set_b in held[a_pos + 1 :]:
-            if earlier & mask_b:
-                continue
+    for (id_a, set_a), partners in owned_partners(key, held):
+        for id_b, set_b in partners:
             similarity = set_jaccard(set_a, set_b)
             if similarity >= threshold:
                 yield (id_a, id_b, similarity)

@@ -19,7 +19,7 @@ from repro.core.schema import X2YSchema
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import SchemaPlan, x2y_reducer_masks
+from repro.engine.routing import SchemaPlan, owned_partners, x2y_reducer_masks
 from repro.mapreduce.metrics import JobMetrics
 from repro.obs.trace import Tracer
 from repro.planner import Environment, JobSpec, Plan
@@ -152,9 +152,9 @@ def _skew_reduce(
     reducers emit a pair only from its canonical meeting reducer,
     keeping the distributed output exactly-once despite replication.  The
     test is the bitmask rule: local reducer ``r`` owns a pair when no
-    earlier reducer of the key holds both tuples, and an X tuple that no
-    earlier reducer holds owns every pair at ``r`` without a per-pair
-    check.
+    earlier reducer of the key holds both tuples.  :func:`owned_partners`
+    decides it once per pair of groups of tuples with equal masks (the
+    bins of a grid schema), not once per held pair.
     """
     join_key, r = owners[reducer]
     x_records = [v for _, v in values if v[0] == "x"]
@@ -165,17 +165,14 @@ def _skew_reduce(
                 yield (tx[3], join_key, ty[3])
         return
     x_masks, y_masks = masks[join_key]
-    low = (1 << r) - 1
-    for tx in x_records:
-        x_payload = tx[3]
-        earlier = x_masks[tx[1]] & low
-        if not earlier:
-            for ty in y_records:
-                yield (x_payload, join_key, ty[3])
-            continue
-        for ty in y_records:
-            if not earlier & y_masks[ty[1]]:
-                yield (x_payload, join_key, ty[3])
+    owned = owned_partners(
+        r,
+        [(x_masks[tx[1]], tx[3]) for tx in x_records],
+        across=[(y_masks[ty[1]], ty[3]) for ty in y_records],
+    )
+    for x_payload, y_payloads in owned:
+        for y_payload in y_payloads:
+            yield (x_payload, join_key, y_payload)
 
 
 def _tag(relation: Relation, side: str) -> list[SkewRecord]:

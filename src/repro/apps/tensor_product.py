@@ -20,7 +20,7 @@ from repro import planner
 from repro.core.schema import X2YSchema
 from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import x2y_reducer_masks
+from repro.engine.routing import owned_partners, x2y_reducer_masks
 from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
 from repro.workloads.vectors import BlockVector, VectorBlock
@@ -85,18 +85,15 @@ def _outer_product_reduce(
     Values arrive as ``(side, input_index, block)`` with side ``"x"`` for
     u-blocks and ``"y"`` for v-blocks.  Reducer *key* owns a pair when no
     earlier reducer holds both (the bitmask rule of
-    :func:`x2y_reducer_masks`).  Module-level so the ``processes``
-    backend can pickle it.
+    :func:`x2y_reducer_masks`), decided by :func:`owned_partners` once per
+    pair of groups of blocks with equal masks.  Module-level so the
+    ``processes`` backend can pickle it.
     """
     x_masks, y_masks = masks
-    low = (1 << key) - 1
-    u_blocks = [(i, block) for side, i, block in values if side == "x"]
-    v_blocks = [(j, block) for side, j, block in values if side == "y"]
-    for i, ub in u_blocks:
-        earlier = x_masks[i] & low
-        for j, vb in v_blocks:
-            if earlier & y_masks[j]:
-                continue
+    u_blocks = [(x_masks[i], block) for side, i, block in values if side == "x"]
+    v_blocks = [(y_masks[j], block) for side, j, block in values if side == "y"]
+    for ub, partners in owned_partners(key, u_blocks, across=v_blocks):
+        for vb in partners:
             for a, u_val in enumerate(ub.values):
                 for b, v_val in enumerate(vb.values):
                     yield (ub.offset + a, vb.offset + b, u_val * v_val)

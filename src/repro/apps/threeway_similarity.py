@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterator
 
 from repro import planner
 from repro.core.multiway import MultiwaySchema
 from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import a2a_reducer_masks
+from repro.engine.routing import a2a_reducer_masks, owned_partners
 from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
 from repro.workloads.documents import Document
@@ -91,25 +92,17 @@ def _threeway_reduce(
     Values arrive as ``(input_index, document)``; *masks* are the schema's
     per-input reducer bitmasks (:func:`a2a_reducer_masks`), and reducer
     *key* owns a triple when no earlier reducer holds all three inputs.
+    :func:`owned_partners` decides that once per triple of groups of
+    documents with equal masks, so only owned triples are scored.
     Module-level (with data bound through :func:`functools.partial`) so
     the ``processes`` backend can pickle it.
     """
-    low = (1 << key) - 1
-    held = [
-        (masks[i], doc) for i, doc in sorted(values, key=lambda item: item[0])
-    ]
-    for a_pos, (mask_a, doc_a) in enumerate(held):
-        for b_pos in range(a_pos + 1, len(held)):
-            mask_b, doc_b = held[b_pos]
-            earlier = mask_a & mask_b & low
-            for mask_c, doc_c in held[b_pos + 1 :]:
-                if earlier & mask_c:
-                    continue
-                similarity = triple_jaccard(doc_a, doc_b, doc_c)
-                if similarity >= threshold:
-                    yield (
-                        doc_a.doc_id, doc_b.doc_id, doc_c.doc_id, similarity
-                    )
+    held = [(masks[i], doc) for i, doc in sorted(values, key=itemgetter(0))]
+    for doc_a, doc_b, partners in owned_partners(key, held, width=3):
+        for doc_c in partners:
+            similarity = triple_jaccard(doc_a, doc_b, doc_c)
+            if similarity >= threshold:
+                yield (doc_a.doc_id, doc_b.doc_id, doc_c.doc_id, similarity)
 
 
 def run_threeway_similarity(

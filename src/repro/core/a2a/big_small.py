@@ -22,6 +22,7 @@ scheme.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable, Sequence
 
 from repro.binpack.ffd import first_fit_decreasing
@@ -102,17 +103,28 @@ def _prune_dominated(reducers: list[list[int]]) -> list[list[int]]:
 
     The construction above can produce containment (e.g. a residual bin that
     equals a half-capacity bin); pruning preserves coverage because any pair
-    met in a subset is met in its superset.  O(z^2) on the reducer count,
-    which the construction keeps polynomial.
+    met in a subset is met in its superset.  Reducers are taken largest
+    first, and a candidate is tested only against the kept reducers that
+    hold its rarest input (the one in fewest kept reducers so far): a
+    superset must hold every input of the candidate, that one included.
     """
     as_sets = [frozenset(r) for r in reducers]
     order = sorted(range(len(as_sets)), key=lambda r: len(as_sets[r]), reverse=True)
     kept: list[frozenset[int]] = []
     kept_lists: list[list[int]] = []
+    holding: defaultdict[int, list[int]] = defaultdict(list)
     for r in order:
         candidate = as_sets[r]
-        if any(candidate <= existing for existing in kept):
+        # An empty candidate has no rarest input: every kept reducer holds it.
+        rarest = min(
+            map(holding.__getitem__, candidate),
+            key=len,
+            default=range(len(kept)),
+        )
+        if any(candidate <= kept[k] for k in rarest):
             continue
+        for i in candidate:
+            holding[i].append(len(kept))
         kept.append(candidate)
         kept_lists.append(reducers[r])
     return kept_lists

@@ -53,6 +53,7 @@ from repro.engine.routing import (
     a2a_memberships,
     a2a_reducer_masks,
     canonical_meeting,
+    owned_partners,
     x2y_memberships,
     x2y_reducer_masks,
 )
@@ -80,4 +81,5 @@ __all__ = [
     "x2y_memberships",
     "x2y_reducer_masks",
     "canonical_meeting",
+    "owned_partners",
 ]

@@ -20,16 +20,22 @@ multiway and member-list plans, ``(side, i, record)`` with
 the A2A shape (one member tuple per reducer over one list of inputs), so
 it is routed and sized exactly like an A2A schema.  A pair of inputs may
 meet at several reducers; reduce functions keep the output exactly-once
-by letting only the pair's smallest shared reducer emit it.  The hot
-loops test that with per-input reducer bitmasks from
-:func:`a2a_reducer_masks` / :func:`x2y_reducer_masks`: reducer *r* owns
-a pair it holds iff ``masks[a] & masks[b] & ((1 << r) - 1) == 0``, i.e.
-no earlier reducer holds both.  :func:`canonical_meeting` computes the
-same reducer from membership lists and is the independent reference.
+by letting only the pair's smallest shared reducer emit it.  Reducer *r*
+owns a pair it holds iff ``masks[a] & masks[b] & ((1 << r) - 1) == 0``
+over the per-input reducer bitmasks of :func:`a2a_reducer_masks` /
+:func:`x2y_reducer_masks`, i.e. no earlier reducer holds both (a triple:
+all three).  The rule depends on an input only through its mask below
+*r*, and the solvers that pack inputs into bins give every input of a
+bin the same mask, so :func:`owned_partners` decides it once per group
+of inputs with equal masks below *r* (once per pair of groups, or per
+triple of groups) and hands the apps only the owned pairs, never a
+per-pair test.  :func:`canonical_meeting` computes the same reducer from
+membership lists and is the independent reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -77,10 +83,10 @@ def canonical_meeting(
     :func:`x2y_memberships` are sorted ascending, so the smallest common
     index is found by a linear two-pointer merge — no per-pair set
     construction.  Unsorted inputs still get the correct answer through a
-    set-intersection fallback.  Apps that test ownership per *output* pair
-    use the equivalent bitmask rule of :func:`a2a_reducer_masks` /
-    :func:`x2y_reducer_masks` instead; this function is the reference the
-    tests check that rule against.
+    set-intersection fallback.  The apps decide ownership with the
+    equivalent bitmask rule of :func:`a2a_reducer_masks` /
+    :func:`x2y_reducer_masks`, through :func:`owned_partners`; this
+    function is the reference the tests check that rule against.
     """
     seq_a = reducers_a if isinstance(reducers_a, (list, tuple)) else list(reducers_a)
     seq_b = reducers_b if isinstance(reducers_b, (list, tuple)) else list(reducers_b)
@@ -112,7 +118,8 @@ def a2a_reducer_masks(schema: A2ASchema | MultiwaySchema) -> tuple[int, ...]:
     reducer holds both, so *r* is the pair's :func:`canonical_meeting`.
     The same test extends to a multiway group: reducer *r* owns a triple
     it holds iff ``masks[a] & masks[b] & masks[c] & ((1 << r) - 1) == 0``.
-    The masks are plain ints, hence picklable into reduce tasks on the
+    :func:`owned_partners` applies the rule inside a reducer.  The masks
+    are plain ints, hence picklable into reduce tasks on the
     ``processes`` backend.
     """
     masks = [0] * schema.instance.m
@@ -140,6 +147,71 @@ def x2y_reducer_masks(
         for j in y_part:
             y_masks[j] |= bit
     return tuple(x_masks), tuple(y_masks)
+
+
+def owned_partners(
+    reducer: int,
+    held: Sequence[tuple[int, Any]],
+    *,
+    width: int = 2,
+    across: Sequence[tuple[int, Any]] | None = None,
+) -> Iterator[tuple[Any, ...]]:
+    """The pairs (or *width*-tuples) that *reducer* owns among its inputs.
+
+    *held* lists ``(mask, item)`` for each input the reducer holds, in the
+    reducer's order, with *mask* the input's reducer bitmask
+    (:func:`a2a_reducer_masks`).  A tuple of held inputs is owned when no
+    earlier reducer holds all of them: the AND of their masks has no bit
+    below *reducer*.  Yields ``(item_1, ..., item_{width-1}, partners)``
+    for each prefix of ``width - 1`` held positions, in lexicographic
+    order, that some owned tuple extends: *partners* lists, in order, the
+    items after the prefix's last position that complete an owned tuple.
+    So the owned tuples come out in lexicographic position order, as a
+    per-tuple loop over the held inputs would emit them.
+
+    With *across* (``(mask, item)`` for the reducer's Y inputs, masks from
+    :func:`x2y_reducer_masks`) the owned tuples are cross pairs: each held
+    X item with every item of *across* that no earlier reducer holds
+    together with it, in *across* order.
+
+    Inputs whose masks agree below *reducer* own the same partners, so
+    the partner candidates are grouped by that value and each prefix's
+    partners are decided once per group and cached per distinct prefix
+    mask: a reducer of a bin pairing (two groups) makes a handful of
+    tests however many pairs it holds.  When every input is its own group,
+    each prefix tests every group, so the work is of the per-pair loop's
+    order.
+    """
+    low = (1 << reducer) - 1
+    pool = held if across is None else across
+    groups: dict[int, list[int]] = {}
+    for position, (mask, _) in enumerate(pool):
+        groups.setdefault(mask & low, []).append(position)
+    # Each prefix as (AND of its masks below reducer, its items, its last
+    # position), in lexicographic order.
+    prefixes: list[tuple[int, tuple[Any, ...], int]] = [
+        (mask & low, (item,), a) for a, (mask, item) in enumerate(held)
+    ]
+    for _ in range(width - 2):
+        prefixes = [
+            (common & mask, head + (item,), b)
+            for common, head, a in prefixes
+            for b, (mask, item) in enumerate(held[a + 1 :], a + 1)
+        ]
+    cache: dict[int, tuple[list[int], list[Any]]] = {}
+    for common, head, last in prefixes:
+        entry = cache.get(common)
+        if entry is None:
+            positions = [
+                p for mask, run in groups.items() if not mask & common for p in run
+            ]
+            positions.sort()
+            entry = cache[common] = (positions, [pool[p][1] for p in positions])
+        positions, partners = entry
+        if across is None:
+            partners = partners[bisect_right(positions, last) :]
+        if partners:
+            yield (*head, partners)
 
 
 def indexed_size(record: tuple[int, Any], sizes: tuple[int, ...]) -> int:

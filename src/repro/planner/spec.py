@@ -117,12 +117,20 @@ class JobSpec:
                 raise InvalidInstanceError("x2y specs need x_sizes and y_sizes")
             if self.sizes is not None:
                 raise InvalidInstanceError("x2y specs take x_sizes/y_sizes, not sizes")
+            if not self.x_sizes or not self.y_sizes:
+                raise InvalidInstanceError(
+                    "x2y specs need at least one input on each side"
+                )
         else:
             if self.sizes is None:
                 raise InvalidInstanceError(f"{self.kind} specs need sizes")
             if self.x_sizes is not None or self.y_sizes is not None:
                 raise InvalidInstanceError(
                     f"{self.kind} specs take sizes, not x_sizes/y_sizes"
+                )
+            if not self.sizes:
+                raise InvalidInstanceError(
+                    f"{self.kind} specs need at least one input"
                 )
         if self.kind == "multiway":
             if self.r is None or self.r < 2:

@@ -602,7 +602,7 @@ class JobService:
                     f"available memory {self.env.memory_bytes} bytes"
                 )
             if config is not None and config.memory_budget is not None:
-                mean_size = -(-spec.total_size // max(spec.num_inputs, 1))
+                mean_size = -(-spec.total_size // spec.num_inputs)
                 budget_bytes = (
                     config.memory_budget * BYTES_PER_SIZE_UNIT * mean_size
                 )

@@ -76,6 +76,20 @@ class TestJobSpec:
         spec = JobSpec.multiway([2, 2, 2], q=9, r=3)
         assert spec.r == 3
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: JobSpec.a2a([], q=8),
+            lambda: JobSpec.x2y([], [3], q=8),
+            lambda: JobSpec.x2y([3], [], q=8),
+            lambda: JobSpec.multiway([], q=8, r=3),
+            lambda: JobSpec.from_dict({"kind": "a2a", "q": 8, "sizes": []}),
+        ],
+    )
+    def test_spec_without_inputs_is_rejected(self, build):
+        with pytest.raises(InvalidInstanceError, match="at least one input"):
+            build()
+
     def test_unknown_kind_and_objective(self):
         with pytest.raises(InvalidInstanceError):
             JobSpec(kind="nope", q=10, sizes=(3,))

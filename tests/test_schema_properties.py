@@ -182,6 +182,43 @@ def test_every_x2y_method_valid_and_above_bounds(instance):
         assert schema.communication_cost >= communication_bound, name
 
 
+#: Exhaustive search is exponential; larger instances skip it.
+EXACT_MAX_INPUTS = 7
+
+
+@st.composite
+def feasible_a2a_any_sizes(draw):
+    """A feasible A2A instance: arbitrary, repeated or equal sizes, at
+    most one of them above ``q // 2``."""
+    q = draw(st.integers(2, 40))
+    largest = draw(st.integers(1, q - 1))
+    rest = draw(_sizes_up_to(min(largest, q - largest)))
+    return A2AInstance(draw(st.permutations([largest, *rest])), q)
+
+
+@settings(deadline=None, max_examples=80)
+@given(feasible_a2a_any_sizes())
+def test_every_a2a_method_valid_and_above_bounds(instance):
+    """The A2A analogue of the X2Y test above: every registered method
+    either refuses the shape with a typed error or builds a valid schema
+    within both lower bounds."""
+    reducer_bound = a2a_reducer_lower_bound(instance)
+    communication_bound = a2a_communication_lower_bound(instance)
+    for name, method in A2A_METHODS.items():
+        if name == "exact" and instance.m > EXACT_MAX_INPUTS:
+            continue
+        try:
+            schema = method(instance)
+        except (InvalidInstanceError, SolverLimitError):
+            # equal_grouping and grouped_covering on unequal sizes; exact
+            # past its node budget.
+            continue
+        report = schema.verify()
+        assert report.valid, f"{name}: {report.summary()}"
+        assert schema.num_reducers >= reducer_bound, name
+        assert schema.communication_cost >= communication_bound, name
+
+
 @st.composite
 def infeasible_x2y(draw):
     """An X2Y instance whose largest X and largest Y overflow q together."""
