@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro import planner
 from repro.core.instance import A2AInstance
@@ -89,6 +89,7 @@ def _similarity_reduce(
     values: list[tuple[int, Document]],
     *,
     masks: tuple[int, ...],
+    token_sets: tuple[frozenset[str], ...],
     threshold: float,
 ) -> Iterator[tuple[int, int, float]]:
     """Reducer: compare the pairs this reducer owns, in input order.
@@ -98,12 +99,13 @@ def _similarity_reduce(
     *key* owns a pair when no earlier reducer holds both inputs.
     :func:`owned_partners` decides that once per group of documents with
     equal masks (a bin of the schema), so only owned pairs are compared.
-    Each document's token set is built once per reducer, not once per
-    compared pair.  Module-level (with data bound through
-    :func:`functools.partial`) so the ``processes`` backend can pickle it.
+    *token_sets* holds each document's token set by input index, built
+    once per job rather than once per reducer holding the document.
+    Module-level (with data bound through :func:`functools.partial`, see
+    :func:`similarity_reducer`) so the ``processes`` backend can pickle it.
     """
     held = [
-        (masks[i], (doc.doc_id, frozenset(doc.tokens)))
+        (masks[i], (doc.doc_id, token_sets[i]))
         for i, doc in sorted(values, key=itemgetter(0))
     ]
     for (id_a, set_a), partners in owned_partners(key, held):
@@ -111,6 +113,18 @@ def _similarity_reduce(
             similarity = set_jaccard(set_a, set_b)
             if similarity >= threshold:
                 yield (id_a, id_b, similarity)
+
+
+def similarity_reducer(
+    schema: A2ASchema, documents: Sequence[Document], threshold: float
+) -> partial[Iterator[tuple[int, int, float]]]:
+    """The similarity join's reduce function for *schema* over *documents*."""
+    return partial(
+        _similarity_reduce,
+        masks=a2a_reducer_masks(schema),
+        token_sets=tuple(frozenset(doc.tokens) for doc in documents),
+        threshold=threshold,
+    )
 
 
 def run_similarity_join(
@@ -148,14 +162,13 @@ def run_similarity_join(
     spec = similarity_spec(documents, q, method=method, objective=objective)
     planned = planner.plan(spec, tracer=tracer)
     schema = planned.schema()
-    masks = a2a_reducer_masks(schema)
 
     if config is None and method != "planned":
         config = ExecutionConfig()
     result = planner.run(
         planned,
         documents,
-        partial(_similarity_reduce, masks=masks, threshold=threshold),
+        similarity_reducer(schema, documents, threshold),
         config=config,
         tracer=tracer,
     )

@@ -17,8 +17,8 @@ FFD has one run per distinct size.  It also skips the *closed prefix*: the
 leading bins whose load exceeds ``capacity - min(sizes)``, which no item can
 enter any more.  Loads only grow, so a closed bin stays closed and
 first-fit's choice is unchanged.  Only the bins that materialize item
-indices cost O(n) on top; :func:`ffd_bin_count` counts bins from the size
-multiset alone.
+indices cost O(n) on top; :func:`ffd_bin_loads` and :func:`ffd_bin_count`
+work from the size multiset alone.
 """
 
 from __future__ import annotations
@@ -88,11 +88,11 @@ def _first_fit_runs(
     return loads, bins
 
 
-def ffd_bin_count(runs: Sequence[Run], capacity: int) -> int:
-    """Bins FFD uses at *capacity* for the sizes whose
+def ffd_bin_loads(runs: Sequence[Run], capacity: int) -> list[int]:
+    """Bin loads, in bin order, of FFD at *capacity* for the sizes whose
     :func:`decreasing_runs` are *runs*.
 
-    Equals ``first_fit_decreasing(sizes, capacity).num_bins`` but places
+    Equals ``first_fit_decreasing(sizes, capacity).bin_loads()`` but places
     whole runs and builds no bins, so a caller probing many capacities
     builds the runs once and pays O(runs * bins) per probe.
     """
@@ -101,7 +101,13 @@ def ffd_bin_count(runs: Sequence[Run], capacity: int) -> int:
         raise InvalidInstanceError(
             f"item of size {runs[0][0]} exceeds bin capacity {cap}"
         )
-    return len(_first_fit_runs(runs, cap)[0])
+    return _first_fit_runs(runs, cap)[0]
+
+
+def ffd_bin_count(runs: Sequence[Run], capacity: int) -> int:
+    """Bins FFD uses at *capacity* for the sizes whose
+    :func:`decreasing_runs` are *runs* (see :func:`ffd_bin_loads`)."""
+    return len(ffd_bin_loads(runs, capacity))
 
 
 def first_fit(sizes: Sequence[int], capacity: int) -> PackingResult:

@@ -94,7 +94,13 @@ def big_small(
         reducers.append(list(range(instance.m)))
 
     # Drop reducers fully contained in another (pure cost, no coverage gain).
-    reducers = _prune_dominated(reducers)
+    # Only the big-small reducers can be contained in another: without
+    # bigs the reducers are unions of distinct pairs of disjoint, non-empty
+    # bins, and the prune would keep them all, largest first.
+    if big:
+        reducers = _prune_dominated(reducers)
+    else:
+        reducers.sort(key=len, reverse=True)
     return A2ASchema.from_lists(instance, reducers, algorithm="big_small")
 
 

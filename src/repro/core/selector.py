@@ -21,6 +21,7 @@ from repro.core.a2a import (
     greedy_cover,
     grouped_covering,
     solve_min_reducers,
+    triple_bins,
 )
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.schema import A2ASchema, X2YSchema
@@ -39,6 +40,7 @@ A2A_METHODS = {
     "equal_grouping": equal_sized_grouping,
     "grouped_covering": grouped_covering,
     "bin_pairing": ffd_pairing,
+    "triple_bins": triple_bins,
     "big_small": big_small,
     "greedy": greedy_cover,
     "exact": solve_min_reducers,
@@ -74,8 +76,10 @@ def solve_a2a(instance: A2AInstance, method: str = "auto") -> A2ASchema:
 
     ``method="auto"`` picks: for uniform sizes, the better of the plain
     grouping scheme and the covering-design scheme; the big/small scheme
-    when some input exceeds ``q // 2``; the bin-pairing scheme otherwise
-    (the planner's fast path — see
+    when some input exceeds ``q // 2``; otherwise the triple-bin scheme
+    when every input fits ``q // 3`` and it is predicted no worse on
+    reducers and communication, else the bin-pairing scheme (the
+    planner's fast path — see
     :func:`repro.planner.fastpath.fast_path_a2a`).  Named methods come
     from :data:`A2A_METHODS`.
     """
@@ -84,7 +88,7 @@ def solve_a2a(instance: A2AInstance, method: str = "auto") -> A2ASchema:
         # Imported lazily: the planner package imports these registries.
         from repro.planner.fastpath import fast_path_a2a
 
-        chosen, considered, _ = fast_path_a2a(instance)
+        chosen, considered, _, _ = fast_path_a2a(instance)
         return considered[chosen]
     require_method("A2A", method, A2A_METHODS)
     return A2A_METHODS[method](instance)
@@ -105,7 +109,7 @@ def solve_x2y(instance: X2YInstance, method: str = "auto") -> X2YSchema:
     if method == "auto":
         from repro.planner.fastpath import fast_path_x2y
 
-        chosen, considered, _ = fast_path_x2y(instance)
+        chosen, considered, _, _ = fast_path_x2y(instance)
         return considered[chosen]
     require_method("X2Y", method, X2Y_METHODS)
     return X2Y_METHODS[method](instance)

@@ -11,7 +11,7 @@ This module provides:
 
 * :func:`schonheim_lower_bound` — the classic covering-number bound;
 * :func:`steiner_triple_system` — *exact* optimal designs for s = 3 when
-  ``t ≡ 1, 3 (mod 6)`` (Bose and Skolem constructions);
+  ``t ≡ 3 (mod 6)`` (the Bose construction);
 * :func:`greedy_pair_cover` — a general greedy design for any (t, s);
 * :func:`pair_cover` — front door picking the best available construction.
 """
@@ -62,19 +62,15 @@ def validate_pair_cover(t: int, blocks: list[tuple[int, ...]], s: int | None = N
 def steiner_triple_system(t: int) -> list[tuple[int, int, int]]:
     """An exact Steiner triple system on t points (every pair in ONE triple).
 
-    Implemented constructions:
+    The **Bose** construction for ``t = 6n + 3``: points are
+    ``Z_{2n+1} x {0,1,2}``, numbered ``(i, r) -> 3i + r``; the triples are
+    ``{(i,0),(i,1),(i,2)}`` and, for ``i < j``,
+    ``{(i,r),(j,r),((i+j)*(n+1) mod 2n+1, r+1 mod 3)}``.  Each triple is
+    returned sorted.
 
-    * **Bose** for ``t = 6n + 3``: points are ``Z_{2n+1} x {0,1,2}``;
-      triples are ``{(i,0),(i,1),(i,2)}`` and, for ``i < j``,
-      ``{(i,r),(j,r),((i+j)*(n+1) mod 2n+1, r+1 mod 3)}``.
-    * **Skolem** for ``t = 6n + 1``: the standard construction over
-      ``Z_{6n+1}``... implemented here via the difference-method fallback:
-      for ``t ≡ 1 (mod 6)`` we use the Netto-style base blocks when
-      available and otherwise raise.
-
-    Raises :class:`InvalidInstanceError` when ``t`` is not ``≡ 3 (mod 6)``
-    (the Bose case this module constructs exactly); callers should fall
-    back to :func:`greedy_pair_cover`.
+    Raises :class:`InvalidInstanceError` when ``t`` is not ``≡ 3 (mod 6)``.
+    Systems also exist for ``t ≡ 1 (mod 6)`` (Skolem), but none is
+    constructed here; callers fall back to :func:`greedy_pair_cover`.
     """
     if t % 6 != 3:
         raise InvalidInstanceError(
@@ -84,19 +80,30 @@ def steiner_triple_system(t: int) -> list[tuple[int, int, int]]:
     modulus = 2 * n + 1
     half = n + 1  # multiplicative inverse of 2 modulo 2n+1
 
-    def point(i: int, r: int) -> int:
-        return 3 * i + r
-
-    triples: list[tuple[int, int, int]] = []
+    triples: list[tuple[int, int, int]] = [
+        (3 * i, 3 * i + 1, 3 * i + 2) for i in range(modulus)
+    ]
+    append = triples.append
     for i in range(modulus):
-        triples.append((point(i, 0), point(i, 1), point(i, 2)))
-    for i in range(modulus):
+        a = 3 * i
         for j in range(i + 1, modulus):
-            k = ((i + j) * half) % modulus
-            for r in range(3):
-                triples.append(
-                    tuple(sorted((point(i, r), point(j, r), point(k, (r + 1) % 3))))
-                )
+            b = 3 * j
+            c = 3 * (((i + j) * half) % modulus)
+            # k = (i+j)/2 differs from i and j, so its points sort before
+            # both, between them, or after both, alike in all three rows;
+            # rows r = 0, 1, 2 meet row r + 1 of group k.
+            if c < a:
+                append((c + 1, a, b))
+                append((c + 2, a + 1, b + 1))
+                append((c, a + 2, b + 2))
+            elif c < b:
+                append((a, c + 1, b))
+                append((a + 1, c + 2, b + 1))
+                append((a + 2, c, b + 2))
+            else:
+                append((a, b, c + 1))
+                append((a + 1, b + 1, c + 2))
+                append((a + 2, b + 2, c))
     return triples
 
 

@@ -15,26 +15,34 @@ algorithms:
 * **A2A** — uniform sizes: the better of the plain grouping scheme and
   the covering-design scheme (only the plain scheme when the covering
   scheme raises :class:`~repro.exceptions.SolverLimitError`); any input
-  above ``q // 2``: the big/small scheme; otherwise bin-pairing.
+  above ``q // 2``: the big/small scheme.  Otherwise the triple-bin
+  scheme when every input fits ``q // 3`` and it is no worse than
+  bin-pairing on both reducers and communication, else bin-pairing.  The
+  two are compared on counts predicted from FFD bin loads (no member
+  lists), and only the winner is built; the loser is reported skipped
+  with its predicted counts.
 * **X2Y** — uniform on both sides: the equal-sized grid; big inputs
   present: the better of the big/small scheme and the best-split grid;
   otherwise the best-split grid.
 * **Multiway** — the bin-combining scheme (the only registered method).
 
 Ties between compared candidates keep the first listed method, matching
-the historical ``min()`` behavior.
+the historical ``min()`` behavior; the triple-bin scheme wins its ties.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.binpack.ffd import decreasing_runs, ffd_bin_count, ffd_bin_loads
 from repro.core.a2a import (
     big_small,
     equal_sized_grouping,
     ffd_pairing,
     grouped_covering,
+    triple_bins,
 )
+from repro.core.a2a.triple_bins import triple_bin_costs
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.multiway import MultiwayInstance, multiway_bin_combining
 from repro.core.x2y import best_split_grid, big_small_x2y, equal_sized_grid
@@ -42,13 +50,14 @@ from repro.exceptions import SolverLimitError
 
 
 #: A fast-path decision: chosen registry method name, the schemas of every
-#: candidate the rule compared (name -> schema, in comparison order), and a
-#: one-line statement of the structural rule that fired.
-FastPathChoice = tuple[str, dict[str, Any], str]
+#: candidate the rule built (name -> schema, in comparison order), a
+#: one-line statement of the structural rule that fired, and the
+#: candidates the rule weighed without building (name -> reason).
+FastPathChoice = tuple[str, dict[str, Any], str, dict[str, str]]
 
 
 def fast_path_a2a(instance: A2AInstance) -> FastPathChoice:
-    """Structural A2A dispatch (the historical ``method="auto"`` choice)."""
+    """Structural A2A dispatch (see the module docstring for the rules)."""
     if len(set(instance.sizes)) == 1:
         considered = {"equal_grouping": equal_sized_grouping(instance)}
         try:
@@ -60,6 +69,7 @@ def fast_path_a2a(instance: A2AInstance) -> FastPathChoice:
             chosen,
             considered,
             "uniform sizes: better of plain grouping and covering design",
+            {},
         )
     half = instance.q // 2
     if any(w > half for w in instance.sizes):
@@ -67,11 +77,48 @@ def fast_path_a2a(instance: A2AInstance) -> FastPathChoice:
             "big_small",
             {"big_small": big_small(instance)},
             f"big inputs present (> q//2 = {half}): big/small scheme",
+            {},
+        )
+    runs = decreasing_runs(instance.sizes)
+    third = instance.q // 3
+    if runs[0][0] > third:
+        return (
+            "bin_pairing",
+            {"bin_pairing": ffd_pairing(instance)},
+            "mixed sizes, no big inputs: bin-pairing scheme",
+            {"triple_bins": f"an input exceeds q//3 = {third}"},
+        )
+    # Each of the b >= 2 half-capacity bins meets the other b - 1 once.
+    pairs = ffd_bin_count(runs, half)
+    pairing = (
+        (pairs * (pairs - 1) // 2, (pairs - 1) * instance.total_size)
+        if pairs > 1
+        else (1, instance.total_size)
+    )
+    triple = triple_bin_costs(ffd_bin_loads(runs, third))
+    if triple[0] <= pairing[0] and triple[1] <= pairing[1]:
+        return (
+            "triple_bins",
+            {"triple_bins": triple_bins(instance)},
+            "mixed sizes, no big inputs: triple-bin scheme, no worse than "
+            "bin-pairing on reducers and communication",
+            {"bin_pairing": _predicted(pairing)},
         )
     return (
         "bin_pairing",
         {"bin_pairing": ffd_pairing(instance)},
-        "mixed sizes, no big inputs: bin-pairing scheme",
+        "mixed sizes, no big inputs: bin-pairing scheme, triple-bin scheme "
+        "worse on reducers or communication",
+        {"triple_bins": _predicted(triple)},
+    )
+
+
+def _predicted(costs: tuple[int, int]) -> str:
+    """The skip reason of a candidate the fast path counted but did not
+    build."""
+    return (
+        f"predicted {costs[0]} reducers, communication {costs[1]}; "
+        "not built"
     )
 
 
@@ -82,6 +129,7 @@ def fast_path_x2y(instance: X2YInstance) -> FastPathChoice:
             "equal_grid",
             {"equal_grid": equal_sized_grid(instance)},
             "uniform sizes on both sides: equal-sized grid",
+            {},
         )
     half = instance.q // 2
     has_big = any(w > half for w in instance.x_sizes) or any(
@@ -98,11 +146,13 @@ def fast_path_x2y(instance: X2YInstance) -> FastPathChoice:
             considered,
             f"big inputs present (> q//2 = {half}): better of big/small "
             "and best-split grid",
+            {},
         )
     return (
         "best_split_grid",
         {"best_split_grid": best_split_grid(instance)},
         "mixed sizes, no big inputs: best-split grid",
+        {},
     )
 
 
@@ -112,6 +162,7 @@ def fast_path_multiway(instance: MultiwayInstance) -> FastPathChoice:
         "bin_combining",
         {"bin_combining": multiway_bin_combining(instance)},
         "multiway: generalized bin-combining scheme",
+        {},
     )
 
 

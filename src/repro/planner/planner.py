@@ -7,9 +7,9 @@ inspectable :class:`~repro.planner.plan.Plan`.  Three modes, selected by
 ``spec.method``:
 
 * ``"auto"`` — the **fast path**: the structural dispatch heuristic from
-  :mod:`repro.planner.fastpath` (identical choice to the historical
+  :mod:`repro.planner.fastpath` (the same choice as
   ``solve_*(..., method="auto")``), scoring only the candidates the rule
-  compares.
+  builds; one it weighed on predicted counts alone is listed as skipped.
 * ``None`` — **full planning**: every method in the registries
   (:data:`~repro.core.selector.A2A_METHODS` /
   :data:`~repro.core.selector.X2Y_METHODS` /
@@ -364,13 +364,17 @@ def _plan_uncached(
     candidates: list[CandidateScore] = []
 
     if spec.method == "auto":
-        chosen, considered, rule = fast_path(instance)
+        chosen, considered, rule, skipped = fast_path(instance)
         for name, schema in considered.items():
             with tracer.span(f"score:{name}", category="planner"):
                 schemas[name] = schema
                 candidates.append(
                     score_schema(name, schema, env, spec.objective)
                 )
+        candidates.extend(
+            CandidateScore(method=name, status="skipped", reason=reason)
+            for name, reason in skipped.items()
+        )
         rationale = f"fast path: {rule}"
         mode = "fast-path"
     elif spec.method is not None:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.binpack import best_fit_decreasing, next_fit
-from repro.core.a2a.big_small import big_small, split_big_small
+from repro.binpack import best_fit_decreasing, first_fit_decreasing, next_fit
+from repro.core.a2a.big_small import _prune_dominated, big_small, split_big_small
 from repro.core.a2a.ffd_pairing import ffd_pairing, pair_bins
 from repro.core.bounds import a2a_reducer_lower_bound
 from repro.core.instance import A2AInstance
+from repro.core.schema import A2ASchema
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 
 
@@ -138,3 +141,20 @@ class TestBigSmall:
             for b in range(len(sets)):
                 if a != b:
                     assert not sets[a] < sets[b]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(2, 60).flatmap(
+        lambda q: st.tuples(
+            st.just(q), st.lists(st.integers(1, q // 2), min_size=2, max_size=40)
+        )
+    )
+)
+def test_without_bigs_the_schema_is_the_pruned_pairing(case):
+    """Without big inputs big_small skips the prune: its reducers are
+    what pruning the paired half-capacity bins would keep."""
+    q, sizes = case
+    instance = A2AInstance(sizes, q)
+    pruned = _prune_dominated(pair_bins(first_fit_decreasing(sizes, q // 2).bins))
+    assert big_small(instance).reducers == A2ASchema.from_lists(instance, pruned).reducers

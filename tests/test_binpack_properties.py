@@ -14,7 +14,7 @@ from repro.binpack import (
     next_fit,
     pack_exact,
 )
-from repro.binpack.ffd import decreasing_runs, ffd_bin_count
+from repro.binpack.ffd import decreasing_runs, ffd_bin_count, ffd_bin_loads
 
 sizes_and_capacity = st.integers(1, 30).flatmap(
     lambda cap: st.tuples(
@@ -148,4 +148,6 @@ def test_first_fit_decreasing_matches_bin_reference(case):
 def test_ffd_bin_count_matches_first_fit_decreasing(case):
     sizes, cap = case
     runs = decreasing_runs(sizes)
-    assert ffd_bin_count(runs, cap) == first_fit_decreasing(sizes, cap).num_bins
+    packing = first_fit_decreasing(sizes, cap)
+    assert ffd_bin_count(runs, cap) == packing.num_bins
+    assert ffd_bin_loads(runs, cap) == packing.bin_loads()

@@ -48,10 +48,11 @@ class TestSchonheimBound:
 
 
 class TestSteinerTripleSystem:
-    @pytest.mark.parametrize("t", [3, 9, 15, 21, 27, 33, 39])
+    @pytest.mark.parametrize("t", [3, 9, 15, 21, 27, 33, 39, 471])
     def test_valid_and_exactly_minimal(self, t):
         triples = steiner_triple_system(t)
         validate_pair_cover(t, triples, s=3)
+        assert all(a < b < c for a, b, c in triples)
         # A Steiner system has exactly t(t-1)/6 triples: every pair once.
         assert len(triples) == t * (t - 1) // 6
         assert len(triples) == schonheim_lower_bound(t, 3)
@@ -167,7 +168,7 @@ class TestGroupedCoveringSizeLimit:
         assert isinstance(excinfo.value, ReproError)
 
     def test_fast_path_compares_only_successful_candidates(self):
-        chosen, considered, _ = fast_path_a2a(self.INSTANCE)
+        chosen, considered, _, _ = fast_path_a2a(self.INSTANCE)
         assert chosen == "equal_grouping"
         assert list(considered) == ["equal_grouping"]
 

@@ -19,9 +19,9 @@ from repro.apps.common_friends import (
 )
 from repro.apps.similarity_join import (
     _broadcast_engine,
-    _similarity_reduce,
     run_broadcast_baseline,
     run_similarity_join,
+    similarity_reducer,
 )
 from repro.apps.skew_join import (
     _hash_join_engine,
@@ -139,11 +139,7 @@ class TestApplicationCrossValidation:
         run = run_similarity_join(
             documents, 50, 0.02, config=ExecutionConfig(backend=backend)
         )
-        reduce_fn = partial(
-            _similarity_reduce,
-            masks=a2a_reducer_masks(run.schema),
-            threshold=0.02,
-        )
+        reduce_fn = similarity_reducer(run.schema, documents, 0.02)
         oracle = schema_oracle(run.schema, documents, reduce_fn, backend)
         assert run.pairs and run.pairs == tuple(oracle.outputs)
         assert run.metrics == oracle.metrics

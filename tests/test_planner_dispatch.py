@@ -4,7 +4,8 @@ Pins the big/small cutoff at exactly ``q // 2`` vs ``q // 2 + 1``,
 single-input and all-equal-sizes instances, and — the compatibility
 contract — that the planner's fast path makes the same choice as the
 historical ``method="auto"`` heuristic on a sweep of instance shapes
-(the heuristic is reimplemented verbatim in this file as the oracle).
+(the heuristic is reimplemented in this file as the oracle, building
+every schema the fast path only counts).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.core.a2a import (
     equal_sized_grouping,
     ffd_pairing,
     grouped_covering,
+    triple_bins,
 )
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.selector import solve_a2a, solve_x2y
@@ -26,14 +28,24 @@ ENV = Environment(num_workers=2, memory_bytes=1 << 30)
 
 
 def legacy_auto_a2a(instance: A2AInstance):
-    """The pre-planner ``solve_a2a(..., "auto")`` body, kept as the oracle."""
+    """The pre-planner ``solve_a2a(..., "auto")`` body, kept as the oracle,
+    with the triple-bin rule added by building both candidate schemas."""
     if len(set(instance.sizes)) == 1:
         candidates = [equal_sized_grouping(instance), grouped_covering(instance)]
         return min(candidates, key=lambda s: s.num_reducers)
     half = instance.q // 2
     if any(w > half for w in instance.sizes):
         return big_small(instance)
-    return ffd_pairing(instance)
+    pairing = ffd_pairing(instance)
+    if max(instance.sizes) > instance.q // 3:
+        return pairing
+    triple = triple_bins(instance)
+    if (
+        triple.num_reducers <= pairing.num_reducers
+        and triple.communication_cost <= pairing.communication_cost
+    ):
+        return triple
+    return pairing
 
 
 def legacy_auto_x2y(instance: X2YInstance):
@@ -54,24 +66,24 @@ class TestBigSmallCutoff:
     def test_a2a_size_exactly_half_q_stays_on_bin_pairing(self):
         # q = 20 -> half = 10; a size of exactly 10 is NOT big.
         instance = A2AInstance([10, 3, 4, 5], q=20)
-        chosen, _, rule = fast_path_a2a(instance)
+        chosen, _, rule, _ = fast_path_a2a(instance)
         assert chosen == "bin_pairing"
         assert "no big inputs" in rule
 
     def test_a2a_size_half_q_plus_one_routes_to_big_small(self):
         instance = A2AInstance([11, 3, 4, 5], q=20)
-        chosen, _, rule = fast_path_a2a(instance)
+        chosen, _, rule, _ = fast_path_a2a(instance)
         assert chosen == "big_small"
         assert "big inputs present" in rule
 
     def test_x2y_size_exactly_half_q_stays_on_grid(self):
         instance = X2YInstance([7, 2], [3, 4], q=14)
-        chosen, _, _ = fast_path_x2y(instance)
+        chosen, _, _, _ = fast_path_x2y(instance)
         assert chosen == "best_split_grid"
 
     def test_x2y_size_half_q_plus_one_considers_big_small(self):
         instance = X2YInstance([8, 2], [3, 4], q=14)
-        chosen, considered, _ = fast_path_x2y(instance)
+        chosen, considered, _, _ = fast_path_x2y(instance)
         assert set(considered) == {"big_small", "best_split_grid"}
         expected = min(
             considered, key=lambda name: considered[name].num_reducers
@@ -99,14 +111,14 @@ class TestDegenerateShapes:
         assert planned.schema().verify().valid
 
     def test_all_equal_sizes_takes_uniform_rule(self):
-        chosen, considered, rule = fast_path_a2a(A2AInstance([3] * 9, q=9))
+        chosen, considered, rule, _ = fast_path_a2a(A2AInstance([3] * 9, q=9))
         assert set(considered) == {"equal_grouping", "grouped_covering"}
         assert "uniform" in rule
         best = min(considered.values(), key=lambda s: s.num_reducers)
         assert considered[chosen].num_reducers == best.num_reducers
 
     def test_all_equal_sizes_x2y(self):
-        chosen, _, _ = fast_path_x2y(X2YInstance([2] * 4, [2] * 5, q=8))
+        chosen, _, _, _ = fast_path_x2y(X2YInstance([2] * 4, [2] * 5, q=8))
         assert chosen == "equal_grid"
 
 
@@ -122,6 +134,9 @@ class TestFastPathMatchesLegacyAuto:
         ([5, 5, 5, 5], 10),
         ([6, 6, 1, 1, 1], 12),
         ([3, 3, 3], 18),
+        ([1, 2, 3, 4, 2, 1, 3, 4, 2, 2, 3, 1], 12),
+        ([5, 7, 9, 11, 13, 2, 4, 6, 8, 10] * 3, 40),
+        ([1, 2, 3, 4, 5, 6] * 10, 30),
     ]
 
     X2Y_SHAPES = [
@@ -139,7 +154,7 @@ class TestFastPathMatchesLegacyAuto:
     def test_a2a_sweep(self, sizes, q):
         instance = A2AInstance(sizes, q)
         oracle = legacy_auto_a2a(instance)
-        chosen, considered, _ = fast_path_a2a(instance)
+        chosen, considered, _, _ = fast_path_a2a(instance)
         assert considered[chosen].reducers == oracle.reducers
         assert considered[chosen].algorithm == oracle.algorithm
         # And the public facade still returns the identical schema.
@@ -152,7 +167,7 @@ class TestFastPathMatchesLegacyAuto:
     def test_x2y_sweep(self, x_sizes, y_sizes, q):
         instance = X2YInstance(x_sizes, y_sizes, q)
         oracle = legacy_auto_x2y(instance)
-        chosen, considered, _ = fast_path_x2y(instance)
+        chosen, considered, _, _ = fast_path_x2y(instance)
         assert considered[chosen].reducers == oracle.reducers
         assert considered[chosen].algorithm == oracle.algorithm
         assert solve_x2y(instance).reducers == oracle.reducers

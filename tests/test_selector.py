@@ -45,12 +45,15 @@ class TestSolveA2A:
             solve_a2a(A2AInstance([8, 8], 12), method="greedy")
 
     def test_all_registered_methods_solve_a_small_instance(self):
-        instance = A2AInstance([2, 3, 2, 3], 6)
-        for name in A2A_METHODS:
-            if name in ("equal_grouping", "grouped_covering"):
-                continue  # require uniform sizes
-            schema = solve_a2a(instance, method=name)
-            assert schema.verify().valid, name
+        # At q=6 two inputs exceed q // 3; q=9 admits triple_bins too.
+        for instance in (A2AInstance([2, 3, 2, 3], 6), A2AInstance([2, 3, 2, 3], 9)):
+            for name in A2A_METHODS:
+                if name in ("equal_grouping", "grouped_covering"):
+                    continue  # require uniform sizes
+                if name == "triple_bins" and instance.q == 6:
+                    continue  # requires every input <= q // 3
+                schema = solve_a2a(instance, method=name)
+                assert schema.verify().valid, name
 
 
 class TestSolveX2Y:

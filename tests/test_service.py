@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import threading
 import time
-from functools import partial
 
 import pytest
 
 from repro.apps.similarity_join import (
-    _similarity_reduce,
     run_similarity_join,
+    similarity_reducer,
     similarity_spec,
 )
 from repro.engine.config import ExecutionConfig
-from repro.engine.routing import a2a_reducer_masks
 from repro.exceptions import (
     AdmissionError,
     InfeasibleInstanceError,
@@ -476,14 +474,11 @@ class TestCrossValidation:
         spec = similarity_spec(documents, self.Q)
         with JobService(slots=2, env=ENV) as service:
             planned = plan(spec, service.env)
-            masks = a2a_reducer_masks(planned.schema())
             handle = service.submit(
                 spec,
                 records=documents,
-                reduce_fn=partial(
-                    _similarity_reduce,
-                    masks=masks,
-                    threshold=self.THRESHOLD,
+                reduce_fn=similarity_reducer(
+                    planned.schema(), documents, self.THRESHOLD
                 ),
                 config=ExecutionConfig(backend="threads", num_workers=2),
             )
