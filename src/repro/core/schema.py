@@ -11,9 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq
 
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.verify import VerificationReport, require_valid, verify_a2a, verify_x2y
+
+
+def _normalized(indices) -> tuple[int, ...]:
+    """*indices* ascending, each once.
+
+    Sorting first and building a set only when two neighbours are equal
+    is cheaper than deduplicating every reducer through a set.
+    """
+    ordered = sorted(indices)
+    if any(map(eq, ordered, ordered[1:])):
+        ordered = sorted(set(ordered))
+    return tuple(ordered)
 
 
 @dataclass(frozen=True)
@@ -41,7 +54,7 @@ class A2ASchema:
         Indices within each reducer are deduplicated and sorted so schemas
         compare structurally.
         """
-        normalized = tuple(tuple(sorted(set(r))) for r in reducers)
+        normalized = tuple(map(_normalized, reducers))
         return cls(instance=instance, reducers=normalized, algorithm=algorithm)
 
     @property
@@ -115,8 +128,7 @@ class X2YSchema:
     ) -> "X2YSchema":
         """Build a schema from iterables of ``(x_indices, y_indices)`` pairs."""
         normalized = tuple(
-            (tuple(sorted(set(x_part))), tuple(sorted(set(y_part))))
-            for x_part, y_part in reducers
+            (_normalized(x_part), _normalized(y_part)) for x_part, y_part in reducers
         )
         return cls(instance=instance, reducers=normalized, algorithm=algorithm)
 

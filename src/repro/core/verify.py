@@ -9,9 +9,11 @@ rather than a bare bool so tests and callers can see *which* constraint broke.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from operator import lt
+from typing import TYPE_CHECKING, Sequence
 
 from repro.exceptions import InvalidSchemaError
+from repro.utils.bits import set_bits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from repro.core.schema import A2ASchema, X2YSchema
@@ -57,39 +59,75 @@ class VerificationReport:
 _MAX_REPORTED = 50
 
 
+def _members(
+    r_index: int,
+    indices: Sequence[int],
+    sizes: Sequence[int],
+    duplicates: list[tuple[int, object]],
+    side: str | None = None,
+) -> tuple[Sequence[int], int]:
+    """One side of reducer *r_index*: its pair-naming indices and its load.
+
+    The indices come back distinct, ascending and without negative ones
+    (those index a size from the end, but name no pair).  The load counts
+    each distinct index once; a repeated index is recorded in
+    *duplicates*, as ``(side, index)`` when *side* is given.
+    """
+    if all(map(lt, indices, indices[1:])):
+        # Strictly ascending, as from_lists normalises: nothing repeats.
+        load = sum(map(sizes.__getitem__, indices))
+    else:
+        seen: set[int] = set()
+        load = 0
+        for i in indices:
+            if i in seen:
+                duplicates.append((r_index, i if side is None else (side, i)))
+                continue
+            seen.add(i)
+            load += sizes[i]
+        indices = sorted(seen)
+    if indices and indices[0] < 0:
+        indices = [i for i in indices if i >= 0]
+    return indices, load
+
+
+def _first_missing(rows: list[int], width: int, upper_only: bool) -> list[tuple[int, int]]:
+    """The first :data:`_MAX_REPORTED` pairs ``(i, j)`` whose bit ``j`` of
+    ``rows[i]`` is clear, with ``j < width`` (and ``j > i`` if
+    *upper_only*), in ascending ``(i, j)`` order."""
+    full = (1 << width) - 1
+    missing_pairs: list[tuple[int, int]] = []
+    for i, row in enumerate(rows):
+        missing = full & ~row
+        if upper_only:
+            missing = missing >> (i + 1) << (i + 1)
+        missing_pairs.extend((i, j) for j in set_bits(missing))
+        if len(missing_pairs) >= _MAX_REPORTED:
+            return missing_pairs[:_MAX_REPORTED]
+    return missing_pairs
+
+
 def verify_a2a(schema: "A2ASchema") -> VerificationReport:
-    """Verify an A2A schema: capacities and all-pairs coverage."""
+    """Verify an A2A schema: capacities and all-pairs coverage.
+
+    Coverage is kept as one bitmask per input: bit ``j`` of
+    ``met[i]`` is set once inputs ``i`` and ``j`` share a reducer.
+    """
     instance = schema.instance
-    sizes = instance.sizes
     capacity_violations: list[tuple[int, int]] = []
     duplicates: list[tuple[int, object]] = []
 
-    covered: set[int] = set()
-    m = instance.m
+    met = [0] * instance.m
+    bit = [1 << i for i in range(instance.m)]
     for r_index, reducer in enumerate(schema.reducers):
-        seen_here: set[int] = set()
-        load = 0
-        for i in reducer:
-            if i in seen_here:
-                duplicates.append((r_index, i))
-                continue
-            seen_here.add(i)
-            load += sizes[i]
+        members, load = _members(r_index, reducer, instance.sizes, duplicates)
         if load > instance.q and len(capacity_violations) < _MAX_REPORTED:
             capacity_violations.append((r_index, load))
-        members = sorted(seen_here)
-        for a_pos, i in enumerate(members):
-            base = i * m
-            for j in members[a_pos + 1:]:
-                covered.add(base + j)
+        mask = sum(map(bit.__getitem__, members))
+        for i in members:
+            met[i] |= mask
 
-    uncovered: list[tuple[int, int]] = []
-    for i, j in instance.pairs():
-        if i * m + j not in covered:
-            uncovered.append((i, j))
-            if len(uncovered) >= _MAX_REPORTED:
-                break
-
+    uncovered = _first_missing(met, instance.m, upper_only=True)
     valid = not capacity_violations and not uncovered
     return VerificationReport(
         valid=valid,
@@ -101,43 +139,28 @@ def verify_a2a(schema: "A2ASchema") -> VerificationReport:
 
 
 def verify_x2y(schema: "X2YSchema") -> VerificationReport:
-    """Verify an X2Y schema: capacities and all-cross-pairs coverage."""
+    """Verify an X2Y schema: capacities and all-cross-pairs coverage.
+
+    Coverage is kept as one bitmask per X input: bit ``j`` of ``met[i]``
+    is set once X input ``i`` and Y input ``j`` share a reducer.
+    """
     instance = schema.instance
     capacity_violations: list[tuple[int, int]] = []
     duplicates: list[tuple[int, object]] = []
 
-    n = instance.n
-    covered: set[int] = set()
+    met = [0] * instance.m
+    bit = [1 << j for j in range(instance.n)]
     for r_index, (x_part, y_part) in enumerate(schema.reducers):
-        load = 0
-        x_seen: set[int] = set()
-        y_seen: set[int] = set()
-        for i in x_part:
-            if i in x_seen:
-                duplicates.append((r_index, ("x", i)))
-                continue
-            x_seen.add(i)
-            load += instance.x_sizes[i]
-        for j in y_part:
-            if j in y_seen:
-                duplicates.append((r_index, ("y", j)))
-                continue
-            y_seen.add(j)
-            load += instance.y_sizes[j]
+        x_members, x_load = _members(r_index, x_part, instance.x_sizes, duplicates, "x")
+        y_members, y_load = _members(r_index, y_part, instance.y_sizes, duplicates, "y")
+        load = x_load + y_load
         if load > instance.q and len(capacity_violations) < _MAX_REPORTED:
             capacity_violations.append((r_index, load))
-        for i in x_seen:
-            base = i * n
-            for j in y_seen:
-                covered.add(base + j)
+        y_mask = sum(map(bit.__getitem__, y_members))
+        for i in x_members:
+            met[i] |= y_mask
 
-    uncovered: list[tuple[int, int]] = []
-    for i, j in instance.pairs():
-        if i * n + j not in covered:
-            uncovered.append((i, j))
-            if len(uncovered) >= _MAX_REPORTED:
-                break
-
+    uncovered = _first_missing(met, instance.n, upper_only=False)
     valid = not capacity_violations and not uncovered
     return VerificationReport(
         valid=valid,

@@ -72,7 +72,11 @@ EXACT_X2Y_PAIR_LIMIT = 15
 #: reducer (quadratic-and-worse in the input count); above this many
 #: inputs the planner skips them — on instances that large they are
 #: never competitive on planning latency, which full planning pays even
-#: for candidates it does not choose.
+#: for candidates it does not choose.  With the bitmask kernels, one
+#: greedy build at the limit takes about 15 ms for A2A (m = 64) and 4 ms
+#: for X2Y (m + n = 64) on a 2-vCPU VM, against 80 ms and 21 ms for the
+#: set-based loops they replaced.  The limit stays: the skip reason is
+#: part of plan JSON, and a higher limit would change chosen plans.
 GREEDY_INPUT_LIMIT = 64
 
 #: Assumed bytes per size unit when translating the routed input volume

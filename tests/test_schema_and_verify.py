@@ -43,6 +43,13 @@ class TestA2ASchema:
         schema = A2ASchema.from_lists(instance, [[1, 0, 1]])
         assert schema.reducers == ((0, 1),)
 
+    def test_from_lists_normalises_like_a_set_per_reducer(self):
+        instance = A2AInstance([1] * 6, 6)
+        raw = [[5, 0, 5, 3, 3, 3], (2, 1), [4], [], [0, 0], {3, 1}, (0, 1, 2, 3, 4, 5, 0)]
+        schema = A2ASchema.from_lists(instance, raw)
+        assert schema.reducers == tuple(tuple(sorted(set(r))) for r in raw)
+        assert A2ASchema.from_lists(instance, [iter([2, 0, 2])]).reducers == ((0, 2),)
+
     def test_capacity_violation_detected(self):
         instance = A2AInstance([6, 6], 12)
         overloaded = A2ASchema.from_lists(instance, [[0, 1], [0, 1, 0]])
@@ -116,6 +123,12 @@ class TestX2YSchema:
         report = schema.verify()
         assert not report.valid
         assert (0, 1) in report.uncovered_pairs
+
+    def test_from_lists_dedupes_and_sorts_both_sides(self):
+        instance = X2YInstance([1, 1, 1], [1, 1], 9)
+        raw = [([2, 0, 2, 2], (1, 1, 0)), ((), [1]), (iter([1, 0, 1]), {0})]
+        schema = X2YSchema.from_lists(instance, raw)
+        assert schema.reducers == (((0, 2), (0, 1)), ((), (1,)), ((0, 1), (0,)))
 
     def test_loads_sum_both_sides(self):
         instance = X2YInstance([2, 3], [4], 9)
