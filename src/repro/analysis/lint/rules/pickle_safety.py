@@ -6,7 +6,7 @@ functions defined inside other functions are not importable by name, so
 they fail at dispatch time on the process backend only — exactly the kind
 of backend-dependent behaviour the determinism contract forbids.  Worse, a
 nested task function can close over a lock, pool, or tracer from the
-enclosing scope; even where it *does* pickle (thread backend), the capture
+enclosing scope; even where it never pickles (serial backend), the capture
 smuggles shared mutable state into what must be a pure task.
 
 Allowed idiom: a module-level function, optionally pre-bound with

@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fallback",
         action="store_true",
         help="graceful degradation: retry the run down the chain "
-        "processes -> threads -> serial when a backend cannot run",
+        "processes -> serial when a backend cannot run",
     )
 
     serve = commands.add_parser(

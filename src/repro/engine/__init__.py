@@ -9,9 +9,10 @@ MapReduce job: every reducer receives exactly the records of the inputs
 the plan assigns to it, the parent routes each record once to each
 reduce task holding one of its reducers (a schema-routed shuffle with no
 map tasks), and the reduce tasks run on a pluggable backend (``serial``,
-``threads``, ``processes``).  The serial backend is validated to be
-byte-identical to the reference simulator (:mod:`repro.mapreduce`); the
-parallel backends translate schema quality into wall-clock speedups.
+the planner's choice for every job, or ``processes`` when a caller names
+it).  The serial backend is validated to be byte-identical to the
+reference simulator (:mod:`repro.mapreduce`), and the process backend to
+the serial one.
 Past a ``memory_budget``, routed records spill to disk as one pickled
 record table per partition and flush (:mod:`repro.engine.spill`).
 
@@ -27,7 +28,7 @@ Quickstart::
     def reduce_fn(reducer, values):   # values are (input_index, record)
         yield reducer, sorted(i for i, _ in values)
 
-    result = execute_schema(schema, records, reduce_fn, backend="threads")
+    result = execute_schema(schema, records, reduce_fn)  # or backend="processes"
     print(result.outputs, result.engine.as_row())
 """
 
@@ -36,7 +37,6 @@ from repro.engine.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_workers,
     get_backend,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "execute_schema",
     "Backend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BACKENDS",
     "get_backend",

@@ -7,17 +7,17 @@ Everything schema- or MapReduce-specific lives in
 correctness is backend-independent and the backends can be compared
 purely on wall clock.
 
-Three backends ship:
+Two backends ship:
 
-* ``serial`` — runs each task inline; the reference the others are
-  validated against.
-* ``threads`` — :class:`concurrent.futures.ThreadPoolExecutor`; wins when
-  task bodies release the GIL (I/O, zlib/hashlib, numpy) and costs little
-  otherwise.
-* ``processes`` — :class:`concurrent.futures.ProcessPoolExecutor`; wins on
-  CPU-bound reduce work, but requires the task function and payloads to
+* ``serial`` — runs each task inline; the reference the other is
+  validated against, and what the planner resolves every job to.
+* ``processes`` — :class:`concurrent.futures.ProcessPoolExecutor`; for
+  callers that name it, but requires the task function and payloads to
   be picklable (module-level functions and :func:`functools.partial` over
   them qualify; closures do not).
+
+There is no thread backend: pure-Python reduce work holds the GIL, and a
+thread pool never beat ``serial`` on a benchmark workload.
 
 Every backend dispatches through one windowed loop,
 :meth:`Backend.run_tasks`.  It pulls tasks lazily, keeps at most
@@ -199,14 +199,10 @@ class Backend(ABC):
         self.pool_rebuilds = 0
 
     #: Whether tasks run inline in the calling thread, one at a time.
-    #: True only for the poolless serial backend; every other backend
-    #: submits each task to its worker pool.
+    #: True only for the poolless serial backend, where the injector
+    #: degrades a ``kill`` to a task crash; the process backend submits
+    #: each task to a disposable worker process, which a kill terminates.
     runs_inline: bool = False
-
-    #: Whether an injected ``kill`` fault may really terminate a worker on
-    #: this backend.  True only where workers are disposable OS processes;
-    #: elsewhere the injector degrades a kill to a task crash.
-    supports_worker_kill: bool = False
 
     def run_tasks(
         self,
@@ -260,7 +256,7 @@ class Backend(ABC):
                 fn=fn,
                 injector=injector,
                 phase=phase,
-                allow_kill=self.supports_worker_kill,
+                allow_kill=not self.runs_inline,
             )
         call = self._task_callable(fn)
         source = iter(tasks)
@@ -575,17 +571,6 @@ class SerialBackend(Backend):
         return None
 
 
-class ThreadBackend(Backend):
-    """Thread-pool backend built on :class:`ThreadPoolExecutor`."""
-
-    name = "threads"
-
-    def _make_pool(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self.max_workers)
-
-
 #: Per-worker cache of recently unpickled task functions, keyed by their
 #: pickle bytes.  A single engine run sees one distinct function per phase,
 #: but a *shared* pool (the job service runs concurrent jobs on one
@@ -629,7 +614,6 @@ class ProcessBackend(Backend):
     """
 
     name = "processes"
-    supports_worker_kill = True
 
     def _make_pool(self):
         from concurrent.futures import ProcessPoolExecutor
@@ -649,7 +633,6 @@ class ProcessBackend(Backend):
 #: Name -> backend class; the CLI and benches iterate this.
 BACKENDS: dict[str, type[Backend]] = {
     SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
 }
 

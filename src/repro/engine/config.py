@@ -42,7 +42,7 @@ class ExecutionConfig:
     and the object is frozen, so the engine never re-checks them.
 
     Attributes:
-        backend: backend name (``serial``/``threads``/``processes``) or a
+        backend: backend name (``serial``/``processes``) or a
             pre-built :class:`~repro.engine.backends.Backend`.  A named
             backend's pool lives for exactly one run; a pre-built instance
             is caller-owned — its pool is opened persistently on first
@@ -88,7 +88,7 @@ class ExecutionConfig:
         fallback: opt-in graceful degradation — when a named backend
             cannot run (its pool cannot be built, or workers keep dying
             past the retry budget), retry the whole run down the chain
-            ``processes → threads → serial``.  Needs a re-iterable record
+            ``processes → serial``.  Needs a re-iterable record
             source; the engine rejects a single-use iterator up front.
     """
 

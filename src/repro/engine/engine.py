@@ -109,7 +109,7 @@ _TASKS_PER_WORKER = 4
 #: Graceful-degradation order: when ``fallback=True`` and a named backend
 #: cannot run (pool construction fails, or workers keep dying past the
 #: retry budget), the run is replayed on the next backend in this chain.
-_FALLBACK_CHAIN = ("processes", "threads", "serial")
+_FALLBACK_CHAIN = ("processes", "serial")
 
 
 def _should_fall_back(exc: BaseException) -> bool:

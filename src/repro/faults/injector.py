@@ -24,8 +24,8 @@ Four fault kinds model the classic MapReduce failure modes:
 ``kill``
     the worker *process* dies mid-task (``os._exit``), breaking the
     process pool — this is the worker-death path that forces pool rebuild
-    and in-flight task replay.  On backends without killable workers
-    (serial, threads) it degrades to a crash, so outcomes stay identical
+    and in-flight task replay.  On the serial backend, which has no
+    killable workers, it degrades to a crash, so outcomes stay identical
     across backends.
 ``delay``
     the attempt sleeps (a straggler) before running; pairs with per-task

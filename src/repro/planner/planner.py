@@ -122,7 +122,11 @@ def _skip_reason(
     Gates the methods whose construction cost explodes with instance
     size: full planning builds every candidate schema, so an expensive
     candidate taxes planning latency even when it loses the comparison.
+    ``bin_pairing`` (A2A only) is skipped when no input exceeds ``q // 2``:
+    ``big_small`` then builds the same reducers and wins the tie-break.
     """
+    if name == "bin_pairing" and max(instance.sizes) <= instance.q // 2:
+        return "same reducers as big_small: no input above q//2"
     if name == "exact":
         if isinstance(instance, A2AInstance) and instance.m > EXACT_A2A_INPUT_LIMIT:
             return (
@@ -219,18 +223,16 @@ def resolve_execution_config(
 
     The rules (also documented in the README's knob table):
 
-    * ``backend`` — ``serial`` on a single-worker machine or for a
-      single-reducer schema (nothing to parallelize); ``threads``
-      otherwise (shared memory, no pickling constraints on user code).
-    * ``num_workers`` — ``min(env workers, reducer count)``; ``None``
-      (machine default) when serial.
-    * ``num_reduce_tasks`` — ``min(reducer count, 4 × workers)``;
-      ``None`` (adaptive) when serial.
+    * ``backend`` — ``serial`` unless the caller names a backend, for
+      every schema and machine (*num_reducers* and the worker count do
+      not enter it), with ``num_workers`` and ``num_reduce_tasks`` left
+      ``None``: one reduce partition.  Every reduce function here is pure
+      Python, and no pool beat serial on a benchmark workload.
     * ``memory_budget`` — set only when the estimated shuffle footprint
       exceeds :data:`MEMORY_FRACTION` of available memory.  The engine
       ships each input once per reduce partition holding one of its
       reducers, so the routed volume is at most both the schema's
-      *communication_cost* and the partition count times the inputs'
+      *communication_cost* and the partition count (one) times the inputs'
       *total_size*; the footprint is the smaller of the two times
       :data:`BYTES_PER_SIZE_UNIT`.  The parent holds all routed pairs
       in one buffer and the budget counts pairs, whatever their size,
@@ -240,17 +242,9 @@ def resolve_execution_config(
       environment could not measure memory.
     * ``spill_dir`` — always ``None`` (system temporary directory).
     """
-    if env.num_workers <= 1 or num_reducers <= 1:
-        backend = "serial"
-        workers: int | None = None
-        reduce_tasks: int | None = None
-    else:
-        backend = "threads"
-        workers = min(env.num_workers, num_reducers)
-        reduce_tasks = min(num_reducers, workers * 4)
     memory_budget: int | None = None
     if env.memory_bytes is not None:
-        routed = min(communication_cost, (reduce_tasks or 1) * total_size)
+        routed = min(communication_cost, total_size)
         shuffle_share = int(env.memory_bytes * MEMORY_FRACTION)
         if routed * BYTES_PER_SIZE_UNIT > shuffle_share:
             mean_size = -(-total_size // num_inputs)
@@ -258,12 +252,7 @@ def resolve_execution_config(
                 MIN_MEMORY_BUDGET,
                 shuffle_share // (BYTES_PER_SIZE_UNIT * mean_size),
             )
-    return ExecutionConfig(
-        backend=backend,
-        num_workers=workers,
-        num_reduce_tasks=reduce_tasks,
-        memory_budget=memory_budget,
-    )
+    return ExecutionConfig(backend="serial", memory_budget=memory_budget)
 
 
 class PlanCacheProtocol(Protocol):

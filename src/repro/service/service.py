@@ -6,9 +6,10 @@ jobs and get back a :class:`JobHandle`; a fair priority-FIFO scheduler
 (:class:`~repro.service.scheduler.JobScheduler`) runs up to K jobs
 concurrently; planning goes through a shared
 :class:`~repro.service.plan_cache.PlanCache` (a hit skips method
-enumeration entirely); execution runs on **shared, long-lived backend
-pools** owned by the service — one pool per ``(backend, workers)`` shape,
-opened persistently and reused by every job instead of being built and
+enumeration entirely); a planned job runs serially in its scheduler slot,
+and one that names ``processes`` runs on a **shared, long-lived pool**
+owned by the service — one pool per ``(backend, workers)`` shape, opened
+persistently and reused by every such job instead of being built and
 torn down per run; finished outputs land in a bounded LRU
 :class:`~repro.service.results.ResultStore`.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
@@ -74,6 +76,10 @@ from repro.service.events import (
 from repro.service.plan_cache import PlanCache
 from repro.service.results import JobResult, ResultStore
 from repro.service.scheduler import JobScheduler
+
+#: Finished job records kept per result-store slot: a record outlives its
+#: result, so an evicted result reads as evicted, not unknown.
+TERMINAL_RECORDS_PER_RESULT = 4
 
 
 def spec_records(
@@ -249,7 +255,9 @@ class JobService:
             so every job in a service session plans against the same
             snapshot (a requirement for plan-cache hits).
         plan_cache_size: retained plans (LRU).
-        result_capacity: retained job results (LRU).
+        result_capacity: retained job results (LRU).  The job table keeps
+            every unfinished job and the latest
+            :data:`TERMINAL_RECORDS_PER_RESULT` × this many finished ones.
         default_priority: priority for submissions that do not set one.
         tracer: optional :class:`~repro.obs.trace.Tracer`.  When given,
             every job runs under its own trace id (the job id, a
@@ -295,8 +303,10 @@ class JobService:
         self._started_mono = time.perf_counter()
         self.events = EventLog(tracer=self.tracer)
         self.default_priority = default_priority
-        self._records: dict[str, _JobRecord] = {}
-        self._order: list[str] = []
+        self._records: dict[str, _JobRecord] = {}  # in submission order
+        # Ids of finished records still in the table, oldest first.
+        self._finished: deque[str] = deque()
+        self._finished_limit = TERMINAL_RECORDS_PER_RESULT * result_capacity
         # Reentrant: events are emitted while holding the lock (so the
         # event stream can never reorder against state commits), and
         # subscribers may call back into status()/list() on that thread.
@@ -324,10 +334,11 @@ class JobService:
 
         Without *records* the job is *plan-only*: it produces a plan (via
         the shared plan cache) and no engine run.  With *records* (and a
-        *reduce_fn*) the job executes the planned schema on the service's
-        shared backend pools; *config* overrides the plan's resolved
-        execution configuration, and is the one place a job's recovery
-        policy lives: ``ExecutionConfig(retry=..., deadline=...)`` bounds
+        *reduce_fn*) the job executes the planned schema, serially unless
+        *config* names ``processes`` (the service's shared pool); *config*
+        overrides the plan's resolved execution configuration, and is the
+        one place a job's recovery policy lives:
+        ``ExecutionConfig(retry=..., deadline=...)`` bounds
         per-task replay and the whole run's seconds from dispatch (the
         plan's resolved config never carries either).  Jobs that fail
         admission control are returned in the ``rejected`` state rather
@@ -367,7 +378,6 @@ class JobService:
                 "job", category="service", kind=spec.kind
             )
             self._records[job_id] = record
-            self._order.append(job_id)
         self.metrics.counter("jobs.submitted").inc()
         rejection = self._admission_reason(spec, config)
         if rejection is not None:
@@ -438,9 +448,9 @@ class JobService:
             return record.snapshot()
 
     def list(self) -> list[JobStatus]:
-        """Every known job's status, in submission order."""
+        """Every retained job's status, in submission order."""
         with self._lock:
-            return [self._records[job_id].snapshot() for job_id in self._order]
+            return [record.snapshot() for record in self._records.values()]
 
     def wait(self, job_id: str, timeout: float | None = None) -> JobStatus:
         """Block until the job reaches a terminal state (or *timeout*)."""
@@ -512,11 +522,18 @@ class JobService:
     # -- service-wide introspection and lifecycle ------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Aggregate service counters (plan cache, results, pools, jobs)."""
-        with self._lock:
+        """Aggregate service counters (plan cache, results, pools, jobs);
+        finished jobs come from the ``jobs.<state>`` counters."""
+        with self._lock:  # the lock transitions commit under
+            counters = self.metrics.snapshot()["counters"]
             states: dict[str, int] = {}
             for record in self._records.values():
-                states[record.state] = states.get(record.state, 0) + 1
+                if record.state not in TERMINAL_STATES:
+                    states[record.state] = states.get(record.state, 0) + 1
+        for state in sorted(TERMINAL_STATES):
+            finished = int(counters.get(f"jobs.{state}", 0))
+            if finished:
+                states[state] = finished
         with self._backend_lock:
             pools = {
                 f"{name}@{workers or 'auto'}": backend.pools_created
@@ -671,6 +688,11 @@ class JobService:
                     record.root_span.set("state", state)
                     record.tracer.finish(record.root_span)
                 record.done.set()
+                self._finished.append(record.job_id)
+                while len(self._finished) > self._finished_limit:
+                    dropped = self._finished.popleft()
+                    del self._records[dropped]
+                    self.results.discard(dropped)
 
     def _emit(self, record: _JobRecord, state: str, *, detail: str = "") -> None:
         self.events.emit(
@@ -678,16 +700,18 @@ class JobService:
         )
 
     def _shared_config(self, config: ExecutionConfig) -> ExecutionConfig:
-        """Swap a named backend for the service's shared, long-lived pool.
+        """Swap a named pooled backend for the service's shared pool.
 
         Pools are keyed by ``(backend name, worker count)`` and opened
         persistently on first use; every job with the same shape reuses
-        the same pool, which is the whole point of the service layer —
-        the engine no longer pays pool startup per run.  Caller-provided
-        live :class:`Backend` instances pass through untouched (the
-        caller owns those).
+        the same pool, so the engine does not pay pool startup per run.
+        Serial (no pool) and caller-provided live :class:`Backend`
+        instances (the caller owns those) pass through untouched.
         """
-        if isinstance(config.backend, Backend):
+        if (
+            isinstance(config.backend, Backend)
+            or BACKENDS[config.backend].runs_inline
+        ):
             return config
         key = (config.backend, config.num_workers)
         with self._backend_lock:

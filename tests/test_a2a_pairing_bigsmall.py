@@ -158,3 +158,22 @@ def test_without_bigs_the_schema_is_the_pruned_pairing(case):
     instance = A2AInstance(sizes, q)
     pruned = _prune_dominated(pair_bins(first_fit_decreasing(sizes, q // 2).bins))
     assert big_small(instance).reducers == A2ASchema.from_lists(instance, pruned).reducers
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(2, 60).flatmap(
+        lambda q: st.tuples(
+            st.just(q), st.lists(st.integers(1, q // 2), min_size=1, max_size=40)
+        )
+    )
+)
+def test_without_bigs_big_small_and_bin_pairing_hold_the_same_reducers(case):
+    """With no input above q // 2 the two methods build the same reducer
+    sets in another order, which is why full planning skips bin_pairing."""
+    q, sizes = case
+    instance = A2AInstance(sizes, q)
+    pairing = ffd_pairing(instance)
+    general = big_small(instance)
+    assert sorted(general.reducers) == sorted(pairing.reducers)
+    assert sorted(general.loads) == sorted(pairing.loads)

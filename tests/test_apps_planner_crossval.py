@@ -7,7 +7,7 @@ the engine (through :func:`repro.planner.run` for single-schema apps).
 These tests reimplement the pre-refactor direct-call paths as
 :class:`~repro.mapreduce.job.MapReduceJob` oracles and assert the apps
 produce identical outputs — on the default path (the serial engine), on
-an explicitly configured threads engine, and under full cost-based
+an explicitly configured process-pool engine, and under full cost-based
 planning (``method="planned"``, where a *different but valid* schema
 must still yield the same application output).
 """
@@ -39,7 +39,7 @@ from repro.workloads.relations import generate_join_workload
 from repro.workloads.social import common_friends, generate_users
 from repro.workloads.vectors import generate_block_vector
 
-THREADS = ExecutionConfig(backend="threads", num_workers=2)
+POOLED = ExecutionConfig(backend="processes", num_workers=2)
 
 
 def direct_similarity_pairs(documents, q, threshold):
@@ -88,10 +88,10 @@ class TestSimilarityJoin:
     def test_engine_path_matches_direct_call(self, documents):
         direct = direct_similarity_pairs(documents, self.Q, self.THRESHOLD)
         run = run_similarity_join(
-            documents, self.Q, self.THRESHOLD, config=THREADS
+            documents, self.Q, self.THRESHOLD, config=POOLED
         )
         assert run.pairs == direct
-        assert run.engine.backend == "threads"
+        assert run.engine.backend == "processes"
 
     def test_planned_mode_same_output_set(self, documents):
         truth = all_pairs_above(documents, self.THRESHOLD)
@@ -101,6 +101,28 @@ class TestSimilarityJoin:
         assert run.pair_set() == truth
         assert run.plan is not None and run.plan.mode == "planned"
         assert run.engine is not None  # planned mode executes on the engine
+
+    def test_planned_mode_runs_serial_like_a_pooled_run(self, documents):
+        # The plan resolves to serial; a pooled run of the same plan over
+        # many reduce partitions gives the same outputs and job metrics.
+        planned = run_similarity_join(
+            documents, self.Q, self.THRESHOLD, method="planned"
+        )
+        pooled = run_similarity_join(
+            documents,
+            self.Q,
+            self.THRESHOLD,
+            method="planned",
+            config=ExecutionConfig(
+                backend="processes", num_workers=2, num_reduce_tasks=8
+            ),
+        )
+        assert planned.plan.execution == ExecutionConfig()
+        assert planned.engine.backend == "serial"
+        assert planned.engine.num_reduce_tasks == 1
+        assert pooled.engine.num_reduce_tasks > 1
+        assert planned.pairs == pooled.pairs
+        assert planned.metrics == pooled.metrics
 
     def test_plan_is_attached_and_consistent(self, documents):
         run = run_similarity_join(documents, self.Q, self.THRESHOLD)
@@ -124,7 +146,7 @@ class TestSkewJoin:
     def test_engine_and_planned_modes_agree(self, relations):
         x, y = relations
         default = schema_skew_join(x, y, self.Q)
-        engine = schema_skew_join(x, y, self.Q, config=THREADS)
+        engine = schema_skew_join(x, y, self.Q, config=POOLED)
         planned = schema_skew_join(x, y, self.Q, method="planned")
         assert engine.triple_set() == default.triple_set()
         assert planned.triple_set() == default.triple_set()
@@ -184,11 +206,11 @@ class TestCommonFriends:
         assert run_common_friends(users, self.Q).pairs == self.direct_pairs(users)
 
     def test_engine_path_matches_direct_call(self, users):
-        run = run_common_friends(users, self.Q, config=THREADS)
+        run = run_common_friends(users, self.Q, config=POOLED)
         assert run.pairs == self.direct_pairs(users)
-        assert run.engine.backend == "threads"
+        assert run.engine.backend == "processes"
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_backends_agree(self, users, backend):
         run = run_common_friends(
             users, self.Q, config=ExecutionConfig(backend=backend, num_workers=2)
@@ -261,11 +283,11 @@ class TestTensorProduct:
     def test_engine_path_same_matrix(self, vectors):
         u, v = vectors
         default = distributed_outer_product(u, v, self.Q)
-        engine = distributed_outer_product(u, v, self.Q, config=THREADS)
+        engine = distributed_outer_product(u, v, self.Q, config=POOLED)
         assert engine.dense() == default.dense()
-        assert engine.engine.backend == "threads"
+        assert engine.engine.backend == "processes"
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_backends_agree(self, vectors, backend):
         u, v = vectors
         run = distributed_outer_product(

@@ -112,7 +112,7 @@ class TestSchemaSkewJoin:
             == hash_join(x, y, q=60).triple_set()
         )
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_repeated_tuple_object_keeps_its_own_positions(self, backend):
         # One Tuple2 object listed six times is six tuples of the heavy
         # key: each occurrence needs its own position in the key's schema,

@@ -12,7 +12,7 @@ import os
 
 from repro.core.instance import A2AInstance
 from repro.core.selector import solve_a2a
-from repro.engine.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.engine.backends import ProcessBackend, SerialBackend
 from repro.engine.engine import execute_schema
 from repro.faults import FaultInjector, FaultSpec, RetryPolicy
 
@@ -33,7 +33,7 @@ def square_with_pid(value: int) -> tuple[int, int]:
 
 class TestExplicitLifecycle:
     def test_open_is_idempotent_and_close_releases(self):
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         assert not backend.is_open
         backend.open()
         backend.open()
@@ -44,7 +44,7 @@ class TestExplicitLifecycle:
         assert not backend.is_open
 
     def test_persistent_pool_survives_context_exits(self):
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         backend.open()
         with backend:
             backend.run_tasks(str, [1])
@@ -55,14 +55,14 @@ class TestExplicitLifecycle:
         assert not backend.is_open
 
     def test_scoped_context_still_closes(self):
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         with backend:
             assert backend.is_open
         assert not backend.is_open
         assert backend.pools_created == 1
 
     def test_close_then_reopen_counts_pools(self):
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         backend.open()
         backend.close()
         backend.open()
@@ -123,8 +123,8 @@ class TestEngineReusesCallerPool:
             backend.close()
         assert not backend.is_open
 
-    def test_two_thread_runs_share_one_pool(self):
-        backend = ThreadBackend(max_workers=2)
+    def test_three_runs_on_two_workers_share_one_pool(self):
+        backend = ProcessBackend(max_workers=2)
         try:
             for _ in range(3):
                 execute_schema(SCHEMA, RECORDS, tally_reduce, backend=backend)
@@ -134,7 +134,7 @@ class TestEngineReusesCallerPool:
 
     def test_caller_context_lifecycle_is_respected(self):
         """A pool opened by the caller's own context closes at their exit."""
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         with backend:
             execute_schema(SCHEMA, RECORDS, tally_reduce, backend=backend)
             execute_schema(SCHEMA, RECORDS, tally_reduce, backend=backend)
@@ -144,5 +144,7 @@ class TestEngineReusesCallerPool:
     def test_named_backend_still_scoped_per_run(self):
         """Passing a backend *name* keeps the historical one-pool-per-run
         lifecycle (nothing outlives the run)."""
-        result = execute_schema(SCHEMA, RECORDS, tally_reduce, backend="threads")
+        result = execute_schema(
+            SCHEMA, RECORDS, tally_reduce, backend="processes"
+        )
         assert result.outputs

@@ -73,12 +73,11 @@ class TestBlockShuffleCrossval:
         assert result.engine.shm_segments == 0
         assert set(multiprocessing.active_children()) <= before
 
-    def test_serial_and_threads_do_not_encode(self, reference):
-        for backend in ("serial", "threads"):
-            result = _engine(backend).run()
-            assert result.outputs == reference.outputs
-            assert result.metrics == reference.metrics
-            assert result.engine.encoded_bytes == 0
+    def test_serial_does_not_encode(self, reference):
+        result = _engine("serial").run()
+        assert result.outputs == reference.outputs
+        assert result.metrics == reference.metrics
+        assert result.engine.encoded_bytes == 0
 
     def test_fault_injected_run_is_identical_and_leak_free(self, tmp_path):
         policy = RetryPolicy(

@@ -22,11 +22,11 @@ class TestVersionFlag:
 class TestRunSubcommand:
     def test_parser_accepts_run(self):
         args = build_parser().parse_args(
-            ["run", "--app", "similarity", "--q", "40", "--backend", "threads"]
+            ["run", "--app", "similarity", "--q", "40", "--backend", "processes"]
         )
         assert args.command == "run"
         assert args.app == "similarity"
-        assert args.backend == "threads"
+        assert args.backend == "processes"
 
     def test_similarity_run_prints_metrics(self, capsys):
         status = main(
@@ -51,7 +51,7 @@ class TestRunSubcommand:
         assert "engine metrics" in out
         assert "serial" in out
 
-    def test_skew_join_run_on_threads(self, capsys):
+    def test_skew_join_run_on_processes(self, capsys):
         status = main(
             [
                 "run",
@@ -66,7 +66,7 @@ class TestRunSubcommand:
                 "--skew",
                 "1.3",
                 "--backend",
-                "threads",
+                "processes",
                 "--num-workers",
                 "2",
                 "--seed",
@@ -77,12 +77,16 @@ class TestRunSubcommand:
         assert status == 0
         assert "skew join" in out
         assert "heavy keys" in out
-        assert "threads" in out
+        assert "processes" in out
 
     def test_unknown_backend_rejected_by_parser(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--app", "similarity", "--q", "40", "--backend", "gpu"])
-        assert excinfo.value.code == 2
+        # The choices follow the backend registry, which has no threads.
+        for name in ("gpu", "threads"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    ["run", "--app", "similarity", "--q", "40", "--backend", name]
+                )
+            assert excinfo.value.code == 2
 
     def test_non_positive_workers_rejected_by_parser(self):
         with pytest.raises(SystemExit) as excinfo:

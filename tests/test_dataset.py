@@ -83,7 +83,7 @@ class TestStreamingEngine:
                 records, source=as_dataset(i for i in range(3000))
             ),
             reduce_fn=sum_reduce,
-            config=ExecutionConfig(backend="threads"),
+            config=ExecutionConfig(backend="processes"),
         ).run()
         assert result.outputs == baseline.outputs
         assert result.metrics == baseline.metrics

@@ -7,7 +7,7 @@ both the retry count and whether the retry budget runs out are knowable
 in advance and identical on every backend; and retrying never costs the
 streaming window.
 
-Task functions are module-level so the ``processes`` example can pickle
+Task functions are module-level so the ``processes`` backend can pickle
 them.
 """
 
@@ -37,6 +37,27 @@ PHASE = "map"
 
 def square(value: int) -> int:
     return value * value
+
+
+def square_stamped(value: int) -> tuple[int, float]:
+    """The square of *value* and the instant it was computed; task 0 first
+    sleeps so the loop can fill its window (``time.monotonic`` is one
+    clock across processes)."""
+    if value == 0:
+        time.sleep(0.2)
+    return square(value), time.monotonic()
+
+
+@pytest.fixture(scope="module")
+def process_pools():
+    """One open process pool per worker count, shared by every example."""
+    pools = {
+        workers: ProcessBackend(max_workers=workers).open()
+        for workers in (1, 2, 3)
+    }
+    yield pools
+    for pool in pools.values():
+        pool.close()
 
 
 def expected_failures(
@@ -82,7 +103,7 @@ def run_loop(backend, tasks, spec: FaultSpec, max_attempts: int):
 @given(
     num_tasks=st.integers(0, 60),
     max_workers=st.integers(1, 3),
-    backend_name=st.sampled_from(["serial", "threads"]),
+    backend_name=st.sampled_from(["serial", "processes"]),
     seed=st.integers(0, 10_000),
     crash=st.sampled_from([0.0, 0.1, 0.3, 0.6]),
     transient=st.sampled_from([0.0, 0.2, 0.5]),
@@ -90,13 +111,17 @@ def run_loop(backend, tasks, spec: FaultSpec, max_attempts: int):
     streaming=st.booleans(),
 )
 def test_loop_matches_the_injector(
-    num_tasks, max_workers, backend_name, seed, crash, transient,
-    max_attempts, streaming,
+    process_pools, num_tasks, max_workers, backend_name, seed, crash,
+    transient, max_attempts, streaming,
 ):
     spec = FaultSpec(crash=crash, transient=transient, seed=seed)
     tasks = list(range(num_tasks))
     source = iter(tasks) if streaming else tasks
-    backend = get_backend(backend_name, max_workers=max_workers)
+    backend = (
+        process_pools[max_workers]
+        if backend_name == "processes"
+        else get_backend(backend_name)
+    )
     outcome, retries = run_loop(backend, source, spec, max_attempts)
     failures = expected_failures(spec, num_tasks, max_attempts)
     if any(failed == max_attempts for failed in failures):
@@ -135,25 +160,19 @@ def test_retry_keeps_a_lazy_task_source_within_the_window(retry):
     """Tasks pulled before the first task finishes stay within the
     window (4 per worker), with or without a retry policy."""
     total = 200
-    pulled = [0]
-    pulled_while_first_task_ran = []
+    pulled_at = []
 
     def tasks():
         for i in range(total):
-            pulled[0] += 1
+            pulled_at.append(time.monotonic())
             yield i
 
-    def slow_first(value):
-        if value == 0:
-            time.sleep(0.2)  # let the loop fill its window
-            pulled_while_first_task_ran.append(pulled[0])
-        return square(value)
-
-    backend = get_backend("threads", max_workers=1)
-    results = backend.run_tasks(slow_first, tasks(), policy=retry)
-    assert results == [square(t) for t in range(total)]
-    assert pulled_while_first_task_ran[0] <= _WINDOW_PER_WORKER
-    assert pulled[0] == total
+    with ProcessBackend(max_workers=1) as backend:
+        results = backend.run_tasks(square_stamped, tasks(), policy=retry)
+    assert [value for value, _ in results] == [square(t) for t in range(total)]
+    first_done = results[0][1]
+    assert sum(at < first_done for at in pulled_at) <= _WINDOW_PER_WORKER
+    assert len(pulled_at) == total
 
 
 def count_reduce(key, values):
@@ -187,7 +206,7 @@ def test_retry_keeps_a_generator_source_streaming(retry):
     engine = ExecutionEngine(
         plan=replace(plan, key_of=key_of),
         reduce_fn=count_reduce,
-        config=ExecutionConfig(backend="threads", num_workers=1, retry=retry),
+        config=ExecutionConfig(retry=retry),
     )
     result = engine.run()
     assert result.outputs == [(d, total // 10) for d in range(10)]

@@ -10,7 +10,7 @@ from repro.engine.config import ExecutionConfig
 from repro.workloads.documents import all_pairs_above, generate_documents
 from repro.workloads.relations import generate_join_workload
 
-BACKENDS = ["serial", "threads", "processes"]
+BACKENDS = ["serial", "processes"]
 
 
 def on(backend: str) -> ExecutionConfig:
@@ -37,12 +37,12 @@ class TestSimilarityJoinBackends:
             run_similarity_join(documents, 60, 0.15, config=on(b))
             for b in BACKENDS
         ]
-        assert runs[0].pairs == runs[1].pairs == runs[2].pairs
-        assert runs[0].metrics == runs[1].metrics == runs[2].metrics
+        assert runs[0].pairs == runs[1].pairs
+        assert runs[0].metrics == runs[1].metrics
 
     def test_engine_metrics_track_phases(self, documents):
         run = run_similarity_join(
-            documents, 60, 0.15, config=ExecutionConfig(backend="threads")
+            documents, 60, 0.15, config=ExecutionConfig(backend="processes")
         )
         timings = run.engine.timings
         assert timings.map_seconds >= 0.0
@@ -73,7 +73,7 @@ class TestSkewJoinBackends:
     def test_schema_join_beats_hash_join_on_load(self, workload):
         x, y = workload
         baseline = hash_join(x, y, 75)
-        run = schema_skew_join(x, y, 75, config=on("threads"))
+        run = schema_skew_join(x, y, 75, config=on("processes"))
         assert baseline.metrics.max_reducer_load > 75
         assert run.metrics.max_reducer_load <= 75
 

@@ -13,24 +13,31 @@ from repro.engine.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_workers,
     get_backend,
 )
 from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import oracle_run
-from repro.exceptions import CapacityExceededError
+from repro.exceptions import CapacityExceededError, UnknownMethodError
 
 from word_count import RECORDS, word_engine
 
 
 class TestBackendRegistry:
     def test_registry_names(self):
-        assert sorted(BACKENDS) == ["processes", "serial", "threads"]
+        assert sorted(BACKENDS) == ["processes", "serial"]
+
+    def test_thread_backend_is_gone(self):
+        # Pure-Python reduce work never ran faster on a thread pool than
+        # serially, so the name is unknown like any other.
+        with pytest.raises(UnknownMethodError, match="unknown backend 'threads'"):
+            ExecutionConfig(backend="threads")
+        with pytest.raises(UnknownMethodError, match="unknown backend 'threads'"):
+            get_backend("threads")
 
     def test_get_backend_by_name(self):
-        backend = get_backend("threads", max_workers=3)
-        assert isinstance(backend, ThreadBackend)
+        backend = get_backend("processes", max_workers=3)
+        assert isinstance(backend, ProcessBackend)
         assert backend.max_workers == 3
 
     def test_get_backend_passthrough(self):
@@ -46,7 +53,7 @@ class TestBackendRegistry:
 
     def test_bad_worker_and_chunk_counts(self):
         with pytest.raises(ValueError, match="max_workers"):
-            ThreadBackend(max_workers=0)
+            ProcessBackend(max_workers=0)
         with pytest.raises(ValueError, match="num_reduce_tasks"):
             ExecutionConfig(num_reduce_tasks=0)
         # The parent routes every record, so there is no map chunk knob.
@@ -81,7 +88,7 @@ class TestBackendEquivalence:
         baseline = word_engine().run()
         partitioned = word_engine(
             config=ExecutionConfig(
-                backend="threads",
+                backend="processes",
                 num_workers=2,
                 num_reduce_tasks=partitions,
             ),
@@ -95,7 +102,7 @@ class TestBackendEquivalence:
 
     def test_task_loads_cover_all_keys(self):
         result = word_engine(
-            config=ExecutionConfig(backend="threads", num_reduce_tasks=2),
+            config=ExecutionConfig(backend="processes", num_reduce_tasks=2),
         ).run()
         assert sum(result.engine.task_loads) == sum(
             result.metrics.reducer_loads.values()
@@ -118,7 +125,7 @@ class TestCapacityEnforcement:
         engine = word_engine(
             capacity=5,
             strict_capacity=False,
-            config=ExecutionConfig(backend="threads"),
+            config=ExecutionConfig(backend="processes"),
         )
         engine_result = engine.run()
         job_result = oracle_run(engine)

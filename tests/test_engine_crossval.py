@@ -53,7 +53,7 @@ from repro.workloads.relations import generate_join_workload
 from repro.workloads.social import generate_users
 from repro.workloads.vectors import generate_block_vector
 
-BACKENDS = ["serial", "threads", "processes"]
+BACKENDS = ["serial", "processes"]
 
 
 def tally_reduce(key, values):
@@ -72,7 +72,7 @@ def schema_oracle(schema, records, reduce_fn, backend) -> JobResult:
 
 
 class TestSchemaCrossValidation:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_a2a_engine_equals_simulator(self, small_a2a, backend):
         schema = solve_a2a(small_a2a).require_valid()
         records = [f"rec{i}" for i in range(schema.instance.m)]
@@ -86,7 +86,7 @@ class TestSchemaCrossValidation:
         assert engine_result.outputs == job_result.outputs
         assert engine_result.metrics == job_result.metrics
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_x2y_engine_equals_simulator(self, small_x2y, backend):
         schema = solve_x2y(small_x2y).require_valid()
         x_records = [f"x{i}" for i in range(schema.instance.m)]

@@ -139,7 +139,7 @@ def draw_run(data, process_backend) -> tuple[ExecutionConfig, Tracer | None]:
     """The backend, engine settings, faults and instrumentation of one
     example."""
     backend = data.draw(
-        st.sampled_from(["serial", "threads", process_backend]),
+        st.sampled_from(["serial", process_backend]),
         label="backend",
     )
     instrumentation = data.draw(

@@ -157,8 +157,10 @@ class TestSchemaTypeDispatch:
     def test_engine_metrics_present(self, small_a2a):
         schema = solve_a2a(small_a2a)
         records = [f"rec{i}" for i in range(schema.instance.m)]
-        result = execute_schema(schema, records, collect_reduce, backend="threads")
-        assert result.engine.backend == "threads"
+        result = execute_schema(
+            schema, records, collect_reduce, backend="processes"
+        )
+        assert result.engine.backend == "processes"
         assert result.engine.num_reduce_tasks >= 1
         assert result.engine.timings.total_seconds >= 0.0
 
@@ -195,7 +197,7 @@ class TestExecutionSettings:
                 schema,
                 records,
                 collect_reduce,
-                backend="threads",
+                backend="processes",
                 memory_budget=4,
                 config=ExecutionConfig(),
             )

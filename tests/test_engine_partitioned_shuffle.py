@@ -9,10 +9,12 @@ artifacts — is identical across runs and across worker processes.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.skew_join import schema_skew_join
-from repro.engine.backends import ProcessBackend, ThreadBackend
+from repro.engine.backends import ProcessBackend
 from repro.engine.config import ExecutionConfig
 from repro.engine.crossval import compare_results, oracle_run
 from repro.engine import engine as engine_module
@@ -183,7 +185,7 @@ def uneven_engine(backend: str, budget: int | None, strict: bool):
 
 
 @pytest.mark.parametrize("budget", [None, 2])
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 class TestReducerAlignedReassembly:
     """The parent rebuilds outputs and loads from reducer-aligned task
     results: with empty reducers interleaved, per-reducer output counts
@@ -229,19 +231,20 @@ class TestCrossRunStability:
         assert first.triples == second.triples
         assert first.metrics == second.metrics
 
-    def test_threads_and_processes_agree_on_task_loads(self, workload):
+    def test_serial_and_processes_agree_on_task_loads(self, workload):
         x, y = workload
-        threaded = schema_skew_join(
-            x, y, 80, config=ExecutionConfig(backend="threads")
+        partitions = ExecutionConfig(num_reduce_tasks=8)
+        inline = schema_skew_join(x, y, 80, config=partitions)
+        processed = schema_skew_join(
+            x, y, 80, config=replace(PROCESSES, num_reduce_tasks=8)
         )
-        processed = schema_skew_join(x, y, 80, config=PROCESSES)
-        assert threaded.engine.task_loads == processed.engine.task_loads
-        assert threaded.triples == processed.triples
+        assert inline.engine.task_loads == processed.engine.task_loads
+        assert inline.triples == processed.triples
 
 
 class TestBackendPoolReuse:
-    def test_thread_pool_shared_inside_context(self):
-        backend = ThreadBackend(max_workers=2)
+    def test_pool_shared_inside_context(self):
+        backend = ProcessBackend(max_workers=2)
         assert backend._pool is None
         with backend:
             pool = backend._pool
@@ -252,7 +255,7 @@ class TestBackendPoolReuse:
         assert backend._pool is None
 
     def test_backend_usable_again_after_context(self):
-        backend = ThreadBackend(max_workers=2)
+        backend = ProcessBackend(max_workers=2)
         with backend:
             assert backend.run_tasks(str, [1]) == ["1"]
         with backend:

@@ -129,12 +129,11 @@ class TestCrossBackendIdentity:
         }
         assert len(set(retries.values())) == 1, retries
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
     def test_kill_degrades_to_crash_off_process_backends(
-        self, backend, fault_free_outputs
+        self, fault_free_outputs
     ):
         result = _engine(
-            backend, retry=POLICY, faults="kill=0.3,seed=5"
+            "serial", retry=POLICY, faults="kill=0.3,seed=5"
         ).run()
         assert result.outputs == fault_free_outputs
         assert result.engine.task_retries >= 1
@@ -153,7 +152,7 @@ class TestShuffleHeavyChaos:
             config=ExecutionConfig(**SHUFFLE_GEOMETRY),
         ).run().outputs
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_outputs_identical_and_retries_bounded(self, backend, fault_free):
         result = ExecutionEngine(
             plan=fanout_plan(range(SHUFFLE_RECORDS)),
@@ -279,7 +278,7 @@ class TestRetryBoundsAndClassification:
         assert excinfo.value.attempts == 2
         assert isinstance(excinfo.value.last_error, InjectedFaultError)
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_user_errors_propagate_unretried(self, backend):
         calls = []
 
@@ -317,7 +316,7 @@ class TestTimeoutsAndDeadlines:
         # timeout as the underlying error.
         with pytest.raises(TaskRetryExhaustedError) as excinfo:
             _engine(
-                "threads",
+                "processes",
                 retry=RetryPolicy(
                     max_attempts=2, backoff_base=0.0, jitter=0.0
                 ),
@@ -326,14 +325,14 @@ class TestTimeoutsAndDeadlines:
             ).run()
         assert isinstance(excinfo.value.last_error, TaskTimeoutError)
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_deadline_bounds_the_run(self, backend):
         with pytest.raises(DeadlineExceededError):
             _engine(
                 backend, reduce_fn=slow_reduce, deadline=0.01
             ).run()
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_deadline_bounds_routing_a_slow_source(self, backend):
         # The parent routes the records itself: a slow streaming source
         # must stop at the deadline, not after it was read to the end.
@@ -374,8 +373,20 @@ class TestFallbackChain:
         monkeypatch.setattr(ProcessBackend, "_make_pool", broken_pool)
         result = _engine("processes", fallback=True).run()
         assert result.outputs == fault_free_outputs
-        assert result.engine.backend in ("threads", "serial")
-        assert result.engine.fallback_backend == result.engine.backend
+        assert result.engine.backend == "serial"
+        assert result.engine.fallback_backend == "serial"
+
+    def test_worker_deaths_replay_the_run_on_serial(self):
+        # Workers die on every task, so the processes run is lost; the
+        # chain replays it on serial, where the reduce is harmless, and
+        # the replay equals a plain serial run.
+        reference = _engine("serial", reduce_fn=reduce_dying_in_workers).run()
+        result = _engine(
+            "processes", reduce_fn=reduce_dying_in_workers, fallback=True
+        ).run()
+        assert result.outputs == reference.outputs
+        assert result.metrics == reference.metrics
+        assert result.engine.fallback_backend == "serial"
 
     def test_single_use_source_is_rejected_before_any_task(self):
         # A fallback replays the run, which a bare generator cannot feed:

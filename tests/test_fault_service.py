@@ -170,7 +170,7 @@ class TestPoolEvictionOnBreakage:
                 records=spec_records(SPEC),
                 reduce_fn=_angry_collect,
                 config=ExecutionConfig(
-                    backend="threads", num_workers=2, **GEOMETRY
+                    backend="processes", num_workers=2, **GEOMETRY
                 ),
                 job_id="buggy",
             )

@@ -147,7 +147,7 @@ class TestWorkerPropagation:
         assert task.duration == 0.25
         assert task.attrs["records"] == 3
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_engine_task_spans_carry_parent_trace(self, backend):
         tracer = Tracer("engine-trace")
         engine = ExecutionEngine(

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.engine.backends import ThreadBackend
+from repro.engine.backends import ProcessBackend
 from repro.engine.config import ExecutionConfig
 from repro.obs.store import load_observations, summarize_observations
 from repro.obs.trace import Tracer, validate_chrome_trace
@@ -228,7 +228,7 @@ class TestServiceHealth:
     def test_failed_job_is_summarized_under_its_backend(self, owned):
         # A run that raises is logged against the backend it ran on (a
         # caller-owned Backend by its name), never as plan-only.
-        backend = ThreadBackend(max_workers=2) if owned else "threads"
+        backend = ProcessBackend(max_workers=2) if owned else "processes"
         service = JobService(slots=1)
         try:
             handle = service.submit(
@@ -245,9 +245,9 @@ class TestServiceHealth:
         (observation,) = service.observations.snapshot()
         assert observation.status == "failed"
         assert observation.error == "RuntimeError: reduce failed"
-        assert (observation.backend, observation.workers) == ("threads", 2)
+        assert (observation.backend, observation.workers) == ("processes", 2)
         (row,) = summarize_observations([observation])
-        assert row["backend"] == "threads" and row["jobs"] == 1
+        assert row["backend"] == "processes" and row["jobs"] == 1
 
 
 class TestEventLogOrdering:

@@ -343,12 +343,9 @@ class TestSpilledEqualsInMemory:
             engine.run()
         assert list(spill_base.iterdir()) == []
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_unpicklable_record_fails_typed_and_leaks_nothing(
-        self, backend, tmp_path
-    ):
+    def test_unpicklable_record_fails_typed_and_leaks_nothing(self, tmp_path):
         """A record that cannot be pickled fails the flush that spills it
-        with SpillError (in-process backends never pickle it otherwise),
+        with SpillError (the serial backend never pickles it otherwise),
         and the run's spill directory is still removed."""
         records = [0, 1, threading.Lock(), 3, 4, 5]
         spill_base = tmp_path / "spills"
@@ -358,7 +355,7 @@ class TestSpilledEqualsInMemory:
             ),
             reduce_fn=index_reduce,
             config=ExecutionConfig(
-                backend=backend, memory_budget=2, spill_dir=str(spill_base)
+                memory_budget=2, spill_dir=str(spill_base)
             ),
         )
         with pytest.raises(SpillError, match="cannot write spill run"):
@@ -406,7 +403,7 @@ class TestConfigAndBench:
             ("memory_budget", True),
         ):
             with pytest.raises(InvalidInstanceError, match=name):
-                ExecutionConfig(backend="threads", **{name: value})
+                ExecutionConfig(backend="processes", **{name: value})
 
     def test_engine_rejects_nonpositive_budget(self):
         # The config is validated when built and frozen after, so a bad

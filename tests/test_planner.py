@@ -255,31 +255,36 @@ class TestExactGate:
         assert method_registry("multiway") is MULTIWAY_METHODS
 
 
+class TestBinPairingGate:
+    def test_bin_pairing_skipped_without_big_inputs(self):
+        # big_small builds the same reducers and wins the name tie-break.
+        planned = plan(JobSpec.a2a([3, 5, 2, 6, 4], q=12, method=None), ENV)
+        pairing = planned.candidate("bin_pairing")
+        assert pairing.status == "skipped"
+        assert pairing.reason == (
+            "same reducers as big_small: no input above q//2"
+        )
+        assert planned.candidate("big_small").status == "scored"
+
+    def test_bin_pairing_attempted_with_a_big_input(self):
+        planned = plan(JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None), ENV)
+        assert planned.candidate("bin_pairing").status == "failed"
+
+
 class TestExecutionResolution:
-    def test_serial_on_single_worker_machine(self):
+    @pytest.mark.parametrize("workers", [1, 2, 64])
+    @pytest.mark.parametrize("reducers", [1, 3, 10_000])
+    def test_serial_for_every_schema_and_machine(self, workers, reducers):
+        # Serial unless the caller names a backend: neither the reducer
+        # count nor the machine's workers pick a pool.
         config = resolve_execution_config(
-            SERIAL_ENV, num_reducers=50, communication_cost=100, total_size=100,
+            Environment(num_workers=workers, memory_bytes=1 << 30),
+            num_reducers=reducers,
+            communication_cost=100,
+            total_size=100,
             num_inputs=10,
         )
-        assert config.backend == "serial"
-        assert config.num_workers is None
-        assert config.num_reduce_tasks is None
-
-    def test_serial_for_single_reducer_schema(self):
-        config = resolve_execution_config(
-            ENV, num_reducers=1, communication_cost=100, total_size=100,
-            num_inputs=10,
-        )
-        assert config.backend == "serial"
-
-    def test_threads_with_capped_workers_and_partitions(self):
-        config = resolve_execution_config(
-            ENV, num_reducers=3, communication_cost=100, total_size=100,
-            num_inputs=10,
-        )
-        assert config.backend == "threads"
-        assert config.num_workers == 2  # min(env workers, reducers)
-        assert config.num_reduce_tasks == 3  # min(reducers, 4 * workers)
+        assert config == ExecutionConfig(backend="serial")
 
     def test_memory_budget_only_when_shuffle_exceeds_share(self):
         small = resolve_execution_config(
@@ -300,8 +305,8 @@ class TestExecutionResolution:
 
     def test_memory_budget_sized_from_routed_pairs(self):
         # 16 MiB: the shuffle may use a quarter, 4 MiB, which is 16384
-        # pairs of one size unit at 256 bytes each.  Two workers, four
-        # reduce tasks.
+        # pairs of one size unit at 256 bytes each.  Serial, so one
+        # reduce partition.
         env = Environment(num_workers=2, memory_bytes=1 << 24)
 
         def budget(communication_cost, total_size, num_inputs):
@@ -312,11 +317,11 @@ class TestExecutionResolution:
                 total_size=total_size,
                 num_inputs=num_inputs,
             )
-            assert config.num_reduce_tasks == 4
+            assert config.num_reduce_tasks is None
             return config.memory_budget
 
-        # Routed volume min(2**20, 4 * 2**16) = 2**18 units, 64 MiB: the
-        # one parent buffer gets the whole share, not a per-worker part.
+        # Routed volume min(2**20, 2**16) = 2**16 units, 16 MiB: the one
+        # parent buffer gets the whole share, not a per-worker part.
         assert budget(1 << 20, 1 << 16, 1 << 16) == 16384
         # The same volume in inputs of mean size 4 (2**14 inputs): a pair
         # holds 4 units, 1 KiB, so the share holds a quarter as many.
@@ -325,7 +330,7 @@ class TestExecutionResolution:
         assert budget(1 << 20, 5 << 12, 2 << 12) == 5461
         # Mean size 64: 256 pairs, floored at the minimum budget.
         assert budget(1 << 20, 1 << 16, 1 << 10) == MIN_MEMORY_BUDGET
-        # Every input shipped to all four partitions is 4000 units, 1 MB:
+        # Every input shipped to the one partition is 1000 units, 256 kB:
         # under the share, however large the per-reducer communication.
         assert budget(1 << 20, 1000, 10) is None
 
@@ -413,17 +418,13 @@ class TestRunStage:
 
     def test_run_respects_config_override(self):
         planned = plan(JobSpec.a2a([2, 2, 2, 2], q=8), SERIAL_ENV)
-
-        def reduce_fn(reducer, values):
-            yield reducer, len(values)
-
         result = run(
             planned,
             list("abcd"),
-            reduce_fn,
-            config=ExecutionConfig(backend="threads", num_workers=2),
+            collect_reduce,
+            config=ExecutionConfig(backend="processes", num_workers=2),
         )
-        assert result.engine.backend == "threads"
+        assert result.engine.backend == "processes"
 
     def test_multiway_plans_run_on_engine(self):
         # A multiway plan routes like an A2A plan and matches the

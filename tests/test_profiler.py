@@ -311,8 +311,8 @@ class TestEngineIntegration:
         )
         return engine.run()
 
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_phases_and_worker_tables_recorded(self, backend):
+    def test_phases_and_worker_tables_recorded(self):
+        backend = "serial"
         tracer = Tracer(profile=True)
         with ResourceSampler(interval=0.005) as sampler:
             result = self._run(backend, tracer)

@@ -19,7 +19,9 @@ from repro.exceptions import (
     InvalidInstanceError,
     JobCancelledError,
     ResultEvictedError,
+    UnknownJobError,
 )
+from repro.obs.store import DEFAULT_CAPACITY as OBSERVATIONS_KEPT
 from repro.planner import Environment, JobSpec, plan, plan_fingerprint
 from repro.service import (
     CANCELLED,
@@ -34,7 +36,11 @@ from repro.service import (
     ResultStore,
 )
 from repro.service.results import JobResult
-from repro.service.service import collect_reduce, spec_records
+from repro.service.service import (
+    TERMINAL_RECORDS_PER_RESULT,
+    collect_reduce,
+    spec_records,
+)
 from repro.workloads.documents import all_pairs_above, generate_documents
 
 #: A tiny spec used by jobs whose outputs are irrelevant.
@@ -316,7 +322,7 @@ class TestAdmissionControl:
         with JobService(slots=1, env=ENV) as service:
             handle = service.submit(
                 SMALL_SPEC,
-                config=ExecutionConfig(backend="threads", num_workers=64),
+                config=ExecutionConfig(backend="processes", num_workers=64),
             )
             status = handle.status()
             assert status.state == REJECTED
@@ -339,7 +345,7 @@ class TestAdmissionControl:
             handle = service.submit(
                 SMALL_SPEC,
                 config=ExecutionConfig(
-                    backend="threads", num_workers=2, memory_budget=4096
+                    backend="processes", num_workers=2, memory_budget=4096
                 ),
             )
             assert handle.status().state == REJECTED
@@ -355,14 +361,14 @@ class TestAdmissionControl:
             admitted = service.submit(
                 unit,
                 config=ExecutionConfig(
-                    backend="threads", num_workers=2, memory_budget=3000
+                    backend="processes", num_workers=2, memory_budget=3000
                 ),
             )
             assert admitted.wait(timeout=30.0).state == DONE
             rejected = service.submit(
                 wide,
                 config=ExecutionConfig(
-                    backend="threads", num_workers=2, memory_budget=1024
+                    backend="processes", num_workers=2, memory_budget=1024
                 ),
             )
             status = rejected.status()
@@ -380,6 +386,83 @@ class TestAdmissionControl:
                 SMALL_SPEC, config=ExecutionConfig(backend="serial")
             )
             assert handle.wait(timeout=30.0).state == DONE
+
+
+class TestBoundedJobTable:
+    def test_oldest_finished_records_are_dropped(self):
+        limit = TERMINAL_RECORDS_PER_RESULT * 2
+        with JobService(slots=1, env=ENV, result_capacity=2) as service:
+            handles = [
+                service.submit_spec(SMALL_SPEC, job_id=f"t-{i}")
+                for i in range(limit + 3)
+            ]
+            for handle in handles:
+                assert handle.wait(timeout=30.0).state == DONE
+            listed = [status.job_id for status in service.list()]
+            assert listed == [f"t-{i}" for i in range(3, limit + 3)]
+            for dropped in ("t-0", "t-1", "t-2"):
+                with pytest.raises(UnknownJobError):
+                    service.status(dropped)
+                with pytest.raises(UnknownJobError):
+                    service.result(dropped)
+            # A kept record outlives its evicted result.
+            with pytest.raises(ResultEvictedError):
+                service.result("t-3")
+            # Reading a result keeps the record.
+            assert handles[-1].result().outputs
+            assert handles[-1].status().state == DONE
+            # The counts still cover every job.
+            assert service.stats()["jobs"] == {DONE: limit + 3}
+
+    def test_unfinished_records_are_never_dropped(self):
+        gate = _Gate()
+        limit = TERMINAL_RECORDS_PER_RESULT * 1
+        with JobService(slots=2, env=ENV, result_capacity=1) as service:
+            blocker = service.submit(
+                SMALL_SPEC,
+                records=spec_records(SMALL_SPEC),
+                reduce_fn=gate.reduce,
+                config=SERIAL,
+                job_id="blocker",
+            )
+            assert gate.entered.acquire(timeout=5.0)
+            for index in range(3 * limit):
+                handle = service.submit(SMALL_SPEC, job_id=f"plan-{index}")
+                assert handle.wait(timeout=30.0).state == DONE
+            listed = [status.job_id for status in service.list()]
+            assert listed[0] == "blocker"
+            assert len(listed) == limit + 1
+            assert service.stats()["jobs"] == {RUNNING: 1, DONE: 3 * limit}
+            gate.event.set()
+            assert blocker.wait(timeout=30.0).state == DONE
+            assert blocker.result().outputs
+            assert len(service.list()) == limit
+
+    def test_soak_keeps_every_table_within_its_bound(self):
+        # 10k cached plan-only jobs, two slots, a closed loop of eight
+        # outstanding: the job table, the result store, the observations
+        # and the event log stay bounded while every job is counted.
+        jobs, outstanding = 10_000, 8
+        with JobService(slots=2, env=ENV) as service:
+            limit = TERMINAL_RECORDS_PER_RESULT * service.results.capacity
+            pending = []
+            for index in range(jobs):
+                pending.append(service.submit(SMALL_SPEC))
+                if len(pending) == outstanding:
+                    for handle in pending:
+                        handle.result(timeout=30.0)
+                    pending.clear()
+                if index % 1000 == 999:
+                    assert len(service.list()) <= limit + outstanding
+            for handle in pending:
+                handle.result(timeout=30.0)
+            assert len(service.list()) == limit
+            assert len(service.results) == service.results.capacity
+            assert len(service.observations) <= OBSERVATIONS_KEPT
+            assert len(service.events) <= 4096  # the event log's capacity
+            stats = service.stats()
+        assert stats["jobs"] == {DONE: jobs}
+        assert stats["plan_cache"]["hits"] == jobs - 1
 
 
 class TestLifecycleAndStats:
@@ -429,12 +512,12 @@ class TestLifecycleAndStats:
                 # Sequential waits keep the hit accounting deterministic.
                 handle = service.submit_spec(
                     SMALL_SPEC,
-                    config=ExecutionConfig(backend="threads", num_workers=2),
+                    config=ExecutionConfig(backend="processes", num_workers=2),
                 )
                 assert handle.wait(timeout=30.0).state == DONE
             stats = service.stats()
-        # Three jobs shared ONE threads pool — the service owns it.
-        assert stats["backend_pools"] == {"threads@2": 1}
+        # Three jobs shared ONE process pool — the service owns it.
+        assert stats["backend_pools"] == {"processes@2": 1}
         assert stats["jobs"] == {DONE: 3}
         assert stats["plan_cache"]["hits"] == 2
 
@@ -480,7 +563,7 @@ class TestCrossValidation:
                 reduce_fn=similarity_reducer(
                     planned.schema(), documents, self.THRESHOLD
                 ),
-                config=ExecutionConfig(backend="threads", num_workers=2),
+                config=ExecutionConfig(backend="processes", num_workers=2),
             )
             result = handle.result(timeout=60.0)
 
