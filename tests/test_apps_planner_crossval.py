@@ -41,6 +41,14 @@ from repro.workloads.vectors import generate_block_vector
 
 POOLED = ExecutionConfig(backend="processes", num_workers=2)
 
+#: The engine settings the apps must agree on: serial, serial over several
+#: reduce partitions, and a two-worker process pool.
+CONFIGS = [
+    pytest.param(ExecutionConfig(), id="serial"),
+    pytest.param(ExecutionConfig(num_reduce_tasks=4), id="serial-partitioned"),
+    pytest.param(POOLED, id="processes"),
+]
+
 
 def direct_similarity_pairs(documents, q, threshold):
     """The seed repo's simulator path: solve directly, wire the job by hand,
@@ -210,11 +218,9 @@ class TestCommonFriends:
         assert run.pairs == self.direct_pairs(users)
         assert run.engine.backend == "processes"
 
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_backends_agree(self, users, backend):
-        run = run_common_friends(
-            users, self.Q, config=ExecutionConfig(backend=backend, num_workers=2)
-        )
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_backends_agree(self, users, config):
+        run = run_common_friends(users, self.Q, config=config)
         assert dict(run.as_dict()) == dict(
             run_common_friends(users, self.Q).as_dict()
         )
@@ -287,12 +293,10 @@ class TestTensorProduct:
         assert engine.dense() == default.dense()
         assert engine.engine.backend == "processes"
 
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_backends_agree(self, vectors, backend):
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_backends_agree(self, vectors, config):
         u, v = vectors
-        run = distributed_outer_product(
-            u, v, self.Q, config=ExecutionConfig(backend=backend, num_workers=2)
-        )
+        run = distributed_outer_product(u, v, self.Q, config=config)
         assert sorted(run.entries) == sorted(self.direct_entries(u, v))
         assert run.engine is not None
 

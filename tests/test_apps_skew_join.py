@@ -112,17 +112,24 @@ class TestSchemaSkewJoin:
             == hash_join(x, y, q=60).triple_set()
         )
 
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_repeated_tuple_object_keeps_its_own_positions(self, backend):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(ExecutionConfig(), id="serial"),
+            pytest.param(
+                ExecutionConfig(num_reduce_tasks=4), id="serial-partitioned"
+            ),
+            pytest.param(ExecutionConfig(backend="processes"), id="processes"),
+        ],
+    )
+    def test_repeated_tuple_object_keeps_its_own_positions(self, config):
         # One Tuple2 object listed six times is six tuples of the heavy
         # key: each occurrence needs its own position in the key's schema,
         # or the occurrences pile onto one reducer and overflow q.
         repeated = Tuple2(7, 1, 5)
         x = Relation("x", (repeated,) * 6 + (Tuple2(7, 2, 5),))
         y = Relation("y", tuple(Tuple2(7, 10 + j, 5) for j in range(6)))
-        run = schema_skew_join(
-            x, y, 20, config=ExecutionConfig(backend=backend)
-        )
+        run = schema_skew_join(x, y, 20, config=config)
         assert run.heavy_keys == (7,)
         assert run.metrics.max_reducer_load <= 20
         expected = Counter(

@@ -8,7 +8,6 @@ import pytest
 
 from repro.apps.similarity_join import run_similarity_join
 from repro.dataset import Dataset, as_dataset
-from repro.engine.backends import BACKENDS
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine, execute_schema
 from repro.exceptions import InvalidInstanceError
@@ -56,8 +55,15 @@ class TestDataset:
 
 
 class TestStreamingEngine:
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_streaming_equals_materialized(self, backend):
+    @pytest.mark.parametrize(
+        ("backend", "parts"),
+        [
+            pytest.param("processes", None, id="processes"),
+            pytest.param("serial", None, id="serial"),
+            pytest.param("serial", 4, id="serial-partitioned"),
+        ],
+    )
+    def test_streaming_equals_materialized(self, backend, parts):
         records = list(range(2000))
         baseline = ExecutionEngine(
             plan=fanout_plan(records), reduce_fn=sum_reduce
@@ -68,7 +74,7 @@ class TestStreamingEngine:
                 source=Dataset.from_factory(partial(range, 2000), length=2000),
             ),
             reduce_fn=sum_reduce,
-            config=ExecutionConfig(backend=backend),
+            config=ExecutionConfig(backend=backend, num_reduce_tasks=parts),
         ).run()
         assert streamed.outputs == baseline.outputs
         assert streamed.metrics == baseline.metrics

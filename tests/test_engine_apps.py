@@ -10,12 +10,15 @@ from repro.engine.config import ExecutionConfig
 from repro.workloads.documents import all_pairs_above, generate_documents
 from repro.workloads.relations import generate_join_workload
 
-BACKENDS = ["serial", "processes"]
+SETTINGS = ["serial", "serial-partitioned", "processes"]
 
 
-def on(backend: str) -> ExecutionConfig:
-    """Two workers on *backend*."""
-    return ExecutionConfig(backend=backend, num_workers=2)
+def on(setting: str) -> ExecutionConfig:
+    """Two workers on the backend *setting* names; ``serial-partitioned``
+    is the serial backend over four reduce partitions."""
+    if setting == "serial-partitioned":
+        return ExecutionConfig(num_reduce_tasks=4)
+    return ExecutionConfig(backend=setting, num_workers=2)
 
 
 class TestSimilarityJoinBackends:
@@ -23,22 +26,23 @@ class TestSimilarityJoinBackends:
     def documents(self):
         return generate_documents(30, 60, seed=21)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_exact_pairs_on_every_backend(self, documents, backend):
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_exact_pairs_on_every_backend(self, documents, setting):
         run = run_similarity_join(
-            documents, 60, 0.15, config=on(backend)
+            documents, 60, 0.15, config=on(setting)
         )
         assert run.pair_set() == all_pairs_above(documents, 0.15)
         assert run.metrics.max_reducer_load <= 60
-        assert run.engine.backend == backend
+        assert run.engine.backend == on(setting).backend
 
     def test_backends_agree_pairwise(self, documents):
-        runs = [
-            run_similarity_join(documents, 60, 0.15, config=on(b))
-            for b in BACKENDS
+        first, *rest = [
+            run_similarity_join(documents, 60, 0.15, config=on(s))
+            for s in SETTINGS
         ]
-        assert runs[0].pairs == runs[1].pairs
-        assert runs[0].metrics == runs[1].metrics
+        for run in rest:
+            assert run.pairs == first.pairs
+            assert run.metrics == first.metrics
 
     def test_engine_metrics_track_phases(self, documents):
         run = run_similarity_join(
@@ -60,15 +64,15 @@ class TestSkewJoinBackends:
     def workload(self):
         return generate_join_workload(260, 260, 9, 1.4, size_jitter=1, seed=2)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_exact_join_on_every_backend(self, workload, backend):
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_exact_join_on_every_backend(self, workload, setting):
         x, y = workload
         truth = naive_join(x, y)
-        run = schema_skew_join(x, y, 75, config=on(backend))
+        run = schema_skew_join(x, y, 75, config=on(setting))
         assert run.triple_set() == truth
         assert run.metrics.max_reducer_load <= 75
         assert run.heavy_keys  # the workload is skewed enough to matter
-        assert run.engine.backend == backend
+        assert run.engine.backend == on(setting).backend
 
     def test_schema_join_beats_hash_join_on_load(self, workload):
         x, y = workload

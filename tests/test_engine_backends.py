@@ -73,10 +73,19 @@ class TestBackendEquivalence:
     def reference(self):
         return oracle_run(word_engine())
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_matches_simulator(self, backend, reference):
+    @pytest.mark.parametrize(
+        ("backend", "parts"),
+        [
+            pytest.param("processes", None, id="processes"),
+            pytest.param("serial", None, id="serial"),
+            pytest.param("serial", 4, id="serial-partitioned"),
+        ],
+    )
+    def test_matches_simulator(self, backend, parts, reference):
         engine = word_engine(
-            config=ExecutionConfig(backend=backend, num_workers=2)
+            config=ExecutionConfig(
+                backend=backend, num_workers=2, num_reduce_tasks=parts
+            )
         )
         result = engine.run()
         assert result.outputs == reference.outputs

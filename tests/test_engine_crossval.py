@@ -53,7 +53,17 @@ from repro.workloads.relations import generate_join_workload
 from repro.workloads.social import generate_users
 from repro.workloads.vectors import generate_block_vector
 
-BACKENDS = ["serial", "processes"]
+#: The engine settings every check runs on: the serial default (one
+#: reduce partition), the serial backend over several reduce partitions
+#: (the partitioned shuffle and reducer-aligned reassembly, in-process),
+#: and a process pool.
+CONFIGS = [
+    pytest.param(ExecutionConfig(), id="serial"),
+    pytest.param(ExecutionConfig(num_reduce_tasks=4), id="serial-partitioned"),
+    pytest.param(
+        ExecutionConfig(backend="processes", num_workers=2), id="processes"
+    ),
+]
 
 
 def tally_reduce(key, values):
@@ -61,33 +71,33 @@ def tally_reduce(key, values):
     yield key, tuple(sorted(v[:-1] if len(v) == 3 else (v[0],) for v in values))
 
 
-def schema_oracle(schema, records, reduce_fn, backend) -> JobResult:
+def schema_oracle(schema, records, reduce_fn, config) -> JobResult:
     """The simulator's run of a schema app, checked against the engine's
-    run of the same functions on *backend*."""
+    run of the same functions on *config*."""
     _, oracle, report = validate_against_simulator(
-        schema, records, reduce_fn, config=ExecutionConfig(backend=backend)
+        schema, records, reduce_fn, config=config
     )
     assert report.ok, report.summary()
     return oracle
 
 
 class TestSchemaCrossValidation:
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_a2a_engine_equals_simulator(self, small_a2a, backend):
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_a2a_engine_equals_simulator(self, small_a2a, config):
         schema = solve_a2a(small_a2a).require_valid()
         records = [f"rec{i}" for i in range(schema.instance.m)]
         engine_result, job_result, report = validate_against_simulator(
             schema,
             records,
             tally_reduce,
-            config=ExecutionConfig(backend=backend, num_workers=2),
+            config=config,
         )
         assert report.ok, report.summary()
         assert engine_result.outputs == job_result.outputs
         assert engine_result.metrics == job_result.metrics
 
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_x2y_engine_equals_simulator(self, small_x2y, backend):
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_x2y_engine_equals_simulator(self, small_x2y, config):
         schema = solve_x2y(small_x2y).require_valid()
         x_records = [f"x{i}" for i in range(schema.instance.m)]
         y_records = [f"y{j}" for j in range(schema.instance.n)]
@@ -95,7 +105,7 @@ class TestSchemaCrossValidation:
             schema,
             (x_records, y_records),
             tally_reduce,
-            config=ExecutionConfig(backend=backend),
+            config=config,
         )
         assert report.ok, report.summary()
 
@@ -133,51 +143,51 @@ class TestApplicationCrossValidation:
     nothing observable may change.
     """
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_similarity_join_engine_is_byte_identical(self, backend):
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_similarity_join_engine_is_byte_identical(self, config):
         documents = generate_documents(24, 50, seed=11)
         run = run_similarity_join(
-            documents, 50, 0.02, config=ExecutionConfig(backend=backend)
+            documents, 50, 0.02, config=config
         )
         reduce_fn = similarity_reducer(run.schema, documents, 0.02)
-        oracle = schema_oracle(run.schema, documents, reduce_fn, backend)
+        oracle = schema_oracle(run.schema, documents, reduce_fn, config)
         assert run.pairs and run.pairs == tuple(oracle.outputs)
         assert run.metrics == oracle.metrics
-        assert run.engine.backend == backend
+        assert run.engine.backend == config.backend
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_common_friends_engine_is_byte_identical(self, backend):
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_common_friends_engine_is_byte_identical(self, config):
         users = generate_users(16, 40, seed=4)
         run = run_common_friends(
-            users, 40, config=ExecutionConfig(backend=backend)
+            users, 40, config=config
         )
         reduce_fn = partial(
             _common_friends_reduce, masks=a2a_reducer_masks(run.schema)
         )
-        oracle = schema_oracle(run.schema, users, reduce_fn, backend)
+        oracle = schema_oracle(run.schema, users, reduce_fn, config)
         assert run.pairs == tuple(oracle.outputs)
         assert run.metrics == oracle.metrics
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_tensor_product_engine_is_byte_identical(self, backend):
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_tensor_product_engine_is_byte_identical(self, config):
         u = generate_block_vector("u", 6, 20, seed=1)
         v = generate_block_vector("v", 5, 20, seed=2)
         run = distributed_outer_product(
-            u, v, 20, config=ExecutionConfig(backend=backend)
+            u, v, 20, config=config
         )
         reduce_fn = partial(
             _outer_product_reduce, masks=x2y_reducer_masks(run.schema)
         )
         oracle = schema_oracle(
-            run.schema, (u.blocks, v.blocks), reduce_fn, backend
+            run.schema, (u.blocks, v.blocks), reduce_fn, config
         )
         assert run.entries == tuple(oracle.outputs)
         assert run.metrics == oracle.metrics
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_threeway_similarity_engine_is_byte_identical(self, backend):
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_threeway_similarity_engine_is_byte_identical(self, config):
         # The app runs serial; the oracle check runs its reducer on every
-        # backend over the app's multiway schema.
+        # engine setting over the app's multiway schema.
         documents = generate_documents(14, 30, seed=3)
         run = run_threeway_similarity(documents, 30, 0.0)
         reduce_fn = partial(
@@ -185,16 +195,16 @@ class TestApplicationCrossValidation:
             masks=a2a_reducer_masks(run.schema),
             threshold=0.0,
         )
-        oracle = schema_oracle(run.schema, documents, reduce_fn, backend)
+        oracle = schema_oracle(run.schema, documents, reduce_fn, config)
         assert len(run.triples) == comb(14, 3)
         assert run.triples == tuple(oracle.outputs)
         assert run.metrics == oracle.metrics
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_skew_join_engine_is_byte_identical(self, backend):
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_skew_join_engine_is_byte_identical(self, config):
         x, y = generate_join_workload(240, 240, 8, 1.3, seed=5)
         run = schema_skew_join(
-            x, y, 70, config=ExecutionConfig(backend=backend)
+            x, y, 70, config=config
         )
         oracle = oracle_run(
             _skew_join_engine(x, y, 70, run.heavy_keys, run.schemas)
@@ -205,12 +215,12 @@ class TestApplicationCrossValidation:
         # Both match the centrally-computed ground truth.
         assert run.triple_set() == naive_join(x, y)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hash_join_engine_is_byte_identical(self, backend):
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_hash_join_engine_is_byte_identical(self, config):
         x, y = generate_join_workload(240, 240, 8, 1.3, seed=5)
         engine = replace(
             _hash_join_engine(x, y, 70),
-            config=ExecutionConfig(backend=backend),
+            config=config,
         )
         oracle = oracle_run(engine)
         result = engine.run()
@@ -223,12 +233,12 @@ class TestApplicationCrossValidation:
             assert tuple(outputs) == tuple(oracle.outputs)
             assert metrics == oracle.metrics
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_broadcast_baseline_engine_is_byte_identical(self, backend):
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_broadcast_baseline_engine_is_byte_identical(self, config):
         documents = generate_documents(24, 50, seed=11)
         engine = replace(
             _broadcast_engine(documents, 50, 0.02),
-            config=ExecutionConfig(backend=backend),
+            config=config,
         )
         oracle = oracle_run(engine)
         result = engine.run()

@@ -18,7 +18,6 @@ from repro.engine import (
     canonical_meeting,
     execute_schema,
 )
-from repro.engine.backends import BACKENDS
 from repro.engine.crossval import validate_against_simulator
 from repro.engine.routing import (
     a2a_memberships,
@@ -30,7 +29,13 @@ from repro.obs.trace import Tracer
 from repro.planner import JobSpec, plan
 from repro.workloads.distributions import sample_sizes
 
-ALL_BACKENDS = sorted(BACKENDS)
+#: ``(backend, memory_budget)``: each backend in memory, plus serial
+#: under a one-pair budget, so the runs also take the spill shuffle.
+BACKEND_BUDGETS = [
+    pytest.param("processes", None, id="processes"),
+    pytest.param("serial", None, id="serial"),
+    pytest.param("serial", 1, id="serial-spilled"),
+]
 
 
 def collect_reduce(key, values):
@@ -208,8 +213,8 @@ class TestEmptyReducersAndPartitions:
     partitions than there are reducers: the outputs and job metrics equal
     the oracle's, and only non-empty partitions become reduce tasks."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_a2a_schema_with_an_empty_reducer(self, backend):
+    @pytest.mark.parametrize(("backend", "budget"), BACKEND_BUDGETS)
+    def test_a2a_schema_with_an_empty_reducer(self, backend, budget):
         # Reducer 2 lists its inputs out of record order.
         schema = A2ASchema(
             instance=A2AInstance([3, 4, 5], q=12),
@@ -220,7 +225,10 @@ class TestEmptyReducersAndPartitions:
             ["a", "b", "c"],
             echo_reduce,
             config=ExecutionConfig(
-                backend=backend, num_workers=2, num_reduce_tasks=5
+                backend=backend,
+                num_workers=2,
+                num_reduce_tasks=5,
+                memory_budget=budget,
             ),
         )
         assert report.ok, report.summary()
@@ -231,8 +239,8 @@ class TestEmptyReducersAndPartitions:
         assert engine_result.metrics.num_reducers == 2
         assert engine_result.engine.num_reduce_tasks == 2
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_x2y_schema_with_an_empty_reducer(self, backend):
+    @pytest.mark.parametrize(("backend", "budget"), BACKEND_BUDGETS)
+    def test_x2y_schema_with_an_empty_reducer(self, backend, budget):
         # Reducer 2 holds only an X input.
         schema = X2YSchema(
             instance=X2YInstance([2, 3], [4, 1], q=10),
@@ -243,7 +251,10 @@ class TestEmptyReducersAndPartitions:
             (["x0", "x1"], ["y0", "y1"]),
             echo_reduce,
             config=ExecutionConfig(
-                backend=backend, num_workers=2, num_reduce_tasks=5
+                backend=backend,
+                num_workers=2,
+                num_reduce_tasks=5,
+                memory_budget=budget,
             ),
         )
         assert report.ok, report.summary()
@@ -254,8 +265,8 @@ class TestEmptyReducersAndPartitions:
         assert engine_result.metrics.num_reducers == 2
         assert engine_result.engine.num_reduce_tasks == 2
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_all_empty_partitions(self, backend):
+    @pytest.mark.parametrize(("backend", "budget"), BACKEND_BUDGETS)
+    def test_all_empty_partitions(self, backend, budget):
         schema = A2ASchema(
             instance=A2AInstance([3, 4], q=12), reducers=((), ())
         )
@@ -264,7 +275,10 @@ class TestEmptyReducersAndPartitions:
             ["a", "b"],
             echo_reduce,
             config=ExecutionConfig(
-                backend=backend, num_workers=2, num_reduce_tasks=4
+                backend=backend,
+                num_workers=2,
+                num_reduce_tasks=4,
+                memory_budget=budget,
             ),
         )
         assert report.ok, report.summary()

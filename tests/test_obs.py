@@ -147,14 +147,23 @@ class TestWorkerPropagation:
         assert task.duration == 0.25
         assert task.attrs["records"] == 3
 
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_engine_task_spans_carry_parent_trace(self, backend):
+    @pytest.mark.parametrize(
+        ("backend", "parts"),
+        [
+            pytest.param("serial", None, id="serial"),
+            pytest.param("serial", 4, id="serial-partitioned"),
+            pytest.param("processes", None, id="processes"),
+        ],
+    )
+    def test_engine_task_spans_carry_parent_trace(self, backend, parts):
         tracer = Tracer("engine-trace")
         engine = ExecutionEngine(
             plan=mod4_plan(),
             reduce_fn=sum_reduce,
             tracer=tracer,
-            config=ExecutionConfig(backend=backend, num_workers=2),
+            config=ExecutionConfig(
+                backend=backend, num_workers=2, num_reduce_tasks=parts
+            ),
         )
         result = engine.run()
         assert result.outputs

@@ -49,6 +49,16 @@ from shuffle_heavy import fanout_plan, sum_reduce
 
 ALL_BACKENDS = sorted(BACKENDS)
 
+#: ``(backend, num_reduce_tasks)`` for the tests that leave the partition
+#: count to the engine: each backend at its default, plus serial over
+#: several partitions, so an in-process run spills and merges more than
+#: one partition.
+BACKEND_PARTS = [
+    pytest.param("processes", None, id="processes"),
+    pytest.param("serial", None, id="serial"),
+    pytest.param("serial", 4, id="serial-partitioned"),
+]
+
 
 def index_reduce(key, values):
     """Module-level (picklable) reducer: the sorted input indices."""
@@ -235,8 +245,8 @@ class TestSpilledEqualsInMemory:
             result.metrics.spilled_bytes
         )
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_crossval_app_workload_tiny_budget(self, backend):
+    @pytest.mark.parametrize(("backend", "parts"), BACKEND_PARTS)
+    def test_crossval_app_workload_tiny_budget(self, backend, parts):
         """The acceptance test: same app workload, tiny budget vs unbounded,
         diffed against the reference simulator on every backend."""
         instance = A2AInstance([3, 5, 2, 6, 4, 5, 3, 4], q=12)
@@ -248,7 +258,11 @@ class TestSpilledEqualsInMemory:
                 schema,
                 records,
                 index_reduce,
-                config=ExecutionConfig(backend=backend, memory_budget=budget),
+                config=ExecutionConfig(
+                    backend=backend,
+                    num_reduce_tasks=parts,
+                    memory_budget=budget,
+                ),
             )
             assert report.ok, report.summary()
             results[budget] = engine_result
@@ -256,8 +270,8 @@ class TestSpilledEqualsInMemory:
         assert results[2].metrics.spill_runs >= 2
         assert results[None].metrics.spill_runs == 0
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_strict_mode_exception_identical(self, backend):
+    @pytest.mark.parametrize(("backend", "parts"), BACKEND_PARTS)
+    def test_strict_mode_exception_identical(self, backend, parts):
         """An overloaded reducer must raise the same CapacityExceededError
         (same key, load, capacity) with and without spilling."""
 
@@ -267,7 +281,11 @@ class TestSpilledEqualsInMemory:
                 plan=mod3_plan(60, capacity=5),
                 reduce_fn=sum_reduce,
                 strict_capacity=True,
-                config=ExecutionConfig(backend=backend, memory_budget=budget),
+                config=ExecutionConfig(
+                    backend=backend,
+                    num_reduce_tasks=parts,
+                    memory_budget=budget,
+                ),
             )
             with pytest.raises(CapacityExceededError) as excinfo:
                 engine.run()
@@ -277,14 +295,22 @@ class TestSpilledEqualsInMemory:
         assert errors[8].capacity == errors[None].capacity
         assert str(errors[8]) == str(errors[None])
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_skew_join_app_spilled_equals_in_memory(self, backend):
+    @pytest.mark.parametrize(("backend", "parts"), BACKEND_PARTS)
+    def test_skew_join_app_spilled_equals_in_memory(self, backend, parts):
         x, y = generate_join_workload(300, 300, 8, 1.3, seed=11)
         baseline = schema_skew_join(
-            x, y, 80, config=ExecutionConfig(backend=backend)
+            x,
+            y,
+            80,
+            config=ExecutionConfig(backend=backend, num_reduce_tasks=parts),
         )
         budgeted = schema_skew_join(
-            x, y, 80, config=ExecutionConfig(backend=backend, memory_budget=32)
+            x,
+            y,
+            80,
+            config=ExecutionConfig(
+                backend=backend, num_reduce_tasks=parts, memory_budget=32
+            ),
         )
         assert budgeted.triples == baseline.triples
         assert budgeted.metrics.spill_runs >= 2
@@ -343,7 +369,16 @@ class TestSpilledEqualsInMemory:
             engine.run()
         assert list(spill_base.iterdir()) == []
 
-    def test_unpicklable_record_fails_typed_and_leaks_nothing(self, tmp_path):
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            pytest.param(None, id="serial"),
+            pytest.param(4, id="serial-partitioned"),
+        ],
+    )
+    def test_unpicklable_record_fails_typed_and_leaks_nothing(
+        self, parts, tmp_path
+    ):
         """A record that cannot be pickled fails the flush that spills it
         with SpillError (the serial backend never pickles it otherwise),
         and the run's spill directory is still removed."""
@@ -355,7 +390,9 @@ class TestSpilledEqualsInMemory:
             ),
             reduce_fn=index_reduce,
             config=ExecutionConfig(
-                memory_budget=2, spill_dir=str(spill_base)
+                num_reduce_tasks=parts,
+                memory_budget=2,
+                spill_dir=str(spill_base),
             ),
         )
         with pytest.raises(SpillError, match="cannot write spill run"):

@@ -311,12 +311,19 @@ class TestEngineIntegration:
         )
         return engine.run()
 
-    def test_phases_and_worker_tables_recorded(self):
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            pytest.param(None, id="serial"),
+            pytest.param(4, id="serial-partitioned"),
+        ],
+    )
+    def test_phases_and_worker_tables_recorded(self, parts):
         backend = "serial"
         tracer = Tracer(profile=True)
         with ResourceSampler(interval=0.005) as sampler:
-            result = self._run(backend, tracer)
-            self._run(backend, tracer)
+            result = self._run(backend, tracer, num_reduce_tasks=parts)
+            self._run(backend, tracer, num_reduce_tasks=parts)
         phases = profile_export(tracer.spans(), sampler)["phases"]
         assert {"map", "shuffle", "reduce", "post"} <= set(phases)
         # Two runs on one tracer accumulate.
