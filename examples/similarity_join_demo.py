@@ -12,8 +12,8 @@ Run:  python examples/similarity_join_demo.py
 
 from __future__ import annotations
 
+from repro.analysis import schedule_loads
 from repro.apps.similarity_join import run_broadcast_baseline, run_similarity_join
-from repro.mapreduce.cluster import schedule_loads
 from repro.utils.tables import format_table
 from repro.workloads.documents import all_pairs_above, generate_documents
 

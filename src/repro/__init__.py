@@ -53,7 +53,7 @@ from repro.exceptions import (
     SolverLimitError,
     SpillError,
 )
-from repro.mapreduce.cluster import SimulatedCluster, schedule_loads
+from repro.analysis.schedule import schedule_loads
 from repro.planner import Environment, JobSpec, Plan
 from repro.service import JobHandle, JobResult, JobService
 
@@ -73,7 +73,6 @@ __all__ = [
     "VerificationReport",
     "parallelism_degree",
     "skew",
-    "SimulatedCluster",
     "schedule_loads",
     "ExecutionEngine",
     "ExecutionConfig",

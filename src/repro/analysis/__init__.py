@@ -8,6 +8,7 @@ from repro.analysis.tradeoffs import (
 )
 from repro.analysis.ratios import RatioSummary, a2a_ratio_study, x2y_ratio_study
 from repro.analysis.frontier import FrontierPoint, best_capacity, capacity_frontier
+from repro.analysis.schedule import ScheduleResult, schedule_loads
 
 __all__ = [
     "sweep_a2a_communication",
@@ -20,4 +21,6 @@ __all__ = [
     "FrontierPoint",
     "best_capacity",
     "capacity_frontier",
+    "ScheduleResult",
+    "schedule_loads",
 ]

@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.analysis.schedule import schedule_loads
 from repro.core.instance import A2AInstance
 from repro.core.selector import solve_a2a
-from repro.mapreduce.cluster import schedule_loads
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,6 @@ class DeterminismRule(LintRule):
         "repro.binpack",
         "repro.planner",
         "repro.covering",
-        "repro.mapreduce",
         "repro.apps",
         "repro.workloads",
         "repro.service",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro.analysis.schedule import schedule_loads
 from repro.core.bounds import (
     a2a_communication_lower_bound,
     a2a_reducer_lower_bound,
@@ -20,7 +21,6 @@ from repro.core.costs import summarize
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.selector import A2A_METHODS, X2Y_METHODS, solve_a2a, solve_x2y
 from repro.exceptions import ReproError
-from repro.mapreduce.cluster import schedule_loads
 
 
 def sweep_a2a_reducers(

@@ -21,9 +21,8 @@ from typing import Iterator
 from repro import planner
 from repro.core.schema import A2ASchema
 from repro.engine.config import ExecutionConfig
-from repro.engine.metrics import EngineMetrics
+from repro.engine.metrics import EngineMetrics, JobMetrics
 from repro.engine.routing import a2a_reducer_masks, owned_partners
-from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
 from repro.workloads.social import User, common_friends
 

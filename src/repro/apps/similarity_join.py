@@ -29,10 +29,13 @@ from repro.core.schema import A2ASchema
 from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
-from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import SchemaPlan, a2a_reducer_masks, owned_partners
-from repro.mapreduce.metrics import JobMetrics
-from repro.mapreduce.types import default_size
+from repro.engine.metrics import EngineMetrics, JobMetrics
+from repro.engine.routing import (
+    SchemaPlan,
+    a2a_reducer_masks,
+    default_size,
+    owned_partners,
+)
 from repro.obs.trace import Tracer
 from repro.planner import JobSpec, Plan
 from repro.workloads.documents import Document, set_jaccard

@@ -18,9 +18,8 @@ from repro import planner
 from repro.core.schema import X2YSchema
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
-from repro.engine.metrics import EngineMetrics
+from repro.engine.metrics import EngineMetrics, JobMetrics
 from repro.engine.routing import SchemaPlan, owned_partners, x2y_reducer_masks
-from repro.mapreduce.metrics import JobMetrics
 from repro.obs.trace import Tracer
 from repro.planner import Environment, JobSpec, Plan
 from repro.workloads.relations import Relation, Tuple2, heavy_hitters

@@ -19,9 +19,8 @@ from typing import Iterator
 from repro import planner
 from repro.core.schema import X2YSchema
 from repro.engine.config import ExecutionConfig
-from repro.engine.metrics import EngineMetrics
+from repro.engine.metrics import EngineMetrics, JobMetrics
 from repro.engine.routing import owned_partners, x2y_reducer_masks
-from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
 from repro.workloads.vectors import BlockVector, VectorBlock
 

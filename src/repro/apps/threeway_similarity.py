@@ -19,9 +19,8 @@ from typing import Iterator
 from repro import planner
 from repro.core.multiway import MultiwaySchema
 from repro.engine.config import ExecutionConfig
-from repro.engine.metrics import EngineMetrics
+from repro.engine.metrics import EngineMetrics, JobMetrics
 from repro.engine.routing import a2a_reducer_masks, owned_partners
-from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
 from repro.workloads.documents import Document
 

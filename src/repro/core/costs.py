@@ -69,8 +69,9 @@ def parallelism_degree(schema: A2ASchema | X2YSchema) -> int:
     """Degree of parallelism: the number of reducers that can run at once.
 
     In the paper's model every reducer is an independent unit of work, so
-    the schema's reducer count *is* the available parallelism; the cluster
-    simulator turns this into makespan for a finite worker pool.
+    the schema's reducer count *is* the available parallelism;
+    :func:`repro.analysis.schedule_loads` turns the reducer loads into a
+    makespan for a finite worker pool.
     """
     return schema.num_reducers
 

@@ -10,9 +10,10 @@ the plan assigns to it, the parent routes each record once to each
 reduce task holding one of its reducers (a schema-routed shuffle with no
 map tasks), and the reduce tasks run on a pluggable backend (``serial``,
 the planner's choice for every job, or ``processes`` when a caller names
-it).  The serial backend is validated to be byte-identical to the
-reference simulator (:mod:`repro.mapreduce`), and the process backend to
-the serial one.
+it).  Every backend produces the same outputs and the same
+:class:`~repro.engine.metrics.JobMetrics` (the paper's analytical
+quantities); the test suite checks the serial backend against a
+reference MapReduce simulator, and the process backend against serial.
 Past a ``memory_budget``, routed records spill to disk as one pickled
 record table per partition and flush (:mod:`repro.engine.spill`).
 
@@ -41,13 +42,8 @@ from repro.engine.backends import (
     get_backend,
 )
 from repro.engine.config import ExecutionConfig
-from repro.engine.crossval import (
-    CrossValidationReport,
-    compare_results,
-    validate_against_simulator,
-)
 from repro.engine.engine import EngineResult, ExecutionEngine, execute_schema
-from repro.engine.metrics import EngineMetrics, PhaseTimings
+from repro.engine.metrics import EngineMetrics, JobMetrics, PhaseTimings
 from repro.engine.routing import (
     SchemaPlan,
     a2a_memberships,
@@ -71,10 +67,8 @@ __all__ = [
     "get_backend",
     "available_workers",
     "EngineMetrics",
+    "JobMetrics",
     "PhaseTimings",
-    "CrossValidationReport",
-    "compare_results",
-    "validate_against_simulator",
     "a2a_memberships",
     "a2a_reducer_masks",
     "x2y_memberships",

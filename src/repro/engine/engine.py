@@ -1,10 +1,10 @@
 """The execution engine: schema-routed shuffle and parallel reduce over
 pluggable backends.
 
-Where :class:`repro.mapreduce.job.MapReduceJob` *simulates* a job to define
-the paper's metrics, the engine *executes* one as physical tasks.  Every
-job is a :class:`~repro.engine.routing.SchemaPlan`: the mapping schema (or
-an app's explicit member lists) fixes which inputs each reducer receives
+The paper defines its metrics on an abstract MapReduce model; the engine
+*executes* a job as physical tasks.  Every job is a
+:class:`~repro.engine.routing.SchemaPlan`: the mapping schema (or an
+app's explicit member lists) fixes which inputs each reducer receives
 before the run, so the mapper computes nothing and the shuffle is
 *routed*:
 
@@ -21,17 +21,18 @@ before the run, so the mapper computes nothing and the shuffle is
   ship together as that partition's reduce task.
 * A *reduce task* reads its partition's records into one table, rebuilds
   every reducer's value list from its members (in record order, so
-  value order matches the simulator), computes each reducer's load, and
-  reduces — inside the parallel task, not on the parent's critical
-  path.  Its results are aligned to its slice: one flat output list with
-  a per-reducer output count, and one load per reducer.
-* The parent's *post-pass* merges the tasks' loads, enforces the
-  capacity exactly like the simulator, and walks the plan's reducers
-  once, in reducer order, taking reducer ``r``'s outputs from the flat
-  list of partition ``r % partitions`` (slot ``r // partitions`` holds
-  their count).  It builds no container per reducer, so its cost (and
-  the heap its garbage collector sweeps) follows the data, not the
-  schema's reducer count.
+  value order matches a per-reducer shuffle), computes each reducer's
+  load, and reduces — inside the parallel task, not on the parent's
+  critical path.  Its results are aligned to its slice: one flat output
+  list with a per-reducer output count, and one load per reducer.
+* The parent's *post-pass* enforces the capacity in global reducer
+  order and walks the plan's reducers once, in reducer order, taking
+  reducer ``r``'s load and outputs from partition ``r % partitions``
+  (slot ``r // partitions`` holds its load and its output count), so the
+  job metrics list the reducers in that order whatever the partition
+  count.  It builds no container per reducer, so its cost (and the
+  heap its garbage collector sweeps) follows the data, not the schema's
+  reducer count.
 
 The job metrics still count one pair per (input, reducer) membership;
 ``EngineMetrics.pairs_shipped`` counts what moves.  Reduce tasks are the
@@ -39,10 +40,10 @@ only tasks a backend runs, so they are also the only tasks the fault
 plane retries or injects faults into.
 
 Pooled backends start their workers before the map phase, so phase
-timings exclude that startup.  Every backend is semantically identical
-to the simulator — same outputs in the same order, same
-:class:`~repro.mapreduce.metrics.JobMetrics` — which is what the
-cross-validation in :mod:`repro.engine.crossval` checks.
+timings exclude that startup.  Every backend computes the same outputs
+in the same order and the same :class:`~repro.engine.metrics.JobMetrics`
+as a per-reducer MapReduce run of the plan; the test suite checks this
+against its reference simulator.
 
 :func:`execute_schema` is the schema-driven entry point: it takes a solved
 :class:`~repro.core.schema.A2ASchema`, :class:`~repro.core.schema.X2YSchema`
@@ -68,15 +69,14 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress
-from typing import Any, Hashable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.core.multiway import MultiwaySchema
 from repro.core.schema import A2ASchema, X2YSchema
 from repro.dataset import Dataset, as_dataset
 from repro.engine.backends import Backend, SerialBackend, get_backend
 from repro.engine.config import ExecutionConfig
-from repro.engine.metrics import EngineMetrics, PhaseTimings
+from repro.engine.metrics import EngineMetrics, JobMetrics, PhaseTimings
 from repro.engine.routing import MemberLists, SchemaPlan, build_schema_plan
 from repro.engine.spill import (
     MapSpill,
@@ -97,10 +97,11 @@ from repro.faults import (
     as_fault_spec,
     check_deadline,
 )
-from repro.mapreduce.metrics import JobMetrics
-from repro.mapreduce.types import ReduceFn
 from repro.obs.profiler import ProfileCapture, phase_span
 from repro.obs.trace import Tracer, as_tracer, worker_span
+
+#: A reducer takes a key and the full list of its values and yields outputs.
+ReduceFn = Callable[[Hashable, list[Any]], Iterable[Any]]
 
 #: Target number of tasks per pool worker; enough slack for load balancing
 #: without drowning the run in task overhead.
@@ -138,9 +139,9 @@ def _should_fall_back(exc: BaseException) -> bool:
 class EngineResult:
     """Outputs plus metrics of one engine run.
 
-    ``metrics`` carries the paper's analytical quantities (identical to the
-    simulator's on the same inputs); ``engine`` carries the physical
-    execution facts (phase timings, task counts, backend).
+    ``metrics`` carries the paper's analytical quantities; ``engine``
+    carries the physical execution facts (phase timings, task counts,
+    backend).
     """
 
     outputs: list
@@ -201,7 +202,7 @@ def _run_routed_reduce_task(
     strict capacity, a task whose partition holds an overloaded reducer
     discards its outputs (``outputs=None``) — the parent merges all loads
     and raises for the globally smallest offending reducer, so the
-    strict-mode exception is identical to the simulator's.
+    strict-mode exception does not depend on the partition count.
     """
     sources, (reducer, step, members_of_p) = payload
     record_of = record_table(sources).__getitem__
@@ -574,58 +575,61 @@ class ExecutionEngine:
                 reduce_run_seconds = time.perf_counter() - reduce_started
 
         # --- post-pass (pool already released; its shutdown is not timed):
-        # merge the tasks' reducer-aligned loads, enforce capacity in
-        # global reducer order (identical to the simulator), and
-        # reassemble the outputs in that same order, with no container
+        # enforce capacity in global reducer order, then walk the plan's
+        # reducers once, in that order, taking each one's load and outputs
+        # from its partition's reducer-aligned results, with no container
         # per reducer.
         post_started = time.perf_counter()
         with phase_span(tracer, "post", capture=True) as post_span:
-            members = self.plan.members
-            loads: dict[int, int] = {}
+            part_loads: list[list[int]] = [[] for _ in range(num_partitions)]
             part_outputs: list[list[Any]] = [[] for _ in range(num_partitions)]
             part_counts: list[list[int]] = [[] for _ in range(num_partitions)]
             task_loads: list[int] = []
-            for (_, (p, step, members_of_p)), result in zip(
-                partitions, task_results
-            ):
+            for (_, (p, _, _)), result in zip(partitions, task_results):
                 task_loads.append(sum(result.loads))
-                # Slot k is reducer p + k * step; empty reducers have no
-                # load entry.
-                loads.update(
-                    compress(
-                        zip(range(p, len(members), step), result.loads),
-                        members_of_p,
-                    )
-                )
+                part_loads[p] = result.loads
                 if result.outputs is not None:
                     part_outputs[p], part_counts[p] = result.outputs
             capacity = self.plan.capacity
-            max_load = max(loads.values(), default=0)
+            max_load = max(
+                (max(slots) for slots in part_loads if slots), default=0
+            )
             violations: list[int] = []
             if capacity is not None and max_load > capacity:
+                # Slot k of partition p is reducer p + k * partitions.
                 violations = sorted(
-                    key for key, load in loads.items() if load > capacity
+                    p + k * num_partitions
+                    for p, slots in enumerate(part_loads)
+                    for k, load in enumerate(slots)
+                    if load > capacity
                 )
                 if self.strict_capacity:
                     # A task holding an offender discarded its outputs,
                     # so this raises before the walk would need them.
                     key = violations[0]
+                    load = part_loads[key % num_partitions][
+                        key // num_partitions
+                    ]
                     raise CapacityExceededError(
                         f"reducer for key {key!r} received load "
-                        f"{loads[key]} > capacity {capacity}",
+                        f"{load} > capacity {capacity}",
                         key=key,
-                        load=loads[key],
+                        load=load,
                         capacity=capacity,
                     )
-            # Reducer r's outputs are the next counts[r // partitions]
-            # items of partition r % partitions' flat list.
+            # Reducer r's load is slot r // partitions of partition
+            # r % partitions, and its outputs are the next counts[slot]
+            # items of that partition's flat list.
+            loads: dict[int, int] = {}
             cursors = [0] * num_partitions
             outputs: list[Any] = []
-            for key, held in enumerate(members):
+            for key, held in enumerate(self.plan.members):
                 if not held:
                     continue
                 p = key % num_partitions
-                count = part_counts[p][key // num_partitions]
+                slot = key // num_partitions
+                loads[key] = part_loads[p][slot]
+                count = part_counts[p][slot]
                 if count:
                     start = cursors[p]
                     cursors[p] = start + count

@@ -1,16 +1,92 @@
-"""Execution-side metrics: phase wall times and task-level loads.
+"""Job metrics: the paper's analytical quantities and the execution facts.
 
-The simulator's :class:`repro.mapreduce.metrics.JobMetrics` measures the
-paper's *analytical* quantities (communication cost, reducer loads vs the
-capacity ``q``).  The engine additionally measures *execution* quantities —
-how long each phase actually took on a backend, how many physical tasks ran,
-and how loaded each reduce task was — so schema quality can be read off as
+:class:`JobMetrics` holds the paper's *analytical* quantities of one run
+(communication cost, reducer loads vs the capacity ``q``), defined on the
+abstract MapReduce model the test suite's reference simulator runs.
+:class:`EngineMetrics` holds the *execution* quantities — how long each
+phase actually took on a backend, how many physical tasks ran, and how
+loaded each reduce task was — so schema quality can be read off as
 wall-clock speedups rather than only cost numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class JobMetrics:
+    """The paper's metrics of one job run.
+
+    ``communication_cost`` is the paper's definition verbatim: the total
+    amount of data transmitted from the map phase to the reduce phase,
+    i.e. the summed sizes of all shuffled values.
+
+    Attributes:
+        map_input_records: records fed to the job.
+        map_output_pairs: key-value pairs a per-reducer map would emit:
+            one per (input, reducer) membership.
+        communication_cost: total value size shuffled map -> reduce.
+        num_reducers: distinct keys reduced (reducer = key + value list).
+        reducer_loads: per-key total value size, keyed by reduce key, in
+            reduce order.
+        max_reducer_load: largest reducer load.
+        capacity: the enforced reducer capacity (``None`` if unenforced).
+        capacity_violations: keys whose load exceeded the capacity (only
+            populated when enforcement is non-strict; strict mode raises).
+        output_records: records produced by reducers.
+        spilled_bytes: bytes written to on-disk shuffle runs by the map
+            phase (0 for unbounded runs; these three counters describe
+            the physical execution, not the paper's analytical model, so
+            cross-validation against the reference simulator ignores
+            them).
+        spill_runs: run files written during the map phase.
+        peak_buffered_pairs: most routed pairs the map phase held in
+            memory at once, measured only in memory-budgeted runs (0
+            otherwise).  It may overshoot the budget by at most one
+            record's routed pairs, since the flush triggers between
+            records.
+    """
+
+    map_input_records: int = 0
+    map_output_pairs: int = 0
+    communication_cost: int = 0
+    num_reducers: int = 0
+    reducer_loads: dict = field(default_factory=dict)
+    max_reducer_load: int = 0
+    capacity: int | None = None
+    capacity_violations: tuple = ()
+    output_records: int = 0
+    spilled_bytes: int = 0
+    spill_runs: int = 0
+    peak_buffered_pairs: int = 0
+
+    @property
+    def mean_reducer_load(self) -> float:
+        """Average reducer load (0.0 for an empty job)."""
+        if not self.reducer_loads:
+            return 0.0
+        return sum(self.reducer_loads.values()) / len(self.reducer_loads)
+
+    @property
+    def load_skew(self) -> float:
+        """Max load / mean load; 1.0 means perfectly balanced."""
+        mean = self.mean_reducer_load
+        return (self.max_reducer_load / mean) if mean else 0.0
+
+    def as_row(self) -> dict[str, object]:
+        """Flat dict for table rendering (drops the per-key load map)."""
+        return {
+            "map_inputs": self.map_input_records,
+            "map_pairs": self.map_output_pairs,
+            "comm_cost": self.communication_cost,
+            "reducers": self.num_reducers,
+            "max_load": self.max_reducer_load,
+            "mean_load": round(self.mean_reducer_load, 2),
+            "skew": round(self.load_skew, 3),
+            "violations": len(self.capacity_violations),
+            "outputs": self.output_records,
+        }
 
 
 @dataclass(frozen=True)

@@ -214,23 +214,23 @@ def owned_partners(
             yield (*head, partners)
 
 
-def indexed_size(record: tuple[int, Any], sizes: tuple[int, ...]) -> int:
-    """Size function for A2A-wrapped records: the instance size of input i.
+def default_size(value: Any) -> int:
+    """Default value-size function.
 
-    Using the instance's declared sizes (not a measurement of the payload)
-    keeps the engine's capacity accounting identical to the schema's.
+    Preference order: an explicit ``size`` attribute (the convention used by
+    :mod:`repro.workloads` objects), then ``len`` for sized containers, then
+    1 for scalars.  Never returns less than 1 so every shipped value costs
+    something, matching the paper's accounting where each copy of an input
+    contributes its size.
     """
-    return sizes[record[0]]
-
-
-def tagged_size(
-    record: tuple[str, int, Any],
-    x_sizes: tuple[int, ...],
-    y_sizes: tuple[int, ...],
-) -> int:
-    """Size function for X2Y-wrapped records: the side's instance size."""
-    side, index, _ = record
-    return (x_sizes if side == "x" else y_sizes)[index]
+    size_attr = getattr(value, "size", None)
+    if isinstance(size_attr, int) and size_attr > 0:
+        return size_attr
+    try:
+        length = len(value)  # type: ignore[arg-type]
+    except TypeError:
+        return 1
+    return max(1, length)
 
 
 def _enumerate_checked(
@@ -297,7 +297,6 @@ class SchemaPlan:
             :class:`~repro.dataset.Dataset` when the source was one).
         key_of: wrapped record -> its input key (``i``, or ``(side, i)``
             for X2Y); picklable.
-        size_of: wrapped record -> its input's declared size; picklable.
         sizes: input key -> declared size, for every input.
         members: per reducer, its members' input keys.  Sorted, they are
             in record order (for X2Y, the X side then the Y side).
@@ -308,7 +307,6 @@ class SchemaPlan:
 
     records: list[Any] | Dataset
     key_of: Callable[[Any], Hashable]
-    size_of: Callable[[Any], int]
     sizes: dict[Hashable, int]
     members: MemberLists
     capacity: int | None
@@ -378,7 +376,6 @@ class SchemaPlan:
         return cls(
             records=wrapped,
             key_of=itemgetter(0),
-            size_of=partial(indexed_size, sizes=sizes),
             sizes=dict(enumerate(sizes)),
             members=lists,
             capacity=capacity,
@@ -448,10 +445,9 @@ def build_schema_plan(
     """Compile a schema plus per-input records into a :class:`SchemaPlan`.
 
     The engine (:func:`repro.engine.engine.execute_schema`) runs the
-    plan, and the oracle side of cross-validation
-    (:mod:`repro.engine.crossval`) runs the same wrapped records and sizes
-    through its own per-reducer routing.  The plan's capacity is the
-    instance's ``q``.
+    plan; the test suite's reference simulator runs the same wrapped
+    records and declared sizes through its own per-reducer routing.  The
+    plan's capacity is the instance's ``q``.
 
     An A2A or multiway schema is its member lists over one list of
     inputs, so it is wrapped, keyed and sized exactly as
@@ -499,9 +495,6 @@ def build_schema_plan(
         return SchemaPlan(
             records=wrapped,
             key_of=itemgetter(0, 1),
-            size_of=partial(
-                tagged_size, x_sizes=instance.x_sizes, y_sizes=instance.y_sizes
-            ),
             sizes=sizes,
             members=tuple(
                 tuple(x_keys[i] for i in x_part)

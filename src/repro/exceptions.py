@@ -51,10 +51,10 @@ class InvalidSchemaError(ReproError):
 
 
 class CapacityExceededError(ReproError):
-    """A simulated reducer received more input than its capacity ``q``.
+    """A reducer received more input than its capacity ``q``.
 
-    Raised by the MapReduce simulator when a reduce task's total value size
-    exceeds the configured reducer capacity and strict enforcement is on.
+    Raised by the execution engine when a reducer's total value size
+    exceeds the plan's capacity and strict enforcement is on.
     """
 
     def __init__(self, message: str, *, key: object = None, load: int = 0, capacity: int = 0):

@@ -3,7 +3,7 @@
 The planner's scores are analytical; the roadmap's self-calibrating
 planner needs the *measured* counterpart — for each executed job, which
 plan ran (by fingerprint) and what actually happened (phase timings,
-queue wait, the :class:`~repro.mapreduce.metrics.JobMetrics` totals).
+queue wait, the :class:`~repro.engine.metrics.JobMetrics` totals).
 :class:`ObservationStore` appends exactly that record per finished job:
 a bounded in-memory window for live queries plus, optionally, an
 append-only NDJSON log on disk so observations survive the process —
@@ -156,7 +156,7 @@ class ObservationRecord:
         """The one builder of a job's record, done or failed.
 
         *metrics* and *engine* are the run's
-        :class:`~repro.mapreduce.metrics.JobMetrics` and
+        :class:`~repro.engine.metrics.JobMetrics` and
         :class:`~repro.engine.metrics.EngineMetrics` (duck-typed, so this
         module never imports the engine), or ``None`` for a plan-only
         job or a run that raised.  Plan-only records keep zeroed

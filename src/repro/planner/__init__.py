@@ -7,11 +7,11 @@ stages:
 
 1. **Spec** (:class:`JobSpec`) — a declarative statement of the problem:
    kind (``a2a``/``x2y``/``multiway``), sizes, ``q``, and an objective
-   (``min-reducers`` | ``min-communication`` | ``min-makespan``).  All
-   applications build specs instead of calling solvers directly.
+   (``min-reducers`` | ``min-communication``).  All applications build
+   specs instead of calling solvers directly.
 2. **Plan** (:func:`plan`) — enumerate candidate methods from the
-   registries, score them (costs, bounds, LPT makespan), pick the winner
-   per objective, and resolve an
+   registries, score them (costs and bounds), pick the winner per
+   objective, and resolve an
    :class:`~repro.engine.config.ExecutionConfig` from an
    :class:`Environment` probe.  The result is an inspectable,
    JSON-serializable :class:`Plan` with per-candidate scores and the

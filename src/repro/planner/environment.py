@@ -1,9 +1,12 @@
 """Execution-environment probe: what the planner knows about the machine.
 
-The planner's execution-configuration rules key on two facts: how many
-workers can actually run at once, and how much memory is available for
-the shuffle.  :meth:`Environment.detect` measures both (worker count via
-the scheduling affinity, memory via ``/proc/meminfo`` where it exists);
+An environment records two facts: how many workers can actually run at
+once, and how much memory is available for the shuffle.  The planner's
+execution-configuration rules key on the memory only (every planned job
+runs serially); the worker count is part of the snapshot a plan embeds,
+and the job service checks requested pools against it.
+:meth:`Environment.detect` measures both (worker count via the
+scheduling affinity, memory via ``/proc/meminfo`` where it exists);
 tests and benchmarks construct :class:`Environment` explicitly so plans
 are reproducible on any machine.
 """

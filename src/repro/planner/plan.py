@@ -32,8 +32,8 @@ class CandidateScore:
     """One method's scorecard inside a plan.
 
     ``objective_value`` is the candidate's value under the spec's
-    objective (reducers, communication, or LPT makespan) — the number the
-    planner minimized; the remaining cost fields are reported for every
+    objective (reducers or communication) — the number the planner
+    minimized; the remaining cost fields are reported for every
     scored candidate regardless of objective so ``--explain`` can show
     the full tradeoff table.
     """
@@ -45,7 +45,6 @@ class CandidateScore:
     communication_cost: int | None = None
     replication_rate: float | None = None
     max_load: int | None = None
-    makespan: float | None = None
     objective_value: float | None = None
 
     def __post_init__(self) -> None:
@@ -64,7 +63,6 @@ class CandidateScore:
             "communication_cost": self.communication_cost,
             "replication_rate": self.replication_rate,
             "max_load": self.max_load,
-            "makespan": self.makespan,
             "objective_value": self.objective_value,
             "reason": self.reason,
         }

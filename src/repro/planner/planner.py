@@ -14,11 +14,11 @@ inspectable :class:`~repro.planner.plan.Plan`.  Three modes, selected by
   (:data:`~repro.core.selector.A2A_METHODS` /
   :data:`~repro.core.selector.X2Y_METHODS` /
   :data:`MULTIWAY_METHODS`) is built and scored with
-  :func:`repro.core.costs.summarize`-style metrics plus an LPT makespan
-  estimate on the environment's worker pool; the winner minimizes the
-  spec's objective.  The exponential ``exact`` solvers are skipped above
-  a size threshold, and a method that raises is recorded as failed, not
-  fatal.
+  :func:`repro.core.costs.summarize`-style metrics; the winner minimizes
+  the spec's objective.  No score depends on the environment, so neither
+  does the chosen method.  The exponential ``exact`` solvers are skipped
+  above a size threshold, and a method that raises is recorded as
+  failed, not fatal.
 * a method name — **pinned**: that method, still scored, so the plan
   remains inspectable.
 
@@ -49,7 +49,6 @@ from repro.core.multiway import (
 from repro.core.selector import A2A_METHODS, X2Y_METHODS, require_method
 from repro.engine.config import ExecutionConfig
 from repro.exceptions import InvalidInstanceError, ReproError
-from repro.mapreduce.cluster import schedule_loads
 from repro.obs.trace import NULL_TRACER, Tracer, as_tracer
 from repro.planner.environment import Environment
 from repro.planner.fastpath import fast_path
@@ -157,31 +156,22 @@ def _skip_reason(
     return None
 
 
-def score_schema(
-    method: str, schema: Any, env: Environment, objective: str
-) -> CandidateScore:
-    """Score one built schema under *objective* for *env*.
+def score_schema(method: str, schema: Any, objective: str) -> CandidateScore:
+    """Score one built schema under *objective*.
 
     Works for all three schema kinds (only ``loads`` / ``num_reducers`` /
-    ``communication_cost`` / the instance totals are touched).  The
-    makespan is the LPT schedule of the reducer loads on the
-    environment's worker pool — the same model the cluster simulator
-    uses — so ``min-makespan`` plans reflect finite parallelism, not
-    just reducer counts.
+    ``communication_cost`` / the instance totals are touched).  Every
+    planned job runs on one serial partition, so no score depends on the
+    environment's worker count.
     """
     loads = schema.loads
     num_reducers = schema.num_reducers
     comm = schema.communication_cost
     total = schema.instance.total_size
-    makespan = float(
-        schedule_loads(loads, env.num_workers).makespan if loads else 0.0
-    )
     if objective == "min-reducers":
         objective_value = float(num_reducers)
-    elif objective == "min-communication":
+    else:  # min-communication
         objective_value = float(comm)
-    else:  # min-makespan
-        objective_value = makespan
     return CandidateScore(
         method=method,
         status="scored",
@@ -189,7 +179,6 @@ def score_schema(
         communication_cost=comm,
         replication_rate=(comm / total) if total else 0.0,
         max_load=max(loads, default=0),
-        makespan=makespan,
         objective_value=objective_value,
     )
 
@@ -362,7 +351,7 @@ def _plan_uncached(
             with tracer.span(f"score:{name}", category="planner"):
                 schemas[name] = schema
                 candidates.append(
-                    score_schema(name, schema, env, spec.objective)
+                    score_schema(name, schema, spec.objective)
                 )
         candidates.extend(
             CandidateScore(method=name, status="skipped", reason=reason)
@@ -376,7 +365,7 @@ def _plan_uncached(
         schema = registry[spec.method](instance)
         schemas[spec.method] = schema
         candidates.append(
-            score_schema(spec.method, schema, env, spec.objective)
+            score_schema(spec.method, schema, spec.objective)
         )
         chosen = spec.method
         rationale = f"method pinned to {spec.method!r} by the spec"
@@ -402,7 +391,7 @@ def _plan_uncached(
                     continue
                 schemas[name] = schema
                 candidates.append(
-                    score_schema(name, schema, env, spec.objective)
+                    score_schema(name, schema, spec.objective)
                 )
         scored = [c for c in candidates if c.status == "scored"]
         if not scored:
@@ -422,13 +411,14 @@ def _plan_uncached(
             ),
         )
         chosen = best.method
-        bound_name = {
-            "min-reducers": "num_reducers",
-            "min-communication": "communication_cost",
-        }.get(spec.objective)
+        bound_name = (
+            "num_reducers"
+            if spec.objective == "min-reducers"
+            else "communication_cost"
+        )
         bound_note = (
             f", lower bound {lower_bounds[bound_name]}"
-            if bound_name and bound_name in lower_bounds
+            if bound_name in lower_bounds
             else ""
         )
         rationale = (

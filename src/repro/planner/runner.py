@@ -17,8 +17,7 @@ from typing import Any, Sequence
 
 from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig
-from repro.engine.engine import EngineResult, execute_schema
-from repro.mapreduce.types import ReduceFn
+from repro.engine.engine import EngineResult, ReduceFn, execute_schema
 from repro.obs.trace import Tracer
 from repro.planner.plan import Plan
 

@@ -32,10 +32,11 @@ from repro.exceptions import InvalidInstanceError
 KINDS = ("a2a", "x2y", "multiway")
 
 #: Planning objectives.  ``min-reducers`` minimizes the reducer count (the
-#: paper's primary target), ``min-communication`` minimizes total map →
-#: reduce traffic, and ``min-makespan`` minimizes the LPT-scheduled
-#: completion time of the reducer loads on the environment's worker pool.
-OBJECTIVES = ("min-reducers", "min-communication", "min-makespan")
+#: paper's primary target) and ``min-communication`` minimizes total map →
+#: reduce traffic.  Every planned job runs on one serial partition, where
+#: the reduce work is the communication, so no objective weighs a worker
+#: pool.
+OBJECTIVES = ("min-reducers", "min-communication")
 
 #: Spec/plan wire-format version.
 SPEC_FORMAT_VERSION = 1

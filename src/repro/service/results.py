@@ -19,9 +19,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-from repro.engine.metrics import EngineMetrics
+from repro.engine.metrics import EngineMetrics, JobMetrics
 from repro.exceptions import InvalidInstanceError, UnknownJobError
-from repro.mapreduce.metrics import JobMetrics
 from repro.planner.plan import Plan
 
 #: Default number of retained job results.

@@ -37,6 +37,7 @@ from repro import planner as planner_pkg
 from repro.dataset import Dataset
 from repro.engine.backends import BACKENDS, Backend
 from repro.engine.config import ExecutionConfig
+from repro.engine.engine import ReduceFn
 from repro.exceptions import (
     AdmissionError,
     InvalidInstanceError,
@@ -48,7 +49,6 @@ from repro.exceptions import (
     UnknownJobError,
     WorkerLostError,
 )
-from repro.mapreduce.types import ReduceFn
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import ResourceSampler, read_cpu_seconds
 from repro.obs.store import (

@@ -25,7 +25,7 @@ from repro.workloads.distributions import sample_sizes
 class Document:
     """A document: an id plus a token tuple; its *size* is the token count.
 
-    Token count doubling as assignment size keeps the simulator's byte
+    Token count doubling as assignment size keeps the engine's load
     accounting and the mapping-schema sizes consistent by construction.
     """
 

@@ -5,7 +5,7 @@ Each application used to call ``solve_a2a``/``solve_x2y``/
 now builds a :class:`~repro.planner.spec.JobSpec`, plans it, and runs on
 the engine (through :func:`repro.planner.run` for single-schema apps).
 These tests reimplement the pre-refactor direct-call paths as
-:class:`~repro.mapreduce.job.MapReduceJob` oracles and assert the apps
+:class:`oracle.MapReduceJob` oracles and assert the apps
 produce identical outputs — on the default path (the serial engine), on
 an explicitly configured process-pool engine, and under full cost-based
 planning (``method="planned"``, where a *different but valid* schema
@@ -33,11 +33,12 @@ from repro.engine.routing import (
     canonical_meeting,
     x2y_memberships,
 )
-from repro.mapreduce.job import MapReduceJob
 from repro.workloads.documents import all_pairs_above, generate_documents, jaccard
 from repro.workloads.relations import generate_join_workload
 from repro.workloads.social import common_friends, generate_users
 from repro.workloads.vectors import generate_block_vector
+
+from oracle import MapReduceJob
 
 POOLED = ExecutionConfig(backend="processes", num_workers=2)
 

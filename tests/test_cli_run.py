@@ -176,7 +176,6 @@ class TestPlanSubcommand:
         out = capsys.readouterr().out
         assert status == 0
         assert "communication_cost" in out
-        assert "makespan" in out
 
     def test_plan_json_out_round_trips(self, tmp_path, capsys):
         target = tmp_path / "plan.json"

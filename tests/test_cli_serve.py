@@ -9,9 +9,10 @@ import pytest
 
 from repro import io as repro_io
 from repro.cli import main
-from repro.engine.crossval import validate_against_simulator
 from repro.planner import JobSpec, plan
 from repro.service.service import collect_reduce, spec_records
+
+from oracle import validate_against_simulator
 
 
 def _parse_ndjson(text: str) -> list[dict]:

@@ -17,9 +17,9 @@ from repro.engine.backends import (
     get_backend,
 )
 from repro.engine.config import ExecutionConfig
-from repro.engine.crossval import oracle_run
 from repro.exceptions import CapacityExceededError, UnknownMethodError
 
+from oracle import oracle_run
 from word_count import RECORDS, word_engine
 
 

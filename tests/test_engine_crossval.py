@@ -1,7 +1,7 @@
 """Cross-validation: the engine must agree with the reference simulator.
 
 This is the acceptance gate for the engine subsystem — the serial backend
-has to be byte-identical to :class:`repro.mapreduce.job.MapReduceJob` in
+has to be byte-identical to :class:`oracle.MapReduceJob` in
 outputs *and* metrics before the parallel backends mean anything.
 """
 
@@ -40,18 +40,19 @@ from repro.apps.threeway_similarity import (
 )
 from repro.core.selector import solve_a2a, solve_x2y
 from repro.engine.config import ExecutionConfig
-from repro.engine.crossval import (
-    CrossValidationReport,
-    compare_results,
-    oracle_run,
-    validate_against_simulator,
-)
 from repro.engine.routing import a2a_reducer_masks, x2y_reducer_masks
-from repro.mapreduce.job import JobResult
 from repro.workloads.documents import generate_documents
 from repro.workloads.relations import generate_join_workload
 from repro.workloads.social import generate_users
 from repro.workloads.vectors import generate_block_vector
+
+from oracle import (
+    CrossValidationReport,
+    JobResult,
+    compare_results,
+    oracle_run,
+    validate_against_simulator,
+)
 
 #: The engine settings every check runs on: the serial default (one
 #: reduce partition), the serial backend over several reduce partitions

@@ -9,9 +9,9 @@ source (a list, or for A2A, multiway and member lists a streaming
 injected faults (none, or seeded task crashes and transient failures
 under a retry policy) and the instrumentation (none, a tracer, or a
 profiling tracer), then checks that the engine's routed run equals
-:class:`~repro.mapreduce.job.MapReduceJob`'s per-reducer run of the same
+:class:`oracle.MapReduceJob`'s per-reducer run of the same
 records and reduce function: the same outputs in the same order and the
-same analytical :class:`~repro.mapreduce.metrics.JobMetrics`, or the same
+same analytical :class:`~repro.engine.metrics.JobMetrics`, or the same
 :class:`~repro.exceptions.CapacityExceededError`.
 """
 
@@ -26,11 +26,6 @@ from hypothesis import strategies as st
 from repro.dataset import Dataset
 from repro.engine.backends import ProcessBackend
 from repro.engine.config import ExecutionConfig
-from repro.engine.crossval import (
-    compare_results,
-    oracle_run,
-    validate_against_simulator,
-)
 from repro.engine.engine import ExecutionEngine
 from repro.engine.routing import SchemaPlan
 from repro.exceptions import CapacityExceededError, ReproError
@@ -38,6 +33,8 @@ from repro.faults import FaultSpec, RetryPolicy
 from repro.obs.trace import Tracer
 from repro.planner import JobSpec
 from repro.planner.planner import build_schema, method_registry
+
+from oracle import compare_results, oracle_run, validate_against_simulator
 
 #: Exhaustive search is exponential; larger instances do not draw it.
 EXACT_MAX_INPUTS = 6

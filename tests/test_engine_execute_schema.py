@@ -18,7 +18,6 @@ from repro.engine import (
     canonical_meeting,
     execute_schema,
 )
-from repro.engine.crossval import validate_against_simulator
 from repro.engine.routing import (
     a2a_memberships,
     build_schema_plan,
@@ -28,6 +27,8 @@ from repro.exceptions import InvalidInstanceError, InvalidSchemaError
 from repro.obs.trace import Tracer
 from repro.planner import JobSpec, plan
 from repro.workloads.distributions import sample_sizes
+
+from oracle import validate_against_simulator
 
 #: ``(backend, memory_budget)``: each backend in memory, plus serial
 #: under a one-pair budget, so the runs also take the spill shuffle.
@@ -407,7 +408,7 @@ class TestMemberListPlans:
         )
         assert plan.records == [(0, "a"), (1, "b"), (2, "c")]
         assert [plan.key_of(r) for r in plan.records] == [0, 1, 2]
-        assert [plan.size_of(r) for r in plan.records] == [4, 5, 6]
+        assert [plan.sizes[plan.key_of(r)] for r in plan.records] == [4, 5, 6]
         assert plan.members == ((2, 0), (), (1,))
         assert plan.capacity == 9
         assert plan.communication_cost == 6 + 4 + 5

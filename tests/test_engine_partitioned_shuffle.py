@@ -14,14 +14,21 @@ from dataclasses import replace
 import pytest
 
 from repro.apps.skew_join import schema_skew_join
+from repro.core.instance import A2AInstance
+from repro.core.selector import solve_a2a
 from repro.engine.backends import ProcessBackend
 from repro.engine.config import ExecutionConfig
-from repro.engine.crossval import compare_results, oracle_run
 from repro.engine import engine as engine_module
-from repro.engine.engine import ExecutionEngine, _run_routed_reduce_task
+from repro.engine.engine import (
+    ExecutionEngine,
+    _run_routed_reduce_task,
+    execute_schema,
+)
 from repro.engine.routing import SchemaPlan
 from repro.exceptions import CapacityExceededError
 from repro.workloads.relations import generate_join_workload
+
+from oracle import compare_results, oracle_run
 
 PROCESSES = ExecutionConfig(backend="processes")
 
@@ -212,6 +219,27 @@ class TestReducerAlignedReassembly:
             11,
             10,
         )
+
+
+class TestMetricsIndependentOfPartitions:
+    def test_reducer_loads_are_listed_in_reducer_order(self):
+        # The post-pass takes each reducer's load from its partition in
+        # the reducer-order walk, so the metrics (repr included) read the
+        # same on one partition and on four.
+        instance = A2AInstance([(i % 5) + 1 for i in range(20)], q=10)
+        schema = solve_a2a(instance)
+        records = [f"r{i}" for i in range(instance.m)]
+        one, four = (
+            execute_schema(
+                schema,
+                records,
+                lambda key, values: [(key, len(values))],
+                num_reduce_tasks=parts,
+            ).metrics
+            for parts in (1, 4)
+        )
+        assert list(four.reducer_loads) == sorted(four.reducer_loads)
+        assert repr(four) == repr(one)
 
 
 class TestCrossRunStability:

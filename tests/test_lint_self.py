@@ -23,7 +23,8 @@ def test_repo_tree_is_lint_clean():
     assert report.findings == [], "\n".join(
         f.render() for f in report.sorted_findings()
     )
-    assert report.files_checked > 100
+    # Every module of the package was walked, not just a few.
+    assert report.files_checked == len(list(PACKAGE_DIR.rglob("*.py")))
 
 
 def test_committed_baseline_is_empty():

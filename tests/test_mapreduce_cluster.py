@@ -1,11 +1,11 @@
-"""Unit tests for the cluster scheduling model."""
+"""Unit tests for the LPT scheduling model behind the parallelism sweeps."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis import schedule_loads
 from repro.exceptions import InvalidInstanceError
-from repro.mapreduce.cluster import SimulatedCluster, schedule_loads
 
 
 class TestScheduleLoads:
@@ -33,10 +33,6 @@ class TestScheduleLoads:
         assert result.waves == 0
         assert result.utilization == 0.0
 
-    def test_time_per_unit_scales(self):
-        fast = schedule_loads([10], 1, time_per_unit=0.5)
-        assert fast.makespan == 5.0
-
     def test_utilization_perfect_when_balanced(self):
         result = schedule_loads([5, 5, 5, 5], 4)
         assert result.utilization == pytest.approx(1.0)
@@ -57,23 +53,3 @@ class TestScheduleLoads:
     def test_rejects_bad_workers(self):
         with pytest.raises(InvalidInstanceError):
             schedule_loads([1], 0)
-
-    def test_rejects_bad_time_unit(self):
-        with pytest.raises(InvalidInstanceError):
-            schedule_loads([1], 1, time_per_unit=0)
-
-
-class TestSimulatedCluster:
-    def test_schedule_delegates(self):
-        cluster = SimulatedCluster(num_workers=2, reducer_capacity=10)
-        assert cluster.schedule([4, 4]).makespan == 4.0
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(InvalidInstanceError):
-            SimulatedCluster(num_workers=0, reducer_capacity=10)
-        with pytest.raises(InvalidInstanceError):
-            SimulatedCluster(num_workers=2, reducer_capacity=0)
-
-    def test_time_per_unit_applied(self):
-        cluster = SimulatedCluster(2, 10, time_per_unit=2.0)
-        assert cluster.schedule([3]).makespan == 6.0

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.routing import default_size
 from repro.exceptions import CapacityExceededError
-from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.types import default_size
+
+from oracle import MapReduceJob
 
 
 def word_count_job(**kwargs):

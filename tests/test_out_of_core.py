@@ -22,11 +22,6 @@ from repro.core.selector import solve_a2a
 from repro.engine import engine as engine_module
 from repro.engine.backends import BACKENDS
 from repro.engine.config import ExecutionConfig
-from repro.engine.crossval import (
-    compare_results,
-    oracle_run,
-    validate_against_simulator,
-)
 from repro.engine.engine import ExecutionEngine
 from repro.engine.routing import SchemaPlan
 from repro.engine.spill import (
@@ -42,9 +37,14 @@ from repro.exceptions import (
     SpillError,
     UnknownMethodError,
 )
-from repro.mapreduce.job import MapReduceJob
 from repro.obs.trace import Tracer
 from repro.workloads.relations import generate_join_workload
+from oracle import (
+    MapReduceJob,
+    compare_results,
+    oracle_run,
+    validate_against_simulator,
+)
 from shuffle_heavy import fanout_plan, sum_reduce
 
 ALL_BACKENDS = sorted(BACKENDS)

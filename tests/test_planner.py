@@ -9,6 +9,7 @@ run stage funneling into the engine.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -16,7 +17,6 @@ import pytest
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.selector import A2A_METHODS, X2Y_METHODS
 from repro.engine.config import ExecutionConfig
-from repro.engine.crossval import validate_against_simulator
 from repro.exceptions import (
     InfeasibleInstanceError,
     InvalidInstanceError,
@@ -39,6 +39,8 @@ from repro.planner.planner import (
     MULTIWAY_METHODS,
 )
 from repro.service.service import collect_reduce
+
+from oracle import validate_against_simulator
 
 ENV = Environment(num_workers=2, memory_bytes=1 << 30)
 SERIAL_ENV = Environment(num_workers=1, memory_bytes=1 << 30)
@@ -96,6 +98,13 @@ class TestJobSpec:
         with pytest.raises(InvalidInstanceError):
             JobSpec.a2a([3], q=10, objective="max-profit")
 
+    def test_makespan_objective_is_rejected(self):
+        # Planned jobs run on one serial partition, so there is no worker
+        # pool to schedule reducer loads on: two objectives remain.
+        remaining = re.escape("['min-reducers', 'min-communication']")
+        with pytest.raises(InvalidInstanceError, match=remaining):
+            JobSpec.a2a([3, 5], q=10, objective="min-makespan")
+
     def test_spec_dict_round_trip(self):
         for spec in [
             JobSpec.a2a([3, 5], q=10, objective="min-communication", method=None),
@@ -124,7 +133,6 @@ class TestPlanModes:
         [
             ("min-reducers", "num_reducers"),
             ("min-communication", "communication_cost"),
-            ("min-makespan", "makespan"),
         ],
     )
     def test_objective_value_tracks_metric(self, objective, metric):
@@ -205,6 +213,33 @@ class TestPlanModes:
         assert planned.chosen == "bin_combining"
         assert planned.schema().verify() == (True, "valid")
         assert "num_reducers" in planned.lower_bounds
+
+
+class TestWorkerCountIndependence:
+    """Every planned job runs serially, so no part of a plan may depend
+    on how many workers the environment reports."""
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("mode", ["planned", "fast-path", "pinned"])
+    @pytest.mark.parametrize(
+        "shape,pinned",
+        [
+            (JobSpec.a2a([11, 3, 4, 5, 2, 6, 7, 3], q=20), "greedy"),
+            (JobSpec.x2y([9, 2, 3, 1], [5, 3, 4], q=17), "greedy"),
+            (JobSpec.multiway([2, 3, 2, 3, 2, 2], q=9, r=3), "bin_combining"),
+        ],
+        ids=["a2a", "x2y", "multiway"],
+    )
+    def test_plan_ignores_worker_count(self, shape, pinned, mode, objective):
+        method = {"planned": None, "fast-path": "auto", "pinned": pinned}[mode]
+        spec = replace(shape, method=method, objective=objective)
+        one = plan(spec, Environment(num_workers=1, memory_bytes=1 << 30))
+        many = plan(spec, Environment(num_workers=64, memory_bytes=1 << 30))
+        assert one.mode == mode
+        assert many.chosen == one.chosen
+        assert many.candidates == one.candidates
+        assert many.rationale == one.rationale
+        assert many.execution == one.execution
 
 
 class TestExactGate:
@@ -354,7 +389,9 @@ class TestPlanSerialization:
         [
             JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None),
             JobSpec.a2a([4] * 6, q=8),
-            JobSpec.x2y([4, 5], [3, 3], q=10, method=None, objective="min-makespan"),
+            JobSpec.x2y(
+                [4, 5], [3, 3], q=10, method=None, objective="min-communication"
+            ),
             JobSpec.x2y([4], [3], q=10, method="greedy"),
             JobSpec.multiway([2, 2, 2, 2], q=9, r=3, method=None),
         ],

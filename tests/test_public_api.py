@@ -15,7 +15,6 @@ PUBLIC_MODULES = [
     "repro.core.multiway",
     "repro.binpack",
     "repro.covering",
-    "repro.mapreduce",
     "repro.engine",
     "repro.obs",
     "repro.planner",

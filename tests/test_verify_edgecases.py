@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.schema import A2ASchema, X2YSchema
 from repro.core.verify import _MAX_REPORTED
-from repro.exceptions import InvalidInstanceError
-from repro.mapreduce.cluster import SimulatedCluster
 
 
 class TestReportTruncation:
@@ -65,13 +61,3 @@ class TestReportContents:
         assert not report.valid
         assert report.capacity_violations == ((0, 8),)
 
-
-class TestClusterSpeeds:
-    def test_cluster_passes_speeds_through(self):
-        cluster = SimulatedCluster(2, 10, worker_speeds=(1.0, 4.0))
-        result = cluster.schedule([8])
-        assert result.makespan == pytest.approx(2.0)
-
-    def test_cluster_rejects_mismatched_speeds(self):
-        with pytest.raises(InvalidInstanceError, match="entries"):
-            SimulatedCluster(3, 10, worker_speeds=(1.0, 2.0))

@@ -14,9 +14,8 @@ from typing import Any, Iterator, Sequence
 
 from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig
-from repro.engine.engine import ExecutionEngine
+from repro.engine.engine import ExecutionEngine, ReduceFn
 from repro.engine.routing import SchemaPlan
-from repro.mapreduce.types import ReduceFn
 
 RECORDS = [
     "the quick brown fox",
