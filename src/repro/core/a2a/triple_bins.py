@@ -16,6 +16,10 @@ send it to ``b' - 1 ≈ 2b/3``: roughly a quarter fewer copies.
 
 Inputs larger than ``q // 3`` do not fit a bin; such instances use
 :mod:`repro.core.a2a.ffd_pairing` or :mod:`repro.core.a2a.big_small`.
+When every input fits ``q // 4``, :mod:`repro.core.a2a.quad_bins` covers
+pairs of bins with blocks of four, and on large instances it beats this
+scheme on both reducers and communication; the planner's fast path
+picks between them on predicted counts.
 """
 
 from __future__ import annotations
@@ -76,10 +80,8 @@ def triple_bins(instance: A2AInstance) -> A2ASchema:
         )
     bins = first_fit_decreasing(instance.sizes, third).bins
     if len(bins) <= 3:
-        reducers: list[tuple[int, ...]] = [tuple(range(instance.m))]
+        blocks: list[tuple[int, ...]] = [tuple(range(len(bins)))]
     else:
-        padded = (*bins, (), (), (), (), ())
-        reducers = [
-            padded[a] + padded[b] + padded[c] for a, b, c in bin_triples(len(bins))
-        ]
-    return A2ASchema.from_lists(instance, reducers, algorithm="triple_bins")
+        blocks = list(bin_triples(len(bins)))
+    padded = (*bins, (), (), (), (), ())
+    return A2ASchema.from_bins(instance, padded, blocks, algorithm="triple_bins")

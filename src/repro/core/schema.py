@@ -9,6 +9,7 @@ validity checking lives in :mod:`repro.core.verify`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import eq
@@ -56,6 +57,30 @@ class A2ASchema:
         """
         normalized = tuple(map(_normalized, reducers))
         return cls(instance=instance, reducers=normalized, algorithm=algorithm)
+
+    @classmethod
+    def from_bins(
+        cls,
+        instance: A2AInstance,
+        bins: Sequence[Sequence[int]],
+        blocks: Iterable[Sequence[int]],
+        algorithm: str = "unspecified",
+    ) -> "A2ASchema":
+        """Build a schema whose reducer ``r`` holds the inputs of the bins
+        ``bins[b]`` for ``b`` in ``blocks[r]``.
+
+        The bins must be disjoint (a packing's), so a reducer's sorted
+        concatenation is already the normal form :meth:`from_lists` would
+        build, without its duplicate check.
+        """
+        reducers = []
+        for block in blocks:
+            members: list[int] = []
+            for b in block:
+                members += bins[b]
+            members.sort()
+            reducers.append(tuple(members))
+        return cls(instance=instance, reducers=tuple(reducers), algorithm=algorithm)
 
     @property
     def num_reducers(self) -> int:

@@ -20,6 +20,7 @@ from repro.core.a2a import (
     ffd_pairing,
     greedy_cover,
     grouped_covering,
+    quad_bins,
     solve_min_reducers,
     triple_bins,
 )
@@ -41,6 +42,7 @@ A2A_METHODS = {
     "grouped_covering": grouped_covering,
     "bin_pairing": ffd_pairing,
     "triple_bins": triple_bins,
+    "quad_bins": quad_bins,
     "big_small": big_small,
     "greedy": greedy_cover,
     "exact": solve_min_reducers,
@@ -76,9 +78,11 @@ def solve_a2a(instance: A2AInstance, method: str = "auto") -> A2ASchema:
 
     ``method="auto"`` picks: for uniform sizes, the better of the plain
     grouping scheme and the covering-design scheme; the big/small scheme
-    when some input exceeds ``q // 2``; otherwise the triple-bin scheme
-    when every input fits ``q // 3`` and it is predicted no worse on
-    reducers and communication, else the bin-pairing scheme (the
+    when some input exceeds ``q // 2``; otherwise the bin-pairing scheme,
+    replaced by the triple-bin scheme when every input fits ``q // 3``
+    and it is predicted no worse on reducers and communication, and that
+    choice by the quadruple-bin scheme when every input fits ``q // 4``
+    and it is predicted no worse than the choice on both counts (the
     planner's fast path — see
     :func:`repro.planner.fastpath.fast_path_a2a`).  Named methods come
     from :data:`A2A_METHODS`.

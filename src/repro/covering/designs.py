@@ -12,13 +12,15 @@ This module provides:
 * :func:`schonheim_lower_bound` — the classic covering-number bound;
 * :func:`steiner_triple_system` — *exact* optimal designs for s = 3 when
   ``t ≡ 3 (mod 6)`` (the Bose construction);
+* :func:`bin_quads` — a recursive transversal-design cover with blocks of
+  at most four points, for any t;
 * :func:`greedy_pair_cover` — a general greedy design for any (t, s);
 * :func:`pair_cover` — front door picking the best available construction.
 """
 
 from __future__ import annotations
 
-from math import ceil
+from math import ceil, isqrt
 
 from repro.exceptions import InvalidInstanceError
 
@@ -105,6 +107,69 @@ def steiner_triple_system(t: int) -> list[tuple[int, int, int]]:
                 append((a + 1, b + 1, c + 2))
                 append((a + 2, b + 2, c))
     return triples
+
+
+def bin_quads(num_bins: int) -> list[tuple[int, ...]]:
+    """Cover every pair of ``range(num_bins)`` with blocks of 2 to 4 points.
+
+    A recursive transversal-design construction.  For ``b > 4`` points,
+    let ``p`` be the smallest prime ``>= max(3, ceil(b / 4))`` and cut
+    the points, in order, into four groups of at most ``p``.  For every
+    ``(x, y)`` in ``Z_p^2`` one block takes position ``x`` of group 0,
+    ``y`` of group 1, ``x + y`` of group 2 and ``x + 2y`` of group 3, all
+    mod ``p``, skipping positions past a short group; blocks with fewer
+    than two points are dropped.  Any two of the four positions fix
+    ``(x, y)`` (``p`` is an odd prime, so 2 is invertible), so every pair
+    of points in different groups meets in exactly one block.  Each group
+    is then covered the same way; a group of two to four points is one
+    block.  A pair in one group meets in no top-level block, so every pair
+    meets in exactly one block overall.  ``b <= 4`` points form a single
+    block.
+
+    Each block is returned sorted: top-level blocks come first, in
+    ``(x, y)`` order, then each group's cover in group order.
+    """
+    if num_bins < 1:
+        raise InvalidInstanceError(f"num_bins must be >= 1, got {num_bins}")
+    if num_bins <= 4:
+        return [tuple(range(num_bins))]
+    blocks: list[tuple[int, ...]] = []
+    _transversal_cover(range(num_bins), blocks)
+    return blocks
+
+
+def _transversal_cover(points: range, blocks: list[tuple[int, ...]]) -> None:
+    """Append the :func:`bin_quads` blocks over *points* (more than 4)."""
+    p = _smallest_prime_from(max(3, -(-len(points) // 4)))
+    groups = [points[g * p:(g + 1) * p] for g in range(4)]
+    # Column g holds group g's points as 1-tuples, padded with () to p
+    # slots and repeated so that x + y and x + 2y index without a mod.
+    empty: tuple[int, ...] = ()
+    col0, col1, col2, col3 = (
+        [(point,) for point in group] + [empty] * (p - len(group))
+        for group in groups
+    )
+    col2 = col2 * 2
+    col3 = col3 * 3
+    append = blocks.append
+    for x in range(p):
+        head = col0[x]
+        for second, third, fourth in zip(col1, col2[x:], col3[x::2]):
+            block = head + second + third + fourth
+            if len(block) > 1:
+                append(block)
+    for group in groups:
+        if len(group) > 4:
+            _transversal_cover(group, blocks)
+        elif len(group) > 1:
+            append(tuple(group))
+
+
+def _smallest_prime_from(n: int) -> int:
+    """The smallest prime ``>= n`` (for ``n >= 2``)."""
+    while any(n % d == 0 for d in range(2, isqrt(n) + 1)):
+        n += 1
+    return n
 
 
 def greedy_pair_cover(t: int, s: int) -> list[tuple[int, ...]]:

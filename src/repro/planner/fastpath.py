@@ -15,19 +15,23 @@ algorithms:
 * **A2A** — uniform sizes: the better of the plain grouping scheme and
   the covering-design scheme (only the plain scheme when the covering
   scheme raises :class:`~repro.exceptions.SolverLimitError`); any input
-  above ``q // 2``: the big/small scheme.  Otherwise the triple-bin
-  scheme when every input fits ``q // 3`` and it is no worse than
-  bin-pairing on both reducers and communication, else bin-pairing.  The
-  two are compared on counts predicted from FFD bin loads (no member
-  lists), and only the winner is built; the loser is reported skipped
-  with its predicted counts.
+  above ``q // 2``: the big/small scheme.  Otherwise one of three bin
+  schemes, compared on reducer and communication counts predicted from
+  FFD bin loads (no member lists): bin-pairing; the triple-bin scheme
+  instead when every input fits ``q // 3`` and it is no worse than
+  bin-pairing on both counts; and the quadruple-bin scheme instead of
+  that choice when every input fits ``q // 4`` and it is no worse than
+  the choice on both counts.  Only the winner is built; the losers are
+  reported skipped with their predicted counts, or with the size that
+  rules them out.
 * **X2Y** — uniform on both sides: the equal-sized grid; big inputs
   present: the better of the big/small scheme and the best-split grid;
   otherwise the best-split grid.
 * **Multiway** — the bin-combining scheme (the only registered method).
 
 Ties between compared candidates keep the first listed method, matching
-the historical ``min()`` behavior; the triple-bin scheme wins its ties.
+the historical ``min()`` behavior; among the bin schemes the later one
+(triple over pairing, quadruple over the choice before it) wins its ties.
 """
 
 from __future__ import annotations
@@ -40,11 +44,12 @@ from repro.core.a2a import (
     equal_sized_grouping,
     ffd_pairing,
     grouped_covering,
-    triple_bins,
 )
+from repro.core.a2a.quad_bins import quad_bin_costs
 from repro.core.a2a.triple_bins import triple_bin_costs
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.multiway import MultiwayInstance, multiway_bin_combining
+from repro.core.selector import A2A_METHODS
 from repro.core.x2y import best_split_grid, big_small_x2y, equal_sized_grid
 from repro.exceptions import SolverLimitError
 
@@ -80,37 +85,61 @@ def fast_path_a2a(instance: A2AInstance) -> FastPathChoice:
             {},
         )
     runs = decreasing_runs(instance.sizes)
+    largest = runs[0][0]
     third = instance.q // 3
-    if runs[0][0] > third:
+    quarter = instance.q // 4
+    if largest > third:
         return (
             "bin_pairing",
             {"bin_pairing": ffd_pairing(instance)},
             "mixed sizes, no big inputs: bin-pairing scheme",
-            {"triple_bins": f"an input exceeds q//3 = {third}"},
+            {
+                "triple_bins": f"an input exceeds q//3 = {third}",
+                "quad_bins": f"an input exceeds q//4 = {quarter}",
+            },
         )
     # Each of the b >= 2 half-capacity bins meets the other b - 1 once.
     pairs = ffd_bin_count(runs, half)
-    pairing = (
-        (pairs * (pairs - 1) // 2, (pairs - 1) * instance.total_size)
-        if pairs > 1
-        else (1, instance.total_size)
-    )
-    triple = triple_bin_costs(ffd_bin_loads(runs, third))
-    if triple[0] <= pairing[0] and triple[1] <= pairing[1]:
-        return (
-            "triple_bins",
-            {"triple_bins": triple_bins(instance)},
-            "mixed sizes, no big inputs: triple-bin scheme, no worse than "
-            "bin-pairing on reducers and communication",
-            {"bin_pairing": _predicted(pairing)},
-        )
+    predicted = {
+        "bin_pairing": (
+            (pairs * (pairs - 1) // 2, (pairs - 1) * instance.total_size)
+            if pairs > 1
+            else (1, instance.total_size)
+        ),
+        "triple_bins": triple_bin_costs(ffd_bin_loads(runs, third)),
+    }
+    skipped: dict[str, str] = {}
+    if largest > quarter:
+        skipped["quad_bins"] = f"an input exceeds q//4 = {quarter}"
+    else:
+        predicted["quad_bins"] = quad_bin_costs(ffd_bin_loads(runs, quarter))
+    # Each later scheme replaces the choice so far only when it is no
+    # worse on both counts.
+    chosen = "bin_pairing"
+    for name, costs in predicted.items():
+        if costs[0] <= predicted[chosen][0] and costs[1] <= predicted[chosen][1]:
+            chosen = name
+    losers = {
+        name: _predicted(costs)
+        for name, costs in predicted.items()
+        if name != chosen
+    }
     return (
-        "bin_pairing",
-        {"bin_pairing": ffd_pairing(instance)},
-        "mixed sizes, no big inputs: bin-pairing scheme, triple-bin scheme "
-        "worse on reducers or communication",
-        {"triple_bins": _predicted(triple)},
+        chosen,
+        {chosen: A2A_METHODS[chosen](instance)},
+        f"mixed sizes, no big inputs: {_BIN_SCHEMES[chosen]}; triple "
+        "and quadruple bins each replace the choice before them only when "
+        "no worse on reducers and communication",
+        {**losers, **skipped},
     )
+
+
+#: The rule's name for each bin scheme the fast path compares.
+_BIN_SCHEMES = {
+    "bin_pairing": "bin-pairing scheme",
+    "triple_bins": "triple-bin scheme",
+    "quad_bins": "quadruple-bin scheme",
+}
 
 
 def _predicted(costs: tuple[int, int]) -> str:

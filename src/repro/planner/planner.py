@@ -9,7 +9,9 @@ inspectable :class:`~repro.planner.plan.Plan`.  Three modes, selected by
 * ``"auto"`` — the **fast path**: the structural dispatch heuristic from
   :mod:`repro.planner.fastpath` (the same choice as
   ``solve_*(..., method="auto")``), scoring only the candidates the rule
-  builds; one it weighed on predicted counts alone is listed as skipped.
+  builds; those it weighed on predicted counts alone (for mixed-size
+  A2A, the losers among bin-pairing, triple bins and quadruple bins) are
+  listed as skipped.
 * ``None`` — **full planning**: every method in the registries
   (:data:`~repro.core.selector.A2A_METHODS` /
   :data:`~repro.core.selector.X2Y_METHODS` /

@@ -10,7 +10,8 @@ run, one worker pool built and torn down.  The service layer multiplexes
   shape, opened persistently and reused by every job.
 * A :class:`PlanCache` — plans are deterministic in ``(spec,
   environment)``, so repeated submissions skip enumeration entirely.
-* A bounded :class:`ResultStore` with LRU eviction and per-job metrics.
+* A bounded :class:`ResultStore` that evicts read results before unread
+  ones, and per-job metrics.
 * Admission control against the :class:`~repro.planner.Environment`
   probe: jobs that oversubscribe cores or memory are rejected at submit.
 

@@ -1,10 +1,11 @@
-"""Per-job results and the bounded LRU result store.
+"""Per-job results and the bounded result store.
 
 A finished job leaves two artifacts: its *status* (state, timings, error
 — kept on the service's job records, cheap and unbounded for a session)
 and its *result* (outputs plus the full :class:`JobMetrics` /
 :class:`EngineMetrics`), which can be arbitrarily large and therefore
-lives in this bounded store.  When the store evicts a result, the job's
+lives in this bounded store, which evicts results the client has read
+before those it has not.  When the store evicts a result, the job's
 status stays queryable; the *service* distinguishes "evicted" (the job
 record says ``done`` but the store misses) from "never existed" and
 raises :class:`~repro.exceptions.ResultEvictedError` for the former —
@@ -80,13 +81,17 @@ class JobResult:
 
 
 class ResultStore:
-    """Thread-safe LRU store from job id to :class:`JobResult`.
+    """Thread-safe store from job id to :class:`JobResult`, evicting read
+    results before unread ones.
 
-    ``get`` refreshes recency; ``put`` evicts the least recently used
-    result beyond *capacity* and counts the eviction.  Missing ids raise
-    ``KeyError`` from :meth:`fetch` (the service layers the
-    evicted-vs-unknown distinction on top); :meth:`get` returns ``None``
-    instead for probing.
+    A result enters unread; :meth:`fetch` and :meth:`get` mark it read
+    and refresh its recency.  Beyond *capacity*, :meth:`put` evicts the
+    least recently used *read* result, and an unread one (the oldest)
+    only when every stored result is unread, so a slow client never
+    loses a result it has not seen while a seen one could go.  Each
+    eviction is counted.  Missing ids raise ``KeyError`` from
+    :meth:`fetch` (the service layers the evicted-vs-unknown distinction
+    on top); :meth:`get` returns ``None`` instead for probing.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -95,46 +100,50 @@ class ResultStore:
                 f"capacity must be positive, got {capacity}"
             )
         self.capacity = capacity
-        self._entries: OrderedDict[str, JobResult] = OrderedDict()
+        # Each in recency order, oldest first; an id is in one of them.
+        self._unread: OrderedDict[str, JobResult] = OrderedDict()
+        self._read: OrderedDict[str, JobResult] = OrderedDict()
         self._lock = threading.Lock()
         self.evictions = 0
 
     def put(self, result: JobResult) -> None:
-        """Store *result*, evicting the LRU entry beyond capacity."""
+        """Store *result* unread, evicting beyond capacity (read first)."""
         with self._lock:
-            if result.job_id in self._entries:
-                self._entries.move_to_end(result.job_id)
-            self._entries[result.job_id] = result
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            self._read.pop(result.job_id, None)
+            self._unread.pop(result.job_id, None)
+            self._unread[result.job_id] = result
+            while len(self._read) + len(self._unread) > self.capacity:
+                (self._read or self._unread).popitem(last=False)
                 self.evictions += 1
 
     def get(self, job_id: str) -> JobResult | None:
-        """The stored result, refreshing recency; ``None`` when absent."""
+        """The stored result, marked read; ``None`` when absent."""
         with self._lock:
-            result = self._entries.get(job_id)
+            result = self._unread.pop(job_id, None)
+            if result is None:
+                result = self._read.pop(job_id, None)
             if result is not None:
-                self._entries.move_to_end(job_id)
+                self._read[job_id] = result
             return result
 
     def fetch(self, job_id: str) -> JobResult:
-        """The stored result; ``KeyError`` when absent (evicted or unknown)."""
-        with self._lock:
-            result = self._entries.get(job_id)
-            if result is None:
-                raise UnknownJobError(job_id)
-            self._entries.move_to_end(job_id)
-            return result
+        """The stored result, marked read; ``KeyError`` when absent
+        (evicted or unknown)."""
+        result = self.get(job_id)
+        if result is None:
+            raise UnknownJobError(job_id)
+        return result
 
     def discard(self, job_id: str) -> None:
         """Forget *job_id* entirely (no eviction accounting)."""
         with self._lock:
-            self._entries.pop(job_id, None)
+            self._read.pop(job_id, None)
+            self._unread.pop(job_id, None)
 
     def stats(self) -> dict[str, Any]:
         """Size/capacity/evictions, for service stats and bench rows."""
         with self._lock:
-            size = len(self._entries)
+            size = len(self._read) + len(self._unread)
         return {
             "size": size,
             "capacity": self.capacity,
@@ -143,8 +152,8 @@ class ResultStore:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._read) + len(self._unread)
 
     def __contains__(self, job_id: str) -> bool:
         with self._lock:
-            return job_id in self._entries
+            return job_id in self._read or job_id in self._unread

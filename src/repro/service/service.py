@@ -10,8 +10,9 @@ enumeration entirely); a planned job runs serially in its scheduler slot,
 and one that names ``processes`` runs on a **shared, long-lived pool**
 owned by the service — one pool per ``(backend, workers)`` shape, opened
 persistently and reused by every such job instead of being built and
-torn down per run; finished outputs land in a bounded LRU
-:class:`~repro.service.results.ResultStore`.
+torn down per run; finished outputs land in a bounded
+:class:`~repro.service.results.ResultStore` that evicts read results
+before unread ones.
 
 Admission control happens at submit time against the service's
 :class:`~repro.planner.environment.Environment` snapshot: a job whose
@@ -255,7 +256,8 @@ class JobService:
             so every job in a service session plans against the same
             snapshot (a requirement for plan-cache hits).
         plan_cache_size: retained plans (LRU).
-        result_capacity: retained job results (LRU).  The job table keeps
+        result_capacity: retained job results (read ones evicted
+            first, least recently used first).  The job table keeps
             every unfinished job and the latest
             :data:`TERMINAL_RECORDS_PER_RESULT` × this many finished ones.
         default_priority: priority for submissions that do not set one.

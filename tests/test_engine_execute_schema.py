@@ -328,8 +328,9 @@ class TestRoutedShuffle:
             assert comm == fanout * schema.instance.sizes[i]
 
     def test_benchmark_shape_ships_once_per_partition(self):
-        """1200 uniform inputs at q=200 on 8 partitions: about 235
-        reducers per input, but at most 8 copies of each record move."""
+        """1200 uniform inputs at q=200 on 8 partitions: about 212
+        reducers per input, but at most 8 copies of each record move,
+        one per partition that holds one of its reducers."""
         sizes = sample_sizes("uniform", 1200, 200, seed=1)
         schema = plan(JobSpec.a2a(sizes, 200)).schema()
         result = execute_schema(
@@ -338,7 +339,12 @@ class TestRoutedShuffle:
         assert result.metrics.map_output_pairs == sum(
             map(len, schema.reducers)
         )
-        assert result.engine.pairs_shipped == 9600
+        partitions_of: list[set[int]] = [set() for _ in sizes]
+        for r, members in enumerate(schema.reducers):
+            for i in members:
+                partitions_of[i].add(r % 8)
+        assert result.engine.pairs_shipped == sum(map(len, partitions_of))
+        assert result.engine.pairs_shipped == 9580
         assert result.engine.num_reduce_tasks == 8
         assert result.metrics.communication_cost == schema.communication_cost
         # The map task carries one small route per input, not the

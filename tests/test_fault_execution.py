@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -33,6 +34,7 @@ from repro.exceptions import (
     WorkerLostError,
 )
 from repro.faults import FaultSpec, RetryPolicy
+from repro.obs.trace import Tracer
 from repro.service.service import collect_reduce
 from shuffle_heavy import fanout_plan, sum_reduce
 from word_count import word_engine
@@ -361,6 +363,83 @@ class TestTimeoutsAndDeadlines:
                 retry=POLICY,
                 deadline=0.01,
             ).run()
+
+
+class TestDeadlineDuringRetry:
+    """A deadline that expires while a failed task waits to be replayed
+    ends the run at the deadline, not after the backoff, and the run
+    leaves no pool process, thread or spill directory behind."""
+
+    #: Every retry would wait a minute; the deadline falls in the wait.
+    SLOW_RETRY = RetryPolicy(
+        max_attempts=6, backoff_base=60.0, backoff_max=60.0, jitter=0.0
+    )
+    DEADLINE = 1.5
+    #: How long after the deadline the run may take to raise.
+    GRACE = 2.0
+
+    def _run_past_deadline(self, spill_dir, **settings):
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        tracer = Tracer()
+        started = time.monotonic()
+        with pytest.raises(DeadlineExceededError):
+            word_engine(
+                RECORDS,
+                tracer=tracer,
+                config=ExecutionConfig(
+                    retry=self.SLOW_RETRY,
+                    deadline=self.DEADLINE,
+                    memory_budget=4,
+                    spill_dir=str(spill_dir),
+                    **settings,
+                ),
+            ).run()
+        elapsed = time.monotonic() - started
+        assert self.DEADLINE <= elapsed < self.DEADLINE + self.GRACE
+        # A task failed and was scheduled for replay after the full
+        # backoff before the deadline expired.
+        retries = [span for span in tracer.spans() if span.name == "retry"]
+        assert retries
+        assert all(span.attrs["backoff_s"] == 60.0 for span in retries)
+        assert os.listdir(spill_dir) == []
+        # Pool workers and executor threads wind down after the pool's
+        # shutdown; allow them a moment.
+        settle = time.monotonic() + 5.0
+        while time.monotonic() < settle and (
+            set(multiprocessing.active_children()) - children
+            or set(threading.enumerate()) - threads
+        ):
+            time.sleep(0.05)
+        assert set(multiprocessing.active_children()) - children == set()
+        assert set(threading.enumerate()) - threads == set()
+        return retries
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_deadline_expires_during_backoff(self, backend, tmp_path):
+        retries = self._run_past_deadline(
+            tmp_path,
+            backend=backend,
+            num_workers=2,
+            faults="crash=1.0,seed=1",
+            **GEOMETRY,
+        )
+        assert {span.attrs["error"] for span in retries} == {
+            "InjectedFaultError"
+        }
+
+    def test_deadline_expires_between_worker_death_and_replay(self, tmp_path):
+        # Two reduce tasks on two workers: a worker death breaks the pool
+        # under both, the pool is rebuilt, and both lost tasks wait out
+        # the backoff before their replay.
+        retries = self._run_past_deadline(
+            tmp_path,
+            backend="processes",
+            num_workers=2,
+            num_reduce_tasks=2,
+            faults="kill=1.0,seed=1",
+        )
+        assert {span.attrs["error"] for span in retries} == {"WorkerLostError"}
 
 
 class TestFallbackChain:

@@ -17,6 +17,7 @@ from repro.core.a2a import (
     equal_sized_grouping,
     ffd_pairing,
     grouped_covering,
+    quad_bins,
     triple_bins,
 )
 from repro.core.instance import A2AInstance, X2YInstance
@@ -29,23 +30,25 @@ ENV = Environment(num_workers=2, memory_bytes=1 << 30)
 
 def legacy_auto_a2a(instance: A2AInstance):
     """The pre-planner ``solve_a2a(..., "auto")`` body, kept as the oracle,
-    with the triple-bin rule added by building both candidate schemas."""
+    with the triple- and quadruple-bin rules added by building every
+    candidate schema."""
     if len(set(instance.sizes)) == 1:
         candidates = [equal_sized_grouping(instance), grouped_covering(instance)]
         return min(candidates, key=lambda s: s.num_reducers)
     half = instance.q // 2
     if any(w > half for w in instance.sizes):
         return big_small(instance)
-    pairing = ffd_pairing(instance)
-    if max(instance.sizes) > instance.q // 3:
-        return pairing
-    triple = triple_bins(instance)
-    if (
-        triple.num_reducers <= pairing.num_reducers
-        and triple.communication_cost <= pairing.communication_cost
-    ):
-        return triple
-    return pairing
+    chosen = ffd_pairing(instance)
+    for scheme, parts in ((triple_bins, 3), (quad_bins, 4)):
+        if max(instance.sizes) > instance.q // parts:
+            break
+        candidate = scheme(instance)
+        if (
+            candidate.num_reducers <= chosen.num_reducers
+            and candidate.communication_cost <= chosen.communication_cost
+        ):
+            chosen = candidate
+    return chosen
 
 
 def legacy_auto_x2y(instance: X2YInstance):

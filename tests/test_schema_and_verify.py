@@ -50,6 +50,15 @@ class TestA2ASchema:
         assert schema.reducers == tuple(tuple(sorted(set(r))) for r in raw)
         assert A2ASchema.from_lists(instance, [iter([2, 0, 2])]).reducers == ((0, 2),)
 
+    def test_from_bins_equals_from_lists_over_disjoint_bins(self):
+        instance = A2AInstance([1] * 7, 7)
+        bins = [(4, 0), (6,), (), (5, 1, 3), (2,)]
+        blocks = [(0, 3), (1, 2, 4), (2,), (0, 1, 3, 4)]
+        schema = A2ASchema.from_bins(instance, bins, blocks, algorithm="bins")
+        concatenated = [[i for b in block for i in bins[b]] for block in blocks]
+        assert schema == A2ASchema.from_lists(instance, concatenated, "bins")
+        assert schema.reducers[0] == (0, 1, 3, 4, 5)
+
     def test_capacity_violation_detected(self):
         instance = A2AInstance([6, 6], 12)
         overloaded = A2ASchema.from_lists(instance, [[0, 1], [0, 1, 0]])

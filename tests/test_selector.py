@@ -45,13 +45,17 @@ class TestSolveA2A:
             solve_a2a(A2AInstance([8, 8], 12), method="greedy")
 
     def test_all_registered_methods_solve_a_small_instance(self):
-        # At q=6 two inputs exceed q // 3; q=9 admits triple_bins too.
-        for instance in (A2AInstance([2, 3, 2, 3], 6), A2AInstance([2, 3, 2, 3], 9)):
+        # At q=6 two inputs exceed q // 3; q=9 admits triple_bins too,
+        # and q=12 quad_bins as well.
+        for q in (6, 9, 12):
+            instance = A2AInstance([2, 3, 2, 3], q)
             for name in A2A_METHODS:
                 if name in ("equal_grouping", "grouped_covering"):
                     continue  # require uniform sizes
-                if name == "triple_bins" and instance.q == 6:
+                if name == "triple_bins" and q < 9:
                     continue  # requires every input <= q // 3
+                if name == "quad_bins" and q < 12:
+                    continue  # requires every input <= q // 4
                 schema = solve_a2a(instance, method=name)
                 assert schema.verify().valid, name
 

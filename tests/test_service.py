@@ -296,6 +296,46 @@ class TestResultStore:
         assert service.status("evict-0").state == DONE
         assert service.result("evict-2").outputs
 
+    def test_slow_reader_never_loses_an_unread_result(self):
+        # Each result is read once the next capacity - 1 jobs have
+        # finished.  Evicting by recency alone would drop the oldest
+        # unread result in favour of the one just read.
+        capacity = 3
+        with JobService(slots=1, env=ENV, result_capacity=capacity) as service:
+            handles = []
+            for index in range(4 * capacity):
+                handle = service.submit_spec(SMALL_SPEC, job_id=f"slow-{index}")
+                assert handle.wait(timeout=30.0).state == DONE
+                handles.append(handle)
+                if index >= capacity - 1:
+                    lagging = handles[index - (capacity - 1)]
+                    assert lagging.result().outputs
+                    # Reading a result keeps the job's record.
+                    assert lagging.status().state == DONE
+            for handle in handles[-(capacity - 1):]:
+                assert handle.result().outputs
+            assert service.results.evictions == 3 * capacity
+
+    def test_read_results_are_evicted_before_unread_ones(self):
+        store = ResultStore(capacity=2)
+        plan_obj = plan(SMALL_SPEC, ENV)
+
+        def put(job_id):
+            store.put(
+                JobResult(
+                    job_id=job_id, plan=plan_obj, fingerprint="x", cache_hit=False
+                )
+            )
+
+        put("r0")
+        put("r1")
+        assert store.fetch("r0").job_id == "r0"
+        put("r2")  # r0 was read: it goes, though r1 is older
+        assert "r0" not in store and "r1" in store and "r2" in store
+        put("r3")  # nothing read: the oldest unread goes
+        assert "r1" not in store and "r2" in store and "r3" in store
+        assert store.stats()["evictions"] == 2
+
     def test_unknown_job_is_a_key_error(self):
         store = ResultStore(capacity=2)
         with pytest.raises(KeyError):
@@ -396,8 +436,9 @@ class TestBoundedJobTable:
                 service.submit_spec(SMALL_SPEC, job_id=f"t-{i}")
                 for i in range(limit + 3)
             ]
-            for handle in handles:
-                assert handle.wait(timeout=30.0).state == DONE
+            # Waiting on each handle would race the table: the first
+            # records can be dropped before their handle is reached.
+            assert service.drain(timeout=30.0)
             listed = [status.job_id for status in service.list()]
             assert listed == [f"t-{i}" for i in range(3, limit + 3)]
             for dropped in ("t-0", "t-1", "t-2"):

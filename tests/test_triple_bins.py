@@ -1,10 +1,11 @@
 """The triple-bin A2A scheme and the fast path's count-first choice.
 
 ``triple_bins`` packs inputs into bins of ``q // 3`` and gives each
-Steiner triple of bins one reducer.  The fast path weighs it against
-bin-pairing on counts predicted from FFD bin loads and builds only the
-winner; these tests pin that the predictions equal the built schemas'
-counts and that the choice equals building both and comparing.
+Steiner triple of bins one reducer.  The fast path weighs bin-pairing,
+triple bins and quadruple bins (:mod:`repro.core.a2a.quad_bins`) on
+counts predicted from FFD bin loads and builds only the winner; these
+tests pin that the predictions equal the built schemas' counts and that
+the choice equals building all three and applying the rule.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.binpack.ffd import first_fit_decreasing
-from repro.core.a2a import ffd_pairing, triple_bins
+from repro.core.a2a import ffd_pairing, quad_bins, triple_bins
 from repro.core.a2a.triple_bins import bin_triples, triple_bin_costs
 from repro.core.bounds import a2a_communication_lower_bound, a2a_reducer_lower_bound
 from repro.core.instance import A2AInstance
@@ -93,14 +94,18 @@ class TestTripleBins:
 @settings(deadline=None, max_examples=60)
 @given(mixed_a2a(max_size=2), st.randoms(use_true_random=False))
 def test_costs_depend_only_on_the_size_multiset(instance, rng):
-    """Permuting the inputs changes neither scheme's counts."""
+    """Permuting the inputs changes neither the fast path's choice nor
+    any bin scheme's counts."""
     shuffled = A2AInstance(rng.sample(instance.sizes, instance.m), instance.q)
-    chosen, considered, _, _ = fast_path_a2a(instance)
-    chosen_again, again, _, _ = fast_path_a2a(shuffled)
+    chosen, considered, _, skipped = fast_path_a2a(instance)
+    chosen_again, again, _, skipped_again = fast_path_a2a(shuffled)
     assert chosen_again == chosen
+    assert skipped_again == skipped
     pairs = [(considered[chosen], again[chosen])]
     if max(instance.sizes) <= instance.q // 3:
         pairs.append((triple_bins(instance), triple_bins(shuffled)))
+    if max(instance.sizes) <= instance.q // 4:
+        pairs.append((quad_bins(instance), quad_bins(shuffled)))
     for a, b in pairs:
         assert (a.num_reducers, a.communication_cost) == (
             b.num_reducers,
@@ -108,45 +113,61 @@ def test_costs_depend_only_on_the_size_multiset(instance, rng):
         )
 
 
+def _no_worse(a, b) -> bool:
+    return (
+        a.num_reducers <= b.num_reducers
+        and a.communication_cost <= b.communication_cost
+    )
+
+
 @settings(deadline=None, max_examples=80)
 @given(mixed_a2a(max_size=2))
-def test_fast_path_builds_the_winner_of_both_schemas(instance):
-    """Triple bins are chosen exactly when, built, they are no worse than
-    bin-pairing on both reducers and communication; the loser is only
-    counted, and its predicted counts are those of its schema."""
+def test_fast_path_builds_the_winner_of_the_bin_schemes(instance):
+    """Triple bins replace bin-pairing exactly when, built, they are no
+    worse on both reducers and communication, and quadruple bins replace
+    that choice on the same terms; the losers are only counted, and
+    their predicted counts are those of their schemas."""
     chosen, considered, rule, skipped = fast_path_a2a(instance)
     assert "no big inputs" in rule
     assert list(considered) == [chosen]
-    assert chosen in ("triple_bins", "bin_pairing")
-    pairing = ffd_pairing(instance)
     assert considered[chosen].reducers == A2A_METHODS[chosen](instance).reducers
+    expected = "bin_pairing"
     if max(instance.sizes) > instance.q // 3:
-        assert chosen == "bin_pairing"
-        assert skipped == {"triple_bins": f"an input exceeds q//3 = {instance.q // 3}"}
-        return
-    triple = triple_bins(instance)
-    no_worse = (
-        triple.num_reducers <= pairing.num_reducers
-        and triple.communication_cost <= pairing.communication_cost
-    )
-    assert chosen == ("triple_bins" if no_worse else "bin_pairing")
-    (loser,) = skipped
-    built = A2A_METHODS[loser](instance)
-    assert _predicted(skipped[loser]) == (
-        built.num_reducers,
-        built.communication_cost,
-    )
+        assert skipped == {
+            "triple_bins": f"an input exceeds q//3 = {instance.q // 3}",
+            "quad_bins": f"an input exceeds q//4 = {instance.q // 4}",
+        }
+    else:
+        if _no_worse(triple_bins(instance), ffd_pairing(instance)):
+            expected = "triple_bins"
+        if max(instance.sizes) > instance.q // 4:
+            assert skipped["quad_bins"] == (
+                f"an input exceeds q//4 = {instance.q // 4}"
+            )
+        elif _no_worse(quad_bins(instance), A2A_METHODS[expected](instance)):
+            expected = "quad_bins"
+        for loser, reason in skipped.items():
+            if not reason.startswith("an input exceeds"):
+                built = A2A_METHODS[loser](instance)
+                assert _predicted(reason) == (
+                    built.num_reducers,
+                    built.communication_cost,
+                )
+    assert chosen == expected
+    assert set(skipped) == {"bin_pairing", "triple_bins", "quad_bins"} - {chosen}
 
 
-def test_plan_lists_the_loser_as_skipped():
+def test_plan_lists_the_losers_as_skipped():
     sizes = sample_sizes("uniform", 300, 200, seed=1)
     planned = plan(JobSpec.a2a(sizes, 200), ENV)
-    assert planned.chosen == "triple_bins"
+    assert planned.chosen == "quad_bins"
     assert planned.chosen_score.num_reducers == planned.schema().num_reducers
-    loser = planned.candidate("bin_pairing")
-    assert loser.status == "skipped"
-    pairing = ffd_pairing(A2AInstance(sizes, 200))
-    assert _predicted(loser.reason) == (
-        pairing.num_reducers,
-        pairing.communication_cost,
-    )
+    instance = A2AInstance(sizes, 200)
+    for loser in ("bin_pairing", "triple_bins"):
+        candidate = planned.candidate(loser)
+        assert candidate.status == "skipped"
+        built = A2A_METHODS[loser](instance)
+        assert _predicted(candidate.reason) == (
+            built.num_reducers,
+            built.communication_cost,
+        )
