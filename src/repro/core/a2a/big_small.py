@@ -29,7 +29,7 @@ from repro.binpack.ffd import first_fit_decreasing
 from repro.binpack.packing import PackingResult
 from repro.core.instance import A2AInstance
 from repro.core.schema import A2ASchema
-from repro.core.a2a.ffd_pairing import pair_bins
+from repro.core.a2a.ffd_pairing import bin_pair_blocks, pair_bins
 
 Packer = Callable[[Sequence[int], int], PackingResult]
 
@@ -61,6 +61,20 @@ def big_small(
 
     big, small = split_big_small(instance)
     sizes = instance.sizes
+    half = instance.q // 2
+    if not big:
+        # Bin pairing alone: the reducers are unions of distinct pairs of
+        # disjoint, non-empty bins, so none can contain another and the
+        # prune below would keep them all, largest first.
+        packing = packer(sizes, half)
+        lengths = list(map(len, packing.bins))
+        blocks = bin_pair_blocks(len(lengths))
+        blocks.sort(
+            key=lambda block: sum(map(lengths.__getitem__, block)), reverse=True
+        )
+        return A2ASchema.from_bins(
+            instance, packing.bins, blocks, algorithm="big_small"
+        )
     reducers: list[list[int]] = []
 
     # 1. big-big pairs: one reducer each.  Feasibility guarantees every pair
@@ -72,13 +86,9 @@ def big_small(
     # 2. small-small pairs via half-capacity bin pairing.
     small_bins: list[list[int]] = []
     if small:
-        half = instance.q // 2
         packing = packer([sizes[i] for i in small], half)
         small_bins = [[small[i] for i in bin_items] for bin_items in packing.bins]
-        if len(small) == 1 and not big:
-            reducers.append([small[0]])
-        else:
-            reducers.extend(pair_bins(small_bins))
+        reducers.extend(pair_bins(small_bins))
 
     # 3. big-small pairs: re-pack smalls into each big's residual capacity.
     for i in big:
@@ -93,15 +103,11 @@ def big_small(
     if not reducers:
         reducers.append(list(range(instance.m)))
 
-    # Drop reducers fully contained in another (pure cost, no coverage gain).
-    # Only the big-small reducers can be contained in another: without
-    # bigs the reducers are unions of distinct pairs of disjoint, non-empty
-    # bins, and the prune would keep them all, largest first.
-    if big:
-        reducers = _prune_dominated(reducers)
-    else:
-        reducers.sort(key=len, reverse=True)
-    return A2ASchema.from_lists(instance, reducers, algorithm="big_small")
+    # Drop reducers fully contained in another (pure cost, no coverage
+    # gain): a big-small reducer can be.
+    return A2ASchema.from_lists(
+        instance, _prune_dominated(reducers), algorithm="big_small"
+    )
 
 
 def _prune_dominated(reducers: list[list[int]]) -> list[list[int]]:

@@ -16,6 +16,7 @@ the small ones back here.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from itertools import combinations
 
 from repro.binpack.ffd import first_fit_decreasing
 from repro.binpack.packing import PackingResult
@@ -26,19 +27,27 @@ from repro.exceptions import InvalidInstanceError
 Packer = Callable[[Sequence[int], int], PackingResult]
 
 
-def pair_bins(bins: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Turn bins of input indices into reducers: one per unordered bin pair.
-
-    A single bin yields a single reducer so within-bin pairs are still
-    covered.  Exposed separately so big/small and ablation code can reuse
-    the pairing step with their own packings.
+def bin_pair_blocks(num_bins: int) -> list[tuple[int, ...]]:
+    """The bins of each bin-pairing reducer: one block per unordered pair
+    of bins, ``(a, b)`` with ``a < b`` in lexicographic order, or the one
+    block ``(0,)`` for a single bin, so within-bin pairs are still
+    covered.  :meth:`A2ASchema.from_bins` turns the blocks into reducers.
     """
-    if len(bins) == 1:
-        return [list(bins[0])]
+    if num_bins == 1:
+        return [(0,)]
+    return list(combinations(range(num_bins), 2))
+
+
+def pair_bins(bins: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Turn bins of input indices into reducers: one per unordered bin pair,
+    in :func:`bin_pair_blocks` order.
+
+    Exposed separately so big/small and ablation code can reuse the
+    pairing step with their own packings.
+    """
     return [
-        list(bins[a]) + list(bins[b])
-        for a in range(len(bins))
-        for b in range(a + 1, len(bins))
+        [i for b in block for i in bins[b]]
+        for block in bin_pair_blocks(len(bins))
     ]
 
 
@@ -66,7 +75,9 @@ def ffd_pairing(
         return A2ASchema.from_lists(instance, [[0]], algorithm="ffd_pairing")
 
     packing = packer(instance.sizes, half)
-    reducers = pair_bins(packing.bins)
-    return A2ASchema.from_lists(
-        instance, reducers, algorithm=f"bin_pairing[{packing.algorithm}]"
+    return A2ASchema.from_bins(
+        instance,
+        packing.bins,
+        bin_pair_blocks(len(packing.bins)),
+        algorithm=f"bin_pairing[{packing.algorithm}]",
     )

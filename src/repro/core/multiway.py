@@ -14,6 +14,7 @@ bounds and the generalized scheme, mirroring the pairwise machinery.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, comb
@@ -108,9 +109,9 @@ class MultiwaySchema:
         """Number of reducers used."""
         return len(self.reducers)
 
-    @property
+    @functools.cached_property
     def loads(self) -> tuple[int, ...]:
-        """Total assigned size per reducer."""
+        """Total assigned size per reducer (computed once per schema)."""
         sizes = self.instance.sizes
         return tuple(sum(sizes[i] for i in reducer) for reducer in self.reducers)
 

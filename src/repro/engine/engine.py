@@ -8,31 +8,29 @@ app's explicit member lists) fixes which inputs each reducer receives
 before the run, so the mapper computes nothing and the shuffle is
 *routed*:
 
+* The plan carries its reducers' loads, so the parent derives the job's
+  load metrics (every reducer's load, the capacity violations, each
+  task's load) before it dispatches a task; under strict capacity an
+  overloaded reducer raises before any task runs.
 * The *map* phase runs in the parent: it reads the records once and
   appends each to the table of every reduce partition holding one of its
   reducers — once per partition, not once per reducer — keyed by input.
-  It sums the job's analytical pair count and communication from the
-  plan's routes as it goes.  The number of reduce partitions is fixed
-  before the run (reducer ``r`` lives in partition ``r % partitions``),
-  exactly like a real MapReduce deployment.
+  The number of reduce partitions is fixed before the run, exactly like
+  a real MapReduce deployment, and partition ``p`` holds a contiguous
+  range of reducers cut so the partitions' loads are near-equal
+  (:meth:`~repro.engine.routing.SchemaPlan.routes`).
 * The parent's "shuffle" pairs each partition's records (spill runs,
-  then its in-memory table) with the partition's slice of the plan's
-  member lists (``members[p::partitions]``, empty reducers kept), which
-  ship together as that partition's reduce task.
+  then its in-memory table) with its range: the index of its first
+  reducer and the range's member lists, empty reducers kept, which ship
+  together as that partition's reduce task.
 * A *reduce task* reads its partition's records into one table, rebuilds
   every reducer's value list from its members (in record order, so
-  value order matches a per-reducer shuffle), computes each reducer's
-  load, and reduces — inside the parallel task, not on the parent's
-  critical path.  Its results are aligned to its slice: one flat output
-  list with a per-reducer output count, and one load per reducer.
-* The parent's *post-pass* enforces the capacity in global reducer
-  order and walks the plan's reducers once, in reducer order, taking
-  reducer ``r``'s load and outputs from partition ``r % partitions``
-  (slot ``r // partitions`` holds its load and its output count), so the
-  job metrics list the reducers in that order whatever the partition
-  count.  It builds no container per reducer, so its cost (and the
-  heap its garbage collector sweeps) follows the data, not the schema's
-  reducer count.
+  value order matches a per-reducer shuffle), and reduces — inside the
+  parallel task, not on the parent's critical path.  It returns its
+  outputs as one flat list, in reducer order.
+* The parent's *post-pass* concatenates the tasks' outputs in partition
+  order, which is reducer order, so the outputs and job metrics read the
+  same whatever the partition count.
 
 The job metrics still count one pair per (input, reducer) membership;
 ``EngineMetrics.pairs_shipped`` counts what moves.  Reduce tasks are the
@@ -69,6 +67,7 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.core.multiway import MultiwaySchema
@@ -77,7 +76,7 @@ from repro.dataset import Dataset, as_dataset
 from repro.engine.backends import Backend, SerialBackend, get_backend
 from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics, JobMetrics, PhaseTimings
-from repro.engine.routing import MemberLists, SchemaPlan, build_schema_plan
+from repro.engine.routing import ReducerRange, SchemaPlan, build_schema_plan
 from repro.engine.spill import (
     MapSpill,
     make_spill_dir,
@@ -154,13 +153,9 @@ class TaskResult:
     """What one reduce task sends home to the parent.
 
     Attributes:
-        outputs: ``(flat outputs, per-reducer output counts)``, the
-            counts aligned to the task's members slice, or ``None`` when
-            strict capacity discarded them.
+        outputs: the task's outputs, in reducer order.
         counters: named task counters (``keys``); they label the task's
             worker span.
-        loads: per-reducer loads, aligned to the members slice (0 for an
-            empty reducer).
         span: the worker span, set when tracing is on; a profiling
             tracer's tasks also put their ``cProfile`` table on it
             (``span["functions"]``).
@@ -168,70 +163,65 @@ class TaskResult:
 
     outputs: Any
     counters: dict[str, float]
-    loads: list[int] = field(default_factory=list)
     span: dict[str, Any] | None = None
 
 
 def _run_routed_reduce_task(
-    payload: tuple[list[Any], tuple[int, int, MemberLists]],
-    *,
-    reduce_fn: ReduceFn,
-    sizes: dict[Hashable, int],
-    capacity: int | None,
-    strict: bool,
+    payload: tuple[list[Any], ReducerRange], *, reduce_fn: ReduceFn
 ) -> TaskResult:
     """One reduce task: rebuild each reducer's values and reduce.
 
-    *payload* is ``(sources, (first, step, members))``: the partition's
-    sources, in flush order (paths of run files, then the bucket
-    dict the parent still held, all holding records by input key), and
-    its slice of the plan's member
-    lists from :meth:`SchemaPlan.routes`, whose slot ``k`` is reducer
-    ``first + k * step``.  The sources are read into one record table,
+    *payload* is ``(sources, (first, members))``: the partition's
+    sources, in flush order (paths of run files, then the bucket dict the
+    parent still held, all holding records by input key), and its range
+    from :meth:`SchemaPlan.routes`, whose ``members[k]`` lists reducer
+    ``first + k``'s inputs.  The sources are read into one record table,
     so the task holds each input of its partition once plus the value
     list of the reducer it is reducing.  A reducer's values are its
     members' records in sorted-key order, which is record order (for
-    X2Y, ``("x", i)`` sorts before ``("y", j)``), and its load is the sum
-    of its members' declared *sizes*.  Empty reducers are not reduced but
-    keep their slot.
-
-    The result is reducer-aligned, with no per-reducer container:
-    ``loads`` is one int per slot, and ``outputs`` is ``(flat outputs,
-    output count per slot)``.  It counts ``keys`` (non-empty reducers).
-    Under
-    strict capacity, a task whose partition holds an overloaded reducer
-    discards its outputs (``outputs=None``) — the parent merges all loads
-    and raises for the globally smallest offending reducer, so the
-    strict-mode exception does not depend on the partition count.
+    X2Y, ``("x", i)`` sorts before ``("y", j)``).  Empty reducers are not
+    reduced.  It counts ``keys`` (non-empty reducers).
     """
-    sources, (reducer, step, members_of_p) = payload
+    sources, (first, members_of_p) = payload
     record_of = record_table(sources).__getitem__
-    size_of = sizes.__getitem__
-    loads: list[int] = []
-    counts: list[int] = []
     outputs: list[Any] = []
     keys = 0
-    overloaded = False
-    for members in members_of_p:
-        load = count = 0
+    for reducer, members in enumerate(members_of_p, first):
         if members:
             keys += 1
-            load = sum(map(size_of, members))
-            if capacity is not None and load > capacity:
-                overloaded = True
-            if not (strict and overloaded):
-                before = len(outputs)
-                values = list(map(record_of, sorted(members)))
-                outputs.extend(reduce_fn(reducer, values))
-                count = len(outputs) - before
-        loads.append(load)
-        counts.append(count)
-        reducer += step
-    return TaskResult(
-        outputs=None if strict and overloaded else (outputs, counts),
-        counters={"keys": keys},
-        loads=loads,
+            values = list(map(record_of, sorted(members)))
+            outputs.extend(reduce_fn(reducer, values))
+    return TaskResult(outputs=outputs, counters={"keys": keys})
+
+
+def _plan_loads(
+    plan: SchemaPlan, strict: bool
+) -> tuple[dict[int, int], list[int]]:
+    """The plan's load of every non-empty reducer, in reducer order, and
+    the reducers whose load exceeds its capacity.
+
+    Under *strict* capacity an overloaded reducer raises
+    :class:`~repro.exceptions.CapacityExceededError` for the smallest
+    such reducer, as a per-reducer run reducing in reducer order would.
+    """
+    members = plan.members
+    loads = dict(
+        zip(compress(range(len(members)), members), compress(plan.loads, members))
     )
+    capacity = plan.capacity
+    if capacity is None or max(plan.loads, default=0) <= capacity:
+        return loads, []
+    violations = [r for r, load in loads.items() if load > capacity]
+    if strict:
+        key = violations[0]
+        raise CapacityExceededError(
+            f"reducer for key {key!r} received load "
+            f"{loads[key]} > capacity {capacity}",
+            key=key,
+            load=loads[key],
+            capacity=capacity,
+        )
+    return loads, violations
 
 
 def _instrumented_task(
@@ -269,9 +259,9 @@ class ExecutionEngine:
     on a pluggable backend.
 
     The parent routes each record once to every reduce partition holding
-    one of its reducers; each reduce task receives its partition's slice
-    of the plan's member lists with its sources, rebuilds every reducer's
-    values from them, and returns results aligned to that slice.
+    one of its reducers; each reduce task receives its partition's range
+    of reducers with its sources, rebuilds every reducer's values from
+    them, and returns its outputs in reducer order.
 
     Attributes:
         plan: the job: wrapped records, declared sizes, every reducer's
@@ -462,22 +452,26 @@ class ExecutionEngine:
                 backoff_s=round(delay, 4),
             )
 
+        plan = self.plan
         with backend:
-            # --- map phase: the parent routes each record to the reduce
-            # partitions its route names, keyed by input; past the memory
-            # budget the buffered partitions flush to spill runs.
+            # --- map phase: the parent derives the load metrics from the
+            # plan (raising here under strict capacity), then routes each
+            # record to the reduce partitions its route names, keyed by
+            # input; past the memory budget the buffered partitions flush
+            # to spill runs.
             with phase_span(
                 tracer, "map", capture=True, backend=backend.name
             ) as map_span:
                 map_started = time.perf_counter()
-                routes, partition_members = self.plan.routes(num_partitions)
-                key_of = self.plan.key_of
+                routes, ranges = plan.routes(num_partitions)
+                loads, violations = _plan_loads(plan, self.strict_capacity)
+                key_of = plan.key_of
                 budget = config.memory_budget
                 buckets: list[dict[Hashable, Any]] = [
                     {} for _ in range(num_partitions)
                 ]
                 spill = MapSpill(runs=[[] for _ in range(num_partitions)])
-                map_inputs = map_pairs = comm = pairs_shipped = 0
+                map_inputs = pairs_shipped = 0
                 buffered = peak_buffered = 0
                 for record in dataset:
                     if deadline_at is not None:
@@ -485,10 +479,8 @@ class ExecutionEngine:
                         # deadline that dispatch enforces between tasks.
                         check_deadline(deadline_at, what="map phase")
                     key = key_of(record)
-                    parts, fanout, cost = routes[key]
+                    parts = routes[key]
                     map_inputs += 1
-                    map_pairs += fanout
-                    comm += cost
                     pairs_shipped += len(parts)
                     for p in parts:
                         buckets[p][key] = record
@@ -516,18 +508,17 @@ class ExecutionEngine:
             with phase_span(tracer, "shuffle", capture=True) as shuffle_span:
                 shuffle_started = time.perf_counter()
                 partitions: list[Any] = []
-                for p in range(num_partitions):
+                task_loads: list[int] = []
+                for p, (first, members_of_p) in enumerate(ranges):
                     sources: list[Any] = list(spill.runs[p])
                     if buckets[p]:
                         sources.append(buckets[p])
                     if sources:
-                        # The partition's member lists ship once, with
-                        # its own task, not in the task partial.
-                        partitions.append(
-                            (
-                                sources,
-                                (p, num_partitions, partition_members[p]),
-                            )
+                        # The range's member lists ship once, with its
+                        # own task, not in the task partial.
+                        partitions.append((sources, ranges[p]))
+                        task_loads.append(
+                            sum(plan.loads[first : first + len(members_of_p)])
                         )
                 shuffle_span.set("pairs", pairs_shipped)
                 shuffle_span.set("partitions", len(partitions))
@@ -535,16 +526,12 @@ class ExecutionEngine:
                 shuffle_seconds = time.perf_counter() - shuffle_started
 
             # --- reduce phase: each task reads its partition's sources
-            # into a record table, rebuilds each reducer's value list,
-            # accounts its load, and reduces.
+            # into a record table, rebuilds each reducer's value list and
+            # reduces.
             with phase_span(tracer, "reduce") as reduce_span:
                 reduce_started = time.perf_counter()
                 reduce_task: Any = partial(
-                    _run_routed_reduce_task,
-                    reduce_fn=self.reduce_fn,
-                    sizes=self.plan.sizes,
-                    capacity=self.plan.capacity,
-                    strict=self.strict_capacity,
+                    _run_routed_reduce_task, reduce_fn=self.reduce_fn
                 )
                 trace_ctx = tracer.worker_context()
                 if trace_ctx is not None:
@@ -575,78 +562,27 @@ class ExecutionEngine:
                 reduce_run_seconds = time.perf_counter() - reduce_started
 
         # --- post-pass (pool already released; its shutdown is not timed):
-        # enforce capacity in global reducer order, then walk the plan's
-        # reducers once, in that order, taking each one's load and outputs
-        # from its partition's reducer-aligned results, with no container
-        # per reducer.
+        # the ranges are contiguous and in reducer order, so concatenating
+        # the tasks' outputs lists them in reducer order.
         post_started = time.perf_counter()
         with phase_span(tracer, "post", capture=True) as post_span:
-            part_loads: list[list[int]] = [[] for _ in range(num_partitions)]
-            part_outputs: list[list[Any]] = [[] for _ in range(num_partitions)]
-            part_counts: list[list[int]] = [[] for _ in range(num_partitions)]
-            task_loads: list[int] = []
-            for (_, (p, _, _)), result in zip(partitions, task_results):
-                task_loads.append(sum(result.loads))
-                part_loads[p] = result.loads
-                if result.outputs is not None:
-                    part_outputs[p], part_counts[p] = result.outputs
-            capacity = self.plan.capacity
-            max_load = max(
-                (max(slots) for slots in part_loads if slots), default=0
-            )
-            violations: list[int] = []
-            if capacity is not None and max_load > capacity:
-                # Slot k of partition p is reducer p + k * partitions.
-                violations = sorted(
-                    p + k * num_partitions
-                    for p, slots in enumerate(part_loads)
-                    for k, load in enumerate(slots)
-                    if load > capacity
-                )
-                if self.strict_capacity:
-                    # A task holding an offender discarded its outputs,
-                    # so this raises before the walk would need them.
-                    key = violations[0]
-                    load = part_loads[key % num_partitions][
-                        key // num_partitions
-                    ]
-                    raise CapacityExceededError(
-                        f"reducer for key {key!r} received load "
-                        f"{load} > capacity {capacity}",
-                        key=key,
-                        load=load,
-                        capacity=capacity,
-                    )
-            # Reducer r's load is slot r // partitions of partition
-            # r % partitions, and its outputs are the next counts[slot]
-            # items of that partition's flat list.
-            loads: dict[int, int] = {}
-            cursors = [0] * num_partitions
             outputs: list[Any] = []
-            for key, held in enumerate(self.plan.members):
-                if not held:
-                    continue
-                p = key % num_partitions
-                slot = key // num_partitions
-                loads[key] = part_loads[p][slot]
-                count = part_counts[p][slot]
-                if count:
-                    start = cursors[p]
-                    cursors[p] = start + count
-                    outputs.extend(part_outputs[p][start : start + count])
+            for result in task_results:
+                outputs.extend(result.outputs)
             post_span.set("outputs", len(outputs))
         reduce_seconds = reduce_run_seconds + (
             time.perf_counter() - post_started
         )
 
+        comm = plan.communication_cost
         metrics = JobMetrics(
             map_input_records=map_inputs,
-            map_output_pairs=map_pairs,
+            map_output_pairs=sum(map(len, plan.members)),
             communication_cost=comm,
             num_reducers=len(loads),
             reducer_loads=loads,
-            max_reducer_load=max_load,
-            capacity=capacity,
+            max_reducer_load=max(loads.values(), default=0),
+            capacity=plan.capacity,
             capacity_violations=tuple(violations),
             output_records=len(outputs),
             spilled_bytes=spill.spilled_bytes,
@@ -665,7 +601,7 @@ class ExecutionEngine:
             bytes_moved=comm,
             pairs_shipped=pairs_shipped,
             task_loads=tuple(task_loads),
-            capacity=capacity,
+            capacity=plan.capacity,
             task_retries=retries,
             pool_rebuilds=backend.pool_rebuilds - rebuilds_before,
             fallback_backend=(

@@ -97,7 +97,7 @@ class PhaseTimings:
     partitions (spill flushes included), ``shuffle_seconds`` only pairing
     each partition's records with its member lists, and
     ``reduce_seconds`` the reduce tasks plus the parent's post-pass that
-    reassembles outputs in reducer order.  Worker-pool startup happens
+    concatenates their outputs in reducer order.  Worker-pool startup happens
     outside all three phases and is not counted.
     """
 
@@ -131,9 +131,9 @@ class EngineMetrics:
             record ships once per reduce partition holding one of its
             reducers, so this is at most ``records * num_reduce_tasks``
             however many reducers share a partition.
-        task_loads: total value size per reduce *task* (a task batches
-            one partition of reducers, so its load is the sum of its
-            reducers' loads).
+        task_loads: total value size per reduce *task* (a task holds
+            one contiguous range of reducers, so its load is the sum of
+            its reducers' loads).
         capacity: the reducer capacity ``q`` the job enforced, if any.
         task_retries: task attempts replayed by the fault plane (0 on
             every run with the fault plane off — dispatch without a retry

@@ -2,16 +2,18 @@
 
 The engine's contract with the paper is that a record of input *i*
 reaches *exactly* the reducers the mapping schema assigns *i* to.  The
-schema fixes those reducers before the job runs, so the engine does not
-ship one copy per reducer: :func:`build_schema_plan` compiles the schema
-(and :meth:`SchemaPlan.from_members` an app's explicit member lists)
-into a :class:`SchemaPlan`, whose :meth:`SchemaPlan.routes` tables let
-the engine send each record once to every reduce partition holding one
-of its reducers, and let the reduce task rebuild each reducer's value list
-from the records it received.  The paper's metrics stay analytical: an
-input's pairs and communication are its fan-out (reducers it belongs to)
-and fan-out times its size, exactly what per-reducer emission would
-count.
+schema fixes those reducers, and with them every reducer's load, before
+the job runs, so the engine does not ship one copy per reducer:
+:func:`build_schema_plan` compiles the schema (and
+:meth:`SchemaPlan.from_members` an app's explicit member lists) into a
+:class:`SchemaPlan` that carries the member lists and their loads.
+:meth:`SchemaPlan.routes` cuts the reducers into contiguous ranges of
+near-equal load, one per reduce partition, and tells the engine which
+partitions each record ships to, once each; the reduce task rebuilds
+each reducer's value list from the records it received.  The paper's
+metrics stay analytical and come from the plan: the job's pairs are its
+memberships and its communication the sum of its reducers' loads,
+exactly what per-reducer emission would count.
 
 Records are wrapped with their input index: ``(i, record)`` for A2A,
 multiway and member-list plans, ``(side, i, record)`` with
@@ -35,13 +37,12 @@ membership lists and is the independent reference.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Container, Hashable, Iterable, Iterator, Sequence
 
 from repro.core.multiway import MultiwaySchema
 from repro.core.schema import A2ASchema, X2YSchema
@@ -273,14 +274,60 @@ def _check_members(lists: tuple[tuple[Any, ...], ...], m: int) -> None:
             )
 
 
-#: One input's map-side route: the reduce partitions it ships to (each
-#: once, ascending), its fan-out (reducers it belongs to) and its
-#: communication (fan-out times its declared size).
-Route = tuple[tuple[int, ...], int, int]
-
 #: Member lists, one tuple of input keys per reducer: a plan's, or one
 #: reduce partition's slice of them.
 MemberLists = tuple[tuple[Hashable, ...], ...]
+
+#: One reduce partition's share of a plan: its first reducer's index and
+#: the member lists of its contiguous range of reducers.
+ReducerRange = tuple[int, MemberLists]
+
+
+def _unknown_member(
+    members: MemberLists, inputs: Container[Hashable]
+) -> InvalidSchemaError:
+    """The error naming the first reducer that lists a key not in
+    *inputs*."""
+    reducer, key = next(
+        (r, key)
+        for r, held in enumerate(members)
+        for key in held
+        if key not in inputs
+    )
+    return InvalidSchemaError(
+        f"reducer {reducer} lists {key!r}, which is not an input of the plan"
+    )
+
+
+def _range_starts(loads: Sequence[int], num_partitions: int) -> list[int]:
+    """Where each of *num_partitions* contiguous reducer ranges starts,
+    plus the reducer count: range ``p`` is ``starts[p]:starts[p + 1]``.
+
+    Cut ``k`` falls on the reducer boundary whose load prefix sum is
+    nearest ``k / num_partitions`` of the total load (ties go to the
+    earlier boundary), so the ranges' loads are as even as reducer
+    boundaries allow, except that every range keeps at least one reducer
+    while there are reducers left: with as many partitions as reducers,
+    each reducer is a range of its own.
+    """
+    prefix = [0, *accumulate(loads)]
+    total, count = prefix[-1], len(loads)
+    starts = [0]
+    for k in range(1, num_partitions):
+        low = min(starts[-1] + 1, count)
+        high = max(count - num_partitions + k, low)
+        target = k * total
+        cut = bisect_left(prefix, -(-target // num_partitions), low, high + 1)
+        if cut > high:
+            cut = high
+        elif cut > low and (
+            target - prefix[cut - 1] * num_partitions
+            <= prefix[cut] * num_partitions - target
+        ):
+            cut -= 1
+        starts.append(cut)
+    starts.append(count)
+    return starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,9 +335,10 @@ class SchemaPlan:
     """A job compiled for execution: wrapped records plus member lists.
 
     Every job the engine runs is a plan: which inputs each reducer
-    receives is fixed before the run.  :func:`build_schema_plan` compiles
-    a solved schema, and :meth:`from_members` takes explicit member lists
-    (the apps' composite and baseline jobs).
+    receives, and so each reducer's load, is fixed before the run.
+    :func:`build_schema_plan` compiles a solved schema, and
+    :meth:`from_members` takes explicit member lists (the apps' composite
+    and baseline jobs).
 
     Attributes:
         records: the wrapped records, in record order (a lazy
@@ -300,15 +348,17 @@ class SchemaPlan:
         sizes: input key -> declared size, for every input.
         members: per reducer, its members' input keys.  Sorted, they are
             in record order (for X2Y, the X side then the Y side).
+        loads: per reducer, the sum of its members' declared sizes (0 for
+            an empty reducer).
         capacity: the reducer capacity ``q`` checked against each
-            reducer's load (the sum of its members' sizes); ``None``
-            checks nothing.
+            reducer's load; ``None`` checks nothing.
     """
 
     records: list[Any] | Dataset
     key_of: Callable[[Any], Hashable]
     sizes: dict[Hashable, int]
     members: MemberLists
+    loads: tuple[int, ...]
     capacity: int | None
 
     @classmethod
@@ -327,15 +377,19 @@ class SchemaPlan:
         of reducer ``r``'s inputs.  A reducer may be empty and an input
         may belong to no reducer.  *records* may be a
         :class:`~repro.dataset.Dataset`; the wrapping then stays lazy and
-        a source of unknown length is counted as it streams.
+        a source of unknown length is counted as it streams.  The
+        reducers' loads are summed here, once.
 
         Raises :class:`~repro.exceptions.InvalidInstanceError` when the
         record count differs from ``len(sizes)``, or a reducer lists an
         index out of range or the same index twice.
         """
         lists = tuple(map(tuple, members))
+        sizes = tuple(sizes)
         _check_members(lists, len(sizes))
-        return cls._indexed(records, tuple(sizes), lists, capacity)
+        size_of = sizes.__getitem__
+        loads = tuple(sum(map(size_of, held)) for held in lists)
+        return cls._indexed(records, sizes, lists, loads, capacity)
 
     @classmethod
     def _indexed(
@@ -343,6 +397,7 @@ class SchemaPlan:
         records: Sequence[Any] | Dataset,
         sizes: tuple[int, ...],
         lists: tuple[tuple[int, ...], ...],
+        loads: tuple[int, ...],
         capacity: int | None,
     ) -> "SchemaPlan":
         """The plan over member lists known to be valid: the one place
@@ -378,6 +433,7 @@ class SchemaPlan:
             key_of=itemgetter(0),
             sizes=dict(enumerate(sizes)),
             members=lists,
+            loads=loads,
             capacity=capacity,
         )
 
@@ -385,57 +441,44 @@ class SchemaPlan:
     def communication_cost(self) -> int:
         """The paper's communication: every member's declared size, summed
         over reducers (fan-out times size, per input)."""
-        return sum(
-            map(self.sizes.__getitem__, chain.from_iterable(self.members))
-        )
+        return sum(self.loads)
 
     def routes(
         self, num_partitions: int
-    ) -> tuple[dict[Hashable, Route], list[MemberLists]]:
+    ) -> tuple[dict[Hashable, list[int]], list[ReducerRange]]:
         """The route tables for *num_partitions* reduce partitions.
 
-        Returns ``(map_routes, partition_members)``:
+        Returns ``(map_routes, ranges)``:
 
-        * ``map_routes[key]`` is the input's :data:`Route`, the table the
-          parent routes records by;
-        * ``partition_members[p]`` is ``members[p::num_partitions]``, the
-          member lists of partition ``p``'s reducers in reducer order,
-          empty reducers included: slot ``k`` is reducer
-          ``p + k * num_partitions``.  It ships with partition ``p``'s
-          reduce task only, and the task's results are aligned to it.
+        * ``ranges[p]`` is partition ``p``'s :data:`ReducerRange`: a
+          contiguous run of reducers, empty ones included, cut on the
+          prefix sums of the plan's loads so the partitions' loads are
+          near-equal.  It ships with partition ``p``'s reduce task only;
+          concatenating the tasks' outputs in partition order lists them
+          in reducer order.
+        * ``map_routes[key]`` lists, ascending, the partitions holding one
+          of the input's reducers: the parent ships its record once to
+          each.
 
-        Reducer ``r`` lives in partition ``r % num_partitions``, so task
-        counts and task loads depend only on the plan and the partition
-        count.
+        The ranges depend only on the plan's loads and the partition
+        count, so task loads are the same on every run and backend.
 
         Raises :class:`~repro.exceptions.InvalidSchemaError` when a
         reducer names a key that is not one of the plan's inputs.
         """
-        partition_members = [
-            self.members[p::num_partitions] for p in range(num_partitions)
+        starts = _range_starts(self.loads, num_partitions)
+        ranges = [
+            (first, self.members[first:end])
+            for first, end in zip(starts, starts[1:])
         ]
-        parts: dict[Hashable, list[int]] = {key: [] for key in self.sizes}
-        fanout: dict[Hashable, int] = {}
+        map_routes: dict[Hashable, list[int]] = {key: [] for key in self.sizes}
         try:
-            for p, members_of_p in enumerate(partition_members):
-                held = Counter(chain.from_iterable(members_of_p))
-                for key, count in held.items():
-                    parts[key].append(p)
-                    fanout[key] = fanout.get(key, 0) + count
-        except KeyError as exc:
-            key = exc.args[0]
-            reducer = next(
-                r for r, members in enumerate(self.members) if key in members
-            )
-            raise InvalidSchemaError(
-                f"reducer {reducer} lists {key!r}, which is not an input "
-                "of the plan"
-            ) from None
-        map_routes: dict[Hashable, Route] = {}
-        for key, size in self.sizes.items():
-            count = fanout.get(key, 0)
-            map_routes[key] = (tuple(parts[key]), count, count * size)
-        return map_routes, partition_members
+            for p, (_, members_of_p) in enumerate(ranges):
+                for key in sorted(set(chain.from_iterable(members_of_p))):
+                    map_routes[key].append(p)
+        except (KeyError, TypeError):
+            raise _unknown_member(self.members, self.sizes) from None
+        return map_routes, ranges
 
 
 def build_schema_plan(
@@ -461,11 +504,13 @@ def build_schema_plan(
         # A schema's reducers come from its solver, deduplicated by
         # from_lists; from_members' whole-plan member check would add
         # about 40 ms to every run of a 367k-membership schema (10% of
-        # the a2a_shuffle benchmark), so a schema skips it.
+        # the a2a_shuffle benchmark), so a schema skips it, and its loads
+        # are the ones the schema caches.
         return SchemaPlan._indexed(
             records,
             tuple(schema.instance.sizes),
             schema.reducers,
+            _schema_loads(schema),
             schema.instance.q,
         )
     if isinstance(schema, X2YSchema):
@@ -501,9 +546,21 @@ def build_schema_plan(
                 + tuple(y_keys[j] for j in y_part)
                 for x_part, y_part in schema.reducers
             ),
+            loads=schema.loads,
             capacity=instance.q,
         )
     raise TypeError(
         "expected an A2ASchema, X2YSchema or MultiwaySchema, got "
         f"{type(schema).__name__}"
     )
+
+
+def _schema_loads(schema: A2ASchema | MultiwaySchema) -> tuple[int, ...]:
+    """The schema's cached loads; a hand-built schema whose reducer names
+    a non-input raises the plan's typed error instead of an ``IndexError``."""
+    try:
+        return schema.loads
+    except (IndexError, TypeError):
+        raise _unknown_member(
+            schema.reducers, range(schema.instance.m)
+        ) from None

@@ -228,19 +228,25 @@ class _JobRecord:
 
 @dataclass(frozen=True)
 class JobHandle:
-    """The caller's view of one submitted job."""
+    """The caller's view of one submitted job.
+
+    The handle keeps the job's record, so :meth:`status` and :meth:`wait`
+    still answer after the bounded job table drops it; :meth:`result`
+    then raises :class:`~repro.exceptions.ResultEvictedError`.
+    """
 
     job_id: str
     service: "JobService"
+    _record: _JobRecord = field(repr=False, compare=False)
 
     def status(self) -> JobStatus:
-        return self.service.status(self.job_id)
+        return self.service._status(self._record)
 
     def wait(self, timeout: float | None = None) -> JobStatus:
-        return self.service.wait(self.job_id, timeout)
+        return self.service._wait(self._record, timeout)
 
     def result(self, timeout: float | None = None) -> JobResult:
-        return self.service.result(self.job_id, timeout)
+        return self.service._result(self._record, timeout)
 
     def cancel(self) -> bool:
         return self.service.cancel(self.job_id)
@@ -384,7 +390,7 @@ class JobService:
         rejection = self._admission_reason(spec, config)
         if rejection is not None:
             self._transition(record, REJECTED, detail=rejection)
-            return JobHandle(job_id, self)
+            return JobHandle(job_id, self, record)
         self._emit(record, QUEUED)
         self.scheduler.submit(
             job_id,
@@ -399,7 +405,7 @@ class JobService:
             parent=record.root_span.span_id,
         )
         self._update_scheduler_gauges()
-        return JobHandle(job_id, self)
+        return JobHandle(job_id, self, record)
 
     def submit_spec(
         self,
@@ -445,7 +451,9 @@ class JobService:
 
     def status(self, job_id: str) -> JobStatus:
         """The job's current lifecycle snapshot (works in every state)."""
-        record = self._record(job_id)
+        return self._status(self._record(job_id))
+
+    def _status(self, record: _JobRecord) -> JobStatus:
         with self._lock:
             return record.snapshot()
 
@@ -455,10 +463,17 @@ class JobService:
             return [record.snapshot() for record in self._records.values()]
 
     def wait(self, job_id: str, timeout: float | None = None) -> JobStatus:
-        """Block until the job reaches a terminal state (or *timeout*)."""
-        record = self._record(job_id)
+        """Block until the job reaches a terminal state (or *timeout*).
+
+        The snapshot is of the record looked up before waiting, so a job
+        that finished answers even if later completions drop its record
+        from the bounded job table before this returns.
+        """
+        return self._wait(self._record(job_id), timeout)
+
+    def _wait(self, record: _JobRecord, timeout: float | None) -> JobStatus:
         record.done.wait(timeout)
-        return self.status(job_id)
+        return self._status(record)
 
     def result(self, job_id: str, timeout: float | None = None) -> JobResult:
         """The job's stored result, blocking until it finishes.
@@ -469,7 +484,10 @@ class JobService:
         :class:`~repro.exceptions.ResultEvictedError` when the result was
         evicted from the bounded store.
         """
-        record = self._record(job_id)
+        return self._result(self._record(job_id), timeout)
+
+    def _result(self, record: _JobRecord, timeout: float | None) -> JobResult:
+        job_id = record.job_id
         if not record.done.wait(timeout):
             raise ResultWaitTimeoutError(
                 f"job {job_id!r} still {record.state!r} after {timeout}s"

@@ -153,11 +153,26 @@ class TestBigSmall:
 )
 def test_without_bigs_the_schema_is_the_pruned_pairing(case):
     """Without big inputs big_small skips the prune: its reducers are
-    what pruning the paired half-capacity bins would keep."""
+    what pruning the paired half-capacity bins would keep.  Both it and
+    ffd_pairing build their reducers from the bins directly; the
+    reducers, their order and their loads equal those of the
+    concatenated bin pairs normalized by ``from_lists``."""
     q, sizes = case
     instance = A2AInstance(sizes, q)
-    pruned = _prune_dominated(pair_bins(first_fit_decreasing(sizes, q // 2).bins))
-    assert big_small(instance).reducers == A2ASchema.from_lists(instance, pruned).reducers
+    bins = first_fit_decreasing(sizes, q // 2).bins
+    paired = [
+        list(bins[a]) + list(bins[b])
+        for a in range(len(bins))
+        for b in range(a + 1, len(bins))
+    ] or [list(bins[0])]
+    assert pair_bins(bins) == paired
+    expected = A2ASchema.from_lists(instance, _prune_dominated(paired))
+    general = big_small(instance)
+    assert general.reducers == expected.reducers
+    assert general.loads == expected.loads
+    pairing = ffd_pairing(instance)
+    assert pairing == A2ASchema.from_lists(instance, paired, pairing.algorithm)
+    assert pairing.loads == A2ASchema.from_lists(instance, paired).loads
 
 
 @settings(deadline=None, max_examples=200)

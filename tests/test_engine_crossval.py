@@ -56,7 +56,8 @@ from oracle import (
 
 #: The engine settings every check runs on: the serial default (one
 #: reduce partition), the serial backend over several reduce partitions
-#: (the partitioned shuffle and reducer-aligned reassembly, in-process),
+#: (the partitioned shuffle and the concatenated reducer ranges,
+#: in-process),
 #: and a process pool.
 CONFIGS = [
     pytest.param(ExecutionConfig(), id="serial"),

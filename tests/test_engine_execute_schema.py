@@ -298,39 +298,43 @@ class TestRoutedShuffle:
         result = execute_schema(
             schema, records, collect_reduce, num_reduce_tasks=3, tracer=tracer
         )
-        partitions = {
-            i: {r % 3 for r in reducers}
-            for i, reducers in enumerate(a2a_memberships(schema))
-        }
-        shipped = sum(len(parts) for parts in partitions.values())
+        _, ranges = build_schema_plan(schema, records).routes(3)
+        shipped = sum(
+            len({p for p, (_, held) in enumerate(ranges) for m in held if i in m})
+            for i in range(schema.instance.m)
+        )
         assert result.engine.pairs_shipped == shipped
         assert result.metrics.map_output_pairs == sum(schema.replication)
         (shuffle,) = [s for s in tracer.spans() if s.name == "shuffle"]
         assert shuffle.attrs["pairs"] == shipped
 
-    def test_reducer_r_lands_in_partition_r_mod_p(self):
+    def test_partitions_are_load_balanced_reducer_ranges(self):
         schema = solve_a2a(A2AInstance([3, 5, 2, 7, 4, 6, 1, 8] * 3, q=24))
-        routes, partition_members = build_schema_plan(
-            schema, [None] * schema.instance.m
-        ).routes(5)
-        assert sum(map(len, partition_members)) == len(schema.reducers)
-        for p, members_of_p in enumerate(partition_members):
-            # Slot k of partition p is reducer p + 5k, in reducer order.
-            for k, members in enumerate(members_of_p):
-                r = p + k * 5
-                assert r % 5 == p
-                assert members == schema.reducers[r]
-                for i in members:
-                    assert p in routes[i][0]
-        for i, (parts, fanout, comm) in enumerate(routes.values()):
-            assert list(parts) == sorted(parts)
-            assert fanout == schema.replication[i]
-            assert comm == fanout * schema.instance.sizes[i]
+        plan = build_schema_plan(schema, [None] * schema.instance.m)
+        assert plan.loads == schema.loads
+        routes, ranges = plan.routes(5)
+        starts = [first for first, _ in ranges]
+        assert starts[0] == 0
+        for (first, held), end in zip(ranges, starts[1:] + [len(plan.loads)]):
+            # A partition is reducers first..end-1, in reducer order.
+            assert held == schema.reducers[first:end]
+        for i, parts in routes.items():
+            assert parts == sorted(parts)
+            assert parts == [
+                p
+                for p, (first, held) in enumerate(ranges)
+                if any(i in members for members in held)
+            ]
+        total = schema.communication_cost
+        for first, held in ranges:
+            load = sum(schema.loads[first : first + len(held)])
+            assert abs(load - total / 5) <= schema.max_load
 
     def test_benchmark_shape_ships_once_per_partition(self):
         """1200 uniform inputs at q=200 on 8 partitions: about 212
         reducers per input, but at most 8 copies of each record move,
-        one per partition that holds one of its reducers."""
+        one per partition that holds one of its reducers, and the
+        contiguous ranges keep most inputs' reducers in fewer."""
         sizes = sample_sizes("uniform", 1200, 200, seed=1)
         schema = plan(JobSpec.a2a(sizes, 200)).schema()
         result = execute_schema(
@@ -339,17 +343,20 @@ class TestRoutedShuffle:
         assert result.metrics.map_output_pairs == sum(
             map(len, schema.reducers)
         )
+        routes, ranges = build_schema_plan(schema, list(range(1200))).routes(8)
         partitions_of: list[set[int]] = [set() for _ in sizes]
-        for r, members in enumerate(schema.reducers):
-            for i in members:
-                partitions_of[i].add(r % 8)
+        for p, (_, held) in enumerate(ranges):
+            for members in held:
+                for i in members:
+                    partitions_of[i].add(p)
         assert result.engine.pairs_shipped == sum(map(len, partitions_of))
-        assert result.engine.pairs_shipped == 9580
+        assert result.engine.pairs_shipped == 7242
         assert result.engine.num_reduce_tasks == 8
         assert result.metrics.communication_cost == schema.communication_cost
-        # The map task carries one small route per input, not the
-        # per-input membership table.
-        routes, _ = build_schema_plan(schema, list(range(1200))).routes(8)
+        loads = result.engine.task_loads
+        assert max(loads) * 8 <= sum(loads) * 1.001
+        # The parent routes by one small list of partitions per input,
+        # not by the per-input membership table.
         memberships = tuple(map(tuple, a2a_memberships(schema)))
         assert len(pickle.dumps(routes)) * 10 < len(pickle.dumps(memberships))
 

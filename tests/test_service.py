@@ -436,8 +436,7 @@ class TestBoundedJobTable:
                 service.submit_spec(SMALL_SPEC, job_id=f"t-{i}")
                 for i in range(limit + 3)
             ]
-            # Waiting on each handle would race the table: the first
-            # records can be dropped before their handle is reached.
+            # Every job finishes before the table is read.
             assert service.drain(timeout=30.0)
             listed = [status.job_id for status in service.list()]
             assert listed == [f"t-{i}" for i in range(3, limit + 3)]
@@ -454,6 +453,33 @@ class TestBoundedJobTable:
             assert handles[-1].status().state == DONE
             # The counts still cover every job.
             assert service.stats()["jobs"] == {DONE: limit + 3}
+
+    def test_a_dropped_record_still_answers_its_waiters(self):
+        # Later jobs finish and drop "first" from the job table after its
+        # done event fires but before wait takes its snapshot: wait answers
+        # from the record it already holds, and so does the handle.
+        limit = TERMINAL_RECORDS_PER_RESULT * 1
+        with JobService(slots=1, env=ENV, result_capacity=1) as service:
+            first = service.submit_spec(SMALL_SPEC, job_id="first")
+            record = service._record("first")
+            done_wait = record.done.wait
+
+            def wait_then_drop(timeout=None):
+                finished = done_wait(timeout)
+                for index in range(limit):
+                    later = service.submit_spec(SMALL_SPEC, job_id=f"l-{index}")
+                    assert later.wait(timeout=30.0).state == DONE
+                return finished
+
+            record.done.wait = wait_then_drop
+            assert service.wait("first", timeout=30.0).state == DONE
+            record.done.wait = done_wait
+            with pytest.raises(UnknownJobError):
+                service.status("first")
+            assert first.wait(timeout=30.0).state == DONE
+            assert first.status().state == DONE
+            with pytest.raises(ResultEvictedError):
+                first.result()
 
     def test_unfinished_records_are_never_dropped(self):
         gate = _Gate()
