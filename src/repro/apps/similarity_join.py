@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro import planner
 from repro.core.instance import A2AInstance
@@ -38,7 +38,7 @@ from repro.engine.routing import (
 )
 from repro.obs.trace import Tracer
 from repro.planner import JobSpec, Plan
-from repro.workloads.documents import Document, set_jaccard
+from repro.workloads.documents import Document, token_bitsets
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,38 @@ def similarity_spec(
     )
 
 
+#: A document as the reduce scores it: ``(doc_id, bits, distinct_count)``
+#: with ``bits`` and ``distinct_count`` from
+#: :func:`~repro.workloads.documents.token_bitsets`.
+_Scored = tuple[int, int, int]
+
+
+def _score_pairs(
+    groups: Iterable[tuple[_Scored, Sequence[_Scored]]], threshold: float
+) -> Iterator[tuple[int, int, float]]:
+    """Emit ``(id_a, id_b, similarity)`` for each document of *groups* and
+    each of its partners at or above *threshold*, in order.
+
+    A pair's common tokens are the bit count of the AND of its bits and
+    its union the two distinct counts less that: the integers
+    :func:`~repro.workloads.documents.set_jaccard` divides, so the floats
+    are the same.
+    """
+    for (id_a, bits_a, count_a), partners in groups:
+        for id_b, bits_b, count_b in partners:
+            common = (bits_a & bits_b).bit_count()
+            union = count_a + count_b - common
+            similarity = common / union if union else 1.0
+            if similarity >= threshold:
+                yield (id_a, id_b, similarity)
+
+
 def _similarity_reduce(
     key: int,
     values: list[tuple[int, Document]],
     *,
     masks: tuple[int, ...],
-    token_sets: tuple[frozenset[str], ...],
+    bitsets: tuple[tuple[int, int], ...],
     threshold: float,
 ) -> Iterator[tuple[int, int, float]]:
     """Reducer: compare the pairs this reducer owns, in input order.
@@ -102,30 +128,32 @@ def _similarity_reduce(
     *key* owns a pair when no earlier reducer holds both inputs.
     :func:`owned_partners` decides that once per group of documents with
     equal masks (a bin of the schema), so only owned pairs are compared.
-    *token_sets* holds each document's token set by input index, built
-    once per job rather than once per reducer holding the document.
+    *bitsets* holds each document's ``(bits, distinct_count)`` by input
+    index, built once per job by
+    :func:`~repro.workloads.documents.token_bitsets`; each owned pair
+    costs one AND and one bit count (:func:`_score_pairs`).
     Module-level (with data bound through :func:`functools.partial`, see
     :func:`similarity_reducer`) so the ``processes`` backend can pickle it.
     """
     held = [
-        (masks[i], (doc.doc_id, token_sets[i]))
+        (masks[i], (doc.doc_id, *bitsets[i]))
         for i, doc in sorted(values, key=itemgetter(0))
     ]
-    for (id_a, set_a), partners in owned_partners(key, held):
-        for id_b, set_b in partners:
-            similarity = set_jaccard(set_a, set_b)
-            if similarity >= threshold:
-                yield (id_a, id_b, similarity)
+    return _score_pairs(owned_partners(key, held), threshold)
 
 
 def similarity_reducer(
     schema: A2ASchema, documents: Sequence[Document], threshold: float
 ) -> partial[Iterator[tuple[int, int, float]]]:
-    """The similarity join's reduce function for *schema* over *documents*."""
+    """The similarity join's reduce function for *schema* over *documents*.
+
+    Binds the schema's reducer masks and the documents' token bitsets,
+    each built once here for the whole job.
+    """
     return partial(
         _similarity_reduce,
         masks=a2a_reducer_masks(schema),
-        token_sets=tuple(frozenset(doc.tokens) for doc in documents),
+        bitsets=tuple(token_bitsets(documents)),
         threshold=threshold,
     )
 
@@ -189,17 +217,19 @@ def _broadcast_reduce(
 ) -> Iterator[tuple[int, int, float]]:
     """Baseline reducer: compare every pair of documents it received.
 
-    Values arrive as ``(input_index, document)``.  Module-level
-    (threshold bound through :func:`functools.partial`) so the baseline
-    runs on any backend.
+    Values arrive as ``(input_index, document)``.  The one reducer holds
+    the whole job, so it builds the job's token bitsets itself and scores
+    pairs with :func:`_score_pairs`.  Module-level (threshold
+    bound through :func:`functools.partial`) so the baseline runs on any
+    backend.
     """
-    docs = [doc for _, doc in values]
-    token_sets = [frozenset(doc.tokens) for doc in docs]
-    for a_idx, set_a in enumerate(token_sets):
-        for b_idx in range(a_idx + 1, len(docs)):
-            similarity = set_jaccard(set_a, token_sets[b_idx])
-            if similarity >= threshold:
-                yield (docs[a_idx].doc_id, docs[b_idx].doc_id, similarity)
+    scored = [
+        (doc.doc_id, *bits)
+        for (_, doc), bits in zip(values, token_bitsets([doc for _, doc in values]))
+    ]
+    return _score_pairs(
+        ((doc, scored[a + 1 :]) for a, doc in enumerate(scored)), threshold
+    )
 
 
 def _broadcast_engine(

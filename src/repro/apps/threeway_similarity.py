@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro import planner
 from repro.core.multiway import MultiwaySchema
@@ -22,11 +22,16 @@ from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics, JobMetrics
 from repro.engine.routing import a2a_reducer_masks, owned_partners
 from repro.planner import JobSpec, Plan
-from repro.workloads.documents import Document
+from repro.workloads.documents import Document, token_bitsets
 
 
 def triple_jaccard(a: Document, b: Document, c: Document) -> float:
-    """Jaccard similarity of three token sets: |∩| / |∪|."""
+    """Jaccard similarity of three token sets: |∩| / |∪|; 1.0 when all
+    are empty.
+
+    The reference: :func:`all_triples_above` calls it, and the job's
+    reducer computes the same two integers from token bitsets instead.
+    """
     sets = [set(a.tokens), set(b.tokens), set(c.tokens)]
     union = sets[0] | sets[1] | sets[2]
     if not union:
@@ -84,6 +89,7 @@ def _threeway_reduce(
     values: list[tuple[int, Document]],
     *,
     masks: tuple[int, ...],
+    bitsets: tuple[tuple[int, int], ...],
     threshold: float,
 ) -> Iterator[tuple[int, int, int, float]]:
     """Reducer: score the triples this reducer owns, in input order.
@@ -93,15 +99,47 @@ def _threeway_reduce(
     *key* owns a triple when no earlier reducer holds all three inputs.
     :func:`owned_partners` decides that once per triple of groups of
     documents with equal masks, so only owned triples are scored.
-    Module-level (with data bound through :func:`functools.partial`) so
-    the ``processes`` backend can pickle it.
+    *bitsets* holds each document's ``(bits, distinct_count)`` by input
+    index (:func:`~repro.workloads.documents.token_bitsets`, built once
+    per job): a triple's common tokens are the bit count of the AND of
+    its bits, and its union the bit count of the OR plus each document's
+    private tokens, the integers :func:`triple_jaccard` divides, so the
+    floats are the same.  Module-level (with data bound through
+    :func:`functools.partial`, see :func:`threeway_reducer`) so the
+    ``processes`` backend can pickle it.
     """
-    held = [(masks[i], doc) for i, doc in sorted(values, key=itemgetter(0))]
-    for doc_a, doc_b, partners in owned_partners(key, held, width=3):
-        for doc_c in partners:
-            similarity = triple_jaccard(doc_a, doc_b, doc_c)
+    held = []
+    for i, doc in sorted(values, key=itemgetter(0)):
+        bits, count = bitsets[i]
+        held.append((masks[i], (doc.doc_id, bits, count - bits.bit_count())))
+    for (id_a, bits_a, own_a), (id_b, bits_b, own_b), partners in owned_partners(
+        key, held, width=3
+    ):
+        both = bits_a & bits_b
+        either = bits_a | bits_b
+        own = own_a + own_b
+        for id_c, bits_c, own_c in partners:
+            common = (both & bits_c).bit_count()
+            union = (either | bits_c).bit_count() + own + own_c
+            similarity = common / union if union else 1.0
             if similarity >= threshold:
-                yield (doc_a.doc_id, doc_b.doc_id, doc_c.doc_id, similarity)
+                yield (id_a, id_b, id_c, similarity)
+
+
+def threeway_reducer(
+    schema: MultiwaySchema, documents: Sequence[Document], threshold: float
+) -> partial[Iterator[tuple[int, int, int, float]]]:
+    """The three-way job's reduce function for *schema* over *documents*.
+
+    Binds the schema's reducer masks and the documents' token bitsets,
+    each built once here for the whole job.
+    """
+    return partial(
+        _threeway_reduce,
+        masks=a2a_reducer_masks(schema),
+        bitsets=tuple(token_bitsets(documents)),
+        threshold=threshold,
+    )
 
 
 def run_threeway_similarity(
@@ -123,11 +161,7 @@ def run_threeway_similarity(
     result = planner.run(
         planned,
         documents,
-        partial(
-            _threeway_reduce,
-            masks=a2a_reducer_masks(schema),
-            threshold=threshold,
-        ),
+        threeway_reducer(schema, documents, threshold),
         config=ExecutionConfig(),
     )
     return ThreeWayRun(

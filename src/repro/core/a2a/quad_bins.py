@@ -27,12 +27,12 @@ Inputs larger than ``q // 4`` do not fit a bin; such instances use
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain
+from operator import mul
 
 from repro.binpack.ffd import first_fit_decreasing
 from repro.core.instance import A2AInstance
 from repro.core.schema import A2ASchema
-from repro.covering.designs import bin_quads
+from repro.covering.designs import bin_quad_counts, bin_quads
 from repro.exceptions import InvalidInstanceError
 
 
@@ -41,10 +41,13 @@ def quad_bin_costs(loads: Sequence[int]) -> tuple[int, int]:
 
     Equals ``(schema.num_reducers, schema.communication_cost)`` of the
     schema :func:`quad_bins` builds from a packing with these bin loads,
-    but counts from the blocks' bin indices and builds no member lists.
+    but counts each bin's blocks in closed form
+    (:func:`~repro.covering.designs.bin_quad_counts`): neither the blocks
+    nor member lists are built, so the planner enumerates the blocks only
+    for the scheme it builds.
     """
-    blocks = bin_quads(len(loads))
-    return len(blocks), sum(map(loads.__getitem__, chain.from_iterable(blocks)))
+    count, held = bin_quad_counts(len(loads))
+    return count, sum(map(mul, loads, held))
 
 
 def quad_bins(instance: A2AInstance) -> A2ASchema:

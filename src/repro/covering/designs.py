@@ -13,7 +13,8 @@ This module provides:
 * :func:`steiner_triple_system` — *exact* optimal designs for s = 3 when
   ``t ≡ 3 (mod 6)`` (the Bose construction);
 * :func:`bin_quads` — a recursive transversal-design cover with blocks of
-  at most four points, for any t;
+  at most four points, for any t, and :func:`bin_quad_counts`, its block
+  count and per-point replication without the blocks;
 * :func:`greedy_pair_cover` — a general greedy design for any (t, s);
 * :func:`pair_cover` — front door picking the best available construction.
 """
@@ -138,9 +139,41 @@ def bin_quads(num_bins: int) -> list[tuple[int, ...]]:
     return blocks
 
 
+def bin_quad_counts(num_bins: int) -> tuple[int, list[int]]:
+    """How many blocks :func:`bin_quads` returns and how many hold each point.
+
+    Counts without building the blocks.  When the first two groups are
+    full (``b >= 2p``) every ``(x, y)`` block keeps at least two points,
+    so the top level has ``p * p`` blocks and each point lies in ``p`` of
+    them (its group's position fixes one linear form in ``(x, y)``); the
+    groups then add their own counts.  Only a short cover of under ``2p``
+    points, which occurs for few points only, is counted from its blocks.
+    """
+    if num_bins < 1:
+        raise InvalidInstanceError(f"num_bins must be >= 1, got {num_bins}")
+    if num_bins <= 4:
+        return 1, [1] * num_bins
+    p = _group_prime(num_bins)
+    if num_bins < 2 * p:
+        blocks = bin_quads(num_bins)
+        held = [0] * num_bins
+        for block in blocks:
+            for point in block:
+                held[point] += 1
+        return len(blocks), held
+    count, held = p * p, [p] * num_bins
+    for start in range(0, num_bins, p):
+        size = min(p, num_bins - start)
+        if size > 1:
+            inner, inner_held = bin_quad_counts(size)
+            count += inner
+            held[start:start + size] = [h + p for h in inner_held]
+    return count, held
+
+
 def _transversal_cover(points: range, blocks: list[tuple[int, ...]]) -> None:
     """Append the :func:`bin_quads` blocks over *points* (more than 4)."""
-    p = _smallest_prime_from(max(3, -(-len(points) // 4)))
+    p = _group_prime(len(points))
     groups = [points[g * p:(g + 1) * p] for g in range(4)]
     # Column g holds group g's points as 1-tuples, padded with () to p
     # slots and repeated so that x + y and x + 2y index without a mod.
@@ -165,8 +198,10 @@ def _transversal_cover(points: range, blocks: list[tuple[int, ...]]) -> None:
             append(tuple(group))
 
 
-def _smallest_prime_from(n: int) -> int:
-    """The smallest prime ``>= n`` (for ``n >= 2``)."""
+def _group_prime(num_points: int) -> int:
+    """The :func:`bin_quads` group size for *num_points*: the smallest
+    prime ``>= max(3, ceil(num_points / 4))``."""
+    n = max(3, -(-num_points // 4))
     while any(n % d == 0 for d in range(2, isqrt(n) + 1)):
         n += 1
     return n

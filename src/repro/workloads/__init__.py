@@ -15,6 +15,7 @@ from repro.workloads.documents import (
     generate_documents,
     jaccard,
     set_jaccard,
+    token_bitsets,
 )
 from repro.workloads.relations import (
     Relation,
@@ -51,6 +52,7 @@ __all__ = [
     "generate_documents",
     "jaccard",
     "set_jaccard",
+    "token_bitsets",
     "Relation",
     "Tuple2",
     "generate_join_workload",

@@ -9,9 +9,11 @@ is a token-document generator with a configurable size distribution.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import AbstractSet, Iterator
+from itertools import chain
+from typing import AbstractSet, Iterator, Sequence
 
 import numpy as np
 
@@ -43,14 +45,45 @@ def set_jaccard(a: AbstractSet[str], b: AbstractSet[str]) -> float:
 
     The union size comes by inclusion–exclusion, ``|a| + |b| - |a & b|``,
     so no union set is built.  It is the same integer as ``len(a | b)``,
-    hence the same float.  Reducers that compare a document against many
-    others build its set once and call this directly.
+    hence the same float.  This is the reference: :func:`all_pairs_above`
+    calls it, and the similarity-join reducers compute the same two
+    integers from :func:`token_bitsets` instead.
     """
     common = len(a & b)
     union = len(a) + len(b) - common
     if not union:
         return 1.0
     return common / union
+
+
+def token_bitsets(documents: Sequence[Document]) -> list[tuple[int, int]]:
+    """Each document's shared tokens as a bitset, with its distinct count.
+
+    Returns ``(bits, distinct_count)`` per document, in order.  Only a
+    token that at least two of *documents* hold gets a bit: a token one
+    document holds can never be shared, so it only adds to that
+    document's count.  Bits are numbered by descending document frequency
+    (ties in order of first occurrence), so an int is as wide as the
+    shared vocabulary allows, however large the full vocabulary is.
+
+    For two documents of the list, ``(bits_a & bits_b).bit_count()`` is
+    ``len(set_a & set_b)`` and ``count_a + count_b - common`` their union
+    size: the integers :func:`set_jaccard` divides, hence the same float.
+    For more documents, the union is the OR's bit count plus each
+    document's private tokens, ``count - bits.bit_count()``.
+    """
+    distinct = [dict.fromkeys(doc.tokens) for doc in documents]
+    frequency = Counter(chain.from_iterable(distinct))
+    shared = sorted(
+        (token for token, held in frequency.items() if held > 1),
+        key=frequency.__getitem__,
+        reverse=True,
+    )
+    bit = {token: 1 << index for index, token in enumerate(shared)}
+    return [
+        (sum(filter(None, map(bit.get, tokens))), len(tokens))
+        for tokens in distinct
+    ]
 
 
 def jaccard(a: Document, b: Document) -> float:

@@ -35,8 +35,8 @@ from repro.apps.tensor_product import (
     distributed_outer_product,
 )
 from repro.apps.threeway_similarity import (
-    _threeway_reduce,
     run_threeway_similarity,
+    threeway_reducer,
 )
 from repro.core.selector import solve_a2a, solve_x2y
 from repro.engine.config import ExecutionConfig
@@ -192,11 +192,7 @@ class TestApplicationCrossValidation:
         # engine setting over the app's multiway schema.
         documents = generate_documents(14, 30, seed=3)
         run = run_threeway_similarity(documents, 30, 0.0)
-        reduce_fn = partial(
-            _threeway_reduce,
-            masks=a2a_reducer_masks(run.schema),
-            threshold=0.0,
-        )
+        reduce_fn = threeway_reducer(run.schema, documents, 0.0)
         oracle = schema_oracle(run.schema, documents, reduce_fn, config)
         assert len(run.triples) == comb(14, 3)
         assert run.triples == tuple(oracle.outputs)

@@ -20,7 +20,7 @@ from repro.core.a2a import quad_bins, triple_bins
 from repro.core.a2a.quad_bins import quad_bin_costs
 from repro.core.bounds import a2a_communication_lower_bound, a2a_reducer_lower_bound
 from repro.core.instance import A2AInstance
-from repro.covering.designs import bin_quads
+from repro.covering.designs import bin_quad_counts, bin_quads
 from repro.exceptions import InvalidInstanceError
 from repro.planner import fast_path_a2a
 from repro.workloads.distributions import sample_sizes
@@ -64,6 +64,17 @@ class TestBinQuads:
     def test_rejects_no_bins(self):
         with pytest.raises(InvalidInstanceError):
             bin_quads(0)
+        with pytest.raises(InvalidInstanceError):
+            bin_quad_counts(0)
+
+    def test_counts_equal_the_enumerated_blocks(self):
+        for num_bins in [*range(1, 301), 619, 1257, 2001]:
+            blocks = bin_quads(num_bins)
+            held = [0] * num_bins
+            for block in blocks:
+                for point in block:
+                    held[point] += 1
+            assert bin_quad_counts(num_bins) == (len(blocks), held), num_bins
 
 
 class TestQuadBins:
@@ -123,3 +134,18 @@ def test_fast_path_picks_quad_bins_where_they_are_no_worse(m, q):
         f"predicted {triple.num_reducers} reducers, communication "
         f"{triple.communication_cost}; not built"
     )
+
+
+def test_fast_path_enumerates_the_blocks_once(monkeypatch):
+    """The prediction counts in closed form; only the build enumerates."""
+    module = importlib.import_module("repro.core.a2a.quad_bins")
+    calls = []
+
+    def counted(num_bins):
+        calls.append(num_bins)
+        return bin_quads(num_bins)
+
+    monkeypatch.setattr(module, "bin_quads", counted)
+    chosen, _, _, _ = fast_path_a2a(SHUFFLE)
+    assert chosen == "quad_bins"
+    assert calls == [619]
