@@ -19,7 +19,12 @@ from repro.core.schema import X2YSchema
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
 from repro.engine.metrics import EngineMetrics, JobMetrics
-from repro.engine.routing import SchemaPlan, owned_partners, x2y_reducer_masks
+from repro.engine.routing import (
+    SchemaPlan,
+    owned_partners,
+    x2y_exact_cover,
+    x2y_reducer_masks,
+)
 from repro.obs.trace import Tracer
 from repro.planner import Environment, JobSpec, Plan
 from repro.workloads.relations import Relation, Tuple2, heavy_hitters
@@ -143,35 +148,38 @@ def _skew_reduce(
     *,
     owners: tuple[SkewOwner, ...],
     masks: dict[int, tuple[tuple[int, ...], tuple[int, ...]]],
-) -> Iterator[tuple[int, int, int]]:
+) -> list[tuple[int, int, int]]:
     """Join the X and Y tuples that met at this reducer.
 
-    *owners* maps the reducer index to its join key and local reducer;
-    *masks* holds each heavy key's :func:`x2y_reducer_masks`.  Heavy-key
-    reducers emit a pair only from its canonical meeting reducer,
-    keeping the distributed output exactly-once despite replication.  The
-    test is the bitmask rule: local reducer ``r`` owns a pair when no
-    earlier reducer of the key holds both tuples.  :func:`owned_partners`
-    decides it once per pair of groups of tuples with equal masks (the
-    bins of a grid schema), not once per held pair.
+    *owners* maps the reducer index to its join key and local reducer.
+    A light key's reducer, and a reducer of a heavy key whose schema
+    holds each pair once (:func:`x2y_exact_cover`, every grid-family
+    schema), emit their whole cross product.  *masks* holds
+    :func:`x2y_reducer_masks` for the other heavy keys only; there a
+    reducer emits a pair only from its canonical meeting reducer,
+    keeping the distributed output exactly-once despite replication.
+    The test is the bitmask rule: local reducer ``r`` owns a pair when
+    no earlier reducer of the key holds both tuples.
+    :func:`owned_partners` decides it once per pair of groups of tuples
+    with equal masks, not once per held pair, and yields what the cross
+    product would on a schema that holds each pair once.
     """
     join_key, r = owners[reducer]
     x_records = [v for _, v in values if v[0] == "x"]
     y_records = [v for _, v in values if v[0] == "y"]
-    if r is None:
-        for tx in x_records:
-            for ty in y_records:
-                yield (tx[3], join_key, ty[3])
-        return
+    if r is None or join_key not in masks:
+        return [(tx[3], join_key, ty[3]) for tx in x_records for ty in y_records]
     x_masks, y_masks = masks[join_key]
     owned = owned_partners(
         r,
         [(x_masks[tx[1]], tx[3]) for tx in x_records],
         across=[(y_masks[ty[1]], ty[3]) for ty in y_records],
     )
-    for x_payload, y_payloads in owned:
-        for y_payload in y_payloads:
-            yield (x_payload, join_key, y_payload)
+    return [
+        (x_payload, join_key, y_payload)
+        for x_payload, y_payloads in owned
+        for y_payload in y_payloads
+    ]
 
 
 def _tag(relation: Relation, side: str) -> list[SkewRecord]:
@@ -206,7 +214,8 @@ def _skew_join_engine(
     Reducers are, in order: every heavy key's X2Y reducers (keys sorted,
     each key's reducers in schema order), then one reducer per light key
     (sorted).  A heavy key without a schema (it is one-sided, so it has no
-    output) puts its tuples in no reducer.
+    output) puts its tuples in no reducer.  Ownership masks are built only
+    for the heavy keys whose schema holds some pair twice.
     """
     x_records = _tag(x, "x")
     y_records = _tag(y, "y")
@@ -226,7 +235,11 @@ def _skew_join_engine(
     plan = SchemaPlan.from_members(
         records, [record[4] for record in records], members, capacity=q
     )
-    masks = {key: x2y_reducer_masks(schema) for key, schema in schemas.items()}
+    masks = {
+        key: x2y_reducer_masks(schema)
+        for key, schema in schemas.items()
+        if not x2y_exact_cover(schema)
+    }
     return ExecutionEngine(
         plan=plan,
         reduce_fn=partial(_skew_reduce, owners=tuple(owners), masks=masks),

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro import planner
 from repro.core.schema import X2YSchema
 from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics, JobMetrics
-from repro.engine.routing import owned_partners, x2y_reducer_masks
+from repro.engine.routing import owned_partners, x2y_exact_cover, x2y_reducer_masks
 from repro.planner import JobSpec, Plan
 from repro.workloads.vectors import BlockVector, VectorBlock
 
@@ -77,21 +77,33 @@ def _outer_product_reduce(
     key: int,
     values: list[tuple[str, int, VectorBlock]],
     *,
-    masks: tuple[tuple[int, ...], tuple[int, ...]],
+    masks: tuple[tuple[int, ...], tuple[int, ...]] | None,
 ) -> Iterator[tuple[int, int, float]]:
     """Reducer: emit the tiles of the block pairs this reducer owns.
 
     Values arrive as ``(side, input_index, block)`` with side ``"x"`` for
-    u-blocks and ``"y"`` for v-blocks.  Reducer *key* owns a pair when no
+    u-blocks and ``"y"`` for v-blocks.  With *masks* ``None`` the schema
+    holds each pair once (:func:`x2y_exact_cover`), so the reducer owns
+    every pair it holds.  Otherwise reducer *key* owns a pair when no
     earlier reducer holds both (the bitmask rule of
     :func:`x2y_reducer_masks`), decided by :func:`owned_partners` once per
-    pair of groups of blocks with equal masks.  Module-level so the
-    ``processes`` backend can pickle it.
+    pair of groups of blocks with equal masks; on a schema that holds
+    each pair once it yields the same pairs in the same order.
+    Module-level so the ``processes`` backend can pickle it.
     """
-    x_masks, y_masks = masks
-    u_blocks = [(x_masks[i], block) for side, i, block in values if side == "x"]
-    v_blocks = [(y_masks[j], block) for side, j, block in values if side == "y"]
-    for ub, partners in owned_partners(key, u_blocks, across=v_blocks):
+    if masks is None:
+        v_blocks = [block for side, _, block in values if side == "y"]
+        owned: Iterable[tuple[VectorBlock, list[VectorBlock]]] = [
+            (block, v_blocks) for side, _, block in values if side == "x"
+        ]
+    else:
+        x_masks, y_masks = masks
+        owned = owned_partners(
+            key,
+            [(x_masks[i], block) for side, i, block in values if side == "x"],
+            across=[(y_masks[j], block) for side, j, block in values if side == "y"],
+        )
+    for ub, partners in owned:
         for vb in partners:
             for a, u_val in enumerate(ub.values):
                 for b, v_val in enumerate(vb.values):
@@ -120,7 +132,7 @@ def distributed_outer_product(
     spec = outer_product_spec(u, v, q, method=method, objective=objective)
     planned = planner.plan(spec)
     schema = planned.schema()
-    masks = x2y_reducer_masks(schema)
+    masks = None if x2y_exact_cover(schema) else x2y_reducer_masks(schema)
 
     if config is None and method != "planned":
         config = ExecutionConfig()

@@ -157,6 +157,28 @@ class X2YSchema:
         )
         return cls(instance=instance, reducers=normalized, algorithm=algorithm)
 
+    @classmethod
+    def from_bins(
+        cls,
+        instance: X2YInstance,
+        x_bins: Sequence[Sequence[int]],
+        y_bins: Sequence[Sequence[int]],
+        blocks: Iterable[tuple[int, int]],
+        algorithm: str = "unspecified",
+    ) -> "X2YSchema":
+        """Build a schema whose reducer ``r`` holds the X inputs of
+        ``x_bins[a]`` and the Y inputs of ``y_bins[b]`` for
+        ``(a, b) = blocks[r]``.
+
+        Each bin must list distinct inputs (a packing's bin or a group),
+        so it is sorted once into the normal form :meth:`from_lists`
+        would build, and every reducer of the bin shares that tuple.
+        """
+        x_parts = [tuple(sorted(b)) for b in x_bins]
+        y_parts = [tuple(sorted(b)) for b in y_bins]
+        reducers = tuple((x_parts[a], y_parts[b]) for a, b in blocks)
+        return cls(instance=instance, reducers=reducers, algorithm=algorithm)
+
     @property
     def num_reducers(self) -> int:
         """Number of reducers used."""

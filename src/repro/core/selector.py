@@ -12,7 +12,7 @@ sweep algorithms uniformly.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.core.a2a import (
     big_small,
@@ -28,11 +28,16 @@ from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.schema import A2ASchema, X2YSchema
 from repro.exceptions import UnknownMethodError
 from repro.core.x2y import (
+    Costs,
     best_split_grid,
+    best_split_grid_costs,
     big_small_x2y,
+    big_small_x2y_costs,
     equal_sized_grid,
+    equal_sized_grid_costs,
     greedy_cover_x2y,
     half_split_grid,
+    half_split_grid_costs,
     solve_min_reducers_x2y,
 )
 
@@ -55,6 +60,16 @@ X2Y_METHODS = {
     "big_small": big_small_x2y,
     "greedy": greedy_cover_x2y,
     "exact": solve_min_reducers_x2y,
+}
+
+#: X2Y methods whose ``(reducers, communication, max_load)`` can be
+#: counted without building the schema (``None`` when the method must be
+#: built after all); each raises what its builder raises.
+X2Y_COSTS: dict[str, Callable[[X2YInstance], Costs | None]] = {
+    "equal_grid": equal_sized_grid_costs,
+    "half_grid": half_split_grid_costs,
+    "best_split_grid": best_split_grid_costs,
+    "big_small": big_small_x2y_costs,
 }
 
 

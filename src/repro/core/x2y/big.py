@@ -23,11 +23,13 @@ simply builds both and keeps the cheaper.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from itertools import product
 
 from repro.binpack.ffd import first_fit_decreasing
 from repro.binpack.packing import PackingResult
 from repro.core.instance import X2YInstance
 from repro.core.schema import X2YSchema
+from repro.core.x2y.grid import Costs, half_split_grid_costs
 
 Packer = Callable[[Sequence[int], int], PackingResult]
 
@@ -60,37 +62,58 @@ def big_small_x2y(
     xs, ys = instance.x_sizes, instance.y_sizes
     q = instance.q
     big_x, small_x, big_y, small_y = split_big_small_x2y(instance)
-    reducers: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    # Reducer r holds x_bins[a] and y_bins[b] for (a, b) = blocks[r]; a big
+    # input is a bin of its own.
+    x_bins: list[Sequence[int]] = [(i,) for i in big_x]
+    y_bins: list[Sequence[int]] = [(j,) for j in big_y]
 
     # 1. big-X x big-Y cross pairs, one reducer each.
-    for i in big_x:
-        for j in big_y:
-            reducers.append(((i,), (j,)))
+    blocks = list(product(range(len(big_x)), range(len(big_y))))
 
     # 2. each big X meets all small Ys via residual-capacity bins.
-    for i in big_x:
+    for a, i in enumerate(big_x):
         if not small_y:
             break
         packing = packer([ys[j] for j in small_y], q - xs[i])
         for bin_items in packing.bins:
-            reducers.append(((i,), tuple(small_y[j] for j in bin_items)))
+            blocks.append((a, len(y_bins)))
+            y_bins.append([small_y[j] for j in bin_items])
 
     # 3. each big Y meets all small Xs, symmetrically.
-    for j in big_y:
+    for b, j in enumerate(big_y):
         if not small_x:
             break
         packing = packer([xs[i] for i in small_x], q - ys[j])
         for bin_items in packing.bins:
-            reducers.append((tuple(small_x[i] for i in bin_items), (j,)))
+            blocks.append((len(x_bins), b))
+            x_bins.append([small_x[i] for i in bin_items])
 
     # 4. small-X x small-Y via the half-split grid.
     if small_x and small_y:
         half = q // 2
         x_packing = packer([xs[i] for i in small_x], half)
         y_packing = packer([ys[j] for j in small_y], q - half)
-        for x_bin in x_packing.bins:
-            mapped_x = tuple(small_x[i] for i in x_bin)
-            for y_bin in y_packing.bins:
-                reducers.append((mapped_x, tuple(small_y[j] for j in y_bin)))
+        first_x, first_y = len(x_bins), len(y_bins)
+        x_bins += [[small_x[i] for i in b] for b in x_packing.bins]
+        y_bins += [[small_y[j] for j in b] for b in y_packing.bins]
+        blocks += product(range(first_x, len(x_bins)), range(first_y, len(y_bins)))
 
-    return X2YSchema.from_lists(instance, reducers, algorithm="big_small_x2y")
+    return X2YSchema.from_bins(
+        instance, x_bins, y_bins, blocks, algorithm="big_small_x2y"
+    )
+
+
+def big_small_x2y_costs(instance: X2YInstance) -> Costs | None:
+    """The :data:`~repro.core.x2y.grid.Costs` of :func:`big_small_x2y`
+    (FFD) when no input exceeds ``q // 2``, unbuilt; ``None`` otherwise.
+
+    Without big inputs the scheme is the half-split grid, so it costs
+    what :func:`~repro.core.x2y.grid.half_split_grid_costs` counts.  With
+    them its per-big-input residual packings are left to the builder.
+    Raises as the builder does on an infeasible instance.
+    """
+    instance.check_feasible()
+    half = instance.q // 2
+    if max(instance.x_sizes) > half or max(instance.y_sizes) > half:
+        return None
+    return half_split_grid_costs(instance)

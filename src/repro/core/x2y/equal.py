@@ -10,9 +10,12 @@ reducers, matching the cross-pair lower bound up to rounding.
 
 from __future__ import annotations
 
+from itertools import product
+
 from repro.core.a2a.equal import group_inputs
 from repro.core.instance import X2YInstance
 from repro.core.schema import X2YSchema
+from repro.core.x2y.grid import Costs
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 
 
@@ -55,16 +58,26 @@ def equal_sized_grid(instance: X2YInstance) -> X2YSchema:
     a, b = best_group_shape(w, w_prime, instance.q, instance.m, instance.n)
     x_groups = group_inputs(instance.m, a)
     y_groups = group_inputs(instance.n, b)
-    reducers = [(xg, yg) for xg in x_groups for yg in y_groups]
-    return X2YSchema.from_lists(
-        instance, reducers, algorithm=f"equal_grid[a={a},b={b}]"
+    return X2YSchema.from_bins(
+        instance,
+        x_groups,
+        y_groups,
+        product(range(len(x_groups)), range(len(y_groups))),
+        algorithm=f"equal_grid[a={a},b={b}]",
     )
 
 
-def equal_sized_reducer_count(m: int, n: int, a: int, b: int) -> int:
-    """Closed-form reducer count of :func:`equal_sized_grid` for shape (a, b)."""
-    if a <= 0 or b <= 0:
-        raise InvalidInstanceError(f"group shape must be positive, got ({a}, {b})")
+def equal_sized_grid_costs(instance: X2YInstance) -> Costs:
+    """The :data:`~repro.core.x2y.grid.Costs` of :func:`equal_sized_grid`
+    in closed form, unbuilt; raises as the builder does.
+
+    Every reducer pairs an X group (``a`` inputs, fewer in the last) with
+    a Y group, so each X input ships once per Y group and the heaviest
+    reducer pairs two full groups.
+    """
+    w, w_prime = _require_equal_sides(instance)
+    m, n = instance.m, instance.n
+    a, b = best_group_shape(w, w_prime, instance.q, m, n)
     tx = -(-m // a)
     ty = -(-n // b)
-    return tx * ty
+    return tx * ty, ty * m * w + tx * n * w_prime, a * w + b * w_prime

@@ -13,14 +13,28 @@ one schema, for the winning split.  With FFD a probe is two bin counts
 from the size multiset: each side's equal sizes are grouped into runs
 once, and a probe places whole runs, so it costs O(distinct sizes * bins)
 instead of a packing of every input.
+
+A grid's costs follow from its bin loads alone: with X bin loads ``l_x``
+and Y bin loads ``l_y`` it has ``len(l_x) * len(l_y)`` reducers, ships
+every X input once per Y bin and every Y input once per X bin, and its
+heaviest reducer pairs the heaviest bins.  :func:`grid_costs`,
+:func:`half_split_grid_costs` and :func:`best_split_grid_costs` count
+them from FFD bin loads without building a schema, after the same
+checks and split search as the builders.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import partial
+from itertools import product
 
-from repro.binpack.ffd import decreasing_runs, ffd_bin_count, first_fit_decreasing
+from repro.binpack.ffd import (
+    decreasing_runs,
+    ffd_bin_count,
+    ffd_bin_loads,
+    first_fit_decreasing,
+)
 from repro.binpack.packing import PackingResult
 from repro.core.instance import X2YInstance
 from repro.core.schema import X2YSchema
@@ -28,6 +42,25 @@ from repro.exceptions import InvalidInstanceError
 from repro.utils.validation import check_positive_int
 
 Packer = Callable[[Sequence[int], int], PackingResult]
+
+#: What a cost function counts for a schema it does not build:
+#: ``(reducers, communication cost, max reducer load)``.
+Costs = tuple[int, int, int]
+
+
+def _check_split(instance: X2YInstance, x_capacity: int) -> int:
+    """The Y share ``q - x_capacity``, or :class:`InvalidInstanceError`
+    when the split leaves an input of either side without room."""
+    y_capacity = instance.q - x_capacity
+    if x_capacity < max(instance.x_sizes):
+        raise InvalidInstanceError(
+            f"x_capacity {x_capacity} < largest X input {max(instance.x_sizes)}"
+        )
+    if y_capacity < max(instance.y_sizes):
+        raise InvalidInstanceError(
+            f"y share q - t = {y_capacity} < largest Y input {max(instance.y_sizes)}"
+        )
+    return y_capacity
 
 
 def grid_with_split(
@@ -41,26 +74,29 @@ def grid_with_split(
     x_capacity``) for every Y input; otherwise the split is invalid for this
     instance and :class:`InvalidInstanceError` is raised.
     """
-    y_capacity = instance.q - x_capacity
-    if x_capacity < max(instance.x_sizes):
-        raise InvalidInstanceError(
-            f"x_capacity {x_capacity} < largest X input {max(instance.x_sizes)}"
-        )
-    if y_capacity < max(instance.y_sizes):
-        raise InvalidInstanceError(
-            f"y share q - t = {y_capacity} < largest Y input {max(instance.y_sizes)}"
-        )
+    y_capacity = _check_split(instance, x_capacity)
     x_packing = packer(instance.x_sizes, x_capacity)
     y_packing = packer(instance.y_sizes, y_capacity)
-    reducers = [
-        (tuple(x_bin), tuple(y_bin))
-        for x_bin in x_packing.bins
-        for y_bin in y_packing.bins
-    ]
-    return X2YSchema.from_lists(
+    return X2YSchema.from_bins(
         instance,
-        reducers,
+        x_packing.bins,
+        y_packing.bins,
+        product(range(x_packing.num_bins), range(y_packing.num_bins)),
         algorithm=f"grid[t={x_capacity},{x_packing.algorithm}]",
+    )
+
+
+def grid_costs(instance: X2YInstance, x_capacity: int) -> Costs:
+    """The :data:`Costs` of ``grid_with_split(instance, x_capacity)`` with
+    the FFD packer, from each side's bin loads; raises as the builder
+    does on an invalid split."""
+    y_capacity = _check_split(instance, x_capacity)
+    x_loads = ffd_bin_loads(decreasing_runs(instance.x_sizes), x_capacity)
+    y_loads = ffd_bin_loads(decreasing_runs(instance.y_sizes), y_capacity)
+    return (
+        len(x_loads) * len(y_loads),
+        len(y_loads) * sum(x_loads) + len(x_loads) * sum(y_loads),
+        max(x_loads) + max(y_loads),
     )
 
 
@@ -73,6 +109,11 @@ def half_split_grid(
     :func:`best_split_grid` or the big/small scheme otherwise.
     """
     return grid_with_split(instance, instance.q // 2, packer=packer)
+
+
+def half_split_grid_costs(instance: X2YInstance) -> Costs:
+    """The :data:`Costs` of :func:`half_split_grid` (FFD), unbuilt."""
+    return grid_costs(instance, instance.q // 2)
 
 
 def _candidate_splits(instance: X2YInstance, max_candidates: int) -> list[int]:
@@ -98,23 +139,20 @@ def _bin_counter(sizes: tuple[int, ...], packer: Packer) -> Callable[[int], int]
     return lambda capacity: packer(sizes, capacity).num_bins
 
 
-def best_split_grid(
+def best_split(
     instance: X2YInstance,
     packer: Packer = first_fit_decreasing,
     *,
     max_candidates: int = 64,
-) -> X2YSchema:
-    """Grid scheme with the capacity split chosen to minimize reducer count.
+) -> int:
+    """The X share ``t`` :func:`best_split_grid` builds its grid for.
 
     Probes up to *max_candidates* split values across the feasible range
     (always including the endpoints and the symmetric split) and keeps the
-    one whose ``b_x * b_y`` product is smallest, the first one on ties.  A
-    probe builds no schema: the grid of split ``t`` has exactly ``b_x *
-    b_y`` reducers, so only the winner is built, with
-    :func:`grid_with_split`.  With the default FFD packer a probe is two
-    bin counts from the size multiset (:func:`~repro.binpack.ffd.ffd_bin_count`
-    over runs of equal sizes built once per side); any other packer packs
-    both sides.  Fully general: succeeds on every feasible X2Y instance.
+    one whose ``b_x * b_y`` product is smallest, the first one on ties.
+    With the default FFD packer a probe is two bin counts from the size
+    multiset (:func:`~repro.binpack.ffd.ffd_bin_count` over runs of equal
+    sizes built once per side); any other packer packs both sides.
     *max_candidates* must be a positive integer.
     """
     max_candidates = check_positive_int(max_candidates, "max_candidates")
@@ -131,4 +169,26 @@ def best_split_grid(
         # check_feasible passed, so the feasible split range is non-empty;
         # this is unreachable but keeps the type checker honest.
         raise InvalidInstanceError("no feasible capacity split found")
-    return grid_with_split(instance, best_t, packer=packer)
+    return best_t
+
+
+def best_split_grid(
+    instance: X2YInstance,
+    packer: Packer = first_fit_decreasing,
+    *,
+    max_candidates: int = 64,
+) -> X2YSchema:
+    """Grid scheme with the capacity split chosen to minimize reducer count.
+
+    The split is :func:`best_split`'s.  A probe builds no schema: the
+    grid of split ``t`` has exactly ``b_x * b_y`` reducers, so only the
+    winner is built, with :func:`grid_with_split`.  Fully general:
+    succeeds on every feasible X2Y instance.
+    """
+    t = best_split(instance, packer, max_candidates=max_candidates)
+    return grid_with_split(instance, t, packer=packer)
+
+
+def best_split_grid_costs(instance: X2YInstance) -> Costs:
+    """The :data:`Costs` of :func:`best_split_grid` (FFD), unbuilt."""
+    return grid_costs(instance, best_split(instance))

@@ -50,6 +50,7 @@ from repro.engine.routing import (
     a2a_reducer_masks,
     canonical_meeting,
     owned_partners,
+    x2y_exact_cover,
     x2y_memberships,
     x2y_reducer_masks,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "a2a_reducer_masks",
     "x2y_memberships",
     "x2y_reducer_masks",
+    "x2y_exact_cover",
     "canonical_meeting",
     "owned_partners",
 ]

@@ -150,6 +150,21 @@ def x2y_reducer_masks(
     return tuple(x_masks), tuple(y_masks)
 
 
+def x2y_exact_cover(schema: X2YSchema) -> bool:
+    """Whether *schema* holds each cross pair at exactly one reducer.
+
+    A valid schema holds every one of the ``m * n`` cross pairs, and its
+    reducers hold ``sum(len(xs) * len(ys))`` of them counted with
+    repeats, so the two are equal exactly when no pair is held twice.
+    Every reducer then owns all the pairs it holds, and the apps skip
+    :func:`x2y_reducer_masks` and :func:`owned_partners`.  Every
+    grid-family schema (grids, equal-sized grids, big/small) is such a
+    schema.  The count says nothing about a schema that misses a pair.
+    """
+    held = sum(len(x_part) * len(y_part) for x_part, y_part in schema.reducers)
+    return held == schema.instance.m * schema.instance.n
+
+
 def owned_partners(
     reducer: int,
     held: Sequence[tuple[int, Any]],

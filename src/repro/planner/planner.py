@@ -15,12 +15,17 @@ inspectable :class:`~repro.planner.plan.Plan`.  Three modes, selected by
 * ``None`` — **full planning**: every method in the registries
   (:data:`~repro.core.selector.A2A_METHODS` /
   :data:`~repro.core.selector.X2Y_METHODS` /
-  :data:`MULTIWAY_METHODS`) is built and scored with
+  :data:`MULTIWAY_METHODS`) is scored with
   :func:`repro.core.costs.summarize`-style metrics; the winner minimizes
-  the spec's objective.  No score depends on the environment, so neither
-  does the chosen method.  The exponential ``exact`` solvers are skipped
-  above a size threshold, and a method that raises is recorded as
-  failed, not fatal.
+  the spec's objective.  Most are built and scored from their schema.
+  The X2Y grid family (:data:`~repro.core.selector.X2Y_COSTS`:
+  ``equal_grid``, ``half_grid``, ``best_split_grid``, and ``big_small``
+  when no input exceeds ``q // 2``) is scored from counted reducers,
+  communication and max load instead, and only the winner among them is
+  built, so a plan carries the schema it chose either way.  No score
+  depends on the environment, so neither does the chosen method.  The
+  exponential ``exact`` solvers are skipped above a size threshold, and
+  a method that raises is recorded as failed, not fatal.
 * a method name — **pinned**: that method, still scored, so the plan
   remains inspectable.
 
@@ -48,7 +53,8 @@ from repro.core.multiway import (
     multiway_bin_combining,
     multiway_reducer_lower_bound,
 )
-from repro.core.selector import A2A_METHODS, X2Y_METHODS, require_method
+from repro.core.selector import A2A_METHODS, X2Y_COSTS, X2Y_METHODS, require_method
+from repro.core.x2y import Costs
 from repro.engine.config import ExecutionConfig
 from repro.exceptions import InvalidInstanceError, ReproError
 from repro.obs.trace import NULL_TRACER, Tracer, as_tracer
@@ -121,8 +127,9 @@ def _skip_reason(
     """Why *name* should not be attempted on this instance, or ``None``.
 
     Gates the methods whose construction cost explodes with instance
-    size: full planning builds every candidate schema, so an expensive
-    candidate taxes planning latency even when it loses the comparison.
+    size: full planning builds every candidate schema it cannot count,
+    so an expensive candidate taxes planning latency even when it loses
+    the comparison.
     ``bin_pairing`` (A2A only) is skipped when no input exceeds ``q // 2``:
     ``big_small`` then builds the same reducers and wins the tie-break.
     """
@@ -158,6 +165,16 @@ def _skip_reason(
     return None
 
 
+def _counted_costs(
+    name: str, instance: A2AInstance | X2YInstance | MultiwayInstance
+) -> Costs | None:
+    """*name*'s costs counted without building its schema, or ``None``
+    when full planning must build it (see :data:`X2Y_COSTS`)."""
+    if isinstance(instance, X2YInstance) and name in X2Y_COSTS:
+        return X2Y_COSTS[name](instance)
+    return None
+
+
 def score_schema(method: str, schema: Any, objective: str) -> CandidateScore:
     """Score one built schema under *objective*.
 
@@ -166,10 +183,20 @@ def score_schema(method: str, schema: Any, objective: str) -> CandidateScore:
     planned job runs on one serial partition, so no score depends on the
     environment's worker count.
     """
-    loads = schema.loads
-    num_reducers = schema.num_reducers
-    comm = schema.communication_cost
-    total = schema.instance.total_size
+    costs = (
+        schema.num_reducers,
+        schema.communication_cost,
+        max(schema.loads, default=0),
+    )
+    return score_costs(method, costs, schema.instance.total_size, objective)
+
+
+def score_costs(
+    method: str, costs: Costs, total_size: int, objective: str
+) -> CandidateScore:
+    """Score a candidate from its ``(reducers, communication, max_load)``
+    under *objective*, whether counted or read off a built schema."""
+    num_reducers, comm, max_load = costs
     if objective == "min-reducers":
         objective_value = float(num_reducers)
     else:  # min-communication
@@ -179,8 +206,8 @@ def score_schema(method: str, schema: Any, objective: str) -> CandidateScore:
         status="scored",
         num_reducers=num_reducers,
         communication_cost=comm,
-        replication_rate=(comm / total) if total else 0.0,
-        max_load=max(loads, default=0),
+        replication_rate=(comm / total_size) if total_size else 0.0,
+        max_load=max_load,
         objective_value=objective_value,
     )
 
@@ -382,7 +409,9 @@ def _plan_uncached(
                 continue
             with tracer.span(f"score:{name}", category="planner") as cspan:
                 try:
-                    schema = registry[name](instance)
+                    costs = _counted_costs(name, instance)
+                    if costs is None:
+                        schemas[name] = registry[name](instance)
                 except ReproError as error:
                     cspan.set("status", "failed")
                     candidates.append(
@@ -391,9 +420,12 @@ def _plan_uncached(
                         )
                     )
                     continue
-                schemas[name] = schema
                 candidates.append(
-                    score_schema(name, schema, spec.objective)
+                    score_schema(name, schemas[name], spec.objective)
+                    if costs is None
+                    else score_costs(
+                        name, costs, instance.total_size, spec.objective
+                    )
                 )
         scored = [c for c in candidates if c.status == "scored"]
         if not scored:
@@ -413,6 +445,9 @@ def _plan_uncached(
             ),
         )
         chosen = best.method
+        if chosen not in schemas:
+            # Counted, not built: build the winner only.
+            schemas[chosen] = registry[chosen](instance)
         bound_name = (
             "num_reducers"
             if spec.objective == "min-reducers"

@@ -12,9 +12,14 @@ per-pair rule picks, in the same order.  The schemas include bin pairings,
 where many inputs share a mask, and ``greedy`` / ``exact`` ones, where
 few or none do.
 
+:func:`x2y_exact_cover`, which lets the X2Y apps skip the masks, is
+checked against a count of held pairs.
+
 The last tests pin every mask-taking app's outputs, in order, against a
 per-pair reference reducer kept here: the engine cross-validation runs
 the app's own reducer on both sides, so it cannot see an order change.
+The X2Y apps are pinned on schemas that hold each pair once (no masks)
+and on schemas that hold some pair twice (masks).
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from repro.engine.routing import (
     a2a_reducer_masks,
     canonical_meeting,
     owned_partners,
+    x2y_exact_cover,
     x2y_memberships,
     x2y_reducer_masks,
 )
@@ -177,6 +183,37 @@ def test_x2y_mask_rule_matches_canonical_meeting(instance):
         required = {(i, j) for i in range(instance.m) for j in range(instance.n)}
         assert set(owned) == required
         assert all(count == 1 for count in owned.values())
+
+
+#: The X2Y methods whose schemas hold every cross pair exactly once.
+GRID_FAMILY = ("equal_grid", "half_grid", "best_split_grid", "big_small")
+
+
+@settings(deadline=None)
+@given(x2y_instances())
+def test_exact_cover_predicate_counts_held_pairs(instance):
+    """:func:`x2y_exact_cover` holds for every grid-family schema and, on
+    any valid schema, exactly when no cross pair is held twice; repeating
+    a grid reducer makes it false."""
+    for method in X2Y_METHODS:
+        if method == "exact" and instance.m + instance.n > EXACT_MAX_INPUTS:
+            continue
+        try:
+            schema = solve_x2y(instance, method)
+        except ReproError:
+            continue  # the method does not handle this instance shape
+        held = Counter(
+            (i, j) for xs, ys in schema.reducers for i in xs for j in ys
+        )
+        assert len(held) == instance.m * instance.n
+        assert x2y_exact_cover(schema) == (max(held.values()) == 1)
+        if method in GRID_FAMILY:
+            assert x2y_exact_cover(schema)
+            doubled = replace(
+                schema, reducers=schema.reducers + schema.reducers[:1]
+            )
+            assert doubled.verify().valid
+            assert not x2y_exact_cover(doubled)
 
 
 @settings(deadline=None)
@@ -346,9 +383,12 @@ def test_threeway_similarity_matches_per_triple_reference():
 @pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("method", ["best_split_grid", "greedy"])
 def test_outer_product_matches_per_pair_reference(method, config):
+    """The grid holds each pair once, so its reducers skip the masks;
+    greedy's schema holds some pair twice and keeps them."""
     u = generate_block_vector("u", 8, 20, profile="zipf", seed=1)
     v = generate_block_vector("v", 6, 20, seed=2)
     run = distributed_outer_product(u, v, 20, method=method, config=config)
+    assert x2y_exact_cover(run.schema) == (method == "best_split_grid")
     reference = execute_schema(
         run.schema,
         (u.blocks, v.blocks),
@@ -360,16 +400,51 @@ def test_outer_product_matches_per_pair_reference(method, config):
 
 
 @pytest.mark.parametrize("config", CONFIGS)
-def test_skew_join_matches_per_pair_reference(config):
+@pytest.mark.parametrize("method", ["auto", "greedy"])
+def test_skew_join_matches_per_pair_reference(method, config):
+    """The reference tests every held pair against the masks of every
+    heavy key.  The grids of ``auto`` hold each pair once, so the app
+    builds no masks; ``greedy`` gives both kinds of schema in one join."""
     x, y = generate_join_workload(240, 240, 8, 1.3, seed=5, size_jitter=2)
-    run = schema_skew_join(x, y, 30, config=config)
+    run = schema_skew_join(x, y, 30, method=method, config=config)
     engine = _skew_join_engine(
         x, y, 30, run.heavy_keys, run.schemas, config=config
     )
+    covers = {x2y_exact_cover(schema) for schema in run.schemas.values()}
+    assert covers == ({True} if method == "auto" else {True, False})
     reference = replace(
         engine,
-        reduce_fn=partial(_reference_skew, **engine.reduce_fn.keywords),
+        reduce_fn=partial(
+            _reference_skew,
+            owners=engine.reduce_fn.keywords["owners"],
+            masks={
+                key: x2y_reducer_masks(schema)
+                for key, schema in run.schemas.items()
+            },
+        ),
     ).run()
     assert run.heavy_keys
     assert run.triples == tuple(reference.outputs)
     assert run.metrics == reference.metrics
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_skew_join_on_a_schema_holding_pairs_twice(config):
+    """A hand-built overlap: each heavy key's grid with its first reducer
+    repeated at the end.  The app keeps the masks for it, and every pair
+    is still emitted once, in the per-pair reference's order."""
+    x, y = generate_join_workload(240, 240, 8, 1.3, seed=5, size_jitter=2)
+    run = schema_skew_join(x, y, 30, config=config)
+    doubled = {
+        key: replace(schema, reducers=schema.reducers + schema.reducers[:1])
+        for key, schema in run.schemas.items()
+    }
+    assert not any(map(x2y_exact_cover, doubled.values()))
+    engine = _skew_join_engine(x, y, 30, run.heavy_keys, doubled, config=config)
+    assert set(engine.reduce_fn.keywords["masks"]) == set(doubled)
+    reference = replace(
+        engine, reduce_fn=partial(_reference_skew, **engine.reduce_fn.keywords)
+    ).run()
+    result = engine.run()
+    assert result.outputs == reference.outputs
+    assert sorted(result.outputs) == sorted(run.triples)

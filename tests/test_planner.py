@@ -13,6 +13,8 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.selector import A2A_METHODS, X2Y_METHODS
@@ -20,6 +22,7 @@ from repro.engine.config import ExecutionConfig
 from repro.exceptions import (
     InfeasibleInstanceError,
     InvalidInstanceError,
+    ReproError,
     UnknownMethodError,
 )
 from repro.planner import (
@@ -32,11 +35,14 @@ from repro.planner import (
     resolve_execution_config,
     run,
 )
+from repro.planner.plan import CandidateScore
 from repro.planner.planner import (
     EXACT_A2A_INPUT_LIMIT,
     EXACT_X2Y_PAIR_LIMIT,
     MIN_MEMORY_BUDGET,
     MULTIWAY_METHODS,
+    _skip_reason,
+    score_schema,
 )
 from repro.service.service import collect_reduce
 
@@ -304,6 +310,98 @@ class TestBinPairingGate:
     def test_bin_pairing_attempted_with_a_big_input(self):
         planned = plan(JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None), ENV)
         assert planned.candidate("bin_pairing").status == "failed"
+
+
+@st.composite
+def x2y_full_plan_specs(draw):
+    """A feasible, fully planned X2Y spec: mixed sizes, a big input (above
+    ``q // 2``, on either side, so ``half_grid`` fails its split) or one
+    size per side (so ``equal_grid`` applies)."""
+    q = draw(st.integers(4, 60))
+    shape = draw(st.sampled_from(["mixed", "big", "uniform"]))
+    if shape == "big":
+        x_max = draw(st.integers(q // 2 + 1, q - 1))
+    else:
+        x_max = draw(st.integers(1, q - 1))
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 24))
+    if shape == "uniform":
+        xs = [x_max] * m
+        ys = [draw(st.integers(1, q - x_max))] * n
+    else:
+        xs = draw(st.lists(st.integers(1, x_max), min_size=m, max_size=m))
+        ys = draw(st.lists(st.integers(1, q - x_max), min_size=n, max_size=n))
+        if shape == "big":
+            xs[0] = x_max
+    if draw(st.booleans()):
+        xs, ys = ys, xs
+    return JobSpec.x2y(
+        xs, ys, q, method=None, objective=draw(st.sampled_from(OBJECTIVES))
+    )
+
+
+def built_candidates(spec):
+    """Full planning's candidate rows with every unskipped method built
+    and scored from its schema, and the schemas by method."""
+    instance = spec.instance()
+    rows, schemas = [], {}
+    for name in sorted(X2Y_METHODS):
+        skip = _skip_reason(name, instance)
+        if skip is not None:
+            rows.append(CandidateScore(method=name, status="skipped", reason=skip))
+            continue
+        try:
+            schemas[name] = X2Y_METHODS[name](instance)
+        except ReproError as error:
+            rows.append(
+                CandidateScore(method=name, status="failed", reason=str(error))
+            )
+            continue
+        rows.append(score_schema(name, schemas[name], spec.objective))
+    return tuple(rows), schemas
+
+
+class TestCountedX2YCandidates:
+    """Full X2Y planning counts the grid family's costs and builds only
+    the winner; the rows and the choice must be what building and
+    scoring every method gives."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(x2y_full_plan_specs())
+    def test_counted_rows_equal_built_rows(self, spec):
+        rows, schemas = built_candidates(spec)
+        planned = plan(spec, ENV)
+        assert planned.candidates == rows
+        chosen = planned.schema()
+        assert chosen.algorithm == schemas[planned.chosen].algorithm
+        assert chosen.reducers == schemas[planned.chosen].reducers
+
+    @pytest.mark.parametrize(
+        "x, y, q, counted",
+        [
+            ([3, 5, 2, 7], [4, 1, 6], 14, {"half_grid", "best_split_grid", "big_small"}),
+            ([9, 2, 3, 1], [5, 3, 4], 17, {"best_split_grid"}),
+            ([4] * 5, [3] * 7, 12, {"equal_grid", "half_grid", "best_split_grid", "big_small"}),
+        ],
+        ids=["mixed", "big", "uniform"],
+    )
+    def test_only_the_winner_is_built(self, monkeypatch, x, y, q, counted):
+        built = []
+
+        def counting(name, build):
+            def wrapped(instance):
+                built.append(name)
+                return build(instance)
+
+            return wrapped
+
+        for name, build in list(X2Y_METHODS.items()):
+            monkeypatch.setitem(X2Y_METHODS, name, counting(name, build))
+        planned = plan(JobSpec.x2y(x, y, q, method=None), ENV)
+        scored = {c.method for c in planned.candidates if c.status == "scored"}
+        assert counted <= scored
+        # The uncounted candidates, then the counted winner.
+        assert sorted(built) == sorted((scored - counted) | {planned.chosen})
 
 
 class TestExecutionResolution:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,13 +15,14 @@ from repro.core.x2y.big import big_small_x2y, split_big_small_x2y
 from repro.core.x2y.equal import best_group_shape, equal_sized_grid
 from repro.core.x2y.greedy import greedy_cover_x2y
 from repro.core.schema import X2YSchema
+from repro.core.selector import X2Y_COSTS, X2Y_METHODS
 from repro.core.x2y.grid import (
     _candidate_splits,
     best_split_grid,
     grid_with_split,
     half_split_grid,
 )
-from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
+from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError, ReproError
 
 
 class TestGridWithSplit:
@@ -133,13 +136,13 @@ def test_best_split_grid_builds_one_schema(monkeypatch):
     # The shape of the skew-join benchmark's largest heavy key: 60 splits
     # are probed, and only the winner may become a schema.
     built = []
-    from_lists = X2YSchema.from_lists.__func__
+    from_bins = X2YSchema.from_bins.__func__
 
     def counting(cls, *args, **kwargs):
         built.append(kwargs.get("algorithm"))
-        return from_lists(cls, *args, **kwargs)
+        return from_bins(cls, *args, **kwargs)
 
-    monkeypatch.setattr(X2YSchema, "from_lists", classmethod(counting))
+    monkeypatch.setattr(X2YSchema, "from_bins", classmethod(counting))
     instance = X2YInstance([1] * 692, [1] * 645, 60)
     schema = best_split_grid(instance)
     assert built == [schema.algorithm]
@@ -160,6 +163,42 @@ def test_best_split_grid_packs_only_the_winning_split(monkeypatch):
     schema = best_split_grid(X2YInstance([1] * 692, [1] * 645, 60))
     assert packings == ["first_fit_decreasing"] * 2
     assert schema.algorithm.endswith("first_fit_decreasing]")
+
+
+@given(instance=feasible_x2y())
+def test_grid_family_bins_build_the_normal_form(instance):
+    """``from_bins`` sorts each bin once; the reducers are exactly what
+    ``from_lists`` normalises them to, with no pair held twice."""
+    for method in ("equal_grid", "half_grid", "best_split_grid", "big_small"):
+        try:
+            schema = X2Y_METHODS[method](instance)
+        except ReproError:
+            continue
+        assert schema.reducers == X2YSchema.from_lists(instance, schema.reducers).reducers
+        assert schema.verify().valid
+
+
+@given(instance=feasible_x2y())
+def test_counted_costs_equal_the_built_schema(instance):
+    """Each cost function counts the builder's reducers, communication and
+    max load, or raises the builder's error with the same message."""
+    for method, count in X2Y_COSTS.items():
+        try:
+            schema = X2Y_METHODS[method](instance)
+        except ReproError as error:
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                count(instance)
+            continue
+        costs = count(instance)
+        if costs is None:
+            assert method == "big_small"
+            assert max(instance.x_sizes + instance.y_sizes) > instance.q // 2
+            continue
+        assert costs == (
+            schema.num_reducers,
+            schema.communication_cost,
+            schema.max_load,
+        )
 
 
 @pytest.mark.parametrize("max_candidates", [0, -1, 2.5, True])
