@@ -101,18 +101,15 @@ def run_common_friends(
 
     Users are indexed by list position; capacity is enforced strictly
     (a correct schema cannot overflow).  The job runs on the engine, on
-    *config* when given and on the serial backend otherwise.
-    ``method="planned"`` enables full cost-based planning under
-    *objective* and defaults to the plan's resolved execution
-    configuration.
+    *config* when given and otherwise on the config
+    :func:`repro.planner.run` resolves for this machine, whatever the
+    *method*.  ``method="planned"`` enables full cost-based planning
+    under *objective*.
     """
     spec = common_friends_spec(users, q, method=method, objective=objective)
     planned = planner.plan(spec)
     schema = planned.schema()
     masks = a2a_reducer_masks(schema)
-
-    if config is None and method != "planned":
-        config = ExecutionConfig()
     result = planner.run(
         planned,
         users,

@@ -177,10 +177,9 @@ def run_similarity_join(
 
     The job runs on the engine through :func:`repro.planner.run`, on
     *config* when given (which may set a backend, or a ``memory_budget``
-    for the out-of-core shuffle) and on the serial backend otherwise.
-    ``method="planned"`` enables full cost-based planning under
-    *objective* and — when no *config* is given — runs on the plan's
-    resolved :class:`~repro.engine.config.ExecutionConfig`.
+    for the out-of-core shuffle) and otherwise on the config it resolves
+    for this machine, whatever the *method*.  ``method="planned"``
+    enables full cost-based planning under *objective*.
     *documents* may be a :class:`~repro.dataset.Dataset` (materialized
     once for schema planning — the sizes must be known before any record
     is routed).  A *tracer* records ``plan``/``score:*`` spans and the
@@ -193,9 +192,6 @@ def run_similarity_join(
     spec = similarity_spec(documents, q, method=method, objective=objective)
     planned = planner.plan(spec, tracer=tracer)
     schema = planned.schema()
-
-    if config is None and method != "planned":
-        config = ExecutionConfig()
     result = planner.run(
         planned,
         documents,

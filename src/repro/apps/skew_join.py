@@ -10,7 +10,7 @@ within ``q`` while the join output remains exactly the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator
 
@@ -215,7 +215,9 @@ def _skew_join_engine(
     each key's reducers in schema order), then one reducer per light key
     (sorted).  A heavy key without a schema (it is one-sided, so it has no
     output) puts its tuples in no reducer.  Ownership masks are built only
-    for the heavy keys whose schema holds some pair twice.
+    for the heavy keys whose schema holds some pair twice.  Without a
+    *config*, the job is not a single schema, so the config is resolved
+    from the plan's aggregate shape: its communication and input sizes.
     """
     x_records = _tag(x, "x")
     y_records = _tag(y, "y")
@@ -240,12 +242,19 @@ def _skew_join_engine(
         for key, schema in schemas.items()
         if not x2y_exact_cover(schema)
     }
+    if config is None:
+        config = planner.resolve_execution_config(
+            Environment.detect(),
+            communication_cost=plan.communication_cost,
+            total_size=sum(plan.sizes.values()),
+            num_inputs=len(plan.sizes),
+        )
     return ExecutionEngine(
         plan=plan,
         reduce_fn=partial(_skew_reduce, owners=tuple(owners), masks=masks),
         strict_capacity=True,
         tracer=tracer,
-        config=config if config is not None else ExecutionConfig(),
+        config=config,
     )
 
 
@@ -294,13 +303,13 @@ def schema_skew_join(
     enforced strictly: by construction nothing overflows.
 
     The job runs on the engine, on *config* when given (which may set a
-    backend, or a ``memory_budget`` for the out-of-core shuffle) and on
-    the serial backend otherwise.  ``method="planned"`` plans every heavy
-    key's schema cost-based under *objective* and — when no *config* is
-    given — resolves the engine configuration from the environment
-    probe.  A *tracer* records one ``plan`` span per heavy key plus the
-    engine phase spans; a profiling tracer (``Tracer(profile=True)``)
-    also attributes CPU/RSS and function time to those phases.
+    backend, or a ``memory_budget`` for the out-of-core shuffle) and
+    otherwise on the config resolved for this machine from the whole
+    job's shape, whatever the *method*.  ``method="planned"`` plans every
+    heavy key's schema cost-based under *objective*.  A *tracer* records
+    one ``plan`` span per heavy key plus the engine phase spans; a
+    profiling tracer (``Tracer(profile=True)``) also attributes CPU/RSS
+    and function time to those phases.
     """
     heavy = heavy_hitters(x, y, q)
 
@@ -311,7 +320,6 @@ def schema_skew_join(
     for t in y.tuples:
         y_by_key.setdefault(t.key, []).append(t)
 
-    env = Environment.detect()
     schemas: dict[int, X2YSchema] = {}
     plans: dict[int, Plan] = {}
     for key in heavy:
@@ -324,29 +332,14 @@ def schema_skew_join(
         spec = heavy_key_spec(
             x_tuples, y_tuples, q, method=method, objective=objective
         )
-        planned = planner.plan(spec, env, tracer=tracer)
+        planned = planner.plan(spec, tracer=tracer)
         schema = planned.schema()
         plans[key] = planned
         schemas[key] = schema
 
-    engine = _skew_join_engine(
+    result = _skew_join_engine(
         x, y, q, heavy, schemas, config=config, tracer=tracer
-    )
-    if config is None and method == "planned":
-        # The top-level job is not a single schema (composite light/heavy
-        # keys), so resolve the engine configuration from the plan's
-        # aggregate shape: its reducers, communication and input sizes.
-        engine = replace(
-            engine,
-            config=planner.resolve_execution_config(
-                env,
-                num_reducers=max(1, len(engine.plan.members)),
-                communication_cost=engine.plan.communication_cost,
-                total_size=sum(engine.plan.sizes.values()),
-                num_inputs=len(engine.plan.sizes),
-            ),
-        )
-    result = engine.run()
+    ).run()
     return SkewJoinRun(
         triples=tuple(result.outputs),
         metrics=result.metrics,

@@ -124,18 +124,15 @@ def distributed_outer_product(
     Block sizes define the instance; each reducer computes the tiles of the
     (u-block, v-block) pairs it canonically owns.  Capacity is strict — a
     correct schema cannot overflow.  The job runs on the engine, on
-    *config* when given and on the serial backend otherwise.
-    ``method="planned"``
-    enables full cost-based planning under *objective* and defaults to
-    the plan's resolved execution configuration.
+    *config* when given and otherwise on the config
+    :func:`repro.planner.run` resolves for this machine, whatever the
+    *method*.  ``method="planned"`` enables full cost-based planning
+    under *objective*.
     """
     spec = outer_product_spec(u, v, q, method=method, objective=objective)
     planned = planner.plan(spec)
     schema = planned.schema()
     masks = None if x2y_exact_cover(schema) else x2y_reducer_masks(schema)
-
-    if config is None and method != "planned":
-        config = ExecutionConfig()
     result = planner.run(
         planned,
         (u.blocks, v.blocks),

@@ -18,7 +18,6 @@ from typing import Iterator, Sequence
 
 from repro import planner
 from repro.core.multiway import MultiwaySchema
-from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics, JobMetrics
 from repro.engine.routing import a2a_reducer_masks, owned_partners
 from repro.planner import JobSpec, Plan
@@ -152,9 +151,9 @@ def run_threeway_similarity(
     Documents are indexed by list position.  Each reducer evaluates only
     the triples it owns (the smallest reducer index holding all three
     documents), so every triple is emitted exactly once despite
-    replication.  The job runs on the serial engine through
+    replication.  The job runs on the engine through
     :func:`repro.planner.run`, which routes the multiway schema like an
-    A2A one.
+    A2A one, on the config it resolves for this machine.
     """
     planned = planner.plan(threeway_spec(documents, q))
     schema = planned.schema()
@@ -162,7 +161,6 @@ def run_threeway_similarity(
         planned,
         documents,
         threeway_reducer(schema, documents, threshold),
-        config=ExecutionConfig(),
     )
     return ThreeWayRun(
         triples=tuple(result.outputs),

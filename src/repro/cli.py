@@ -10,8 +10,9 @@ Commands:
 * ``verify --file schema.json`` — re-verify a persisted schema.
 * ``plan --sizes 3,5,2,7 --q 12 [--objective min-communication]`` — run
   the cost-based planner: print the candidate table and the chosen
-  method plus resolved execution configuration.  ``--explain`` shows the
-  per-candidate cost rows, ``--json-out plan.json`` serializes the plan
+  method, then the execution configuration a run on this machine would
+  resolve.  ``--explain`` shows the per-candidate cost rows,
+  ``--json-out plan.json`` serializes the plan
   (``repro.planner.Plan.from_json`` loads it back), ``--x-sizes`` /
   ``--y-sizes`` plan an X2Y instance, ``--r`` a multiway one.
 * ``run --app skew-join --q 80 --backend processes`` — execute a
@@ -19,8 +20,9 @@ Commands:
   phase-timing metrics.  ``--memory-budget N`` bounds the routed pairs
   the engine buffers to ``N`` and spills the rest to disk (out-of-core
   mode); the spill counters are printed after the metrics tables.  ``--plan
-  auto`` lets the planner choose the schema method *and* the execution
-  configuration (``--objective`` sets what it optimizes).
+  auto`` lets the planner choose the schema method (``--objective`` sets
+  what it optimizes).  Without engine knobs every run resolves its
+  execution configuration for the machine.
 * ``serve [--slots 2] [--input jobs.ndjson]`` — the job-service loop:
   read newline-delimited JSON job requests (``{"id": ..., "spec":
   {"kind": "a2a", "q": 12, "sizes": [...]}, "priority": 0, "execute":
@@ -254,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan",
         default=None,
         choices=["auto"],
-        help="let the planner choose the schema method and the execution "
-        "configuration (explicit engine knobs like --backend or "
-        "--memory-budget take precedence over the planner's)",
+        help="let the planner choose the schema method (explicit engine "
+        "knobs like --backend or --memory-budget take precedence over the "
+        "execution configuration resolved for the machine)",
     )
     run.add_argument(
         "--objective",
@@ -528,12 +530,23 @@ def _spec_from_args(args: argparse.Namespace, command: str):
 
 def _run_plan(args: argparse.Namespace) -> int:
     """Handle ``repro plan``: plan a spec, print the table, serialize."""
-    from repro.planner import Environment
+    from repro.planner import Environment, resolve_execution_config
     from repro.planner import plan as plan_spec
 
     spec = _spec_from_args(args, "plan")
-    planned = plan_spec(spec, Environment.detect())
+    planned = plan_spec(spec)
     print(planned.describe(explain=args.explain))
+    config = resolve_execution_config(
+        Environment.detect(),
+        communication_cost=planned.schema().communication_cost,
+        total_size=spec.total_size,
+        num_inputs=spec.num_inputs,
+    )
+    budget = config.memory_budget
+    print(
+        f"execution : backend={config.backend}"
+        + ("" if budget is None else f", memory_budget={budget}")
+    )
     if args.json_out:
         repro_io.atomic_write_text(args.json_out, planned.to_json() + "\n")
         print(f"plan written to {args.json_out}")
@@ -629,9 +642,9 @@ def _run_workload(args: argparse.Namespace, tracer) -> None:
             args.spill_dir,
         )
     )
-    if plan_mode and not engine_knobs_given:
-        # No explicit knobs: the applications run on the plan's resolved
-        # ExecutionConfig.
+    if not engine_knobs_given:
+        # No explicit knobs: the application resolves the config for
+        # this machine, as every run without one does.
         config = None
     else:
         config = ExecutionConfig(

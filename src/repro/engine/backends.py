@@ -19,19 +19,18 @@ Two backends ship:
 There is no thread backend: pure-Python reduce work holds the GIL, and a
 thread pool never beat ``serial`` on a benchmark workload.
 
-Every backend dispatches through one windowed loop,
-:meth:`Backend.run_tasks`.  It pulls tasks lazily, keeps at most
-``max_workers * 4`` of them in flight, and collects results in task
-order, so a streaming task iterable is never materialized.  Retry, per-task
-timeouts, a run deadline and deterministic fault injection
-(:mod:`repro.faults`) are policy on that loop, not a second path: with
-``policy=None`` and no injector every failure propagates unchanged, and
-with a :class:`~repro.faults.RetryPolicy` a failed task is sent again
-(safe because engine tasks are pure over their schema-assigned
-partitions).  Only the in-flight payloads are kept for replay.  A worker
-death breaks a process pool; the loop heals the backend (the broken pool
-is torn down and rebuilt) and either replays the lost tasks or, with no
-policy, raises :class:`~repro.exceptions.WorkerLostError`.
+Every backend dispatches through one loop, :meth:`Backend.run_tasks`.
+It takes a sequence of tasks, runs them inline one at a time (serial)
+or submits them all to the pool, and collects results in task order.
+Retry, per-task timeouts, a run deadline and deterministic fault
+injection (:mod:`repro.faults`) are policy on that loop, not a second
+path: with ``policy=None`` and no injector every failure propagates
+unchanged, and with a :class:`~repro.faults.RetryPolicy` a failed task
+is sent again (safe because engine tasks are pure over their
+schema-assigned partitions).  A worker death breaks a process pool; the
+loop heals the backend (the broken pool is torn down and rebuilt) and
+either replays the lost tasks or, with no policy, raises
+:class:`~repro.exceptions.WorkerLostError`.
 
 Backends have an explicit pool lifecycle.  Entering one as a context
 manager opens a worker pool that every :meth:`Backend.run_tasks` call
@@ -62,7 +61,7 @@ from collections import deque
 from concurrent.futures import BrokenExecutor, Future, wait
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Sequence
 
 from repro.exceptions import (
     InvalidInstanceError,
@@ -78,19 +77,12 @@ from repro.faults import (
     remaining_time,
 )
 
-#: In-flight tasks per worker: enough to keep every worker busy without
-#: materializing a streaming task iterable.
-_WINDOW_PER_WORKER = 4
-
 #: Livelock backstop for worker-death replay: a task lost to pool
 #: breakage consumes no retry attempt (its loss says nothing about the
 #: task — one killed worker takes every in-flight neighbour with it), but
 #: a task *dispatched* this many times max-attempts over is abandoned so
 #: a pool that dies on every round still terminates.
 _LOST_DISPATCH_FACTOR = 4
-
-#: Marks the end of the task iterable.
-_EXHAUSTED = object()
 
 
 def available_workers() -> int:
@@ -207,7 +199,7 @@ class Backend(ABC):
     def run_tasks(
         self,
         fn: Callable[[Any], Any],
-        tasks: Iterable[Any],
+        tasks: Sequence[Any],
         *,
         policy: RetryPolicy | None = None,
         injector: FaultInjector | None = None,
@@ -219,9 +211,8 @@ class Backend(ABC):
     ) -> list[Any]:
         """Run ``fn`` over every task payload; results keep task order.
 
-        *tasks* may be any iterable and is consumed lazily: the serial
-        backend runs one task at a time, pooled backends keep at most
-        ``max_workers * 4`` tasks in flight.
+        The serial backend runs one task at a time; pooled backends
+        submit every task at once and collect them in order.
 
         With ``policy=None`` (the default) a failing task's exception
         propagates unchanged; a worker death heals the pool and raises
@@ -259,27 +250,24 @@ class Backend(ABC):
                 allow_kill=not self.runs_inline,
             )
         call = self._task_callable(fn)
-        source = iter(tasks)
-        results: list[Any] = []
+        results: list[Any] = [None] * len(tasks)
         in_flight: deque[_Attempt] = deque()
         # Retries waiting out their backoff: (ready at, task index, attempt).
         backlog: list[tuple[float, int, _Attempt]] = []
         dispatched = 0
-        window = (
-            1 if self.runs_inline else self.max_workers * _WINDOW_PER_WORKER
-        )
+        sent = 0
+        window = 1 if self.runs_inline else len(tasks)
         with self:
             try:
                 while True:
                     while len(in_flight) < window:
                         if backlog and backlog[0][0] <= time.monotonic():
                             attempt = heappop(backlog)[2]
+                        elif sent < len(tasks):
+                            attempt = _Attempt(sent, tasks[sent], 1, 0)
+                            sent += 1
                         else:
-                            payload = next(source, _EXHAUSTED)
-                            if payload is _EXHAUSTED:
-                                break
-                            attempt = _Attempt(len(results), payload, 1, 0)
-                            results.append(None)
+                            break
                         self._send(
                             call, attempt, injector is not None,
                             task_timeout, deadline_at, phase,

@@ -85,11 +85,12 @@ class ObservationRecord:
     """One executed job's measured outcome, keyed by plan fingerprint.
 
     ``fingerprint`` is the plan-cache key
-    (:func:`repro.planner.planner.plan_fingerprint`), so records group
-    naturally by planning request; the remaining fields are the measured
-    quantities a calibration fit needs (phase wall times, the shuffle's
-    pair/byte totals, spill traffic) plus enough context to filter by
-    backend and worker count.  ``at`` is wall-clock (for humans reading
+    (:func:`repro.planner.planner.plan_fingerprint`, a hash of the spec
+    alone), so records of one spec group together whichever machine ran
+    them; the remaining fields are the measured quantities a
+    calibration fit needs (phase wall times, the shuffle's pair/byte
+    totals, spill traffic) plus enough context to filter by backend and
+    worker count.  ``at`` is wall-clock (for humans reading
     the log); every duration is monotonic-clock derived.
 
     ``status`` distinguishes completed jobs (``done``) from failures

@@ -10,14 +10,15 @@ stages:
    (``min-reducers`` | ``min-communication``).  All applications build
    specs instead of calling solvers directly.
 2. **Plan** (:func:`plan`) — enumerate candidate methods from the
-   registries, score them (costs and bounds), pick the winner per
-   objective, and resolve an
-   :class:`~repro.engine.config.ExecutionConfig` from an
-   :class:`Environment` probe.  The result is an inspectable,
-   JSON-serializable :class:`Plan` with per-candidate scores and the
-   chosen rationale.
+   registries, score them (costs and bounds), and pick the winner per
+   objective.  The result is an inspectable, JSON-serializable
+   :class:`Plan` with per-candidate scores and the chosen rationale; it
+   depends on the spec alone, so one spec has one plan on every machine.
 3. **Run** (:func:`run`) — funnel the plan into
-   :func:`repro.engine.engine.execute_schema`.
+   :func:`repro.engine.engine.execute_schema`, on an
+   :class:`~repro.engine.config.ExecutionConfig` that
+   :func:`resolve_execution_config` works out from an
+   :class:`Environment` probe unless the caller gives one.
 
 Quickstart::
 
@@ -46,7 +47,6 @@ from repro.planner.planner import (
     plan,
     plan_cached,
     plan_fingerprint,
-    plan_schema,
     resolve_execution_config,
     score_schema,
 )
@@ -61,7 +61,6 @@ __all__ = [
     "plan",
     "plan_cached",
     "plan_fingerprint",
-    "plan_schema",
     "run",
     "build_schema",
     "method_registry",

@@ -1,20 +1,19 @@
-"""Execution-environment probe: what the planner knows about the machine.
+"""Execution-environment probe: what a run knows about the machine.
 
 An environment records two facts: how many workers can actually run at
-once, and how much memory is available for the shuffle.  The planner's
-execution-configuration rules key on the memory only (every planned job
-runs serially); the worker count is part of the snapshot a plan embeds,
-and the job service checks requested pools against it.
-:meth:`Environment.detect` measures both (worker count via the
+once, and how much memory is available for the shuffle.  No plan reads
+it.  :func:`~repro.planner.planner.resolve_execution_config` keys on the
+memory only (every job run without a config runs serially) when a plan
+runs, and the job service checks requested pools against the worker
+count.  :meth:`Environment.detect` measures both (worker count via the
 scheduling affinity, memory via ``/proc/meminfo`` where it exists);
-tests and benchmarks construct :class:`Environment` explicitly so plans
-are reproducible on any machine.
+tests construct :class:`Environment` explicitly so resolved configs are
+reproducible on any machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 from repro.engine.backends import available_workers
 from repro.exceptions import InvalidInstanceError
@@ -34,13 +33,13 @@ def _probe_available_memory() -> int | None:
 
 @dataclass(frozen=True)
 class Environment:
-    """A snapshot of the execution environment the planner plans for.
+    """A snapshot of the machine a plan runs on.
 
     Attributes:
         num_workers: workers the machine can run at once (>= 1).
         memory_bytes: available memory in bytes, or ``None`` when the
-            probe could not measure it (the planner then never sets a
-            memory budget on its own).
+            probe could not measure it (a resolved config then never
+            sets a memory budget).
     """
 
     num_workers: int
@@ -64,17 +63,3 @@ class Environment:
             memory_bytes=_probe_available_memory(),
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready dict form."""
-        return {
-            "num_workers": self.num_workers,
-            "memory_bytes": self.memory_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Environment":
-        """Rebuild from :meth:`to_dict` form."""
-        return cls(
-            num_workers=payload.get("num_workers", 1),
-            memory_bytes=payload.get("memory_bytes"),
-        )

@@ -3,12 +3,12 @@
 A :class:`Plan` records everything the planner decided and why: the spec
 it planned for, every candidate method with its cost scores (or the
 reason it was skipped or failed), the chosen method with a one-line
-rationale, the lower bounds the choice was judged against, and the
-:class:`~repro.engine.config.ExecutionConfig` resolved from the
-environment probe.  Plans round-trip through JSON (``repro plan
---json-out`` → :meth:`Plan.from_json`), and :meth:`Plan.schema`
-deterministically rebuilds the chosen mapping schema from the spec, so a
-deserialized plan is as executable as a fresh one.
+rationale, and the lower bounds the choice was judged against.  A plan
+depends on its spec alone: the engine configuration it runs on is
+resolved when it runs (:func:`repro.planner.run`).  Plans round-trip
+through JSON (``repro plan --json-out`` → :meth:`Plan.from_json`), and
+:meth:`Plan.schema` deterministically rebuilds the chosen mapping schema
+from the spec, so a deserialized plan is as executable as a fresh one.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
-from repro.engine.config import ExecutionConfig
 from repro.exceptions import InvalidInstanceError
-from repro.planner.environment import Environment
 from repro.planner.spec import SPEC_FORMAT_VERSION, JobSpec
 
 #: Candidate states: scored (costed and eligible), skipped (not attempted,
@@ -88,9 +86,7 @@ class Plan:
         chosen: registry name of the winning method.
         rationale: one line explaining the choice (structural rule for
             the fast path, objective comparison for full planning).
-        execution: the resolved engine configuration.
         candidates: every candidate considered, scored or annotated.
-        environment: the environment snapshot the plan was resolved for.
         lower_bounds: problem lower bounds (``num_reducers``,
             ``communication_cost``) the chosen plan can be judged against.
         mode: ``"fast-path"``, ``"planned"``, or ``"pinned"``.
@@ -99,9 +95,7 @@ class Plan:
     spec: JobSpec
     chosen: str
     rationale: str
-    execution: ExecutionConfig
     candidates: tuple[CandidateScore, ...]
-    environment: Environment
     lower_bounds: dict[str, int] = field(default_factory=dict)
     mode: str = "planned"
 
@@ -158,13 +152,6 @@ class Plan:
         """Human-readable plan summary (what ``repro plan`` prints)."""
         from repro.utils.tables import format_table
 
-        exec_bits = [f"backend={self.execution.backend}"]
-        if self.execution.num_workers is not None:
-            exec_bits.append(f"workers={self.execution.num_workers}")
-        if self.execution.num_reduce_tasks is not None:
-            exec_bits.append(f"reduce_tasks={self.execution.num_reduce_tasks}")
-        if self.execution.memory_budget is not None:
-            exec_bits.append(f"memory_budget={self.execution.memory_budget}")
         bounds = ", ".join(
             f"{name} >= {value}" for name, value in sorted(self.lower_bounds.items())
         )
@@ -175,7 +162,6 @@ class Plan:
             f"mode      : {self.mode}",
             f"chosen    : {self.chosen}",
             f"rationale : {self.rationale}",
-            f"execution : {', '.join(exec_bits)}",
         ]
         if bounds:
             lines.append(f"bounds    : {bounds}")
@@ -188,25 +174,12 @@ class Plan:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready dict form (schema omitted — rebuilt from the spec)."""
-        if not isinstance(self.execution.backend, str):
-            raise InvalidInstanceError(
-                "only plans with a named backend serialize; got a live "
-                f"{type(self.execution.backend).__name__} instance"
-            )
         return {
             "version": SPEC_FORMAT_VERSION,
             "spec": self.spec.to_dict(),
             "chosen": self.chosen,
             "rationale": self.rationale,
             "mode": self.mode,
-            "execution": {
-                "backend": self.execution.backend,
-                "num_workers": self.execution.num_workers,
-                "num_reduce_tasks": self.execution.num_reduce_tasks,
-                "memory_budget": self.execution.memory_budget,
-                "spill_dir": self.execution.spill_dir,
-            },
-            "environment": self.environment.to_dict(),
             "lower_bounds": dict(self.lower_bounds),
             "candidates": [score.as_row() for score in self.candidates],
         }
@@ -215,9 +188,9 @@ class Plan:
     def from_dict(cls, payload: Mapping[str, Any]) -> "Plan":
         """Rebuild a plan from its :meth:`to_dict` form (strict loading).
 
-        Execution keys this library no longer has are ignored, so plans
-        saved by older versions (which also wrote ``map_chunk_size``)
-        still load.
+        Keys this library no longer writes are ignored, so plans saved by
+        older versions (which also carried ``execution`` and
+        ``environment`` blocks) still load.
         """
         if not isinstance(payload, Mapping):
             raise InvalidInstanceError(
@@ -229,27 +202,16 @@ class Plan:
                 f"unsupported plan format version {version!r} "
                 f"(this library reads version {SPEC_FORMAT_VERSION})"
             )
-        for required in ("spec", "chosen", "execution"):
+        for required in ("spec", "chosen"):
             if required not in payload:
                 raise InvalidInstanceError(
                     f"plan payload is missing {required!r}"
                 )
-        execution = payload["execution"]
-        if not isinstance(execution, Mapping):
-            raise InvalidInstanceError("plan 'execution' must be a JSON object")
         return cls(
             spec=JobSpec.from_dict(payload["spec"]),
             chosen=payload["chosen"],
             rationale=payload.get("rationale", ""),
             mode=payload.get("mode", "planned"),
-            execution=ExecutionConfig(
-                backend=execution.get("backend", "serial"),
-                num_workers=execution.get("num_workers"),
-                num_reduce_tasks=execution.get("num_reduce_tasks"),
-                memory_budget=execution.get("memory_budget"),
-                spill_dir=execution.get("spill_dir"),
-            ),
-            environment=Environment.from_dict(payload.get("environment", {})),
             lower_bounds={
                 str(k): int(v)
                 for k, v in (payload.get("lower_bounds") or {}).items()

@@ -1,9 +1,8 @@
-"""Cost-based planning: enumerate, score, choose, resolve execution.
+"""Cost-based planning: enumerate, score, choose.
 
 :func:`plan` is the pipeline's middle stage: it takes a declarative
-:class:`~repro.planner.spec.JobSpec` plus an
-:class:`~repro.planner.environment.Environment` and produces an
-inspectable :class:`~repro.planner.plan.Plan`.  Three modes, selected by
+:class:`~repro.planner.spec.JobSpec` and produces an inspectable
+:class:`~repro.planner.plan.Plan`.  Three modes, selected by
 ``spec.method``:
 
 * ``"auto"`` — the **fast path**: the structural dispatch heuristic from
@@ -22,23 +21,21 @@ inspectable :class:`~repro.planner.plan.Plan`.  Three modes, selected by
   ``equal_grid``, ``half_grid``, ``best_split_grid``, and ``big_small``
   when no input exceeds ``q // 2``) is scored from counted reducers,
   communication and max load instead, and only the winner among them is
-  built, so a plan carries the schema it chose either way.  No score
-  depends on the environment, so neither does the chosen method.  The
+  built, so a plan carries the schema it chose either way.  The
   exponential ``exact`` solvers are skipped above a size threshold, and
   a method that raises is recorded as failed, not fatal.
 * a method name — **pinned**: that method, still scored, so the plan
   remains inspectable.
 
-Every plan also resolves an :class:`~repro.engine.config.ExecutionConfig`
-from the environment via :func:`resolve_execution_config` — the rules are
-deterministic and documented on that function (and in the README's knob
-table), so a plan is reproducible given the same spec and environment.
+A plan is a function of its spec alone: nothing here probes the machine.
+The engine configuration a plan runs on is resolved when it runs, by
+:func:`resolve_execution_config` from an
+:class:`~repro.planner.environment.Environment` snapshot (the rules are
+documented on that function and in the README's knob table).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Mapping, Protocol
 
 from repro.core.bounds import (
@@ -61,7 +58,7 @@ from repro.obs.trace import NULL_TRACER, Tracer, as_tracer
 from repro.planner.environment import Environment
 from repro.planner.fastpath import fast_path
 from repro.planner.plan import CandidateScore, Plan
-from repro.planner.spec import SPEC_FORMAT_VERSION, JobSpec
+from repro.planner.spec import JobSpec
 
 #: Multiway methods (the pairwise kinds use the selector registries).
 MULTIWAY_METHODS = {"bin_combining": multiway_bin_combining}
@@ -179,9 +176,8 @@ def score_schema(method: str, schema: Any, objective: str) -> CandidateScore:
     """Score one built schema under *objective*.
 
     Works for all three schema kinds (only ``loads`` / ``num_reducers`` /
-    ``communication_cost`` / the instance totals are touched).  Every
-    planned job runs on one serial partition, so no score depends on the
-    environment's worker count.
+    ``communication_cost`` / the instance totals are touched).  No score
+    depends on the machine.
     """
     costs = (
         schema.num_reducers,
@@ -232,20 +228,22 @@ def _lower_bounds(
 def resolve_execution_config(
     env: Environment,
     *,
-    num_reducers: int,
     communication_cost: int,
     total_size: int,
     num_inputs: int,
 ) -> ExecutionConfig:
-    """Resolve engine knobs from the environment and the chosen schema.
+    """Resolve engine knobs for running a schema in an environment.
 
-    The rules (also documented in the README's knob table):
+    The one rule for every job run without an explicit config: called by
+    :func:`repro.planner.run`, the job service and the skew join when a
+    plan runs, never while planning.  The rules (also documented in the
+    README's knob table):
 
     * ``backend`` — ``serial`` unless the caller names a backend, for
-      every schema and machine (*num_reducers* and the worker count do
-      not enter it), with ``num_workers`` and ``num_reduce_tasks`` left
-      ``None``: one reduce partition.  Every reduce function here is pure
-      Python, and no pool beat serial on a benchmark workload.
+      every schema and machine (the worker count does not enter it),
+      with ``num_workers`` and ``num_reduce_tasks`` left ``None``: one
+      reduce partition.  Every reduce function here is pure Python, and
+      no pool beat serial on a benchmark workload.
     * ``memory_budget`` — set only when the estimated shuffle footprint
       exceeds :data:`MEMORY_FRACTION` of available memory.  The engine
       ships each input once per reduce partition holding one of its
@@ -289,27 +287,20 @@ class PlanCacheProtocol(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def plan_fingerprint(spec: JobSpec, env: Environment) -> str:
+def plan_fingerprint(spec: JobSpec) -> str:
     """Content fingerprint of a planning request (hex SHA-256).
 
-    Planning is deterministic given the spec and the environment snapshot
-    (method enumeration order is sorted, scoring is pure arithmetic, and
-    the resolved execution config depends only on ``env``), so this
-    fingerprint is a sound cache key: equal fingerprints imply
-    byte-identical :meth:`Plan.to_json` output.
+    Planning is deterministic given the spec (method enumeration order
+    is sorted, scoring is pure arithmetic, and nothing reads the
+    machine), so the spec's own :meth:`~JobSpec.fingerprint` is a sound
+    cache key: equal fingerprints imply byte-identical
+    :meth:`Plan.to_json` output.
     """
-    payload = {
-        "version": SPEC_FORMAT_VERSION,
-        "spec": spec.to_dict(),
-        "environment": env.to_dict(),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return spec.fingerprint()
 
 
 def plan_cached(
     spec: JobSpec,
-    env: Environment | None = None,
     *,
     cache: PlanCacheProtocol,
     tracer: Tracer | None = None,
@@ -325,23 +316,20 @@ def plan_cached(
     ``cache_hit`` outcome.
     """
     tracer = as_tracer(tracer)
-    if env is None:
-        env = Environment.detect()
     with tracer.span("plan", category="planner", kind=spec.kind) as span:
-        key = plan_fingerprint(spec, env)
+        key = plan_fingerprint(spec)
         cached = cache.get(key)
         if cached is not None:
             span.set("cache_hit", True)
             return cached, key, True
         span.set("cache_hit", False)
-        result = _plan_uncached(spec, env, tracer)
+        result = _plan_uncached(spec, tracer)
         cache.put(key, result)
         return result, key, False
 
 
 def plan(
     spec: JobSpec,
-    env: Environment | None = None,
     *,
     cache: PlanCacheProtocol | None = None,
     tracer: Tracer | None = None,
@@ -353,19 +341,15 @@ def plan(
     planning work as a ``plan`` span with per-candidate child spans.
     """
     if cache is not None:
-        return plan_cached(spec, env, cache=cache, tracer=tracer)[0]
-    if env is None:
-        env = Environment.detect()
+        return plan_cached(spec, cache=cache, tracer=tracer)[0]
     tracer = as_tracer(tracer)
     with tracer.span("plan", category="planner", kind=spec.kind) as span:
         span.set("cache_hit", False)
-        return _plan_uncached(spec, env, tracer)
+        return _plan_uncached(spec, tracer)
 
 
-def _plan_uncached(
-    spec: JobSpec, env: Environment, tracer: Tracer = NULL_TRACER
-) -> Plan:
-    """The actual planning pipeline (enumerate, score, choose, resolve)."""
+def _plan_uncached(spec: JobSpec, tracer: Tracer = NULL_TRACER) -> Plan:
+    """The actual planning pipeline (enumerate, score, choose)."""
     instance = spec.instance()
     instance.check_feasible()
     registry = method_registry(spec.kind)
@@ -465,21 +449,11 @@ def _plan_uncached(
         )
         mode = "planned"
 
-    chosen_score = next(c for c in candidates if c.method == chosen)
-    execution = resolve_execution_config(
-        env,
-        num_reducers=chosen_score.num_reducers or 0,
-        communication_cost=chosen_score.communication_cost or 0,
-        total_size=spec.total_size,
-        num_inputs=spec.num_inputs,
-    )
     result = Plan(
         spec=spec,
         chosen=chosen,
         rationale=rationale,
-        execution=execution,
         candidates=tuple(candidates),
-        environment=env,
         lower_bounds=lower_bounds,
         mode=mode,
     )
@@ -487,7 +461,3 @@ def _plan_uncached(
         object.__setattr__(result, "_schema_cache", schemas[chosen])
     return result
 
-
-def plan_schema(spec: JobSpec, env: Environment | None = None):
-    """Convenience: plan a spec and return just the chosen schema."""
-    return plan(spec, env).schema()

@@ -2,11 +2,13 @@
 
 :func:`run` funnels a :class:`~repro.planner.plan.Plan` into
 :func:`repro.engine.engine.execute_schema`: the plan's chosen schema
-routes the records, and the plan's resolved
-:class:`~repro.engine.config.ExecutionConfig` configures the engine
-unless the caller overrides it.  Applications therefore reduce to spec
-building plus result formatting — schema choice and execution tuning
-both live in the plan.  All three schema kinds run here: a multiway
+routes the records, and the caller's
+:class:`~repro.engine.config.ExecutionConfig` configures the engine, or
+without one the config
+:func:`~repro.planner.planner.resolve_execution_config` gives for this
+machine.  Applications therefore reduce to spec building plus result
+formatting — schema choice lives in the plan, execution tuning in one
+rule applied at run time.  All three schema kinds run here: a multiway
 plan's reducers are input sets over one input list, so the engine routes
 them exactly like an A2A plan's.
 """
@@ -19,7 +21,9 @@ from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import EngineResult, ReduceFn, execute_schema
 from repro.obs.trace import Tracer
+from repro.planner.environment import Environment
 from repro.planner.plan import Plan
+from repro.planner.planner import resolve_execution_config
 
 
 def run(
@@ -36,18 +40,27 @@ def run(
     *records* follows :func:`~repro.engine.engine.execute_schema`'s
     contract: a sequence or streaming dataset aligned with the instance's
     inputs for A2A and multiway plans, an ``(x_records, y_records)`` pair
-    for X2Y plans.  *config* overrides the plan's resolved execution
-    configuration (e.g. to pin a backend in a benchmark sweep); by
-    default the plan runs exactly as planned.  *tracer* (optional)
+    for X2Y plans.  *config* sets how the job runs (e.g. to pin a
+    backend in a benchmark sweep); without one, the config is resolved
+    from :meth:`Environment.detect` and the chosen schema's shape.
+    *tracer* (optional)
     collects the engine's phase and task spans for this run; a profiling
     tracer (``Tracer(profile=True)``) additionally attributes CPU/RSS and
     function time to the engine phases.
     """
+    schema = plan.schema()
+    if config is None:
+        config = resolve_execution_config(
+            Environment.detect(),
+            communication_cost=schema.communication_cost,
+            total_size=plan.spec.total_size,
+            num_inputs=plan.spec.num_inputs,
+        )
     return execute_schema(
-        plan.schema(),
+        schema,
         records,
         reduce_fn,
         strict_capacity=strict_capacity,
-        config=config if config is not None else plan.execution,
+        config=config,
         tracer=tracer,
     )

@@ -250,9 +250,9 @@ class JobSpec:
         Computed over the canonical (sorted-key, whitespace-free) JSON of
         :meth:`to_dict` plus the wire-format version, so two specs
         fingerprint equal exactly when they describe the same problem,
-        objective, and method request — the key ingredient of plan-cache
-        keys (see :func:`repro.planner.planner.plan_fingerprint`, which
-        additionally mixes in the environment).
+        objective, and method request — the plan-cache key (see
+        :func:`repro.planner.planner.plan_fingerprint`: a plan depends on
+        its spec alone).
         """
         payload = {"version": SPEC_FORMAT_VERSION, "spec": self.to_dict()}
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

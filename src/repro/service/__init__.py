@@ -8,8 +8,8 @@ run, one worker pool built and torn down.  The service layer multiplexes
   fair priority-FIFO :class:`JobScheduler` with K concurrent slots.
 * Shared, long-lived backend pools — one pool per ``(backend, workers)``
   shape, opened persistently and reused by every job.
-* A :class:`PlanCache` — plans are deterministic in ``(spec,
-  environment)``, so repeated submissions skip enumeration entirely.
+* A :class:`PlanCache` — a plan is deterministic in its spec alone, so
+  repeated submissions skip enumeration entirely.
 * A bounded :class:`ResultStore` that evicts read results before unread
   ones, and per-job metrics.
 * Admission control against the :class:`~repro.planner.Environment`

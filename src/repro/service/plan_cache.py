@@ -1,10 +1,10 @@
 """Bounded LRU plan cache keyed by content fingerprints.
 
-Plans are deterministic functions of ``(JobSpec, Environment)`` — method
-enumeration is sorted, scoring is pure arithmetic, and the execution
-config resolution depends only on the environment snapshot — so a cache
-hit can skip candidate enumeration entirely and return a byte-identical
-plan (``Plan.to_json()`` equality is pinned by the tests).  Keys come
+Plans are deterministic functions of their :class:`JobSpec` — method
+enumeration is sorted, scoring is pure arithmetic, and planning never
+reads the machine — so a cache hit can skip candidate enumeration
+entirely and return a byte-identical plan (``Plan.to_json()`` equality
+is pinned by the tests).  Keys come
 from :func:`repro.planner.planner.plan_fingerprint`; this class is the
 :class:`~repro.planner.planner.PlanCacheProtocol` implementation the
 :class:`~repro.service.service.JobService` plugs into ``plan(...,
@@ -23,10 +23,7 @@ from collections import OrderedDict
 from typing import Any
 
 from repro.exceptions import InvalidInstanceError
-from repro.planner.environment import Environment
 from repro.planner.plan import Plan
-from repro.planner.planner import plan_fingerprint
-from repro.planner.spec import JobSpec
 
 #: Default number of cached plans; at ~1-10 KB of scorecards per plan this
 #: is well under a megabyte.
@@ -54,11 +51,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    @staticmethod
-    def key_for(spec: JobSpec, env: Environment) -> str:
-        """The cache key for a planning request (delegates to the planner)."""
-        return plan_fingerprint(spec, env)
 
     def get(self, key: str) -> Plan | None:
         """The cached plan for *key*, refreshing its recency; ``None`` on miss."""

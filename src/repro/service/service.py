@@ -60,7 +60,11 @@ from repro.obs.store import (
 )
 from repro.obs.trace import Span, Tracer, as_tracer
 from repro.planner.environment import Environment
-from repro.planner.planner import BYTES_PER_SIZE_UNIT, plan_cached
+from repro.planner.planner import (
+    BYTES_PER_SIZE_UNIT,
+    plan_cached,
+    resolve_execution_config,
+)
 from repro.planner.spec import JobSpec
 from repro.service.events import (
     CANCELLED,
@@ -257,10 +261,10 @@ class JobService:
 
     Args:
         slots: concurrent job slots (scheduler worker threads).
-        env: environment snapshot used for admission control and
-            cache-keyed planning; probed once at construction by default
-            so every job in a service session plans against the same
-            snapshot (a requirement for plan-cache hits).
+        env: environment snapshot used for admission control and for
+            resolving the config of jobs submitted without one; probed
+            once at construction by default.  Plans and their cache keys
+            never read it.
         plan_cache_size: retained plans (LRU).
         result_capacity: retained job results (read ones evicted
             first, least recently used first).  The job table keeps
@@ -343,15 +347,16 @@ class JobService:
         Without *records* the job is *plan-only*: it produces a plan (via
         the shared plan cache) and no engine run.  With *records* (and a
         *reduce_fn*) the job executes the planned schema, serially unless
-        *config* names ``processes`` (the service's shared pool); *config*
-        overrides the plan's resolved execution configuration, and is the
-        one place a job's recovery policy lives:
-        ``ExecutionConfig(retry=..., deadline=...)`` bounds
-        per-task replay and the whole run's seconds from dispatch (the
-        plan's resolved config never carries either).  Jobs that fail
-        admission control are returned in the ``rejected`` state rather
-        than raised, so batch submitters observe rejections uniformly via
-        status/result.
+        *config* names ``processes`` (the service's shared pool).  Without
+        *config* the job runs on the config
+        :func:`~repro.planner.planner.resolve_execution_config` gives for
+        the service's environment snapshot.  *config* is the one place a
+        job's recovery policy lives: ``ExecutionConfig(retry=...,
+        deadline=...)`` bounds per-task replay and the whole run's
+        seconds from dispatch (a resolved config never carries either).
+        Jobs that fail admission control are returned in the ``rejected``
+        state rather than raised, so batch submitters observe rejections
+        uniformly via status/result.
         """
         if records is not None and reduce_fn is None:
             raise InvalidInstanceError(
@@ -763,14 +768,6 @@ class JobService:
         backend.close()
         return True
 
-    def _plan(
-        self, spec: JobSpec, *, tracer: Tracer | None = None
-    ) -> tuple[Any, str, bool]:
-        """Plan via the shared cache; returns ``(plan, fingerprint, hit)``."""
-        return plan_cached(
-            spec, self.env, cache=self.plan_cache, tracer=tracer
-        )
-
     def _update_scheduler_gauges(self) -> None:
         """Refresh the queue/slot gauges from the scheduler's counters."""
         queued = self.scheduler.queued_count
@@ -888,8 +885,8 @@ class JobService:
             # planner's "plan" span, the engine's phase/task spans, and
             # the final "store" span all parent through this activation.
             with tracer.activate(record.root_span):
-                planned, fingerprint, cache_hit = self._plan(
-                    record.spec, tracer=tracer
+                planned, fingerprint, cache_hit = plan_cached(
+                    record.spec, cache=self.plan_cache, tracer=tracer
                 )
                 self.metrics.counter(
                     "plan_cache.hits" if cache_hit else "plan_cache.misses"
@@ -910,7 +907,12 @@ class JobService:
                         wall_seconds=time.perf_counter() - started,
                     )
                 else:
-                    config = record.config or planned.execution
+                    config = record.config or resolve_execution_config(
+                        self.env,
+                        communication_cost=planned.schema().communication_cost,
+                        total_size=record.spec.total_size,
+                        num_inputs=record.spec.num_inputs,
+                    )
                     if isinstance(config.backend, str):
                         pool_key = (config.backend, config.num_workers)
                     config = self._shared_config(config)

@@ -112,8 +112,9 @@ class TestSimilarityJoin:
         assert run.engine is not None  # planned mode executes on the engine
 
     def test_planned_mode_runs_serial_like_a_pooled_run(self, documents):
-        # The plan resolves to serial; a pooled run of the same plan over
-        # many reduce partitions gives the same outputs and job metrics.
+        # A run without a config resolves to serial; a pooled run of the
+        # same plan over many reduce partitions gives the same outputs and
+        # job metrics.
         planned = run_similarity_join(
             documents, self.Q, self.THRESHOLD, method="planned"
         )
@@ -126,7 +127,6 @@ class TestSimilarityJoin:
                 backend="processes", num_workers=2, num_reduce_tasks=8
             ),
         )
-        assert planned.plan.execution == ExecutionConfig()
         assert planned.engine.backend == "serial"
         assert planned.engine.num_reduce_tasks == 1
         assert pooled.engine.num_reduce_tasks > 1

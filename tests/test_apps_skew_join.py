@@ -140,11 +140,10 @@ class TestSchemaSkewJoin:
     def test_planned_config_resolves_from_the_plan(
         self, skewed_workload, monkeypatch
     ):
-        # method="planned" sizes the engine from the job's plan: its
-        # reducer count and communication equal the per-key sums the join
-        # used to add up by hand (one reducer and every tuple's size per
-        # light key, plus every heavy key's schema), and its total input
-        # size is every tuple's size.
+        # Without a config the engine is sized from the job's plan: its
+        # communication equals the per-key sum the join used to add up
+        # by hand (every tuple's size per light key, plus every heavy
+        # key's schema), and its total input size is every tuple's size.
         x, y = skewed_workload
         resolved = []
         resolve = planner.resolve_execution_config
@@ -161,13 +160,7 @@ class TestSchemaSkewJoin:
         (env, shape, config), = resolved
         heavy = set(run.heavy_keys)
         tuples = (*x.tuples, *y.tuples)
-        light_keys = {t.key for t in tuples} - heavy
         hand_rolled = dict(
-            num_reducers=max(
-                1,
-                len(light_keys)
-                + sum(s.num_reducers for s in run.schemas.values()),
-            ),
             communication_cost=sum(
                 t.size for t in tuples if t.key not in heavy
             )

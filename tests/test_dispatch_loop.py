@@ -1,11 +1,11 @@
 """Properties of the backends' one dispatch loop, ``Backend.run_tasks``.
 
 The loop's contract: results come back in task order whatever the
-backend, window or fault scenario; a seeded fault scenario fails exactly
-the attempts the :class:`~repro.faults.FaultInjector` says it fails, so
-both the retry count and whether the retry budget runs out are knowable
-in advance and identical on every backend; and retrying never costs the
-streaming window.
+backend or fault scenario; a seeded fault scenario fails exactly the
+attempts the :class:`~repro.faults.FaultInjector` says it fails, so both
+the retry count and whether the retry budget runs out are knowable in
+advance and identical on every backend; and retrying never costs the
+engine's streaming read of its records.
 
 Task functions are module-level so the ``processes`` backend can pickle
 them.
@@ -13,7 +13,6 @@ them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 import pytest
@@ -21,11 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset import as_dataset
-from repro.engine.backends import (
-    _WINDOW_PER_WORKER,
-    ProcessBackend,
-    get_backend,
-)
+from repro.engine.backends import ProcessBackend, get_backend
 from repro.engine.config import ExecutionConfig
 from repro.engine.engine import ExecutionEngine
 from repro.engine.routing import SchemaPlan
@@ -37,15 +32,6 @@ PHASE = "map"
 
 def square(value: int) -> int:
     return value * value
-
-
-def square_stamped(value: int) -> tuple[int, float]:
-    """The square of *value* and the instant it was computed; task 0 first
-    sleeps so the loop can fill its window (``time.monotonic`` is one
-    clock across processes)."""
-    if value == 0:
-        time.sleep(0.2)
-    return square(value), time.monotonic()
 
 
 @pytest.fixture(scope="module")
@@ -108,21 +94,19 @@ def run_loop(backend, tasks, spec: FaultSpec, max_attempts: int):
     crash=st.sampled_from([0.0, 0.1, 0.3, 0.6]),
     transient=st.sampled_from([0.0, 0.2, 0.5]),
     max_attempts=st.integers(1, 4),
-    streaming=st.booleans(),
 )
 def test_loop_matches_the_injector(
     process_pools, num_tasks, max_workers, backend_name, seed, crash,
-    transient, max_attempts, streaming,
+    transient, max_attempts,
 ):
     spec = FaultSpec(crash=crash, transient=transient, seed=seed)
     tasks = list(range(num_tasks))
-    source = iter(tasks) if streaming else tasks
     backend = (
         process_pools[max_workers]
         if backend_name == "processes"
         else get_backend(backend_name)
     )
-    outcome, retries = run_loop(backend, source, spec, max_attempts)
+    outcome, retries = run_loop(backend, tasks, spec, max_attempts)
     failures = expected_failures(spec, num_tasks, max_attempts)
     if any(failed == max_attempts for failed in failures):
         assert isinstance(outcome, TaskRetryExhaustedError)
@@ -153,26 +137,6 @@ def test_processes_example_matches_the_injector():
     )
     assert serial_outcome == outcome
     assert sorted(serial_retries) == sorted(retries)
-
-
-@pytest.mark.parametrize("retry", [None, RetryPolicy()])
-def test_retry_keeps_a_lazy_task_source_within_the_window(retry):
-    """Tasks pulled before the first task finishes stay within the
-    window (4 per worker), with or without a retry policy."""
-    total = 200
-    pulled_at = []
-
-    def tasks():
-        for i in range(total):
-            pulled_at.append(time.monotonic())
-            yield i
-
-    with ProcessBackend(max_workers=1) as backend:
-        results = backend.run_tasks(square_stamped, tasks(), policy=retry)
-    assert [value for value, _ in results] == [square(t) for t in range(total)]
-    first_done = results[0][1]
-    assert sum(at < first_done for at in pulled_at) <= _WINDOW_PER_WORKER
-    assert len(pulled_at) == total
 
 
 def count_reduce(key, values):

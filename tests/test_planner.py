@@ -31,7 +31,6 @@ from repro.planner import (
     JobSpec,
     Plan,
     plan,
-    plan_schema,
     resolve_execution_config,
     run,
 )
@@ -49,7 +48,6 @@ from repro.service.service import collect_reduce
 from oracle import validate_against_simulator
 
 ENV = Environment(num_workers=2, memory_bytes=1 << 30)
-SERIAL_ENV = Environment(num_workers=1, memory_bytes=1 << 30)
 
 
 class TestJobSpec:
@@ -127,7 +125,7 @@ class TestJobSpec:
 class TestPlanModes:
     def test_full_planning_picks_objective_argmin(self):
         spec = JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None)
-        planned = plan(spec, ENV)
+        planned = plan(spec)
         scored = [c for c in planned.candidates if c.status == "scored"]
         best = min(scored, key=lambda c: c.objective_value)
         assert planned.chosen_score.objective_value == best.objective_value
@@ -143,7 +141,7 @@ class TestPlanModes:
     )
     def test_objective_value_tracks_metric(self, objective, metric):
         spec = JobSpec.x2y([9, 2, 3], [5, 3], q=17, method=None, objective=objective)
-        planned = plan(spec, ENV)
+        planned = plan(spec)
         for candidate in planned.candidates:
             if candidate.status == "scored":
                 assert candidate.objective_value == pytest.approx(
@@ -168,7 +166,7 @@ class TestPlanModes:
         for shape in shapes:
             for objective in OBJECTIVES:
                 spec = replace(shape, method=None, objective=objective)
-                planned = plan(spec, ENV)
+                planned = plan(spec)
                 best = min(
                     c.objective_value
                     for c in planned.candidates
@@ -178,20 +176,20 @@ class TestPlanModes:
 
     def test_pinned_method(self):
         spec = JobSpec.a2a([3, 5, 2], q=12, method="greedy")
-        planned = plan(spec, ENV)
+        planned = plan(spec)
         assert planned.mode == "pinned"
         assert planned.chosen == "greedy"
         assert [c.method for c in planned.candidates] == ["greedy"]
 
     def test_pinned_unknown_method_lists_choices(self):
         with pytest.raises(UnknownMethodError) as error:
-            plan(JobSpec.a2a([3, 5], q=12, method="magic"), ENV)
+            plan(JobSpec.a2a([3, 5], q=12, method="magic"))
         message = str(error.value)
         assert "unknown A2A method 'magic'" in message
         assert "bin_pairing" in message and "exact" in message
 
     def test_fast_path_mode_records_rule(self):
-        planned = plan(JobSpec.a2a([4] * 6, q=8), ENV)
+        planned = plan(JobSpec.a2a([4] * 6, q=8))
         assert planned.mode == "fast-path"
         assert planned.rationale.startswith("fast path:")
         assert {c.method for c in planned.candidates} == {
@@ -201,10 +199,10 @@ class TestPlanModes:
 
     def test_infeasible_spec_raises(self):
         with pytest.raises(InfeasibleInstanceError):
-            plan(JobSpec.a2a([7, 8], q=10, method=None), ENV)
+            plan(JobSpec.a2a([7, 8], q=10, method=None))
 
     def test_failed_candidates_are_recorded_not_fatal(self):
-        planned = plan(JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None), ENV)
+        planned = plan(JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None))
         failed = {c.method for c in planned.candidates if c.status == "failed"}
         # equal-sized methods cannot run on mixed sizes but must not kill
         # the plan.
@@ -215,15 +213,16 @@ class TestPlanModes:
 
     def test_multiway_planning(self):
         spec = JobSpec.multiway([2, 2, 2, 2, 2], q=9, r=3, method=None)
-        planned = plan(spec, ENV)
+        planned = plan(spec)
         assert planned.chosen == "bin_combining"
         assert planned.schema().verify() == (True, "valid")
         assert "num_reducers" in planned.lower_bounds
 
 
 class TestWorkerCountIndependence:
-    """Every planned job runs serially, so no part of a plan may depend
-    on how many workers the environment reports."""
+    """Every job run without a config runs serially, so the config
+    resolved for a plan may not depend on how many workers the
+    environment reports."""
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
     @pytest.mark.parametrize("mode", ["planned", "fast-path", "pinned"])
@@ -238,20 +237,24 @@ class TestWorkerCountIndependence:
     )
     def test_plan_ignores_worker_count(self, shape, pinned, mode, objective):
         method = {"planned": None, "fast-path": "auto", "pinned": pinned}[mode]
-        spec = replace(shape, method=method, objective=objective)
-        one = plan(spec, Environment(num_workers=1, memory_bytes=1 << 30))
-        many = plan(spec, Environment(num_workers=64, memory_bytes=1 << 30))
-        assert one.mode == mode
-        assert many.chosen == one.chosen
-        assert many.candidates == one.candidates
-        assert many.rationale == one.rationale
-        assert many.execution == one.execution
+        planned = plan(replace(shape, method=method, objective=objective))
+        assert planned.mode == mode
+        one, many = (
+            resolve_execution_config(
+                Environment(num_workers=workers, memory_bytes=1 << 30),
+                communication_cost=planned.schema().communication_cost,
+                total_size=planned.spec.total_size,
+                num_inputs=planned.spec.num_inputs,
+            )
+            for workers in (1, 64)
+        )
+        assert one == many == ExecutionConfig(backend="serial")
 
 
 class TestExactGate:
     def test_a2a_exact_skipped_above_limit(self):
         sizes = [1] * (EXACT_A2A_INPUT_LIMIT + 1)
-        planned = plan(JobSpec.a2a(sizes, q=4, method=None), ENV)
+        planned = plan(JobSpec.a2a(sizes, q=4, method=None))
         exact = planned.candidate("exact")
         assert exact.status == "skipped"
         assert "exceeds the exact-search limit" in exact.reason
@@ -259,7 +262,7 @@ class TestExactGate:
     def test_x2y_exact_skipped_where_it_would_exhaust_its_budget(self):
         # 24 cross pairs: exact spends its whole node budget (seconds)
         # on this instance and fails, so the gate must not let it run.
-        planned = plan(JobSpec.x2y([1, 3], [1] * 12, q=6, method=None), ENV)
+        planned = plan(JobSpec.x2y([1, 3], [1] * 12, q=6, method=None))
         exact = planned.candidate("exact")
         assert exact.status == "skipped"
         assert "exceeds the exact-search limit" in exact.reason
@@ -267,24 +270,24 @@ class TestExactGate:
     def test_x2y_exact_attempted_at_pair_limit(self):
         x, y = [1] * 3, [1] * 5  # 15 cross pairs
         assert len(x) * len(y) == EXACT_X2Y_PAIR_LIMIT
-        planned = plan(JobSpec.x2y(x, y, q=4, method=None), ENV)
+        planned = plan(JobSpec.x2y(x, y, q=4, method=None))
         assert planned.candidate("exact").status != "skipped"
 
     def test_a2a_exact_attempted_at_limit(self):
         # At the limit the gate lets exact run; it may still blow its node
         # budget, which must be recorded as a failure, never as fatal.
         sizes = [1] * EXACT_A2A_INPUT_LIMIT
-        planned = plan(JobSpec.a2a(sizes, q=4, method=None), ENV)
+        planned = plan(JobSpec.a2a(sizes, q=4, method=None))
         assert planned.candidate("exact").status != "skipped"
 
     def test_a2a_exact_scored_on_small_instance(self):
-        planned = plan(JobSpec.a2a([1] * 6, q=4, method=None), ENV)
+        planned = plan(JobSpec.a2a([1] * 6, q=4, method=None))
         assert planned.candidate("exact").status == "scored"
 
     def test_x2y_exact_skipped_above_pair_limit(self):
         x = [1] * 6
         y = [1] * 6  # 36 cross pairs > 15
-        planned = plan(JobSpec.x2y(x, y, q=4, method=None), ENV)
+        planned = plan(JobSpec.x2y(x, y, q=4, method=None))
         assert planned.candidate("exact").status == "skipped"
         assert EXACT_X2Y_PAIR_LIMIT > 0
 
@@ -299,7 +302,7 @@ class TestExactGate:
 class TestBinPairingGate:
     def test_bin_pairing_skipped_without_big_inputs(self):
         # big_small builds the same reducers and wins the name tie-break.
-        planned = plan(JobSpec.a2a([3, 5, 2, 6, 4], q=12, method=None), ENV)
+        planned = plan(JobSpec.a2a([3, 5, 2, 6, 4], q=12, method=None))
         pairing = planned.candidate("bin_pairing")
         assert pairing.status == "skipped"
         assert pairing.reason == (
@@ -308,7 +311,7 @@ class TestBinPairingGate:
         assert planned.candidate("big_small").status == "scored"
 
     def test_bin_pairing_attempted_with_a_big_input(self):
-        planned = plan(JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None), ENV)
+        planned = plan(JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None))
         assert planned.candidate("bin_pairing").status == "failed"
 
 
@@ -370,7 +373,7 @@ class TestCountedX2YCandidates:
     @given(x2y_full_plan_specs())
     def test_counted_rows_equal_built_rows(self, spec):
         rows, schemas = built_candidates(spec)
-        planned = plan(spec, ENV)
+        planned = plan(spec)
         assert planned.candidates == rows
         chosen = planned.schema()
         assert chosen.algorithm == schemas[planned.chosen].algorithm
@@ -397,7 +400,7 @@ class TestCountedX2YCandidates:
 
         for name, build in list(X2Y_METHODS.items()):
             monkeypatch.setitem(X2Y_METHODS, name, counting(name, build))
-        planned = plan(JobSpec.x2y(x, y, q, method=None), ENV)
+        planned = plan(JobSpec.x2y(x, y, q, method=None))
         scored = {c.method for c in planned.candidates if c.status == "scored"}
         assert counted <= scored
         # The uncounted candidates, then the counted winner.
@@ -406,14 +409,13 @@ class TestCountedX2YCandidates:
 
 class TestExecutionResolution:
     @pytest.mark.parametrize("workers", [1, 2, 64])
-    @pytest.mark.parametrize("reducers", [1, 3, 10_000])
-    def test_serial_for_every_schema_and_machine(self, workers, reducers):
-        # Serial unless the caller names a backend: neither the reducer
-        # count nor the machine's workers pick a pool.
+    @pytest.mark.parametrize("communication", [1, 3, 10_000])
+    def test_serial_for_every_schema_and_machine(self, workers, communication):
+        # Serial unless the caller names a backend: neither the schema
+        # nor the machine's workers pick a pool.
         config = resolve_execution_config(
             Environment(num_workers=workers, memory_bytes=1 << 30),
-            num_reducers=reducers,
-            communication_cost=100,
+            communication_cost=communication,
             total_size=100,
             num_inputs=10,
         )
@@ -421,14 +423,12 @@ class TestExecutionResolution:
 
     def test_memory_budget_only_when_shuffle_exceeds_share(self):
         small = resolve_execution_config(
-            ENV, num_reducers=4, communication_cost=10, total_size=100,
-            num_inputs=10,
+            ENV, communication_cost=10, total_size=100, num_inputs=10
         )
         assert small.memory_budget is None
         tight_env = Environment(num_workers=2, memory_bytes=1 << 20)
         big = resolve_execution_config(
             tight_env,
-            num_reducers=4,
             communication_cost=1 << 20,
             total_size=1 << 20,
             num_inputs=1 << 20,
@@ -445,7 +445,6 @@ class TestExecutionResolution:
         def budget(communication_cost, total_size, num_inputs):
             config = resolve_execution_config(
                 env,
-                num_reducers=4,
                 communication_cost=communication_cost,
                 total_size=total_size,
                 num_inputs=num_inputs,
@@ -470,8 +469,7 @@ class TestExecutionResolution:
     def test_no_budget_when_memory_unknown(self):
         env = Environment(num_workers=2, memory_bytes=None)
         config = resolve_execution_config(
-            env, num_reducers=4, communication_cost=1 << 40, total_size=100,
-            num_inputs=10,
+            env, communication_cost=1 << 40, total_size=100, num_inputs=10
         )
         assert config.memory_budget is None
 
@@ -495,7 +493,7 @@ class TestPlanSerialization:
         ],
     )
     def test_json_round_trip_is_lossless(self, spec):
-        planned = plan(spec, ENV)
+        planned = plan(spec)
         loaded = Plan.from_json(planned.to_json())
         assert loaded == planned
         # And the rebuilt schema is the same schema.
@@ -509,40 +507,33 @@ class TestPlanSerialization:
         with pytest.raises(InvalidInstanceError):
             Plan.from_json('{"version": 1, "spec": {"kind": "a2a", "q": 5}}')
 
-    def test_plan_saved_with_map_chunk_size_still_loads(self):
-        # Plans saved before the engine dropped map tasks carry the
-        # execution key "map_chunk_size"; loading ignores it.
-        planned = plan(JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None), ENV)
+    def test_plan_saved_with_execution_and_environment_still_loads(self):
+        # Plans saved while they embedded a resolved engine config and an
+        # environment snapshot (and, before that, "map_chunk_size") load
+        # equal to the plan the same spec gives now.
+        planned = plan(JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None))
         payload = planned.to_dict()
-        assert "map_chunk_size" not in payload["execution"]
-        assert "chunk=" not in planned.describe()
-        payload["execution"]["map_chunk_size"] = 4
+        assert "execution" not in payload
+        assert "environment" not in payload
+        assert "execution" not in planned.describe()
+        payload["execution"] = {
+            "backend": "serial",
+            "num_workers": None,
+            "num_reduce_tasks": None,
+            "memory_budget": 1024,
+            "spill_dir": None,
+            "map_chunk_size": 4,
+        }
+        payload["environment"] = {"num_workers": 2, "memory_bytes": 1 << 20}
         loaded = Plan.from_json(json.dumps(payload))
         assert loaded == planned
-        assert loaded.execution == planned.execution
-
-    def test_live_backend_does_not_serialize(self):
-        from repro.engine.backends import SerialBackend
-
-        planned = plan(JobSpec.a2a([3, 5], q=10), ENV)
-        hacked = Plan(
-            spec=planned.spec,
-            chosen=planned.chosen,
-            rationale=planned.rationale,
-            execution=ExecutionConfig(backend=SerialBackend()),
-            candidates=planned.candidates,
-            environment=planned.environment,
-            lower_bounds=planned.lower_bounds,
-            mode=planned.mode,
-        )
-        with pytest.raises(InvalidInstanceError):
-            hacked.to_dict()
+        assert loaded.to_json() == planned.to_json()
 
 
 class TestRunStage:
     def test_run_funnels_into_engine(self):
         spec = JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None)
-        planned = plan(spec, SERIAL_ENV)
+        planned = plan(spec)
 
         def reduce_fn(reducer, values):
             yield reducer, sorted(i for i, _ in values)
@@ -551,8 +542,38 @@ class TestRunStage:
         assert result.engine.backend == "serial"
         assert result.metrics.num_reducers == planned.chosen_score.num_reducers
 
+    def test_run_resolves_the_config_at_run_time(self, monkeypatch):
+        # Without a config, run probes the machine once and sizes the
+        # config from the chosen schema and the spec.
+        from repro.planner import runner
+
+        planned = plan(JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None))
+        tight = Environment(num_workers=1, memory_bytes=1 << 12)
+        monkeypatch.setattr(
+            Environment, "detect", classmethod(lambda cls: tight)
+        )
+        resolved = []
+
+        def spy(env, **shape):
+            config = resolve_execution_config(env, **shape)
+            resolved.append((env, shape, config))
+            return config
+
+        monkeypatch.setattr(runner, "resolve_execution_config", spy)
+        result = run(planned, [f"r{i}" for i in range(5)], collect_reduce)
+        (env, shape, config), = resolved
+        assert env is tight
+        assert shape == dict(
+            communication_cost=planned.chosen_score.communication_cost,
+            total_size=21,
+            num_inputs=5,
+        )
+        # 21 units of 256 bytes exceed a quarter of 4 KiB.
+        assert config.memory_budget == MIN_MEMORY_BUDGET
+        assert result.engine.backend == "serial"
+
     def test_run_respects_config_override(self):
-        planned = plan(JobSpec.a2a([2, 2, 2, 2], q=8), SERIAL_ENV)
+        planned = plan(JobSpec.a2a([2, 2, 2, 2], q=8))
         result = run(
             planned,
             list("abcd"),
@@ -564,7 +585,7 @@ class TestRunStage:
     def test_multiway_plans_run_on_engine(self):
         # A multiway plan routes like an A2A plan and matches the
         # reference simulator fed the same schema.
-        planned = plan(JobSpec.multiway([2, 3, 2, 3, 2, 2], q=9, r=3), ENV)
+        planned = plan(JobSpec.multiway([2, 3, 2, 3, 2, 2], q=9, r=3))
         records = list("abcdef")
         result = run(planned, records, collect_reduce)
         _, oracle, report = validate_against_simulator(
@@ -576,5 +597,5 @@ class TestRunStage:
         assert result.metrics.num_reducers == planned.chosen_score.num_reducers
 
     def test_plan_schema_convenience(self):
-        schema = plan_schema(JobSpec.a2a([2] * 6, q=8), ENV)
+        schema = plan(JobSpec.a2a([2] * 6, q=8)).schema()
         assert schema.num_reducers == 3

@@ -23,9 +23,7 @@ from repro.core.a2a import (
 from repro.core.instance import A2AInstance, X2YInstance
 from repro.core.selector import solve_a2a, solve_x2y
 from repro.core.x2y import best_split_grid, big_small_x2y, equal_sized_grid
-from repro.planner import Environment, JobSpec, fast_path_a2a, fast_path_x2y, plan
-
-ENV = Environment(num_workers=2, memory_bytes=1 << 30)
+from repro.planner import JobSpec, fast_path_a2a, fast_path_x2y, plan
 
 
 def legacy_auto_a2a(instance: A2AInstance):
@@ -101,16 +99,16 @@ class TestBigSmallCutoff:
 
 class TestDegenerateShapes:
     def test_single_input_a2a(self):
-        planned = plan(JobSpec.a2a([5], q=8), ENV)
+        planned = plan(JobSpec.a2a([5], q=8))
         schema = planned.schema()
         assert schema.num_reducers == 1
         assert schema.verify().valid
         # Full planning handles it too.
-        planned_full = plan(JobSpec.a2a([5], q=8, method=None), ENV)
+        planned_full = plan(JobSpec.a2a([5], q=8, method=None))
         assert planned_full.schema().verify().valid
 
     def test_single_input_per_side_x2y(self):
-        planned = plan(JobSpec.x2y([4], [3], q=8), ENV)
+        planned = plan(JobSpec.x2y([4], [3], q=8))
         assert planned.schema().verify().valid
 
     def test_all_equal_sizes_takes_uniform_rule(self):
@@ -163,7 +161,7 @@ class TestFastPathMatchesLegacyAuto:
         # And the public facade still returns the identical schema.
         assert solve_a2a(instance).reducers == oracle.reducers
         # The app-facing plan pipeline agrees with the facade.
-        planned = plan(JobSpec.a2a(sizes, q), ENV)
+        planned = plan(JobSpec.a2a(sizes, q))
         assert planned.schema().reducers == oracle.reducers
 
     @pytest.mark.parametrize("x_sizes,y_sizes,q", X2Y_SHAPES)
@@ -174,5 +172,5 @@ class TestFastPathMatchesLegacyAuto:
         assert considered[chosen].reducers == oracle.reducers
         assert considered[chosen].algorithm == oracle.algorithm
         assert solve_x2y(instance).reducers == oracle.reducers
-        planned = plan(JobSpec.x2y(x_sizes, y_sizes, q), ENV)
+        planned = plan(JobSpec.x2y(x_sizes, y_sizes, q))
         assert planned.schema().reducers == oracle.reducers

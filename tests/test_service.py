@@ -46,7 +46,7 @@ from repro.workloads.documents import all_pairs_above, generate_documents
 #: A tiny spec used by jobs whose outputs are irrelevant.
 SMALL_SPEC = JobSpec.a2a([3, 5, 2, 7, 4], q=12)
 
-#: Deterministic environment so plans (and fingerprints) are stable.
+#: Deterministic environment so admission and resolved configs are stable.
 ENV = Environment(num_workers=2, memory_bytes=1 << 30)
 
 SERIAL = ExecutionConfig(backend="serial")
@@ -242,27 +242,52 @@ class TestPlanCache:
         assert result_two.cache_hit is True
         assert result_two.plan is result_one.plan
         assert result_two.plan.to_json() == result_one.plan.to_json()
-        assert result_one.fingerprint == plan_fingerprint(spec, ENV)
+        assert result_one.fingerprint == plan_fingerprint(spec)
         assert service.plan_cache.stats()["hits"] == 1
 
     def test_cache_aware_plan_function(self):
         cache = PlanCache(capacity=8)
         spec = JobSpec.a2a([4, 4, 4, 4], q=9, method=None)
-        first = plan(spec, ENV, cache=cache)
-        second = plan(spec, ENV, cache=cache)
+        first = plan(spec, cache=cache)
+        second = plan(spec, cache=cache)
         assert second is first
         assert cache.hits == 1 and cache.misses == 1
 
-    def test_distinct_environments_do_not_collide(self):
+    def test_one_fingerprint_in_every_environment(self):
+        # A plan depends on its spec alone: services on machines of any
+        # core count or memory, or none measured, key and plan it alike.
         spec = JobSpec.a2a([3, 5, 2], q=9)
-        other_env = Environment(num_workers=4, memory_bytes=1 << 30)
-        assert plan_fingerprint(spec, ENV) != plan_fingerprint(spec, other_env)
+        results = []
+        for env in (
+            Environment(num_workers=1, memory_bytes=1 << 30),
+            Environment(num_workers=64, memory_bytes=1 << 20),
+            Environment(num_workers=2, memory_bytes=None),
+        ):
+            with JobService(slots=1, env=env) as service:
+                results.append(service.submit_spec(spec).result(timeout=30.0))
+        assert {r.fingerprint for r in results} == {plan_fingerprint(spec)}
+        assert len({r.plan.to_json() for r in results}) == 1
+
+    def test_plan_cache_hits_while_available_memory_moves(self, monkeypatch):
+        # The machine probe reports a different available memory on every
+        # call; planning never reads it, so one miss is followed by hits.
+        memory = iter(range(1 << 30, 1 << 31, 1 << 20))
+        monkeypatch.setattr(
+            Environment,
+            "detect",
+            classmethod(lambda cls: Environment(2, next(memory))),
+        )
+        cache = PlanCache(capacity=8)
+        spec = JobSpec.a2a([3, 5, 2, 7, 4], q=12)
+        plans = [plan(spec, cache=cache) for _ in range(5)]
+        assert cache.misses == 1 and cache.hits == 4
+        assert all(planned is plans[0] for planned in plans)
 
     def test_lru_eviction(self):
         cache = PlanCache(capacity=2)
         specs = [JobSpec.a2a([i + 2, 3], q=9) for i in range(3)]
-        plans = [plan(spec, ENV) for spec in specs]
-        keys = [plan_fingerprint(spec, ENV) for spec in specs]
+        plans = [plan(spec) for spec in specs]
+        keys = [plan_fingerprint(spec) for spec in specs]
         cache.put(keys[0], plans[0])
         cache.put(keys[1], plans[1])
         assert cache.get(keys[0]) is plans[0]  # refresh key 0
@@ -318,7 +343,7 @@ class TestResultStore:
 
     def test_read_results_are_evicted_before_unread_ones(self):
         store = ResultStore(capacity=2)
-        plan_obj = plan(SMALL_SPEC, ENV)
+        plan_obj = plan(SMALL_SPEC)
 
         def put(job_id):
             store.put(
@@ -343,7 +368,7 @@ class TestResultStore:
 
     def test_store_accounting(self):
         store = ResultStore(capacity=1)
-        plan_obj = plan(SMALL_SPEC, ENV)
+        plan_obj = plan(SMALL_SPEC)
         for index in range(2):
             store.put(
                 JobResult(
@@ -623,7 +648,7 @@ class TestCrossValidation:
 
         spec = similarity_spec(documents, self.Q)
         with JobService(slots=2, env=ENV) as service:
-            planned = plan(spec, service.env)
+            planned = plan(spec)
             handle = service.submit(
                 spec,
                 records=documents,
@@ -654,11 +679,8 @@ class TestCrossValidation:
             handles = [service.submit_spec(spec) for spec in specs]
             served = [h.result(timeout=30.0) for h in handles]
         for spec, result in zip(specs, served):
-            planned = plan(spec, ENV)
+            planned = plan(spec)
             from repro.planner import run as run_plan
 
-            direct = run_plan(
-                planned, spec_records(spec), collect_reduce,
-                config=planned.execution,
-            )
+            direct = run_plan(planned, spec_records(spec), collect_reduce)
             assert sorted(result.outputs) == sorted(direct.outputs)

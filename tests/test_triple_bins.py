@@ -23,10 +23,8 @@ from repro.core.bounds import a2a_communication_lower_bound, a2a_reducer_lower_b
 from repro.core.instance import A2AInstance
 from repro.core.selector import A2A_METHODS
 from repro.exceptions import InvalidInstanceError
-from repro.planner import Environment, JobSpec, fast_path_a2a, plan
+from repro.planner import JobSpec, fast_path_a2a, plan
 from repro.workloads.distributions import sample_sizes
-
-ENV = Environment(num_workers=2, memory_bytes=1 << 30)
 
 
 @st.composite
@@ -159,7 +157,7 @@ def test_fast_path_builds_the_winner_of_the_bin_schemes(instance):
 
 def test_plan_lists_the_losers_as_skipped():
     sizes = sample_sizes("uniform", 300, 200, seed=1)
-    planned = plan(JobSpec.a2a(sizes, 200), ENV)
+    planned = plan(JobSpec.a2a(sizes, 200))
     assert planned.chosen == "quad_bins"
     assert planned.chosen_score.num_reducers == planned.schema().num_reducers
     instance = A2AInstance(sizes, 200)
