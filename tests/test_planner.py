@@ -507,10 +507,21 @@ class TestPlanSerialization:
         with pytest.raises(InvalidInstanceError):
             Plan.from_json('{"version": 1, "spec": {"kind": "a2a", "q": 5}}')
 
+    def test_plan_saved_with_map_chunk_size_still_loads(self):
+        # Plans saved before the engine dropped map tasks carry the
+        # execution key "map_chunk_size"; loading ignores it.
+        planned = plan(JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None))
+        assert "chunk=" not in planned.describe()
+        payload = planned.to_dict()
+        payload["execution"] = {"backend": "serial", "map_chunk_size": 4}
+        loaded = Plan.from_json(json.dumps(payload))
+        assert loaded == planned
+        assert loaded.to_json() == planned.to_json()
+
     def test_plan_saved_with_execution_and_environment_still_loads(self):
         # Plans saved while they embedded a resolved engine config and an
-        # environment snapshot (and, before that, "map_chunk_size") load
-        # equal to the plan the same spec gives now.
+        # environment snapshot load equal to the plan the same spec gives
+        # now.
         planned = plan(JobSpec.a2a([3, 5, 2, 7, 4], q=12, method=None))
         payload = planned.to_dict()
         assert "execution" not in payload
@@ -522,7 +533,6 @@ class TestPlanSerialization:
             "num_reduce_tasks": None,
             "memory_budget": 1024,
             "spill_dir": None,
-            "map_chunk_size": 4,
         }
         payload["environment"] = {"num_workers": 2, "memory_bytes": 1 << 20}
         loaded = Plan.from_json(json.dumps(payload))
